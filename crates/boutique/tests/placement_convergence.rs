@@ -9,7 +9,7 @@
 //! one live, and then go quiet (a no-op round = converged).
 //!
 //! Every round's decisions go into one golden, line-based log that
-//! replays bit-for-bit: `parse_decisions` + `apply_decisions` over the
+//! replays bit-for-bit: `linelog::parse` + `apply_decisions` over the
 //! initial placement must land on exactly the placement the live
 //! controller evolved — version included, one bump per decision. The log
 //! is written to `target/placement-logs/` so a CI failure ships the
@@ -23,10 +23,10 @@
 use std::time::{Duration, Instant};
 
 use boutique::prelude::*;
+use weaver_codec::linelog;
 use weaver_metrics::PlacementSignalBuilder;
 use weaver_placement::{
-    apply_decisions, parse_decisions, serialize_decisions, write_decision_artifact,
-    ComponentPlacement, PlacementController,
+    apply_decisions, ComponentPlacement, PlacementController, PlacementDecision,
 };
 use weaver_runtime::{TcpOptions, TcpProcess};
 
@@ -109,14 +109,15 @@ fn all_routed_boutique_converges_to_colocated_optimum() {
             report.epoch,
             report.migrated.len()
         ));
-        log.push_str(&serialize_decisions(&report.decisions));
+        log.push_str(&linelog::serialize(&report.decisions));
         if round > 0 && report.is_noop() {
             converged_at = Some(round);
             break;
         }
     }
 
-    let artifact = write_decision_artifact("placement-convergence-boutique", &log);
+    let artifact =
+        linelog::write_artifact("placement-logs", "placement-convergence-boutique", &log);
     assert!(artifact.is_some(), "golden log not written:\n{log}");
 
     // Converged in bounded rounds — the controller went quiet.
@@ -159,7 +160,7 @@ fn all_routed_boutique_converges_to_colocated_optimum() {
     // The golden log replays bit-for-bit: comments and all rounds parse as
     // one decision stream, and applying it to the initial placement
     // reproduces the live placement exactly — version included.
-    let parsed = parse_decisions(&log).expect("golden log parses");
+    let parsed: Vec<PlacementDecision> = linelog::parse(&log).expect("golden log parses");
     assert!(!parsed.is_empty(), "controller never decided anything");
     let replayed = apply_decisions(&initial, &parsed).expect("golden log replays");
     assert_eq!(replayed, live, "replay diverged from the live run");

@@ -8,7 +8,7 @@
 //! the load out to the other replicas within a bounded number of rounds.
 //!
 //! Every round's decisions go into one golden, line-based log that
-//! replays bit-for-bit: `parse_decisions` + `apply_decisions` over the
+//! replays bit-for-bit: `linelog::parse` + `apply_decisions` over the
 //! starting assignment must land on exactly the assignment the live
 //! controller evolved. The log is written to `target/rebalance-logs/` so
 //! a CI failure ships the controller's full reasoning as an artifact.
@@ -18,9 +18,9 @@ use std::collections::HashMap;
 use boutique::prelude::Zipf;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use weaver_codec::linelog;
 use weaver_routing::{
-    apply_decisions, parse_decisions, serialize_decisions, write_decision_artifact,
-    ControllerOptions, RebalanceController, SliceAssignment,
+    apply_decisions, ControllerOptions, RebalanceController, RebalanceDecision, SliceAssignment,
 };
 
 const REPLICAS: u32 = 3;
@@ -106,7 +106,7 @@ fn zipfian_hot_start_converges_below_two_x_mean() {
             seen.per_replica,
             plan.decisions.len()
         ));
-        log.push_str(&serialize_decisions(&plan.decisions));
+        log.push_str(&linelog::serialize(&plan.decisions));
         current = plan.assignment;
 
         // Converged = the *next* round's traffic lands below 2× the mean
@@ -124,7 +124,7 @@ fn zipfian_hot_start_converges_below_two_x_mean() {
         }
     }
 
-    let artifact = write_decision_artifact("slicer-convergence-zipf", &log);
+    let artifact = linelog::write_artifact("rebalance-logs", "slicer-convergence-zipf", &log);
     assert!(artifact.is_some(), "golden log not written: \n{log}");
 
     let rounds = converged_at.unwrap_or_else(|| {
@@ -143,12 +143,12 @@ fn zipfian_hot_start_converges_below_two_x_mean() {
     // The golden log replays bit-for-bit: comments and all rounds parse
     // as one decision stream, and applying it to the starting assignment
     // reproduces the evolved assignment exactly.
-    let parsed = parse_decisions(&log).expect("golden log parses");
+    let parsed: Vec<RebalanceDecision> = linelog::parse(&log).expect("golden log parses");
     assert!(!parsed.is_empty(), "controller never decided anything");
     assert!(
         parsed
             .iter()
-            .any(|d| matches!(d, weaver_routing::RebalanceDecision::Split { .. })),
+            .any(|d| matches!(d, RebalanceDecision::Split { .. })),
         "the hot slice was never split:\n{log}"
     );
     let replayed = apply_decisions(&initial, &parsed).expect("golden log replays");

@@ -24,12 +24,17 @@
 //!
 //! Application types get all three implementations from a single
 //! `#[derive(WeaverData)]` (see the `weaver-macros` crate).
+//!
+//! [`linelog`] is the odd one out: the human-readable, replayable
+//! one-record-per-line text form the controllers' decision logs and the
+//! chaos action log share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod error;
 pub mod json;
+pub mod linelog;
 pub mod persist;
 pub mod reader;
 pub mod tagged;

@@ -14,7 +14,9 @@
 //! unfreeze), and `placement_round` runs a whole plan.
 
 use std::collections::BTreeMap;
+use std::str::SplitWhitespace;
 
+use weaver_codec::linelog::{self, Record};
 use weaver_macros::WeaverData;
 use weaver_metrics::PlacementSignal;
 
@@ -100,6 +102,14 @@ impl PlacementDecision {
         match self {
             PlacementDecision::Colocate { component } => component,
             PlacementDecision::Route { component } => component,
+        }
+    }
+
+    /// The placement the decision moves it to.
+    pub fn target(&self) -> ComponentPlacement {
+        match self {
+            PlacementDecision::Colocate { .. } => ComponentPlacement::Colocated,
+            PlacementDecision::Route { .. } => ComponentPlacement::Routed,
         }
     }
 }
@@ -225,10 +235,7 @@ pub fn apply_decisions(
 ) -> Result<PlacementState, String> {
     let mut current = base.clone();
     for d in decisions {
-        let target = match d {
-            PlacementDecision::Colocate { .. } => ComponentPlacement::Colocated,
-            PlacementDecision::Route { .. } => ComponentPlacement::Routed,
-        };
+        let target = d.target();
         let name = d.component();
         match current.placements.get_mut(name) {
             None => return Err(format!("unknown component {name:?}")),
@@ -242,71 +249,32 @@ pub fn apply_decisions(
     Ok(current)
 }
 
-/// Serializes decisions to the line-based log form:
+/// The line-log form ([`weaver_codec::linelog`]):
 ///
 /// ```text
 /// colocate boutique.CartService
 /// route boutique.EmailService
 /// ```
-///
-/// One decision per line; blank lines and `#` comments are ignored by
-/// [`parse_decisions`], so multi-round logs can annotate rounds.
-pub fn serialize_decisions(decisions: &[PlacementDecision]) -> String {
-    let mut out = String::new();
-    for d in decisions {
-        match d {
-            PlacementDecision::Colocate { component } => {
-                out.push_str(&format!("colocate {component}\n"));
-            }
-            PlacementDecision::Route { component } => {
-                out.push_str(&format!("route {component}\n"));
-            }
+impl Record for PlacementDecision {
+    fn to_line(&self) -> String {
+        match self {
+            PlacementDecision::Colocate { component } => format!("colocate {component}"),
+            PlacementDecision::Route { component } => format!("route {component}"),
         }
     }
-    out
-}
 
-/// Parses the [`serialize_decisions`] format back into decisions.
-pub fn parse_decisions(text: &str) -> Result<Vec<PlacementDecision>, String> {
-    let mut decisions = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let lineno = i + 1;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+    fn from_line(verb: &str, fields: &mut SplitWhitespace<'_>) -> Result<Self, String> {
+        let mut component = || linelog::field(fields, "component");
+        match verb {
+            "colocate" => Ok(PlacementDecision::Colocate {
+                component: component()?,
+            }),
+            "route" => Ok(PlacementDecision::Route {
+                component: component()?,
+            }),
+            other => Err(format!("unknown verb {other:?}")),
         }
-        let mut parts = line.split_whitespace();
-        let verb = parts.next().unwrap_or_default();
-        let component = parts
-            .next()
-            .ok_or_else(|| format!("line {lineno}: missing component in {line:?}"))?
-            .to_string();
-        let decision = match verb {
-            "colocate" => PlacementDecision::Colocate { component },
-            "route" => PlacementDecision::Route { component },
-            other => return Err(format!("line {lineno}: unknown verb {other:?}")),
-        };
-        if let Some(extra) = parts.next() {
-            return Err(format!("line {lineno}: trailing token {extra:?}"));
-        }
-        decisions.push(decision);
     }
-    Ok(decisions)
-}
-
-/// Writes a decision log under `target/placement-logs/<name>.log` so CI can
-/// upload it as an artifact when a convergence test fails. Best effort:
-/// returns the path on success, `None` if the filesystem refused.
-pub fn write_decision_artifact(name: &str, text: &str) -> Option<std::path::PathBuf> {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)?
-        .join("target")
-        .join("placement-logs");
-    std::fs::create_dir_all(&dir).ok()?;
-    let path = dir.join(format!("{name}.log"));
-    std::fs::write(&path, text).ok()?;
-    Some(path)
 }
 
 #[cfg(test)]
@@ -431,8 +399,8 @@ mod tests {
         assert_eq!(p1, p2);
 
         // Golden-log round trip: serialize → parse → apply ≡ planned state.
-        let log = serialize_decisions(&p1.decisions);
-        let parsed = parse_decisions(&log).unwrap();
+        let log = linelog::serialize(&p1.decisions);
+        let parsed: Vec<PlacementDecision> = linelog::parse(&log).unwrap();
         assert_eq!(parsed, p1.decisions);
         let replayed = apply_decisions(&state, &parsed).unwrap();
         assert_eq!(replayed, p1.state);
@@ -440,15 +408,11 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(parse_decisions("colocate").is_err());
-        assert!(parse_decisions("teleport cart").is_err());
-        assert!(parse_decisions("colocate cart extra").is_err());
-        assert_eq!(
-            parse_decisions("# comment\n\ncolocate cart\n")
-                .unwrap()
-                .len(),
-            1
-        );
+        let parse = linelog::parse::<PlacementDecision>;
+        assert!(parse("colocate").is_err());
+        assert!(parse("teleport cart").is_err());
+        assert!(parse("colocate cart extra").is_err());
+        assert_eq!(parse("# comment\n\ncolocate cart\n").unwrap().len(), 1);
     }
 
     #[test]
@@ -472,9 +436,11 @@ mod tests {
 
     #[test]
     fn artifact_writes_under_target() {
-        let path = write_decision_artifact("controller-unit-test", "colocate cart\n").unwrap();
+        let path =
+            linelog::write_artifact("placement-logs", "controller-unit-test", "colocate cart\n")
+                .unwrap();
         assert!(path.ends_with("target/placement-logs/controller-unit-test.log"));
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(parse_decisions(&text).unwrap().len(), 1);
+        assert_eq!(linelog::parse::<PlacementDecision>(&text).unwrap().len(), 1);
     }
 }

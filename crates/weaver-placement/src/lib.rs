@@ -13,8 +13,6 @@
 //!   Horizontal Pod Autoscalers"): desired replicas = ceil(current ×
 //!   utilization / target), with a scale-down stabilization window to
 //!   prevent flapping.
-//! * [`binpack`] — first-fit-decreasing placement of co-location groups
-//!   onto machines with finite CPU capacity.
 //! * [`controller`] — the **online** planner: consumes the live
 //!   [`PlacementSignal`](weaver_metrics::PlacementSignal) and plans
 //!   colocate/route moves by modeled RTT savings minus migration cost,
@@ -24,15 +22,12 @@
 #![warn(missing_docs)]
 
 pub mod autoscale;
-pub mod binpack;
 pub mod colocate;
 pub mod controller;
 
 pub use autoscale::{Autoscaler, AutoscalerConfig};
-pub use binpack::{Machine, Placement};
 pub use colocate::{colocate, ColocationConfig};
 pub use controller::{
-    apply_decisions, parse_decisions, serialize_decisions, write_decision_artifact,
-    ComponentPlacement, PlacementController, PlacementDecision, PlacementOptions, PlacementPlan,
-    PlacementState,
+    apply_decisions, ComponentPlacement, PlacementController, PlacementDecision, PlacementOptions,
+    PlacementPlan, PlacementState,
 };

@@ -6,13 +6,17 @@
 //! purity — [`RebalanceController::plan`] touches no clocks, no sockets and
 //! no shared state, so the same inputs always produce the same
 //! [`RebalanceDecision`] list. Decisions serialize to a line-based text log
-//! ([`serialize_decisions`]/[`parse_decisions`]) and replay verbatim with
+//! (a [`weaver_codec::linelog`] [`Record`]) and replay verbatim with
 //! [`apply_decisions`], which makes every live rebalance a replayable
 //! artifact: the convergence test checks its golden log in, and a failing
 //! chaos run uploads the decision trail that led to the bad assignment.
 //!
 //! The *execution* of a plan (freeze, state handoff, epoch bump) lives in
 //! the runtime; the controller only ever proposes.
+
+use std::str::SplitWhitespace;
+
+use weaver_codec::linelog::{self, Record};
 
 use crate::slice::{Slice, SliceAssignment};
 
@@ -241,7 +245,7 @@ pub fn apply_decisions(
     Ok(current)
 }
 
-/// Serializes decisions to the line-based log form:
+/// The line-log form ([`weaver_codec::linelog`]):
 ///
 /// ```text
 /// split 0x7fffffffffffffff
@@ -249,79 +253,33 @@ pub fn apply_decisions(
 /// ```
 ///
 /// Keys are hex (the keyspace is hashed; decimal reads as noise), replicas
-/// decimal. One decision per line; blank lines and `#` comments are
-/// ignored by [`parse_decisions`], so multi-round logs can annotate rounds.
-pub fn serialize_decisions(decisions: &[RebalanceDecision]) -> String {
-    let mut out = String::new();
-    for d in decisions {
-        match d {
-            RebalanceDecision::Split { at } => out.push_str(&format!("split {at:#x}\n")),
-            RebalanceDecision::Move { key, to } => {
-                out.push_str(&format!("move {key:#x} {to}\n"));
-            }
+/// decimal.
+impl Record for RebalanceDecision {
+    fn to_line(&self) -> String {
+        match self {
+            RebalanceDecision::Split { at } => format!("split {at:#x}"),
+            RebalanceDecision::Move { key, to } => format!("move {key:#x} {to}"),
         }
     }
-    out
-}
 
-fn parse_key(token: &str, lineno: usize) -> Result<u64, String> {
-    let parsed = match token.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => token.parse(),
-    };
-    parsed.map_err(|e| format!("line {lineno}: bad key {token:?}: {e}"))
-}
-
-/// Parses the [`serialize_decisions`] format back into decisions.
-pub fn parse_decisions(text: &str) -> Result<Vec<RebalanceDecision>, String> {
-    let mut decisions = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let lineno = i + 1;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let verb = parts.next().unwrap_or_default();
-        let key = parse_key(
-            parts
-                .next()
-                .ok_or_else(|| format!("line {lineno}: missing key in {line:?}"))?,
-            lineno,
-        )?;
-        let decision = match verb {
-            "split" => RebalanceDecision::Split { at: key },
-            "move" => {
-                let to: u32 = parts
-                    .next()
-                    .ok_or_else(|| format!("line {lineno}: move needs a replica"))?
-                    .parse()
-                    .map_err(|e| format!("line {lineno}: bad replica: {e}"))?;
-                RebalanceDecision::Move { key, to }
+    fn from_line(verb: &str, fields: &mut SplitWhitespace<'_>) -> Result<Self, String> {
+        let mut key = || {
+            let token = fields.next().ok_or("missing key")?;
+            match token.strip_prefix("0x") {
+                Some(hex) => u64::from_str_radix(hex, 16),
+                None => token.parse(),
             }
-            other => return Err(format!("line {lineno}: unknown verb {other:?}")),
+            .map_err(|e| format!("bad key {token:?}: {e}"))
         };
-        if let Some(extra) = parts.next() {
-            return Err(format!("line {lineno}: trailing token {extra:?}"));
+        match verb {
+            "split" => Ok(RebalanceDecision::Split { at: key()? }),
+            "move" => Ok(RebalanceDecision::Move {
+                key: key()?,
+                to: linelog::field(fields, "replica")?,
+            }),
+            other => Err(format!("unknown verb {other:?}")),
         }
-        decisions.push(decision);
     }
-    Ok(decisions)
-}
-
-/// Writes a decision log under `target/rebalance-logs/<name>.log` so CI can
-/// upload it as an artifact when a rebalance test fails. Best effort:
-/// returns the path on success, `None` if the filesystem refused.
-pub fn write_decision_artifact(name: &str, text: &str) -> Option<std::path::PathBuf> {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)?
-        .join("target")
-        .join("rebalance-logs");
-    std::fs::create_dir_all(&dir).ok()?;
-    let path = dir.join(format!("{name}.log"));
-    std::fs::write(&path, text).ok()?;
-    Some(path)
 }
 
 #[cfg(test)]
@@ -382,8 +340,8 @@ mod tests {
         let plan = RebalanceController::default().plan(&a, &load, &medians);
         assert!(!plan.is_noop());
 
-        let text = serialize_decisions(&plan.decisions);
-        let parsed = parse_decisions(&text).unwrap();
+        let text = linelog::serialize(&plan.decisions);
+        let parsed: Vec<RebalanceDecision> = linelog::parse(&text).unwrap();
         assert_eq!(parsed, plan.decisions);
         // Replaying the parsed log reproduces the planned assignment.
         let replayed = apply_decisions(&a, &parsed).unwrap();
@@ -392,12 +350,20 @@ mod tests {
 
     #[test]
     fn parse_rejects_junk_and_skips_comments() {
-        assert!(parse_decisions("# round 1\n\nsplit 0x10\nmove 0x20 1\n").is_ok());
-        assert!(parse_decisions("explode 0x10\n").is_err());
-        assert!(parse_decisions("split\n").is_err());
-        assert!(parse_decisions("move 0x10\n").is_err());
-        assert!(parse_decisions("split 0x10 trailing\n").is_err());
-        assert!(parse_decisions("split zz\n").is_err());
+        let parse = linelog::parse::<RebalanceDecision>;
+        assert_eq!(
+            parse("# round 1\n\nsplit 0x10\nmove 32 1\n").unwrap(),
+            vec![
+                RebalanceDecision::Split { at: 0x10 },
+                RebalanceDecision::Move { key: 32, to: 1 },
+            ]
+        );
+        let err = parse("# round 1\nexplode 0x10\n").unwrap_err();
+        assert!(err.starts_with("line 2: unknown verb"), "{err}");
+        assert!(parse("split\n").is_err());
+        assert!(parse("move 0x10\n").is_err());
+        assert!(parse("split 0x10 trailing\n").is_err());
+        assert!(parse("split zz\n").is_err());
     }
 
     #[test]

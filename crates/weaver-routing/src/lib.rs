@@ -27,8 +27,7 @@ pub mod slice;
 
 pub use consistent::ConsistentRing;
 pub use controller::{
-    apply_decisions, parse_decisions, serialize_decisions, write_decision_artifact,
-    ControllerOptions, RebalanceController, RebalanceDecision, RebalancePlan,
+    apply_decisions, ControllerOptions, RebalanceController, RebalanceDecision, RebalancePlan,
 };
 pub use lb::{Balancer, PowerOfTwo, RoundRobin};
 pub use slice::{Slice, SliceAssignment};

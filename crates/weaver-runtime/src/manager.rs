@@ -13,7 +13,7 @@
 //! hosting assignment and routing tables, restarts crashed proclets, and
 //! exposes typed component clients to the driving process.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,8 +46,9 @@ struct ManagerState {
     epoch: u64,
     shutting_down: bool,
     restarts: HashMap<ReplicaId, u32>,
-    agg_metrics: MetricsSnapshot,
-    agg_callgraph: CallGraphSnapshot,
+    /// Latest load report per replica. Reports are cumulative snapshots,
+    /// so the aggregate is their merge at read time, never a running sum.
+    reports: BTreeMap<ReplicaId, (MetricsSnapshot, CallGraphSnapshot)>,
     /// Latest reported busy fraction per replica (HPA input).
     utilization: HashMap<ReplicaId, f64>,
     /// One HPA state machine per group (populated when autoscaling).
@@ -234,8 +235,7 @@ impl Shared {
                 callgraph,
             } => {
                 state.utilization.insert(id, utilization);
-                state.agg_metrics.merge(&metrics);
-                state.agg_callgraph.merge(&callgraph);
+                state.reports.insert(id, (metrics, callgraph));
             }
             ProcletMessage::Log { level, message } => {
                 eprintln!("[proclet {id} l{level}] {message}");
@@ -326,8 +326,7 @@ impl MultiProcess {
                 epoch: 0,
                 shutting_down: false,
                 restarts: HashMap::new(),
-                agg_metrics: MetricsSnapshot::default(),
-                agg_callgraph: CallGraphSnapshot::default(),
+                reports: BTreeMap::new(),
                 utilization: HashMap::new(),
                 autoscalers: Vec::new(),
             }),
@@ -461,15 +460,23 @@ impl MultiProcess {
             .collect()
     }
 
-    /// Aggregated metrics from all proclets (grows as health checks tick).
+    /// Aggregated metrics from all proclets, as of each one's last health
+    /// check.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.state.lock().agg_metrics.clone()
+        let mut snapshot = MetricsSnapshot::default();
+        for (metrics, _) in self.shared.state.lock().reports.values() {
+            snapshot.merge(metrics);
+        }
+        snapshot
     }
 
-    /// Aggregated call graph from all proclets plus ingress calls.
+    /// Aggregated call graph from all proclets, as of each one's last
+    /// health check, plus ingress calls.
     pub fn callgraph(&self) -> CallGraphSnapshot {
-        let mut snapshot = self.shared.state.lock().agg_callgraph.clone();
-        snapshot.merge(&self.callgraph.snapshot());
+        let mut snapshot = self.callgraph.snapshot();
+        for (_, callgraph) in self.shared.state.lock().reports.values() {
+            snapshot.merge(callgraph);
+        }
         snapshot
     }
 

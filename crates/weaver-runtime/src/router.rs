@@ -61,33 +61,38 @@ pub struct RoutingState {
     pub assignments: HashMap<u32, SliceAssignment>,
 }
 
-/// Whether `key` falls in `[start, end)` under slice semantics
-/// (`end == u64::MAX` is inclusive: the final slice ends the keyspace).
-fn key_in_range(key: u64, range: (u64, u64)) -> bool {
-    key >= range.0 && (key < range.1 || (range.1 == u64::MAX && key == u64::MAX))
+/// What a migration freezes and drains: one key range of a routed
+/// component (a slice rebalance) or every call to it (a placement move).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scope {
+    /// Routed calls whose key falls in `[start, end)` under slice semantics
+    /// (`end == u64::MAX` is inclusive: the final slice ends the keyspace).
+    /// Unrouted calls have no affinity to protect and pass.
+    Keys(u64, u64),
+    /// Every call to the component, routed or not.
+    Component,
 }
 
-/// Migration gate state: which key ranges are frozen (calls queue instead
-/// of launching) and which routed keys have calls in flight (so a
-/// migration can drain the old owner before handing off).
+impl Scope {
+    fn covers(self, key: Option<u64>) -> bool {
+        match self {
+            Scope::Component => true,
+            Scope::Keys(start, end) => {
+                key.is_some_and(|k| k >= start && (k < end || (end == u64::MAX && k == u64::MAX)))
+            }
+        }
+    }
+}
+
+/// Migration gate state: which scopes are frozen (calls queue instead of
+/// launching) and which calls are in flight (so a migration can drain the
+/// old owner or placement before handing off).
 #[derive(Default)]
 struct FreezeState {
-    /// component → frozen key ranges.
-    frozen: HashMap<u32, Vec<(u64, u64)>>,
-    /// (component, routing key) → routed calls in flight.
-    active: HashMap<(u32, u64), u32>,
-    /// Components whose *entire* admission is frozen (placement migration).
-    frozen_components: std::collections::HashSet<u32>,
-    /// component → calls in flight (all calls, routed or not).
-    component_active: HashMap<u32, u32>,
-}
-
-impl FreezeState {
-    fn is_frozen(&self, component: u32, key: u64) -> bool {
-        self.frozen
-            .get(&component)
-            .is_some_and(|ranges| ranges.iter().any(|&r| key_in_range(key, r)))
-    }
+    /// Frozen scopes, one entry per [`RoutingTable::freeze`].
+    frozen: Vec<(u32, Scope)>,
+    /// (component, routing key; `None` for unrouted calls) → calls in flight.
+    active: HashMap<(u32, Option<u64>), u32>,
 }
 
 /// Shared, updatable routing table.
@@ -207,142 +212,6 @@ impl RoutingTable {
         state.epoch
     }
 
-    // --- migration gate -------------------------------------------------
-    //
-    // The freeze/drain/admit protocol that keeps A8 per-key monotonicity
-    // across a rebalance: a migration freezes the moving range (new calls
-    // queue in `admit` instead of launching), drains in-flight calls to
-    // the old owner, hands state off, installs the new assignment, then
-    // unfreezes — so no key is ever served by two replicas concurrently.
-
-    /// Blocks while `key` is in a frozen range, then registers the call as
-    /// in flight. Fails with `Unavailable` if the freeze outlasts
-    /// `deadline`. Every successful admit must be paired with one
-    /// [`RoutingTable::release`].
-    pub fn admit(&self, component: u32, key: u64, deadline: Instant) -> Result<(), WeaverError> {
-        let mut gate = self.gate.lock();
-        while gate.is_frozen(component, key) {
-            if self.gate_cond.wait_until(&mut gate, deadline).timed_out() {
-                return Err(WeaverError::Unavailable {
-                    detail: format!(
-                        "slice for key {key:#x} of component #{component} frozen past deadline"
-                    ),
-                });
-            }
-        }
-        *gate.active.entry((component, key)).or_insert(0) += 1;
-        Ok(())
-    }
-
-    /// Releases one in-flight registration made by [`RoutingTable::admit`].
-    pub fn release(&self, component: u32, key: u64) {
-        let mut gate = self.gate.lock();
-        if let Some(n) = gate.active.get_mut(&(component, key)) {
-            *n -= 1;
-            if *n == 0 {
-                gate.active.remove(&(component, key));
-            }
-        }
-        self.gate_cond.notify_all();
-    }
-
-    /// Freezes a key range: subsequent routed calls for keys in it queue
-    /// in [`RoutingTable::admit`] until [`RoutingTable::unfreeze`].
-    pub fn freeze(&self, component: u32, range: (u64, u64)) {
-        self.gate
-            .lock()
-            .frozen
-            .entry(component)
-            .or_default()
-            .push(range);
-    }
-
-    /// Lifts a freeze placed by [`RoutingTable::freeze`] and wakes queued
-    /// callers (who re-resolve against the *current* assignment, i.e. the
-    /// new owner if a migration committed in between).
-    pub fn unfreeze(&self, component: u32, range: (u64, u64)) {
-        let mut gate = self.gate.lock();
-        if let Some(ranges) = gate.frozen.get_mut(&component) {
-            if let Some(i) = ranges.iter().position(|&r| r == range) {
-                ranges.remove(i);
-            }
-            if ranges.is_empty() {
-                gate.frozen.remove(&component);
-            }
-        }
-        self.gate_cond.notify_all();
-    }
-
-    // --- component gate -------------------------------------------------
-    //
-    // The placement-migration analogue of the slice gate: a component
-    // migration freezes the *whole* component (every new call — routed or
-    // not — queues in `admit_component`), drains all in-flight calls, moves
-    // the dispatch target between the remote pool and a local instance,
-    // bumps the epoch, then unfreezes. Every call passes this gate, so a
-    // migration observes every in-flight call and no call is ever executed
-    // at two placements.
-
-    /// Blocks while `component` is frozen for migration, then registers
-    /// the call as in flight. Fails with `Unavailable` if the freeze
-    /// outlasts `deadline`. Every successful admit must be paired with one
-    /// [`RoutingTable::release_component`].
-    pub fn admit_component(&self, component: u32, deadline: Instant) -> Result<(), WeaverError> {
-        let mut gate = self.gate.lock();
-        while gate.frozen_components.contains(&component) {
-            if self.gate_cond.wait_until(&mut gate, deadline).timed_out() {
-                return Err(WeaverError::Unavailable {
-                    detail: format!("component #{component} frozen for migration past deadline"),
-                });
-            }
-        }
-        *gate.component_active.entry(component).or_insert(0) += 1;
-        Ok(())
-    }
-
-    /// Releases one in-flight registration made by
-    /// [`RoutingTable::admit_component`].
-    pub fn release_component(&self, component: u32) {
-        let mut gate = self.gate.lock();
-        if let Some(n) = gate.component_active.get_mut(&component) {
-            *n -= 1;
-            if *n == 0 {
-                gate.component_active.remove(&component);
-            }
-        }
-        self.gate_cond.notify_all();
-    }
-
-    /// Freezes a whole component: subsequent calls queue in
-    /// [`RoutingTable::admit_component`] until
-    /// [`RoutingTable::unfreeze_component`].
-    pub fn freeze_component(&self, component: u32) {
-        self.gate.lock().frozen_components.insert(component);
-    }
-
-    /// Lifts a component freeze and wakes queued callers (who re-resolve
-    /// against the *current* dispatch target — the new placement if a
-    /// migration committed in between).
-    pub fn unfreeze_component(&self, component: u32) {
-        self.gate.lock().frozen_components.remove(&component);
-        self.gate_cond.notify_all();
-    }
-
-    /// Waits until no admitted call for `component` remains in flight.
-    /// Only meaningful after [`RoutingTable::freeze_component`] (otherwise
-    /// new calls keep arriving). Returns whether the component drained
-    /// before `timeout`.
-    pub fn drain_component(&self, component: u32, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut gate = self.gate.lock();
-        while gate.component_active.get(&component).copied().unwrap_or(0) > 0 {
-            if self.gate_cond.wait_until(&mut gate, deadline).timed_out() {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Bumps the epoch without touching assignments — the commit point of
     /// a placement migration on a component with no slice assignment.
     /// Returns the new epoch.
@@ -352,17 +221,88 @@ impl RoutingTable {
         state.epoch
     }
 
-    /// Waits until no admitted call for a key in `range` remains in
-    /// flight. Only meaningful after [`RoutingTable::freeze`] on the same
-    /// range (otherwise new calls keep arriving). Returns whether the
-    /// range drained before `timeout`.
-    pub fn drain(&self, component: u32, range: (u64, u64), timeout: Duration) -> bool {
+    // --- migration gate -------------------------------------------------
+    //
+    // The freeze/drain/admit protocol every live migration runs under: the
+    // migration freezes a [`Scope`] (new calls it covers queue in `admit`
+    // instead of launching), drains the calls admitted before the freeze,
+    // moves state and/or the dispatch target, commits (epoch bump), then
+    // unfreezes — so no key is ever served by two replicas concurrently
+    // (A8 per-key monotonicity) and no call executes at two placements.
+    // Every call passes the gate, so a drain observes every in-flight call.
+
+    /// Blocks while a frozen scope covers the call (`key` is its routing
+    /// key, `None` for an unrouted call), then registers the call as in
+    /// flight. Fails with `Unavailable` if the freeze outlasts `deadline`.
+    /// Every successful admit must be paired with one
+    /// [`RoutingTable::release`].
+    pub fn admit(
+        &self,
+        component: u32,
+        key: impl Into<Option<u64>>,
+        deadline: Instant,
+    ) -> Result<(), WeaverError> {
+        let key = key.into();
+        let mut gate = self.gate.lock();
+        while gate
+            .frozen
+            .iter()
+            .any(|&(c, scope)| c == component && scope.covers(key))
+        {
+            if self.gate_cond.wait_until(&mut gate, deadline).timed_out() {
+                return Err(WeaverError::Unavailable {
+                    detail: format!(
+                        "component #{component} (key {key:x?}) frozen for migration past deadline"
+                    ),
+                });
+            }
+        }
+        *gate.active.entry((component, key)).or_insert(0) += 1;
+        Ok(())
+    }
+
+    /// Releases one in-flight registration made by [`RoutingTable::admit`].
+    pub fn release(&self, component: u32, key: impl Into<Option<u64>>) {
+        let entry = (component, key.into());
+        let mut gate = self.gate.lock();
+        if let Some(n) = gate.active.get_mut(&entry) {
+            *n -= 1;
+            if *n == 0 {
+                gate.active.remove(&entry);
+            }
+        }
+        self.gate_cond.notify_all();
+    }
+
+    /// Freezes a scope: subsequent calls it covers queue in
+    /// [`RoutingTable::admit`] until [`RoutingTable::unfreeze`].
+    pub fn freeze(&self, component: u32, scope: Scope) {
+        self.gate.lock().frozen.push((component, scope));
+    }
+
+    /// Lifts one freeze placed by [`RoutingTable::freeze`] and wakes queued
+    /// callers (who re-resolve against the *current* assignment and
+    /// dispatch target — the new owner or placement if a migration
+    /// committed in between).
+    pub fn unfreeze(&self, component: u32, scope: Scope) {
+        let mut gate = self.gate.lock();
+        if let Some(i) = gate.frozen.iter().position(|&f| f == (component, scope)) {
+            gate.frozen.remove(i);
+        }
+        self.gate_cond.notify_all();
+    }
+
+    /// Waits until no admitted call covered by `scope` remains in flight.
+    /// Only meaningful after [`RoutingTable::freeze`] on the same scope
+    /// (otherwise new calls keep arriving). Returns whether the scope
+    /// drained before `timeout`.
+    pub fn drain(&self, component: u32, scope: Scope, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut gate = self.gate.lock();
         while gate
             .active
             .keys()
-            .any(|&(c, k)| c == component && key_in_range(k, range))
+            .any(|&(c, key)| c == component && scope.covers(key))
         {
             if self.gate_cond.wait_until(&mut gate, deadline).timed_out() {
                 return false;
@@ -546,25 +486,17 @@ impl RemoteRouter {
         }
     }
 
-    /// Registers a local dispatch target for `component`: subsequent calls
-    /// short-circuit to `handler` instead of crossing the wire. This is the
-    /// re-registration step of `migrate_component` — call it only with the
-    /// component's admission gate frozen and drained, or in-flight remote
-    /// calls race the switch.
-    pub fn install_local(&self, component: u32, handler: Arc<dyn RpcHandler>) {
-        self.inner.local.write().insert(component, handler);
-    }
-
-    /// Removes the local dispatch target for `component`, sending calls
-    /// back over the wire. Same gating contract as
-    /// [`RemoteRouter::install_local`].
-    pub fn clear_local(&self, component: u32) {
-        self.inner.local.write().remove(&component);
-    }
-
-    /// Whether `component` currently dispatches locally.
-    pub fn has_local(&self, component: u32) -> bool {
-        self.inner.local.read().contains_key(&component)
+    /// Sets (`Some`) or clears (`None`) the local dispatch target for
+    /// `component`: with one set, calls short-circuit to `handler` instead
+    /// of crossing the wire. This is the re-registration step of a
+    /// placement migration — call it only with [`Scope::Component`] frozen
+    /// and drained, or in-flight remote calls race the switch.
+    pub fn set_local(&self, component: u32, handler: Option<Arc<dyn RpcHandler>>) {
+        let mut local = self.inner.local.write();
+        match handler {
+            Some(handler) => local.insert(component, handler),
+            None => local.remove(&component),
+        };
     }
 
     /// Enables or disables automatic idempotency keys (on by default).
@@ -622,7 +554,7 @@ impl RouterInner {
 }
 
 /// Decodes a transport-level success into the call's outcome.
-fn body_to_outcome(body: ResponseBody) -> Result<Vec<u8>, WeaverError> {
+pub(crate) fn body_to_outcome(body: ResponseBody) -> Result<Vec<u8>, WeaverError> {
     match body.status {
         // One copy at the ownership boundary: CallRouter returns an owned
         // Vec (weaver-core is transport-agnostic), so the zero-copy WireBuf
@@ -669,10 +601,9 @@ struct RemoteFuture {
     /// Replica index charged on the balancer, released exactly once.
     active_replica: Option<usize>,
     active_addr: Option<SocketAddr>,
-    /// In-flight registration on the migration gate, released exactly once.
-    admit_token: Option<(u32, u64)>,
-    /// In-flight registration on the component gate, released exactly once.
-    component_token: Option<u32>,
+    /// Whether the call holds an in-flight registration on the migration
+    /// gate (under `component`/`routing`), released exactly once.
+    admitted: bool,
     /// Whether the call dispatched to a migrated-in local instance (for
     /// latency labeling: `colocated` instead of the wire placement).
     local: bool,
@@ -707,34 +638,20 @@ impl RemoteFuture {
             state: RemoteState::Done,
             active_replica: None,
             active_addr: None,
-            admit_token: None,
-            component_token: None,
+            admitted: false,
             local: false,
             retried: false,
         };
-        // Every call passes the component migration gate first: a frozen
-        // component queues the call here (blocking the caller, not
-        // dropping), and the in-flight registration lets a placement
-        // migration drain every outstanding call before it moves the
-        // dispatch target.
-        match fut.inner.table.admit_component(fut.component, fut.deadline) {
-            Ok(()) => fut.component_token = Some(fut.component),
+        // Every call passes the migration gate before resolving a target:
+        // a frozen scope queues the call here (blocking the caller, not
+        // dropping), and the in-flight registration lets a migration drain
+        // every outstanding call before it moves state or the dispatch
+        // target.
+        match fut.inner.table.admit(fut.component, routing, fut.deadline) {
+            Ok(()) => fut.admitted = true,
             Err(e) => {
                 fut.state = RemoteState::Ready(Err(e));
                 return fut;
-            }
-        }
-        // Routed calls additionally pass the slice gate before resolving a
-        // replica: a frozen slice queues the call, and the registration
-        // lets a rebalance drain the old owner. Unrouted calls have no
-        // affinity to protect.
-        if let Some(key) = routing {
-            match fut.inner.table.admit(fut.component, key, fut.deadline) {
-                Ok(()) => fut.admit_token = Some((fut.component, key)),
-                Err(e) => {
-                    fut.state = RemoteState::Ready(Err(e));
-                    return fut;
-                }
             }
         }
         // A migrated-in component dispatches locally: same handler the
@@ -813,11 +730,8 @@ impl RemoteFuture {
     }
 
     fn release_admission(&mut self) {
-        if let Some((component, key)) = self.admit_token.take() {
-            self.inner.table.release(component, key);
-        }
-        if let Some(component) = self.component_token.take() {
-            self.inner.table.release_component(component);
+        if std::mem::take(&mut self.admitted) {
+            self.inner.table.release(self.component, self.routing);
         }
     }
 
@@ -1136,101 +1050,94 @@ mod tests {
         assert_eq!(picked, replicas[((owner + 1) % 2) as usize]);
     }
 
+    /// Both scopes over the whole keyspace, each with the call it gates
+    /// (a keyed call for `Keys`, an unrouted one for `Component`).
+    const GATED: [(Scope, Option<u64>); 2] = [
+        (Scope::Keys(0, u64::MAX), Some(5)),
+        (Scope::Component, None),
+    ];
+
     #[test]
     fn freeze_queues_admit_until_unfrozen() {
-        let table = table_with(0, &[1001]);
-        let range = (0u64, u64::MAX);
-        table.freeze(0, range);
-        // Frozen: admit with an already-expired deadline fails Unavailable.
-        let past = Instant::now();
-        assert!(matches!(
-            table.admit(0, 5, past),
-            Err(WeaverError::Unavailable { .. })
-        ));
-        // A blocked admit wakes when the freeze lifts.
-        let t2 = Arc::clone(&table);
-        let waiter =
-            std::thread::spawn(move || t2.admit(0, 5, Instant::now() + Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(!waiter.is_finished(), "admit went through a frozen range");
-        table.unfreeze(0, range);
-        waiter.join().unwrap().expect("admit after unfreeze");
-        table.release(0, 5);
+        for (scope, key) in GATED {
+            let table = table_with(0, &[1001]);
+            table.freeze(0, scope);
+            // Frozen: admit with an already-expired deadline fails Unavailable.
+            assert!(
+                matches!(
+                    table.admit(0, key, Instant::now()),
+                    Err(WeaverError::Unavailable { .. })
+                ),
+                "{scope:?}"
+            );
+            // Other components are unaffected by the freeze.
+            let soon = Instant::now() + Duration::from_secs(1);
+            table.admit(1, key, soon).unwrap();
+            table.release(1, key);
+            // A blocked admit wakes when the freeze lifts.
+            let t2 = Arc::clone(&table);
+            let waiter = std::thread::spawn(move || {
+                t2.admit(0, key, Instant::now() + Duration::from_secs(5))
+            });
+            std::thread::sleep(Duration::from_millis(30));
+            assert!(!waiter.is_finished(), "admit went through {scope:?}");
+            table.unfreeze(0, scope);
+            waiter.join().unwrap().expect("admit after unfreeze");
+            table.release(0, key);
+        }
     }
 
     #[test]
     fn drain_waits_for_releases() {
+        for (scope, key) in GATED {
+            let table = table_with(0, &[1001]);
+            let far = Instant::now() + Duration::from_secs(5);
+            table.admit(0, key, far).unwrap();
+            table.admit(0, key, far).unwrap();
+            table.freeze(0, scope);
+            assert!(
+                !table.drain(0, scope, Duration::from_millis(20)),
+                "{scope:?} drained with calls in flight"
+            );
+            let t2 = Arc::clone(&table);
+            let drainer = std::thread::spawn(move || t2.drain(0, scope, Duration::from_secs(5)));
+            table.release(0, key);
+            table.release(0, key);
+            assert!(
+                drainer.join().unwrap(),
+                "{scope:?} drain missed the releases"
+            );
+            table.unfreeze(0, scope);
+            // A scope with nothing in flight drains immediately.
+            assert!(table.drain(0, scope, Duration::from_millis(1)));
+        }
+    }
+
+    #[test]
+    fn scopes_gate_exactly_the_calls_they_cover() {
         let table = table_with(0, &[1001]);
         let far = Instant::now() + Duration::from_secs(5);
-        table.admit(0, 9, far).unwrap();
-        table.admit(0, 9, far).unwrap();
-        table.freeze(0, (0, u64::MAX));
-        assert!(
-            !table.drain(0, (0, u64::MAX), Duration::from_millis(20)),
-            "drained with calls in flight"
-        );
-        let t2 = Arc::clone(&table);
-        let drainer =
-            std::thread::spawn(move || t2.drain(0, (0, u64::MAX), Duration::from_secs(5)));
-        table.release(0, 9);
-        table.release(0, 9);
-        assert!(drainer.join().unwrap(), "drain missed the releases");
-        table.unfreeze(0, (0, u64::MAX));
-        // Keys outside the frozen range are unaffected by a partial freeze.
-        table.freeze(0, (100, 200));
+        let blocked = |key: Option<u64>| table.admit(0, key, Instant::now()).is_err();
+        // A partial key freeze: keys outside the range and unrouted calls
+        // pass; neither holds up the range's drain.
+        table.freeze(0, Scope::Keys(100, 200));
+        assert!(blocked(Some(150)));
         table.admit(0, 99, far).unwrap();
+        table.admit(0, None, far).unwrap();
+        assert!(table.drain(0, Scope::Keys(100, 200), Duration::from_millis(1)));
+        table.unfreeze(0, Scope::Keys(100, 200));
+        // A component freeze blocks keyed and unrouted calls alike, and its
+        // drain waits for both kinds.
+        table.freeze(0, Scope::Component);
+        assert!(blocked(Some(99)) && blocked(None));
+        assert!(!table.drain(0, Scope::Component, Duration::from_millis(1)));
         table.release(0, 99);
-        table.unfreeze(0, (100, 200));
-    }
-
-    #[test]
-    fn component_freeze_queues_admit_until_unfrozen() {
-        let table = table_with(0, &[1001]);
-        table.freeze_component(0);
-        // Frozen: admit with an already-expired deadline fails Unavailable.
-        assert!(matches!(
-            table.admit_component(0, Instant::now()),
-            Err(WeaverError::Unavailable { .. })
-        ));
-        // Other components are unaffected by the freeze.
-        table
-            .admit_component(1, Instant::now() + Duration::from_secs(1))
-            .unwrap();
-        table.release_component(1);
-        // A blocked admit wakes when the freeze lifts.
-        let t2 = Arc::clone(&table);
-        let waiter = std::thread::spawn(move || {
-            t2.admit_component(0, Instant::now() + Duration::from_secs(5))
-        });
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(
-            !waiter.is_finished(),
-            "admit went through a frozen component"
-        );
-        table.unfreeze_component(0);
-        waiter.join().unwrap().expect("admit after unfreeze");
-        table.release_component(0);
-    }
-
-    #[test]
-    fn drain_component_waits_for_releases() {
-        let table = table_with(0, &[1001]);
-        let far = Instant::now() + Duration::from_secs(5);
-        table.admit_component(0, far).unwrap();
-        table.admit_component(0, far).unwrap();
-        table.freeze_component(0);
-        assert!(
-            !table.drain_component(0, Duration::from_millis(20)),
-            "drained with calls in flight"
-        );
-        let t2 = Arc::clone(&table);
-        let drainer = std::thread::spawn(move || t2.drain_component(0, Duration::from_secs(5)));
-        table.release_component(0);
-        table.release_component(0);
-        assert!(drainer.join().unwrap(), "drain missed the releases");
-        table.unfreeze_component(0);
-        // A component with nothing in flight drains immediately.
-        assert!(table.drain_component(0, Duration::from_millis(1)));
+        assert!(!table.drain(0, Scope::Component, Duration::from_millis(1)));
+        table.release(0, None);
+        assert!(table.drain(0, Scope::Component, Duration::from_millis(1)));
+        table.unfreeze(0, Scope::Component);
+        assert!(!blocked(Some(99)));
+        table.release(0, 99);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use weaver_core::client::{CallRouter, TargetInfo};
 use weaver_core::component::ComponentInterface;
@@ -45,7 +45,9 @@ use weaver_transport::{
 
 use crate::dedup::DedupCache;
 use crate::dispatch::ProcletDispatcher;
-use crate::router::{next_idempotency_key, RemoteRouter, RoutingState, RoutingTable};
+use crate::router::{
+    body_to_outcome, next_idempotency_key, RemoteRouter, RoutingState, RoutingTable, Scope,
+};
 use crate::single::{ComponentFault, FaultInjectable};
 
 /// How long a migration waits for in-flight calls on the frozen range to
@@ -184,7 +186,8 @@ struct Replica {
     _server: Server<WeaverFraming>,
 }
 
-/// One key range handed from one replica to another during a rebalance.
+/// One key range handed from one replica to another by a migration: the
+/// unit of state handoff, and of its rollback.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigratedRange {
     /// First routing hash in the range.
@@ -195,8 +198,46 @@ pub struct MigratedRange {
     pub from: u32,
     /// Replica index the range moved to.
     pub to: u32,
-    /// State entries transferred for the range (0 for stateless moves).
+    /// State entries transferred for the range (0 for stateless moves, and
+    /// until the executor has run the transfer).
     pub entries: u64,
+}
+
+/// One live migration, as data: what to freeze, which state to hand off,
+/// and what to switch at the commit point. Slice rebalances and placement
+/// moves differ only in the value they build; [`TcpProcess::execute`] is
+/// the one place the freeze → drain → handoff → commit → unfreeze
+/// transaction is written down.
+struct Migration {
+    /// Component id.
+    component: u32,
+    /// Scopes frozen (and drained) for the whole transaction.
+    freeze: Vec<Scope>,
+    /// State handoffs, run in order and undone in reverse on failure.
+    transfers: Vec<MigratedRange>,
+    /// Slice assignment installed at commit (the install is the epoch
+    /// bump); `None` bumps the epoch alone.
+    assignment: Option<SliceAssignment>,
+    /// Dispatch target switched at commit: `Colocated` installs replica
+    /// 0's handler as the local target, `Routed` clears it, `None` leaves
+    /// it alone.
+    placement: Option<ComponentPlacement>,
+}
+
+/// Lifts a migration's freezes on every exit from the executor — commit,
+/// error or unwind — so a failed migration can never leave callers queued.
+struct Unfreeze<'a> {
+    table: &'a RoutingTable,
+    component: u32,
+    scopes: &'a [Scope],
+}
+
+impl Drop for Unfreeze<'_> {
+    fn drop(&mut self) {
+        for &scope in self.scopes {
+            self.table.unfreeze(self.component, scope);
+        }
+    }
 }
 
 /// What one [`TcpProcess::rebalance_routed`] round did: the controller's
@@ -205,7 +246,7 @@ pub struct MigratedRange {
 #[derive(Debug, Clone)]
 pub struct MigrationReport {
     /// The controller's decisions, in application order (replayable via
-    /// [`weaver_routing::serialize_decisions`]).
+    /// [`weaver_codec::linelog`] + [`weaver_routing::apply_decisions`]).
     pub decisions: Vec<RebalanceDecision>,
     /// Ranges whose owner changed, with transfer counts.
     pub migrated: Vec<MigratedRange>,
@@ -234,7 +275,7 @@ pub struct ComponentMigration {
 #[derive(Debug, Clone)]
 pub struct PlacementRoundReport {
     /// The controller's decisions, in execution order (replayable via
-    /// [`weaver_placement::serialize_decisions`]).
+    /// [`weaver_codec::linelog`] + [`weaver_placement::apply_decisions`]).
     pub decisions: Vec<PlacementDecision>,
     /// Executed migrations, one per decision.
     pub migrated: Vec<ComponentMigration>,
@@ -278,6 +319,10 @@ pub struct TcpProcess {
     /// The live placement of every component, bumped once per executed
     /// migration — the runtime half of the weaver-placement decision log.
     placements: Mutex<PlacementState>,
+    /// Held from planning to unfreeze by every migration: one at a time
+    /// per deployment, so a plan can never commit over state another
+    /// migration moved after it was planned.
+    migrating: Mutex<()>,
 }
 
 impl TcpProcess {
@@ -396,6 +441,7 @@ impl TcpProcess {
             injectors,
             handlers,
             placements: Mutex::new(placements),
+            migrating: Mutex::new(()),
         }))
     }
 
@@ -488,6 +534,7 @@ impl TcpProcess {
     ) -> Result<u64, WeaverError> {
         let id = self.registry.id_of(component)?;
         assignment.validate().map_err(WeaverError::app)?;
+        let _exclusive = self.migrating.lock();
         if assignment.replica_count as usize != self.replicas.len() {
             return Err(WeaverError::app(format!(
                 "assignment names {} replicas, deployment has {}",
@@ -499,154 +546,77 @@ impl TcpProcess {
     }
 
     /// Runs one controller round for a routed component and migrates live:
-    /// plan from observed per-slice load, then for every range whose owner
-    /// changes — freeze (new calls queue, not drop), drain in-flight calls
-    /// to the old owner, hand the range's state off over the transport,
-    /// commit the new assignment (epoch bump), unfreeze. Queued calls then
-    /// resolve against the new owner, which already holds the state — the
-    /// A8 per-key monotonicity invariant holds across the move.
+    /// plan from observed per-slice load, then hand every range whose owner
+    /// changes to its new replica as one migration (see DESIGN.md
+    /// "Migrations"): the moving ranges freeze (new calls queue, not drop),
+    /// drain, hand their state off, and the new assignment commits with an
+    /// epoch bump. Queued calls then resolve against the new owner, which
+    /// already holds the state — the A8 per-key monotonicity invariant
+    /// holds across the move.
     ///
     /// Components without `export_keys`/`import_keys` methods migrate
     /// statelessly (ownership moves, state starts fresh — cache
-    /// semantics). Any handoff failure aborts the whole round: ranges are
-    /// unfrozen, the old assignment stays, exported state is re-imported
-    /// to its source.
+    /// semantics). Any failure aborts the whole round with the old
+    /// assignment and its state intact.
     pub fn rebalance_routed(
         &self,
         component: &str,
         options: &ControllerOptions,
     ) -> Result<MigrationReport, WeaverError> {
+        let exclusive = self.migrating.lock();
         let id = self.registry.id_of(component)?;
-        let registration = self.registry.get(id)?;
         let current = self.table.assignment_of(id).ok_or_else(|| {
             WeaverError::app(format!("{component} has no slice assignment (not routed?)"))
         })?;
-        let Some(report) = self.table.slice_load(id) else {
-            // No routed traffic observed yet: nothing to decide from.
-            return Ok(MigrationReport {
-                decisions: Vec::new(),
-                migrated: Vec::new(),
-                epoch: self.table.epoch(),
-            });
+        let noop = |decisions| MigrationReport {
+            decisions,
+            migrated: Vec::new(),
+            epoch: self.table.epoch(),
         };
-        let controller = RebalanceController::new(options.clone());
-        let plan = controller.plan(&current, &report.requests, &report.medians);
+        let Some(load) = self.table.slice_load(id) else {
+            // No routed traffic observed yet: nothing to decide from.
+            return Ok(noop(Vec::new()));
+        };
+        let plan =
+            RebalanceController::new(options.clone()).plan(&current, &load.requests, &load.medians);
         if plan.is_noop() {
-            return Ok(MigrationReport {
-                decisions: plan.decisions,
-                migrated: Vec::new(),
-                epoch: self.table.epoch(),
-            });
+            return Ok(noop(plan.decisions));
         }
 
         // Decisions only split and move, so every new slice lies inside
         // exactly one old slice: the old owner of a new slice is the old
         // owner of its start.
-        let moves: Vec<MigratedRange> = plan
-            .assignment
-            .slices
-            .iter()
-            .filter_map(|s| {
-                let from = current.replica_for(s.start).expect("covered keyspace");
-                (from != s.replica).then_some(MigratedRange {
-                    start: s.start,
-                    end: s.end,
+        let mut transfers = Vec::new();
+        for slice in &plan.assignment.slices {
+            let from = current.replica_for(slice.start).ok_or_else(|| {
+                WeaverError::app(format!(
+                    "{component}: assignment v{} does not cover key {:#x}",
+                    current.version, slice.start
+                ))
+            })?;
+            if from != slice.replica {
+                transfers.push(MigratedRange {
+                    start: slice.start,
+                    end: slice.end,
                     from,
-                    to: s.replica,
+                    to: slice.replica,
                     entries: 0,
-                })
-            })
-            .collect();
-
-        let export_method = registration
-            .methods
-            .iter()
-            .position(|m| m.name == "export_keys");
-        let import_method = registration
-            .methods
-            .iter()
-            .position(|m| m.name == "import_keys");
-
-        // Freeze every moving range up front: from here to unfreeze, no
-        // new routed call for these keys launches.
-        for m in &moves {
-            self.table.freeze(id, (m.start, m.end));
-        }
-        let unfreeze_all = |table: &RoutingTable| {
-            for m in &moves {
-                table.unfreeze(id, (m.start, m.end));
-            }
-        };
-
-        // Drain: wait for calls admitted before the freeze to finish on
-        // the old owners.
-        for m in &moves {
-            if !self.table.drain(id, (m.start, m.end), DRAIN_TIMEOUT) {
-                unfreeze_all(&self.table);
-                return Err(WeaverError::app(format!(
-                    "migration aborted: range [{:#x}, {:#x}) did not drain",
-                    m.start, m.end
-                )));
+                });
             }
         }
-
-        // Hand off state for each moving range. On failure, roll back:
-        // re-import whatever was already exported to its source replica,
-        // unfreeze, keep the old assignment.
-        let mut migrated = Vec::with_capacity(moves.len());
-        if let (Some(export), Some(import)) = (export_method, import_method) {
-            let mut done: Vec<(u32, Vec<u8>)> = Vec::new();
-            let mut failure: Option<WeaverError> = None;
-            'transfer: for m in &moves {
-                let blob = match self.migration_call_export(id, export as u32, m) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        failure = Some(e);
-                        break 'transfer;
-                    }
-                };
-                match self.migration_call_import(id, import as u32, m.to, &blob) {
-                    Ok(entries) => {
-                        done.push((m.from, blob));
-                        migrated.push(MigratedRange {
-                            entries,
-                            ..m.clone()
-                        });
-                    }
-                    Err(e) => {
-                        // The export already removed the state from the
-                        // source; put it back before aborting.
-                        if let Err(undo) =
-                            self.migration_call_import(id, import as u32, m.from, &blob)
-                        {
-                            failure = Some(WeaverError::app(format!(
-                                "import failed ({e}) and rollback failed ({undo})"
-                            )));
-                        } else {
-                            failure = Some(e);
-                        }
-                        break 'transfer;
-                    }
-                }
-            }
-            if let Some(e) = failure {
-                for (from, blob) in done {
-                    // Best-effort: pull completed transfers back so the old
-                    // assignment (which stays live) still finds the state.
-                    let _ = self.migration_call_import(id, import as u32, from, &blob);
-                }
-                unfreeze_all(&self.table);
-                return Err(e);
-            }
-        } else {
-            // Stateless component: ownership moves, state starts fresh.
-            migrated = moves.clone();
-        }
-
-        // Commit: the new assignment becomes visible (epoch bump), then
-        // queued calls drain to the new owners.
-        let epoch = self.table.install_assignment(id, plan.assignment);
-        unfreeze_all(&self.table);
+        let (epoch, migrated) = self.execute(
+            &exclusive,
+            Migration {
+                component: id,
+                freeze: transfers
+                    .iter()
+                    .map(|t| Scope::Keys(t.start, t.end))
+                    .collect(),
+                transfers,
+                assignment: Some(plan.assignment),
+                placement: None,
+            },
+        )?;
         Ok(MigrationReport {
             decisions: plan.decisions,
             migrated,
@@ -665,193 +635,254 @@ impl TcpProcess {
     }
 
     /// Migrates one component between placements without dropping calls:
-    /// freeze the component's admission gate (new calls — routed or not —
-    /// queue instead of launching), drain every in-flight call, move the
-    /// dispatch target, bump the epoch, unfreeze. Queued calls then resolve
-    /// against the new placement.
+    /// one migration (see DESIGN.md "Migrations") that freezes the whole
+    /// component (new calls — routed or not — queue instead of launching),
+    /// drains every in-flight call, moves the dispatch target and bumps
+    /// the epoch. Queued calls then resolve against the new placement.
     ///
     /// Migrating to [`ComponentPlacement::Colocated`] first consolidates the
     /// component's state onto replica 0 (the instance the local handler
-    /// dispatches into) via the `export_keys`/`import_keys` pair over the
-    /// fault-free control plane, then short-circuits calls to replica 0's
-    /// server handler in-process. Migrating back to
-    /// [`ComponentPlacement::Routed`] clears the local target; routed keys
-    /// keep resolving to replica 0 — where the state lives — until a slice
-    /// rebalance respreads them with a proper handoff. Components without
-    /// the handoff pair move with cache semantics (other replicas start
-    /// fresh instances).
+    /// dispatches into) via the `export_keys`/`import_keys` pair, then
+    /// short-circuits calls to replica 0's server handler in-process.
+    /// Migrating back to [`ComponentPlacement::Routed`] clears the local
+    /// target; routed keys keep resolving to replica 0 — where the state
+    /// lives — until a slice rebalance respreads them with a proper
+    /// handoff. Components without the handoff pair move with cache
+    /// semantics (other replicas start fresh instances).
     ///
-    /// Any failure rolls back: exported state is re-imported to its source,
-    /// the gate unfreezes, the old placement stays live.
+    /// Any failure rolls back: the old placement stays live with its state
+    /// intact.
     pub fn migrate_component(
         &self,
         component: &str,
         to: ComponentPlacement,
     ) -> Result<ComponentMigration, WeaverError> {
+        self.migrate_component_locked(&self.migrating.lock(), component, to)
+    }
+
+    fn migrate_component_locked(
+        &self,
+        exclusive: &MutexGuard<'_, ()>,
+        component: &str,
+        to: ComponentPlacement,
+    ) -> Result<ComponentMigration, WeaverError> {
         let id = self.registry.id_of(component)?;
-        let registration = self.registry.get(id)?;
-        {
-            let placements = self.placements.lock();
-            if placements.placement_of(component) == Some(to) {
-                return Ok(ComponentMigration {
-                    component: component.to_string(),
-                    to,
-                    epoch: self.table.epoch(),
-                    consolidated_entries: 0,
-                    changed: false,
-                });
-            }
+        if self.placements.lock().placement_of(component) == Some(to) {
+            return Ok(ComponentMigration {
+                component: component.to_string(),
+                to,
+                epoch: self.table.epoch(),
+                consolidated_entries: 0,
+                changed: false,
+            });
         }
-        let export_method = registration
-            .methods
-            .iter()
-            .position(|m| m.name == "export_keys");
-        let import_method = registration
-            .methods
-            .iter()
-            .position(|m| m.name == "import_keys");
-
-        // Freeze the whole component, then wait for calls admitted before
-        // the freeze to finish at the old placement. Nested calls arriving
-        // mid-drain queue at the gate (uncounted), so the drain terminates;
-        // they dispatch to the new placement after the unfreeze.
-        self.table.freeze_component(id);
-        if !self.table.drain_component(id, DRAIN_TIMEOUT) {
-            self.table.unfreeze_component(id);
-            return Err(WeaverError::app(format!(
-                "migration aborted: {component} did not drain"
-            )));
-        }
-
-        let mut consolidated = 0u64;
-        let switch: Result<(), WeaverError> = match to {
-            ComponentPlacement::Colocated => if self.replicas.len() > 1 {
-                if let (Some(export), Some(import)) = (export_method, import_method) {
-                    match self.consolidate_to_zero(id, export as u32, import as u32) {
-                        Ok(n) => {
-                            consolidated = n;
-                            Ok(())
-                        }
-                        Err(e) => Err(e),
-                    }
-                } else {
-                    Ok(())
-                }
-            } else {
-                Ok(())
-            }
-            .map(|()| {
-                self.router
-                    .install_local(id, Arc::clone(&self.handlers[0]) as Arc<dyn RpcHandler>);
-            }),
-            ComponentPlacement::Routed => {
-                self.router.clear_local(id);
-                Ok(())
-            }
+        let transfers = match to {
+            ComponentPlacement::Colocated => (1..self.replicas.len() as u32)
+                .map(|from| MigratedRange {
+                    start: 0,
+                    end: u64::MAX,
+                    from,
+                    to: 0,
+                    entries: 0,
+                })
+                .collect(),
+            ComponentPlacement::Routed => Vec::new(),
         };
-        if let Err(e) = switch {
-            self.table.unfreeze_component(id);
-            return Err(e);
-        }
-
-        // Commit. The component's state (and, when colocated, its dispatch
-        // target) lives with replica 0 now, so any slice assignment must
-        // resolve every key there; the install doubles as the epoch bump.
-        let epoch = match self.table.assignment_of(id) {
-            Some(mut assignment) => {
-                for slice in &mut assignment.slices {
-                    slice.replica = 0;
-                }
-                assignment.version += 1;
-                self.table.install_assignment(id, assignment)
+        // The component's state (and, when colocated, its dispatch target)
+        // lives with replica 0 after either move, so any slice assignment
+        // must resolve every key there.
+        let assignment = self.table.assignment_of(id).map(|mut assignment| {
+            for slice in &mut assignment.slices {
+                slice.replica = 0;
             }
-            None => self.table.bump_epoch(),
-        };
-        self.table.unfreeze_component(id);
-
-        {
-            // One version bump per executed decision — the same contract as
-            // `weaver_placement::apply_decisions`, so a replayed decision
-            // log reproduces this state bit for bit.
-            let mut placements = self.placements.lock();
-            placements.placements.insert(component.to_string(), to);
-            placements.version += 1;
-        }
+            assignment.version += 1;
+            assignment
+        });
+        let (epoch, migrated) = self.execute(
+            exclusive,
+            Migration {
+                component: id,
+                freeze: vec![Scope::Component],
+                transfers,
+                assignment,
+                placement: Some(to),
+            },
+        )?;
         Ok(ComponentMigration {
             component: component.to_string(),
             to,
             epoch,
-            consolidated_entries: consolidated,
+            consolidated_entries: migrated.iter().map(|m| m.entries).sum(),
             changed: true,
         })
     }
 
-    /// Pulls the full keyspace of `component` from every replica except 0
-    /// into replica 0. On failure the already-exported blob is re-imported
-    /// to its source before the error propagates.
-    fn consolidate_to_zero(
-        &self,
-        component: u32,
-        export: u32,
-        import: u32,
-    ) -> Result<u64, WeaverError> {
-        let mut total = 0u64;
-        for from in 1..self.replicas.len() as u32 {
-            let m = MigratedRange {
-                start: 0,
-                end: u64::MAX,
-                from,
-                to: 0,
-                entries: 0,
-            };
-            let blob = self.migration_call_export(component, export, &m)?;
-            match self.migration_call_import(component, import, 0, &blob) {
-                Ok(n) => total += n,
-                Err(e) => {
-                    // The export removed the state from the source; put it
-                    // back before aborting so the old placement stays whole.
-                    if let Err(undo) = self.migration_call_import(component, import, from, &blob) {
-                        return Err(WeaverError::app(format!(
-                            "consolidation failed ({e}) and rollback failed ({undo})"
-                        )));
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(total)
-    }
-
     /// Runs one live placement round: plan against the decayed signal, then
-    /// execute every decision through [`TcpProcess::migrate_component`].
-    /// The resulting state equals `weaver_placement::apply_decisions(state
-    /// before, decisions)` — the report's decision list is the replayable
-    /// log.
+    /// execute every decision as a component migration. The resulting state
+    /// equals `weaver_placement::apply_decisions(state before, decisions)`
+    /// — the report's decision list is the replayable log.
     pub fn placement_round(
         &self,
         controller: &PlacementController,
         signal: &PlacementSignal,
     ) -> Result<PlacementRoundReport, WeaverError> {
-        let before = self.placements.lock().clone();
-        let plan = controller.plan(signal, &before);
+        let exclusive = self.migrating.lock();
+        let plan = controller.plan(signal, &self.placement_state());
         let mut migrated = Vec::with_capacity(plan.decisions.len());
         for decision in &plan.decisions {
-            let to = match decision {
-                PlacementDecision::Colocate { .. } => ComponentPlacement::Colocated,
-                PlacementDecision::Route { .. } => ComponentPlacement::Routed,
-            };
-            migrated.push(self.migrate_component(decision.component(), to)?);
+            migrated.push(self.migrate_component_locked(
+                &exclusive,
+                decision.component(),
+                decision.target(),
+            )?);
         }
         Ok(PlacementRoundReport {
             decisions: plan.decisions,
             migrated,
-            state: self.placements.lock().clone(),
+            state: self.placement_state(),
             epoch: self.table.epoch(),
         })
     }
 
-    fn migration_header(&self, component: u32, method: u32) -> RequestHeader {
-        RequestHeader {
+    /// The one migration executor: freeze → drain → state handoff → commit
+    /// (dispatch target, assignment, epoch bump) → unfreeze. Returns the
+    /// committed epoch and the transfers with their entry counts. On any
+    /// error nothing has changed: completed handoffs are undone, the old
+    /// assignment and placement stay live, and the freezes lift.
+    ///
+    /// `_exclusive` is the caller's guard on `self.migrating`, taken before
+    /// it planned `m`.
+    fn execute(
+        &self,
+        _exclusive: &MutexGuard<'_, ()>,
+        mut m: Migration,
+    ) -> Result<(u64, Vec<MigratedRange>), WeaverError> {
+        let registration = self.registry.get(m.component)?;
+
+        // Freeze: from here to the guard's drop no new call covered by the
+        // scopes launches. Nested calls arriving mid-drain queue at the
+        // gate (uncounted), so the drain terminates; they dispatch to the
+        // new owner or placement after the unfreeze.
+        for &scope in &m.freeze {
+            self.table.freeze(m.component, scope);
+        }
+        let _unfreeze = Unfreeze {
+            table: &self.table,
+            component: m.component,
+            scopes: &m.freeze,
+        };
+
+        // Drain: wait for calls admitted before the freeze to finish at
+        // the old owner or placement.
+        for &scope in &m.freeze {
+            if !self.table.drain(m.component, scope, DRAIN_TIMEOUT) {
+                return Err(WeaverError::app(format!(
+                    "migration aborted: {scope:x?} of {} did not drain",
+                    registration.name
+                )));
+            }
+        }
+
+        let method = |name: &str| {
+            registration
+                .methods
+                .iter()
+                .position(|spec| spec.name == name)
+                .map(|i| i as u32)
+        };
+        // Without the handoff pair ownership moves and state starts fresh.
+        if let (Some(export), Some(import)) = (method("export_keys"), method("import_keys")) {
+            self.handoff(m.component, export, import, &mut m.transfers)?;
+        }
+
+        // Commit: the new dispatch target and assignment become visible
+        // (epoch bump); queued calls resolve against them once the guard
+        // lifts the freezes.
+        if let Some(to) = m.placement {
+            let local = match to {
+                ComponentPlacement::Colocated => Some(self.handlers.first().ok_or_else(|| {
+                    WeaverError::internal("deployment has no replica 0 to colocate with")
+                })?),
+                ComponentPlacement::Routed => None,
+            };
+            self.router.set_local(
+                m.component,
+                local.map(|handler| Arc::clone(handler) as Arc<dyn RpcHandler>),
+            );
+            // One version bump per executed decision — the same contract as
+            // `weaver_placement::apply_decisions`, so a replayed decision
+            // log reproduces this state bit for bit.
+            let mut placements = self.placements.lock();
+            placements
+                .placements
+                .insert(registration.name.to_string(), to);
+            placements.version += 1;
+        }
+        let epoch = match m.assignment {
+            Some(assignment) => self.table.install_assignment(m.component, assignment),
+            None => self.table.bump_epoch(),
+        };
+        Ok((epoch, m.transfers))
+    }
+
+    /// Runs `transfers` in order over the control plane, recording each
+    /// one's entry count. `export_keys` has TAKE semantics, so on a failure
+    /// every blob exported so far — the failed transfer's and each
+    /// completed one's — is re-imported to its source, newest first: the
+    /// old assignment stays live and must still find its state.
+    fn handoff(
+        &self,
+        component: u32,
+        export: u32,
+        import: u32,
+        transfers: &mut [MigratedRange],
+    ) -> Result<(), WeaverError> {
+        let mut exported: Vec<(u32, Vec<u8>)> = Vec::with_capacity(transfers.len());
+        let forward = transfers.iter_mut().try_for_each(|t| {
+            let blob = self.migration_call_export(component, export, t)?;
+            let imported = self.migration_call_import(component, import, t.to, &blob);
+            exported.push((t.from, blob));
+            t.entries = imported?;
+            Ok(())
+        });
+        let Err(e) = forward else {
+            return Ok(());
+        };
+        let undo_failures: Vec<String> = exported
+            .iter()
+            .rev()
+            .filter_map(|(from, blob)| {
+                self.migration_call_import(component, import, *from, blob)
+                    .err()
+                    .map(|undo| format!("replica {from}: {undo}"))
+            })
+            .collect();
+        if undo_failures.is_empty() {
+            Err(e)
+        } else {
+            Err(WeaverError::app(format!(
+                "handoff failed ({e}) and rollback failed ({})",
+                undo_failures.join("; ")
+            )))
+        }
+    }
+
+    /// One call on the migration control plane — `method` of `component`
+    /// on `replica`, over the fault-free pool — returning the decoded reply.
+    fn migration_call<T: weaver_codec::Decode>(
+        &self,
+        replica: u32,
+        component: u32,
+        method: u32,
+        args: Vec<u8>,
+    ) -> Result<T, WeaverError> {
+        let addr = self
+            .addrs
+            .get(replica as usize)
+            .ok_or_else(|| WeaverError::Unavailable {
+                detail: format!("replica {replica} out of range ({})", self.addrs.len()),
+            })?;
+        let header = RequestHeader {
             component,
             method,
             version: self.version,
@@ -861,40 +892,13 @@ impl TcpProcess {
             routing: None,
             idempotency: Some(next_idempotency_key()),
             attempt: 0,
-        }
-    }
-
-    fn replica_addr(&self, replica: u32) -> Result<SocketAddr, WeaverError> {
-        self.addrs
-            .get(replica as usize)
-            .copied()
-            .ok_or_else(|| WeaverError::Unavailable {
-                detail: format!("replica {replica} out of range ({})", self.addrs.len()),
-            })
-    }
-
-    /// One call on the migration control plane, returning the decoded
-    /// method reply.
-    fn migration_call(
-        &self,
-        addr: SocketAddr,
-        header: &RequestHeader,
-        args: Vec<u8>,
-    ) -> Result<Vec<u8>, WeaverError> {
-        let body = self
+        };
+        let reply = self
             .migration_pool
-            .call(addr, header, &args, Some(MIGRATION_CALL_TIMEOUT))
-            .map_err(WeaverError::from)?;
-        match body.status {
-            Status::Ok => Ok(body.payload.to_vec()),
-            Status::Error => Err(
-                weaver_codec::decode_from_slice(&body.payload).unwrap_or_else(|e| {
-                    WeaverError::Codec {
-                        detail: format!("undecodable remote error: {e}"),
-                    }
-                }),
-            ),
-        }
+            .call(*addr, &header, &args, Some(MIGRATION_CALL_TIMEOUT))
+            .map_err(WeaverError::from)
+            .and_then(body_to_outcome)?;
+        weaver_core::client::decode_reply(&reply)
     }
 
     fn migration_call_export(
@@ -906,12 +910,7 @@ impl TcpProcess {
         let mut args = Vec::new();
         weaver_codec::wire::Encode::encode(&m.start, &mut args);
         weaver_codec::wire::Encode::encode(&m.end, &mut args);
-        let reply = self.migration_call(
-            self.replica_addr(m.from)?,
-            &self.migration_header(component, method),
-            args,
-        )?;
-        weaver_core::client::decode_reply::<Vec<u8>>(&reply)
+        self.migration_call(m.from, component, method, args)
     }
 
     fn migration_call_import(
@@ -921,14 +920,7 @@ impl TcpProcess {
         to: u32,
         blob: &[u8],
     ) -> Result<u64, WeaverError> {
-        let mut args = Vec::new();
-        weaver_codec::wire::Encode::encode(&blob.to_vec(), &mut args);
-        let reply = self.migration_call(
-            self.replica_addr(to)?,
-            &self.migration_header(component, method),
-            args,
-        )?;
-        weaver_core::client::decode_reply::<u64>(&reply)
+        self.migration_call(to, component, method, weaver_codec::encode_to_vec(blob))
     }
 }
 
@@ -1080,11 +1072,14 @@ mod tests {
         }
     }
 
+    /// `FAIL_IMPORT_AT = n > 0` makes each instance's n-th `import_keys`
+    /// call fail, for exercising handoff rollback.
     #[derive(Default)]
-    struct CounterImpl {
+    struct CounterImpl<const FAIL_IMPORT_AT: u32 = 0> {
         counts: Mutex<HashMap<u64, u64>>,
+        imports: std::sync::atomic::AtomicU32,
     }
-    impl Counter for CounterImpl {
+    impl<const FAIL_IMPORT_AT: u32> Counter for CounterImpl<FAIL_IMPORT_AT> {
         fn bump(&self, _: &CallContext, key: u64) -> Result<u64, WeaverError> {
             let mut counts = self.counts.lock();
             let n = counts.entry(key).or_insert(0);
@@ -1120,6 +1115,14 @@ mod tests {
             .encode())
         }
         fn import_keys(&self, _: &CallContext, blob: Vec<u8>) -> Result<u64, WeaverError> {
+            let call = 1 + self
+                .imports
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            if call == FAIL_IMPORT_AT {
+                return Err(WeaverError::app(format!(
+                    "import #{call} failed (injected)"
+                )));
+            }
             let blob = weaver_transport::StateBlob::decode(&blob).map_err(WeaverError::app)?;
             let mut counts = self.counts.lock();
             let n = blob.entries.len() as u64;
@@ -1130,10 +1133,10 @@ mod tests {
             Ok(n)
         }
     }
-    impl Component for CounterImpl {
+    impl<const FAIL_IMPORT_AT: u32> Component for CounterImpl<FAIL_IMPORT_AT> {
         type Interface = dyn Counter;
         fn init(_: &InitContext<'_>) -> Result<Self, WeaverError> {
-            Ok(CounterImpl::default())
+            Ok(Self::default())
         }
         fn into_interface(self: Arc<Self>) -> Arc<dyn Counter> {
             self
@@ -1142,6 +1145,65 @@ mod tests {
 
     fn registry() -> Arc<ComponentRegistry> {
         Arc::new(RegistryBuilder::new().register::<CounterImpl>().build())
+    }
+
+    fn deploy_replicas(registry: Arc<ComponentRegistry>, replicas: usize) -> Arc<TcpProcess> {
+        let options = TcpOptions {
+            replicas,
+            ..Default::default()
+        };
+        TcpProcess::deploy(registry, options, 1).unwrap()
+    }
+
+    #[test]
+    fn failed_handoff_rolls_back_every_completed_transfer() {
+        for scope in [Scope::Keys(0, u64::MAX), Scope::Component] {
+            let flaky = RegistryBuilder::new().register::<CounterImpl<2>>().build();
+            let dep = deploy_replicas(Arc::new(flaky), 3);
+            let counter = dep.get::<dyn Counter>().unwrap();
+            let ctx = dep.root_context();
+            // One key per slice of the uniform assignment, so all three
+            // replicas hold state.
+            let keys: Vec<u64> = (0..24).map(|i| i * (u64::MAX / 24) + 7).collect();
+            for _ in 0..2 {
+                for &key in &keys {
+                    counter.bump(&ctx, key).unwrap();
+                }
+            }
+            // Replicas 1 and 2 hand everything to replica 0, whose second
+            // import fails: the first transfer has completed by then.
+            let transfers = [1, 2].map(|from| MigratedRange {
+                start: 0,
+                end: u64::MAX,
+                from,
+                to: 0,
+                entries: 0,
+            });
+            let epoch = dep.routing_table().epoch();
+            let result = dep.execute(
+                &dep.migrating.lock(),
+                Migration {
+                    component: 0,
+                    freeze: vec![scope],
+                    transfers: transfers.to_vec(),
+                    assignment: None,
+                    placement: Some(ComponentPlacement::Colocated),
+                },
+            );
+            assert!(result.is_err(), "{scope:?}: {result:?}");
+            assert_eq!(dep.routing_table().epoch(), epoch, "{scope:?} committed");
+            assert!(!dep.is_colocated("test.Counter"), "{scope:?} committed");
+            // The unchanged assignment still finds every key's state where
+            // it routes — including the completed transfer's — and the
+            // freeze lifted: counts continue from 2.
+            for &key in &keys {
+                assert_eq!(
+                    counter.bump(&ctx, key).unwrap(),
+                    3,
+                    "{scope:?} key {key:#x}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1158,15 +1220,7 @@ mod tests {
 
     #[test]
     fn routed_keys_stick_to_one_replica() {
-        let dep = TcpProcess::deploy(
-            registry(),
-            TcpOptions {
-                replicas: 3,
-                ..Default::default()
-            },
-            1,
-        )
-        .unwrap();
+        let dep = deploy_replicas(registry(), 3);
         assert_eq!(dep.replica_count(), 3);
         let counter = dep.get::<dyn Counter>().unwrap();
         let ctx = dep.root_context();
@@ -1200,15 +1254,7 @@ mod tests {
 
     #[test]
     fn live_rebalance_migrates_state_and_preserves_counts() {
-        let dep = TcpProcess::deploy(
-            registry(),
-            TcpOptions {
-                replicas: 2,
-                ..Default::default()
-            },
-            1,
-        )
-        .unwrap();
+        let dep = deploy_replicas(registry(), 2);
         // Start deliberately skewed: four slices, all on replica 0.
         let width = u64::MAX / 4;
         let all_on_zero = SliceAssignment {
@@ -1271,15 +1317,7 @@ mod tests {
 
     #[test]
     fn rebalance_without_traffic_is_a_noop() {
-        let dep = TcpProcess::deploy(
-            registry(),
-            TcpOptions {
-                replicas: 2,
-                ..Default::default()
-            },
-            1,
-        )
-        .unwrap();
+        let dep = deploy_replicas(registry(), 2);
         let epoch = dep.routing_table().epoch();
         let report = dep
             .rebalance_routed("test.Counter", &ControllerOptions::default())
@@ -1316,15 +1354,7 @@ mod tests {
 
     #[test]
     fn colocate_consolidates_state_and_dispatches_locally() {
-        let dep = TcpProcess::deploy(
-            registry(),
-            TcpOptions {
-                replicas: 2,
-                ..Default::default()
-            },
-            1,
-        )
-        .unwrap();
+        let dep = deploy_replicas(registry(), 2);
         let counter = dep.get::<dyn Counter>().unwrap();
         let ctx = dep.root_context();
         // One key per slice of the uniform assignment (16 slices
@@ -1384,15 +1414,7 @@ mod tests {
 
     #[test]
     fn route_back_keeps_state_reachable() {
-        let dep = TcpProcess::deploy(
-            registry(),
-            TcpOptions {
-                replicas: 2,
-                ..Default::default()
-            },
-            1,
-        )
-        .unwrap();
+        let dep = deploy_replicas(registry(), 2);
         let counter = dep.get::<dyn Counter>().unwrap();
         let ctx = dep.root_context();
         let keys: Vec<u64> = (0..6).map(|i| i * (u64::MAX / 6) + 3).collect();
@@ -1419,15 +1441,7 @@ mod tests {
 
     #[test]
     fn placement_round_colocates_the_hot_component() {
-        let dep = TcpProcess::deploy(
-            registry(),
-            TcpOptions {
-                replicas: 2,
-                ..Default::default()
-            },
-            1,
-        )
-        .unwrap();
+        let dep = deploy_replicas(registry(), 2);
         let counter = dep.get::<dyn Counter>().unwrap();
         let ctx = dep.root_context();
         for key in 0..16u64 {

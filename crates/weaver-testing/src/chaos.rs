@@ -4,11 +4,12 @@
 //! [`ChaosSchedule`] generator draws from a seeded RNG and nothing else, so
 //! the same options always produce the same actions, in order. The runner
 //! merely applies that sequence on a background thread while the test body
-//! issues requests. Logs serialize to a line-based text format
-//! ([`serialize_log`]/[`parse_log`]) and can be [`replay`]ed verbatim
+//! issues requests. Logs serialize to a line-based text format (a
+//! [`weaver_codec::linelog`] [`Record`]) and can be [`replay`]ed verbatim
 //! against a fresh deployment — any chaos-found failure becomes a
 //! deterministic regression test.
 
+use std::str::SplitWhitespace;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -17,6 +18,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use weaver_codec::linelog::{self, Record};
 use weaver_runtime::{ComponentFault, FaultInjectable};
 
 /// One chaos action, recorded for post-mortem analysis.
@@ -167,7 +169,7 @@ pub fn replay(
     applied
 }
 
-/// Serializes an action log to its line-based text form:
+/// The line-log form ([`weaver_codec::linelog`]):
 ///
 /// ```text
 /// crash boutique.CartService
@@ -177,76 +179,32 @@ pub fn replay(
 /// heal boutique.Frontend
 /// ```
 ///
-/// Delays are in integer microseconds. Component names never contain
-/// whitespace, so the format needs no quoting.
-pub fn serialize_log(actions: &[ChaosAction]) -> String {
-    let mut out = String::new();
-    for action in actions {
-        match action {
-            ChaosAction::Crash(t) => out.push_str(&format!("crash {t}\n")),
-            ChaosAction::Down(t) => out.push_str(&format!("down {t}\n")),
-            ChaosAction::Delay(t, d) => out.push_str(&format!("delay {t} {}\n", d.as_micros())),
-            ChaosAction::FailNext(t) => out.push_str(&format!("fail-next {t}\n")),
-            ChaosAction::Heal(t) => out.push_str(&format!("heal {t}\n")),
+/// Delays are in integer microseconds.
+impl Record for ChaosAction {
+    fn to_line(&self) -> String {
+        match self {
+            ChaosAction::Crash(t) => format!("crash {t}"),
+            ChaosAction::Down(t) => format!("down {t}"),
+            ChaosAction::Delay(t, d) => format!("delay {t} {}", d.as_micros()),
+            ChaosAction::FailNext(t) => format!("fail-next {t}"),
+            ChaosAction::Heal(t) => format!("heal {t}"),
         }
     }
-    out
-}
 
-/// Parses the [`serialize_log`] format back into actions. Blank lines and
-/// `#` comments are skipped, so fixture files can be annotated.
-pub fn parse_log(text: &str) -> Result<Vec<ChaosAction>, String> {
-    let mut actions = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+    fn from_line(verb: &str, fields: &mut SplitWhitespace<'_>) -> Result<Self, String> {
+        let target = linelog::field(fields, "target")?;
+        match verb {
+            "crash" => Ok(ChaosAction::Crash(target)),
+            "down" => Ok(ChaosAction::Down(target)),
+            "fail-next" => Ok(ChaosAction::FailNext(target)),
+            "heal" => Ok(ChaosAction::Heal(target)),
+            "delay" => Ok(ChaosAction::Delay(
+                target,
+                Duration::from_micros(linelog::field(fields, "micros")?),
+            )),
+            other => Err(format!("unknown verb {other:?}")),
         }
-        let mut parts = line.split_whitespace();
-        let verb = parts.next().unwrap_or_default();
-        let target = parts
-            .next()
-            .ok_or_else(|| format!("line {}: missing target in {line:?}", lineno + 1))?
-            .to_string();
-        let action = match verb {
-            "crash" => ChaosAction::Crash(target),
-            "down" => ChaosAction::Down(target),
-            "fail-next" => ChaosAction::FailNext(target),
-            "heal" => ChaosAction::Heal(target),
-            "delay" => {
-                let micros: u64 = parts
-                    .next()
-                    .ok_or_else(|| format!("line {}: delay needs micros", lineno + 1))?
-                    .parse()
-                    .map_err(|e| format!("line {}: bad micros: {e}", lineno + 1))?;
-                ChaosAction::Delay(target, Duration::from_micros(micros))
-            }
-            other => return Err(format!("line {}: unknown verb {other:?}", lineno + 1)),
-        };
-        if let Some(extra) = parts.next() {
-            return Err(format!(
-                "line {}: trailing token {extra:?} in {line:?}",
-                lineno + 1
-            ));
-        }
-        actions.push(action);
     }
-    Ok(actions)
-}
-
-/// Writes an action log under `target/chaos-logs/<name>.log` so CI can
-/// upload it as an artifact when a chaos test fails. Best effort: returns
-/// the path on success, `None` if the filesystem refused.
-pub fn write_log_artifact(name: &str, actions: &[ChaosAction]) -> Option<std::path::PathBuf> {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)?
-        .join("target")
-        .join("chaos-logs");
-    std::fs::create_dir_all(&dir).ok()?;
-    let path = dir.join(format!("{name}.log"));
-    std::fs::write(&path, serialize_log(actions)).ok()?;
-    Some(path)
 }
 
 /// Drives chaos actions against a deployment on a background thread.
@@ -382,15 +340,17 @@ mod tests {
     #[test]
     fn log_round_trips_through_text() {
         let actions = ChaosSchedule::generate(&options(0xC4A05), 100);
-        let text = serialize_log(&actions);
-        assert_eq!(parse_log(&text).unwrap(), actions);
+        let text = linelog::serialize(&actions);
+        let parsed: Vec<ChaosAction> = linelog::parse(&text).unwrap();
+        assert_eq!(parsed, actions);
         // Round trip is byte-for-byte stable.
-        assert_eq!(serialize_log(&parse_log(&text).unwrap()), text);
+        assert_eq!(linelog::serialize(&parsed), text);
     }
 
     #[test]
     fn parse_skips_comments_and_rejects_junk() {
-        let parsed = parse_log("# fixture\n\ncrash a.X\ndelay b.Y 250\n").unwrap();
+        let parse = linelog::parse::<ChaosAction>;
+        let parsed = parse("# fixture\n\ncrash a.X\ndelay b.Y 250\n").unwrap();
         assert_eq!(
             parsed,
             vec![
@@ -398,10 +358,10 @@ mod tests {
                 ChaosAction::Delay("b.Y".into(), Duration::from_micros(250)),
             ]
         );
-        assert!(parse_log("explode a.X\n").is_err());
-        assert!(parse_log("crash\n").is_err());
-        assert!(parse_log("delay a.X\n").is_err());
-        assert!(parse_log("crash a.X trailing\n").is_err());
+        assert!(parse("explode a.X\n").is_err());
+        assert!(parse("crash\n").is_err());
+        assert!(parse("delay a.X\n").is_err());
+        assert!(parse("crash a.X trailing\n").is_err());
     }
 
     #[test]

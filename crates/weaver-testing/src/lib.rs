@@ -40,8 +40,7 @@ pub mod matrix;
 pub mod weavertest;
 
 pub use chaos::{
-    apply, eventually, parse_log, replay, seed_from_env, serialize_log, write_log_artifact,
-    ChaosAction, ChaosOptions, ChaosRunner, ChaosSchedule,
+    apply, eventually, replay, seed_from_env, ChaosAction, ChaosOptions, ChaosRunner, ChaosSchedule,
 };
 pub use invariants::{
     CartConsistency, ExactlyOnceCheckout, PlacementSafety, RolloutHarness, RolloutReport,

@@ -6,11 +6,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use weaver_codec::linelog;
 use weaver_core::error::WeaverError;
 use weaver_runtime::{ComponentFault, FaultInjectable};
-use weaver_testing::{
-    parse_log, replay, serialize_log, ChaosAction, ChaosOptions, ChaosRunner, ChaosSchedule,
-};
+use weaver_testing::{replay, ChaosAction, ChaosOptions, ChaosRunner, ChaosSchedule};
 
 /// A deployment double recording every fault application, so tests can
 /// assert exactly what chaos did without a real component graph.
@@ -73,7 +72,7 @@ fn runner_log_matches_pure_schedule() {
     // And every logged action was actually applied, in order (the trailing
     // heals come from stop()).
     let applied = deployment.events();
-    let from_log: Vec<String> = parse_log(&serialize_log(&log))
+    let from_log: Vec<String> = linelog::parse::<ChaosAction>(&linelog::serialize(&log))
         .unwrap()
         .iter()
         .map(|a| match a {
@@ -117,10 +116,10 @@ fn golden_log_fixture_still_generated() {
     // order ever changes, previously-recorded chaos logs stop reproducing
     // the failures they captured. This fixture freezes seed 0xC4A05's first
     // 40 actions; regenerate it ONLY for an intentional generator change
-    // (and say so in the commit), via `serialize_log(&ChaosSchedule::
+    // (and say so in the commit), via `linelog::serialize(&ChaosSchedule::
     // generate(&options, 40))`.
     let golden = include_str!("golden/chaos-seed-0xc4a05.log");
-    let generated = serialize_log(&ChaosSchedule::generate(&options(0xC4A05), 40));
+    let generated = linelog::serialize(&ChaosSchedule::generate(&options(0xC4A05), 40));
     assert_eq!(generated, golden, "chaos generator drifted from golden log");
 }
 
@@ -133,13 +132,17 @@ fn replay_reproduces_log_byte_for_byte() {
         std::thread::sleep(Duration::from_millis(2));
     }
     let log = runner.stop();
-    let text = serialize_log(&log);
+    let text = linelog::serialize(&log);
 
     // ...then replay the serialized form against a fresh deployment.
     let fresh = Arc::new(RecordingDeployment::default());
-    let parsed = parse_log(&text).unwrap();
+    let parsed: Vec<ChaosAction> = linelog::parse(&text).unwrap();
     let applied = replay(&*fresh, &parsed, Duration::ZERO);
-    assert_eq!(serialize_log(&applied), text, "replay diverged from log");
+    assert_eq!(
+        linelog::serialize(&applied),
+        text,
+        "replay diverged from log"
+    );
     // The fresh deployment saw exactly the recorded actions.
     assert_eq!(fresh.events().len(), log.len());
 }

@@ -10,12 +10,12 @@ use std::time::Duration;
 
 use boutique::components::*;
 use boutique::types::CartItem;
+use weaver_codec::linelog;
 use weaver_rollout::{RolloutConfig, RolloutPhase};
 use weaver_runtime::{SingleMode, SingleProcess, TcpOptions, TcpProcess};
 use weaver_testing::{
-    eventually, parse_log, replay, run_matrix_with, seed_from_env, serialize_log,
-    write_log_artifact, CartConsistency, ChaosOptions, ChaosRunner, MatrixOptions, Placement,
-    RolloutHarness,
+    eventually, replay, run_matrix_with, seed_from_env, CartConsistency, ChaosAction, ChaosOptions,
+    ChaosRunner, MatrixOptions, Placement, RolloutHarness,
 };
 use weaver_transport::FaultSpec;
 
@@ -197,16 +197,16 @@ fn recorded_chaos_log_replays_byte_for_byte() {
         let _ = frontend.home(&ctx, "replay-user".into(), "USD".into());
     }
     let log = chaos.stop();
-    let text = serialize_log(&log);
-    let artifact = write_log_artifact("chaos-matrix-acceptance", &log);
+    let text = linelog::serialize(&log);
+    let artifact = linelog::write_artifact("chaos-logs", "chaos-matrix-acceptance", &text);
     assert!(artifact.is_some(), "could not write chaos log artifact");
 
     // Round-trip through the text format and replay on a fresh deployment.
     let fresh = SingleProcess::deploy(boutique::registry(), SingleMode::Marshaled, 1);
-    let parsed = parse_log(&text).unwrap();
+    let parsed: Vec<ChaosAction> = linelog::parse(&text).unwrap();
     let applied = replay(&*fresh, &parsed, Duration::ZERO);
     assert_eq!(
-        serialize_log(&applied),
+        linelog::serialize(&applied),
         text,
         "replay diverged from the recorded log"
     );

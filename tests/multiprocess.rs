@@ -354,6 +354,16 @@ fn deployer_end_to_end() {
         );
         std::thread::sleep(Duration::from_millis(100));
     }
+    // Load reports are cumulative: with no traffic, readings several health
+    // checks apart must agree (the first waits out reports still in flight).
+    std::thread::sleep(Duration::from_millis(600));
+    let settled = deployment.callgraph();
+    std::thread::sleep(Duration::from_millis(800));
+    assert_eq!(
+        deployment.callgraph(),
+        settled,
+        "idle call graph changed between health checks"
+    );
     deployment.shutdown();
 }
 

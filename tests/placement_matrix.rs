@@ -21,10 +21,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use boutique::prelude::*;
+use weaver_codec::linelog;
 use weaver_metrics::PlacementSignalBuilder;
 use weaver_placement::{
-    apply_decisions, serialize_decisions, write_decision_artifact, ComponentPlacement,
-    PlacementController, PlacementDecision, PlacementOptions,
+    apply_decisions, ComponentPlacement, PlacementController, PlacementDecision, PlacementOptions,
 };
 use weaver_testing::{
     eventually, run_matrix_with, seed_from_env, MatrixOptions, Placement, PlacementSafety,
@@ -228,10 +228,13 @@ fn live_placement_migration_holds_safety_under_chaos() {
                 report.epoch,
                 report.migrated.len()
             ));
-            log.push_str(&serialize_decisions(&report.decisions));
+            log.push_str(&linelog::serialize(&report.decisions));
         }
-        let artifact =
-            write_decision_artifact(&format!("placement-matrix-{label}-{seed:08x}"), &log);
+        let artifact = linelog::write_artifact(
+            "placement-logs",
+            &format!("placement-matrix-{label}-{seed:08x}"),
+            &log,
+        );
         assert!(
             artifact.is_some(),
             "[{label}] decision artifact not written"

@@ -18,7 +18,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use boutique::prelude::*;
-use weaver_routing::{serialize_decisions, ControllerOptions, SliceAssignment};
+use weaver_codec::linelog;
+use weaver_routing::{ControllerOptions, SliceAssignment};
 use weaver_testing::{
     eventually, run_matrix_with, seed_from_env, MatrixOptions, Placement, SliceMonotonicity,
 };
@@ -181,9 +182,10 @@ fn live_rebalance_holds_per_key_monotonicity_under_chaos() {
                 report.epoch,
                 report.migrated.len()
             ));
-            log.push_str(&serialize_decisions(&report.decisions));
+            log.push_str(&linelog::serialize(&report.decisions));
         }
-        let artifact = weaver_routing::write_decision_artifact(
+        let artifact = linelog::write_artifact(
+            "rebalance-logs",
             &format!("rebalance-matrix-{label}-{seed:08x}"),
             &log,
         );
