@@ -11,9 +11,7 @@
 //! (threads O(connections)).
 //!
 //! Assertion: with 512 connections open the process must hold at most
-//! `16 + workers` threads. Set `WEAVER_CONNSCALE_NO_ASSERT=1` to record
-//! numbers from a build that is expected to fail the bound (e.g. when
-//! capturing a thread-per-connection baseline).
+//! `16 + workers` threads.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -114,8 +112,7 @@ fn bench_connscale(c: &mut Criterion) {
     // the main thread, and slack for the test runner.
     let threads = process_threads();
     println!("connscale: final thread count with 512 connections: {threads}");
-    let relaxed = std::env::var("WEAVER_CONNSCALE_NO_ASSERT").is_ok_and(|v| v == "1");
-    if threads > 0 && !relaxed {
+    if threads > 0 {
         assert!(
             threads <= 16 + WORKERS,
             "thread count must stay O(shards + workers): {threads} threads \

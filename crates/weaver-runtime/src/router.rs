@@ -370,8 +370,8 @@ impl LatencyHistograms {
 /// the ratio as an integer), and the RPC dispatch-queue depth (requests
 /// decoded on the poller but not yet picked up by a worker).
 ///
-/// On targets without the reactor (or with `WEAVER_REACTOR=0`) only the
-/// dispatch-queue gauge is recorded.
+/// Until the process opens its first connection or server the reactor has
+/// not started, and only the dispatch-queue gauge is recorded.
 pub(crate) fn record_transport_gauges(registry: &MetricsRegistry) {
     if let Some(r) = weaver_transport::reactor_snapshot() {
         registry

@@ -10,12 +10,13 @@
 //! re-executing.
 //!
 //! The sever is provoked deterministically: the first dialed connection's
-//! read half returns an error the moment the first response bytes arrive —
+//! `read` returns an error the moment the first response bytes arrive —
 //! strictly after the server executed, strictly before the client saw the
 //! answer.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -102,20 +103,15 @@ impl ComponentGetter for NoDeps {
     }
 }
 
-/// A duplex stream whose read half discards the first bytes it receives
-/// and fails instead: the response was *sent* (the far side executed) but
-/// never *delivered* — the ambiguous sever.
+/// A duplex stream whose `read` discards the first bytes it receives and
+/// fails instead: the response was *sent* (the far side executed) but never
+/// *delivered* — the ambiguous sever.
 struct SeverOnFirstResponse {
     inner: TcpStream,
     armed: bool,
 }
 
-struct SeveringReadHalf {
-    inner: TcpStream,
-    armed: bool,
-}
-
-impl Read for SeveringReadHalf {
+impl Read for SeverOnFirstResponse {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let n = self.inner.read(buf)?;
         if self.armed && n > 0 {
@@ -125,12 +121,6 @@ impl Read for SeveringReadHalf {
             ));
         }
         Ok(n)
-    }
-}
-
-impl Read for SeverOnFirstResponse {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.inner.read(buf)
     }
 }
 
@@ -144,17 +134,16 @@ impl Write for SeverOnFirstResponse {
 }
 
 impl DuplexStream for SeverOnFirstResponse {
-    type ReadHalf = SeveringReadHalf;
-
-    fn split_read(&self) -> io::Result<SeveringReadHalf> {
-        Ok(SeveringReadHalf {
-            inner: self.inner.try_clone()?,
-            armed: self.armed,
-        })
+    fn shutdown_both(&self) {
+        self.inner.shutdown_both();
     }
 
-    fn shutdown_both(&self) {
-        let _ = self.inner.shutdown(std::net::Shutdown::Both);
+    fn poll_fd(&self) -> RawFd {
+        self.inner.poll_fd()
+    }
+
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        self.inner.set_nonblocking(nonblocking)
     }
 }
 

@@ -1,17 +1,11 @@
 //! Client-side connection: one TCP socket, multiplexed calls.
 //!
-//! On Linux a [`Connection`] owns **no threads**: its socket is registered
-//! with the shared readiness reactor ([`crate::reactor`]), whose shard
-//! thread reassembles inbound frames (completing the pending call matching
-//! each stream id) and drains the coalescing outbound queue — many caller
+//! A [`Connection`] owns **no threads**: its socket is registered with the
+//! shared readiness reactor ([`crate::reactor`]), whose shard thread
+//! reassembles inbound frames (completing the pending call matching each
+//! stream id) and drains the coalescing outbound queue — many caller
 //! threads pipeline pre-encoded pooled frames, and the shard flushes
 //! whatever is queued into one syscall.
-//!
-//! Streams without a pollable fd (in-memory test streams) and non-Linux
-//! targets take the legacy path instead: a dedicated **writer** thread
-//! running the shared coalescing loop ([`crate::writer`]) and a **reader**
-//! thread parsing inbound messages. Both paths share the pending-map,
-//! dead-flag, and buffer-pool machinery, and expose identical semantics.
 //!
 //! Request encoding uses buffers recycled through a [`BufferPool`], so the
 //! steady-state call path performs no heap allocation for framing.
@@ -26,57 +20,33 @@
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::buf::BufferPool;
 use crate::error::TransportError;
 use crate::fault::DuplexStream;
 use crate::frame::{Framing, Message, RequestHeader, ResponseBody};
-use crate::writer::{writer_loop, OutFrame, WriteOp, WriterStats};
+use crate::reactor::{ConnDriver, ConnState, OutFrame, Reactor};
 
 type PendingMap = Arc<Mutex<HashMap<u64, Sender<Result<ResponseBody, TransportError>>>>>;
 
-/// Where outbound frames go: the reactor's per-connection queue, or the
-/// legacy writer thread's channel.
-enum FrameSink {
-    /// Reactor path: the shard thread drains the connection's queue.
-    #[cfg(target_os = "linux")]
-    Reactor(Arc<crate::reactor::ConnState>),
-    /// Legacy path: a dedicated writer thread owns the socket.
-    Thread(Sender<WriteOp>),
-}
-
-impl FrameSink {
-    /// Enqueues one frame; `Err` means the connection is closed.
-    fn send(&self, frame: OutFrame) -> Result<(), TransportError> {
-        match self {
-            #[cfg(target_os = "linux")]
-            FrameSink::Reactor(state) => state.send(frame),
-            FrameSink::Thread(tx) => tx
-                .send(WriteOp::Frame(frame))
-                .map_err(|_| TransportError::ConnectionClosed),
-        }
-    }
-}
-
 /// A multiplexing client connection using framing `F`.
 pub struct Connection<F: Framing> {
-    sink: FrameSink,
+    /// The reactor's handle on the socket: outbound queue and teardown.
+    state: Arc<ConnState>,
     pending: PendingMap,
     next_stream: AtomicU64,
-    dead: Arc<AtomicBool>,
     pool: BufferPool,
-    writer_stats: Arc<WriterStats>,
     _marker: PhantomData<F>,
 }
 
 impl<F: Framing> Connection<F> {
-    /// Connects to `addr` and spawns the reader and writer threads, using
+    /// Connects to `addr` and registers the socket with the reactor, using
     /// the process-wide [`BufferPool::global`].
     pub fn connect<A: ToSocketAddrs + std::fmt::Debug>(addr: A) -> Result<Self, TransportError> {
         Self::connect_with_pool(addr, BufferPool::global().clone())
@@ -112,131 +82,28 @@ impl<F: Framing> Connection<F> {
 
     /// Builds a connection over any duplex stream — in particular a
     /// [`crate::fault::FaultStream`], which injects deterministic faults
-    /// underneath the reader and writer threads.
+    /// underneath the reactor's reads and writes.
     pub fn from_duplex<S: DuplexStream>(stream: S) -> Result<Self, TransportError> {
         Self::from_duplex_with_pool(stream, BufferPool::global().clone())
     }
 
     /// [`Connection::from_duplex`] with an explicit buffer pool.
-    ///
-    /// Streams with a pollable fd register with the shared readiness
-    /// reactor (no per-connection threads); others fall back to the
-    /// legacy reader/writer thread pair.
     pub fn from_duplex_with_pool<S: DuplexStream>(
         stream: S,
         pool: BufferPool,
     ) -> Result<Self, TransportError> {
-        #[cfg(target_os = "linux")]
-        if let (Some(fd), Some(reactor)) = (stream.poll_fd(), crate::reactor::Reactor::try_global())
-        {
-            stream.set_nonblocking(true)?;
-            let pending: PendingMap = Arc::new(Mutex::new(HashMap::new()));
-            let dead = Arc::new(AtomicBool::new(false));
-            let writer_stats = Arc::new(WriterStats::default());
-            let driver = Arc::new(ClientDriver::<F> {
-                pending: Arc::clone(&pending),
-                pool: pool.clone(),
-                framing: Mutex::new(F::default()),
-            });
-            let state = reactor.register_conn(
-                Box::new(stream),
-                fd,
-                driver,
-                Arc::clone(&dead),
-                Arc::clone(&writer_stats),
-                pool.clone(),
-            )?;
-            return Ok(Connection {
-                sink: FrameSink::Reactor(state),
-                pending,
-                next_stream: AtomicU64::new(1),
-                dead,
-                pool,
-                writer_stats,
-                _marker: PhantomData,
-            });
-        }
-        Self::from_duplex_threaded(stream, pool)
-    }
-
-    /// The legacy thread-per-connection path: a writer thread running the
-    /// coalescing loop plus a blocking reader thread.
-    fn from_duplex_threaded<S: DuplexStream>(
-        stream: S,
-        pool: BufferPool,
-    ) -> Result<Self, TransportError> {
-        let read_half = stream.split_read()?;
-        let (writer_tx, writer_rx) = unbounded::<WriteOp>();
         let pending: PendingMap = Arc::new(Mutex::new(HashMap::new()));
-        let dead = Arc::new(AtomicBool::new(false));
-        let writer_stats = Arc::new(WriterStats::default());
-
-        {
-            let mut write_half = stream;
-            let dead = Arc::clone(&dead);
-            let pool = pool.clone();
-            let stats = Arc::clone(&writer_stats);
-            std::thread::Builder::new()
-                .name("weaver-conn-writer".into())
-                .spawn(move || {
-                    writer_loop(&writer_rx, &mut write_half, &pool, &dead, &stats);
-                    write_half.shutdown_both();
-                })
-                .expect("failed to spawn connection writer");
-        }
-
-        {
-            let pending = Arc::clone(&pending);
-            let dead = Arc::clone(&dead);
-            let writer_tx = writer_tx.clone();
-            let pool = pool.clone();
-            std::thread::Builder::new()
-                .name("weaver-conn-reader".into())
-                .spawn(move || {
-                    let mut read_half = read_half;
-                    let mut framing = F::default();
-                    loop {
-                        match framing.read_message(&mut read_half, &pool) {
-                            Ok(Some(Message::Response { stream, body })) => {
-                                if let Some(tx) = pending.lock().remove(&stream) {
-                                    let _ = tx.send(Ok(body));
-                                }
-                                // A response for an unknown stream was
-                                // cancelled or timed out: drop it.
-                            }
-                            Ok(Some(Message::Ping)) => {
-                                let mut buf = pool.get(32);
-                                F::write_ping(&mut buf, true);
-                                let _ =
-                                    writer_tx.send(WriteOp::Frame(OutFrame::single(buf.freeze())));
-                            }
-                            Ok(Some(Message::Pong)) => {}
-                            Ok(Some(Message::Cancel { .. } | Message::Request { .. })) => {
-                                // Clients do not serve requests; ignore.
-                            }
-                            Ok(None) | Err(_) => break,
-                        }
-                    }
-                    dead.store(true, Ordering::SeqCst);
-                    // Wake the writer so it notices the death immediately
-                    // and drops its queue instead of writing to a dead
-                    // socket (or blocking forever on recv).
-                    let _ = writer_tx.send(WriteOp::Shutdown);
-                    // Fail everything still in flight.
-                    for (_, tx) in pending.lock().drain() {
-                        let _ = tx.send(Err(TransportError::ConnectionClosed));
-                    }
-                })
-                .expect("failed to spawn connection reader");
-        }
-
+        let driver = Arc::new(ClientDriver::<F> {
+            pending: Arc::clone(&pending),
+            pool: pool.clone(),
+            framing: Mutex::new(F::default()),
+        });
+        let state = Reactor::global()?.register_conn(Box::new(stream), driver, pool.clone())?;
         Ok(Connection {
-            sink: FrameSink::Thread(writer_tx),
+            state,
             pending,
             next_stream: AtomicU64::new(1),
-            dead,
             pool,
-            writer_stats,
             _marker: PhantomData,
         })
     }
@@ -244,23 +111,21 @@ impl<F: Framing> Connection<F> {
     /// True once the underlying socket has failed; the pool discards such
     /// connections.
     pub fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::SeqCst)
+        self.state.is_dead()
     }
 
     /// Writer-side counters: `(frames sent, syscall flushes)`. The gap
     /// between the two is the coalescing win.
     pub fn writer_counters(&self) -> (u64, u64) {
-        (
-            self.writer_stats.frames.load(Ordering::Relaxed),
-            self.writer_stats.flushes.load(Ordering::Relaxed),
-        )
+        self.state.writer_counters()
     }
 
     /// Enqueues one request and hands back the pending receive half.
     ///
-    /// The returned stream id is already registered in the pending map when
-    /// this returns `Ok`; the caller owns cleanup (via [`CallFuture`] or the
-    /// blocking receive in [`Connection::call`]).
+    /// When this returns `Ok` the stream id is registered in the pending map
+    /// or its receive half already holds the outcome; the caller owns
+    /// cleanup (via [`CallFuture`] or the blocking receive in
+    /// [`Connection::call`]). `Err` means the request was never queued.
     fn begin(
         &self,
         header: &RequestHeader,
@@ -275,28 +140,32 @@ impl<F: Framing> Connection<F> {
 
         let mut buf = self.pool.get(64 + args.len());
         F::write_request(&mut buf, stream, header, args);
-        if self.sink.send(OutFrame::single(buf.freeze())).is_err() {
+        if self.state.send(OutFrame::single(buf.freeze())).is_err() {
             self.pending.lock().remove(&stream);
             return Err(TransportError::ConnectionClosed);
         }
         // Close the leak window: connection death drains the pending map
         // *after* setting `dead`, so an entry inserted above may have raced
-        // past the drain (and the frame may sit in a queue that will never
-        // flush). Re-checking `dead` (SeqCst) afterwards makes the race
-        // benign — if this load reads `false`, the drain had not started
-        // when we inserted and will observe our entry; if it reads `true`,
-        // we remove our own entry (a no-op when the drain got there first)
-        // and fail fast instead of leaving a stream pending forever.
+        // past the drain. Re-checking `dead` (SeqCst) afterwards makes the
+        // race benign — if this load reads `false`, the drain had not
+        // started when we inserted and will observe our entry; if it reads
+        // `true`, we fail our own entry (a no-op when the drain got there
+        // first) instead of leaving a stream pending forever. The failure
+        // goes through the future, not this function's `Err`: the frame was
+        // queued and may have reached the peer before the connection died,
+        // so it is an ambiguous in-flight failure, never a begin-time one a
+        // caller may retry blindly.
         if self.is_dead() {
-            self.pending.lock().remove(&stream);
-            return Err(TransportError::ConnectionClosed);
+            if let Some(tx) = self.pending.lock().remove(&stream) {
+                let _ = tx.send(Err(TransportError::ConnectionClosed));
+            }
         }
         Ok((stream, rx))
     }
 
     /// Starts one call without waiting: the request is queued to the
-    /// coalescing writer (so a burst of `call_begin`s becomes one syscall)
-    /// and the returned [`CallFuture`] resolves when the reader thread
+    /// coalescing write queue (so a burst of `call_begin`s becomes one
+    /// syscall) and the returned [`CallFuture`] resolves when the reactor
     /// completes the matching stream id — or fails fast when the connection
     /// dies, per the dead-flag semantics.
     pub fn call_begin(
@@ -341,7 +210,7 @@ impl<F: Framing> Connection<F> {
         self.pending.lock().remove(&stream);
         let mut cancel = self.pool.get(32);
         F::write_cancel(&mut cancel, stream);
-        let _ = self.sink.send(OutFrame::single(cancel.freeze()));
+        let _ = self.state.send(OutFrame::single(cancel.freeze()));
         if self.is_dead() {
             Err(TransportError::ConnectionClosed)
         } else {
@@ -349,14 +218,14 @@ impl<F: Framing> Connection<F> {
         }
     }
 
-    /// Sends a liveness probe (response handled by the reader thread).
+    /// Sends a liveness probe (the pong is consumed on the reactor shard).
     pub fn ping(&self) -> Result<(), TransportError> {
         if self.is_dead() {
             return Err(TransportError::ConnectionClosed);
         }
         let mut buf = self.pool.get(32);
         F::write_ping(&mut buf, false);
-        self.sink.send(OutFrame::single(buf.freeze()))
+        self.state.send(OutFrame::single(buf.freeze()))
     }
 
     /// Number of calls currently awaiting a response.
@@ -367,38 +236,26 @@ impl<F: Framing> Connection<F> {
 
 impl<F: Framing> Drop for Connection<F> {
     fn drop(&mut self) {
-        // Reactor path: deregister the socket so the shard releases the
-        // connection state (fd, buffers, pending map) immediately. The
-        // legacy path needs nothing: dropping the writer channel stops the
-        // writer thread, which severs the socket and unblocks the reader.
-        #[cfg(target_os = "linux")]
-        if let FrameSink::Reactor(state) = &self.sink {
-            state.kill();
-        }
+        // Deregister the socket so the shard releases the connection state
+        // (fd, buffers, pending map) immediately.
+        self.state.kill();
     }
 }
 
-/// Reactor-path protocol logic for the client side: resolves responses
-/// against the pending map, answers pings, drains on death. Runs on the
-/// owning shard's thread.
-#[cfg(target_os = "linux")]
+/// Client-side protocol logic: resolves responses against the pending map,
+/// answers pings, drains on death. Runs on the owning shard's thread.
 struct ClientDriver<F: Framing> {
     pending: PendingMap,
     pool: BufferPool,
     framing: Mutex<F>,
 }
 
-#[cfg(target_os = "linux")]
-impl<F: Framing> crate::reactor::ConnDriver for ClientDriver<F> {
+impl<F: Framing> ConnDriver for ClientDriver<F> {
     fn frame_extent(&self, buf: &[u8]) -> Result<Option<usize>, TransportError> {
         F::frame_extent(buf)
     }
 
-    fn on_frame(
-        &self,
-        state: &Arc<crate::reactor::ConnState>,
-        frame: &[u8],
-    ) -> Result<(), TransportError> {
+    fn on_frame(&self, state: &Arc<ConnState>, frame: &[u8]) -> Result<(), TransportError> {
         let mut cursor: &[u8] = frame;
         let msg = self.framing.lock().read_message(&mut cursor, &self.pool)?;
         match msg {
@@ -437,7 +294,7 @@ impl<F: Framing> crate::reactor::ConnDriver for ClientDriver<F> {
 /// An in-flight call started with [`Connection::call_begin`].
 ///
 /// The future holds an `Arc` of its connection, so a pooled connection
-/// stays alive (and its reader keeps completing streams) until the last
+/// stays alive (and the reactor keeps completing its streams) until the last
 /// outstanding future is resolved or dropped — even if the pool has since
 /// evicted it. Dropping an unresolved future removes its pending-map entry
 /// and sends a best-effort cancel, so abandoned calls never leak.
@@ -493,7 +350,7 @@ impl<F: Framing> CallFuture<F> {
             }
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => None,
             Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                // The sender vanished without a value: the reader died
+                // The sender vanished without a value: the connection died
                 // mid-drain. Clean up our entry and report the death.
                 self.done = true;
                 self.conn.pending.lock().remove(&self.stream);

@@ -3,12 +3,12 @@
 //!
 //! Component-level chaos (`weaver-testing`'s `ChaosRunner`) exercises the
 //! application's recovery logic, but it never stresses the transport
-//! itself: the coalescing writer, the zero-copy receive path, the buffer
-//! pool's recycling, the dead-connection fail-fast. [`FaultStream`] does.
-//! It wraps any duplex byte stream and perturbs traffic at the `Read`/
-//! `Write` call boundary — exactly where the writer loop flushes coalesced
-//! batches and the frame reader pulls length-prefixed messages — so a
-//! single shim exercises both directions of the protocol under failure.
+//! itself: the coalescing write queue, the zero-copy receive path, the
+//! buffer pool's recycling, the dead-connection fail-fast. [`FaultStream`]
+//! does. It wraps any duplex byte stream and perturbs traffic at the `Read`/
+//! `Write` call boundary — exactly where the reactor shard flushes coalesced
+//! batches and fills its frame-reassembly buffer — so a single shim
+//! exercises both directions of the protocol under failure.
 //!
 //! Faults are drawn from a seeded RNG, one decision per I/O call, with
 //! independent decision streams for the read and write sides. The *n*-th
@@ -19,6 +19,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,54 +27,33 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A duplex byte stream the connection machinery can split into a read
-/// half and a write half, and sever abruptly.
+/// A duplex byte stream the readiness reactor can drive: non-blocking
+/// reads and writes on the shard thread, polled through its file
+/// descriptor, severed abruptly on teardown.
 ///
 /// [`TcpStream`] is the production implementation; [`FaultStream`] wraps
-/// any implementation to inject faults underneath the connection's reader
-/// and writer threads.
-pub trait DuplexStream: Read + Write + Send + Sized + 'static {
-    /// The type of the independently-owned read half.
-    type ReadHalf: Read + Send + 'static;
-
-    /// Produces a read half sharing the underlying stream.
-    fn split_read(&self) -> io::Result<Self::ReadHalf>;
-
+/// any implementation to inject faults underneath the reactor.
+pub trait DuplexStream: Read + Write + Send + 'static {
     /// Severs the stream in both directions (best effort).
     fn shutdown_both(&self);
 
-    /// The raw file descriptor to register with the readiness reactor, if
-    /// the stream is backed by one. `None` routes the connection onto the
-    /// legacy thread-per-connection path (in-memory test streams, non-Linux
-    /// targets). Fault shims delegate to the wrapped stream, so the reactor
-    /// polls the real socket while I/O still flows through the shim.
-    fn poll_fd(&self) -> Option<i32> {
-        None
-    }
+    /// The file descriptor the reactor polls for readiness. Fault shims
+    /// delegate to the wrapped stream, so the reactor polls the real socket
+    /// while I/O still flows through the shim.
+    fn poll_fd(&self) -> RawFd;
 
     /// Switches the underlying stream between blocking and non-blocking
-    /// mode. Only invoked when [`DuplexStream::poll_fd`] returned `Some`.
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        let _ = nonblocking;
-        Ok(())
-    }
+    /// mode.
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
 }
 
 impl DuplexStream for TcpStream {
-    type ReadHalf = TcpStream;
-
-    fn split_read(&self) -> io::Result<TcpStream> {
-        self.try_clone()
-    }
-
     fn shutdown_both(&self) {
         let _ = self.shutdown(std::net::Shutdown::Both);
     }
 
-    #[cfg(target_os = "linux")]
-    fn poll_fd(&self) -> Option<i32> {
-        use std::os::fd::AsRawFd;
-        Some(self.as_raw_fd())
+    fn poll_fd(&self) -> RawFd {
+        self.as_raw_fd()
     }
 
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
@@ -230,10 +210,10 @@ struct InjectorInner {
 }
 
 /// A shared source of fault decisions for one logical connection (both
-/// halves of a [`FaultStream`] draw from the same injector).
+/// directions of a [`FaultStream`] draw from the same injector).
 ///
-/// Cloning shares state: the read half produced by
-/// [`FaultStream::split_read`] keeps appending to the same action log.
+/// Cloning shares state: a clone kept by the test keeps seeing the action
+/// log the stream appends to.
 #[derive(Clone)]
 pub struct FaultInjector {
     inner: Arc<InjectorInner>,
@@ -304,9 +284,9 @@ impl FaultInjector {
 /// A duplex stream that injects faults on every read and write.
 ///
 /// Wrap the stream handed to [`crate::Connection::from_duplex`]; the
-/// connection's writer thread then flushes its coalesced batches *through*
-/// the shim, and its reader thread pulls frames through it, so every
-/// transport-level failure mode (partial write, mid-frame death, corrupt
+/// reactor shard then flushes the connection's coalesced batches *through*
+/// the shim, and reads inbound bytes through it, so every transport-level
+/// failure mode (partial write, mid-frame death, corrupt
 /// frame, duplicated frame, stalled socket) exercises the real recovery
 /// code.
 pub struct FaultStream<S> {
@@ -420,61 +400,12 @@ impl<S: DuplexStream> Read for FaultStream<S> {
     }
 }
 
-/// The read half: a fresh handle on the underlying stream sharing the
-/// write half's injector (and therefore its log and severed flag).
-pub struct FaultReadHalf<R> {
-    inner: R,
-    injector: FaultInjector,
-}
-
-impl<R: Read> Read for FaultReadHalf<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.injector.is_severed() {
-            return Ok(0);
-        }
-        match self.injector.next_read() {
-            Decision::Deliver | Decision::Duplicate | Decision::Truncate => self.inner.read(buf),
-            Decision::Delay(d) => {
-                self.injector.record(FaultAction::Delay(Side::Read, d));
-                std::thread::sleep(d);
-                self.inner.read(buf)
-            }
-            Decision::Corrupt => {
-                let n = self.inner.read(buf)?;
-                if n > 0 {
-                    let offset = (n / 2).min(n - 1);
-                    self.injector
-                        .record(FaultAction::Corrupt(Side::Read, offset));
-                    buf[offset] ^= 0xA5;
-                }
-                Ok(n)
-            }
-            Decision::Sever => {
-                self.injector.record(FaultAction::Sever(Side::Read));
-                self.injector.sever();
-                Ok(0)
-            }
-        }
-    }
-}
-
 impl<S: DuplexStream> DuplexStream for FaultStream<S> {
-    type ReadHalf = FaultReadHalf<S::ReadHalf>;
-
-    fn split_read(&self) -> io::Result<Self::ReadHalf> {
-        Ok(FaultReadHalf {
-            inner: self.inner.split_read()?,
-            injector: self.injector.clone(),
-        })
-    }
-
     fn shutdown_both(&self) {
         self.inner.shutdown_both();
     }
 
-    fn poll_fd(&self) -> Option<i32> {
-        // The reactor polls the real socket; reads and writes still pass
-        // through the fault shim, so chaos runs on the reactor path too.
+    fn poll_fd(&self) -> RawFd {
         self.inner.poll_fd()
     }
 
@@ -487,57 +418,48 @@ impl<S: DuplexStream> DuplexStream for FaultStream<S> {
 mod tests {
     use super::*;
 
-    /// An in-memory duplex loop: writes land in a buffer, reads drain a
-    /// scripted input.
-    struct Loopback {
-        input: std::io::Cursor<Vec<u8>>,
-        output: Arc<Mutex<Vec<u8>>>,
-    }
+    use std::os::unix::net::UnixStream;
 
-    impl Read for Loopback {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.input.read(buf)
+    /// A socket pair stands in for the network: the stream under test reads
+    /// the scripted `input`, and what it writes lands in the returned peer.
+    impl DuplexStream for UnixStream {
+        fn shutdown_both(&self) {
+            let _ = self.shutdown(std::net::Shutdown::Both);
+        }
+        fn poll_fd(&self) -> RawFd {
+            self.as_raw_fd()
+        }
+        fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+            UnixStream::set_nonblocking(self, nonblocking)
         }
     }
 
-    impl Write for Loopback {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.output.lock().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
+    fn loopback(input: &[u8]) -> (UnixStream, UnixStream) {
+        let (near, mut peer) = UnixStream::pair().unwrap();
+        peer.write_all(input).unwrap();
+        peer.set_nonblocking(true).unwrap();
+        (near, peer)
     }
 
-    impl DuplexStream for Loopback {
-        type ReadHalf = std::io::Cursor<Vec<u8>>;
-        fn split_read(&self) -> io::Result<Self::ReadHalf> {
-            Ok(std::io::Cursor::new(self.input.get_ref().clone()))
+    /// Everything written to the loopback so far.
+    fn written(peer: &mut UnixStream) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut chunk = [0u8; 4096];
+        while let Ok(n @ 1..) = peer.read(&mut chunk) {
+            out.extend_from_slice(&chunk[..n]);
         }
-        fn shutdown_both(&self) {}
-    }
-
-    fn loopback(input: Vec<u8>) -> (Loopback, Arc<Mutex<Vec<u8>>>) {
-        let output = Arc::new(Mutex::new(Vec::new()));
-        (
-            Loopback {
-                input: std::io::Cursor::new(input),
-                output: Arc::clone(&output),
-            },
-            output,
-        )
+        out
     }
 
     #[test]
     fn zero_probabilities_are_transparent() {
-        let (inner, output) = loopback(vec![1, 2, 3]);
+        let (inner, mut peer) = loopback(&[1, 2, 3]);
         let mut s = FaultStream::new(inner, FaultInjector::new(FaultSpec::default()));
         s.write_all(&[9, 8, 7]).unwrap();
         let mut buf = [0u8; 3];
         s.read_exact(&mut buf).unwrap();
         assert_eq!(buf, [1, 2, 3]);
-        assert_eq!(&*output.lock(), &[9, 8, 7]);
+        assert_eq!(written(&mut peer), [9, 8, 7]);
         assert!(s.injector().actions().is_empty());
     }
 
@@ -545,7 +467,7 @@ mod tests {
     fn decision_stream_is_deterministic_per_seed() {
         let run = |seed| {
             let injector = FaultInjector::new(FaultSpec::storm(seed, 0.3));
-            let (inner, _) = loopback(vec![0u8; 4096]);
+            let (inner, _peer) = loopback(&[0u8; 4096]);
             let mut s = FaultStream::new(inner, injector.clone());
             for _ in 0..64 {
                 let _ = s.write(&[1u8; 64]);
@@ -560,7 +482,7 @@ mod tests {
 
     #[test]
     fn sever_sticks_and_write_fails_fast() {
-        let (inner, _) = loopback(Vec::new());
+        let (inner, _peer) = loopback(&[]);
         // sever = 1.0: the very first write dies.
         let mut s = FaultStream::new(
             inner,
@@ -583,7 +505,7 @@ mod tests {
 
     #[test]
     fn corrupt_flips_exactly_one_byte() {
-        let (inner, output) = loopback(Vec::new());
+        let (inner, mut peer) = loopback(&[]);
         let mut s = FaultStream::new(
             inner,
             FaultInjector::new(FaultSpec {
@@ -593,7 +515,7 @@ mod tests {
             }),
         );
         s.write_all(&[0u8; 8]).unwrap();
-        let written = output.lock().clone();
+        let written = written(&mut peer);
         assert_eq!(written.len(), 8);
         assert_eq!(written.iter().filter(|&&b| b != 0).count(), 1);
         assert_eq!(
@@ -604,7 +526,7 @@ mod tests {
 
     #[test]
     fn duplicate_writes_bytes_twice() {
-        let (inner, output) = loopback(Vec::new());
+        let (inner, mut peer) = loopback(&[]);
         let mut s = FaultStream::new(
             inner,
             FaultInjector::new(FaultSpec {
@@ -614,12 +536,12 @@ mod tests {
             }),
         );
         assert_eq!(s.write(&[5, 6]).unwrap(), 2);
-        assert_eq!(&*output.lock(), &[5, 6, 5, 6]);
+        assert_eq!(written(&mut peer), [5, 6, 5, 6]);
     }
 
     #[test]
     fn truncate_delivers_prefix_then_severs() {
-        let (inner, output) = loopback(Vec::new());
+        let (inner, mut peer) = loopback(&[]);
         let mut s = FaultStream::new(
             inner,
             FaultInjector::new(FaultSpec {
@@ -629,7 +551,7 @@ mod tests {
             }),
         );
         assert!(s.write(&[1, 2, 3, 4]).is_err());
-        assert_eq!(&*output.lock(), &[1, 2], "half the buffer then death");
+        assert_eq!(written(&mut peer), [1, 2], "half the buffer then death");
         assert!(s.injector().is_severed());
     }
 }

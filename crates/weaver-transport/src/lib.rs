@@ -20,19 +20,26 @@
 //!   the A2 ablation measures.)
 //!
 //! On top of the framings sit [`Connection`] (client side: stream-id
-//! multiplexing, deadlines, cancellation, pipelined writes from a dedicated
-//! writer thread), [`Server`] (accept loop + worker pool), [`Pool`]
-//! (connection reuse per address), and [`inproc`] (a loopback transport used
-//! by tests and the single-process deployer's RPC-mode).
+//! multiplexing, deadlines, cancellation, pipelined writes), [`Server`]
+//! (listener + worker pool), [`Pool`] (connection reuse per address), and
+//! [`inproc`] (a loopback transport used by tests and the single-process
+//! deployer's RPC-mode). Every socket — client, accepted, listening — is
+//! driven by one shared readiness [`reactor`]; there is no other I/O path,
+//! and since the reactor sits on epoll the crate builds on Linux only.
 //!
 //! The hot path is zero-copy and allocation-free in steady state: encode
 //! buffers and receive buffers come from a size-classed [`BufferPool`],
 //! parsed payloads are refcounted [`WireBuf`] views of the receive buffer,
-//! and each connection's writer thread coalesces queued frames into single
+//! and the reactor coalesces each connection's queued frames into single
 //! syscalls (see [`buf`] and the module docs on [`conn`]/[`server`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!(
+    "weaver-transport drives every socket through an epoll reactor and builds on Linux only"
+);
 
 pub mod buf;
 pub mod client;
@@ -42,36 +49,9 @@ pub mod fault;
 pub mod frame;
 pub mod inproc;
 pub mod pool;
-#[cfg(target_os = "linux")]
 pub mod reactor;
-#[cfg(not(target_os = "linux"))]
-pub mod reactor {
-    //! Stub for targets without epoll: every connection takes the legacy
-    //! thread-per-connection path and there are no reactor counters.
-
-    /// A point-in-time copy of the reactor's counters.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    pub struct ReactorSnapshot {
-        /// Open reactor-managed connections.
-        pub connections: u64,
-        /// Registered epoll interests (connections + listeners).
-        pub interests: u64,
-        /// Poller wakeups so far.
-        pub wakeups: u64,
-        /// Readiness events delivered so far.
-        pub ready_events: u64,
-        /// Poller shards serving those connections.
-        pub shards: u64,
-    }
-
-    /// Always `None`: no reactor on this target.
-    pub fn reactor_snapshot() -> Option<ReactorSnapshot> {
-        None
-    }
-}
 pub mod server;
 pub mod state;
-mod writer;
 
 pub use buf::{BufferPool, PoolStats, PooledBuf, WireBuf};
 pub use client::{Dialer, Pool};

@@ -1,5 +1,6 @@
 //! A small fixed-size worker pool for server-side request execution.
 
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -30,32 +31,32 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `size` worker threads (at least 1).
-    pub fn new(size: usize, name: &str) -> Arc<Self> {
-        let size = size.max(1);
+    /// Spawns `size` worker threads (at least 1). Fails when the OS refuses
+    /// a thread; workers already started are joined before returning.
+    pub fn new(size: usize, name: &str) -> io::Result<Arc<Self>> {
         let (tx, rx) = unbounded::<Job>();
-        let queued = Arc::new(AtomicU64::new(0));
-        let workers = (0..size)
-            .map(|i| {
-                let rx = rx.clone();
-                let queued = Arc::clone(&queued);
-                std::thread::Builder::new()
-                    .name(format!("{name}-worker-{i}"))
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            queued.fetch_sub(1, Ordering::Relaxed);
-                            GLOBAL_QUEUE_DEPTH.fetch_sub(1, Ordering::Relaxed);
-                            job();
-                        }
-                    })
-                    .expect("failed to spawn worker thread")
-            })
-            .collect();
-        Arc::new(WorkerPool {
+        // Built first so an early return drops it, closing the queue and
+        // joining whatever was spawned.
+        let mut pool = WorkerPool {
             tx: Some(tx),
-            workers,
-            queued,
-        })
+            workers: Vec::new(),
+            queued: Arc::new(AtomicU64::new(0)),
+        };
+        for i in 0..size.max(1) {
+            let rx = rx.clone();
+            let queued = Arc::clone(&pool.queued);
+            let worker = std::thread::Builder::new()
+                .name(format!("{name}-worker-{i}"))
+                .spawn(move || {
+                    while let Ok(job) = rx.recv() {
+                        queued.fetch_sub(1, Ordering::Relaxed);
+                        GLOBAL_QUEUE_DEPTH.fetch_sub(1, Ordering::Relaxed);
+                        job();
+                    }
+                })?;
+            pool.workers.push(worker);
+        }
+        Ok(Arc::new(pool))
     }
 
     /// Queues a job. Returns `false` if the pool is shutting down.
@@ -100,7 +101,7 @@ mod tests {
 
     #[test]
     fn executes_jobs_on_multiple_threads() {
-        let pool = WorkerPool::new(4, "test");
+        let pool = WorkerPool::new(4, "test").unwrap();
         let count = Arc::new(AtomicUsize::new(0));
         for _ in 0..100 {
             let count = Arc::clone(&count);
@@ -119,7 +120,7 @@ mod tests {
     fn drop_joins_after_draining() {
         let count = Arc::new(AtomicUsize::new(0));
         {
-            let pool = WorkerPool::new(2, "drain");
+            let pool = WorkerPool::new(2, "drain").unwrap();
             for _ in 0..10 {
                 let count = Arc::clone(&count);
                 pool.execute(move || {
@@ -134,7 +135,7 @@ mod tests {
 
     #[test]
     fn zero_size_becomes_one() {
-        let pool = WorkerPool::new(0, "min");
+        let pool = WorkerPool::new(0, "min").unwrap();
         let (tx, rx) = crossbeam::channel::bounded(1);
         pool.execute(move || {
             tx.send(42).unwrap();

@@ -1,6 +1,7 @@
 //! The shared readiness reactor: one poller thread (optionally sharded)
-//! owns every client and server socket in non-blocking mode, replacing the
-//! per-connection reader/writer threads and per-accept handler threads.
+//! owns every client and server socket in non-blocking mode. It is the only
+//! way a connection or a listener moves bytes, so a process serving `C`
+//! connections runs `shards + workers` transport threads, not `O(C)`.
 //!
 //! Architecture:
 //!
@@ -16,9 +17,10 @@
 //!   frames, which are handed to the driver one at a time — partial frames
 //!   carry over to the next readiness event.
 //! * **Write state machine.** Senders enqueue [`OutFrame`]s and schedule a
-//!   flush; the shard thread drains the queue into coalesced batches (the
-//!   same 64 KiB budget as the legacy writer thread, so pipelined callers
-//!   still share syscalls). On `WouldBlock` the unwritten remainder is
+//!   flush; the shard thread drains the queue into coalesced batches of up
+//!   to `COALESCE_BUDGET` bytes (`OutQueue::next_batch`), so pipelined
+//!   callers share syscalls while a lone frame is written immediately and
+//!   never waits for company. On `WouldBlock` the unwritten remainder is
 //!   parked and `EPOLLOUT` interest armed — and disarmed again the moment
 //!   the queue drains, so idle connections cost one registration and zero
 //!   wakeups.
@@ -27,13 +29,13 @@
 //!   in-line, the server driver hands handler execution to a bounded
 //!   worker pool).
 //!
-//! The module is Linux-only (it sits on the vendored `epoll` shim); the
-//! legacy thread-per-connection path remains for other targets and for
-//! streams without a pollable fd.
+//! The module sits on the vendored `epoll` shim, which is why the crate
+//! builds on Linux only.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -43,7 +45,6 @@ use parking_lot::Mutex;
 use crate::buf::{BufferPool, WireBuf};
 use crate::error::TransportError;
 use crate::fault::DuplexStream;
-use crate::writer::{OutFrame, WriterStats, COALESCE_BUDGET};
 
 /// Token reserved for each shard's wake eventfd.
 const WAKE_TOKEN: u64 = 0;
@@ -55,18 +56,40 @@ const MAX_READS_PER_EVENT: usize = 16;
 /// Bytes appended to the reassembly buffer per `read` call.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// The byte-stream surface the reactor drives. Implemented for every
-/// [`DuplexStream`]; boxed so one shard can own heterogeneous streams
-/// (plain sockets, fault shims) without generics.
-pub(crate) trait ReactorIo: Read + Write + Send + 'static {
-    /// Severs the stream in both directions (best effort).
-    fn shutdown(&self);
+/// Stop draining the queue once a batch holds this many bytes. Large enough
+/// to amortize a syscall over dozens of typical frames, small enough to keep
+/// the coalescing scratch buffer within the pool's largest size class.
+const COALESCE_BUDGET: usize = 64 * 1024;
+
+/// One outbound frame: an encoded prefix (or a whole frame) plus an
+/// optional zero-copy payload tail written contiguously after it.
+#[derive(Debug)]
+pub(crate) struct OutFrame {
+    /// Frame header bytes (and payload too, when the framing interleaves).
+    pub head: WireBuf,
+    /// Borrowed payload appended verbatim after `head`, if any.
+    pub tail: Option<WireBuf>,
 }
 
-impl<S: DuplexStream> ReactorIo for S {
-    fn shutdown(&self) {
-        self.shutdown_both();
+impl OutFrame {
+    /// A frame that is entirely contained in one buffer.
+    pub fn single(head: WireBuf) -> Self {
+        OutFrame { head, tail: None }
     }
+
+    /// Total bytes this frame puts on the wire.
+    pub fn len(&self) -> usize {
+        self.head.len() + self.tail.as_ref().map_or(0, WireBuf::len)
+    }
+}
+
+/// Counters the write path maintains, observable for tests and diagnostics.
+#[derive(Default)]
+pub(crate) struct WriterStats {
+    /// Frames accepted for writing.
+    pub frames: AtomicU64,
+    /// Syscall batches flushed (`flushes <= frames`; the gap is coalescing).
+    pub flushes: AtomicU64,
 }
 
 /// Per-connection protocol logic the reactor calls into. One driver per
@@ -86,6 +109,7 @@ pub(crate) trait ConnDriver: Send + Sync + 'static {
 }
 
 /// Outbound queue state for one connection.
+#[derive(Default)]
 struct OutQueue {
     queue: VecDeque<OutFrame>,
     /// A batch that hit `WouldBlock` mid-write: the batch bytes + offset.
@@ -94,6 +118,51 @@ struct OutQueue {
     scheduled: bool,
     /// `EPOLLOUT` interest is currently armed.
     epollout: bool,
+}
+
+impl OutQueue {
+    /// Pops the next coalesced batch — queued frames up to
+    /// `COALESCE_BUDGET` bytes — as one contiguous byte run, counting its
+    /// frames and the one flush it will cost. `None` when nothing is queued.
+    fn next_batch(&mut self, pool: &BufferPool, stats: &WriterStats) -> Option<WireBuf> {
+        let mut batch: Vec<OutFrame> = Vec::new();
+        let mut size = 0;
+        while size < COALESCE_BUDGET {
+            match self.queue.pop_front() {
+                Some(f) => {
+                    size += f.len();
+                    batch.push(f);
+                }
+                None => break,
+            }
+        }
+        if batch.is_empty() {
+            return None;
+        }
+        stats
+            .frames
+            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        stats.flushes.fetch_add(1, Ordering::Relaxed);
+        Some(match batch.as_slice() {
+            // The lone-frame case (sequential callers): write the encoded
+            // buffer directly, no copy.
+            [only] if only.tail.is_none() => only.head.clone(),
+            _ => {
+                // Pipelined or split frames: one contiguous batch buffer.
+                // The remainder bookkeeping under WouldBlock is simplest
+                // over one contiguous byte run, and the copy is bounded by
+                // the budget.
+                let mut scratch = pool.get(size);
+                for f in &batch {
+                    scratch.extend_from_slice(&f.head);
+                    if let Some(tail) = &f.tail {
+                        scratch.extend_from_slice(tail);
+                    }
+                }
+                scratch.freeze()
+            }
+        })
+    }
 }
 
 /// Frame-reassembly state for one connection. Only the shard thread
@@ -111,15 +180,14 @@ struct ReadState {
 /// and caller threads (enqueueing writes, teardown).
 pub(crate) struct ConnState {
     token: u64,
-    fd: i32,
+    fd: RawFd,
     shard: Arc<Shard>,
-    io: Mutex<Box<dyn ReactorIo>>,
+    io: Mutex<Box<dyn DuplexStream>>,
     driver: Mutex<Option<Arc<dyn ConnDriver>>>,
-    /// Shared with the owning `Connection` (the pool checks it).
-    dead: Arc<AtomicBool>,
+    dead: AtomicBool,
     read: Mutex<ReadState>,
     out: Mutex<OutQueue>,
-    stats: Arc<WriterStats>,
+    stats: WriterStats,
     pool: BufferPool,
 }
 
@@ -127,6 +195,14 @@ impl ConnState {
     /// True once the connection has been torn down.
     pub fn is_dead(&self) -> bool {
         self.dead.load(Ordering::SeqCst)
+    }
+
+    /// Write-path counters: `(frames sent, syscall flushes)`.
+    pub fn writer_counters(&self) -> (u64, u64) {
+        (
+            self.stats.frames.load(Ordering::Relaxed),
+            self.stats.flushes.load(Ordering::Relaxed),
+        )
     }
 
     /// Enqueues a frame for the coalescing drain on the shard thread.
@@ -165,7 +241,7 @@ impl ConnState {
             out.queue.clear();
             out.inflight = None;
         }
-        self.io.lock().shutdown();
+        self.io.lock().shutdown_both();
         // Taking the driver out breaks the ConnState ↔ driver reference
         // cycle (drivers hold the state to send replies).
         let driver = self.driver.lock().take();
@@ -178,7 +254,7 @@ impl ConnState {
 
 /// A listening socket owned by the reactor; readiness drives `accept`.
 struct ListenerState {
-    fd: i32,
+    fd: RawFd,
     listener: TcpListener,
     on_accept: Box<dyn Fn(TcpStream) + Send + Sync>,
 }
@@ -241,7 +317,7 @@ impl Shard {
         }
     }
 
-    fn deregister(&self, token: u64, fd: i32) {
+    fn deregister(&self, token: u64, fd: RawFd) {
         if self.registered.lock().remove(&token).is_some() {
             let _ = self.epoll.delete(fd);
             self.stats.interests.fetch_sub(1, Ordering::Relaxed);
@@ -422,52 +498,18 @@ impl Shard {
     fn flush(&self, conn: &Arc<ConnState>) {
         loop {
             // Assemble the next write: a parked remainder, or a fresh
-            // batch from the queue (frames counted per batch, flushes
-            // counted per batch — the coalescing contract).
+            // batch from the queue.
             let mut out = conn.out.lock();
-            let (bytes, mut offset) = if let Some((bytes, off)) = out.inflight.take() {
-                (bytes, off)
-            } else if out.queue.is_empty() {
+            let (bytes, mut offset) = if let Some(parked) = out.inflight.take() {
+                parked
+            } else if let Some(batch) = out.next_batch(&conn.pool, &conn.stats) {
+                (batch, 0)
+            } else {
                 if out.epollout {
                     out.epollout = false;
                     let _ = self.epoll.modify(conn.fd, conn.token, Interest::READABLE);
                 }
                 return;
-            } else {
-                let mut batch: Vec<OutFrame> = Vec::new();
-                let mut size = 0;
-                while size < COALESCE_BUDGET {
-                    match out.queue.pop_front() {
-                        Some(f) => {
-                            size += f.len();
-                            batch.push(f);
-                        }
-                        None => break,
-                    }
-                }
-                conn.stats
-                    .frames
-                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                conn.stats.flushes.fetch_add(1, Ordering::Relaxed);
-                match batch.as_slice() {
-                    // The lone-frame case (sequential callers): write the
-                    // encoded buffer directly, no copy.
-                    [only] if only.tail.is_none() => (only.head.clone(), 0),
-                    _ => {
-                        // Pipelined or split frames: one contiguous batch
-                        // buffer. The remainder bookkeeping under
-                        // WouldBlock is simplest over one contiguous byte
-                        // run, and the copy is bounded by the budget.
-                        let mut scratch = conn.pool.get(size);
-                        for f in &batch {
-                            scratch.extend_from_slice(&f.head);
-                            if let Some(tail) = &f.tail {
-                                scratch.extend_from_slice(tail);
-                            }
-                        }
-                        (scratch.freeze(), 0)
-                    }
-                }
             };
             drop(out);
 
@@ -509,20 +551,21 @@ pub(crate) struct Reactor {
     stats: Arc<ReactorStats>,
 }
 
-static GLOBAL: OnceLock<Option<Arc<Reactor>>> = OnceLock::new();
+static GLOBAL: OnceLock<Result<Arc<Reactor>, TransportError>> = OnceLock::new();
 
 impl Reactor {
     /// The process-wide reactor, spawning its shard threads on first use.
-    /// `None` when disabled (`WEAVER_REACTOR=0`) or epoll setup failed.
-    pub fn try_global() -> Option<&'static Arc<Reactor>> {
+    /// A start-up failure (epoll, eventfd or thread creation) is remembered
+    /// and returned to every caller: there is no other way to move bytes.
+    pub fn global() -> Result<&'static Arc<Reactor>, TransportError> {
         GLOBAL
             .get_or_init(|| {
-                if std::env::var("WEAVER_REACTOR").is_ok_and(|v| v == "0") {
-                    return None;
-                }
-                Reactor::spawn().ok().map(Arc::new)
+                Reactor::spawn()
+                    .map(Arc::new)
+                    .map_err(|e| TransportError::Io(format!("reactor failed to start: {e}")))
             })
             .as_ref()
+            .map_err(Clone::clone)
     }
 
     fn shard_count() -> usize {
@@ -555,8 +598,7 @@ impl Reactor {
             let runner = Arc::clone(&shard);
             std::thread::Builder::new()
                 .name(format!("weaver-reactor-{i}"))
-                .spawn(move || runner.run())
-                .map_err(|e| io::Error::other(e.to_string()))?;
+                .spawn(move || runner.run())?;
             shards.push(shard);
         }
         Ok(Reactor {
@@ -570,37 +612,31 @@ impl Reactor {
         &self.shards[(token as usize) % self.shards.len()]
     }
 
-    /// Registers a non-blocking duplex stream. The driver starts receiving
-    /// `on_frame` callbacks as soon as bytes arrive.
+    /// Switches `stream` to non-blocking mode and registers it. The driver
+    /// starts receiving `on_frame` callbacks as soon as bytes arrive.
     pub fn register_conn(
         &self,
-        io_stream: Box<dyn ReactorIo>,
-        fd: i32,
+        stream: Box<dyn DuplexStream>,
         driver: Arc<dyn ConnDriver>,
-        dead: Arc<AtomicBool>,
-        stats: Arc<WriterStats>,
         pool: BufferPool,
     ) -> io::Result<Arc<ConnState>> {
+        stream.set_nonblocking(true)?;
+        let fd = stream.poll_fd();
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let shard = Arc::clone(self.pick_shard(token));
         let conn = Arc::new(ConnState {
             token,
             fd,
             shard: Arc::clone(&shard),
-            io: Mutex::new(io_stream),
+            io: Mutex::new(stream),
             driver: Mutex::new(Some(driver)),
-            dead,
+            dead: AtomicBool::new(false),
             read: Mutex::new(ReadState {
                 rbuf: Vec::new(),
                 filled: 0,
             }),
-            out: Mutex::new(OutQueue {
-                queue: VecDeque::new(),
-                inflight: None,
-                scheduled: false,
-                epollout: false,
-            }),
-            stats,
+            out: Mutex::new(OutQueue::default()),
+            stats: WriterStats::default(),
             pool,
         });
         shard
@@ -623,7 +659,6 @@ impl Reactor {
         listener: TcpListener,
         on_accept: Box<dyn Fn(TcpStream) + Send + Sync>,
     ) -> io::Result<u64> {
-        use std::os::fd::AsRawFd;
         listener.set_nonblocking(true)?;
         let fd = listener.as_raw_fd();
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
@@ -670,18 +705,129 @@ impl Reactor {
     }
 }
 
-/// Counters for the process-wide reactor, or `None` when it is disabled
-/// or has never been started (no reactor-path connection or server was
-/// created yet). Peeks without spawning: asking for metrics never starts
-/// poller threads.
+/// Counters for the process-wide reactor, or `None` when it has never been
+/// started (no connection or server was created yet) or failed to start.
+/// Peeks without spawning: asking for metrics never starts poller threads.
 pub fn reactor_snapshot() -> Option<ReactorSnapshot> {
-    GLOBAL.get().and_then(|o| o.as_ref()).map(|r| r.snapshot())
+    GLOBAL
+        .get()
+        .and_then(|r| r.as_ref().ok())
+        .map(|r| r.snapshot())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{Framing, WeaverFraming};
+    use crate::frame::{Framing, Message, RequestHeader, WeaverFraming};
+
+    fn request_frame(pool: &BufferPool, stream: u64, args: &[u8]) -> OutFrame {
+        let mut buf = pool.get(64 + args.len());
+        WeaverFraming::write_request(&mut buf, stream, &RequestHeader::default(), args);
+        OutFrame::single(buf.freeze())
+    }
+
+    fn queue_of(frames: impl IntoIterator<Item = OutFrame>) -> OutQueue {
+        OutQueue {
+            queue: frames.into_iter().collect(),
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn queued_frames_coalesce_into_one_batch() {
+        let pool = BufferPool::new();
+        let stats = WriterStats::default();
+        let mut out = queue_of((0..20u64).map(|i| request_frame(&pool, i, &[i as u8; 32])));
+
+        // All 20 frames were pre-queued, so the greedy drain hands the
+        // shard a single write.
+        let batch = out.next_batch(&pool, &stats).unwrap();
+        assert!(out.next_batch(&pool, &stats).is_none());
+        assert_eq!(stats.frames.load(Ordering::Relaxed), 20);
+        assert_eq!(stats.flushes.load(Ordering::Relaxed), 1);
+
+        // And the batch parses back into exactly the frames queued.
+        let mut framing = WeaverFraming;
+        let mut cursor = io::Cursor::new(&batch[..]);
+        for i in 0..20u64 {
+            match framing.read_message(&mut cursor, &pool).unwrap().unwrap() {
+                Message::Request { stream, args, .. } => {
+                    assert_eq!(stream, i);
+                    assert_eq!(&*args, &[i as u8; 32]);
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(framing.read_message(&mut cursor, &pool).unwrap(), None);
+    }
+
+    #[test]
+    fn lone_frame_is_not_copied() {
+        let pool = BufferPool::new();
+        let stats = WriterStats::default();
+        let frame = request_frame(&pool, 1, &[1, 2, 3]);
+        let head = frame.head.as_slice().as_ptr();
+        let batch = queue_of([frame]).next_batch(&pool, &stats).unwrap();
+        assert_eq!(
+            batch.as_slice().as_ptr(),
+            head,
+            "sequential callers skip the scratch copy"
+        );
+    }
+
+    #[test]
+    fn tail_is_written_contiguously() {
+        let pool = BufferPool::new();
+        // A frame split into prefix + payload tail (the server response
+        // shape) must still reach the wire as one contiguous valid frame.
+        let body = crate::frame::ResponseBody {
+            status: crate::frame::Status::Ok,
+            payload: vec![9u8; 300].into(),
+        };
+        let mut head = pool.get(32);
+        let tail = WeaverFraming::write_response_parts(&mut head, 7, &body);
+        assert!(tail.is_some(), "the payload travels as a borrowed tail");
+        let batch = queue_of([OutFrame {
+            head: head.freeze(),
+            tail,
+        }])
+        .next_batch(&pool, &WriterStats::default())
+        .unwrap();
+
+        let mut framing = WeaverFraming;
+        match framing
+            .read_message(&mut io::Cursor::new(&batch[..]), &pool)
+            .unwrap()
+            .unwrap()
+        {
+            Message::Response { stream, body } => {
+                assert_eq!(stream, 7);
+                assert_eq!(&*body.payload, &[9u8; 300][..]);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn budget_splits_giant_batches() {
+        let pool = BufferPool::new();
+        let stats = WriterStats::default();
+        // 40 KiB frames: the 64 KiB budget admits two per batch.
+        let mut out = queue_of((0..6u64).map(|i| request_frame(&pool, i, &[0u8; 40 << 10])));
+        let mut wire = Vec::new();
+        while let Some(batch) = out.next_batch(&pool, &stats) {
+            wire.extend_from_slice(&batch);
+        }
+        assert_eq!(stats.frames.load(Ordering::Relaxed), 6);
+        assert_eq!(stats.flushes.load(Ordering::Relaxed), 3);
+        // Correctness is unconditional on the batching boundaries.
+        let mut framing = WeaverFraming;
+        let mut cursor = io::Cursor::new(&wire);
+        for _ in 0..6 {
+            assert!(framing.read_message(&mut cursor, &pool).unwrap().is_some());
+        }
+        assert_eq!(framing.read_message(&mut cursor, &pool).unwrap(), None);
+    }
 
     /// Echo-at-the-frame-level driver: every complete wire frame is sent
     /// straight back out through the reactor's write path.
@@ -707,24 +853,14 @@ mod tests {
     }
 
     fn register_echo(reactor: &Reactor, stream: TcpStream) -> (Arc<ConnState>, Arc<AtomicU64>) {
-        use std::os::fd::AsRawFd;
-        stream.set_nonblocking(true).unwrap();
         stream.set_nodelay(true).unwrap();
-        let fd = stream.as_raw_fd();
         let dead_count = Arc::new(AtomicU64::new(0));
         let driver = Arc::new(EchoDriver {
             pool: BufferPool::new(),
             dead_count: Arc::clone(&dead_count),
         });
         let conn = reactor
-            .register_conn(
-                Box::new(stream),
-                fd,
-                driver,
-                Arc::new(AtomicBool::new(false)),
-                Arc::new(WriterStats::default()),
-                BufferPool::new(),
-            )
+            .register_conn(Box::new(stream), driver, BufferPool::new())
             .unwrap();
         (conn, dead_count)
     }
@@ -799,6 +935,45 @@ mod tests {
     }
 
     #[test]
+    fn kill_drops_queued_frames_unwritten() {
+        let reactor = Reactor::spawn().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (managed, _) = listener.accept().unwrap();
+        let (conn, _) = register_echo(&reactor, managed);
+
+        // Queue far more than the socket buffer holds while the peer reads
+        // nothing: the shard parks a remainder and the rest stays queued.
+        let pool = BufferPool::new();
+        let mut sent = 0usize;
+        while sent < 16 << 20 {
+            let frame = request_frame(&pool, 1, &[7u8; 32 * 1024]);
+            sent += frame.len();
+            conn.send(frame).unwrap();
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while !conn.out.lock().epollout {
+            assert!(std::time::Instant::now() < deadline, "never backed up");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+
+        // A dead connection's backlog is dropped, not written.
+        conn.kill();
+        {
+            let out = conn.out.lock();
+            assert!(out.queue.is_empty() && out.inflight.is_none());
+        }
+        peer.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        let mut received = 0usize;
+        let mut buf = vec![0u8; 64 * 1024];
+        while let Ok(n @ 1..) = (&peer).read(&mut buf) {
+            received += n;
+        }
+        assert!(received < sent, "all {sent} bytes reached a dead socket");
+    }
+
+    #[test]
     fn backpressure_arms_epollout_and_drains() {
         let reactor = Reactor::spawn().unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -839,8 +1014,7 @@ mod tests {
         }
         assert_eq!(received, sent);
         // Coalescing: far fewer flushes than frames.
-        let frames = conn.stats.frames.load(Ordering::Relaxed);
-        let flushes = conn.stats.flushes.load(Ordering::Relaxed);
+        let (frames, flushes) = conn.writer_counters();
         assert!(
             frames > 0 && flushes < frames,
             "{frames} frames / {flushes} flushes"

@@ -1,12 +1,10 @@
-//! Server side: reactor-registered listener (or legacy accept loop),
-//! poller-thread decode, shared worker pool for handler execution.
+//! Server side: reactor-registered listener, poller-thread decode, shared
+//! worker pool for handler execution.
 //!
-//! On Linux the listening socket and every accepted connection live on the
-//! shared readiness reactor ([`crate::reactor`]): accepts, frame decode and
+//! The listening socket and every accepted connection live on the shared
+//! readiness reactor ([`crate::reactor`]): accepts, frame decode and
 //! response writes all run on the poller shards, and only handler execution
 //! hops to the bounded worker pool. No threads are created per connection.
-//! Elsewhere (or with `WEAVER_REACTOR=0`) the legacy shape is used: an
-//! accept thread plus a reader/writer thread pair per connection.
 //!
 //! The response path is zero-copy end to end: handlers receive request args
 //! as a borrowed slice of the pooled receive buffer and return a
@@ -19,16 +17,15 @@ use std::collections::HashSet;
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
-use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 
 use crate::buf::BufferPool;
 use crate::error::TransportError;
 use crate::frame::{Framing, Message, RequestHeader, ResponseBody};
 use crate::pool::WorkerPool;
-use crate::writer::{writer_loop, OutFrame, WriteOp, WriterStats};
+use crate::reactor::{ConnDriver, ConnState, OutFrame, Reactor};
 
 /// The server-side request handler installed by the runtime.
 ///
@@ -54,16 +51,12 @@ where
 pub struct Server<F: Framing> {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    /// Clones of every accepted socket (legacy path), so shutdown can sever
-    /// live connections the way a killed proclet's process exit would.
-    active: Arc<Mutex<Vec<TcpStream>>>,
-    /// Reactor path: the listener's registration token.
-    #[cfg(target_os = "linux")]
-    listener_token: Option<u64>,
-    /// Reactor path: weak handles to accepted connections, for shutdown.
-    #[cfg(target_os = "linux")]
-    conns: Arc<Mutex<Vec<std::sync::Weak<crate::reactor::ConnState>>>>,
+    reactor: &'static Arc<Reactor>,
+    /// The listener's registration token with the reactor.
+    listener_token: u64,
+    /// Weak handles to accepted connections, so shutdown can sever them the
+    /// way a killed proclet's process exit would.
+    conns: Arc<Mutex<Vec<Weak<ConnState>>>>,
     /// Kept alive so `Drop` joins the workers after the listener is gone.
     _workers: Arc<WorkerPool>,
     _marker: PhantomData<F>,
@@ -91,115 +84,52 @@ impl<F: Framing> Server<F> {
     ) -> Result<Self, TransportError> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
+        let reactor = Reactor::global()?;
+        let pool = WorkerPool::new(workers, "weaver-rpc")
+            .map_err(|e| TransportError::Io(format!("worker pool failed to start: {e}")))?;
+
         let stop = Arc::new(AtomicBool::new(false));
-        let pool = WorkerPool::new(workers, "weaver-rpc");
-
-        #[cfg(target_os = "linux")]
-        if let Some(reactor) = crate::reactor::Reactor::try_global() {
-            let conns: Arc<Mutex<Vec<std::sync::Weak<crate::reactor::ConnState>>>> =
-                Arc::new(Mutex::new(Vec::new()));
-            let on_accept: Box<dyn Fn(TcpStream) + Send + Sync> = {
-                let conns = Arc::clone(&conns);
-                let workers = Arc::clone(&pool);
-                let buf_pool = buf_pool.clone();
-                Box::new(move |stream: TcpStream| {
-                    use std::os::fd::AsRawFd;
-                    if stream.set_nonblocking(true).is_err() {
-                        return;
-                    }
-                    let fd = stream.as_raw_fd();
-                    let driver = Arc::new(ServerDriver::<F> {
-                        handler: Arc::clone(&handler),
-                        workers: Arc::clone(&workers),
-                        buf_pool: buf_pool.clone(),
-                        framing: Mutex::new(F::default()),
-                        cancelled: Arc::new(Mutex::new(HashSet::new())),
-                    });
-                    let dead = Arc::new(AtomicBool::new(false));
-                    let stats = Arc::new(WriterStats::default());
-                    if let Ok(state) = reactor.register_conn(
-                        Box::new(stream),
-                        fd,
-                        driver,
-                        dead,
-                        stats,
-                        buf_pool.clone(),
-                    ) {
-                        let mut conns = conns.lock();
-                        // Dead connections deregister themselves; just drop
-                        // the stale weak handles on the next accept.
-                        conns.retain(|w| w.strong_count() > 0);
-                        conns.push(Arc::downgrade(&state));
-                    }
-                })
-            };
-            let token = reactor
-                .register_listener(listener, on_accept)
-                .map_err(TransportError::from)?;
-            return Ok(Server {
-                local_addr,
-                stop,
-                accept_thread: None,
-                active: Arc::new(Mutex::new(Vec::new())),
-                listener_token: Some(token),
-                conns,
-                _workers: pool,
-                _marker: PhantomData,
-            });
-        }
-
-        let active: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let workers_keep = Arc::clone(&pool);
-
-        let accept_thread = {
+        let conns: Arc<Mutex<Vec<Weak<ConnState>>>> = Arc::new(Mutex::new(Vec::new()));
+        let on_accept: Box<dyn Fn(TcpStream) + Send + Sync> = {
             let stop = Arc::clone(&stop);
-            let active = Arc::clone(&active);
-            std::thread::Builder::new()
-                .name("weaver-server-accept".into())
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        match conn {
-                            Ok(stream) => {
-                                let handler = Arc::clone(&handler);
-                                let pool = Arc::clone(&pool);
-                                let buf_pool = buf_pool.clone();
-                                if stream.set_nodelay(true).is_err() {
-                                    continue;
-                                }
-                                if let Ok(clone) = stream.try_clone() {
-                                    active.lock().push(clone);
-                                }
-                                std::thread::Builder::new()
-                                    .name("weaver-server-conn".into())
-                                    .spawn(move || {
-                                        serve_connection::<F>(stream, handler, pool, buf_pool);
-                                    })
-                                    .ok();
-                            }
-                            Err(_) => {
-                                if stop.load(Ordering::SeqCst) {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                })
-                .map_err(|e| TransportError::Io(e.to_string()))?
+            let conns = Arc::clone(&conns);
+            let workers = Arc::clone(&pool);
+            Box::new(move |stream: TcpStream| {
+                let driver = Arc::new(ServerDriver::<F> {
+                    handler: Arc::clone(&handler),
+                    workers: Arc::clone(&workers),
+                    buf_pool: buf_pool.clone(),
+                    framing: Mutex::new(F::default()),
+                    in_flight: Arc::new(Mutex::new(HashSet::new())),
+                });
+                let Ok(state) = reactor.register_conn(Box::new(stream), driver, buf_pool.clone())
+                else {
+                    return;
+                };
+                {
+                    let mut conns = conns.lock();
+                    // Dead connections deregister themselves; just drop
+                    // the stale weak handles on the next accept.
+                    conns.retain(|w| w.strong_count() > 0);
+                    conns.push(Arc::downgrade(&state));
+                }
+                // An accept racing `shutdown` can land after its drain. The
+                // flag is set before the drain takes the lock above, so
+                // reading it set here means nobody else will sever this
+                // connection.
+                if stop.load(Ordering::SeqCst) {
+                    state.kill();
+                }
+            })
         };
-
+        let listener_token = reactor.register_listener(listener, on_accept)?;
         Ok(Server {
             local_addr,
             stop,
-            accept_thread: Some(accept_thread),
-            active,
-            #[cfg(target_os = "linux")]
-            listener_token: None,
-            #[cfg(target_os = "linux")]
-            conns: Arc::new(Mutex::new(Vec::new())),
-            _workers: workers_keep,
+            reactor,
+            listener_token,
+            conns,
+            _workers: pool,
             _marker: PhantomData,
         })
     }
@@ -215,22 +145,11 @@ impl<F: Framing> Server<F> {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        #[cfg(target_os = "linux")]
-        if let Some(token) = self.listener_token {
-            if let Some(reactor) = crate::reactor::Reactor::try_global() {
-                reactor.deregister_listener(token);
+        self.reactor.deregister_listener(self.listener_token);
+        for conn in self.conns.lock().drain(..) {
+            if let Some(conn) = conn.upgrade() {
+                conn.kill();
             }
-            for conn in self.conns.lock().drain(..) {
-                if let Some(conn) = conn.upgrade() {
-                    conn.kill();
-                }
-            }
-            return;
-        }
-        // Legacy path: unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.local_addr);
-        for stream in self.active.lock().drain(..) {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
         }
     }
 }
@@ -238,118 +157,29 @@ impl<F: Framing> Server<F> {
 impl<F: Framing> Drop for Server<F> {
     fn drop(&mut self) {
         self.shutdown();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
     }
 }
 
-/// Reads requests off one connection and executes them on the pool.
-fn serve_connection<F: Framing>(
-    stream: TcpStream,
-    handler: Arc<dyn RpcHandler>,
-    pool: Arc<WorkerPool>,
-    buf_pool: BufferPool,
-) {
-    let mut read_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-
-    // All worker responses for this connection funnel through one writer
-    // thread running the coalescing loop: frame writes stay atomic and
-    // back-to-back responses share syscalls.
-    let (writer_tx, writer_rx) = unbounded::<WriteOp>();
-    let dead = Arc::new(AtomicBool::new(false));
-    {
-        let mut write_half = stream;
-        let buf_pool = buf_pool.clone();
-        let dead = Arc::clone(&dead);
-        std::thread::Builder::new()
-            .name("weaver-server-writer".into())
-            .spawn(move || {
-                let stats = WriterStats::default();
-                writer_loop(&writer_rx, &mut write_half, &buf_pool, &dead, &stats);
-                let _ = write_half.shutdown(std::net::Shutdown::Both);
-            })
-            .ok();
-    }
-
-    // Streams cancelled before their handler finished; responses for these
-    // are suppressed. Bounded by in-flight requests.
-    let cancelled: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));
-
-    let mut framing = F::default();
-    loop {
-        match framing.read_message(&mut read_half, &buf_pool) {
-            Ok(Some(Message::Request {
-                stream,
-                header,
-                args,
-            })) => {
-                let handler = Arc::clone(&handler);
-                let writer_tx: Sender<WriteOp> = writer_tx.clone();
-                let cancelled = Arc::clone(&cancelled);
-                let buf_pool = buf_pool.clone();
-                pool.execute(move || {
-                    let body = handler.handle(&header, &args);
-                    // `args` still references the pooled receive buffer;
-                    // drop it before encoding so a warm pool can reuse it.
-                    drop(args);
-                    if cancelled.lock().remove(&stream) {
-                        return;
-                    }
-                    let mut buf = buf_pool.get(64);
-                    let tail = F::write_response_parts(&mut buf, stream, &body);
-                    let _ = writer_tx.send(WriteOp::Frame(OutFrame {
-                        head: buf.freeze(),
-                        tail,
-                    }));
-                });
-            }
-            Ok(Some(Message::Cancel { stream })) => {
-                cancelled.lock().insert(stream);
-            }
-            Ok(Some(Message::Ping)) => {
-                let mut buf = buf_pool.get(32);
-                F::write_ping(&mut buf, true);
-                let _ = writer_tx.send(WriteOp::Frame(OutFrame::single(buf.freeze())));
-            }
-            Ok(Some(Message::Pong | Message::Response { .. })) => {}
-            Ok(None) | Err(_) => break,
-        }
-    }
-    // Reader is done (EOF or socket error): mark the connection dead and
-    // wake the writer so queued responses are dropped, not written.
-    dead.store(true, Ordering::SeqCst);
-    let _ = writer_tx.send(WriteOp::Shutdown);
-}
-
-/// Reactor-path protocol logic for one accepted connection: decode on the
-/// poller shard, execute on the worker pool, reply through the connection's
-/// coalescing write queue.
-#[cfg(target_os = "linux")]
+/// Protocol logic for one accepted connection: decode on the poller shard,
+/// execute on the worker pool, reply through the connection's coalescing
+/// write queue.
 struct ServerDriver<F: Framing> {
     handler: Arc<dyn RpcHandler>,
     workers: Arc<WorkerPool>,
     buf_pool: BufferPool,
     framing: Mutex<F>,
-    /// Streams cancelled before their handler finished; responses for these
-    /// are suppressed. Bounded by in-flight requests.
-    cancelled: Arc<Mutex<HashSet<u64>>>,
+    /// Streams whose request is queued or executing and has not been
+    /// cancelled. A `Cancel` removes the id; a worker replies only if it
+    /// can still remove its own. Bounded by in-flight requests.
+    in_flight: Arc<Mutex<HashSet<u64>>>,
 }
 
-#[cfg(target_os = "linux")]
-impl<F: Framing> crate::reactor::ConnDriver for ServerDriver<F> {
+impl<F: Framing> ConnDriver for ServerDriver<F> {
     fn frame_extent(&self, buf: &[u8]) -> Result<Option<usize>, TransportError> {
         F::frame_extent(buf)
     }
 
-    fn on_frame(
-        &self,
-        state: &Arc<crate::reactor::ConnState>,
-        frame: &[u8],
-    ) -> Result<(), TransportError> {
+    fn on_frame(&self, state: &Arc<ConnState>, frame: &[u8]) -> Result<(), TransportError> {
         let mut cursor: &[u8] = frame;
         match self
             .framing
@@ -361,8 +191,9 @@ impl<F: Framing> crate::reactor::ConnDriver for ServerDriver<F> {
                 header,
                 args,
             }) => {
+                self.in_flight.lock().insert(stream);
                 let handler = Arc::clone(&self.handler);
-                let cancelled = Arc::clone(&self.cancelled);
+                let in_flight = Arc::clone(&self.in_flight);
                 let buf_pool = self.buf_pool.clone();
                 let state = Arc::clone(state);
                 self.workers.execute(move || {
@@ -370,8 +201,8 @@ impl<F: Framing> crate::reactor::ConnDriver for ServerDriver<F> {
                     // `args` still references the pooled receive buffer;
                     // drop it before encoding so a warm pool can reuse it.
                     drop(args);
-                    if cancelled.lock().remove(&stream) {
-                        return;
+                    if !in_flight.lock().remove(&stream) {
+                        return; // cancelled while running: suppress the reply
                     }
                     let mut buf = buf_pool.get(64);
                     let tail = F::write_response_parts(&mut buf, stream, &body);
@@ -382,7 +213,9 @@ impl<F: Framing> crate::reactor::ConnDriver for ServerDriver<F> {
                 });
             }
             Some(Message::Cancel { stream }) => {
-                self.cancelled.lock().insert(stream);
+                // A cancel for a stream already answered (the normal
+                // deadline race, every dropped hedge loser) finds nothing.
+                self.in_flight.lock().remove(&stream);
             }
             Some(Message::Ping) => {
                 let mut buf = self.buf_pool.get(32);
@@ -398,7 +231,7 @@ impl<F: Framing> crate::reactor::ConnDriver for ServerDriver<F> {
     }
 
     fn on_dead(&self) {
-        self.cancelled.lock().clear();
+        self.in_flight.lock().clear();
     }
 }
 
@@ -435,6 +268,102 @@ mod tests {
         assert_eq!(resp.status, Status::Ok);
         assert_eq!(resp.payload, vec![1, 2, 3, 7]);
         assert_eq!(conn.in_flight(), 0);
+    }
+
+    /// A `ServerDriver` on a registered loopback socket, driven frame by
+    /// frame from the test thread; returns the peer end to read replies.
+    fn driven(
+        handler: Arc<dyn RpcHandler>,
+    ) -> (Arc<ServerDriver<WeaverFraming>>, Arc<ConnState>, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let driver = Arc::new(ServerDriver::<WeaverFraming> {
+            handler,
+            workers: WorkerPool::new(1, "weaver-test").unwrap(),
+            buf_pool: BufferPool::new(),
+            framing: Mutex::new(WeaverFraming),
+            in_flight: Arc::new(Mutex::new(HashSet::new())),
+        });
+        let state = Reactor::global()
+            .unwrap()
+            .register_conn(
+                Box::new(accepted),
+                Arc::clone(&driver) as Arc<dyn ConnDriver>,
+                BufferPool::new(),
+            )
+            .unwrap();
+        (driver, state, peer)
+    }
+
+    fn request(stream: u64) -> Vec<u8> {
+        let mut frame = Vec::new();
+        WeaverFraming::write_request(&mut frame, stream, &RequestHeader::default(), &[1]);
+        frame
+    }
+
+    fn cancel(stream: u64) -> Vec<u8> {
+        let mut frame = Vec::new();
+        WeaverFraming::write_cancel(&mut frame, stream);
+        frame
+    }
+
+    fn next_response(peer: &mut TcpStream) -> u64 {
+        match WeaverFraming.read_message(peer, &BufferPool::new()) {
+            Ok(Some(Message::Response { stream, .. })) => stream,
+            other => panic!("expected a response, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn late_cancels_leave_nothing_behind() {
+        let (driver, state, mut peer) = driven(echo_handler());
+        for stream in 1..=32 {
+            driver.on_frame(&state, &request(stream)).unwrap();
+            assert_eq!(next_response(&mut peer), stream);
+            // The deadline race: the cancel arrives after the reply left.
+            driver.on_frame(&state, &cancel(stream)).unwrap();
+        }
+        assert!(
+            driver.in_flight.lock().is_empty(),
+            "cancels for answered streams accumulated on a live connection"
+        );
+        state.kill();
+    }
+
+    #[test]
+    fn cancel_while_running_suppresses_the_reply() {
+        let (entered_tx, entered_rx) = crossbeam::channel::bounded::<()>(1);
+        let (release_tx, release_rx) = crossbeam::channel::bounded::<()>(1);
+        let handler: Arc<dyn RpcHandler> = Arc::new(move |h: &RequestHeader, _a: &[u8]| {
+            if h.method == 1 {
+                entered_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            }
+            ResponseBody {
+                status: Status::Ok,
+                payload: vec![].into(),
+            }
+        });
+        let (driver, state, mut peer) = driven(handler);
+        let mut blocked = Vec::new();
+        let header = RequestHeader {
+            method: 1,
+            ..Default::default()
+        };
+        WeaverFraming::write_request(&mut blocked, 1, &header, &[]);
+        driver.on_frame(&state, &blocked).unwrap();
+        entered_rx.recv().unwrap();
+        driver.on_frame(&state, &cancel(1)).unwrap();
+        release_tx.send(()).unwrap();
+        // One worker: stream 2 is answered only after stream 1's job ran to
+        // completion, so the first response on the wire being 2 proves
+        // stream 1's was suppressed.
+        driver.on_frame(&state, &request(2)).unwrap();
+        assert_eq!(next_response(&mut peer), 2);
+        assert!(driver.in_flight.lock().is_empty());
+        state.kill();
     }
 
     #[test]

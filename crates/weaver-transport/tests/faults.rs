@@ -198,9 +198,8 @@ fn corrupted_frames_kill_the_connection_cleanly() {
         // payloads keep corruption inside the (tolerated) payload bytes.
         // The later, small calls put the middle of the response frame
         // inside the frame header — stream id or length prefix — which
-        // MUST break the call, on any read granularity (the reactor pulls
-        // whole frames in one read; the legacy reader reads the prefix
-        // separately).
+        // MUST break the call (the reactor pulls whole frames in one read,
+        // so the flipped byte lands mid-frame).
         let len = if i < 10 { 128 } else { 4 };
         let args = vec![i; len];
         if conn

@@ -1,4 +1,4 @@
-//! Reactor-path robustness: slow-loris clients and mid-flight teardown.
+//! Reactor robustness: slow-loris clients and mid-flight teardown.
 //!
 //! A thread-per-connection server bleeds one (or more) threads per idle
 //! half-open socket, so a trickle of bytes from many clients exhausts the
@@ -7,8 +7,6 @@
 //! buffer: these tests pin that down, and check that killing a server with
 //! calls in flight drains every client pending-map entry (no leaked
 //! futures).
-
-#![cfg(target_os = "linux")]
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -36,16 +34,8 @@ fn echo() -> Arc<dyn RpcHandler> {
     })
 }
 
-fn reactor_disabled() -> bool {
-    std::env::var("WEAVER_REACTOR").ok().as_deref() == Some("0")
-}
-
 #[test]
 fn idle_half_open_connections_consume_no_threads() {
-    if reactor_disabled() {
-        // Legacy path: thread-per-connection by design; nothing to assert.
-        return;
-    }
     let _guard = SERIAL.lock();
     let server = Server::<WeaverFraming>::bind("127.0.0.1:0", 2, echo()).unwrap();
     let addr = server.local_addr();
