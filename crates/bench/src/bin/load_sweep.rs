@@ -1,5 +1,4 @@
-//! Experiment A7: latency vs. offered load — plus the A12 live placement
-//! sweep on the real boutique.
+//! Experiment A7: latency vs. offered load.
 //!
 //! Table 2 reports one operating point (10 kQPS). This sweep draws the
 //! full latency/load curve for the three configurations, showing where
@@ -8,22 +7,8 @@
 //! fleet can serve — and the weaver stack pushes that knee ~3× further
 //! right than the gRPC-like stack on the same quota, because each request
 //! costs ~3× less CPU.
-//!
-//! The second half is **live**, not simulated: a real TCP boutique is
-//! deployed with the deliberately bad default placement (everything
-//! routed), swept across client concurrency levels, then the placement
-//! controller watches the live call-graph signal and migrates the hot
-//! components; the same sweep repeats on the migrated placement. The
-//! controller must rediscover the all-colocated optimum on its own — the
-//! sweep only gives it traffic.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use boutique::prelude::*;
-use weaver_metrics::PlacementSignalBuilder;
-use weaver_placement::{AutoscalerConfig, PlacementController};
-use weaver_runtime::{TcpOptions, TcpProcess};
+use weaver_placement::AutoscalerConfig;
 use weaver_sim::engine::{run, SimConfig};
 use weaver_sim::queue::units;
 use weaver_sim::StackModel;
@@ -93,122 +78,6 @@ fn main() {
         println!(
             "{:>8.0} {:>16.1} {:>16.1} {:>16.1}",
             qps, weaver.mean_cores, grpc.mean_cores, colocated.mean_cores
-        );
-    }
-
-    live_placement_sweep();
-}
-
-/// Per-call `get_product` p50 (ns) at `clients`-way concurrency.
-fn live_phase(dep: &Arc<TcpProcess>, clients: usize, calls: usize, prefix: &str) -> u64 {
-    let mut latencies: Vec<u64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|client| {
-                scope.spawn(move || {
-                    let catalog = dep.get::<dyn ProductCatalog>().expect("catalog");
-                    let cart = dep.get::<dyn CartService>().expect("cart");
-                    let mut lat = Vec::with_capacity(calls);
-                    for op in 0..calls {
-                        let ctx = dep.root_context().with_timeout(Duration::from_secs(10));
-                        let started = Instant::now();
-                        catalog
-                            .get_product(&ctx, "OLJCESPC7Z".into())
-                            .expect("get_product");
-                        lat.push(started.elapsed().as_nanos() as u64);
-                        if op % 25 == 0 {
-                            cart.add_item(
-                                &ctx,
-                                format!("{prefix}-{client}"),
-                                CartItem {
-                                    product_id: "OLJCESPC7Z".into(),
-                                    quantity: 1,
-                                },
-                            )
-                            .expect("add_item");
-                        }
-                    }
-                    lat
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("client"))
-            .collect()
-    });
-    latencies.sort_unstable();
-    latencies[latencies.len() / 2]
-}
-
-/// A12, live: sweep client concurrency on the real boutique before and
-/// after the placement controller closes the loop.
-fn live_placement_sweep() {
-    const LEVELS: [usize; 3] = [1, 4, 8];
-    const CALLS: usize = 250;
-    const MAX_ROUNDS: usize = 6;
-
-    let dep = TcpProcess::deploy(
-        boutique::registry(),
-        TcpOptions {
-            replicas: 2,
-            workers: 2,
-            fault_spec: None,
-        },
-        1,
-    )
-    .expect("deploy boutique");
-
-    // Phase 1: the deliberately bad placement — everything routed.
-    live_phase(&dep, 2, 30, "warm");
-    let routed: Vec<u64> = LEVELS
-        .iter()
-        .map(|&clients| live_phase(&dep, clients, CALLS, "routed"))
-        .collect();
-
-    // The controller closes the loop from the live signal alone.
-    let controller = PlacementController::default();
-    let mut builder = PlacementSignalBuilder::halving();
-    let mut rounds = 0usize;
-    let mut migrations = 0usize;
-    for _ in 0..MAX_ROUNDS {
-        builder.observe(&dep.callgraph());
-        let report = dep
-            .placement_round(&controller, &builder.signal())
-            .expect("placement round");
-        rounds += 1;
-        migrations += report.migrated.iter().filter(|m| m.changed).count();
-        if report.is_noop() {
-            break;
-        }
-        live_phase(&dep, 2, 40, "mid");
-    }
-
-    // Phase 2: the same sweep on the migrated placement.
-    let colocated: Vec<u64> = LEVELS
-        .iter()
-        .map(|&clients| live_phase(&dep, clients, CALLS, "colocated"))
-        .collect();
-
-    println!();
-    println!(
-        "A12 (live boutique): get_product p50 before/after the placement \
-         controller ({rounds} rounds, {migrations} live migrations, \
-         {} of {} components colocated); {}",
-        dep.placement_state().colocated_count(),
-        dep.placement_state().placements.len(),
-        bench::host_record(true),
-    );
-    println!(
-        "{:>8} {:>14} {:>16} {:>12}",
-        "clients", "routed p50", "colocated p50", "improvement"
-    );
-    for (i, &clients) in LEVELS.iter().enumerate() {
-        println!(
-            "{:>8} {:>11.1} us {:>13.1} us {:>11.1}x",
-            clients,
-            routed[i] as f64 / 1e3,
-            colocated[i] as f64 / 1e3,
-            routed[i] as f64 / (colocated[i] as f64).max(1.0),
         );
     }
 }

@@ -17,8 +17,7 @@
 //!
 //! The p50 improvement assertion is gated on multi-core hosts: on a
 //! 1-CPU runner the client and the server replicas timeshare one core and
-//! loopback latency is scheduler noise, not placement signal (the same
-//! gate the A11/A12 bench rungs apply).
+//! loopback latency is scheduler noise, not placement signal.
 
 use std::time::{Duration, Instant};
 

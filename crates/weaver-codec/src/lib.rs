@@ -18,8 +18,8 @@
 //! * [`json`] — a textual baseline (self-describing field names), the most
 //!   expensive format the paper's introduction mentions.
 //!
-//! All three are implemented from scratch so the benchmark in
-//! `bench/benches/codec.rs` compares like against like (same allocator, same
+//! All three are implemented from scratch so `wbench`'s `codec.*` probes
+//! and `bench`'s `calibrate` compare like against like (same allocator, same
 //! buffer discipline), isolating the cost of versioning metadata itself.
 //!
 //! Application types get all three implementations from a single

@@ -38,6 +38,7 @@ const DEPLOY_TIMEOUT: Duration = Duration::from_secs(30);
 /// Restarts allowed per replica before the manager gives up on it.
 const RESTART_LIMIT: u32 = 5;
 
+#[derive(Default)]
 struct ManagerState {
     envelopes: HashMap<ReplicaId, Arc<Envelope>>,
     addrs: HashMap<ReplicaId, SocketAddr>,
@@ -53,6 +54,21 @@ struct ManagerState {
     utilization: HashMap<ReplicaId, f64>,
     /// One HPA state machine per group (populated when autoscaling).
     autoscalers: Vec<weaver_placement::Autoscaler>,
+}
+
+impl ManagerState {
+    /// Forgets a replica that stops serving: it leaves routing, and its last
+    /// busy fraction leaves its group's HPA mean. With `shutdown`, its
+    /// proclet is also asked to exit.
+    fn retire(&mut self, id: ReplicaId, shutdown: bool) {
+        self.addrs.remove(&id);
+        self.utilization.remove(&id);
+        if shutdown {
+            if let Some(envelope) = self.envelopes.get(&id) {
+                let _ = envelope.send(&EnvelopeMessage::Shutdown);
+            }
+        }
+    }
 }
 
 struct Shared {
@@ -180,12 +196,7 @@ impl Shared {
                 // Routing picks the new replicas up when they register.
             } else {
                 for replica in desired..current {
-                    let id = ReplicaId { group, replica };
-                    state.addrs.remove(&id);
-                    state.utilization.remove(&id);
-                    if let Some(envelope) = state.envelopes.get(&id) {
-                        let _ = envelope.send(&EnvelopeMessage::Shutdown);
-                    }
+                    state.retire(ReplicaId { group, replica }, true);
                 }
             }
         }
@@ -246,7 +257,7 @@ impl Shared {
 
     fn handle_exit(&self, id: ReplicaId) {
         let mut state = self.state.lock();
-        state.addrs.remove(&id);
+        state.retire(id, false);
         state.envelopes.remove(&id);
         if state.shutting_down {
             return;
@@ -319,17 +330,7 @@ impl MultiProcess {
             config,
             groups,
             spawn,
-            state: Mutex::new(ManagerState {
-                envelopes: HashMap::new(),
-                addrs: HashMap::new(),
-                desired: Vec::new(),
-                epoch: 0,
-                shutting_down: false,
-                restarts: HashMap::new(),
-                reports: BTreeMap::new(),
-                utilization: HashMap::new(),
-                autoscalers: Vec::new(),
-            }),
+            state: Mutex::new(ManagerState::default()),
             ready: Condvar::new(),
             table: RoutingTable::new(),
             events_tx,
@@ -529,11 +530,7 @@ impl MultiProcess {
             }
         } else {
             for replica in replicas..old {
-                let id = ReplicaId { group, replica };
-                state.addrs.remove(&id);
-                if let Some(envelope) = state.envelopes.get(&id) {
-                    let _ = envelope.send(&EnvelopeMessage::Shutdown);
-                }
+                state.retire(ReplicaId { group, replica }, true);
             }
             self.shared.broadcast_routing(&mut state);
         }
@@ -580,5 +577,30 @@ impl MultiProcess {
 impl Drop for MultiProcess {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_retired_replica_neither_routes_nor_counts_toward_the_hpa_mean() {
+        let gone = ReplicaId {
+            group: 0,
+            replica: 1,
+        };
+        let kept = ReplicaId {
+            group: 0,
+            replica: 0,
+        };
+        let mut state = ManagerState::default();
+        for (id, busy) in [(kept, 0.2), (gone, 0.9)] {
+            state.addrs.insert(id, "127.0.0.1:1".parse().unwrap());
+            state.utilization.insert(id, busy);
+        }
+        state.retire(gone, false);
+        assert_eq!(state.addrs.keys().collect::<Vec<_>>(), [&kept]);
+        assert_eq!(state.utilization.keys().collect::<Vec<_>>(), [&kept]);
     }
 }

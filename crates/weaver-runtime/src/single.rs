@@ -51,6 +51,46 @@ pub struct ComponentFault {
     pub down: bool,
 }
 
+impl ComponentFault {
+    /// Applies the fault installed on `component`, if any: `down` beats
+    /// everything, delays apply to successes and failures alike,
+    /// `fail_next` decrements per call.
+    pub(crate) fn check(
+        faults: &RwLock<HashMap<String, ComponentFault>>,
+        component: &str,
+    ) -> Result<(), WeaverError> {
+        let (down, delay, fail) = {
+            let mut faults = faults.write();
+            let Some(fault) = faults.get_mut(component) else {
+                return Ok(());
+            };
+            let fail = if fault.fail_next > 0 {
+                fault.fail_next -= 1;
+                true
+            } else {
+                false
+            };
+            (fault.down, fault.delay, fail)
+        };
+        if down {
+            return Err(WeaverError::Unavailable {
+                detail: format!("{component} is down (injected)"),
+            });
+        }
+        // Sleep outside the lock so a delayed component stalls neither
+        // calls to other components nor the `inject_fault` that clears it.
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
+        }
+        if fail {
+            return Err(WeaverError::Unavailable {
+                detail: format!("{component} failed (injected)"),
+            });
+        }
+        Ok(())
+    }
+}
+
 /// The fault-injection surface a deployment exposes to chaos tooling.
 ///
 /// Both the single-process deployer and the real-TCP deployer
@@ -173,28 +213,6 @@ impl SingleProcess {
             .upgrade()
             .expect("deployment still alive")
     }
-
-    fn check_fault(&self, component: &str) -> Result<(), WeaverError> {
-        let mut faults = self.faults.write();
-        let Some(fault) = faults.get_mut(component) else {
-            return Ok(());
-        };
-        if fault.down {
-            return Err(WeaverError::Unavailable {
-                detail: format!("{component} is down (injected)"),
-            });
-        }
-        if !fault.delay.is_zero() {
-            std::thread::sleep(fault.delay);
-        }
-        if fault.fail_next > 0 {
-            fault.fail_next -= 1;
-            return Err(WeaverError::Unavailable {
-                detail: format!("{component} failed (injected)"),
-            });
-        }
-        Ok(())
-    }
 }
 
 impl FaultInjectable for SingleProcess {
@@ -256,7 +274,7 @@ impl CallRouter for SingleProcess {
                 callee_version: self.version,
             })
         } else {
-            self.check_fault(target.name)
+            ComponentFault::check(&self.faults, target.name)
         }
         .and_then(|()| {
             if ctx.expired() {
@@ -325,5 +343,85 @@ impl CallRouter for SingleProcess {
             elapsed,
         );
         outcome
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use weaver_core::component::Component;
+    use weaver_core::context::InitContext;
+    use weaver_core::registry::RegistryBuilder;
+
+    /// A component whose one method does nothing: the test below only cares
+    /// which component a call is addressed to.
+    macro_rules! nop_component {
+        ($iface:ident, $imp:ident, $name:literal) => {
+            #[weaver_macros::component(name = $name)]
+            trait $iface {
+                fn ping(&self, ctx: &CallContext) -> Result<(), WeaverError>;
+            }
+            struct $imp;
+            impl $iface for $imp {
+                fn ping(&self, _: &CallContext) -> Result<(), WeaverError> {
+                    Ok(())
+                }
+            }
+            impl Component for $imp {
+                type Interface = dyn $iface;
+                fn init(_: &InitContext<'_>) -> Result<Self, WeaverError> {
+                    Ok($imp)
+                }
+                fn into_interface(self: Arc<Self>) -> Arc<dyn $iface> {
+                    self
+                }
+            }
+        };
+    }
+    nop_component!(Slow, SlowImpl, "test.Slow");
+    nop_component!(Fast, FastImpl, "test.Fast");
+
+    #[test]
+    fn injected_delay_stalls_only_its_own_component() {
+        const DELAY: Duration = Duration::from_millis(300);
+        let registry = RegistryBuilder::new()
+            .register::<SlowImpl>()
+            .register::<FastImpl>()
+            .build();
+        let app = SingleProcess::deploy(Arc::new(registry), SingleMode::Marshaled, 1);
+        let slow = app.get::<dyn Slow>().unwrap();
+        let fast = app.get::<dyn Fast>().unwrap();
+        let ctx = app.root_context();
+        let fault = ComponentFault {
+            delay: DELAY,
+            ..Default::default()
+        };
+        app.inject_fault("test.Slow", fault.clone());
+
+        // Calls to the other component and `inject_fault` on the delayed one
+        // run back to back for as long as the delayed call is in flight, so
+        // some of them are certain to overlap its sleep. Re-installing the
+        // same fault takes the lock a clear would, without racing the
+        // delayed call to its delay.
+        let mut longest = Duration::ZERO;
+        let delayed = std::thread::scope(|scope| {
+            let delayed = scope.spawn(|| {
+                let started = Instant::now();
+                slow.ping(&ctx).unwrap();
+                started.elapsed()
+            });
+            while !delayed.is_finished() {
+                let started = Instant::now();
+                fast.ping(&ctx).unwrap();
+                app.inject_fault("test.Slow", fault.clone());
+                longest = longest.max(started.elapsed());
+            }
+            delayed.join().unwrap()
+        });
+        assert!(delayed >= DELAY, "the delay was not applied: {delayed:?}");
+        assert!(
+            longest < Duration::from_millis(100),
+            "a call to another component or an `inject_fault` waited {longest:?} behind the delay"
+        );
     }
 }

@@ -87,41 +87,6 @@ impl Default for TcpOptions {
 
 type SharedFaults = Arc<RwLock<HashMap<String, ComponentFault>>>;
 
-/// Checks an injected component fault, mirroring the single-process
-/// semantics: `down` beats everything, delays apply to successes and
-/// failures alike, `fail_next` decrements per call.
-fn check_fault(faults: &SharedFaults, component: &str) -> Result<(), WeaverError> {
-    let (down, delay, fail) = {
-        let mut faults = faults.write();
-        let Some(fault) = faults.get_mut(component) else {
-            return Ok(());
-        };
-        let fail = if fault.fail_next > 0 {
-            fault.fail_next -= 1;
-            true
-        } else {
-            false
-        };
-        (fault.down, fault.delay, fail)
-    };
-    if down {
-        return Err(WeaverError::Unavailable {
-            detail: format!("{component} is down (injected)"),
-        });
-    }
-    // Sleep outside the lock so a delayed component does not serialize the
-    // whole deployment's fault checks.
-    if !delay.is_zero() {
-        std::thread::sleep(delay);
-    }
-    if fail {
-        return Err(WeaverError::Unavailable {
-            detail: format!("{component} failed (injected)"),
-        });
-    }
-    Ok(())
-}
-
 /// Server-side handler: component-level fault check, then real dispatch.
 struct FaultingHandler {
     inner: ProcletDispatcher,
@@ -145,7 +110,7 @@ impl RpcHandler for FaultingHandler {
             .get(header.component)
             .map(|r| r.name)
             .unwrap_or("?");
-        if let Err(e) = check_fault(&self.faults, name) {
+        if let Err(e) = ComponentFault::check(&self.faults, name) {
             let mut buf = self.pool.get(64);
             weaver_codec::encode_into(&mut buf, &e);
             return ResponseBody {
@@ -517,7 +482,7 @@ impl TcpProcess {
     }
 
     /// The shared routing table (assignments, epoch, per-slice load, and
-    /// the migration gate) — tests and benches read it to observe a
+    /// the migration gate) — tests and `wbench` read it to observe a
     /// rebalance from the outside.
     pub fn routing_table(&self) -> &Arc<RoutingTable> {
         &self.table
@@ -958,14 +923,6 @@ impl std::fmt::Debug for TcpProcess {
     }
 }
 
-/// Knob-free helper: one replica, no transport faults.
-pub fn deploy_tcp(
-    registry: Arc<ComponentRegistry>,
-    version: u64,
-) -> Result<Arc<TcpProcess>, WeaverError> {
-    TcpProcess::deploy(registry, TcpOptions::default(), version)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1208,7 +1165,7 @@ mod tests {
 
     #[test]
     fn roundtrip_and_crash_restart() {
-        let dep = deploy_tcp(registry(), 1).unwrap();
+        let dep = deploy_replicas(registry(), 1);
         let counter = dep.get::<dyn Counter>().unwrap();
         let ctx = dep.root_context();
         assert_eq!(counter.bump(&ctx, 5).unwrap(), 1);
@@ -1234,7 +1191,7 @@ mod tests {
 
     #[test]
     fn component_fault_enforced_server_side() {
-        let dep = deploy_tcp(registry(), 1).unwrap();
+        let dep = deploy_replicas(registry(), 1);
         let counter = dep.get::<dyn Counter>().unwrap();
         let ctx = dep.root_context();
         dep.inject_fault(
@@ -1396,7 +1353,7 @@ mod tests {
 
     #[test]
     fn migrate_to_current_placement_is_a_noop() {
-        let dep = deploy_tcp(registry(), 1).unwrap();
+        let dep = deploy_replicas(registry(), 1);
         let epoch = dep.routing_table().epoch();
         let version = dep.placement_state().version;
         let migration = dep

@@ -12,9 +12,10 @@
 //! **What is calibrated vs. assumed.** The *relative* costs of the two
 //! stacks (non-versioned vs. tagged encoding, streamlined vs. HTTP/2-like
 //! framing) are taken from microbenchmarks of this repository's own codec
-//! and transport (`cargo bench -p bench`); the *absolute* per-request CPU
-//! of the boutique's handlers is anchored so that the simulated co-located
-//! configuration matches the paper's 9-cores-at-10kQPS observation, since
+//! and transport (`cargo run -p bench --bin calibrate --release`); the
+//! *absolute* per-request CPU of the boutique's handlers is anchored so
+//! that the simulated co-located configuration matches the paper's
+//! 9-cores-at-10kQPS observation, since
 //! the authors' Go handlers (HTTP serving, templating, GC) are not
 //! reproducible from the paper. Shapes — who wins, by what factor, where
 //! crossovers appear — are the reproduction target, not absolute numbers.

@@ -22,8 +22,9 @@
 //! On top of the framings sit [`Connection`] (client side: stream-id
 //! multiplexing, deadlines, cancellation, pipelined writes), [`Server`]
 //! (listener + worker pool), [`Pool`] (connection reuse per address), and
-//! [`inproc`] (a loopback transport used by tests and the single-process
-//! deployer's RPC-mode). Every socket — client, accepted, listening — is
+//! [`inproc`] (a socket-free loopback transport; its only callers are its
+//! own tests and `wbench`'s `transport.inproc_rtt_ns` probe — no deployer
+//! uses it). Every socket — client, accepted, listening — is
 //! driven by one shared readiness [`reactor`]; there is no other I/O path,
 //! and since the reactor sits on epoll the crate builds on Linux only.
 //!

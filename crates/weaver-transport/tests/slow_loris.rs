@@ -9,7 +9,7 @@
 //! futures).
 
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -34,10 +34,17 @@ fn echo() -> Arc<dyn RpcHandler> {
     })
 }
 
-#[test]
-fn idle_half_open_connections_consume_no_threads() {
+/// Binds an echo server with `workers` workers, takes the thread count
+/// once the reactor is warm, lets `open` hold connections against it, and
+/// asserts the process did not grow threads for them and still answers a
+/// fresh client promptly. Whatever `open` returns stays alive throughout.
+fn assert_connections_cost_no_threads<H>(
+    workers: usize,
+    what: &str,
+    open: impl FnOnce(SocketAddr) -> H,
+) {
     let _guard = SERIAL.lock();
-    let server = Server::<WeaverFraming>::bind("127.0.0.1:0", 2, echo()).unwrap();
+    let server = Server::<WeaverFraming>::bind("127.0.0.1:0", workers, echo()).unwrap();
     let addr = server.local_addr();
 
     // Warm the reactor (shards spawn lazily on first registration) before
@@ -47,24 +54,17 @@ fn idle_half_open_connections_consume_no_threads() {
     std::thread::sleep(Duration::from_millis(50));
     let baseline = process_threads();
 
-    // 64 slow-loris clients: each sends half a length prefix, then stalls
-    // forever holding the socket open.
-    let mut loris = Vec::new();
-    for _ in 0..64 {
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.write_all(&[0x20, 0x00]).unwrap();
-        loris.push(s);
-    }
+    let held = open(addr);
     std::thread::sleep(Duration::from_millis(300));
-    let with_loris = process_threads();
+    let with_held = process_threads();
     assert!(
-        with_loris <= baseline + 2,
-        "64 idle half-open connections grew the thread count {baseline} -> {with_loris}; \
+        with_held <= baseline + 2,
+        "{what} grew the thread count {baseline} -> {with_held}; \
          the reactor must absorb them without spawning threads"
     );
 
-    // The server still answers a real client promptly: the stalled sockets
-    // hold no worker and no poller hostage.
+    // The server still answers a real client promptly: the held sockets
+    // keep no worker and no poller hostage.
     let conn = Connection::<WeaverFraming>::connect(addr).unwrap();
     let header = RequestHeader::default();
     for i in 0..16u8 {
@@ -74,7 +74,50 @@ fn idle_half_open_connections_consume_no_threads() {
         assert_eq!(resp.status, Status::Ok);
         assert_eq!(resp.payload.as_ref(), &[i; 32][..]);
     }
-    drop(loris);
+    drop(held);
+}
+
+#[test]
+fn idle_half_open_connections_consume_no_threads() {
+    // 64 slow-loris clients: each sends half a length prefix, then stalls
+    // forever holding the socket open.
+    assert_connections_cost_no_threads(2, "64 idle half-open connections", |addr| {
+        (0..64)
+            .map(|_| {
+                let mut s = TcpStream::connect(addr).unwrap();
+                s.write_all(&[0x20, 0x00]).unwrap();
+                s
+            })
+            .collect::<Vec<_>>()
+    });
+}
+
+#[test]
+fn live_pipelined_connections_consume_no_threads() {
+    // Threads must be O(shards + workers), not O(connections), when the
+    // connections carry traffic too: 512 live ones, 4 calls in flight on
+    // each of a rotating window of 32 until every connection has served.
+    const CONNS: usize = 512;
+    assert_connections_cost_no_threads(8, "512 live pipelined connections", |addr| {
+        let conns: Vec<_> = (0..CONNS)
+            .map(|_| Arc::new(Connection::<WeaverFraming>::connect(addr).unwrap()))
+            .collect();
+        let header = RequestHeader::default();
+        for window in conns.chunks(32) {
+            let futures: Vec<_> = window
+                .iter()
+                .flat_map(|conn| (0..4).map(move |_| conn))
+                .map(|conn| Connection::call_begin(conn, &header, &[9; 256]).unwrap())
+                .collect();
+            for fut in futures {
+                let resp = fut.wait(Some(Duration::from_secs(10))).unwrap();
+                assert_eq!(resp.status, Status::Ok);
+            }
+        }
+        let leaked: usize = conns.iter().map(|c| c.in_flight()).sum();
+        assert_eq!(leaked, 0, "pipelined calls left pending-map entries behind");
+        conns
+    });
 }
 
 #[test]

@@ -70,7 +70,7 @@ fn live_placement_migration_holds_safety_under_chaos() {
         // Aggressive options so a ~25ms observation round over loopback
         // traffic is already "hot": the point here is the live migration
         // machinery, not the default thresholds (those are exercised by
-        // the convergence test and the bench rung).
+        // the convergence test).
         let controller = PlacementController::new(PlacementOptions {
             migration_cost_ns: 100_000.0,
             min_rate: 0.25,
