@@ -1,7 +1,7 @@
 //! Call and initialization contexts.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -110,12 +110,25 @@ pub trait ComponentGetter: Send + Sync {
 /// moral equivalent of `Get[T]` in the paper's Figure 2.
 pub struct InitContext<'a> {
     getter: &'a dyn ComponentGetter,
+    /// References requested through [`InitContext::component`] so far.
+    acquisitions: AtomicUsize,
 }
 
 impl<'a> InitContext<'a> {
     /// Wraps a getter.
     pub fn new(getter: &'a dyn ComponentGetter) -> Self {
-        InitContext { getter }
+        InitContext {
+            getter,
+            acquisitions: AtomicUsize::new(0),
+        }
+    }
+
+    /// How many component references `init` has asked for. A component
+    /// whose `init` asked for none holds no stub and can never make a
+    /// nested call: it is a leaf of the component graph, which is what lets
+    /// the runtime run its handlers where a blocking wait is forbidden.
+    pub(crate) fn acquisitions(&self) -> usize {
+        self.acquisitions.load(Ordering::Relaxed)
     }
 
     /// Returns a reference to the component with interface `I`.
@@ -125,6 +138,9 @@ impl<'a> InitContext<'a> {
     /// a generated client stub (calls are RPCs). Application code cannot
     /// tell the difference — that is the point.
     pub fn component<I: ComponentInterface + ?Sized>(&self) -> Result<Arc<I>, WeaverError> {
+        // Counted before resolution: a failed acquisition still shows that
+        // this component's code reaches for another one.
+        self.acquisitions.fetch_add(1, Ordering::Relaxed);
         match self.getter.acquire(I::NAME)? {
             Acquired::Local(any) => match any.downcast_ref::<Arc<I>>() {
                 Some(arc) => Ok(Arc::clone(arc)),

@@ -123,6 +123,14 @@ impl LiveComponents {
         }
     }
 
+    /// True when component `id` is already running and is a leaf (its
+    /// `init` acquired no component reference). False while it is starting,
+    /// failed or awaiting a restart, so a caller that must not block never
+    /// triggers construction. Takes only the fast path's shared read lock.
+    pub fn is_ready_leaf(&self, id: u32) -> bool {
+        self.ready.read().get(&id).is_some_and(|i| i.leaf)
+    }
+
     /// Drops component `id`'s instance (crash simulation / restart). The
     /// next `get_or_start` constructs a fresh replica — the paper's
     /// "restarts them on failure".
@@ -355,6 +363,26 @@ mod tests {
         assert_eq!(iface.double_plus(&CallContext::test(), 20).unwrap(), 42);
         // Echo was started as a side effect.
         assert_eq!(live.running().len(), 2);
+    }
+
+    #[test]
+    fn leaf_is_a_ready_component_that_acquired_nothing() {
+        let reg = test_registry();
+        let live = Arc::new(LiveComponents::new(Arc::clone(&reg)));
+        let getter = LocalGetter {
+            live: Arc::clone(&live),
+        };
+        let echo_id = reg.id_of("test.Echo").unwrap();
+        let doubler_id = reg.id_of("test.Doubler").unwrap();
+        assert!(!live.is_ready_leaf(echo_id), "not started yet");
+        // Starting the doubler starts the echo it acquires.
+        assert!(!live.get_or_start(doubler_id, &getter).unwrap().leaf);
+        assert!(live.is_ready_leaf(echo_id));
+        assert!(!live.is_ready_leaf(doubler_id));
+        live.restart(echo_id);
+        assert!(!live.is_ready_leaf(echo_id), "awaiting re-init");
+        assert!(live.get_or_start(echo_id, &getter).unwrap().leaf);
+        assert!(live.is_ready_leaf(echo_id));
     }
 
     #[test]

@@ -25,11 +25,16 @@ pub struct ErasedInstance {
     pub dispatch: DispatchFn,
     /// The `Arc<I>` interface pointer, behind `Any` for typed local access.
     pub iface_any: Arc<dyn Any + Send + Sync>,
+    /// True when `init` acquired no component reference: the instance holds
+    /// no stub, so none of its methods can make a nested call.
+    pub leaf: bool,
 }
 
 impl std::fmt::Debug for ErasedInstance {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ErasedInstance").finish_non_exhaustive()
+        f.debug_struct("ErasedInstance")
+            .field("leaf", &self.leaf)
+            .finish_non_exhaustive()
     }
 }
 
@@ -38,6 +43,7 @@ impl Clone for ErasedInstance {
         ErasedInstance {
             dispatch: Arc::clone(&self.dispatch),
             iface_any: Arc::clone(&self.iface_any),
+            leaf: self.leaf,
         }
     }
 }
@@ -100,6 +106,7 @@ impl RegistryBuilder {
             Ok(ErasedInstance {
                 dispatch,
                 iface_any: Arc::new(iface),
+                leaf: init.acquisitions() == 0,
             })
         });
         self.regs.push(Registration {

@@ -120,10 +120,16 @@ pub struct PlacementOptions {
     /// Modeled latency of a local dispatch, in nanoseconds. A remote edge's
     /// saving is its observed mean latency minus this floor.
     pub local_latency_ns: f64,
-    /// Modeled one-time cost of a migration (freeze + drain + state
-    /// consolidation), in rate-weighted nanoseconds per round. A colocation
-    /// must save more than this per observation round to be worth planning.
-    pub migration_cost_ns: f64,
+    /// Modeled one-time cost of a migration, in round trips to the
+    /// component being moved. A migration is made of the hops it removes —
+    /// the calls it delays while frozen, the drain, one `export_keys` and
+    /// one `import_keys` per replica, the epoch bump — so it is priced at
+    /// `migration_cost_hops ×` the mean latency observed on the component's
+    /// inbound edges, and follows the transport: when a hop gets cheaper,
+    /// the saving and the cost shrink together, and the same traffic keeps
+    /// earning the same decision. A colocation must save more than this per
+    /// observation round to be worth planning.
+    pub migration_cost_hops: f64,
     /// Colocated components whose decayed inbound rate falls below this
     /// (calls per round) are routed back out — the demotion hysteresis that
     /// keeps a cold component from squatting in every caller's process.
@@ -137,7 +143,8 @@ impl Default for PlacementOptions {
     fn default() -> Self {
         PlacementOptions {
             local_latency_ns: 1_000.0,
-            migration_cost_ns: 1_000_000.0,
+            // 1 ms at a 25 µs loopback hop.
+            migration_cost_hops: 40.0,
             min_rate: 1.0,
             max_moves: 4,
         }
@@ -179,8 +186,8 @@ impl PlacementController {
     /// For every routed component, the modeled per-round saving of
     /// colocating it is `Σ_inbound rate × max(0, mean_latency −
     /// local_latency)`; components whose saving exceeds the migration cost
-    /// are colocated, biggest saving first (name-ordered on ties), capped
-    /// at `max_moves`. Colocated components whose decayed inbound rate has
+    /// (`migration_cost_hops × mean_latency`) are colocated, biggest saving
+    /// first (name-ordered on ties), capped at `max_moves`. Colocated components whose decayed inbound rate has
     /// fallen below `min_rate` are demoted back to routed. Deterministic:
     /// the same `(signal, state)` always yields the same plan.
     pub fn plan(&self, signal: &PlacementSignal, state: &PlacementState) -> PlacementPlan {
@@ -191,7 +198,7 @@ impl PlacementController {
             match placement {
                 ComponentPlacement::Routed => {
                     let saving = rate * (mean - self.options.local_latency_ns).max(0.0);
-                    if saving > self.options.migration_cost_ns {
+                    if saving > self.options.migration_cost_hops * mean {
                         promotions.push((saving, component));
                     }
                 }
@@ -327,11 +334,36 @@ mod tests {
     #[test]
     fn saving_below_migration_cost_is_a_noop() {
         let state = PlacementState::all_routed(["cart"]);
-        // 10 calls/round × (25 µs − 1 µs) = 240 µs < 1 ms migration cost.
+        // 10 calls/round × (25 µs − 1 µs) = 240 µs < 40 hops × 25 µs = 1 ms.
         let sig = signal(&[("frontend", "cart", 10.0, 25_000)]);
         let plan = PlacementController::default().plan(&sig, &state);
         assert!(plan.is_noop());
         assert_eq!(plan.state, state);
+    }
+
+    #[test]
+    fn a_cheaper_hop_does_not_strand_the_same_traffic() {
+        // The boutique convergence round: 45 decayed cart calls. Against a
+        // cost fixed in nanoseconds a faster transport would leave the cart
+        // routed; priced in hops the decision is the traffic's,
+        // 45 × (1 − 1/hop_µs) against 40.
+        let state = PlacementState::all_routed(["cart"]);
+        let colocate = vec![PlacementDecision::Colocate {
+            component: "cart".into(),
+        }];
+        for hop_ns in [100_000, 25_000, 16_000, 10_000] {
+            let sig = signal(&[("frontend", "cart", 45.0, hop_ns)]);
+            let plan = PlacementController::default().plan(&sig, &state);
+            assert_eq!(plan.decisions, colocate, "hop {hop_ns} ns");
+        }
+        // Too little traffic stays put however dear the hop is ...
+        for hop_ns in [100_000, 25_000, 10_000] {
+            let sig = signal(&[("frontend", "cart", 30.0, hop_ns)]);
+            assert!(PlacementController::default().plan(&sig, &state).is_noop());
+        }
+        // ... and so does any traffic on a hop that is nearly local already.
+        let sig = signal(&[("frontend", "cart", 45.0, 5_000)]);
+        assert!(PlacementController::default().plan(&sig, &state).is_noop());
     }
 
     #[test]

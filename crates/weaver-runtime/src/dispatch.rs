@@ -1,5 +1,6 @@
 //! Server-side dispatch: from transport request to component method.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -11,6 +12,45 @@ use weaver_transport::{BufferPool, RequestHeader, ResponseBody, RpcHandler, Stat
 
 use crate::dedup::DedupCache;
 
+/// A method runs on the reactor shard only while its recent handler time is
+/// below this: the shard serves no other connection meanwhile, so the bound
+/// is a few hand-offs' worth (one costs 10–20 µs), not a latency target.
+const INLINE_BUDGET_NANOS: u64 = 50_000;
+
+/// [`MethodStats::recent_nanos`] before any run has been measured.
+const UNMEASURED: u64 = u64::MAX;
+
+/// What the dispatcher keeps about one method of one component.
+struct MethodStats {
+    /// Server-side latency histogram, `component/method/handle_nanos`.
+    handle_nanos: Arc<weaver_metrics::Histogram>,
+    /// Recent handler time: a sample above the current value replaces it,
+    /// a sample below pulls it down by an eighth of the gap. So one slow
+    /// run takes a method off the reactor shard at once and a run of fast
+    /// ones earns it back. [`UNMEASURED`] until a worker has run the method
+    /// once.
+    recent_nanos: AtomicU64,
+}
+
+impl MethodStats {
+    /// Shard threads and workers record concurrently, and this value is
+    /// what keeps a slow method off the shards, so the update is one
+    /// read-modify-write: a fast sample racing a slow one decays the slow
+    /// value, it can never overwrite it with a stale fast one.
+    fn record(&self, nanos: u64) {
+        self.handle_nanos.record(nanos);
+        let _ = self
+            .recent_nanos
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |before| {
+                Some(if before == UNMEASURED || nanos >= before {
+                    nanos
+                } else {
+                    before - (before - nanos) / 8
+                })
+            });
+    }
+}
+
 /// The RPC handler a proclet installs on its data-plane server.
 ///
 /// Responsibilities, in order: enforce the atomic-rollout version invariant
@@ -21,9 +61,9 @@ pub struct ProcletDispatcher {
     live: Arc<LiveComponents>,
     getter: Arc<dyn ComponentGetter>,
     version: u64,
-    /// Per (component, method) latency histograms, pre-registered so the
-    /// hot path never formats names or takes the registry's write lock.
-    handle_nanos: Vec<Vec<Arc<weaver_metrics::Histogram>>>,
+    /// Per (component, method) statistics, pre-registered so the hot path
+    /// never formats names or takes the registry's write lock.
+    methods: Vec<Vec<MethodStats>>,
     /// Busy-time accounting feeding the proclet's load reports (and thus
     /// the manager's autoscaler).
     busy: Arc<BusyTracker>,
@@ -56,15 +96,17 @@ impl ProcletDispatcher {
         metrics: Arc<MetricsRegistry>,
         dedup: Arc<DedupCache>,
     ) -> Self {
-        let handle_nanos = live
+        let methods = live
             .registry()
             .iter()
             .map(|(_, registration)| {
                 registration
                     .methods
                     .iter()
-                    .map(|m| {
-                        metrics.histogram(&format!("{}/{}/handle_nanos", registration.name, m.name))
+                    .map(|m| MethodStats {
+                        handle_nanos: metrics
+                            .histogram(&format!("{}/{}/handle_nanos", registration.name, m.name)),
+                        recent_nanos: AtomicU64::new(UNMEASURED),
                     })
                     .collect()
             })
@@ -73,7 +115,7 @@ impl ProcletDispatcher {
             live,
             getter,
             version,
-            handle_nanos,
+            methods,
             busy: Arc::new(BusyTracker::new()),
             dedup,
             pool: BufferPool::global().clone(),
@@ -111,6 +153,12 @@ impl ProcletDispatcher {
         };
         (instance.dispatch)(header.method, &ctx, args)
     }
+
+    fn method_stats(&self, header: &RequestHeader) -> Option<&MethodStats> {
+        self.methods
+            .get(header.component as usize)?
+            .get(header.method as usize)
+    }
 }
 
 impl RpcHandler for ProcletDispatcher {
@@ -127,12 +175,8 @@ impl RpcHandler for ProcletDispatcher {
         let outcome = self.handle_inner(header, args);
         let elapsed = started.elapsed();
         self.busy.record(elapsed);
-        if let Some(histogram) = self
-            .handle_nanos
-            .get(header.component as usize)
-            .and_then(|methods| methods.get(header.method as usize))
-        {
-            histogram.record(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
+        if let Some(stats) = self.method_stats(header) {
+            stats.record(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
         }
         match outcome {
             Ok(payload) => {
@@ -156,6 +200,25 @@ impl RpcHandler for ProcletDispatcher {
                 }
             }
         }
+    }
+
+    /// A request may run on the reactor shard when it cannot block there
+    /// and will not hold it long, both judged from what the runtime has
+    /// already seen — nothing is declared by the application:
+    ///
+    /// * the target is running and is a leaf: its `init` acquired no
+    ///   component reference, so no method of it can make a nested call.
+    ///   A component that is not started yet, or is awaiting re-init after
+    ///   a restart, is constructed on a worker. (A restart landing between
+    ///   this answer and `handle` re-runs a leaf's `init` on the shard
+    ///   once; `init` of a leaf acquires nothing, so it cannot wait on the
+    ///   network either.)
+    /// * the method's recent handler time, first measured on a worker, is
+    ///   under [`INLINE_BUDGET_NANOS`].
+    fn inline_ok(&self, header: &RequestHeader) -> bool {
+        self.method_stats(header)
+            .is_some_and(|stats| stats.recent_nanos.load(Ordering::Relaxed) < INLINE_BUDGET_NANOS)
+            && self.live.is_ready_leaf(header.component)
     }
 }
 
@@ -413,6 +476,34 @@ mod tests {
         d.handle(&header(1, 0, 0), &args);
         let snap = metrics.snapshot();
         assert!(snap.get("test.Adder/add/handle_nanos").is_some());
+    }
+
+    #[test]
+    fn only_a_measured_cheap_method_of_a_running_leaf_is_inlined() {
+        let d = dispatcher(1);
+        let h = header(1, 0, 0);
+        let args = weaver_codec::encode_to_vec(&(1u64, 2u64));
+        assert!(!d.inline_ok(&h), "not started, never measured");
+        d.handle(&h, &args);
+        assert!(d.inline_ok(&h), "a leaf whose add took well under 50 µs");
+        assert!(!d.inline_ok(&header(1, 0, 9)), "unknown method");
+        assert!(!d.inline_ok(&header(1, 9, 0)), "unknown component");
+
+        // One slow sample demotes at once; fast ones earn it back slowly.
+        d.method_stats(&h).unwrap().record(5_000_000);
+        assert!(!d.inline_ok(&h));
+        d.handle(&h, &args);
+        assert!(!d.inline_ok(&h), "one fast run does not undo a 5 ms one");
+        for _ in 0..64 {
+            d.handle(&h, &args);
+        }
+        assert!(d.inline_ok(&h), "64 fast runs do");
+
+        // Awaiting re-init after a crash: construction stays on a worker.
+        d.live.restart(0);
+        assert!(!d.inline_ok(&h));
+        d.handle(&h, &args);
+        assert!(d.inline_ok(&h));
     }
 
     #[test]

@@ -367,8 +367,9 @@ impl LatencyHistograms {
 /// the per-call latency histograms: open reactor connections, registered
 /// epoll interests, poller shards, readiness events delivered per
 /// `epoll_wait` return (×1000, so the gauge keeps three decimal places of
-/// the ratio as an integer), and the RPC dispatch-queue depth (requests
-/// decoded on the poller but not yet picked up by a worker).
+/// the ratio as an integer), requests answered on a shard thread without
+/// a worker hand-off, and the RPC dispatch-queue depth (requests decoded
+/// on the poller but not yet picked up by a worker).
 ///
 /// Until the process opens its first connection or server the reactor has
 /// not started, and only the dispatch-queue gauge is recorded.
@@ -391,6 +392,9 @@ pub(crate) fn record_transport_gauges(registry: &MetricsRegistry) {
         registry
             .gauge("transport/reactor/ready_events_per_wakeup_x1000")
             .set(ratio_x1000);
+        registry
+            .gauge("transport/reactor/inline_dispatches")
+            .set(r.inline_dispatches as i64);
     }
     registry
         .gauge("transport/dispatch_queue_depth")

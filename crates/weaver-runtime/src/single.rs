@@ -15,6 +15,7 @@
 //!   network — and the hook point for fault injection.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,26 +53,76 @@ pub struct ComponentFault {
 }
 
 impl ComponentFault {
+    /// True when the fault changes nothing about a call.
+    fn is_noop(&self) -> bool {
+        !self.down && self.delay.is_zero() && self.fail_next == 0
+    }
+}
+
+/// The faults installed on a deployment's components, by component name.
+///
+/// On a cache line of its own: calls only read it while nothing is
+/// installed, and a neighbouring field that is written per call would make
+/// every one of those reads a miss.
+#[derive(Default)]
+#[repr(align(64))]
+pub(crate) struct FaultMap {
+    /// How many entries `by_component` holds. Every call on every replica
+    /// asks whether its target is faulted and, outside a chaos test, the
+    /// answer is no: reading this first keeps those calls off the lock
+    /// word, which every calling thread would otherwise write.
+    installed: AtomicUsize,
+    by_component: RwLock<HashMap<String, ComponentFault>>,
+}
+
+impl FaultMap {
+    /// Installs `fault` on `component`; the default value clears it.
+    pub(crate) fn install(&self, component: &str, fault: ComponentFault) {
+        let mut faults = self.by_component.write();
+        if fault.is_noop() {
+            faults.remove(component);
+        } else {
+            faults.insert(component.to_string(), fault);
+        }
+        self.installed.store(faults.len(), Ordering::Release);
+    }
+
+    /// Whether a call to `component` would currently be failed or delayed.
+    pub(crate) fn is_active(&self, component: &str) -> bool {
+        self.installed.load(Ordering::Acquire) != 0
+            && self
+                .by_component
+                .read()
+                .get(component)
+                .is_some_and(|f| !f.is_noop())
+    }
+
     /// Applies the fault installed on `component`, if any: `down` beats
     /// everything, delays apply to successes and failures alike,
     /// `fail_next` decrements per call.
-    pub(crate) fn check(
-        faults: &RwLock<HashMap<String, ComponentFault>>,
-        component: &str,
-    ) -> Result<(), WeaverError> {
-        let (down, delay, fail) = {
-            let mut faults = faults.write();
-            let Some(fault) = faults.get_mut(component) else {
-                return Ok(());
-            };
-            let fail = if fault.fail_next > 0 {
-                fault.fail_next -= 1;
-                true
-            } else {
-                false
-            };
-            (fault.down, fault.delay, fail)
+    ///
+    /// Every call on every replica passes through here. With nothing
+    /// installed it takes no lock at all; with a fault on some other
+    /// component it takes the shared read lock only; the write lock is
+    /// taken just to count down `fail_next`.
+    pub(crate) fn check(&self, component: &str) -> Result<(), WeaverError> {
+        if self.installed.load(Ordering::Acquire) == 0 {
+            return Ok(());
+        }
+        let (down, delay, may_fail) = match self.by_component.read().get(component) {
+            Some(fault) if !fault.is_noop() => (fault.down, fault.delay, fault.fail_next > 0),
+            _ => return Ok(()),
         };
+        // Re-read under the write lock: another call may have taken the
+        // last failure, or the fault may have been cleared, in between.
+        let fail = may_fail
+            && match self.by_component.write().get_mut(component) {
+                Some(fault) if fault.fail_next > 0 => {
+                    fault.fail_next -= 1;
+                    true
+                }
+                _ => false,
+            };
         if down {
             return Err(WeaverError::Unavailable {
                 detail: format!("{component} is down (injected)"),
@@ -115,7 +166,7 @@ pub struct SingleProcess {
     metrics: Arc<MetricsRegistry>,
     latency: crate::router::LatencyHistograms,
     traces: Arc<TraceSink>,
-    faults: RwLock<HashMap<String, ComponentFault>>,
+    faults: FaultMap,
     self_ref: RwLock<std::sync::Weak<SingleProcess>>,
 }
 
@@ -136,7 +187,7 @@ impl SingleProcess {
             metrics: Arc::clone(&metrics),
             latency: crate::router::LatencyHistograms::new(metrics, placement),
             traces: TraceSink::new(),
-            faults: RwLock::new(HashMap::new()),
+            faults: FaultMap::default(),
             self_ref: RwLock::new(std::sync::Weak::new()),
         });
         *deployment.self_ref.write() = Arc::downgrade(&deployment);
@@ -187,7 +238,7 @@ impl SingleProcess {
     /// Installs (or clears, with the default value) a fault on a component.
     /// Only effective in [`SingleMode::Marshaled`].
     pub fn inject_fault(&self, component: &str, fault: ComponentFault) {
-        self.faults.write().insert(component.to_string(), fault);
+        self.faults.install(component, fault);
     }
 
     /// Crashes a component instance: the next call constructs a fresh one,
@@ -274,7 +325,7 @@ impl CallRouter for SingleProcess {
                 callee_version: self.version,
             })
         } else {
-            ComponentFault::check(&self.faults, target.name)
+            self.faults.check(target.name)
         }
         .and_then(|()| {
             if ctx.expired() {
@@ -380,6 +431,65 @@ mod tests {
     }
     nop_component!(Slow, SlowImpl, "test.Slow");
     nop_component!(Fast, FastImpl, "test.Fast");
+
+    /// 4 threads × 10k checks of `test.Fast`, true when all came back.
+    fn checks_finish(faults: &Arc<FaultMap>) -> bool {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for _ in 0..4 {
+            let faults = Arc::clone(faults);
+            let done = done_tx.clone();
+            std::thread::spawn(move || {
+                for _ in 0..10_000 {
+                    faults.check("test.Fast").unwrap();
+                }
+                done.send(()).unwrap();
+            });
+        }
+        (0..4).all(|_| done_rx.recv_timeout(Duration::from_secs(20)).is_ok())
+    }
+
+    #[test]
+    fn fault_checks_share_the_lock_and_a_clear_removes_the_entry() {
+        let faults = Arc::new(FaultMap::default());
+        // Nothing installed: a check takes no lock, so not even a writer
+        // holds it up.
+        let held = faults.by_component.write();
+        assert!(
+            checks_finish(&faults),
+            "checks on an empty map took the lock"
+        );
+        drop(held);
+        // A fault on another component: a check reads the map, and shares
+        // it — one that took the write lock would never get past the read
+        // guard held here.
+        let down = ComponentFault {
+            down: true,
+            ..Default::default()
+        };
+        faults.install("test.Slow", down);
+        let held = faults.by_component.read();
+        assert!(checks_finish(&faults), "checks blocked behind a reader");
+        drop(held);
+        faults.install("test.Slow", ComponentFault::default());
+
+        let fault = ComponentFault {
+            fail_next: 2,
+            ..Default::default()
+        };
+        faults.install("test.Fast", fault);
+        assert!(faults.is_active("test.Fast"));
+        assert!(faults.check("test.Fast").is_err());
+        assert!(faults.check("test.Fast").is_err());
+        // Spent: the entry is a no-op now, and reads as one.
+        assert!(faults.check("test.Fast").is_ok());
+        assert!(!faults.is_active("test.Fast"));
+        faults.install("test.Fast", ComponentFault::default());
+        assert!(
+            faults.by_component.read().is_empty(),
+            "clearing left an entry behind"
+        );
+        assert_eq!(faults.installed.load(Ordering::Relaxed), 0);
+    }
 
     #[test]
     fn injected_delay_stalls_only_its_own_component() {

@@ -24,7 +24,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard};
 
 use weaver_core::client::{CallRouter, TargetInfo};
 use weaver_core::component::ComponentInterface;
@@ -48,7 +48,7 @@ use crate::dispatch::ProcletDispatcher;
 use crate::router::{
     body_to_outcome, next_idempotency_key, RemoteRouter, RoutingState, RoutingTable, Scope,
 };
-use crate::single::{ComponentFault, FaultInjectable};
+use crate::single::{ComponentFault, FaultInjectable, FaultMap};
 
 /// How long a migration waits for in-flight calls on the frozen range to
 /// finish before aborting (and unfreezing with the old assignment intact).
@@ -85,7 +85,7 @@ impl Default for TcpOptions {
     }
 }
 
-type SharedFaults = Arc<RwLock<HashMap<String, ComponentFault>>>;
+type SharedFaults = Arc<FaultMap>;
 
 /// Server-side handler: component-level fault check, then real dispatch.
 struct FaultingHandler {
@@ -110,7 +110,7 @@ impl RpcHandler for FaultingHandler {
             .get(header.component)
             .map(|r| r.name)
             .unwrap_or("?");
-        if let Err(e) = ComponentFault::check(&self.faults, name) {
+        if let Err(e) = self.faults.check(name) {
             let mut buf = self.pool.get(64);
             weaver_codec::encode_into(&mut buf, &e);
             return ResponseBody {
@@ -119,6 +119,19 @@ impl RpcHandler for FaultingHandler {
             };
         }
         self.inner.handle(header, args)
+    }
+
+    /// A component with an injected fault is kept off the reactor shard:
+    /// its `delay` sleeps. This and `handle` read the fault map one after
+    /// the other, so a `delay` injected between the two reads sleeps on the
+    /// shard once — the one request the shard had already admitted; every
+    /// later request sees the fault here and goes to a worker.
+    fn inline_ok(&self, header: &RequestHeader) -> bool {
+        self.inner.inline_ok(header)
+            && self
+                .registry
+                .get(header.component)
+                .is_ok_and(|r| !self.faults.is_active(r.name))
     }
 }
 
@@ -300,7 +313,7 @@ impl TcpProcess {
         assert!(options.replicas > 0, "at least one replica");
         let table = RoutingTable::new();
         let callgraph = Arc::new(CallGraph::new());
-        let faults: SharedFaults = Arc::new(RwLock::new(HashMap::new()));
+        let faults = SharedFaults::default();
         let injectors: Arc<Mutex<Vec<FaultInjector>>> = Arc::new(Mutex::new(Vec::new()));
 
         let pool = match options.fault_spec.clone() {
@@ -433,6 +446,22 @@ impl TcpProcess {
         self.replicas.len()
     }
 
+    /// Components running as leaves on some replica, in name order: started
+    /// there, and their `init` acquired no component reference. These are
+    /// the ones whose cheap methods the servers answer on the reactor shard.
+    ///
+    /// Test-only (`tests/inline_dispatch.rs`): boutique components do not
+    /// report the thread they ran on, so the leaf set cannot be read off
+    /// `inline_dispatches` and thread names. Not part of the supported API.
+    #[doc(hidden)]
+    pub fn leaf_components(&self) -> Vec<&'static str> {
+        self.registry
+            .iter()
+            .filter(|&(id, _)| self.replicas.iter().any(|r| r.live.is_ready_leaf(id)))
+            .map(|(_, registration)| registration.name)
+            .collect()
+    }
+
     /// Client-side call-graph snapshot (edges recorded by the router).
     pub fn callgraph(&self) -> CallGraphSnapshot {
         self.router.callgraph().snapshot()
@@ -467,7 +496,7 @@ impl TcpProcess {
     /// Installs (or clears, with the default value) a component fault,
     /// enforced server-side on every replica.
     pub fn inject_fault(&self, component: &str, fault: ComponentFault) {
-        self.faults.write().insert(component.to_string(), fault);
+        self.faults.install(component, fault);
     }
 
     /// Crashes a component on every replica: each next call per replica

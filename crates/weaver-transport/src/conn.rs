@@ -31,7 +31,7 @@ use crate::buf::BufferPool;
 use crate::error::TransportError;
 use crate::fault::DuplexStream;
 use crate::frame::{Framing, Message, RequestHeader, ResponseBody};
-use crate::reactor::{ConnDriver, ConnState, OutFrame, Reactor};
+use crate::reactor::{refuse_blocking_on_reactor, ConnDriver, ConnState, OutFrame, Reactor};
 
 type PendingMap = Arc<Mutex<HashMap<u64, Sender<Result<ResponseBody, TransportError>>>>>;
 
@@ -185,13 +185,16 @@ impl<F: Framing> Connection<F> {
     /// Performs one call and waits for its response.
     ///
     /// `timeout` of `None` waits indefinitely (used only by tests; real
-    /// callers always carry a deadline).
+    /// callers always carry a deadline). Fails without sending when called
+    /// from a handler running inline on a reactor shard, which must not
+    /// block.
     pub fn call(
         &self,
         header: &RequestHeader,
         args: &[u8],
         timeout: Option<Duration>,
     ) -> Result<ResponseBody, TransportError> {
+        refuse_blocking_on_reactor()?;
         let (stream, rx) = self.begin(header, args)?;
         let outcome = match timeout {
             Some(t) => rx.recv_timeout(t).map_err(|_| ()),
@@ -320,8 +323,11 @@ impl<F: Framing> CallFuture<F> {
     /// Waits for the response. `timeout` of `None` waits indefinitely; on
     /// timeout the stream is cancelled and [`TransportError::DeadlineExceeded`]
     /// is returned (or [`TransportError::ConnectionClosed`] if the socket
-    /// died while waiting).
+    /// died while waiting). From a handler running inline on a reactor
+    /// shard the wait is refused and the call cancelled.
     pub fn wait(mut self, timeout: Option<Duration>) -> Result<ResponseBody, TransportError> {
+        // Not yet `done`: dropping `self` on this return abandons the stream.
+        refuse_blocking_on_reactor()?;
         self.done = true;
         let outcome = match timeout {
             Some(t) => self.rx.recv_timeout(t).map_err(|_| ()),
@@ -342,6 +348,10 @@ impl<F: Framing> CallFuture<F> {
     ) -> Option<Result<ResponseBody, TransportError>> {
         if self.done {
             return Some(Err(TransportError::Cancelled));
+        }
+        if let Err(refused) = refuse_blocking_on_reactor() {
+            // Not marked `done`, so dropping the future abandons the stream.
+            return Some(Err(refused));
         }
         match self.rx.recv_timeout(timeout) {
             Ok(result) => {

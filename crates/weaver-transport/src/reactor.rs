@@ -25,13 +25,20 @@
 //!   the queue drains, so idle connections cost one registration and zero
 //!   wakeups.
 //! * **Dispatch.** Frame decode happens on the shard thread; the driver
-//!   decides what runs where (the client driver resolves pending calls
-//!   in-line, the server driver hands handler execution to a bounded
-//!   worker pool).
+//!   decides what runs where. The client driver resolves pending calls
+//!   in-line. The server driver hands handler execution to a bounded
+//!   worker pool, except for requests its handler declares unable to block
+//!   ([`RpcHandler::inline_ok`](crate::server::RpcHandler::inline_ok)):
+//!   those run right here, and their replies leave in this loop
+//!   iteration's `drain_flush_queue`, coalesced per connection. A shard
+//!   thread that blocked would stall every connection it owns, so while
+//!   such a handler runs the thread is marked ([`InlineScope`]) and the
+//!   blocking client calls refuse to wait on it.
 //!
 //! The module sits on the vendored `epoll` shim, which is why the crate
 //! builds on Linux only.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -60,6 +67,41 @@ const READ_CHUNK: usize = 16 * 1024;
 /// to amortize a syscall over dozens of typical frames, small enough to keep
 /// the coalescing scratch buffer within the pool's largest size class.
 const COALESCE_BUDGET: usize = 64 * 1024;
+
+thread_local! {
+    /// Set while this thread runs a request handler in place of a worker.
+    static IN_INLINE_HANDLER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as running an inline handler until dropped
+/// (also on unwind, so a panicking handler does not leave the mark behind).
+pub(crate) struct InlineScope;
+
+impl InlineScope {
+    pub fn enter() -> Self {
+        IN_INLINE_HANDLER.set(true);
+        InlineScope
+    }
+}
+
+impl Drop for InlineScope {
+    fn drop(&mut self) {
+        IN_INLINE_HANDLER.set(false);
+    }
+}
+
+/// Fails a blocking wait attempted from inside an inline handler. The
+/// shard thread it runs on serves no connection while it waits, and may be
+/// the very thread that has to deliver the awaited response — in which
+/// case the wait could only end at its deadline.
+pub(crate) fn refuse_blocking_on_reactor() -> Result<(), TransportError> {
+    if IN_INLINE_HANDLER.get() {
+        return Err(TransportError::Io(
+            "blocking call from a reactor thread".into(),
+        ));
+    }
+    Ok(())
+}
 
 /// One outbound frame: an encoded prefix (or a whole frame) plus an
 /// optional zero-copy payload tail written contiguously after it.
@@ -205,6 +247,14 @@ impl ConnState {
         )
     }
 
+    /// Counts one request answered on the shard thread instead of a worker.
+    pub fn note_inline_dispatch(&self) {
+        self.shard
+            .stats
+            .inline_dispatches
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Enqueues a frame for the coalescing drain on the shard thread.
     /// Fails fast when the connection is already dead.
     pub fn send(&self, frame: OutFrame) -> Result<(), TransportError> {
@@ -277,6 +327,8 @@ pub struct ReactorStats {
     pub wakeups: AtomicU64,
     /// Readiness events delivered so far (counter).
     pub ready_events: AtomicU64,
+    /// Requests whose handler ran on a shard thread, not a worker (counter).
+    pub inline_dispatches: AtomicU64,
 }
 
 /// A point-in-time copy of [`ReactorStats`].
@@ -290,6 +342,8 @@ pub struct ReactorSnapshot {
     pub wakeups: u64,
     /// Readiness events delivered so far.
     pub ready_events: u64,
+    /// Requests whose handler ran on a shard thread instead of a worker.
+    pub inline_dispatches: u64,
     /// Poller shards serving those connections.
     pub shards: u64,
 }
@@ -700,6 +754,7 @@ impl Reactor {
             interests: self.stats.interests.load(Ordering::Relaxed),
             wakeups: self.stats.wakeups.load(Ordering::Relaxed),
             ready_events: self.stats.ready_events.load(Ordering::Relaxed),
+            inline_dispatches: self.stats.inline_dispatches.load(Ordering::Relaxed),
             shards: self.shards.len() as u64,
         }
     }

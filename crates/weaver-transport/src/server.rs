@@ -3,8 +3,20 @@
 //!
 //! The listening socket and every accepted connection live on the shared
 //! readiness reactor ([`crate::reactor`]): accepts, frame decode and
-//! response writes all run on the poller shards, and only handler execution
+//! response writes all run on the poller shards, and handler execution
 //! hops to the bounded worker pool. No threads are created per connection.
+//!
+//! That hop — channel send, futex wake, run-queue wait, and the same again
+//! for the reply — costs more than a small handler does, so the one
+//! dispatch path has one branch: a request for which the installed handler
+//! answers [`RpcHandler::inline_ok`] runs on the shard thread that decoded
+//! it. The default answer is `false`, because a server cannot know whether
+//! an arbitrary handler blocks (closure handlers and the gRPC-like baseline
+//! never get the branch); the component runtime can know, and says yes only
+//! for a started component that acquired no reference to another one, whose
+//! method has measured cheap, and that has no injected fault. A handler
+//! that answers yes wrongly and then waits on a call gets an error, not a
+//! stalled shard (see [`crate::reactor`]'s dispatch notes).
 //!
 //! The response path is zero-copy end to end: handlers receive request args
 //! as a borrowed slice of the pooled receive buffer and return a
@@ -16,6 +28,7 @@
 use std::collections::HashSet;
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -25,7 +38,7 @@ use crate::buf::BufferPool;
 use crate::error::TransportError;
 use crate::frame::{Framing, Message, RequestHeader, ResponseBody};
 use crate::pool::WorkerPool;
-use crate::reactor::{ConnDriver, ConnState, OutFrame, Reactor};
+use crate::reactor::{ConnDriver, ConnState, InlineScope, OutFrame, Reactor};
 
 /// The server-side request handler installed by the runtime.
 ///
@@ -36,6 +49,14 @@ use crate::reactor::{ConnDriver, ConnState, OutFrame, Reactor};
 pub trait RpcHandler: Send + Sync + 'static {
     /// Handles one request.
     fn handle(&self, header: &RequestHeader, args: &[u8]) -> ResponseBody;
+
+    /// Whether [`RpcHandler::handle`] for this request may run on the
+    /// reactor shard thread that decoded it instead of a worker. Say `true`
+    /// only when the handler can neither wait on another call nor run long:
+    /// the shard serves no other connection meanwhile.
+    fn inline_ok(&self, _header: &RequestHeader) -> bool {
+        false
+    }
 }
 
 impl<F> RpcHandler for F
@@ -161,8 +182,8 @@ impl<F: Framing> Drop for Server<F> {
 }
 
 /// Protocol logic for one accepted connection: decode on the poller shard,
-/// execute on the worker pool, reply through the connection's coalescing
-/// write queue.
+/// execute on the worker pool (or in place, when the handler allows it),
+/// reply through the connection's coalescing write queue.
 struct ServerDriver<F: Framing> {
     handler: Arc<dyn RpcHandler>,
     workers: Arc<WorkerPool>,
@@ -172,6 +193,22 @@ struct ServerDriver<F: Framing> {
     /// cancelled. A `Cancel` removes the id; a worker replies only if it
     /// can still remove its own. Bounded by in-flight requests.
     in_flight: Arc<Mutex<HashSet<u64>>>,
+}
+
+/// Encodes `body` as the response on `stream` and queues it for the shard's
+/// coalescing drain.
+fn send_response<F: Framing>(
+    state: &ConnState,
+    buf_pool: &BufferPool,
+    stream: u64,
+    body: &ResponseBody,
+) -> Result<(), TransportError> {
+    let mut buf = buf_pool.get(64);
+    let tail = F::write_response_parts(&mut buf, stream, body);
+    state.send(OutFrame {
+        head: buf.freeze(),
+        tail,
+    })
 }
 
 impl<F: Framing> ConnDriver for ServerDriver<F> {
@@ -191,6 +228,22 @@ impl<F: Framing> ConnDriver for ServerDriver<F> {
                 header,
                 args,
             }) => {
+                if self.handler.inline_ok(&header) {
+                    // No `in_flight` entry: this thread reads the
+                    // connection's frames, so no `Cancel` can arrive before
+                    // the reply is queued. A panic must not take the shard
+                    // (and every connection on it) down with it: it costs
+                    // this connection instead.
+                    state.note_inline_dispatch();
+                    let body = {
+                        let _scope = InlineScope::enter();
+                        catch_unwind(AssertUnwindSafe(|| self.handler.handle(&header, &args)))
+                    }
+                    .map_err(|_| TransportError::Io("inline handler panicked".into()))?;
+                    drop(args);
+                    let _ = send_response::<F>(state, &self.buf_pool, stream, &body);
+                    return Ok(());
+                }
                 self.in_flight.lock().insert(stream);
                 let handler = Arc::clone(&self.handler);
                 let in_flight = Arc::clone(&self.in_flight);
@@ -204,12 +257,7 @@ impl<F: Framing> ConnDriver for ServerDriver<F> {
                     if !in_flight.lock().remove(&stream) {
                         return; // cancelled while running: suppress the reply
                     }
-                    let mut buf = buf_pool.get(64);
-                    let tail = F::write_response_parts(&mut buf, stream, &body);
-                    let _ = state.send(OutFrame {
-                        head: buf.freeze(),
-                        tail,
-                    });
+                    let _ = send_response::<F>(&state, &buf_pool, stream, &body);
                 });
             }
             Some(Message::Cancel { stream }) => {
@@ -364,6 +412,189 @@ mod tests {
         assert_eq!(next_response(&mut peer), 2);
         assert!(driver.in_flight.lock().is_empty());
         state.kill();
+    }
+
+    /// A handler that claims it may run on the shard thread; what it does
+    /// there is the wrapped closure's business.
+    struct Inline(Arc<dyn RpcHandler>);
+
+    impl RpcHandler for Inline {
+        fn handle(&self, header: &RequestHeader, args: &[u8]) -> ResponseBody {
+            self.0.handle(header, args)
+        }
+
+        fn inline_ok(&self, _: &RequestHeader) -> bool {
+            true
+        }
+    }
+
+    fn ok(payload: Vec<u8>) -> ResponseBody {
+        ResponseBody {
+            status: Status::Ok,
+            payload: payload.into(),
+        }
+    }
+
+    /// Replies with the name of the thread the handler ran on.
+    fn thread_namer(_: &RequestHeader, _: &[u8]) -> ResponseBody {
+        ok(std::thread::current()
+            .name()
+            .unwrap_or("")
+            .as_bytes()
+            .to_vec())
+    }
+
+    #[test]
+    fn inline_handlers_run_on_the_shard_and_the_rest_on_workers() {
+        let ran_on = |handler: Arc<dyn RpcHandler>| {
+            let server = Server::<WeaverFraming>::bind("127.0.0.1:0", 2, handler).unwrap();
+            let conn = Connection::<WeaverFraming>::connect(server.local_addr()).unwrap();
+            let resp = conn
+                .call(&RequestHeader::default(), &[], Some(Duration::from_secs(5)))
+                .unwrap();
+            String::from_utf8(resp.payload.to_vec()).unwrap()
+        };
+        let inline_before = crate::reactor_snapshot().map_or(0, |r| r.inline_dispatches);
+        let name = ran_on(Arc::new(Inline(Arc::new(thread_namer))));
+        assert!(
+            name.starts_with("weaver-reactor-"),
+            "inline ran on {name:?}"
+        );
+        // The reactor is process-wide and other tests run beside this one,
+        // so the counter is only known to have moved by at least this call.
+        let inline_after = crate::reactor_snapshot().unwrap().inline_dispatches;
+        assert!(inline_after > inline_before);
+        let name = ran_on(Arc::new(thread_namer));
+        assert!(
+            name.starts_with("weaver-rpc-worker-"),
+            "default ran on {name:?}"
+        );
+    }
+
+    #[test]
+    fn pipelined_inline_replies_share_a_flush() {
+        use std::io::Write as _;
+
+        let server =
+            Server::<WeaverFraming>::bind("127.0.0.1:0", 1, Arc::new(Inline(echo_handler())))
+                .unwrap();
+        let mut peer = TcpStream::connect(server.local_addr()).unwrap();
+        peer.set_nodelay(true).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // Eight requests in one segment: the shard decodes and answers all
+        // of them in one readiness event, and only then drains its flush
+        // queue.
+        let mut wire = Vec::new();
+        for stream in 1..=8u64 {
+            let header = RequestHeader {
+                method: stream as u32,
+                ..Default::default()
+            };
+            WeaverFraming::write_request(&mut wire, stream, &header, &[stream as u8; 3]);
+        }
+        peer.write_all(&wire).unwrap();
+        for expect in 1..=8u64 {
+            match WeaverFraming.read_message(&mut peer, &BufferPool::new()) {
+                Ok(Some(Message::Response { stream, body })) => {
+                    assert_eq!(stream, expect, "inline replies keep request order");
+                    let b = expect as u8;
+                    assert_eq!(&*body.payload, &[b, b, b, b][..]);
+                }
+                other => panic!("expected a response, got {other:?}"),
+            }
+        }
+        let accepted = server.conns.lock()[0].upgrade().expect("connection alive");
+        let (frames, flushes) = accepted.writer_counters();
+        assert_eq!(frames, 8);
+        assert!(flushes < frames, "{frames} replies took {flushes} writes");
+    }
+
+    #[test]
+    fn inline_answers_never_enter_in_flight() {
+        let (driver, state, mut peer) = driven(Arc::new(Inline(echo_handler())));
+        for stream in 1..=8 {
+            driver.on_frame(&state, &request(stream)).unwrap();
+            assert!(driver.in_flight.lock().is_empty());
+            assert_eq!(next_response(&mut peer), stream);
+            driver.on_frame(&state, &cancel(stream)).unwrap();
+        }
+        assert!(driver.in_flight.lock().is_empty());
+        state.kill();
+    }
+
+    /// A handler whose `inline_ok` lies: it makes a nested call and waits
+    /// for it, three different ways. Each must come back as an error at
+    /// once, not stall the shard until the deadline.
+    #[test]
+    fn blocking_from_an_inline_handler_is_an_error_not_a_hang() {
+        let backend = Server::<WeaverFraming>::bind("127.0.0.1:0", 1, echo_handler()).unwrap();
+        let nested = Arc::new(Connection::<WeaverFraming>::connect(backend.local_addr()).unwrap());
+        let liar = {
+            let nested = Arc::clone(&nested);
+            move |header: &RequestHeader, _: &[u8]| {
+                let wait = Some(Duration::from_secs(30));
+                let inner = RequestHeader::default();
+                let outcome = match header.method {
+                    0 => nested.call(&inner, &[], wait),
+                    1 => Connection::call_begin(&nested, &inner, &[])
+                        .and_then(|call| call.wait(wait)),
+                    _ => Connection::call_begin(&nested, &inner, &[]).and_then(|mut call| {
+                        call.wait_timeout(Duration::from_secs(30))
+                            .expect("a refusal is a final outcome")
+                    }),
+                };
+                ok(format!("{outcome:?}").into_bytes())
+            }
+        };
+        let server =
+            Server::<WeaverFraming>::bind("127.0.0.1:0", 1, Arc::new(Inline(Arc::new(liar))))
+                .unwrap();
+        let conn = Connection::<WeaverFraming>::connect(server.local_addr()).unwrap();
+        for method in 0..3 {
+            let header = RequestHeader {
+                method,
+                ..Default::default()
+            };
+            let started = std::time::Instant::now();
+            let resp = conn
+                .call(&header, &[], Some(Duration::from_secs(5)))
+                .expect("the reply beats the deadline");
+            assert!(started.elapsed() < Duration::from_secs(2));
+            let saw = String::from_utf8(resp.payload.to_vec()).unwrap();
+            assert!(
+                saw.contains("blocking call from a reactor thread"),
+                "method {method}: nested call returned {saw}"
+            );
+        }
+        assert_eq!(nested.in_flight(), 0, "refused calls were abandoned");
+        // The same connection still works from a thread that may block.
+        nested
+            .call(&RequestHeader::default(), &[], Some(Duration::from_secs(5)))
+            .unwrap();
+    }
+
+    #[test]
+    fn a_panicking_inline_handler_costs_its_connection_not_the_shard() {
+        let handler = Inline(Arc::new(|header: &RequestHeader, _: &[u8]| {
+            assert_ne!(header.method, 1, "injected handler panic");
+            ok(vec![])
+        }));
+        let server = Server::<WeaverFraming>::bind("127.0.0.1:0", 1, Arc::new(handler)).unwrap();
+        let doomed = Connection::<WeaverFraming>::connect(server.local_addr()).unwrap();
+        let header = RequestHeader {
+            method: 1,
+            ..Default::default()
+        };
+        assert_eq!(
+            doomed.call(&header, &[], Some(Duration::from_secs(5))),
+            Err(TransportError::ConnectionClosed)
+        );
+        // Every shard still serves (with one shard, the one that caught it).
+        for _ in 0..8 {
+            let conn = Connection::<WeaverFraming>::connect(server.local_addr()).unwrap();
+            conn.call(&RequestHeader::default(), &[], Some(Duration::from_secs(5)))
+                .unwrap();
+        }
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn live_placement_migration_holds_safety_under_chaos() {
         // machinery, not the default thresholds (those are exercised by
         // the convergence test).
         let controller = PlacementController::new(PlacementOptions {
-            migration_cost_ns: 100_000.0,
+            migration_cost_hops: 4.0,
             min_rate: 0.25,
             ..Default::default()
         });
