@@ -70,11 +70,10 @@ impl CartStore {
     /// moved-out cart lingering on the old owner would resurrect stale
     /// state if the range ever moved back.
     pub fn export_range(&self, start: u64, end: u64) -> Vec<CartRecord> {
-        let in_range = |h: u64| h >= start && (h < end || (end == u64::MAX && h == u64::MAX));
         let mut carts = self.carts.write();
         let users: Vec<String> = carts
             .keys()
-            .filter(|u| in_range(weaver_core::routing_key(*u)))
+            .filter(|u| weaver_transport::in_slice(start, end, weaver_core::routing_key(*u)))
             .cloned()
             .collect();
         users

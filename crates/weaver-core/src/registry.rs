@@ -187,12 +187,22 @@ impl ComponentRegistry {
         &self,
         router: Arc<dyn crate::client::CallRouter>,
     ) -> Result<ClientHandle, WeaverError> {
-        let id = self.id_of(I::NAME)?;
+        self.remote_handle(self.id_of(I::NAME)?, router)
+    }
+
+    /// Builds the client handle through which every call to component `id`
+    /// goes via `router`: how each deployer resolves a remote reference.
+    pub fn remote_handle(
+        &self,
+        id: u32,
+        router: Arc<dyn crate::client::CallRouter>,
+    ) -> Result<ClientHandle, WeaverError> {
+        let registration = self.get(id)?;
         Ok(ClientHandle::new(
             crate::client::TargetInfo {
                 component_id: id,
-                name: I::NAME,
-                methods: I::METHODS,
+                name: registration.name,
+                methods: registration.methods,
             },
             router,
         ))

@@ -1,8 +1,14 @@
-//! Server-side dispatch: from transport request to component method.
+//! Server-side dispatch: from request to component method.
+//!
+//! One path for every deployer: a server's [`ProcletDispatcher`] and the
+//! marshaled single-process deployer both run `admit` then `invoke`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use parking_lot::RwLock;
 
 use weaver_core::context::{CallContext, ComponentGetter};
 use weaver_core::error::WeaverError;
@@ -11,6 +17,7 @@ use weaver_metrics::MetricsRegistry;
 use weaver_transport::{BufferPool, RequestHeader, ResponseBody, RpcHandler, Status, WireBuf};
 
 use crate::dedup::DedupCache;
+use crate::single::ComponentFault;
 
 /// A method runs on the reactor shard only while its recent handler time is
 /// below this: the shard serves no other connection meanwhile, so the bound
@@ -51,12 +58,137 @@ impl MethodStats {
     }
 }
 
-/// The RPC handler a proclet installs on its data-plane server.
+/// The faults installed on a deployment's components, by component name
+/// (weavertest / chaos hooks, §5.3). Every dispatcher checks one on
+/// admission; outside a chaos test it stays empty.
 ///
-/// Responsibilities, in order: enforce the atomic-rollout version invariant
-/// (§4.4), replay idempotent repeats from the dedup cache, ensure the
-/// target component is started (Table 1: `StartComponent` semantics),
-/// rebuild the [`CallContext`], dispatch, and record server-side latency.
+/// On a cache line of its own: calls only read it while nothing is
+/// installed, and a neighbouring field that is written per call would make
+/// every one of those reads a miss.
+#[derive(Default)]
+#[repr(align(64))]
+pub struct FaultMap {
+    /// How many entries `by_component` holds. Every call on every replica
+    /// asks whether its target is faulted and, outside a chaos test, the
+    /// answer is no: reading this first keeps those calls off the lock
+    /// word, which every calling thread would otherwise write.
+    installed: AtomicUsize,
+    by_component: RwLock<HashMap<String, ComponentFault>>,
+}
+
+impl FaultMap {
+    /// Installs `fault` on `component`; the default value clears it.
+    pub(crate) fn install(&self, component: &str, fault: ComponentFault) {
+        let mut faults = self.by_component.write();
+        if fault.is_noop() {
+            faults.remove(component);
+        } else {
+            faults.insert(component.to_string(), fault);
+        }
+        self.installed.store(faults.len(), Ordering::Release);
+    }
+
+    /// Whether a call to `component` would currently be failed or delayed.
+    fn is_active(&self, component: &str) -> bool {
+        self.installed.load(Ordering::Acquire) != 0
+            && self
+                .by_component
+                .read()
+                .get(component)
+                .is_some_and(|f| !f.is_noop())
+    }
+
+    /// Applies the fault installed on `component`, if any: `down` beats
+    /// everything, delays apply to successes and failures alike,
+    /// `fail_next` decrements per call.
+    ///
+    /// Every call on every replica passes through here. With nothing
+    /// installed it takes no lock at all; with a fault on some other
+    /// component it takes the shared read lock only; the write lock is
+    /// taken just to count down `fail_next`.
+    fn check(&self, component: &str) -> Result<(), WeaverError> {
+        if self.installed.load(Ordering::Acquire) == 0 {
+            return Ok(());
+        }
+        let (down, delay, may_fail) = match self.by_component.read().get(component) {
+            Some(fault) if !fault.is_noop() => (fault.down, fault.delay, fault.fail_next > 0),
+            _ => return Ok(()),
+        };
+        // Re-read under the write lock: another call may have taken the
+        // last failure, or the fault may have been cleared, in between.
+        let fail = may_fail
+            && match self.by_component.write().get_mut(component) {
+                Some(fault) if fault.fail_next > 0 => {
+                    fault.fail_next -= 1;
+                    true
+                }
+                _ => false,
+            };
+        if down {
+            return Err(WeaverError::Unavailable {
+                detail: format!("{component} is down (injected)"),
+            });
+        }
+        // Sleep outside the lock so a delayed component stalls neither
+        // calls to other components nor the `inject_fault` that clears it.
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
+        }
+        if fail {
+            return Err(WeaverError::Unavailable {
+                detail: format!("{component} failed (injected)"),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Admission, the first step of every dispatch in every deployer: the §4.4
+/// version backstop, then the fault injected on the target. In that order:
+/// version admission is the deployment boundary and injected faults are
+/// component failures inside it, so a mis-stamped request is rejected as
+/// such even while chaos has the target down.
+pub(crate) fn admit(
+    faults: &FaultMap,
+    version: u64,
+    caller_version: u64,
+    component: &str,
+) -> Result<(), WeaverError> {
+    if caller_version != version {
+        return Err(WeaverError::VersionMismatch {
+            caller_version,
+            callee_version: version,
+        });
+    }
+    faults.check(component)
+}
+
+/// Execution, the second step: fail a call whose deadline has passed,
+/// start the target if it is not running (Table 1: `StartComponent`
+/// semantics), attribute the calls it makes to it, and run the method.
+pub(crate) fn invoke(
+    live: &LiveComponents,
+    getter: &dyn ComponentGetter,
+    component: u32,
+    method: u32,
+    mut ctx: CallContext,
+    args: &[u8],
+) -> Result<Vec<u8>, WeaverError> {
+    if ctx.expired() {
+        return Err(WeaverError::DeadlineExceeded);
+    }
+    let registration = live.registry().get(component)?;
+    let instance = live.get_or_start(component, getter)?;
+    ctx.caller = registration.name;
+    (instance.dispatch)(method, &ctx, args)
+}
+
+/// The RPC handler every server in the runtime installs: proclets, and
+/// each replica of [`crate::tcp::TcpProcess`].
+///
+/// Responsibilities, in order: `admit` (version, then injected fault),
+/// replay idempotent repeats from the dedup cache, `invoke`, and record
+/// server-side latency.
 pub struct ProcletDispatcher {
     live: Arc<LiveComponents>,
     getter: Arc<dyn ComponentGetter>,
@@ -68,33 +200,26 @@ pub struct ProcletDispatcher {
     /// the manager's autoscaler).
     busy: Arc<BusyTracker>,
     /// Completed keyed responses, replayed for retried requests instead of
-    /// re-executing (shared across replicas of one process).
+    /// re-executing. Sharing one across replicas lets an unrouted retry
+    /// that lands on a different replica still find the recorded response.
     dedup: Arc<DedupCache>,
+    /// Injected faults, shared by every replica of a deployment; a proclet's
+    /// stays empty.
+    faults: Arc<FaultMap>,
     /// Recycled buffers for encoding error payloads without allocating.
     pool: BufferPool,
 }
 
 impl ProcletDispatcher {
-    /// Builds a dispatcher for deployment `version` with its own dedup
-    /// cache (single-replica processes).
+    /// Builds a dispatcher for deployment `version` over `dedup` and
+    /// `faults`.
     pub fn new(
         live: Arc<LiveComponents>,
         getter: Arc<dyn ComponentGetter>,
         version: u64,
         metrics: Arc<MetricsRegistry>,
-    ) -> Self {
-        Self::with_dedup(live, getter, version, metrics, Arc::new(DedupCache::new()))
-    }
-
-    /// Builds a dispatcher sharing `dedup` with sibling replicas, so an
-    /// unrouted retry that lands on a different replica still finds the
-    /// recorded response.
-    pub fn with_dedup(
-        live: Arc<LiveComponents>,
-        getter: Arc<dyn ComponentGetter>,
-        version: u64,
-        metrics: Arc<MetricsRegistry>,
         dedup: Arc<DedupCache>,
+        faults: Arc<FaultMap>,
     ) -> Self {
         let methods = live
             .registry()
@@ -118,13 +243,9 @@ impl ProcletDispatcher {
             methods,
             busy: Arc::new(BusyTracker::new()),
             dedup,
+            faults,
             pool: BufferPool::global().clone(),
         }
-    }
-
-    /// The dedup cache this dispatcher consults (tests/observability).
-    pub fn dedup_cache(&self) -> Arc<DedupCache> {
-        Arc::clone(&self.dedup)
     }
 
     /// The dispatcher's busy tracker (shared with the proclet main loop).
@@ -132,47 +253,55 @@ impl ProcletDispatcher {
         Arc::clone(&self.busy)
     }
 
-    fn handle_inner(&self, header: &RequestHeader, args: &[u8]) -> Result<Vec<u8>, WeaverError> {
-        if header.version != self.version {
-            return Err(WeaverError::VersionMismatch {
-                caller_version: header.version,
-                callee_version: self.version,
-            });
+    fn method_stats(&self, header: &RequestHeader) -> Option<&MethodStats> {
+        self.methods
+            .get(header.component as usize)?
+            .get(header.method as usize)
+    }
+
+    fn component_name(&self, component: u32) -> &'static str {
+        self.live.registry().get(component).map_or("?", |r| r.name)
+    }
+
+    fn error_body(&self, e: &WeaverError) -> ResponseBody {
+        let mut buf = self.pool.get(64);
+        weaver_codec::encode_into(&mut buf, e);
+        ResponseBody {
+            status: Status::Error,
+            payload: buf.freeze(),
         }
-        let registration = self.live.registry().get(header.component)?;
-        let instance = self.live.get_or_start(header.component, &*self.getter)?;
+    }
+}
+
+impl RpcHandler for ProcletDispatcher {
+    fn handle(&self, header: &RequestHeader, args: &[u8]) -> ResponseBody {
+        let name = self.component_name(header.component);
+        if let Err(e) = admit(&self.faults, self.version, header.version, name) {
+            return self.error_body(&e);
+        }
+        // Replay completed keyed requests instead of re-executing. Strictly
+        // after admission: a stale caller must still see VersionMismatch
+        // and a downed component Unavailable, never a recorded response.
+        if let Some(replayed) = self.dedup.replay(header) {
+            return replayed;
+        }
         let ctx = CallContext {
             deadline: (header.deadline_nanos > 0)
                 .then(|| Instant::now() + Duration::from_nanos(header.deadline_nanos)),
             trace_id: header.trace_id,
             span_id: header.span_id,
             version: self.version,
-            // Outbound calls made while handling this request are attributed
-            // to the component being dispatched.
-            caller: registration.name,
+            caller: "",
         };
-        (instance.dispatch)(header.method, &ctx, args)
-    }
-
-    fn method_stats(&self, header: &RequestHeader) -> Option<&MethodStats> {
-        self.methods
-            .get(header.component as usize)?
-            .get(header.method as usize)
-    }
-}
-
-impl RpcHandler for ProcletDispatcher {
-    fn handle(&self, header: &RequestHeader, args: &[u8]) -> ResponseBody {
-        // Replay completed keyed requests instead of re-executing. Strictly
-        // after the version gate: a stale caller must still see
-        // VersionMismatch, never a response recorded under the old version.
-        if header.idempotency.is_some() && header.version == self.version {
-            if let Some(replayed) = self.dedup.replay(header) {
-                return replayed;
-            }
-        }
         let started = Instant::now();
-        let outcome = self.handle_inner(header, args);
+        let outcome = invoke(
+            &self.live,
+            &*self.getter,
+            header.component,
+            header.method,
+            ctx,
+            args,
+        );
         let elapsed = started.elapsed();
         self.busy.record(elapsed);
         if let Some(stats) = self.method_stats(header) {
@@ -191,14 +320,7 @@ impl RpcHandler for ProcletDispatcher {
                 self.dedup.record(header, &body);
                 body
             }
-            Err(e) => {
-                let mut buf = self.pool.get(64);
-                weaver_codec::encode_into(&mut buf, &e);
-                ResponseBody {
-                    status: Status::Error,
-                    payload: buf.freeze(),
-                }
-            }
+            Err(e) => self.error_body(&e),
         }
     }
 
@@ -215,10 +337,16 @@ impl RpcHandler for ProcletDispatcher {
     ///   network either.)
     /// * the method's recent handler time, first measured on a worker, is
     ///   under [`INLINE_BUDGET_NANOS`].
+    /// * no fault is injected on the target: its `delay` sleeps. This and
+    ///   `handle` read the fault map one after the other, so a `delay`
+    ///   injected between the two reads sleeps on the shard once — the one
+    ///   request the shard had already admitted; every later request sees
+    ///   the fault here and goes to a worker.
     fn inline_ok(&self, header: &RequestHeader) -> bool {
         self.method_stats(header)
             .is_some_and(|stats| stats.recent_nanos.load(Ordering::Relaxed) < INLINE_BUDGET_NANOS)
             && self.live.is_ready_leaf(header.component)
+            && !self.faults.is_active(self.component_name(header.component))
     }
 }
 
@@ -280,7 +408,10 @@ mod tests {
     use weaver_core::client::ClientHandle;
     use weaver_core::component::{Component, ComponentInterface, MethodSpec};
     use weaver_core::context::InitContext;
-    use weaver_core::registry::RegistryBuilder;
+    use weaver_core::registry::{ComponentRegistry, RegistryBuilder};
+
+    use crate::router::body_to_outcome;
+    use crate::single::{SingleMode, SingleProcess};
 
     trait Adder: Send + Sync + 'static {
         fn add(&self, ctx: &CallContext, a: u64, b: u64) -> Result<u64, WeaverError>;
@@ -344,15 +475,18 @@ mod tests {
         }
     }
 
+    fn registry() -> Arc<ComponentRegistry> {
+        Arc::new(RegistryBuilder::new().register::<AdderImpl>().build())
+    }
+
+    fn dispatcher_with(version: u64, metrics: Arc<MetricsRegistry>) -> ProcletDispatcher {
+        let live = Arc::new(LiveComponents::new(registry()));
+        let (dedup, faults) = (Arc::default(), Arc::default());
+        ProcletDispatcher::new(live, Arc::new(NoDeps), version, metrics, dedup, faults)
+    }
+
     fn dispatcher(version: u64) -> ProcletDispatcher {
-        let registry = Arc::new(RegistryBuilder::new().register::<AdderImpl>().build());
-        let live = Arc::new(LiveComponents::new(registry));
-        ProcletDispatcher::new(
-            live,
-            Arc::new(NoDeps),
-            version,
-            Arc::new(MetricsRegistry::new()),
-        )
+        dispatcher_with(version, Arc::new(MetricsRegistry::new()))
     }
 
     fn header(version: u64, component: u32, method: u32) -> RequestHeader {
@@ -427,7 +561,7 @@ mod tests {
             weaver_core::client::decode_reply::<u64>(&second.payload).unwrap(),
             42
         );
-        assert_eq!(d.dedup_cache().hits(), 1);
+        assert_eq!(d.dedup.hits(), 1);
     }
 
     #[test]
@@ -444,7 +578,7 @@ mod tests {
             weaver_core::client::decode_reply::<u64>(&b.payload).unwrap(),
             2
         );
-        assert_eq!(d.dedup_cache().entries(), 0);
+        assert_eq!(d.dedup.entries(), 0);
     }
 
     #[test]
@@ -454,7 +588,7 @@ mod tests {
         h.idempotency = Some(7);
         let resp = d.handle(&h, &weaver_codec::encode_to_vec(&(1u64, 1u64)));
         assert_eq!(resp.status, Status::Error);
-        assert_eq!(d.dedup_cache().entries(), 0);
+        assert_eq!(d.dedup.entries(), 0);
         // A correctly-stamped request with the same key must execute, not
         // replay the mismatch.
         h.version = 2;
@@ -468,14 +602,81 @@ mod tests {
 
     #[test]
     fn handle_latency_recorded() {
-        let registry = Arc::new(RegistryBuilder::new().register::<AdderImpl>().build());
-        let live = Arc::new(LiveComponents::new(registry));
         let metrics = Arc::new(MetricsRegistry::new());
-        let d = ProcletDispatcher::new(live, Arc::new(NoDeps), 1, Arc::clone(&metrics));
+        let d = dispatcher_with(1, Arc::clone(&metrics));
         let args = weaver_codec::encode_to_vec(&(1u64, 2u64));
         d.handle(&header(1, 0, 0), &args);
         let snap = metrics.snapshot();
         assert!(snap.get("test.Adder/add/handle_nanos").is_some());
+    }
+
+    /// Which way a call came out, by error variant.
+    fn kind(outcome: &Result<Vec<u8>, WeaverError>) -> &'static str {
+        match outcome {
+            Ok(_) => "Ok",
+            Err(WeaverError::VersionMismatch { .. }) => "VersionMismatch",
+            Err(WeaverError::Unavailable { .. }) => "Unavailable",
+            Err(WeaverError::UnknownMethod { .. }) => "UnknownMethod",
+            Err(e) => panic!("unexpected error {e:?}"),
+        }
+    }
+
+    #[test]
+    fn wire_and_marshaled_entry_points_agree() {
+        let down = ComponentFault {
+            down: true,
+            ..Default::default()
+        };
+        let fail_once = ComponentFault {
+            fail_next: 1,
+            ..Default::default()
+        };
+        let none = ComponentFault::default();
+        // (row, fault on the target, caller's version, method, each call's
+        // expected outcome); both deployments run version 1.
+        let rows: [(&str, ComponentFault, u64, u32, &[&str]); 4] = [
+            ("stale, down", down.clone(), 2, 0, &["VersionMismatch"]),
+            ("down", down.clone(), 1, 0, &["Unavailable"]),
+            ("fail_next 1", fail_once, 1, 0, &["Unavailable", "Ok"]),
+            ("no such method", none, 1, 9, &["UnknownMethod"]),
+        ];
+        let args = weaver_codec::encode_to_vec(&(2u64, 40u64));
+        for (row, fault, stamp, method, expected) in rows {
+            let wire = dispatcher(1);
+            wire.faults.install("test.Adder", fault.clone());
+            let app = SingleProcess::deploy(registry(), SingleMode::Marshaled, 1);
+            app.inject_fault("test.Adder", fault);
+            let Ok(Acquired::Remote(marshaled)) = app.acquire("test.Adder") else {
+                panic!("a marshaled reference is a client handle");
+            };
+            let ctx = CallContext {
+                version: stamp,
+                ..CallContext::test()
+            };
+            for &want in expected {
+                let from_wire = body_to_outcome(wire.handle(&header(stamp, 0, method), &args));
+                let from_marshaled = marshaled.call(&ctx, method, None, args.clone());
+                assert_eq!(
+                    (kind(&from_wire), kind(&from_marshaled)),
+                    (want, want),
+                    "{row}"
+                );
+            }
+        }
+
+        // Wire only (the marshaled path keeps no dedup cache): a keyed
+        // repeat to a downed component is refused, not replayed.
+        let wire = dispatcher(1);
+        let mut h = header(1, 0, 0);
+        h.idempotency = Some(5);
+        assert_eq!(kind(&body_to_outcome(wire.handle(&h, &args))), "Ok");
+        wire.faults.install("test.Adder", down);
+        h.attempt = 1;
+        assert_eq!(
+            kind(&body_to_outcome(wire.handle(&h, &args))),
+            "Unavailable"
+        );
+        assert_eq!(wire.dedup.hits(), 0);
     }
 
     #[test]
@@ -504,6 +705,65 @@ mod tests {
         assert!(!d.inline_ok(&h));
         d.handle(&h, &args);
         assert!(d.inline_ok(&h));
+    }
+
+    /// 4 threads × 10k checks of `test.Fast`, true when all came back.
+    fn checks_finish(faults: &Arc<FaultMap>) -> bool {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for _ in 0..4 {
+            let faults = Arc::clone(faults);
+            let done = done_tx.clone();
+            std::thread::spawn(move || {
+                for _ in 0..10_000 {
+                    faults.check("test.Fast").unwrap();
+                }
+                done.send(()).unwrap();
+            });
+        }
+        (0..4).all(|_| done_rx.recv_timeout(Duration::from_secs(20)).is_ok())
+    }
+
+    #[test]
+    fn fault_checks_share_the_lock_and_a_clear_removes_the_entry() {
+        let faults = Arc::new(FaultMap::default());
+        // Nothing installed: a check takes no lock, so not even a writer
+        // holds it up.
+        let held = faults.by_component.write();
+        assert!(
+            checks_finish(&faults),
+            "checks on an empty map took the lock"
+        );
+        drop(held);
+        // A fault on another component: a check reads the map, and shares
+        // it — one that took the write lock would never get past the read
+        // guard held here.
+        let down = ComponentFault {
+            down: true,
+            ..Default::default()
+        };
+        faults.install("test.Slow", down);
+        let held = faults.by_component.read();
+        assert!(checks_finish(&faults), "checks blocked behind a reader");
+        drop(held);
+        faults.install("test.Slow", ComponentFault::default());
+
+        let fault = ComponentFault {
+            fail_next: 2,
+            ..Default::default()
+        };
+        faults.install("test.Fast", fault);
+        assert!(faults.is_active("test.Fast"));
+        assert!(faults.check("test.Fast").is_err());
+        assert!(faults.check("test.Fast").is_err());
+        // Spent: the entry is a no-op now, and reads as one.
+        assert!(faults.check("test.Fast").is_ok());
+        assert!(!faults.is_active("test.Fast"));
+        faults.install("test.Fast", ComponentFault::default());
+        assert!(
+            faults.by_component.read().is_empty(),
+            "clearing left an entry behind"
+        );
+        assert_eq!(faults.installed.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! | [`manager`] | Figure 3: the global manager (multiprocess deployer) |
 //! | [`single`] | the single-process deployer (co-located / weavertest) |
 //! | [`router`] | the data plane: proclet-to-proclet calls |
-//! | [`dispatch`] | server-side dispatch with the §4.4 version backstop |
+//! | [`dispatch`] | the one dispatch path: §4.4 version backstop, injected faults |
 //! | [`dedup`] | idempotency-key replay: retries never double-execute |
 //!
 //! A binary using the runtime starts with:

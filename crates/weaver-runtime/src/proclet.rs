@@ -16,7 +16,7 @@ use std::collections::HashSet;
 use std::io::Write;
 use std::sync::Arc;
 
-use weaver_core::client::{ClientHandle, TargetInfo};
+use weaver_core::client::CallRouter;
 use weaver_core::context::{Acquired, ComponentGetter};
 use weaver_core::error::WeaverError;
 use weaver_core::instance::LiveComponents;
@@ -24,6 +24,7 @@ use weaver_core::registry::ComponentRegistry;
 use weaver_metrics::{CallGraph, MetricsRegistry};
 use weaver_transport::{Server, WeaverFraming};
 
+use crate::dedup::DedupCache;
 use crate::dispatch::ProcletDispatcher;
 use crate::protocol::{read_message, write_message, EnvelopeMessage, ProcletMessage};
 use crate::router::{RemoteRouter, RoutingState, RoutingTable};
@@ -100,15 +101,10 @@ impl ComponentGetter for ProcletGetter {
             let instance = self.live.get_or_start(id, self)?;
             Ok(Acquired::Local(instance.iface_any))
         } else {
-            let registration = self.live.registry().get(id)?;
-            Ok(Acquired::Remote(ClientHandle::new(
-                TargetInfo {
-                    component_id: id,
-                    name: registration.name,
-                    methods: registration.methods,
-                },
-                Arc::clone(&self.router) as Arc<dyn weaver_core::client::CallRouter>,
-            )))
+            let router = Arc::clone(&self.router) as Arc<dyn CallRouter>;
+            Ok(Acquired::Remote(
+                self.live.registry().remote_handle(id, router)?,
+            ))
         }
     }
 }
@@ -160,12 +156,15 @@ fn proclet_main(
     ));
     let getter = ProcletGetter::new(Arc::clone(&live), router);
 
-    // Data plane: serve our components to other proclets.
+    // Data plane: serve our components to other proclets. Nothing injects
+    // faults into a proclet: its fault map stays empty.
     let dispatcher = Arc::new(ProcletDispatcher::new(
         Arc::clone(&live),
         Arc::clone(&getter) as Arc<dyn ComponentGetter>,
         version,
         Arc::clone(&metrics),
+        Arc::new(DedupCache::new()),
+        Arc::default(),
     ));
     let busy = dispatcher.busy_tracker();
     let server = match Server::<WeaverFraming>::bind("127.0.0.1:0", workers, dispatcher) {

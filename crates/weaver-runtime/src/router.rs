@@ -78,7 +78,7 @@ impl Scope {
         match self {
             Scope::Component => true,
             Scope::Keys(start, end) => {
-                key.is_some_and(|k| k >= start && (k < end || (end == u64::MAX && k == u64::MAX)))
+                key.is_some_and(|k| weaver_transport::in_slice(start, end, k))
             }
         }
     }
@@ -312,53 +312,120 @@ impl RoutingTable {
     }
 }
 
-/// Per-(component, method) cache of latency-histogram handles.
-///
-/// Naming a histogram costs a `format!` and a write-locked registry
-/// lookup; at marshaled-call speeds (~1µs) that is measurable. The ids
-/// are stable for a deployment's lifetime, so after the first call each
-/// record is a read-locked map hit on integer keys.
-pub(crate) struct LatencyHistograms {
-    registry: Arc<MetricsRegistry>,
-    placement: &'static str,
-    cache: RwLock<HashMap<(u32, u32), Arc<Histogram>>>,
+/// One call as the client side accounts for it: who called which method,
+/// with how many bytes, since when.
+pub(crate) struct CallSite {
+    caller: &'static str,
+    target: TargetInfo,
+    method: u32,
+    request_bytes: usize,
+    pub(crate) started: Instant,
 }
 
-impl LatencyHistograms {
-    /// Wraps `registry`, labeling every histogram with `placement`.
-    pub(crate) fn new(registry: Arc<MetricsRegistry>, placement: &'static str) -> Self {
-        LatencyHistograms {
-            registry,
-            placement,
-            cache: RwLock::new(HashMap::new()),
+impl CallSite {
+    pub(crate) fn new(ctx: &CallContext, target: &TargetInfo, method: u32, args: &[u8]) -> Self {
+        CallSite {
+            caller: ctx.caller,
+            target: *target,
+            method,
+            request_bytes: args.len(),
+            started: Instant::now(),
         }
     }
 
-    /// The underlying registry (for snapshots).
-    pub(crate) fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
+    pub(crate) fn method_name(&self) -> &'static str {
+        self.target
+            .methods
+            .get(self.method as usize)
+            .map_or("?", |m| m.name)
+    }
+}
+
+/// The client-side recorder every deployer's calls resolve through: one
+/// call-graph edge and one latency histogram per resolved call, recorded
+/// whether the caller blocked or gathered a future.
+///
+/// Naming an edge or a histogram allocates and takes a write lock; at
+/// marshaled-call speeds (~1µs) that is measurable. Registry ids are stable
+/// for a deployment's lifetime, so both are cached on integer keys: after
+/// the first call, recording is two read-locked map hits.
+pub(crate) struct CallRecorder {
+    callgraph: Arc<CallGraph>,
+    edges: EdgeHandleCache,
+    metrics: Arc<MetricsRegistry>,
+    /// Latency histograms are `component/method/placement/call_nanos`; a
+    /// call that ran on a migrated-in local handler is labeled `colocated`
+    /// instead, so before/after placement shows up in one snapshot.
+    placement: &'static str,
+    /// (component, method, ran locally) → latency histogram.
+    latency: RwLock<HashMap<(u32, u32, bool), Arc<Histogram>>>,
+}
+
+impl CallRecorder {
+    pub(crate) fn new(
+        callgraph: Arc<CallGraph>,
+        metrics: Arc<MetricsRegistry>,
+        placement: &'static str,
+    ) -> Self {
+        CallRecorder {
+            callgraph,
+            edges: EdgeHandleCache::new(),
+            metrics,
+            placement,
+            latency: RwLock::new(HashMap::new()),
+        }
     }
 
-    /// Records one call's latency under
-    /// `component/method/placement/call_nanos`.
+    pub(crate) fn callgraph(&self) -> &Arc<CallGraph> {
+        &self.callgraph
+    }
+
+    pub(crate) fn metrics(&self) -> &Arc<MetricsRegistry> {
+        &self.metrics
+    }
+
+    /// Records one resolved call (`local`: it ran on a migrated-in local
+    /// handler) and returns whether it failed — a runtime error, or an
+    /// application error riding inside a successful reply.
     pub(crate) fn record(
         &self,
-        component_id: u32,
-        component: &str,
-        method_id: u32,
-        method: &str,
-        nanos: u64,
-    ) {
-        if let Some(h) = self.cache.read().get(&(component_id, method_id)) {
-            h.record(nanos);
-            return;
+        call: &CallSite,
+        local: bool,
+        outcome: &Result<Vec<u8>, WeaverError>,
+    ) -> bool {
+        let elapsed = call.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        let is_error = match outcome {
+            Ok(reply) => weaver_core::client::reply_is_err(reply),
+            Err(_) => true,
+        };
+        let (target, method) = (&call.target, call.method_name());
+        self.edges
+            .handle(
+                &self.callgraph,
+                call.caller,
+                target.component_id,
+                target.name,
+                call.method,
+                method,
+            )
+            .record(
+                call.request_bytes,
+                outcome.as_ref().map_or(0, Vec::len),
+                elapsed,
+                is_error,
+            );
+        let key = (target.component_id, call.method, local);
+        if let Some(histogram) = self.latency.read().get(&key) {
+            histogram.record(elapsed);
+            return is_error;
         }
-        let h = self.registry.histogram(&format!(
-            "{component}/{method}/{}/call_nanos",
-            self.placement
-        ));
-        h.record(nanos);
-        self.cache.write().insert((component_id, method_id), h);
+        let placement = if local { "colocated" } else { self.placement };
+        let histogram = self
+            .metrics
+            .histogram(&format!("{}/{method}/{placement}/call_nanos", target.name));
+        histogram.record(elapsed);
+        self.latency.write().insert(key, histogram);
+        is_error
     }
 }
 
@@ -415,17 +482,8 @@ struct RouterInner {
     table: Arc<RoutingTable>,
     pool: Pool<WeaverFraming>,
     balancer: PowerOfTwo,
-    callgraph: Arc<CallGraph>,
     version: u64,
-    latency: LatencyHistograms,
-    /// Latency histograms for locally-dispatched (migrated-in) components,
-    /// labeled `colocated` so before/after placement shows up in the same
-    /// registry snapshot.
-    local_latency: LatencyHistograms,
-    /// Call-graph edge handles cached per (caller, component, method), so
-    /// the hot path records edges without allocating a string-keyed
-    /// [`weaver_metrics::CallEdge`] per call.
-    edge_cache: EdgeHandleCache,
+    recorder: CallRecorder,
     /// Components the placement controller migrated into this process:
     /// calls short-circuit to the handler instead of crossing the wire.
     /// The handler is the same dispatcher the component's server runs
@@ -441,31 +499,21 @@ struct RouterInner {
 impl RemoteRouter {
     /// Builds a router over `table` for deployment `version`.
     pub fn new(table: Arc<RoutingTable>, callgraph: Arc<CallGraph>, version: u64) -> Self {
-        Self::with_pool(table, callgraph, version, Pool::new())
-    }
-
-    /// Like [`RemoteRouter::new`] with an explicit connection pool, so a
-    /// deployer can substitute a fault-injecting dialer (see
-    /// [`weaver_transport::fault`]).
-    pub fn with_pool(
-        table: Arc<RoutingTable>,
-        callgraph: Arc<CallGraph>,
-        version: u64,
-        pool: Pool<WeaverFraming>,
-    ) -> Self {
         Self::with_metrics(
             table,
             callgraph,
             version,
-            pool,
+            Pool::new(),
             Arc::new(MetricsRegistry::new()),
             "tcp",
         )
     }
 
-    /// Full-control constructor: the deployer supplies the client-side
-    /// metrics registry and its placement label, so per-call latency
-    /// histograms land as `component/method/placement/call_nanos`.
+    /// Full-control constructor: the deployer supplies the connection pool
+    /// (so it can substitute a fault-injecting dialer, see
+    /// [`weaver_transport::fault`]), the client-side metrics registry and
+    /// its placement label, so per-call latency histograms land as
+    /// `component/method/placement/call_nanos`.
     pub fn with_metrics(
         table: Arc<RoutingTable>,
         callgraph: Arc<CallGraph>,
@@ -479,11 +527,8 @@ impl RemoteRouter {
                 table,
                 pool,
                 balancer: PowerOfTwo::new(64),
-                callgraph,
                 version,
-                latency: LatencyHistograms::new(Arc::clone(&metrics), placement),
-                local_latency: LatencyHistograms::new(metrics, "colocated"),
-                edge_cache: EdgeHandleCache::new(),
+                recorder: CallRecorder::new(callgraph, metrics, placement),
                 local: RwLock::new(HashMap::new()),
                 auto_idempotency: std::sync::atomic::AtomicBool::new(true),
             }),
@@ -514,12 +559,12 @@ impl RemoteRouter {
 
     /// The call graph edges this router has recorded.
     pub fn callgraph(&self) -> &Arc<CallGraph> {
-        &self.inner.callgraph
+        self.inner.recorder.callgraph()
     }
 
     /// The client-side metrics registry (per-call latency histograms).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        self.inner.latency.registry()
+        self.inner.recorder.metrics()
     }
 
     /// Calls in flight right now across the router's connection pool
@@ -593,13 +638,9 @@ struct RemoteFuture {
     inner: Arc<RouterInner>,
     header: RequestHeader,
     args: Vec<u8>,
+    call: CallSite,
     component: u32,
     routing: Option<u64>,
-    caller: &'static str,
-    callee: &'static str,
-    method_name: &'static str,
-    request_bytes: usize,
-    started: Instant,
     deadline: Instant,
     state: RemoteState,
     /// Replica index charged on the balancer, released exactly once.
@@ -623,22 +664,17 @@ impl RemoteFuture {
         routing: Option<u64>,
         args: Vec<u8>,
     ) -> RemoteFuture {
-        let started = Instant::now();
+        let call = CallSite::new(ctx, target, method, &args);
         let timeout = ctx.remaining().unwrap_or(DEFAULT_CALL_TIMEOUT);
         let header = inner.header_for(target, ctx, method, routing);
-        let method_name = target.methods.get(method as usize).map_or("?", |m| m.name);
         let mut fut = RemoteFuture {
             inner,
             header,
-            request_bytes: args.len(),
             args,
             component: target.component_id,
             routing,
-            caller: ctx.caller,
-            callee: target.name,
-            method_name,
-            started,
-            deadline: started + timeout,
+            deadline: call.started + timeout,
+            call,
             state: RemoteState::Done,
             active_replica: None,
             active_addr: None,
@@ -790,39 +826,7 @@ impl RemoteFuture {
     }
 
     fn record(&self, outcome: &Result<Vec<u8>, WeaverError>) {
-        let elapsed = self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        let is_error = match outcome {
-            Ok(reply) => weaver_core::client::reply_is_err(reply),
-            Err(_) => true,
-        };
-        self.inner
-            .edge_cache
-            .handle(
-                &self.inner.callgraph,
-                self.caller,
-                self.component,
-                self.callee,
-                self.header.method,
-                self.method_name,
-            )
-            .record(
-                self.request_bytes,
-                outcome.as_ref().map_or(0, Vec::len),
-                elapsed,
-                is_error,
-            );
-        let latency = if self.local {
-            &self.inner.local_latency
-        } else {
-            &self.inner.latency
-        };
-        latency.record(
-            self.component,
-            self.callee,
-            self.header.method,
-            self.method_name,
-            elapsed,
-        );
+        self.inner.recorder.record(&self.call, self.local, outcome);
     }
 }
 

@@ -12,14 +12,14 @@
 //!   RPC path (encode header+args, dispatch, decode reply) without a
 //!   socket. This is the weavertest configuration (§5.3): deterministic,
 //!   single-process, yet exercising exactly the bytes that would cross the
-//!   network — and the hook point for fault injection.
+//!   network — and the hook point for fault injection. A call runs the
+//!   servers' own dispatch steps ([`crate::dispatch`]: version backstop,
+//!   injected fault, start, dispatch) and resolves through the routers' own
+//!   recorder, so chaos and call-graph results carry over to every
+//!   placement by construction.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use parking_lot::RwLock;
+use std::sync::{Arc, Weak};
+use std::time::Duration;
 
 use weaver_core::client::{CallRouter, TargetInfo};
 use weaver_core::component::ComponentInterface;
@@ -28,9 +28,10 @@ use weaver_core::error::WeaverError;
 use weaver_core::instance::LiveComponents;
 use weaver_core::registry::ComponentRegistry;
 use weaver_metrics::trace::{Span, TraceSink};
-use weaver_metrics::{
-    CallGraph, CallGraphSnapshot, EdgeHandleCache, MetricsRegistry, MetricsSnapshot,
-};
+use weaver_metrics::{CallGraph, CallGraphSnapshot, MetricsRegistry, MetricsSnapshot};
+
+use crate::dispatch::{admit, invoke, FaultMap};
+use crate::router::{CallRecorder, CallSite};
 
 /// How component references resolve in a single process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,91 +55,8 @@ pub struct ComponentFault {
 
 impl ComponentFault {
     /// True when the fault changes nothing about a call.
-    fn is_noop(&self) -> bool {
+    pub(crate) fn is_noop(&self) -> bool {
         !self.down && self.delay.is_zero() && self.fail_next == 0
-    }
-}
-
-/// The faults installed on a deployment's components, by component name.
-///
-/// On a cache line of its own: calls only read it while nothing is
-/// installed, and a neighbouring field that is written per call would make
-/// every one of those reads a miss.
-#[derive(Default)]
-#[repr(align(64))]
-pub(crate) struct FaultMap {
-    /// How many entries `by_component` holds. Every call on every replica
-    /// asks whether its target is faulted and, outside a chaos test, the
-    /// answer is no: reading this first keeps those calls off the lock
-    /// word, which every calling thread would otherwise write.
-    installed: AtomicUsize,
-    by_component: RwLock<HashMap<String, ComponentFault>>,
-}
-
-impl FaultMap {
-    /// Installs `fault` on `component`; the default value clears it.
-    pub(crate) fn install(&self, component: &str, fault: ComponentFault) {
-        let mut faults = self.by_component.write();
-        if fault.is_noop() {
-            faults.remove(component);
-        } else {
-            faults.insert(component.to_string(), fault);
-        }
-        self.installed.store(faults.len(), Ordering::Release);
-    }
-
-    /// Whether a call to `component` would currently be failed or delayed.
-    pub(crate) fn is_active(&self, component: &str) -> bool {
-        self.installed.load(Ordering::Acquire) != 0
-            && self
-                .by_component
-                .read()
-                .get(component)
-                .is_some_and(|f| !f.is_noop())
-    }
-
-    /// Applies the fault installed on `component`, if any: `down` beats
-    /// everything, delays apply to successes and failures alike,
-    /// `fail_next` decrements per call.
-    ///
-    /// Every call on every replica passes through here. With nothing
-    /// installed it takes no lock at all; with a fault on some other
-    /// component it takes the shared read lock only; the write lock is
-    /// taken just to count down `fail_next`.
-    pub(crate) fn check(&self, component: &str) -> Result<(), WeaverError> {
-        if self.installed.load(Ordering::Acquire) == 0 {
-            return Ok(());
-        }
-        let (down, delay, may_fail) = match self.by_component.read().get(component) {
-            Some(fault) if !fault.is_noop() => (fault.down, fault.delay, fault.fail_next > 0),
-            _ => return Ok(()),
-        };
-        // Re-read under the write lock: another call may have taken the
-        // last failure, or the fault may have been cleared, in between.
-        let fail = may_fail
-            && match self.by_component.write().get_mut(component) {
-                Some(fault) if fault.fail_next > 0 => {
-                    fault.fail_next -= 1;
-                    true
-                }
-                _ => false,
-            };
-        if down {
-            return Err(WeaverError::Unavailable {
-                detail: format!("{component} is down (injected)"),
-            });
-        }
-        // Sleep outside the lock so a delayed component stalls neither
-        // calls to other components nor the `inject_fault` that clears it.
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
-        if fail {
-            return Err(WeaverError::Unavailable {
-                detail: format!("{component} failed (injected)"),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -161,37 +79,33 @@ pub struct SingleProcess {
     live: Arc<LiveComponents>,
     mode: SingleMode,
     version: u64,
-    callgraph: Arc<CallGraph>,
-    edge_cache: EdgeHandleCache,
-    metrics: Arc<MetricsRegistry>,
-    latency: crate::router::LatencyHistograms,
+    recorder: CallRecorder,
     traces: Arc<TraceSink>,
     faults: FaultMap,
-    self_ref: RwLock<std::sync::Weak<SingleProcess>>,
+    /// The router marshaled client handles call through: this deployment.
+    self_ref: Weak<SingleProcess>,
 }
 
 impl SingleProcess {
     /// Deploys `registry` in this process.
     pub fn deploy(registry: Arc<ComponentRegistry>, mode: SingleMode, version: u64) -> Arc<Self> {
-        let metrics = Arc::new(MetricsRegistry::new());
         let placement = match mode {
             SingleMode::Colocated => "colocated",
             SingleMode::Marshaled => "marshaled",
         };
-        let deployment = Arc::new(SingleProcess {
+        Arc::new_cyclic(|self_ref| SingleProcess {
             live: Arc::new(LiveComponents::new(registry)),
             mode,
             version,
-            callgraph: Arc::new(CallGraph::new()),
-            edge_cache: EdgeHandleCache::new(),
-            metrics: Arc::clone(&metrics),
-            latency: crate::router::LatencyHistograms::new(metrics, placement),
+            recorder: CallRecorder::new(
+                Arc::new(CallGraph::new()),
+                Arc::new(MetricsRegistry::new()),
+                placement,
+            ),
             traces: TraceSink::new(),
             faults: FaultMap::default(),
-            self_ref: RwLock::new(std::sync::Weak::new()),
-        });
-        *deployment.self_ref.write() = Arc::downgrade(&deployment);
-        deployment
+            self_ref: self_ref.clone(),
+        })
     }
 
     /// The deployment version.
@@ -218,15 +132,15 @@ impl SingleProcess {
     /// Snapshot of the recorded component call graph (only populated in
     /// [`SingleMode::Marshaled`]; co-located calls are invisible by design).
     pub fn callgraph(&self) -> CallGraphSnapshot {
-        self.callgraph.snapshot()
+        self.recorder.callgraph().snapshot()
     }
 
     /// Snapshot of runtime metrics, including the transport-plane gauges
     /// (reactor readiness-loop state and RPC dispatch-queue depth)
     /// refreshed at snapshot time.
     pub fn metrics(&self) -> MetricsSnapshot {
-        crate::router::record_transport_gauges(&self.metrics);
-        self.metrics.snapshot()
+        crate::router::record_transport_gauges(self.recorder.metrics());
+        self.recorder.metrics().snapshot()
     }
 
     /// Drains the spans recorded so far (only populated in
@@ -257,13 +171,6 @@ impl SingleProcess {
             .filter_map(|id| self.live.registry().get(id).ok().map(|r| r.name))
             .collect()
     }
-
-    fn router(&self) -> Arc<dyn CallRouter> {
-        self.self_ref
-            .read()
-            .upgrade()
-            .expect("deployment still alive")
-    }
 }
 
 impl FaultInjectable for SingleProcess {
@@ -285,15 +192,15 @@ impl ComponentGetter for SingleProcess {
                 Ok(Acquired::Local(instance.iface_any))
             }
             SingleMode::Marshaled => {
-                let registration = self.live.registry().get(id)?;
-                Ok(Acquired::Remote(weaver_core::client::ClientHandle::new(
-                    TargetInfo {
-                        component_id: id,
-                        name: registration.name,
-                        methods: registration.methods,
-                    },
-                    self.router(),
-                )))
+                let router = self
+                    .self_ref
+                    .upgrade()
+                    .ok_or_else(|| WeaverError::Unavailable {
+                        detail: "deployment is shutting down".into(),
+                    })?;
+                Ok(Acquired::Remote(
+                    self.live.registry().remote_handle(id, router)?,
+                ))
             }
         }
     }
@@ -308,46 +215,17 @@ impl CallRouter for SingleProcess {
         _routing: Option<u64>,
         args: Vec<u8>,
     ) -> Result<Vec<u8>, WeaverError> {
-        let started = Instant::now();
-        let request_bytes = args.len();
+        let call = CallSite::new(ctx, target, method, &args);
         // This call gets its own span; the caller's span becomes its parent.
         let span_id = weaver_core::context::next_span_id();
-
-        // The §4.4 backstop, mirrored from the transport dispatcher: a
-        // request stamped with another deployment's version never reaches a
-        // handler. Checked before injected faults — version admission is
-        // the deployment boundary, component failures live inside it, so a
-        // mis-stamped request is rejected as such even while chaos has the
-        // target component down.
-        let outcome = if ctx.version != self.version {
-            Err(WeaverError::VersionMismatch {
-                caller_version: ctx.version,
-                callee_version: self.version,
-            })
-        } else {
-            self.faults.check(target.name)
-        }
-        .and_then(|()| {
-            if ctx.expired() {
-                return Err(WeaverError::DeadlineExceeded);
-            }
-            let instance = self.live.get_or_start(target.component_id, self)?;
-            let registration = self.live.registry().get(target.component_id)?;
-            let inner_ctx = CallContext {
-                caller: registration.name,
+        let outcome = admit(&self.faults, self.version, ctx.version, target.name).and_then(|()| {
+            let ctx = CallContext {
                 span_id,
                 ..ctx.clone()
             };
-            (instance.dispatch)(method, &inner_ctx, &args)
+            invoke(&self.live, self, target.component_id, method, ctx, &args)
         });
-
-        let method_name = target.methods.get(method as usize).map_or("?", |m| m.name);
-        // An error is either a routing/runtime failure (outcome Err) or an
-        // application error riding inside a successful reply.
-        let is_error = match &outcome {
-            Ok(reply) => weaver_core::client::reply_is_err(reply),
-            Err(_) => true,
-        };
+        let is_error = self.recorder.record(&call, false, &outcome);
         if ctx.trace_id != 0 {
             self.traces.record(
                 Span {
@@ -355,44 +233,15 @@ impl CallRouter for SingleProcess {
                     span_id,
                     parent_id: ctx.span_id,
                     component: target.name.to_string(),
-                    method: method_name.to_string(),
+                    method: call.method_name().to_string(),
                     start_nanos: 0,
                     duration_nanos: 0,
                     error: is_error,
                 },
-                started,
-                started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
+                call.started,
+                call.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
             );
         }
-        let elapsed = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        // The cached handle skips the string-keyed edge allocation the way
-        // the TCP router does: at marshaled-call speeds (~1µs) building
-        // three Strings per call is measurable.
-        self.edge_cache
-            .handle(
-                &self.callgraph,
-                ctx.caller,
-                target.component_id,
-                target.name,
-                method,
-                method_name,
-            )
-            .record(
-                request_bytes,
-                outcome.as_ref().map_or(0, Vec::len),
-                elapsed,
-                is_error,
-            );
-        // Per-call latency, keyed the same way the TCP router keys it —
-        // one histogram name scheme across placements, recorded at call
-        // resolution whether the caller blocked or gathered a future.
-        self.latency.record(
-            target.component_id,
-            target.name,
-            method,
-            method_name,
-            elapsed,
-        );
         outcome
     }
 }
@@ -400,6 +249,7 @@ impl CallRouter for SingleProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
     use weaver_core::component::Component;
     use weaver_core::context::InitContext;
     use weaver_core::registry::RegistryBuilder;
@@ -431,65 +281,6 @@ mod tests {
     }
     nop_component!(Slow, SlowImpl, "test.Slow");
     nop_component!(Fast, FastImpl, "test.Fast");
-
-    /// 4 threads × 10k checks of `test.Fast`, true when all came back.
-    fn checks_finish(faults: &Arc<FaultMap>) -> bool {
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        for _ in 0..4 {
-            let faults = Arc::clone(faults);
-            let done = done_tx.clone();
-            std::thread::spawn(move || {
-                for _ in 0..10_000 {
-                    faults.check("test.Fast").unwrap();
-                }
-                done.send(()).unwrap();
-            });
-        }
-        (0..4).all(|_| done_rx.recv_timeout(Duration::from_secs(20)).is_ok())
-    }
-
-    #[test]
-    fn fault_checks_share_the_lock_and_a_clear_removes_the_entry() {
-        let faults = Arc::new(FaultMap::default());
-        // Nothing installed: a check takes no lock, so not even a writer
-        // holds it up.
-        let held = faults.by_component.write();
-        assert!(
-            checks_finish(&faults),
-            "checks on an empty map took the lock"
-        );
-        drop(held);
-        // A fault on another component: a check reads the map, and shares
-        // it — one that took the write lock would never get past the read
-        // guard held here.
-        let down = ComponentFault {
-            down: true,
-            ..Default::default()
-        };
-        faults.install("test.Slow", down);
-        let held = faults.by_component.read();
-        assert!(checks_finish(&faults), "checks blocked behind a reader");
-        drop(held);
-        faults.install("test.Slow", ComponentFault::default());
-
-        let fault = ComponentFault {
-            fail_next: 2,
-            ..Default::default()
-        };
-        faults.install("test.Fast", fault);
-        assert!(faults.is_active("test.Fast"));
-        assert!(faults.check("test.Fast").is_err());
-        assert!(faults.check("test.Fast").is_err());
-        // Spent: the entry is a no-op now, and reads as one.
-        assert!(faults.check("test.Fast").is_ok());
-        assert!(!faults.is_active("test.Fast"));
-        faults.install("test.Fast", ComponentFault::default());
-        assert!(
-            faults.by_component.read().is_empty(),
-            "clearing left an entry behind"
-        );
-        assert_eq!(faults.installed.load(Ordering::Relaxed), 0);
-    }
 
     #[test]
     fn injected_delay_stalls_only_its_own_component() {

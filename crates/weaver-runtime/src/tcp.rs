@@ -11,11 +11,12 @@
 //! same application binary runs under every placement" claim is enforced
 //! rather than sampled.
 //!
-//! Chaos hooks mirror [`SingleProcess`]: [`ComponentFault`]s are checked on
-//! the server side before dispatch, and [`TcpProcess::crash_component`]
-//! restarts instances on every replica. Additionally, the deployer can
-//! wrap every dialed client socket in a
-//! [`weaver_transport::fault::FaultStream`], injecting seeded
+//! Every replica server runs the one [`ProcletDispatcher`], sharing one
+//! fault map and one dedup cache: [`ComponentFault`]s are admitted exactly
+//! as in [`crate::SingleProcess`] (version backstop first, then the fault, then
+//! dedup replay), and [`TcpProcess::crash_component`] restarts instances on
+//! every replica. Additionally, the deployer can wrap every dialed client
+//! socket in a [`weaver_transport::fault::FaultStream`], injecting seeded
 //! transport-level faults (delay, corrupt, duplicate, truncate, sever)
 //! underneath the connection machinery.
 
@@ -26,7 +27,7 @@ use std::time::Duration;
 
 use parking_lot::{Mutex, MutexGuard};
 
-use weaver_core::client::{CallRouter, TargetInfo};
+use weaver_core::client::CallRouter;
 use weaver_core::component::ComponentInterface;
 use weaver_core::context::{Acquired, CallContext, ComponentGetter};
 use weaver_core::error::WeaverError;
@@ -39,16 +40,15 @@ use weaver_placement::{
 use weaver_routing::{ControllerOptions, RebalanceController, RebalanceDecision, SliceAssignment};
 use weaver_transport::fault::{FaultInjector, FaultSpec, FaultStream};
 use weaver_transport::{
-    BufferPool, Connection, Pool, RequestHeader, ResponseBody, RpcHandler, Server, Status,
-    TransportError, WeaverFraming,
+    Connection, Pool, RequestHeader, RpcHandler, Server, TransportError, WeaverFraming,
 };
 
 use crate::dedup::DedupCache;
-use crate::dispatch::ProcletDispatcher;
+use crate::dispatch::{FaultMap, ProcletDispatcher};
 use crate::router::{
     body_to_outcome, next_idempotency_key, RemoteRouter, RoutingState, RoutingTable, Scope,
 };
-use crate::single::{ComponentFault, FaultInjectable, FaultMap};
+use crate::single::{ComponentFault, FaultInjectable};
 
 /// How long a migration waits for in-flight calls on the frozen range to
 /// finish before aborting (and unfreezing with the old assignment intact).
@@ -85,56 +85,6 @@ impl Default for TcpOptions {
     }
 }
 
-type SharedFaults = Arc<FaultMap>;
-
-/// Server-side handler: component-level fault check, then real dispatch.
-struct FaultingHandler {
-    inner: ProcletDispatcher,
-    registry: Arc<ComponentRegistry>,
-    faults: SharedFaults,
-    pool: BufferPool,
-    version: u64,
-}
-
-impl RpcHandler for FaultingHandler {
-    fn handle(&self, header: &RequestHeader, args: &[u8]) -> ResponseBody {
-        // The §4.4 version backstop is the deployment boundary and injected
-        // faults are component failures inside it: a mis-stamped request is
-        // rejected as such even while chaos has the target down. The inner
-        // dispatcher re-checks, but this check must come first.
-        if header.version != self.version {
-            return self.inner.handle(header, args);
-        }
-        let name = self
-            .registry
-            .get(header.component)
-            .map(|r| r.name)
-            .unwrap_or("?");
-        if let Err(e) = self.faults.check(name) {
-            let mut buf = self.pool.get(64);
-            weaver_codec::encode_into(&mut buf, &e);
-            return ResponseBody {
-                status: Status::Error,
-                payload: buf.freeze(),
-            };
-        }
-        self.inner.handle(header, args)
-    }
-
-    /// A component with an injected fault is kept off the reactor shard:
-    /// its `delay` sleeps. This and `handle` read the fault map one after
-    /// the other, so a `delay` injected between the two reads sleeps on the
-    /// shard once — the one request the shard had already admitted; every
-    /// later request sees the fault here and goes to a worker.
-    fn inline_ok(&self, header: &RequestHeader) -> bool {
-        self.inner.inline_ok(header)
-            && self
-                .registry
-                .get(header.component)
-                .is_ok_and(|r| !self.faults.is_active(r.name))
-    }
-}
-
 /// A getter whose every acquisition is remote: server-side nested calls
 /// (component A calling component B while handling a request) also cross
 /// the TCP data plane instead of short-circuiting in-process.
@@ -146,15 +96,8 @@ struct RemoteGetter {
 impl ComponentGetter for RemoteGetter {
     fn acquire(&self, name: &str) -> Result<Acquired, WeaverError> {
         let id = self.registry.id_of(name)?;
-        let registration = self.registry.get(id)?;
-        Ok(Acquired::Remote(weaver_core::client::ClientHandle::new(
-            TargetInfo {
-                component_id: id,
-                name: registration.name,
-                methods: registration.methods,
-            },
-            Arc::clone(&self.router) as Arc<dyn CallRouter>,
-        )))
+        let router = Arc::clone(&self.router) as Arc<dyn CallRouter>;
+        Ok(Acquired::Remote(self.registry.remote_handle(id, router)?))
     }
 }
 
@@ -284,7 +227,7 @@ pub struct TcpProcess {
     /// handoffs must not be subject to the chaos the data plane is under
     /// (a failed handoff aborts the migration; it must not corrupt it).
     migration_pool: Pool<WeaverFraming>,
-    faults: SharedFaults,
+    faults: Arc<FaultMap>,
     /// One injector per dialed connection, in dial order (empty unless
     /// [`TcpOptions::fault_spec`] was set).
     injectors: Arc<Mutex<Vec<FaultInjector>>>,
@@ -293,7 +236,7 @@ pub struct TcpProcess {
     /// migrated to `Colocated`: calls run the identical server-side path
     /// (version backstop, fault injection, dedup, nested calls) minus the
     /// socket, against the same live instance replica 0 serves remotely.
-    handlers: Vec<Arc<FaultingHandler>>,
+    handlers: Vec<Arc<ProcletDispatcher>>,
     /// The live placement of every component, bumped once per executed
     /// migration — the runtime half of the weaver-placement decision log.
     placements: Mutex<PlacementState>,
@@ -313,7 +256,7 @@ impl TcpProcess {
         assert!(options.replicas > 0, "at least one replica");
         let table = RoutingTable::new();
         let callgraph = Arc::new(CallGraph::new());
-        let faults = SharedFaults::default();
+        let faults = Arc::new(FaultMap::default());
         let injectors: Arc<Mutex<Vec<FaultInjector>>> = Arc::new(Mutex::new(Vec::new()));
 
         let pool = match options.fault_spec.clone() {
@@ -350,6 +293,8 @@ impl TcpProcess {
         // One dedup cache for the whole deployment (the stand-in for a
         // shared dedup store): an unrouted retry may land on a different
         // replica than the attempt that executed, and must still replay.
+        // One fault map too: a fault is injected on a component, not on a
+        // replica of it.
         let dedup = Arc::new(DedupCache::new());
         for _ in 0..options.replicas {
             let live = Arc::new(LiveComponents::new(Arc::clone(&registry)));
@@ -357,20 +302,14 @@ impl TcpProcess {
                 registry: Arc::clone(&registry),
                 router: Arc::clone(&router),
             });
-            let dispatcher = ProcletDispatcher::with_dedup(
+            let handler = Arc::new(ProcletDispatcher::new(
                 Arc::clone(&live),
                 getter,
                 version,
                 Arc::new(MetricsRegistry::new()),
                 Arc::clone(&dedup),
-            );
-            let handler = Arc::new(FaultingHandler {
-                inner: dispatcher,
-                registry: Arc::clone(&registry),
-                faults: Arc::clone(&faults),
-                pool: BufferPool::global().clone(),
-                version,
-            });
+                Arc::clone(&faults),
+            ));
             let server = Server::<WeaverFraming>::bind(
                 "127.0.0.1:0",
                 options.workers,
@@ -928,21 +867,6 @@ impl FaultInjectable for TcpProcess {
     }
 }
 
-impl ComponentGetter for TcpProcess {
-    fn acquire(&self, name: &str) -> Result<Acquired, WeaverError> {
-        let id = self.registry.id_of(name)?;
-        let registration = self.registry.get(id)?;
-        Ok(Acquired::Remote(weaver_core::client::ClientHandle::new(
-            TargetInfo {
-                component_id: id,
-                name: registration.name,
-                methods: registration.methods,
-            },
-            Arc::clone(&self.router) as Arc<dyn CallRouter>,
-        )))
-    }
-}
-
 impl std::fmt::Debug for TcpProcess {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpProcess")
@@ -1078,11 +1002,12 @@ mod tests {
             range_start: u64,
             range_end: u64,
         ) -> Result<Vec<u8>, WeaverError> {
-            let in_range = |k: u64| {
-                k >= range_start && (k < range_end || (range_end == u64::MAX && k == u64::MAX))
-            };
             let mut counts = self.counts.lock();
-            let moving: Vec<u64> = counts.keys().copied().filter(|&k| in_range(k)).collect();
+            let moving: Vec<u64> = counts
+                .keys()
+                .copied()
+                .filter(|&k| weaver_transport::in_slice(range_start, range_end, k))
+                .collect();
             let entries = moving
                 .into_iter()
                 .map(|k| weaver_transport::StateEntry {

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use weaver_core::client::{CallRouter, ClientHandle, TargetInfo};
+use weaver_core::client::{CallRouter, ClientHandle};
 use weaver_core::component::{Component, ComponentInterface, MethodSpec};
 use weaver_core::context::{Acquired, CallContext, ComponentGetter, InitContext};
 use weaver_core::error::WeaverError;
@@ -159,9 +159,15 @@ fn deploy() -> (
     let registry: Arc<ComponentRegistry> =
         Arc::new(RegistryBuilder::new().register::<BumperImpl>().build());
     let live = Arc::new(LiveComponents::new(Arc::clone(&registry)));
-    let dispatcher =
-        ProcletDispatcher::new(live, Arc::new(NoDeps), 1, Arc::new(MetricsRegistry::new()));
-    let dedup = dispatcher.dedup_cache();
+    let dedup = Arc::new(weaver_runtime::DedupCache::new());
+    let dispatcher = ProcletDispatcher::new(
+        live,
+        Arc::new(NoDeps),
+        1,
+        Arc::new(MetricsRegistry::new()),
+        Arc::clone(&dedup),
+        Arc::default(),
+    );
     let server =
         Server::<WeaverFraming>::bind("127.0.0.1:0", 4, Arc::new(dispatcher)).expect("bind");
 
@@ -185,7 +191,9 @@ fn deploy() -> (
         routes,
         assignments: std::collections::HashMap::new(),
     });
-    let router = RemoteRouter::with_pool(table, Arc::new(CallGraph::new()), 1, pool);
+    let metrics = Arc::new(MetricsRegistry::new());
+    let router =
+        RemoteRouter::with_metrics(table, Arc::new(CallGraph::new()), 1, pool, metrics, "tcp");
     (server, router, registry, dedup)
 }
 
@@ -195,15 +203,8 @@ fn ambiguous_sever_with_key_replays_single_execution() {
     EXECUTIONS.store(0, Ordering::SeqCst);
     let (_server, router, registry, dedup) = deploy();
     let router = Arc::new(router);
-    let registration = registry.get(0).unwrap();
-    let client = <dyn Bumper as ComponentInterface>::client(ClientHandle::new(
-        TargetInfo {
-            component_id: 0,
-            name: registration.name,
-            methods: registration.methods,
-        },
-        Arc::clone(&router) as Arc<dyn CallRouter>,
-    ));
+    let handle = registry.client_handle::<dyn Bumper>(router as Arc<dyn CallRouter>);
+    let client = <dyn Bumper as ComponentInterface>::client(handle.unwrap());
     let ctx = CallContext::root(1).with_timeout(Duration::from_secs(10));
 
     // The first call's response is lost in flight. The keyed retry must
@@ -234,15 +235,8 @@ fn ambiguous_sever_without_key_does_not_retry() {
     let (_server, router, registry, _dedup) = deploy();
     router.set_auto_idempotency(false);
     let router = Arc::new(router);
-    let registration = registry.get(0).unwrap();
-    let client = <dyn Bumper as ComponentInterface>::client(ClientHandle::new(
-        TargetInfo {
-            component_id: 0,
-            name: registration.name,
-            methods: registration.methods,
-        },
-        Arc::clone(&router) as Arc<dyn CallRouter>,
-    ));
+    let handle = registry.client_handle::<dyn Bumper>(router as Arc<dyn CallRouter>);
+    let client = <dyn Bumper as ComponentInterface>::client(handle.unwrap());
     let ctx = CallContext::root(1).with_timeout(Duration::from_secs(10));
 
     // Unkeyed, the in-flight failure is ambiguous and must surface as an

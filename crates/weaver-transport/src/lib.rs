@@ -64,4 +64,4 @@ pub use frame::{
 };
 pub use reactor::{reactor_snapshot, ReactorSnapshot};
 pub use server::{RpcHandler, Server};
-pub use state::{StateBlob, StateEntry};
+pub use state::{in_slice, StateBlob, StateEntry};

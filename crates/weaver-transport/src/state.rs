@@ -38,12 +38,18 @@ pub struct StateBlob {
     pub entries: Vec<StateEntry>,
 }
 
+/// Whether routing hash `hash` falls in the slice range `[start, end)`,
+/// where `end == u64::MAX` is inclusive: the final slice ends the keyspace.
+/// The one statement of slice semantics that migrations, gates and
+/// exporting components share.
+pub fn in_slice(start: u64, end: u64, hash: u64) -> bool {
+    hash >= start && (hash < end || (end == u64::MAX && hash == u64::MAX))
+}
+
 impl StateBlob {
-    /// Whether `hash` falls inside this blob's range (slice semantics:
-    /// `range_end == u64::MAX` is inclusive).
+    /// Whether `hash` falls inside this blob's range ([`in_slice`]).
     pub fn contains(&self, hash: u64) -> bool {
-        hash >= self.range_start
-            && (hash < self.range_end || (self.range_end == u64::MAX && hash == u64::MAX))
+        in_slice(self.range_start, self.range_end, hash)
     }
 
     /// Checks the blob's structural invariants: a non-empty range and every
