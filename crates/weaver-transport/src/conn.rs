@@ -22,10 +22,9 @@ use std::marker::PhantomData;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, Sender};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::buf::BufferPool;
 use crate::error::TransportError;
@@ -33,7 +32,70 @@ use crate::fault::DuplexStream;
 use crate::frame::{Framing, Message, RequestHeader, ResponseBody};
 use crate::reactor::{refuse_blocking_on_reactor, ConnDriver, ConnState, OutFrame, Reactor};
 
-type PendingMap = Arc<Mutex<HashMap<u64, Sender<Result<ResponseBody, TransportError>>>>>;
+type Reply = Result<ResponseBody, TransportError>;
+
+type PendingMap = Arc<Mutex<HashMap<u64, ReplySender>>>;
+
+/// One call's reply: filled once (by the reactor, or by the connection's
+/// death), waited on by the one caller. One lock and one wake per call.
+#[derive(Default)]
+struct ReplySlot {
+    reply: Mutex<Option<Reply>>,
+    filled: Condvar,
+}
+
+/// The filling half, kept in the pending map. Dropped without sending, it
+/// fills [`TransportError::ConnectionClosed`]: the only way to lose a sender
+/// is to lose the connection that would have answered.
+struct ReplySender(Option<Arc<ReplySlot>>);
+
+impl ReplySender {
+    fn send(mut self, reply: Reply) {
+        self.fill(reply);
+    }
+
+    fn fill(&mut self, reply: Reply) {
+        if let Some(slot) = self.0.take() {
+            *slot.reply.lock() = Some(reply);
+            slot.filled.notify_one();
+        }
+    }
+}
+
+impl Drop for ReplySender {
+    fn drop(&mut self) {
+        self.fill(Err(TransportError::ConnectionClosed));
+    }
+}
+
+/// The waiting half, owned by the caller.
+struct ReplyReceiver(Arc<ReplySlot>);
+
+impl ReplyReceiver {
+    /// Blocks until the reply is filled, or `timeout` elapses (`None` if it
+    /// did; a `timeout` of `None` waits indefinitely).
+    fn wait(&self, timeout: Option<Duration>) -> Option<Reply> {
+        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
+        let mut filled = self.0.reply.lock();
+        loop {
+            if let Some(reply) = filled.take() {
+                return Some(reply);
+            }
+            match deadline {
+                None => self.0.filled.wait(&mut filled),
+                Some(d) if Instant::now() < d => {
+                    self.0.filled.wait_until(&mut filled, d);
+                }
+                Some(_) => return None,
+            }
+        }
+    }
+}
+
+fn reply_slot() -> (ReplySender, ReplyReceiver) {
+    let slot = Arc::new(ReplySlot::default());
+    (ReplySender(Some(Arc::clone(&slot))), ReplyReceiver(slot))
+}
 
 /// A multiplexing client connection using framing `F`.
 pub struct Connection<F: Framing> {
@@ -120,22 +182,23 @@ impl<F: Framing> Connection<F> {
         self.state.writer_counters()
     }
 
-    /// Enqueues one request and hands back the pending receive half.
+    /// Enqueues one request and hands back the waiting half of its reply
+    /// slot.
     ///
     /// When this returns `Ok` the stream id is registered in the pending map
-    /// or its receive half already holds the outcome; the caller owns
-    /// cleanup (via [`CallFuture`] or the blocking receive in
-    /// [`Connection::call`]). `Err` means the request was never queued.
+    /// or its slot already holds the outcome; the caller owns cleanup (via
+    /// [`CallFuture`] or the blocking wait in [`Connection::call`]). `Err`
+    /// means the request was never queued.
     fn begin(
         &self,
         header: &RequestHeader,
         args: &[u8],
-    ) -> Result<(u64, Receiver<Result<ResponseBody, TransportError>>), TransportError> {
+    ) -> Result<(u64, ReplyReceiver), TransportError> {
         if self.is_dead() {
             return Err(TransportError::ConnectionClosed);
         }
         let stream = self.next_stream.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = crossbeam::channel::bounded(1);
+        let (tx, rx) = reply_slot();
         self.pending.lock().insert(stream, tx);
 
         let mut buf = self.pool.get(64 + args.len());
@@ -157,7 +220,7 @@ impl<F: Framing> Connection<F> {
         // caller may retry blindly.
         if self.is_dead() {
             if let Some(tx) = self.pending.lock().remove(&stream) {
-                let _ = tx.send(Err(TransportError::ConnectionClosed));
+                tx.send(Err(TransportError::ConnectionClosed));
             }
         }
         Ok((stream, rx))
@@ -196,19 +259,14 @@ impl<F: Framing> Connection<F> {
     ) -> Result<ResponseBody, TransportError> {
         refuse_blocking_on_reactor()?;
         let (stream, rx) = self.begin(header, args)?;
-        let outcome = match timeout {
-            Some(t) => rx.recv_timeout(t).map_err(|_| ()),
-            None => rx.recv().map_err(|_| ()),
-        };
-        match outcome {
-            Ok(result) => result,
-            Err(()) => self.abandon(stream),
+        match rx.wait(timeout) {
+            Some(result) => result,
+            None => self.abandon(stream),
         }
     }
 
-    /// Stops tracking a stream that timed out (or whose channel vanished)
-    /// and tells the server to give up on it. Returns the error the caller
-    /// should surface.
+    /// Stops tracking a stream that timed out and tells the server to give
+    /// up on it. Returns the error the caller should surface.
     fn abandon(&self, stream: u64) -> Result<ResponseBody, TransportError> {
         self.pending.lock().remove(&stream);
         let mut cancel = self.pool.get(32);
@@ -263,8 +321,11 @@ impl<F: Framing> ConnDriver for ClientDriver<F> {
         let msg = self.framing.lock().read_message(&mut cursor, &self.pool)?;
         match msg {
             Some(Message::Response { stream, body }) => {
-                if let Some(tx) = self.pending.lock().remove(&stream) {
-                    let _ = tx.send(Ok(body));
+                // Out of the map before the wake: the woken caller may
+                // take the map's lock for its next call at once.
+                let tx = self.pending.lock().remove(&stream);
+                if let Some(tx) = tx {
+                    tx.send(Ok(body));
                 }
                 // A response for an unknown stream was cancelled or timed
                 // out: drop it.
@@ -289,7 +350,7 @@ impl<F: Framing> ConnDriver for ClientDriver<F> {
         // this runs, so `begin`'s recheck makes the insert/drain race
         // benign (see the comment there).
         for (_, tx) in self.pending.lock().drain() {
-            let _ = tx.send(Err(TransportError::ConnectionClosed));
+            tx.send(Err(TransportError::ConnectionClosed));
         }
     }
 }
@@ -305,7 +366,7 @@ impl<F: Framing> ConnDriver for ClientDriver<F> {
 pub struct CallFuture<F: Framing> {
     conn: Arc<Connection<F>>,
     stream: u64,
-    rx: Receiver<Result<ResponseBody, TransportError>>,
+    rx: ReplyReceiver,
     done: bool,
 }
 
@@ -329,13 +390,9 @@ impl<F: Framing> CallFuture<F> {
         // Not yet `done`: dropping `self` on this return abandons the stream.
         refuse_blocking_on_reactor()?;
         self.done = true;
-        let outcome = match timeout {
-            Some(t) => self.rx.recv_timeout(t).map_err(|_| ()),
-            None => self.rx.recv().map_err(|_| ()),
-        };
-        match outcome {
-            Ok(result) => result,
-            Err(()) => self.conn.abandon(self.stream),
+        match self.rx.wait(timeout) {
+            Some(result) => result,
+            None => self.conn.abandon(self.stream),
         }
     }
 
@@ -353,20 +410,10 @@ impl<F: Framing> CallFuture<F> {
             // Not marked `done`, so dropping the future abandons the stream.
             return Some(Err(refused));
         }
-        match self.rx.recv_timeout(timeout) {
-            Ok(result) => {
-                self.done = true;
-                Some(result)
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => None,
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                // The sender vanished without a value: the connection died
-                // mid-drain. Clean up our entry and report the death.
-                self.done = true;
-                self.conn.pending.lock().remove(&self.stream);
-                Some(Err(TransportError::ConnectionClosed))
-            }
-        }
+        let outcome = self.rx.wait(Some(timeout));
+        // Filled means the sender has left the pending map: nothing to clean.
+        self.done = outcome.is_some();
+        outcome
     }
 }
 
@@ -375,5 +422,102 @@ impl<F: Framing> Drop for CallFuture<F> {
         if !self.done {
             let _ = self.conn.abandon(self.stream);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::{Status, WeaverFraming};
+    use std::io::Write as _;
+    use std::net::TcpListener;
+
+    const LONG: Duration = Duration::from_secs(10);
+
+    /// A client connection and the raw peer socket it talks to: the test
+    /// reads requests and writes replies by hand, so it decides when (and
+    /// whether) each reply arrives.
+    fn wired() -> (Arc<Connection<WeaverFraming>>, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (peer, _) = listener.accept().unwrap();
+        peer.set_read_timeout(Some(LONG)).unwrap();
+        (Arc::new(Connection::from_stream(client).unwrap()), peer)
+    }
+
+    /// Reads the next message on the peer and returns its stream id.
+    fn read_stream(peer: &mut TcpStream) -> u64 {
+        match WeaverFraming.read_message(peer, &BufferPool::new()) {
+            Ok(Some(Message::Request { stream, .. } | Message::Cancel { stream })) => stream,
+            other => panic!("expected a request or cancel, got {other:?}"),
+        }
+    }
+
+    fn reply(peer: &mut TcpStream, stream: u64, payload: &[u8]) {
+        let mut frame = Vec::new();
+        let body = ResponseBody {
+            status: Status::Ok,
+            payload: payload.to_vec().into(),
+        };
+        WeaverFraming::write_response(&mut frame, stream, &body);
+        peer.write_all(&frame).unwrap();
+    }
+
+    #[test]
+    fn a_sender_dropped_without_sending_reads_as_connection_closed() {
+        let (tx, rx) = reply_slot();
+        assert!(rx.wait(Some(Duration::ZERO)).is_none());
+        drop(tx);
+        assert_eq!(rx.wait(None), Some(Err(TransportError::ConnectionClosed)));
+    }
+
+    #[test]
+    fn wait_timeout_comes_back_empty_then_returns_the_reply() {
+        let (conn, mut peer) = wired();
+        let mut call = Connection::call_begin(&conn, &RequestHeader::default(), &[]).unwrap();
+        let stream = read_stream(&mut peer);
+        assert!(call.wait_timeout(Duration::from_millis(20)).is_none());
+        assert_eq!(conn.in_flight(), 1, "an empty poll keeps the call");
+        reply(&mut peer, stream, b"late");
+        let body = call.wait_timeout(LONG).expect("the reply arrived").unwrap();
+        assert_eq!(&*body.payload, b"late");
+        assert_eq!(conn.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_reply_for_an_abandoned_stream_is_dropped() {
+        let (conn, mut peer) = wired();
+        let header = RequestHeader::default();
+        let abandoned = Connection::call_begin(&conn, &header, &[]).unwrap();
+        let first = read_stream(&mut peer);
+        drop(abandoned);
+        assert_eq!(read_stream(&mut peer), first, "dropping sends a cancel");
+        let next = Connection::call_begin(&conn, &header, &[]).unwrap();
+        let second = read_stream(&mut peer);
+        // The abandoned stream's reply goes first on the wire, so it has
+        // been read (and dropped) by the time the second call resolves.
+        reply(&mut peer, first, b"nobody waits");
+        reply(&mut peer, second, b"mine");
+        assert_eq!(&*next.wait(Some(LONG)).unwrap().payload, b"mine");
+        assert_eq!(conn.in_flight(), 0);
+        assert!(!conn.is_dead());
+    }
+
+    #[test]
+    fn connection_death_fails_a_blocked_call_at_once() {
+        let (conn, mut peer) = wired();
+        let started = Instant::now();
+        let outcome = std::thread::scope(|s| {
+            let caller = s.spawn(|| conn.call(&RequestHeader::default(), &[], Some(LONG)));
+            read_stream(&mut peer);
+            drop(peer);
+            caller.join().unwrap()
+        });
+        assert_eq!(outcome, Err(TransportError::ConnectionClosed));
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "waited out the deadline"
+        );
+        assert_eq!(conn.in_flight(), 0);
     }
 }

@@ -6,11 +6,13 @@
 //! response writes all run on the poller shards, and handler execution
 //! hops to the bounded worker pool. No threads are created per connection.
 //!
-//! That hop — channel send, futex wake, run-queue wait, and the same again
-//! for the reply — costs more than a small handler does, so the one
-//! dispatch path has one branch: a request for which the installed handler
-//! answers [`RpcHandler::inline_ok`] runs on the shard thread that decoded
-//! it. The default answer is `false`, because a server cannot know whether
+//! That hop — a queue push and one futex wake of a parked worker, its
+//! run-queue wait, then the reply's enqueue and flush wake back on the
+//! shard — costs more than a small handler does, so the one dispatch path
+//! has one branch: a request for which the installed handler answers
+//! [`RpcHandler::inline_ok`] runs on the shard thread that decoded it. A
+//! handler that panics costs its connection on either branch, never the
+//! shard or the worker. The default answer is `false`, because a server cannot know whether
 //! an arbitrary handler blocks (closure handlers and the gRPC-like baseline
 //! never get the branch); the component runtime can know, and says yes only
 //! for a started component that acquired no reference to another one, whose
@@ -248,17 +250,30 @@ impl<F: Framing> ConnDriver for ServerDriver<F> {
                 let handler = Arc::clone(&self.handler);
                 let in_flight = Arc::clone(&self.in_flight);
                 let buf_pool = self.buf_pool.clone();
-                let state = Arc::clone(state);
-                self.workers.execute(move || {
-                    let body = handler.handle(&header, &args);
+                let conn = Arc::clone(state);
+                let queued = self.workers.execute(move || {
+                    let body = catch_unwind(AssertUnwindSafe(|| handler.handle(&header, &args)));
                     // `args` still references the pooled receive buffer;
                     // drop it before encoding so a warm pool can reuse it.
                     drop(args);
+                    let Ok(body) = body else {
+                        // As on the inline branch, a panic costs the
+                        // connection (its callers fail at once), not the
+                        // worker; the teardown clears `in_flight`.
+                        conn.kill();
+                        return;
+                    };
                     if !in_flight.lock().remove(&stream) {
                         return; // cancelled while running: suppress the reply
                     }
-                    let _ = send_response::<F>(&state, &buf_pool, stream, &body);
+                    let _ = send_response::<F>(&conn, &buf_pool, stream, &body);
                 });
+                if !queued {
+                    // Nobody will answer: the error severs the connection,
+                    // so the caller fails now instead of at its deadline.
+                    self.in_flight.lock().remove(&stream);
+                    return Err(TransportError::Io("worker pool shut down".into()));
+                }
             }
             Some(Message::Cancel { stream }) => {
                 // A cancel for a stream already answered (the normal
@@ -382,12 +397,14 @@ mod tests {
 
     #[test]
     fn cancel_while_running_suppresses_the_reply() {
-        let (entered_tx, entered_rx) = crossbeam::channel::bounded::<()>(1);
-        let (release_tx, release_rx) = crossbeam::channel::bounded::<()>(1);
+        let (entered_tx, entered_rx) = std::sync::mpsc::sync_channel::<()>(1);
+        let (release_tx, release_rx) = std::sync::mpsc::sync_channel::<()>(1);
+        // Handlers are `Sync`; std's receiver is not.
+        let release_rx = Mutex::new(release_rx);
         let handler: Arc<dyn RpcHandler> = Arc::new(move |h: &RequestHeader, _a: &[u8]| {
             if h.method == 1 {
                 entered_tx.send(()).unwrap();
-                release_rx.recv().unwrap();
+                release_rx.lock().recv().unwrap();
             }
             ResponseBody {
                 status: Status::Ok,
@@ -573,27 +590,36 @@ mod tests {
             .unwrap();
     }
 
+    /// On either dispatch branch a panicking handler severs its connection
+    /// (the caller fails at once rather than at its deadline) and the thread
+    /// that ran it keeps serving: every shard, and the server's one worker.
     #[test]
-    fn a_panicking_inline_handler_costs_its_connection_not_the_shard() {
-        let handler = Inline(Arc::new(|header: &RequestHeader, _: &[u8]| {
+    fn a_panicking_handler_costs_its_connection_not_its_thread() {
+        let panics_on_1 = |header: &RequestHeader, _: &[u8]| {
             assert_ne!(header.method, 1, "injected handler panic");
             ok(vec![])
-        }));
-        let server = Server::<WeaverFraming>::bind("127.0.0.1:0", 1, Arc::new(handler)).unwrap();
-        let doomed = Connection::<WeaverFraming>::connect(server.local_addr()).unwrap();
-        let header = RequestHeader {
-            method: 1,
-            ..Default::default()
         };
-        assert_eq!(
-            doomed.call(&header, &[], Some(Duration::from_secs(5))),
-            Err(TransportError::ConnectionClosed)
-        );
-        // Every shard still serves (with one shard, the one that caught it).
-        for _ in 0..8 {
-            let conn = Connection::<WeaverFraming>::connect(server.local_addr()).unwrap();
-            conn.call(&RequestHeader::default(), &[], Some(Duration::from_secs(5)))
-                .unwrap();
+        let rows: [(&str, Arc<dyn RpcHandler>); 2] = [
+            ("inline", Arc::new(Inline(Arc::new(panics_on_1)))),
+            ("worker", Arc::new(panics_on_1)),
+        ];
+        for (row, handler) in rows {
+            let server = Server::<WeaverFraming>::bind("127.0.0.1:0", 1, handler).unwrap();
+            let doomed = Connection::<WeaverFraming>::connect(server.local_addr()).unwrap();
+            let header = RequestHeader {
+                method: 1,
+                ..Default::default()
+            };
+            assert_eq!(
+                doomed.call(&header, &[], Some(Duration::from_secs(5))),
+                Err(TransportError::ConnectionClosed),
+                "{row}"
+            );
+            for _ in 0..8 {
+                let conn = Connection::<WeaverFraming>::connect(server.local_addr()).unwrap();
+                conn.call(&RequestHeader::default(), &[], Some(Duration::from_secs(5)))
+                    .unwrap_or_else(|e| panic!("{row}: the server stopped serving: {e:?}"));
+            }
         }
     }
 
