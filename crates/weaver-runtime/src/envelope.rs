@@ -8,9 +8,9 @@
 
 use std::io::BufReader;
 use std::process::{Child, ChildStdin, Command, Stdio};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 
 use crate::proclet::{ENV_GROUP, ENV_REPLICA, ENV_VERSION, ENV_WORKERS};
@@ -31,13 +31,32 @@ impl std::fmt::Display for ReplicaId {
     }
 }
 
-/// Events the envelope reports to the manager.
+/// One spawned process of a replica: the replica plus the number the control
+/// plane minted when it asked for the spawn. A replica that is restarted, or
+/// retired and spawned again, gets a new incarnation; events from an old one
+/// are stale.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Incarnation {
+    /// The replica.
+    pub id: ReplicaId,
+    /// Minted at spawn, unique within one control plane.
+    pub n: u64,
+}
+
+impl std::fmt::Display for Incarnation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}#{}", self.id, self.n)
+    }
+}
+
+/// Events the envelope reports to the manager, tagged with the incarnation
+/// it was spawned for.
 #[derive(Debug)]
 pub enum EnvelopeEvent {
     /// A message arrived from the proclet.
-    Message(ReplicaId, ProcletMessage),
+    Message(Incarnation, ProcletMessage),
     /// The proclet's pipe closed (process exit or crash).
-    Exited(ReplicaId),
+    Exited(Incarnation),
 }
 
 /// How to launch proclet processes.
@@ -69,14 +88,16 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// Spawns a proclet child and starts relaying its messages to `events`.
+    /// Spawns a proclet incarnation and starts relaying its messages to
+    /// `events`.
     pub fn spawn(
         spec: &SpawnSpec,
-        id: ReplicaId,
+        incarnation: Incarnation,
         version: u64,
         workers: usize,
         events: Sender<EnvelopeEvent>,
     ) -> std::io::Result<Arc<Envelope>> {
+        let id = incarnation.id;
         let mut child = Command::new(&spec.exe)
             .args(&spec.args)
             .env(ENV_GROUP, id.group.to_string())
@@ -105,11 +126,14 @@ impl Envelope {
                     let mut reader = BufReader::new(stdout);
                     // Ends on pipe EOF (`Ok(None)`) or a read error alike.
                     while let Ok(Some(msg)) = read_message::<ProcletMessage, _>(&mut reader) {
-                        if events.send(EnvelopeEvent::Message(id, msg)).is_err() {
+                        if events
+                            .send(EnvelopeEvent::Message(incarnation, msg))
+                            .is_err()
+                        {
                             break;
                         }
                     }
-                    let _ = events.send(EnvelopeEvent::Exited(id));
+                    let _ = events.send(EnvelopeEvent::Exited(incarnation));
                 })?;
         }
 

@@ -14,8 +14,10 @@
 //! | [`protocol`] | Table 1: the proclet ↔ runtime pipe API |
 //! | [`proclet`] | §4.3: the in-binary daemon |
 //! | [`envelope`] | Figure 3: per-proclet parent agent |
-//! | [`manager`] | Figure 3: the global manager (multiprocess deployer) |
+//! | [`control`] | the control plane: membership, routing and the migration executor, no I/O (§5.3) |
+//! | [`manager`] | Figure 3: the global manager (multiprocess deployer), hosting [`control`] |
 //! | [`single`] | the single-process deployer (co-located / weavertest) |
+//! | [`tcp`] | the loopback-TCP deployer: one process, real sockets, live migrations through [`control`] |
 //! | [`router`] | the data plane: proclet-to-proclet calls |
 //! | [`dispatch`] | the one dispatch path: §4.4 version backstop, injected faults |
 //! | [`dedup`] | idempotency-key replay: retries never double-execute |
@@ -36,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod control;
 pub mod dedup;
 pub mod dispatch;
 pub mod envelope;
@@ -47,11 +50,9 @@ pub mod single;
 pub mod tcp;
 
 pub use config::{ConfigError, DeploymentConfig, TomlDoc, TomlValue};
+pub use control::MigratedRange;
 pub use dedup::DedupCache;
-pub use envelope::{ReplicaId, SpawnSpec};
+pub use envelope::{Incarnation, ReplicaId, SpawnSpec};
 pub use manager::MultiProcess;
 pub use single::{ComponentFault, FaultInjectable, SingleMode, SingleProcess};
-pub use tcp::{
-    ComponentMigration, MigratedRange, MigrationReport, PlacementRoundReport, TcpOptions,
-    TcpProcess,
-};
+pub use tcp::{ComponentMigration, MigrationReport, PlacementRoundReport, TcpOptions, TcpProcess};

@@ -8,74 +8,49 @@
 //! components. … Note that the runtime implements the control plane but not
 //! the data plane. Proclets communicate directly with one another."
 //!
-//! [`MultiProcess::deploy`] spawns one proclet subprocess per (co-location
-//! group × replica), waits for every replica to register, distributes the
-//! hosting assignment and routing tables, restarts crashed proclets, and
-//! exposes typed component clients to the driving process.
+//! [`MultiProcess`] hosts a [`ControlPlane`], which decides membership:
+//! what to spawn, restart, retire and route, and when the HPA scales. The
+//! manager does the I/O those decisions need. It turns envelope events into
+//! control-plane events, and carries each command out: it spawns envelopes,
+//! writes to pipes and updates the ingress routing table. It also keeps the
+//! metrics and call-graph reports, waits for registration, and exposes
+//! typed component clients to the driving process.
 
 use std::collections::{BTreeMap, HashMap};
-use std::net::SocketAddr;
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use weaver_core::component::ComponentInterface;
 use weaver_core::context::CallContext;
 use weaver_core::error::WeaverError;
 use weaver_core::registry::ComponentRegistry;
 use weaver_metrics::{CallGraph, CallGraphSnapshot, MetricsSnapshot};
-use weaver_routing::SliceAssignment;
 
 use crate::config::DeploymentConfig;
-use crate::envelope::{Envelope, EnvelopeEvent, ReplicaId, SpawnSpec};
+use crate::control::{Command, ControlPlane, Event};
+use crate::envelope::{Envelope, EnvelopeEvent, Incarnation, ReplicaId, SpawnSpec};
 use crate::protocol::{EnvelopeMessage, ProcletMessage};
-use crate::router::{RemoteRouter, RoutingState, RoutingTable};
+use crate::router::{RemoteRouter, RoutingTable};
 
-/// How long `deploy` waits for every proclet to register.
+/// How long `deploy` and `scale_group` wait for proclets to register.
 const DEPLOY_TIMEOUT: Duration = Duration::from_secs(30);
-/// Restarts allowed per replica before the manager gives up on it.
-const RESTART_LIMIT: u32 = 5;
 
-#[derive(Default)]
 struct ManagerState {
-    envelopes: HashMap<ReplicaId, Arc<Envelope>>,
-    addrs: HashMap<ReplicaId, SocketAddr>,
-    /// Desired replica count per group.
-    desired: Vec<u32>,
-    epoch: u64,
-    shutting_down: bool,
-    restarts: HashMap<ReplicaId, u32>,
+    control: ControlPlane,
+    /// Live envelopes by incarnation: a retired incarnation keeps its
+    /// envelope until its process exits, beside the one replacing it.
+    envelopes: HashMap<Incarnation, Arc<Envelope>>,
     /// Latest load report per replica. Reports are cumulative snapshots,
     /// so the aggregate is their merge at read time, never a running sum.
     reports: BTreeMap<ReplicaId, (MetricsSnapshot, CallGraphSnapshot)>,
-    /// Latest reported busy fraction per replica (HPA input).
-    utilization: HashMap<ReplicaId, f64>,
-    /// One HPA state machine per group (populated when autoscaling).
-    autoscalers: Vec<weaver_placement::Autoscaler>,
-}
-
-impl ManagerState {
-    /// Forgets a replica that stops serving: it leaves routing, and its last
-    /// busy fraction leaves its group's HPA mean. With `shutdown`, its
-    /// proclet is also asked to exit.
-    fn retire(&mut self, id: ReplicaId, shutdown: bool) {
-        self.addrs.remove(&id);
-        self.utilization.remove(&id);
-        if shutdown {
-            if let Some(envelope) = self.envelopes.get(&id) {
-                let _ = envelope.send(&EnvelopeMessage::Shutdown);
-            }
-        }
-    }
 }
 
 struct Shared {
     registry: Arc<ComponentRegistry>,
     config: DeploymentConfig,
-    /// Component ids per group.
-    groups: Vec<Vec<u32>>,
     spawn: SpawnSpec,
     state: Mutex<ManagerState>,
     ready: Condvar,
@@ -85,195 +60,127 @@ struct Shared {
 }
 
 impl Shared {
-    /// True when every desired replica has registered an address.
-    fn all_registered(state: &ManagerState) -> bool {
-        let desired_total: u32 = state.desired.iter().sum();
-        state.addrs.len() == desired_total as usize
-    }
-
-    fn spawn_replica(&self, state: &mut ManagerState, id: ReplicaId) -> Result<(), WeaverError> {
-        let envelope = Envelope::spawn(
-            &self.spawn,
-            id,
-            self.config.version,
-            self.config.server_workers,
-            self.events_tx.clone(),
-        )
-        .map_err(|e| WeaverError::internal(format!("spawn proclet {id}: {e}")))?;
-        state.envelopes.insert(id, envelope);
-        Ok(())
-    }
-
-    /// Recomputes routing from registered addresses and pushes it to every
-    /// proclet and to the manager's own table.
-    fn broadcast_routing(&self, state: &mut ManagerState) {
-        state.epoch += 1;
-        let mut routes: Vec<(u32, Vec<String>)> = Vec::new();
-        let mut parsed_routes: HashMap<u32, Vec<SocketAddr>> = HashMap::new();
-        for (group_idx, components) in self.groups.iter().enumerate() {
-            // Addresses of this group's registered replicas, replica order.
-            let mut replicas: Vec<(u32, SocketAddr)> = state
-                .addrs
-                .iter()
-                .filter(|(id, _)| id.group == group_idx as u32)
-                .map(|(id, addr)| (id.replica, *addr))
-                .collect();
-            replicas.sort_by_key(|(r, _)| *r);
-            let addrs: Vec<SocketAddr> = replicas.into_iter().map(|(_, a)| a).collect();
-            for &component in components {
-                routes.push((component, addrs.iter().map(|a| a.to_string()).collect()));
-                parsed_routes.insert(component, addrs.clone());
-            }
-        }
-
-        // Slice assignments for components with routed methods.
-        let mut assignments: Vec<(u32, SliceAssignment)> = Vec::new();
-        for (id, registration) in self.registry.iter() {
-            if registration.methods.iter().any(|m| m.routed) {
-                let replica_count = parsed_routes.get(&id).map_or(0, Vec::len) as u32;
-                if replica_count > 0 {
-                    assignments.push((id, SliceAssignment::uniform(replica_count, 8)));
-                }
-            }
-        }
-
-        let msg = EnvelopeMessage::RoutingInfo {
-            epoch: state.epoch,
-            routes: routes.clone(),
-            assignments: assignments.clone(),
-        };
-        for envelope in state.envelopes.values() {
-            let _ = envelope.send(&msg);
-        }
-        self.table.update(RoutingState {
-            epoch: state.epoch,
-            routes: parsed_routes,
-            assignments: assignments.into_iter().collect(),
-        });
-    }
-
-    /// One HPA evaluation over the latest load reports: the same control
-    /// law the paper's prototype delegates to Horizontal Pod Autoscalers.
-    fn autoscale_tick(&self, state: &mut ManagerState) {
-        if state.autoscalers.is_empty() {
-            let hpa = weaver_placement::AutoscalerConfig {
-                target_utilization: self.config.target_utilization,
-                min_replicas: self.config.min_replicas.max(1),
-                max_replicas: self.config.max_replicas.max(1),
-                // One-second ticks: keep k8s-ish 5-tick stabilization.
-                ..Default::default()
-            };
-            state.autoscalers = (0..self.groups.len())
-                .map(|_| weaver_placement::Autoscaler::new(hpa.clone()))
-                .collect();
-        }
-        let mut any_change = false;
-        for group in 0..self.groups.len() as u32 {
-            let replicas: Vec<f64> = state
-                .utilization
-                .iter()
-                .filter(|(id, _)| id.group == group)
-                .map(|(_, &u)| u)
-                .collect();
-            if replicas.is_empty() {
-                continue;
-            }
-            let mean = replicas.iter().sum::<f64>() / replicas.len() as f64;
-            let current = state.desired[group as usize];
-            let desired = state.autoscalers[group as usize].evaluate(current, mean);
-            if desired == current {
-                continue;
-            }
-            any_change = true;
-            state.desired[group as usize] = desired;
-            if desired > current {
-                for replica in current..desired {
-                    let id = ReplicaId { group, replica };
-                    if let Err(e) = self.spawn_replica(state, id) {
-                        eprintln!("manager: autoscale spawn {id} failed: {e}");
+    /// Steps the control plane on `event` and carries out its commands.
+    /// Every command runs; the first spawn failure is returned.
+    fn step(&self, state: &mut ManagerState, event: Event) -> Result<(), WeaverError> {
+        let mut result = Ok(());
+        for command in state.control.step(event) {
+            match command {
+                Command::Spawn(incarnation) => match Envelope::spawn(
+                    &self.spawn,
+                    incarnation,
+                    self.config.version,
+                    self.config.server_workers,
+                    self.events_tx.clone(),
+                ) {
+                    Ok(envelope) => {
+                        state.envelopes.insert(incarnation, envelope);
+                    }
+                    Err(e) => {
+                        result = result.and(Err(WeaverError::internal(format!(
+                            "spawn proclet {incarnation}: {e}"
+                        ))));
+                    }
+                },
+                Command::Shutdown(incarnation) => {
+                    if let Some(envelope) = state.envelopes.get(&incarnation) {
+                        let _ = envelope.send(&EnvelopeMessage::Shutdown);
                     }
                 }
-                // Routing picks the new replicas up when they register.
-            } else {
-                for replica in desired..current {
-                    state.retire(ReplicaId { group, replica }, true);
+                Command::HostComponents(incarnation, components) => {
+                    if let Some(envelope) = state.envelopes.get(&incarnation) {
+                        let _ = envelope.send(&EnvelopeMessage::HostComponents { components });
+                    }
+                }
+                Command::Install(routing) => {
+                    let msg = EnvelopeMessage::RoutingInfo {
+                        epoch: routing.epoch,
+                        routes: routing
+                            .routes
+                            .iter()
+                            .map(|(&id, addrs)| (id, addrs.iter().map(|a| a.to_string()).collect()))
+                            .collect(),
+                        assignments: routing
+                            .assignments
+                            .iter()
+                            .map(|(&id, assignment)| (id, assignment.clone()))
+                            .collect(),
+                    };
+                    for envelope in state.envelopes.values() {
+                        let _ = envelope.send(&msg);
+                    }
+                    self.table.update(routing);
                 }
             }
         }
-        if any_change {
-            self.broadcast_routing(state);
+        let (registered, desired) = state.control.registration();
+        if registered == desired as usize {
+            self.ready.notify_all();
         }
+        result
     }
 
-    fn handle_event(&self, event: EnvelopeEvent) {
-        match event {
-            EnvelopeEvent::Message(id, msg) => self.handle_message(id, msg),
-            EnvelopeEvent::Exited(id) => self.handle_exit(id),
-        }
-    }
-
-    fn handle_message(&self, id: ReplicaId, msg: ProcletMessage) {
+    fn handle_event(&self, event: EnvelopeEvent) -> Result<(), WeaverError> {
         let mut state = self.state.lock();
-        match msg {
-            ProcletMessage::RegisterReplica { addr, .. } => {
-                if let Ok(parsed) = addr.parse::<SocketAddr>() {
-                    state.addrs.insert(id, parsed);
-                    self.broadcast_routing(&mut state);
-                    if Shared::all_registered(&state) {
-                        self.ready.notify_all();
+        let event = match event {
+            EnvelopeEvent::Exited(incarnation) => {
+                state.envelopes.remove(&incarnation);
+                Event::Exited(incarnation)
+            }
+            EnvelopeEvent::Message(incarnation, msg) => match msg {
+                ProcletMessage::RegisterReplica { addr, .. } => match addr.parse() {
+                    Ok(addr) => Event::Registered(incarnation, addr),
+                    Err(_) => return Ok(()),
+                },
+                ProcletMessage::ComponentsToHost => Event::HostQuery(incarnation),
+                ProcletMessage::LoadReport {
+                    utilization,
+                    metrics,
+                    callgraph,
+                } => {
+                    // A retired incarnation answers health checks until it
+                    // exits; its snapshot must not replace its successor's.
+                    if state.control.incarnation(incarnation.id) == Some(incarnation) {
+                        state.reports.insert(incarnation.id, (metrics, callgraph));
                     }
+                    Event::Load(incarnation, utilization)
                 }
-            }
-            ProcletMessage::ComponentsToHost => {
-                let components = self
-                    .groups
-                    .get(id.group as usize)
-                    .cloned()
-                    .unwrap_or_default();
-                if let Some(envelope) = state.envelopes.get(&id) {
-                    let _ = envelope.send(&EnvelopeMessage::HostComponents { components });
+                ProcletMessage::Log { level, message } => {
+                    eprintln!("[proclet {} l{level}] {message}", incarnation.id);
+                    return Ok(());
                 }
-            }
-            ProcletMessage::StartComponent { component } => {
                 // All components are pre-assigned to groups; a request to
                 // start one that is already assigned is satisfied by
                 // construction. (Kept for Table 1 API completeness.)
-                let _ = component;
-            }
-            ProcletMessage::LoadReport {
-                utilization,
-                metrics,
-                callgraph,
-            } => {
-                state.utilization.insert(id, utilization);
-                state.reports.insert(id, (metrics, callgraph));
-            }
-            ProcletMessage::Log { level, message } => {
-                eprintln!("[proclet {id} l{level}] {message}");
-            }
-            ProcletMessage::ShuttingDown => {}
-        }
+                ProcletMessage::StartComponent { .. } | ProcletMessage::ShuttingDown => {
+                    return Ok(())
+                }
+            },
+        };
+        self.step(&mut state, event)
     }
 
-    fn handle_exit(&self, id: ReplicaId) {
-        let mut state = self.state.lock();
-        state.retire(id, false);
-        state.envelopes.remove(&id);
-        if state.shutting_down {
-            return;
-        }
-        // Still desired? Restart (the paper's "restarting components when
-        // they fail" at proclet granularity), unless it is crash-looping.
-        let desired = state.desired.get(id.group as usize).copied().unwrap_or(0);
-        let restarts = state.restarts.entry(id).or_insert(0);
-        if id.replica < desired && *restarts < RESTART_LIMIT {
-            *restarts += 1;
-            eprintln!("manager: proclet {id} exited; restarting (attempt {restarts})");
-            if let Err(e) = self.spawn_replica(&mut state, id) {
-                eprintln!("manager: restart of {id} failed: {e}");
+    /// Blocks until every desired replica registered or `DEPLOY_TIMEOUT`
+    /// passed.
+    fn wait_registered(
+        &self,
+        state: &mut MutexGuard<'_, ManagerState>,
+        what: &str,
+    ) -> Result<(), WeaverError> {
+        let deadline = Instant::now() + DEPLOY_TIMEOUT;
+        loop {
+            let (registered, desired) = state.control.registration();
+            if registered == desired as usize {
+                return Ok(());
             }
+            let timeout = deadline.saturating_duration_since(Instant::now());
+            if timeout.is_zero() {
+                return Err(WeaverError::Unavailable {
+                    detail: format!("{what} timed out: {registered}/{desired} proclets registered"),
+                });
+            }
+            self.ready.wait_for(state, timeout);
         }
-        self.broadcast_routing(&mut state);
     }
 }
 
@@ -323,14 +230,27 @@ impl MultiProcess {
             }
         }
 
-        let (events_tx, events_rx): (Sender<EnvelopeEvent>, Receiver<EnvelopeEvent>) = unbounded();
+        let autoscale = config
+            .autoscale
+            .then(|| weaver_placement::AutoscalerConfig {
+                target_utilization: config.target_utilization,
+                min_replicas: config.min_replicas.max(1),
+                max_replicas: config.max_replicas.max(1),
+                // One-second ticks: keep k8s-ish 5-tick stabilization.
+                ..Default::default()
+            });
+        let group_count = groups.len() as u32;
+        let (events_tx, events_rx) = channel();
         let replicas = config.replicas.max(1);
         let shared = Arc::new(Shared {
+            state: Mutex::new(ManagerState {
+                control: ControlPlane::for_registry(&registry, groups, autoscale),
+                envelopes: HashMap::new(),
+                reports: BTreeMap::new(),
+            }),
             registry,
             config,
-            groups,
             spawn,
-            state: Mutex::new(ManagerState::default()),
             ready: Condvar::new(),
             table: RoutingTable::new(),
             events_tx,
@@ -339,11 +259,8 @@ impl MultiProcess {
         // Spawn all proclets.
         {
             let mut state = shared.state.lock();
-            state.desired = vec![replicas; shared.groups.len()];
-            for group in 0..shared.groups.len() as u32 {
-                for replica in 0..replicas {
-                    shared.spawn_replica(&mut state, ReplicaId { group, replica })?;
-                }
+            for group in 0..group_count {
+                shared.step(&mut state, Event::Scale { group, replicas })?;
             }
         }
 
@@ -353,19 +270,24 @@ impl MultiProcess {
             std::thread::Builder::new()
                 .name("weaver-manager".into())
                 .spawn(move || {
+                    let handle = |event| {
+                        if let Err(e) = shared.handle_event(event) {
+                            eprintln!("manager: {e}");
+                        }
+                    };
                     loop {
                         match events_rx.recv_timeout(Duration::from_millis(200)) {
-                            Ok(event) => shared.handle_event(event),
-                            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                                if shared.state.lock().shutting_down {
+                            Ok(event) => handle(event),
+                            Err(RecvTimeoutError::Timeout) => {
+                                if shared.state.lock().control.shutting_down() {
                                     // Drain whatever is left, then stop.
                                     while let Ok(event) = events_rx.try_recv() {
-                                        shared.handle_event(event);
+                                        handle(event);
                                     }
                                     break;
                                 }
                             }
-                            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+                            Err(RecvTimeoutError::Disconnected) => break,
                         }
                     }
                 })
@@ -384,7 +306,7 @@ impl MultiProcess {
                         std::thread::sleep(Duration::from_millis(250));
                         tick += 1;
                         let mut state = shared.state.lock();
-                        if state.shutting_down {
+                        if state.control.shutting_down() {
                             break;
                         }
                         for envelope in state.envelopes.values() {
@@ -392,32 +314,17 @@ impl MultiProcess {
                         }
                         // HPA evaluation once per second, on the reports
                         // collected since the last one.
-                        if shared.config.autoscale && tick.is_multiple_of(4) {
-                            shared.autoscale_tick(&mut state);
+                        if tick.is_multiple_of(4) {
+                            if let Err(e) = shared.step(&mut state, Event::Tick) {
+                                eprintln!("manager: autoscale: {e}");
+                            }
                         }
                     }
                 })
                 .map_err(|e| WeaverError::internal(e.to_string()))?
         };
 
-        // Wait until every replica registered.
-        {
-            let mut state = shared.state.lock();
-            let deadline = Instant::now() + DEPLOY_TIMEOUT;
-            while !Shared::all_registered(&state) {
-                let timeout = deadline.saturating_duration_since(Instant::now());
-                if timeout.is_zero() {
-                    return Err(WeaverError::Unavailable {
-                        detail: format!(
-                            "deploy timed out: {}/{} proclets registered",
-                            state.addrs.len(),
-                            state.desired.iter().sum::<u32>()
-                        ),
-                    });
-                }
-                shared.ready.wait_for(&mut state, timeout);
-            }
-        }
+        shared.wait_registered(&mut shared.state.lock(), "deploy")?;
 
         let callgraph = Arc::new(CallGraph::new());
         let router = Arc::new(RemoteRouter::new(
@@ -451,7 +358,10 @@ impl MultiProcess {
     /// The co-location groups in force, as component names.
     pub fn groups(&self) -> Vec<Vec<&'static str>> {
         self.shared
-            .groups
+            .state
+            .lock()
+            .control
+            .groups()
             .iter()
             .map(|ids| {
                 ids.iter()
@@ -496,7 +406,8 @@ impl MultiProcess {
     /// The manager will restart it and heal routing.
     pub fn kill_replica(&self, group: u32, replica: u32) {
         let state = self.shared.state.lock();
-        if let Some(envelope) = state.envelopes.get(&ReplicaId { group, replica }) {
+        let incarnation = state.control.incarnation(ReplicaId { group, replica });
+        if let Some(envelope) = incarnation.and_then(|i| state.envelopes.get(&i)) {
             envelope.close_pipe();
             envelope.reap(Duration::ZERO);
         }
@@ -506,46 +417,21 @@ impl MultiProcess {
     /// the simulator drives the closed-loop version). Blocks until new
     /// replicas registered or `DEPLOY_TIMEOUT` passed.
     pub fn scale_group(&self, group: u32, replicas: u32) -> Result<(), WeaverError> {
-        let replicas = replicas.max(1);
         let mut state = self.shared.state.lock();
-        let Some(desired) = state.desired.get_mut(group as usize) else {
+        let Some(old) = state.control.desired(group) else {
             return Err(WeaverError::internal(format!("no group {group}")));
         };
-        let old = *desired;
-        *desired = replicas;
+        self.shared
+            .step(&mut state, Event::Scale { group, replicas })?;
         if replicas > old {
-            for replica in old..replicas {
-                self.shared
-                    .spawn_replica(&mut state, ReplicaId { group, replica })?;
-            }
-            let deadline = Instant::now() + DEPLOY_TIMEOUT;
-            while !Shared::all_registered(&state) {
-                let timeout = deadline.saturating_duration_since(Instant::now());
-                if timeout.is_zero() {
-                    return Err(WeaverError::Unavailable {
-                        detail: "scale-up timed out".into(),
-                    });
-                }
-                self.shared.ready.wait_for(&mut state, timeout);
-            }
-        } else {
-            for replica in replicas..old {
-                state.retire(ReplicaId { group, replica }, true);
-            }
-            self.shared.broadcast_routing(&mut state);
+            self.shared.wait_registered(&mut state, "scale-up")?;
         }
         Ok(())
     }
 
     /// Replica count currently registered for a group.
     pub fn registered_replicas(&self, group: u32) -> usize {
-        self.shared
-            .state
-            .lock()
-            .addrs
-            .keys()
-            .filter(|id| id.group == group)
-            .count()
+        self.shared.state.lock().control.registered(group)
     }
 
     /// Shuts the deployment down: every proclet is asked to exit, then
@@ -553,15 +439,13 @@ impl MultiProcess {
     pub fn shutdown(&self) {
         let envelopes: Vec<Arc<Envelope>> = {
             let mut state = self.shared.state.lock();
-            if state.shutting_down {
+            if state.control.shutting_down() {
                 return;
             }
-            state.shutting_down = true;
+            // Shutdown commands only: spawning is over.
+            let _ = self.shared.step(&mut state, Event::ShuttingDown);
             state.envelopes.values().cloned().collect()
         };
-        for envelope in &envelopes {
-            let _ = envelope.send(&EnvelopeMessage::Shutdown);
-        }
         for envelope in &envelopes {
             envelope.reap(Duration::from_secs(2));
         }
@@ -577,30 +461,5 @@ impl MultiProcess {
 impl Drop for MultiProcess {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn a_retired_replica_neither_routes_nor_counts_toward_the_hpa_mean() {
-        let gone = ReplicaId {
-            group: 0,
-            replica: 1,
-        };
-        let kept = ReplicaId {
-            group: 0,
-            replica: 0,
-        };
-        let mut state = ManagerState::default();
-        for (id, busy) in [(kept, 0.2), (gone, 0.9)] {
-            state.addrs.insert(id, "127.0.0.1:1".parse().unwrap());
-            state.utilization.insert(id, busy);
-        }
-        state.retire(gone, false);
-        assert_eq!(state.addrs.keys().collect::<Vec<_>>(), [&kept]);
-        assert_eq!(state.utilization.keys().collect::<Vec<_>>(), [&kept]);
     }
 }

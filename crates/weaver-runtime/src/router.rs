@@ -51,7 +51,7 @@ pub fn next_idempotency_key() -> u64 {
 /// The routing state a proclet receives from its envelope
 /// (`EnvelopeMessage::RoutingInfo`) or the single-process deployer builds
 /// directly.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoutingState {
     /// Update epoch; stale `RoutingInfo` messages are discarded.
     pub epoch: u64,

@@ -19,9 +19,15 @@
 //! socket in a [`weaver_transport::fault::FaultStream`], injecting seeded
 //! transport-level faults (delay, corrupt, duplicate, truncate, sever)
 //! underneath the connection machinery.
+//!
+//! Its control decisions live in [`crate::control`]: the initial routes and
+//! slice assignments come from a [`ControlPlane`], and every live migration
+//! runs through [`control::execute`]. This module plans migrations and
+//! supplies the [`ReplicaHost`] primitives: the routing table's gate, calls
+//! on a fault-free pool, and the commit of a dispatch target, placement and
+//! assignment.
 
-use std::collections::HashMap;
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -43,16 +49,11 @@ use weaver_transport::{
     Connection, Pool, RequestHeader, RpcHandler, Server, TransportError, WeaverFraming,
 };
 
+use crate::control::{self, Command, ControlPlane, Event, MigratedRange, Migration, ReplicaHost};
 use crate::dedup::DedupCache;
 use crate::dispatch::{FaultMap, ProcletDispatcher};
-use crate::router::{
-    body_to_outcome, next_idempotency_key, RemoteRouter, RoutingState, RoutingTable, Scope,
-};
+use crate::router::{body_to_outcome, next_idempotency_key, RemoteRouter, RoutingTable, Scope};
 use crate::single::{ComponentFault, FaultInjectable};
-
-/// How long a migration waits for in-flight calls on the frozen range to
-/// finish before aborting (and unfreezing with the old assignment intact).
-const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Per-call timeout on the migration control plane (export/import calls).
 const MIGRATION_CALL_TIMEOUT: Duration = Duration::from_secs(10);
@@ -103,62 +104,14 @@ impl ComponentGetter for RemoteGetter {
 
 struct Replica {
     live: Arc<LiveComponents>,
-    // Held for its Drop: shutting the server down severs live connections.
-    _server: Server<WeaverFraming>,
-}
-
-/// One key range handed from one replica to another by a migration: the
-/// unit of state handoff, and of its rollback.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MigratedRange {
-    /// First routing hash in the range.
-    pub start: u64,
-    /// One past the last hash (`u64::MAX` inclusive, slice semantics).
-    pub end: u64,
-    /// Replica index the range moved from.
-    pub from: u32,
-    /// Replica index the range moved to.
-    pub to: u32,
-    /// State entries transferred for the range (0 for stateless moves, and
-    /// until the executor has run the transfer).
-    pub entries: u64,
-}
-
-/// One live migration, as data: what to freeze, which state to hand off,
-/// and what to switch at the commit point. Slice rebalances and placement
-/// moves differ only in the value they build; [`TcpProcess::execute`] is
-/// the one place the freeze → drain → handoff → commit → unfreeze
-/// transaction is written down.
-struct Migration {
-    /// Component id.
-    component: u32,
-    /// Scopes frozen (and drained) for the whole transaction.
-    freeze: Vec<Scope>,
-    /// State handoffs, run in order and undone in reverse on failure.
-    transfers: Vec<MigratedRange>,
-    /// Slice assignment installed at commit (the install is the epoch
-    /// bump); `None` bumps the epoch alone.
-    assignment: Option<SliceAssignment>,
-    /// Dispatch target switched at commit: `Colocated` installs replica
-    /// 0's handler as the local target, `Routed` clears it, `None` leaves
-    /// it alone.
-    placement: Option<ComponentPlacement>,
-}
-
-/// Lifts a migration's freezes on every exit from the executor — commit,
-/// error or unwind — so a failed migration can never leave callers queued.
-struct Unfreeze<'a> {
-    table: &'a RoutingTable,
-    component: u32,
-    scopes: &'a [Scope],
-}
-
-impl Drop for Unfreeze<'_> {
-    fn drop(&mut self) {
-        for &scope in self.scopes {
-            self.table.unfreeze(self.component, scope);
-        }
-    }
+    /// The server's handler. Replica 0's doubles as the local dispatch
+    /// target when a component is migrated to `Colocated`: calls run the
+    /// identical server-side path (version backstop, fault injection,
+    /// dedup, nested calls) minus the socket, against the same live
+    /// instance replica 0 serves remotely.
+    handler: Arc<ProcletDispatcher>,
+    /// Dropping it shuts the server down, severing live connections.
+    server: Server<WeaverFraming>,
 }
 
 /// What one [`TcpProcess::rebalance_routed`] round did: the controller's
@@ -220,9 +173,6 @@ pub struct TcpProcess {
     router: Arc<RemoteRouter>,
     table: Arc<RoutingTable>,
     replicas: Vec<Replica>,
-    /// Replica server addresses, by replica index — the migration driver
-    /// addresses old/new owners directly.
-    addrs: Vec<SocketAddr>,
     /// Fault-free connections for the migration control plane: state
     /// handoffs must not be subject to the chaos the data plane is under
     /// (a failed handoff aborts the migration; it must not corrupt it).
@@ -231,12 +181,6 @@ pub struct TcpProcess {
     /// One injector per dialed connection, in dial order (empty unless
     /// [`TcpOptions::fault_spec`] was set).
     injectors: Arc<Mutex<Vec<FaultInjector>>>,
-    /// The per-replica server handlers, by replica index. Replica 0's
-    /// handler doubles as the local dispatch target when a component is
-    /// migrated to `Colocated`: calls run the identical server-side path
-    /// (version backstop, fault injection, dedup, nested calls) minus the
-    /// socket, against the same live instance replica 0 serves remotely.
-    handlers: Vec<Arc<ProcletDispatcher>>,
     /// The live placement of every component, bumped once per executed
     /// migration — the runtime half of the weaver-placement decision log.
     placements: Mutex<PlacementState>,
@@ -287,16 +231,30 @@ impl TcpProcess {
             "tcp",
         ));
 
-        let mut replicas = Vec::with_capacity(options.replicas);
-        let mut addrs = Vec::with_capacity(options.replicas);
-        let mut handlers = Vec::with_capacity(options.replicas);
         // One dedup cache for the whole deployment (the stand-in for a
         // shared dedup store): an unrouted retry may land on a different
         // replica than the attempt that executed, and must still replay.
         // One fault map too: a fault is injected on a component, not on a
         // replica of it.
         let dedup = Arc::new(DedupCache::new());
-        for _ in 0..options.replicas {
+        // Every component is hosted on every replica: one co-location group
+        // whose replicas are this process's servers. Its control plane
+        // routes them, with a slice assignment for each routed component so
+        // affine keys stick to one replica, as the manager's does.
+        let mut control = ControlPlane::for_registry(
+            &registry,
+            vec![registry.iter().map(|(id, _)| id).collect()],
+            None,
+        );
+        let mut replicas = Vec::with_capacity(options.replicas);
+        let scale = Event::Scale {
+            group: 0,
+            replicas: options.replicas as u32,
+        };
+        for command in control.step(scale) {
+            let Command::Spawn(incarnation) = command else {
+                continue;
+            };
             let live = Arc::new(LiveComponents::new(Arc::clone(&registry)));
             let getter = Arc::new(RemoteGetter {
                 registry: Arc::clone(&registry),
@@ -316,30 +274,17 @@ impl TcpProcess {
                 Arc::clone(&handler) as Arc<dyn RpcHandler>,
             )
             .map_err(WeaverError::from)?;
-            addrs.push(server.local_addr());
-            handlers.push(handler);
+            // Its per-registration installs are not published: every
+            // server is up before the deployment is returned, so the
+            // routing goes out once, below.
+            control.step(Event::Registered(incarnation, server.local_addr()));
             replicas.push(Replica {
                 live,
-                _server: server,
+                handler,
+                server,
             });
         }
-
-        // Every component is hosted on every replica; routed components
-        // additionally get a slice assignment so affine keys stick to one
-        // replica (the same shape the multiprocess manager broadcasts).
-        let mut routes = HashMap::new();
-        let mut assignments = HashMap::new();
-        for (id, registration) in registry.iter() {
-            routes.insert(id, addrs.clone());
-            if registration.methods.iter().any(|m| m.routed) {
-                assignments.insert(id, SliceAssignment::uniform(options.replicas as u32, 8));
-            }
-        }
-        table.update(RoutingState {
-            epoch: 1,
-            routes,
-            assignments,
-        });
+        table.update(control.routing(1));
 
         // Every component starts routed: all calls cross the wire until the
         // placement controller earns a colocation from the live signal.
@@ -352,11 +297,9 @@ impl TcpProcess {
             router,
             table,
             replicas,
-            addrs,
             migration_pool: Pool::new(),
             faults,
             injectors,
-            handlers,
             placements: Mutex::new(placements),
             migrating: Mutex::new(()),
         }))
@@ -481,7 +424,7 @@ impl TcpProcess {
     /// Runs one controller round for a routed component and migrates live:
     /// plan from observed per-slice load, then hand every range whose owner
     /// changes to its new replica as one migration (see DESIGN.md
-    /// "Migrations"): the moving ranges freeze (new calls queue, not drop),
+    /// "Control plane"): the moving ranges freeze (new calls queue, not drop),
     /// drain, hand their state off, and the new assignment commits with an
     /// epoch bump. Queued calls then resolve against the new owner, which
     /// already holds the state — the A8 per-key monotonicity invariant
@@ -537,8 +480,11 @@ impl TcpProcess {
                 });
             }
         }
-        let (epoch, migrated) = self.execute(
-            &exclusive,
+        let (epoch, migrated) = control::execute(
+            &MigrationHost {
+                dep: self,
+                _exclusive: &exclusive,
+            },
             Migration {
                 component: id,
                 freeze: transfers
@@ -546,6 +492,7 @@ impl TcpProcess {
                     .map(|t| Scope::Keys(t.start, t.end))
                     .collect(),
                 transfers,
+                handoff: self.transfer_methods(id)?,
                 assignment: Some(plan.assignment),
                 placement: None,
             },
@@ -568,7 +515,7 @@ impl TcpProcess {
     }
 
     /// Migrates one component between placements without dropping calls:
-    /// one migration (see DESIGN.md "Migrations") that freezes the whole
+    /// one migration (see DESIGN.md "Control plane") that freezes the whole
     /// component (new calls — routed or not — queue instead of launching),
     /// drains every in-flight call, moves the dispatch target and bumps
     /// the epoch. Queued calls then resolve against the new placement.
@@ -631,12 +578,16 @@ impl TcpProcess {
             assignment.version += 1;
             assignment
         });
-        let (epoch, migrated) = self.execute(
-            exclusive,
+        let (epoch, migrated) = control::execute(
+            &MigrationHost {
+                dep: self,
+                _exclusive: exclusive,
+            },
             Migration {
                 component: id,
                 freeze: vec![Scope::Component],
                 transfers,
+                handoff: self.transfer_methods(id)?,
                 assignment,
                 placement: Some(to),
             },
@@ -677,45 +628,10 @@ impl TcpProcess {
         })
     }
 
-    /// The one migration executor: freeze → drain → state handoff → commit
-    /// (dispatch target, assignment, epoch bump) → unfreeze. Returns the
-    /// committed epoch and the transfers with their entry counts. On any
-    /// error nothing has changed: completed handoffs are undone, the old
-    /// assignment and placement stay live, and the freezes lift.
-    ///
-    /// `_exclusive` is the caller's guard on `self.migrating`, taken before
-    /// it planned `m`.
-    fn execute(
-        &self,
-        _exclusive: &MutexGuard<'_, ()>,
-        mut m: Migration,
-    ) -> Result<(u64, Vec<MigratedRange>), WeaverError> {
-        let registration = self.registry.get(m.component)?;
-
-        // Freeze: from here to the guard's drop no new call covered by the
-        // scopes launches. Nested calls arriving mid-drain queue at the
-        // gate (uncounted), so the drain terminates; they dispatch to the
-        // new owner or placement after the unfreeze.
-        for &scope in &m.freeze {
-            self.table.freeze(m.component, scope);
-        }
-        let _unfreeze = Unfreeze {
-            table: &self.table,
-            component: m.component,
-            scopes: &m.freeze,
-        };
-
-        // Drain: wait for calls admitted before the freeze to finish at
-        // the old owner or placement.
-        for &scope in &m.freeze {
-            if !self.table.drain(m.component, scope, DRAIN_TIMEOUT) {
-                return Err(WeaverError::app(format!(
-                    "migration aborted: {scope:x?} of {} did not drain",
-                    registration.name
-                )));
-            }
-        }
-
+    /// The component's `export_keys`/`import_keys` method ids; `None` when
+    /// it lacks the pair and migrates statelessly.
+    fn transfer_methods(&self, component: u32) -> Result<Option<(u32, u32)>, WeaverError> {
+        let registration = self.registry.get(component)?;
         let method = |name: &str| {
             registration
                 .methods
@@ -723,81 +639,7 @@ impl TcpProcess {
                 .position(|spec| spec.name == name)
                 .map(|i| i as u32)
         };
-        // Without the handoff pair ownership moves and state starts fresh.
-        if let (Some(export), Some(import)) = (method("export_keys"), method("import_keys")) {
-            self.handoff(m.component, export, import, &mut m.transfers)?;
-        }
-
-        // Commit: the new dispatch target and assignment become visible
-        // (epoch bump); queued calls resolve against them once the guard
-        // lifts the freezes.
-        if let Some(to) = m.placement {
-            let local = match to {
-                ComponentPlacement::Colocated => Some(self.handlers.first().ok_or_else(|| {
-                    WeaverError::internal("deployment has no replica 0 to colocate with")
-                })?),
-                ComponentPlacement::Routed => None,
-            };
-            self.router.set_local(
-                m.component,
-                local.map(|handler| Arc::clone(handler) as Arc<dyn RpcHandler>),
-            );
-            // One version bump per executed decision — the same contract as
-            // `weaver_placement::apply_decisions`, so a replayed decision
-            // log reproduces this state bit for bit.
-            let mut placements = self.placements.lock();
-            placements
-                .placements
-                .insert(registration.name.to_string(), to);
-            placements.version += 1;
-        }
-        let epoch = match m.assignment {
-            Some(assignment) => self.table.install_assignment(m.component, assignment),
-            None => self.table.bump_epoch(),
-        };
-        Ok((epoch, m.transfers))
-    }
-
-    /// Runs `transfers` in order over the control plane, recording each
-    /// one's entry count. `export_keys` has TAKE semantics, so on a failure
-    /// every blob exported so far — the failed transfer's and each
-    /// completed one's — is re-imported to its source, newest first: the
-    /// old assignment stays live and must still find its state.
-    fn handoff(
-        &self,
-        component: u32,
-        export: u32,
-        import: u32,
-        transfers: &mut [MigratedRange],
-    ) -> Result<(), WeaverError> {
-        let mut exported: Vec<(u32, Vec<u8>)> = Vec::with_capacity(transfers.len());
-        let forward = transfers.iter_mut().try_for_each(|t| {
-            let blob = self.migration_call_export(component, export, t)?;
-            let imported = self.migration_call_import(component, import, t.to, &blob);
-            exported.push((t.from, blob));
-            t.entries = imported?;
-            Ok(())
-        });
-        let Err(e) = forward else {
-            return Ok(());
-        };
-        let undo_failures: Vec<String> = exported
-            .iter()
-            .rev()
-            .filter_map(|(from, blob)| {
-                self.migration_call_import(component, import, *from, blob)
-                    .err()
-                    .map(|undo| format!("replica {from}: {undo}"))
-            })
-            .collect();
-        if undo_failures.is_empty() {
-            Err(e)
-        } else {
-            Err(WeaverError::app(format!(
-                "handoff failed ({e}) and rollback failed ({})",
-                undo_failures.join("; ")
-            )))
-        }
+        Ok(method("export_keys").zip(method("import_keys")))
     }
 
     /// One call on the migration control plane — `method` of `component`
@@ -810,11 +652,13 @@ impl TcpProcess {
         args: Vec<u8>,
     ) -> Result<T, WeaverError> {
         let addr = self
-            .addrs
+            .replicas
             .get(replica as usize)
             .ok_or_else(|| WeaverError::Unavailable {
-                detail: format!("replica {replica} out of range ({})", self.addrs.len()),
-            })?;
+                detail: format!("replica {replica} out of range ({})", self.replicas.len()),
+            })?
+            .server
+            .local_addr();
         let header = RequestHeader {
             component,
             method,
@@ -828,32 +672,91 @@ impl TcpProcess {
         };
         let reply = self
             .migration_pool
-            .call(*addr, &header, &args, Some(MIGRATION_CALL_TIMEOUT))
+            .call(addr, &header, &args, Some(MIGRATION_CALL_TIMEOUT))
             .map_err(WeaverError::from)
             .and_then(body_to_outcome)?;
         weaver_core::client::decode_reply(&reply)
     }
+}
 
-    fn migration_call_export(
-        &self,
-        component: u32,
-        method: u32,
-        m: &MigratedRange,
-    ) -> Result<Vec<u8>, WeaverError> {
-        let mut args = Vec::new();
-        weaver_codec::wire::Encode::encode(&m.start, &mut args);
-        weaver_codec::wire::Encode::encode(&m.end, &mut args);
-        self.migration_call(m.from, component, method, args)
+/// The migration primitives over a [`TcpProcess`]'s replicas. Built only
+/// under the deployment's migration lock, so a plan can never commit over
+/// state another migration moved after it was planned.
+struct MigrationHost<'a> {
+    dep: &'a TcpProcess,
+    _exclusive: &'a MutexGuard<'a, ()>,
+}
+
+impl ReplicaHost for MigrationHost<'_> {
+    fn freeze(&self, component: u32, scope: Scope) {
+        self.dep.table.freeze(component, scope);
     }
 
-    fn migration_call_import(
+    fn unfreeze(&self, component: u32, scope: Scope) {
+        self.dep.table.unfreeze(component, scope);
+    }
+
+    fn drain(&self, component: u32, scope: Scope, timeout: Duration) -> bool {
+        self.dep.table.drain(component, scope, timeout)
+    }
+
+    fn export(
         &self,
         component: u32,
         method: u32,
-        to: u32,
+        range: &MigratedRange,
+    ) -> Result<Vec<u8>, WeaverError> {
+        let mut args = Vec::new();
+        weaver_codec::wire::Encode::encode(&range.start, &mut args);
+        weaver_codec::wire::Encode::encode(&range.end, &mut args);
+        self.dep.migration_call(range.from, component, method, args)
+    }
+
+    fn import(
+        &self,
+        component: u32,
+        method: u32,
+        replica: u32,
         blob: &[u8],
     ) -> Result<u64, WeaverError> {
-        self.migration_call(to, component, method, weaver_codec::encode_to_vec(blob))
+        self.dep.migration_call(
+            replica,
+            component,
+            method,
+            weaver_codec::encode_to_vec(blob),
+        )
+    }
+
+    fn commit(
+        &self,
+        component: u32,
+        assignment: Option<SliceAssignment>,
+        placement: Option<ComponentPlacement>,
+    ) -> Result<u64, WeaverError> {
+        let dep = self.dep;
+        let name = dep.registry.get(component)?.name;
+        if let Some(to) = placement {
+            let local = match to {
+                ComponentPlacement::Colocated => Some(dep.replicas.first().ok_or_else(|| {
+                    WeaverError::internal("deployment has no replica 0 to colocate with")
+                })?),
+                ComponentPlacement::Routed => None,
+            };
+            dep.router.set_local(
+                component,
+                local.map(|replica| Arc::clone(&replica.handler) as Arc<dyn RpcHandler>),
+            );
+            // One version bump per executed decision — the same contract as
+            // `weaver_placement::apply_decisions`, so a replayed decision
+            // log reproduces this state bit for bit.
+            let mut placements = dep.placements.lock();
+            placements.placements.insert(name.to_string(), to);
+            placements.version += 1;
+        }
+        Ok(match assignment {
+            Some(assignment) => dep.table.install_assignment(component, assignment),
+            None => dep.table.bump_epoch(),
+        })
     }
 }
 
@@ -879,7 +782,7 @@ impl std::fmt::Debug for TcpProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use std::collections::HashMap;
     use weaver_core::client::ClientHandle;
     use weaver_core::component::{Component, MethodSpec};
     use weaver_core::context::InitContext;
@@ -1091,12 +994,16 @@ mod tests {
                 entries: 0,
             });
             let epoch = dep.routing_table().epoch();
-            let result = dep.execute(
-                &dep.migrating.lock(),
+            let result = control::execute(
+                &MigrationHost {
+                    dep: &dep,
+                    _exclusive: &dep.migrating.lock(),
+                },
                 Migration {
                     component: 0,
                     freeze: vec![scope],
                     transfers: transfers.to_vec(),
+                    handoff: dep.transfer_methods(0).unwrap(),
                     assignment: None,
                     placement: Some(ComponentPlacement::Colocated),
                 },

@@ -19,6 +19,10 @@
 //!   Action sequences are a pure function of the seed; logs serialize to
 //!   text and replay verbatim, so any chaos-found failure becomes a
 //!   deterministic regression test.
+//! * [`control`] — a deterministic driver for the runtime's control plane:
+//!   membership runs against in-memory proclets in a seeded delivery order
+//!   with seeded crashes, migrations run on an in-memory [`ModelHost`]
+//!   failing at a chosen step, and the whole run is a line-log trace.
 //! * [`invariants`] — what chaos asserts: a model-based cart-consistency
 //!   checker, an exactly-once checkout checker for saga-shaped workflows
 //!   (every charge resolved by exactly one order or refund), a
@@ -35,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
+pub mod control;
 pub mod invariants;
 pub mod matrix;
 pub mod weavertest;
@@ -42,6 +47,7 @@ pub mod weavertest;
 pub use chaos::{
     apply, eventually, replay, seed_from_env, ChaosAction, ChaosOptions, ChaosRunner, ChaosSchedule,
 };
+pub use control::{ControlDriver, FailPoint, ModelHost, ModelState, TraceRecord};
 pub use invariants::{
     CartConsistency, ExactlyOnceCheckout, PlacementSafety, RolloutHarness, RolloutReport,
     SliceMonotonicity,

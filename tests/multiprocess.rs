@@ -28,6 +28,7 @@ fn main() {
         ("deployer_end_to_end", deployer_end_to_end),
         ("replica_crash_heals", replica_crash_heals),
         ("scale_group_up_and_down", scale_group_up_and_down),
+        ("scale_down_and_up_at_once", scale_down_and_up_at_once),
         ("colocation_is_respected", colocation_is_respected),
         ("autoscaler_reacts_to_load", autoscaler_reacts_to_load),
     ];
@@ -440,6 +441,38 @@ fn scale_group_up_and_down() {
             .home(&ctx, "carol".into(), "USD".into())
             .expect("call after scale down");
     }
+    deployment.shutdown();
+}
+
+/// 3 → 1 → 3 without waiting for the retired proclets to exit: their late
+/// exits must not tear down the replicas spawned in their place.
+fn scale_down_and_up_at_once() {
+    let deployment = deploy("[]", 1);
+    let catalog_group = deployment
+        .groups()
+        .iter()
+        .position(|g| g.contains(&"boutique.ProductCatalog"))
+        .expect("catalog group") as u32;
+    deployment.scale_group(catalog_group, 3).expect("scale up");
+    deployment
+        .scale_group(catalog_group, 1)
+        .expect("scale down");
+    deployment
+        .scale_group(catalog_group, 3)
+        .expect("scale back up");
+    let until = Instant::now() + Duration::from_secs(2);
+    while Instant::now() < until {
+        assert_eq!(
+            deployment.registered_replicas(catalog_group),
+            3,
+            "a retired proclet's exit tore down its successor"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let frontend = deployment.get::<dyn Frontend>().expect("frontend");
+    frontend
+        .home(&deployment.root_context(), "erin".into(), "USD".into())
+        .expect("call after scaling back up");
     deployment.shutdown();
 }
 
