@@ -9,7 +9,8 @@
 //! * a single byte for `bool` and for `Option` presence;
 //! * a varint element count followed by the elements for sequences and maps;
 //! * struct fields back to back in declaration order;
-//! * a varint discriminant followed by the payload for enums.
+//! * a varint discriminant followed by the payload for enums;
+//! * a tag byte (4 or 6), octets and port for a `SocketAddr`.
 //!
 //! `#[derive(WeaverData)]` generates [`Encode`]/[`Decode`] for application
 //! types; this module supplies the implementations for the standard library
@@ -17,6 +18,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::Hash;
+use std::net::{SocketAddr, SocketAddrV6};
 use std::time::Duration;
 
 use crate::error::DecodeError;
@@ -439,6 +441,35 @@ impl Decode for Duration {
     }
 }
 
+/// A tag byte (4 or 6), the IP's octets, the port, and for v6 the flow
+/// info and scope id.
+impl Encode for SocketAddr {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        match self {
+            SocketAddr::V4(a) => (4u8, a.ip().octets(), a.port()).encode(buf),
+            SocketAddr::V6(a) => {
+                (6u8, a.ip().octets(), a.port(), a.flowinfo(), a.scope_id()).encode(buf);
+            }
+        }
+    }
+}
+
+impl Decode for SocketAddr {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match u8::decode(r)? {
+            4 => Ok(<([u8; 4], u16)>::decode(r)?.into()),
+            6 => {
+                let (ip, port, flowinfo, scope_id) = <([u8; 16], u16, u32, u32)>::decode(r)?;
+                Ok(SocketAddrV6::new(ip.into(), port, flowinfo, scope_id).into())
+            }
+            tag => Err(DecodeError::UnknownVariant {
+                type_name: "SocketAddr",
+                discriminant: tag.into(),
+            }),
+        }
+    }
+}
+
 impl Encode for () {
     #[inline]
     fn encode(&self, _buf: &mut Vec<u8>) {}
@@ -579,6 +610,26 @@ mod tests {
     fn duration_roundtrips() {
         roundtrip(Duration::new(5, 999_999_999));
         roundtrip(Duration::ZERO);
+    }
+
+    #[test]
+    fn socket_addrs_roundtrip_and_bad_bytes_fail() {
+        let v4: SocketAddr = "10.1.2.3:8080".parse().unwrap();
+        let v6 = SocketAddr::V6(SocketAddrV6::new("fe80::1".parse().unwrap(), 443, 7, 3));
+        roundtrip(vec![v4, v6]);
+        // Every truncation of either encoding, and an unknown tag, is an
+        // error, never a panic.
+        for addr in [v4, v6] {
+            let bytes = encode_to_vec(&addr);
+            for len in 0..bytes.len() {
+                assert!(decode_from_slice::<SocketAddr>(&bytes[..len]).is_err());
+            }
+        }
+        let unknown_tag = DecodeError::UnknownVariant {
+            type_name: "SocketAddr",
+            discriminant: 5,
+        };
+        assert_eq!(decode_from_slice::<SocketAddr>(&[5]), Err(unknown_tag));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Expansion of `#[derive(WeaverData)]`.
 //!
 //! Parses the type definition with the shared `weaver-syntax` scanner (no
-//! `syn` dependency) and emits the eight codec impls as source text.
+//! `syn` dependency) and emits the seven codec impls as source text.
 
 use crate::error::MacroError;
 use proc_macro::TokenStream;
@@ -426,7 +426,7 @@ fn expand_struct(name: &str, shape: Shape, fields: &[Field]) -> StructImpls {
             .enumerate()
             .map(|(i, f)| {
                 format!(
-                    "let mut {}: {} = ::std::default::Default::default();\n",
+                    "let mut {}: {} = ::weaver_codec::tagged::TaggedField::empty();\n",
                     f.binding(i),
                     f.ty
                 )
@@ -669,7 +669,7 @@ fn expand_enum(name: &str, variants: &[Variant]) -> StructImpls {
                     .enumerate()
                     .map(|(i, f)| {
                         format!(
-                            "let mut {}: {} = ::std::default::Default::default();\n",
+                            "let mut {}: {} = ::weaver_codec::tagged::TaggedField::empty();\n",
                             f.binding(i),
                             f.ty
                         )
@@ -900,9 +900,10 @@ fn expand_enum(name: &str, variants: &[Variant]) -> StructImpls {
     }
 }
 
-/// Assembles the eight trait impls with the codec bounds added to every
-/// type parameter (`Default` included: the tagged decoder pre-initializes
-/// fields before merging).
+/// Assembles the seven trait impls with the codec bounds added to every
+/// type parameter (`Default` included: a derived type's tagged default
+/// value is its `Default`). `TaggedField` comes from the codec's blanket
+/// impl over `TaggedValue`.
 fn render_impls(name: &str, params: &[TypeParam], impls: &StructImpls) -> String {
     const BOUNDS: &str = "::weaver_codec::wire::Encode + ::weaver_codec::wire::Decode \
                           + ::weaver_codec::tagged::TaggedField + ::weaver_codec::json::ToJson \
@@ -996,33 +997,9 @@ fn render_impls(name: &str, params: &[TypeParam], impls: &StructImpls) -> String
                 // Message-typed values always use explicit presence.
                 false
             }}
-        }}
 
-        impl{impl_generics} ::weaver_codec::tagged::TaggedField for {this} {{
-            fn emit(&self, field: u32, buf: &mut ::std::vec::Vec<u8>) {{
-                ::weaver_codec::tagged::write_key(
-                    buf,
-                    field,
-                    ::weaver_codec::tagged::WireType::LengthDelimited,
-                );
-                ::weaver_codec::tagged::TaggedValue::write_value(self, buf);
-            }}
-
-            fn merge(
-                &mut self,
-                key: ::weaver_codec::tagged::FieldKey,
-                r: &mut ::weaver_codec::reader::Reader<'_>,
-            ) -> ::std::result::Result<(), ::weaver_codec::error::DecodeError> {{
-                if key.wire_type != ::weaver_codec::tagged::WireType::LengthDelimited {{
-                    return ::std::result::Result::Err(
-                        ::weaver_codec::error::DecodeError::WireTypeMismatch {{
-                            field: key.field,
-                            found: key.wire_type as u8,
-                        }},
-                    );
-                }}
-                *self = <Self as ::weaver_codec::tagged::TaggedValue>::read_value(r)?;
-                ::std::result::Result::Ok(())
+            fn default_value() -> Self {{
+                ::std::default::Default::default()
             }}
         }}
 

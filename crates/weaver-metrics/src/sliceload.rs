@@ -157,12 +157,6 @@ impl SliceLoadTracker {
             medians,
         })
     }
-
-    /// Drops a component's accounting (e.g. after installing a new
-    /// assignment, so the next round starts clean).
-    pub fn reset(&self, component: u32) {
-        self.components.write().remove(&component);
-    }
 }
 
 #[cfg(test)]
@@ -218,7 +212,5 @@ mod tests {
         t.observe(9, 1, 2, 5, 1);
         let report = t.report(9, 1).unwrap();
         assert_eq!(report.requests, vec![0, 0]);
-        t.reset(9);
-        assert!(t.report(9, 1).is_none());
     }
 }

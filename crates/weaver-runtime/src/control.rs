@@ -4,18 +4,22 @@
 //!
 //! Two halves, both hosted by the deployers:
 //!
-//! * [`ControlPlane`] owns membership. It consumes [`Event`]s (a replica
+//! * [`ControlPlane`] owns membership and routing: the only writer of a
+//!   slice assignment or an epoch. It consumes [`Event`]s (a replica
 //!   registered, exited or reported load; a tick; a scale request; shutdown)
 //!   and returns [`Command`]s (spawn, shutdown, install routing at an epoch,
-//!   reply with the components to host). It reads no clock and touches no
-//!   process, pipe or socket: the multiprocess manager carries its commands
-//!   out over envelopes, and the loopback-TCP deployer takes its initial
-//!   routing from it.
-//! * [`execute`] is the one migration transaction — freeze → drain → state
-//!   handoff → commit → unfreeze — written once over the [`ReplicaHost`]
-//!   primitives. The loopback-TCP deployer implements them with its routing
-//!   table and a fault-free control-plane pool; `weaver-testing` implements
-//!   them in memory.
+//!   reply with the components to host), and [`ControlPlane::commit`]s a
+//!   migration's new assignment at the next epoch. It reads no clock and
+//!   touches no process, pipe or socket: the multiprocess manager carries
+//!   its commands out over envelopes, and the loopback-TCP deployer installs
+//!   what it emits in its routing table.
+//! * A [`Migration`] is planned here too: [`Migration::rebalance`] and
+//!   [`Migration::placement_move`] build the two shapes, and [`execute`] is
+//!   the one migration transaction — freeze → drain → state handoff →
+//!   commit → unfreeze — written once over the [`ReplicaHost`] primitives.
+//!   The loopback-TCP deployer implements them with its routing table and a
+//!   fault-free control-plane pool; `weaver-testing` implements them in
+//!   memory.
 //!
 //! Every replica process is an [`Incarnation`]: the replica plus a number
 //! minted at its spawn. Events from an incarnation that is no longer current
@@ -103,7 +107,10 @@ pub struct ControlPlane {
     members: BTreeMap<ReplicaId, Member>,
     /// Incarnations minted so far (the last one's number).
     incarnations: u64,
+    /// Bumped by every routing this plane emits.
     epoch: u64,
+    /// Each routed component's current slice assignment.
+    assignments: HashMap<u32, SliceAssignment>,
     /// One HPA per group; empty unless autoscaling.
     autoscalers: Vec<Autoscaler>,
     restarts: BTreeMap<ReplicaId, u32>,
@@ -133,6 +140,7 @@ impl ControlPlane {
             members: BTreeMap::new(),
             incarnations: 0,
             epoch: 0,
+            assignments: HashMap::new(),
             autoscalers,
             restarts: BTreeMap::new(),
             shutting_down: false,
@@ -160,7 +168,7 @@ impl ControlPlane {
             Event::Registered(incarnation, addr) => {
                 if let Some(member) = self.current(incarnation) {
                     member.endpoint = Some(addr);
-                    self.install(&mut out);
+                    out.push(Command::Install(self.install()));
                 }
             }
             Event::HostQuery(incarnation) => {
@@ -192,7 +200,7 @@ impl ControlPlane {
                     *restarts += 1;
                     self.spawn(id, &mut out);
                 }
-                self.install(&mut out);
+                out.push(Command::Install(self.install()));
             }
             Event::Tick => self.autoscale(&mut out),
             Event::Scale { group, replicas } => {
@@ -200,7 +208,7 @@ impl ControlPlane {
                 if let Some(old) = self.scale(group, replicas, &mut out) {
                     // New replicas join routing when they register.
                     if replicas <= old {
-                        self.install(&mut out);
+                        out.push(Command::Install(self.install()));
                     }
                 }
             }
@@ -320,15 +328,37 @@ impl ControlPlane {
             }
         }
         if changed {
-            self.install(out);
+            out.push(Command::Install(self.install()));
         }
     }
 
-    /// The routing the registered endpoints imply, stamped `epoch`: every
-    /// component of a group routes to the group's replicas in replica
-    /// order, and every routed component gets a uniform slice assignment
-    /// over them.
-    pub fn routing(&self, epoch: u64) -> RoutingState {
+    /// Registers replicas that came up together, before anything could
+    /// call them: one membership change, so one routing at the next epoch,
+    /// for the host to install as it is.
+    pub fn register_all(&mut self, endpoints: Vec<(Incarnation, SocketAddr)>) -> RoutingState {
+        for (incarnation, addr) in endpoints {
+            if let Some(member) = self.current(incarnation) {
+                member.endpoint = Some(addr);
+            }
+        }
+        self.install()
+    }
+
+    /// Commits a migration: `assignment`, when given, becomes
+    /// `component`'s, and the routing goes out at the next epoch. The host
+    /// installs the result as it is.
+    pub fn commit(&mut self, component: u32, assignment: Option<SliceAssignment>) -> RoutingState {
+        if let Some(assignment) = assignment {
+            self.assignments.insert(component, assignment);
+        }
+        self.next_routing()
+    }
+
+    /// The routing at the next epoch: every component of a group routes to
+    /// the group's registered replicas in replica order, under the current
+    /// assignments.
+    fn next_routing(&mut self) -> RoutingState {
+        self.epoch += 1;
         let mut routes = HashMap::new();
         for (group, components) in self.groups.iter().enumerate() {
             let addrs: Vec<SocketAddr> = self
@@ -340,25 +370,27 @@ impl ControlPlane {
                 routes.insert(component, addrs.clone());
             }
         }
-        let assignments = self
-            .routed
-            .iter()
-            .filter_map(|&component| {
-                let replicas = routes.get(&component).map_or(0, Vec::len) as u32;
-                (replicas > 0).then(|| (component, SliceAssignment::uniform(replicas, 8)))
-            })
-            .collect();
         RoutingState {
-            epoch,
+            epoch: self.epoch,
             routes,
-            assignments,
+            assignments: self.assignments.clone(),
         }
     }
 
-    /// Emits the current routing at the next epoch.
-    fn install(&mut self, out: &mut Vec<Command>) {
-        self.epoch += 1;
-        out.push(Command::Install(self.routing(self.epoch)));
+    /// A membership change: every routed component's assignment resets to
+    /// a uniform one over its group's registered replicas, and the routing
+    /// goes out at the next epoch.
+    fn install(&mut self) -> RoutingState {
+        self.assignments = self
+            .routed
+            .iter()
+            .filter_map(|&component| {
+                let group = self.groups.iter().position(|g| g.contains(&component))?;
+                let replicas = self.registered(group as u32) as u32;
+                (replicas > 0).then(|| (component, SliceAssignment::uniform(replicas, 8)))
+            })
+            .collect();
+        self.next_routing()
     }
 }
 
@@ -381,8 +413,9 @@ pub struct MigratedRange {
 
 /// One live migration, as data: what to freeze, which state to hand off,
 /// and what to switch at the commit point. Slice rebalances and placement
-/// moves differ only in the value they build; [`execute`] is the one place
-/// the transaction is written down.
+/// moves differ only in the value they build ([`Migration::rebalance`],
+/// [`Migration::placement_move`]); [`execute`] is the one place the
+/// transaction is written down.
 #[derive(Debug, Clone)]
 pub struct Migration {
     /// Component id.
@@ -401,6 +434,110 @@ pub struct Migration {
     /// replica 0 in-process, `Routed` sends them over the wire, `None`
     /// leaves it alone.
     pub placement: Option<ComponentPlacement>,
+}
+
+impl Migration {
+    /// A slice rebalance of `component` from `current` to `planned`: every
+    /// range whose owner changes freezes as [`Scope::Keys`] and hands its
+    /// state from the old owner to the new one, and `planned` commits.
+    ///
+    /// The planner only splits and moves, so every planned slice lies
+    /// inside one current slice: its old owner is the owner of its start. A
+    /// planned slice that `current` does not cover is an error.
+    pub fn rebalance(
+        component: u32,
+        current: &SliceAssignment,
+        planned: SliceAssignment,
+        handoff: Option<(u32, u32)>,
+    ) -> Result<Migration, WeaverError> {
+        let mut transfers = Vec::new();
+        for slice in &planned.slices {
+            let from = current.replica_for(slice.start).ok_or_else(|| {
+                WeaverError::app(format!(
+                    "component #{component}: assignment v{} does not cover key {:#x}",
+                    current.version, slice.start
+                ))
+            })?;
+            if from != slice.replica {
+                transfers.push(MigratedRange {
+                    start: slice.start,
+                    end: slice.end,
+                    from,
+                    to: slice.replica,
+                    entries: 0,
+                });
+            }
+        }
+        Ok(Migration {
+            component,
+            freeze: transfers
+                .iter()
+                .map(|t| Scope::Keys(t.start, t.end))
+                .collect(),
+            transfers,
+            handoff,
+            assignment: Some(planned),
+            placement: None,
+        })
+    }
+
+    /// A placement move of `component`, hosted on `replicas` replicas, to
+    /// `to`, with the whole component frozen. Colocating hands every other
+    /// replica's keyspace to replica 0, the in-process dispatch target.
+    /// After either move the state lives with replica 0, so the `current`
+    /// assignment, if any, is rewritten all-on-zero at the next version.
+    pub fn placement_move(
+        component: u32,
+        to: ComponentPlacement,
+        replicas: u32,
+        current: Option<SliceAssignment>,
+        handoff: Option<(u32, u32)>,
+    ) -> Migration {
+        let transfers = match to {
+            ComponentPlacement::Colocated => (1..replicas)
+                .map(|from| MigratedRange {
+                    start: 0,
+                    end: u64::MAX,
+                    from,
+                    to: 0,
+                    entries: 0,
+                })
+                .collect(),
+            ComponentPlacement::Routed => Vec::new(),
+        };
+        let assignment = current.map(|mut assignment| {
+            for slice in &mut assignment.slices {
+                slice.replica = 0;
+            }
+            assignment.version += 1;
+            assignment
+        });
+        Migration {
+            component,
+            freeze: vec![Scope::Component],
+            transfers,
+            handoff,
+            assignment,
+            placement: Some(to),
+        }
+    }
+}
+
+/// `component`'s `export_keys`/`import_keys` method ids, the state handoff
+/// a migration calls; `None` when it lacks the pair and moves statelessly.
+pub fn handoff_methods(
+    registry: &ComponentRegistry,
+    component: u32,
+) -> Result<Option<(u32, u32)>, WeaverError> {
+    let registration = registry.get(component)?;
+    let method = |name: &str| {
+        registration
+            .methods
+            .iter()
+            .position(|spec| spec.name == name)
+            .map(|i| i as u32)
+    };
+    Ok(method("export_keys").zip(method("import_keys")))
 }
 
 /// The primitives a migration runs on: a deployment's replicas, its routing
@@ -431,8 +568,9 @@ pub trait ReplicaHost {
         replica: u32,
         blob: &[u8],
     ) -> Result<u64, WeaverError>;
-    /// Makes the new dispatch target and assignment visible, bumping the
-    /// epoch once; returns the new epoch. Nothing changes on error.
+    /// Makes the new dispatch target visible and installs the routing
+    /// [`ControlPlane::commit`] emits for `assignment` (one epoch); returns
+    /// that epoch. Nothing changes on error.
     fn commit(
         &self,
         component: u32,
@@ -772,10 +910,9 @@ mod tests {
         });
         assert_eq!(plane.registration(), (4, 5), "the new replica is pending");
         assert_eq!(plane.incarnation(r(0, 2)).map(|i| i.n), Some(5));
-        // Routing is computed, not stored: only registered endpoints, at
-        // whatever epoch the host stamps.
-        let routing = plane.routing(1);
-        assert_eq!(routing.epoch, 1);
+        // Routes only registered endpoints.
+        let routing = plane.commit(1, None);
+        assert_eq!(routing.epoch, 5);
         assert_eq!((routing.routes[&1].len(), routing.routes[&2].len()), (2, 2));
         assert_eq!(routing.assignments[&1].replica_count, 2);
         assert!(!routing.assignments.contains_key(&0), "0 is not routed");
@@ -794,5 +931,83 @@ mod tests {
                 replicas: 1
             })
             .is_empty());
+    }
+
+    #[test]
+    fn commit_advances_the_epoch_until_a_membership_install_resets() {
+        let moved = SliceAssignment::uniform(2, 8).move_slice(0, 1).unwrap();
+        let mut plane = booted(false);
+        let routing = plane.commit(1, Some(moved.clone()));
+        assert_eq!((routing.epoch, &routing.assignments[&1]), (5, &moved));
+        let routing = plane.commit(1, None);
+        assert_eq!((routing.epoch, &routing.assignments[&1]), (6, &moved));
+        // Today's behaviour, pinned: a membership install resets to uniform
+        // over the registered replicas. ROADMAP item 2 keeps the committed
+        // assignment instead.
+        let installed = plane.step(exited(r(0, 1), 2)).pop();
+        let Some(Command::Install(routing)) = installed else {
+            panic!("no install: {installed:?}");
+        };
+        let uniform = SliceAssignment::uniform(1, 8);
+        assert_eq!((routing.epoch, &routing.assignments[&1]), (7, &uniform));
+    }
+
+    /// A migration's transfers as (from, to, start, end).
+    fn moves(m: &Migration) -> Vec<(u32, u32, u64, u64)> {
+        m.transfers
+            .iter()
+            .map(|t| (t.from, t.to, t.start, t.end))
+            .collect()
+    }
+
+    #[test]
+    fn rebalance_constructor_table() {
+        let current = SliceAssignment::uniform(2, 1);
+        let split = current.split_at(1 << 62).unwrap();
+        let moved = split.move_slice(0, 1).unwrap();
+        // (row, planned, transfers)
+        let rows = [
+            ("a split-only plan transfers nothing", split, vec![]),
+            (
+                "only a moved slice transfers, from its old owner",
+                moved,
+                vec![(0, 1, 0, 1 << 62)],
+            ),
+        ];
+        for (row, planned, expect) in rows {
+            let m = Migration::rebalance(1, &current, planned.clone(), None).unwrap();
+            assert_eq!(moves(&m), expect, "{row}");
+            let frozen: Vec<Scope> = expect.iter().map(|t| Scope::Keys(t.2, t.3)).collect();
+            let commit = (m.freeze, m.assignment, m.placement);
+            assert_eq!(commit, (frozen, Some(planned), None), "{row}");
+        }
+        let uncovered = Migration::rebalance(1, &SliceAssignment::default(), current, None);
+        assert!(uncovered.is_err(), "a slice the current assignment misses");
+    }
+
+    #[test]
+    fn placement_constructor_table() {
+        let spread = SliceAssignment::uniform(3, 2);
+        let mut all_on_zero = spread.clone();
+        all_on_zero.slices.iter_mut().for_each(|s| s.replica = 0);
+        all_on_zero.version += 1;
+        for replicas in [1, 3] {
+            for (current, assignment) in [(None, None), (Some(&spread), Some(&all_on_zero))] {
+                for to in [ComponentPlacement::Colocated, ComponentPlacement::Routed] {
+                    let m = Migration::placement_move(1, to, replicas, current.cloned(), None);
+                    let expect: Vec<_> = match to {
+                        ComponentPlacement::Colocated => {
+                            (1..replicas).map(|from| (from, 0, 0, u64::MAX)).collect()
+                        }
+                        ComponentPlacement::Routed => Vec::new(),
+                    };
+                    let row = format!("{replicas} replicas to {to:?}, {current:?}");
+                    assert_eq!(moves(&m), expect, "{row}");
+                    let commit = (m.freeze, m.assignment, m.placement);
+                    let all_zero = (vec![Scope::Component], assignment.cloned(), Some(to));
+                    assert_eq!(commit, all_zero, "{row}");
+                }
+            }
+        }
     }
 }

@@ -82,7 +82,6 @@ impl SpawnSpec {
 
 /// A live envelope: child process + pipe threads.
 pub struct Envelope {
-    id: ReplicaId,
     child: Mutex<Child>,
     stdin: Mutex<Option<ChildStdin>>,
 }
@@ -113,7 +112,6 @@ impl Envelope {
         let stdout = child.stdout.take().expect("stdout was piped");
 
         let envelope = Arc::new(Envelope {
-            id,
             child: Mutex::new(child),
             stdin: Mutex::new(Some(stdin)),
         });
@@ -138,11 +136,6 @@ impl Envelope {
         }
 
         Ok(envelope)
-    }
-
-    /// This envelope's replica identity.
-    pub fn id(&self) -> ReplicaId {
-        self.id
     }
 
     /// Sends a control message to the proclet. Errors mean the child is

@@ -93,19 +93,7 @@ impl Shared {
                     }
                 }
                 Command::Install(routing) => {
-                    let msg = EnvelopeMessage::RoutingInfo {
-                        epoch: routing.epoch,
-                        routes: routing
-                            .routes
-                            .iter()
-                            .map(|(&id, addrs)| (id, addrs.iter().map(|a| a.to_string()).collect()))
-                            .collect(),
-                        assignments: routing
-                            .assignments
-                            .iter()
-                            .map(|(&id, assignment)| (id, assignment.clone()))
-                            .collect(),
-                    };
+                    let msg = EnvelopeMessage::RoutingInfo(routing.clone());
                     for envelope in state.envelopes.values() {
                         let _ = envelope.send(&msg);
                     }
@@ -128,10 +116,9 @@ impl Shared {
                 Event::Exited(incarnation)
             }
             EnvelopeEvent::Message(incarnation, msg) => match msg {
-                ProcletMessage::RegisterReplica { addr, .. } => match addr.parse() {
-                    Ok(addr) => Event::Registered(incarnation, addr),
-                    Err(_) => return Ok(()),
-                },
+                ProcletMessage::RegisterReplica { addr, .. } => {
+                    Event::Registered(incarnation, addr)
+                }
                 ProcletMessage::ComponentsToHost => Event::HostQuery(incarnation),
                 ProcletMessage::LoadReport {
                     utilization,

@@ -27,7 +27,7 @@ use weaver_transport::{Server, WeaverFraming};
 use crate::dedup::DedupCache;
 use crate::dispatch::ProcletDispatcher;
 use crate::protocol::{read_message, write_message, EnvelopeMessage, ProcletMessage};
-use crate::router::{RemoteRouter, RoutingState, RoutingTable};
+use crate::router::{RemoteRouter, RoutingTable};
 
 /// Environment variable marking a process as a proclet (value = group id).
 pub const ENV_GROUP: &str = "WEAVER_PROCLET_GROUP";
@@ -181,7 +181,7 @@ fn proclet_main(
     let register = ProcletMessage::RegisterReplica {
         group,
         replica,
-        addr: server.local_addr().to_string(),
+        addr: server.local_addr(),
         pid: std::process::id().into(),
     };
     if write_message(&mut out, &register).is_err() {
@@ -215,24 +215,8 @@ fn proclet_main(
                     }
                 }
             }
-            EnvelopeMessage::RoutingInfo {
-                epoch,
-                routes,
-                assignments,
-            } => {
-                let state = RoutingState {
-                    epoch,
-                    routes: routes
-                        .into_iter()
-                        .filter_map(|(id, addrs)| {
-                            let parsed: Vec<std::net::SocketAddr> =
-                                addrs.iter().filter_map(|a| a.parse().ok()).collect();
-                            (!parsed.is_empty()).then_some((id, parsed))
-                        })
-                        .collect(),
-                    assignments: assignments.into_iter().collect(),
-                };
-                table.update(state);
+            EnvelopeMessage::RoutingInfo(routing) => {
+                table.update(routing);
             }
             EnvelopeMessage::HealthCheck => {
                 // Busy fraction since the previous report: what the

@@ -13,11 +13,13 @@
 //! drives it in memory.
 
 use std::io::{self, Read, Write};
+use std::net::SocketAddr;
 
 use weaver_codec::prelude::*;
 use weaver_macros::WeaverData;
 use weaver_metrics::{CallGraphSnapshot, MetricsSnapshot};
-use weaver_routing::SliceAssignment;
+
+use crate::router::RoutingState;
 
 /// Sanity cap on one pipe message (4 MiB).
 pub const MAX_PIPE_MESSAGE: usize = 4 << 20;
@@ -33,7 +35,7 @@ pub enum ProcletMessage {
         /// Replica index within the group.
         replica: u32,
         /// Address of the proclet's data-plane RPC server.
-        addr: String,
+        addr: SocketAddr,
         /// OS process id (diagnostics).
         pid: u64,
     },
@@ -74,17 +76,9 @@ pub enum EnvelopeMessage {
         /// Component ids this proclet runs.
         components: Vec<u32>,
     },
-    /// Full routing state for calling other components.
-    RoutingInfo {
-        /// Routing epoch (monotone; stale updates are ignored).
-        epoch: u64,
-        /// Per component id: addresses of replicas hosting it, ordered by
-        /// replica index.
-        routes: Vec<(u32, Vec<String>)>,
-        /// Per routed component id: the slice assignment for affinity
-        /// routing.
-        assignments: Vec<(u32, SliceAssignment)>,
-    },
+    /// Full routing state for calling other components, at its epoch
+    /// (monotone; stale updates are ignored).
+    RoutingInfo(RoutingState),
     /// Liveness probe; the proclet answers with a `LoadReport`.
     #[default]
     HealthCheck,
@@ -127,21 +121,8 @@ pub fn read_message<T: Decode, R: Read>(r: &mut R) -> io::Result<Option<T>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use std::io::Cursor;
-
-    #[test]
-    fn register_replica_roundtrip() {
-        let msg = ProcletMessage::RegisterReplica {
-            group: 2,
-            replica: 1,
-            addr: "127.0.0.1:4444".into(),
-            pid: 777,
-        };
-        let mut buf = Vec::new();
-        write_message(&mut buf, &msg).unwrap();
-        let back: ProcletMessage = read_message(&mut Cursor::new(&buf)).unwrap().unwrap();
-        assert_eq!(back, msg);
-    }
 
     #[test]
     fn table1_message_set_roundtrips() {
@@ -150,7 +131,7 @@ mod tests {
             ProcletMessage::RegisterReplica {
                 group: 0,
                 replica: 0,
-                addr: "a".into(),
+                addr: "[::1]:1".parse().unwrap(),
                 pid: 1,
             },
             ProcletMessage::ComponentsToHost,
@@ -187,11 +168,20 @@ mod tests {
             EnvelopeMessage::HostComponents {
                 components: vec![1, 2, 3],
             },
-            EnvelopeMessage::RoutingInfo {
+            EnvelopeMessage::RoutingInfo(RoutingState {
                 epoch: 5,
-                routes: vec![(0, vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()])],
-                assignments: vec![(0, weaver_routing::SliceAssignment::uniform(2, 4))],
-            },
+                routes: HashMap::from([
+                    (
+                        0,
+                        vec!["127.0.0.1:1".parse().unwrap(), "[::1]:2".parse().unwrap()],
+                    ),
+                    (3, Vec::new()),
+                ]),
+                assignments: HashMap::from([
+                    (0, weaver_routing::SliceAssignment::uniform(2, 4)),
+                    (3, weaver_routing::SliceAssignment::default()),
+                ]),
+            }),
             EnvelopeMessage::HealthCheck,
             EnvelopeMessage::Shutdown,
         ];

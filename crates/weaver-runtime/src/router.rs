@@ -1,4 +1,10 @@
 //! Client-side routing: pick a replica, move the bytes, record the edge.
+//!
+//! A [`RoutingTable`] holds one [`RoutingState`], which only
+//! [`RoutingTable::update`] replaces, newest epoch wins. Every state it
+//! installs comes from the control plane ([`crate::control::ControlPlane`]),
+//! the one writer of assignments and epochs; the table adds the per-slice
+//! load accounting and the migration gate.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -11,6 +17,7 @@ use weaver_core::client::{CallRouter, TargetInfo};
 use weaver_core::context::CallContext;
 use weaver_core::error::WeaverError;
 use weaver_core::fanout::RouteFuture;
+use weaver_macros::WeaverData;
 use weaver_metrics::{
     CallGraph, EdgeHandleCache, Histogram, MetricsRegistry, SliceLoadReport, SliceLoadTracker,
 };
@@ -48,10 +55,10 @@ pub fn next_idempotency_key() -> u64 {
     base ^ z ^ (z >> 31)
 }
 
-/// The routing state a proclet receives from its envelope
-/// (`EnvelopeMessage::RoutingInfo`) or the single-process deployer builds
-/// directly.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The routing the control plane emits at an epoch: installed in a
+/// deployer's own table, and sent to proclets as itself
+/// (`EnvelopeMessage::RoutingInfo`).
+#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
 pub struct RoutingState {
     /// Update epoch; stale `RoutingInfo` messages are discarded.
     pub epoch: u64,
@@ -118,16 +125,6 @@ impl RoutingTable {
         }
         *state = new_state;
         true
-    }
-
-    /// Replica addresses for a component (empty when unknown).
-    pub fn replicas_of(&self, component: u32) -> Vec<SocketAddr> {
-        self.state
-            .read()
-            .routes
-            .get(&component)
-            .cloned()
-            .unwrap_or_default()
     }
 
     /// Resolves the address for one call.
@@ -199,26 +196,6 @@ impl RoutingTable {
     pub fn slice_load(&self, component: u32) -> Option<SliceLoadReport> {
         let version = self.state.read().assignments.get(&component)?.version;
         self.tracker.report(component, version)
-    }
-
-    /// Replaces one component's slice assignment and bumps the epoch —
-    /// the commit point of a migration. Returns the new epoch. Counters
-    /// for the component reset so the next controller round starts clean.
-    pub fn install_assignment(&self, component: u32, assignment: SliceAssignment) -> u64 {
-        let mut state = self.state.write();
-        state.assignments.insert(component, assignment);
-        state.epoch += 1;
-        self.tracker.reset(component);
-        state.epoch
-    }
-
-    /// Bumps the epoch without touching assignments — the commit point of
-    /// a placement migration on a component with no slice assignment.
-    /// Returns the new epoch.
-    pub fn bump_epoch(&self) -> u64 {
-        let mut state = self.state.write();
-        state.epoch += 1;
-        state.epoch
     }
 
     // --- migration gate -------------------------------------------------
@@ -1003,12 +980,6 @@ mod tests {
     }
 
     #[test]
-    fn replicas_of_unknown_is_empty() {
-        let table = RoutingTable::new();
-        assert!(table.replicas_of(3).is_empty());
-    }
-
-    #[test]
     fn routed_pick_feeds_slice_load() {
         let table = table_with(0, &[1001, 1002]);
         {
@@ -1030,32 +1001,6 @@ mod tests {
         let idx = table.assignment_of(0).unwrap().slice_index_for(42).unwrap();
         assert_eq!(report.requests[idx], 5);
         assert_eq!(report.medians[idx], Some(42));
-    }
-
-    #[test]
-    fn install_assignment_bumps_epoch_and_takes_effect() {
-        let table = table_with(0, &[1001, 1002]);
-        {
-            let mut state = RoutingState {
-                epoch: 2,
-                routes: HashMap::new(),
-                assignments: HashMap::new(),
-            };
-            state.routes.insert(0, vec![addr(1001), addr(1002)]);
-            state.assignments.insert(0, SliceAssignment::uniform(2, 1));
-            table.update(state);
-        }
-        let before = table.epoch();
-        let a = table.assignment_of(0).unwrap();
-        let owner = a.replica_for(7).unwrap();
-        let moved = a.move_slice(7, (owner + 1) % 2).unwrap();
-        let epoch = table.install_assignment(0, moved);
-        assert_eq!(epoch, before + 1);
-        assert_eq!(table.epoch(), epoch);
-        let balancer = PowerOfTwo::new(8);
-        let (picked, _) = table.pick(0, Some(7), &balancer).unwrap();
-        let replicas = table.replicas_of(0);
-        assert_eq!(picked, replicas[((owner + 1) % 2) as usize]);
     }
 
     /// Both scopes over the whole keyspace, each with the call it gates
@@ -1146,17 +1091,6 @@ mod tests {
         table.unfreeze(0, Scope::Component);
         assert!(!blocked(Some(99)));
         table.release(0, 99);
-    }
-
-    #[test]
-    fn bump_epoch_is_monotonic() {
-        let table = table_with(0, &[1001]);
-        let before = table.epoch();
-        let e1 = table.bump_epoch();
-        let e2 = table.bump_epoch();
-        assert_eq!(e1, before + 1);
-        assert_eq!(e2, before + 2);
-        assert_eq!(table.epoch(), e2);
     }
 
     #[test]

@@ -20,12 +20,14 @@
 //! transport-level faults (delay, corrupt, duplicate, truncate, sever)
 //! underneath the connection machinery.
 //!
-//! Its control decisions live in [`crate::control`]: the initial routes and
-//! slice assignments come from a [`ControlPlane`], and every live migration
-//! runs through [`control::execute`]. This module plans migrations and
-//! supplies the [`ReplicaHost`] primitives: the routing table's gate, calls
-//! on a fault-free pool, and the commit of a dispatch target, placement and
-//! assignment.
+//! Its control decisions live in [`crate::control`]. The deployment keeps a
+//! [`ControlPlane`], the one writer of its routing: the table installs
+//! exactly the routing the plane emits, at the plane's epoch, at deploy and
+//! at every migration commit. Migrations are planned by the constructors on
+//! [`Migration`] and run through [`control::execute`]; this module asks the
+//! controllers for a plan and supplies the [`ReplicaHost`] primitives: the
+//! routing table's gate, calls on a fault-free pool, and the switch of a
+//! dispatch target and placement.
 
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -184,9 +186,12 @@ pub struct TcpProcess {
     /// The live placement of every component, bumped once per executed
     /// migration — the runtime half of the weaver-placement decision log.
     placements: Mutex<PlacementState>,
+    /// The one writer of `table`'s assignments and epoch.
+    control: Mutex<ControlPlane>,
     /// Held from planning to unfreeze by every migration: one at a time
     /// per deployment, so a plan can never commit over state another
-    /// migration moved after it was planned.
+    /// migration moved after it was planned. Separate from `control`, so
+    /// reads of the placement never wait on a drain.
     migrating: Mutex<()>,
 }
 
@@ -197,7 +202,11 @@ impl TcpProcess {
         options: TcpOptions,
         version: u64,
     ) -> Result<Arc<Self>, WeaverError> {
-        assert!(options.replicas > 0, "at least one replica");
+        if options.replicas == 0 {
+            return Err(WeaverError::internal(
+                "a TCP deployment needs at least one replica",
+            ));
+        }
         let table = RoutingTable::new();
         let callgraph = Arc::new(CallGraph::new());
         let faults = Arc::new(FaultMap::default());
@@ -247,6 +256,7 @@ impl TcpProcess {
             None,
         );
         let mut replicas = Vec::with_capacity(options.replicas);
+        let mut registered = Vec::with_capacity(options.replicas);
         let scale = Event::Scale {
             group: 0,
             replicas: options.replicas as u32,
@@ -274,17 +284,16 @@ impl TcpProcess {
                 Arc::clone(&handler) as Arc<dyn RpcHandler>,
             )
             .map_err(WeaverError::from)?;
-            // Its per-registration installs are not published: every
-            // server is up before the deployment is returned, so the
-            // routing goes out once, below.
-            control.step(Event::Registered(incarnation, server.local_addr()));
+            registered.push((incarnation, server.local_addr()));
             replicas.push(Replica {
                 live,
                 handler,
                 server,
             });
         }
-        table.update(control.routing(1));
+        // Nothing calls before the deployment is returned: every server
+        // registers at once, and the routing goes out once.
+        table.update(control.register_all(registered));
 
         // Every component starts routed: all calls cross the wire until the
         // placement controller earns a colocation from the live signal.
@@ -301,6 +310,7 @@ impl TcpProcess {
             faults,
             injectors,
             placements: Mutex::new(placements),
+            control: Mutex::new(control),
             migrating: Mutex::new(()),
         }))
     }
@@ -399,28 +409,6 @@ impl TcpProcess {
         &self.table
     }
 
-    /// Replaces a routed component's slice assignment wholesale (epoch
-    /// bump, no state handoff). A test/bench hook for setting up a
-    /// deliberately skewed starting point; live rebalancing goes through
-    /// [`TcpProcess::rebalance_routed`].
-    pub fn install_routed_assignment(
-        &self,
-        component: &str,
-        assignment: SliceAssignment,
-    ) -> Result<u64, WeaverError> {
-        let id = self.registry.id_of(component)?;
-        assignment.validate().map_err(WeaverError::app)?;
-        let _exclusive = self.migrating.lock();
-        if assignment.replica_count as usize != self.replicas.len() {
-            return Err(WeaverError::app(format!(
-                "assignment names {} replicas, deployment has {}",
-                assignment.replica_count,
-                self.replicas.len()
-            )));
-        }
-        Ok(self.table.install_assignment(id, assignment))
-    }
-
     /// Runs one controller round for a routed component and migrates live:
     /// plan from observed per-slice load, then hand every range whose owner
     /// changes to its new replica as one migration (see DESIGN.md
@@ -458,44 +446,14 @@ impl TcpProcess {
         if plan.is_noop() {
             return Ok(noop(plan.decisions));
         }
-
-        // Decisions only split and move, so every new slice lies inside
-        // exactly one old slice: the old owner of a new slice is the old
-        // owner of its start.
-        let mut transfers = Vec::new();
-        for slice in &plan.assignment.slices {
-            let from = current.replica_for(slice.start).ok_or_else(|| {
-                WeaverError::app(format!(
-                    "{component}: assignment v{} does not cover key {:#x}",
-                    current.version, slice.start
-                ))
-            })?;
-            if from != slice.replica {
-                transfers.push(MigratedRange {
-                    start: slice.start,
-                    end: slice.end,
-                    from,
-                    to: slice.replica,
-                    entries: 0,
-                });
-            }
-        }
+        let handoff = control::handoff_methods(&self.registry, id)?;
+        let migration = Migration::rebalance(id, &current, plan.assignment, handoff)?;
         let (epoch, migrated) = control::execute(
             &MigrationHost {
                 dep: self,
                 _exclusive: &exclusive,
             },
-            Migration {
-                component: id,
-                freeze: transfers
-                    .iter()
-                    .map(|t| Scope::Keys(t.start, t.end))
-                    .collect(),
-                transfers,
-                handoff: self.transfer_methods(id)?,
-                assignment: Some(plan.assignment),
-                placement: None,
-            },
+            migration,
         )?;
         Ok(MigrationReport {
             decisions: plan.decisions,
@@ -556,41 +514,19 @@ impl TcpProcess {
                 changed: false,
             });
         }
-        let transfers = match to {
-            ComponentPlacement::Colocated => (1..self.replicas.len() as u32)
-                .map(|from| MigratedRange {
-                    start: 0,
-                    end: u64::MAX,
-                    from,
-                    to: 0,
-                    entries: 0,
-                })
-                .collect(),
-            ComponentPlacement::Routed => Vec::new(),
-        };
-        // The component's state (and, when colocated, its dispatch target)
-        // lives with replica 0 after either move, so any slice assignment
-        // must resolve every key there.
-        let assignment = self.table.assignment_of(id).map(|mut assignment| {
-            for slice in &mut assignment.slices {
-                slice.replica = 0;
-            }
-            assignment.version += 1;
-            assignment
-        });
+        let migration = Migration::placement_move(
+            id,
+            to,
+            self.replicas.len() as u32,
+            self.table.assignment_of(id),
+            control::handoff_methods(&self.registry, id)?,
+        );
         let (epoch, migrated) = control::execute(
             &MigrationHost {
                 dep: self,
                 _exclusive: exclusive,
             },
-            Migration {
-                component: id,
-                freeze: vec![Scope::Component],
-                transfers,
-                handoff: self.transfer_methods(id)?,
-                assignment,
-                placement: Some(to),
-            },
+            migration,
         )?;
         Ok(ComponentMigration {
             component: component.to_string(),
@@ -626,20 +562,6 @@ impl TcpProcess {
             state: self.placement_state(),
             epoch: self.table.epoch(),
         })
-    }
-
-    /// The component's `export_keys`/`import_keys` method ids; `None` when
-    /// it lacks the pair and migrates statelessly.
-    fn transfer_methods(&self, component: u32) -> Result<Option<(u32, u32)>, WeaverError> {
-        let registration = self.registry.get(component)?;
-        let method = |name: &str| {
-            registration
-                .methods
-                .iter()
-                .position(|spec| spec.name == name)
-                .map(|i| i as u32)
-        };
-        Ok(method("export_keys").zip(method("import_keys")))
     }
 
     /// One call on the migration control plane — `method` of `component`
@@ -753,10 +675,10 @@ impl ReplicaHost for MigrationHost<'_> {
             placements.placements.insert(name.to_string(), to);
             placements.version += 1;
         }
-        Ok(match assignment {
-            Some(assignment) => dep.table.install_assignment(component, assignment),
-            None => dep.table.bump_epoch(),
-        })
+        let routing = dep.control.lock().commit(component, assignment);
+        let epoch = routing.epoch;
+        dep.table.update(routing);
+        Ok(epoch)
     }
 }
 
@@ -986,13 +908,9 @@ mod tests {
             }
             // Replicas 1 and 2 hand everything to replica 0, whose second
             // import fails: the first transfer has completed by then.
-            let transfers = [1, 2].map(|from| MigratedRange {
-                start: 0,
-                end: u64::MAX,
-                from,
-                to: 0,
-                entries: 0,
-            });
+            let handoff = control::handoff_methods(&dep.registry, 0).unwrap();
+            let colocate =
+                Migration::placement_move(0, ComponentPlacement::Colocated, 3, None, handoff);
             let epoch = dep.routing_table().epoch();
             let result = control::execute(
                 &MigrationHost {
@@ -1000,12 +918,8 @@ mod tests {
                     _exclusive: &dep.migrating.lock(),
                 },
                 Migration {
-                    component: 0,
                     freeze: vec![scope],
-                    transfers: transfers.to_vec(),
-                    handoff: dep.transfer_methods(0).unwrap(),
-                    assignment: None,
-                    placement: Some(ComponentPlacement::Colocated),
+                    ..colocate
                 },
             );
             assert!(result.is_err(), "{scope:?}: {result:?}");
@@ -1025,6 +939,16 @@ mod tests {
     }
 
     #[test]
+    fn zero_replicas_is_an_error() {
+        let options = TcpOptions {
+            replicas: 0,
+            ..Default::default()
+        };
+        let result = TcpProcess::deploy(registry(), options, 1);
+        assert!(matches!(result, Err(WeaverError::Internal { .. })));
+    }
+
+    #[test]
     fn roundtrip_and_crash_restart() {
         let dep = deploy_replicas(registry(), 1);
         let counter = dep.get::<dyn Counter>().unwrap();
@@ -1040,6 +964,7 @@ mod tests {
     fn routed_keys_stick_to_one_replica() {
         let dep = deploy_replicas(registry(), 3);
         assert_eq!(dep.replica_count(), 3);
+        assert_eq!(dep.routing_table().epoch(), 1, "one install at deploy");
         let counter = dep.get::<dyn Counter>().unwrap();
         let ctx = dep.root_context();
         // If a key ever moved between replicas, its second bump would land
@@ -1073,26 +998,17 @@ mod tests {
     #[test]
     fn live_rebalance_migrates_state_and_preserves_counts() {
         let dep = deploy_replicas(registry(), 2);
-        // Start deliberately skewed: four slices, all on replica 0.
+        // Start deliberately skewed: a colocation and back leaves every
+        // slice on replica 0.
+        for to in [ComponentPlacement::Colocated, ComponentPlacement::Routed] {
+            dep.migrate_component("test.Counter", to).unwrap();
+        }
         let width = u64::MAX / 4;
-        let all_on_zero = SliceAssignment {
-            version: 1,
-            replica_count: 2,
-            slices: (0..4)
-                .map(|i| weaver_routing::Slice {
-                    start: i * width,
-                    end: if i == 3 { u64::MAX } else { (i + 1) * width },
-                    replica: 0,
-                })
-                .collect(),
-        };
-        dep.install_routed_assignment("test.Counter", all_on_zero)
-            .unwrap();
 
         let counter = dep.get::<dyn Counter>().unwrap();
         let ctx = dep.root_context();
-        // One key per slice (the Counter routes on the raw key), bumped to
-        // a known count before the migration.
+        // One key per quarter of the keyspace (the Counter routes on the
+        // raw key), bumped to a known count before the migration.
         let keys: Vec<u64> = (0..4).map(|i| i * width + width / 2).collect();
         for _ in 0..3 {
             for &key in &keys {

@@ -11,7 +11,6 @@ use weaver_codec::linelog;
 use weaver_placement::ComponentPlacement;
 use weaver_routing::SliceAssignment;
 use weaver_runtime::control::{self, ControlPlane, Event, MigratedRange, Migration};
-use weaver_runtime::router::Scope;
 use weaver_testing::{seed_from_env, ControlDriver, FailPoint, ModelHost, ModelState, TraceRecord};
 use weaver_transport::in_slice;
 
@@ -130,58 +129,26 @@ fn spread() -> ModelState {
     }
 }
 
-/// The two migration shapes: a colocation (every other replica's keyspace
-/// onto replica 0, component frozen) and a slice rebalance (each replica's
-/// first slice to the next replica, key ranges frozen).
+/// The two migration shapes, built by the runtime's constructors: a
+/// colocation (every other replica's keyspace onto replica 0, component
+/// frozen) and a slice rebalance (each replica's first slice to the next
+/// replica, key ranges frozen).
 fn migrations(state: &ModelState) -> Vec<(&'static str, Migration)> {
     let current = state.assignment.clone().unwrap();
-    let mut all_on_zero = current.clone();
-    for slice in &mut all_on_zero.slices {
-        slice.replica = 0;
-    }
-    let colocate = Migration {
-        component: 1,
-        freeze: vec![Scope::Component],
-        transfers: (1..REPLICAS)
-            .map(|from| MigratedRange {
-                start: 0,
-                end: u64::MAX,
-                from,
-                to: 0,
-                entries: 0,
-            })
-            .collect(),
-        handoff: Some((1, 2)),
-        assignment: Some(all_on_zero),
-        placement: Some(ComponentPlacement::Colocated),
-    };
-    let mut rebalanced = current.clone();
-    let mut transfers = Vec::new();
+    let colocate = Migration::placement_move(
+        1,
+        ComponentPlacement::Colocated,
+        REPLICAS,
+        Some(current.clone()),
+        Some((1, 2)),
+    );
+    let mut planned = current.clone();
     for replica in 0..REPLICAS {
         let first = current.slices.iter().position(|s| s.replica == replica);
-        let slice = &mut rebalanced.slices[first.unwrap()];
-        let to = (replica + 1) % REPLICAS;
-        transfers.push(MigratedRange {
-            start: slice.start,
-            end: slice.end,
-            from: replica,
-            to,
-            entries: 0,
-        });
-        slice.replica = to;
+        planned.slices[first.unwrap()].replica = (replica + 1) % REPLICAS;
     }
-    rebalanced.version += 1;
-    let rebalance = Migration {
-        component: 1,
-        freeze: transfers
-            .iter()
-            .map(|t| Scope::Keys(t.start, t.end))
-            .collect(),
-        transfers,
-        handoff: Some((1, 2)),
-        assignment: Some(rebalanced),
-        placement: None,
-    };
+    planned.version += 1;
+    let rebalance = Migration::rebalance(1, &current, planned, Some((1, 2))).unwrap();
     vec![("colocate", colocate), ("rebalance", rebalance)]
 }
 

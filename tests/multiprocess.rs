@@ -6,6 +6,7 @@
 //! the deployer re-executes the application image and the embedded proclet
 //! takes over.
 
+use std::collections::HashMap;
 use std::io::BufReader;
 use std::process::{Command, Stdio};
 use std::sync::Arc;
@@ -16,6 +17,7 @@ use boutique::loadgen::test_address;
 use boutique::logic::payment::test_card;
 use boutique::types::PlaceOrderRequest;
 use weaver_runtime::protocol::{read_message, write_message, EnvelopeMessage, ProcletMessage};
+use weaver_runtime::router::RoutingState;
 use weaver_runtime::{DeploymentConfig, MultiProcess, SpawnSpec};
 
 fn main() {
@@ -71,15 +73,18 @@ fn pipe_protocol_conformance() {
         ProcletMessage::RegisterReplica {
             group: 0,
             replica: 0,
-            ref addr,
+            addr,
             pid,
         } => {
             assert_ne!(pid, 0);
-            addr.clone()
+            addr
         }
         other => panic!("expected RegisterReplica, got {other:?}"),
     };
-    let addr: std::net::SocketAddr = addr.parse().expect("proclet advertises a socket address");
+    assert!(
+        addr.ip().is_loopback(),
+        "proclet advertises its socket: {addr}"
+    );
 
     // 2. ComponentsToHost: "get components a proclet should host".
     let msg: ProcletMessage = read_message(&mut stdout).expect("read").expect("eof");
@@ -97,11 +102,11 @@ fn pipe_protocol_conformance() {
     .expect("write");
     write_message(
         &mut stdin,
-        &EnvelopeMessage::RoutingInfo {
+        &EnvelopeMessage::RoutingInfo(RoutingState {
             epoch: 1,
-            routes: vec![(catalog_id, vec![addr.to_string()])],
-            assignments: vec![],
-        },
+            routes: HashMap::from([(catalog_id, vec![addr])]),
+            assignments: HashMap::new(),
+        }),
     )
     .expect("write");
 

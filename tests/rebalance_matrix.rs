@@ -19,7 +19,8 @@ use std::time::Duration;
 
 use boutique::prelude::*;
 use weaver_codec::linelog;
-use weaver_routing::{ControllerOptions, SliceAssignment};
+use weaver_placement::ComponentPlacement;
+use weaver_routing::ControllerOptions;
 use weaver_testing::{
     eventually, run_matrix_with, seed_from_env, MatrixOptions, Placement, SliceMonotonicity,
 };
@@ -30,20 +31,6 @@ const WORKERS: usize = 3;
 const USERS_PER_WORKER: usize = 6;
 const OPS_PER_WORKER: usize = 120;
 const CONTROLLER_ROUNDS: usize = 6;
-
-/// The starting assignment for a cell: single-replica cells get a uniform
-/// multi-slice map (so the controller has slices to split); replicated
-/// cells get every slice piled onto replica 0 (so the controller has load
-/// to move and a live migration *must* happen).
-fn skewed_assignment(replicas: u32) -> SliceAssignment {
-    let mut assignment = SliceAssignment::uniform(replicas, 2);
-    if replicas > 1 {
-        for slice in &mut assignment.slices {
-            slice.replica = 0;
-        }
-    }
-    assignment
-}
 
 #[test]
 fn live_rebalance_holds_per_key_monotonicity_under_chaos() {
@@ -66,8 +53,14 @@ fn live_rebalance_holds_per_key_monotonicity_under_chaos() {
         let replicas = tcp.replica_count() as u32;
         let cart_id = boutique::registry().id_of(CART).unwrap();
 
-        tcp.install_routed_assignment(CART, skewed_assignment(replicas))
-            .unwrap_or_else(|e| panic!("[{label}] install: {e}"));
+        // The starting assignment: a colocation and back piles every slice
+        // onto replica 0, so a replicated cell has load to move and a live
+        // migration *must* happen; a single-replica cell keeps its uniform
+        // multi-slice map, so the controller has slices to split.
+        for to in [ComponentPlacement::Colocated, ComponentPlacement::Routed] {
+            tcp.migrate_component(CART, to)
+                .unwrap_or_else(|e| panic!("[{label}] skew: {e}"));
+        }
         let epoch_before = tcp.routing_table().epoch();
 
         let invariant = SliceMonotonicity::new();
