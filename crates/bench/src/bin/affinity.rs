@@ -7,9 +7,8 @@
 //!
 //! This harness builds exactly that: N independent cache replicas (each an
 //! LRU over a slow key-value "disk") and fires a Zipf-ish key stream at
-//! them under three routing policies — slice-affinity (weaver's `#[routed]`
-//! path), consistent hashing, and round robin — reporting hit rate and
-//! mean lookup latency.
+//! them under two routing policies — slice-affinity (weaver's `#[routed]`
+//! path) and round robin — reporting hit rate and mean lookup latency.
 
 use std::collections::HashMap;
 
@@ -17,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use weaver_core::routing_key;
-use weaver_routing::{ConsistentRing, SliceAssignment};
+use weaver_routing::SliceAssignment;
 
 /// A tiny LRU cache replica over a simulated slow store.
 struct CacheReplica {
@@ -134,21 +133,6 @@ fn main() {
         "slice affinity",
         slices.hit_rate * 100.0,
         slices.mean_latency_us
-    );
-
-    // Consistent hashing.
-    let ring = ConsistentRing::new(replicas as u32, 128);
-    let mut ring_pick = |key: u64, n: usize| {
-        ring.replica_for(routing_key(&key))
-            .map(|r| r as usize % n)
-            .unwrap_or(0)
-    };
-    let ring_outcome = run_policy(replicas, capacity, &keys, &mut ring_pick);
-    println!(
-        "{:<22} {:>8.1}% {:>17.1}",
-        "consistent hashing",
-        ring_outcome.hit_rate * 100.0,
-        ring_outcome.mean_latency_us
     );
 
     // Round robin (no affinity): every replica sees every key eventually.

@@ -167,11 +167,6 @@ impl ComponentRegistry {
             })
     }
 
-    /// Looks up a registration by name.
-    pub fn get_by_name(&self, name: &str) -> Result<&Registration, WeaverError> {
-        self.get(self.id_of(name)?)
-    }
-
     /// Iterates registrations in id order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &Registration)> {
         self.regs.iter().enumerate().map(|(i, r)| (i as u32, r))

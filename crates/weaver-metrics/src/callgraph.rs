@@ -97,48 +97,6 @@ impl EdgeCell {
         }
         self.latency.record(latency_nanos);
     }
-
-    /// Loads the cumulative edge weight. Unlike a full [`EdgeStats`]
-    /// snapshot this never walks histogram buckets: five relaxed loads.
-    pub fn weight(&self) -> EdgeWeight {
-        use std::sync::atomic::Ordering::Relaxed;
-        EdgeWeight {
-            calls: self.calls.load(Relaxed),
-            request_bytes: self.request_bytes.load(Relaxed),
-            response_bytes: self.response_bytes.load(Relaxed),
-            errors: self.errors.load(Relaxed),
-            latency_sum_nanos: self.latency.sum(),
-        }
-    }
-}
-
-/// A cheap cumulative summary of one edge: counters plus the latency sum,
-/// with no distribution. This is what periodic pollers (the placement
-/// controller's signal builder, dashboards) should read when they do not
-/// need quantiles.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, WeaverData)]
-pub struct EdgeWeight {
-    /// Number of calls.
-    pub calls: u64,
-    /// Total request payload bytes.
-    pub request_bytes: u64,
-    /// Total response payload bytes.
-    pub response_bytes: u64,
-    /// Number of calls that returned an error.
-    pub errors: u64,
-    /// Sum of call latencies in nanoseconds (mean = sum / calls).
-    pub latency_sum_nanos: u64,
-}
-
-impl EdgeWeight {
-    /// Mean call latency in nanoseconds (0 when no calls recorded).
-    pub fn mean_latency_nanos(&self) -> f64 {
-        if self.calls == 0 {
-            0.0
-        } else {
-            self.latency_sum_nanos as f64 / self.calls as f64
-        }
-    }
 }
 
 /// A concurrent recorder of call-graph edges.
@@ -213,30 +171,6 @@ impl CallGraph {
             (&a.0.caller, &a.0.callee, &a.0.method).cmp(&(&b.0.caller, &b.0.callee, &b.0.method))
         });
         CallGraphSnapshot { edges: out }
-    }
-
-    /// Cheap weights for every edge, deterministically ordered.
-    ///
-    /// The registry lock is held only long enough to clone the edge keys and
-    /// cell handles; the atomic loads (and no histogram bucket walk at all)
-    /// happen outside it, so a high-rate recorder is never stalled behind a
-    /// poller.
-    pub fn edge_weights(&self) -> Vec<(CallEdge, EdgeWeight)> {
-        let cells: Vec<(CallEdge, std::sync::Arc<EdgeCell>)> = {
-            let edges = self.edges.read();
-            edges
-                .iter()
-                .map(|(edge, cell)| (edge.clone(), std::sync::Arc::clone(cell)))
-                .collect()
-        };
-        let mut out: Vec<(CallEdge, EdgeWeight)> = cells
-            .into_iter()
-            .map(|(edge, cell)| (edge, cell.weight()))
-            .collect();
-        out.sort_by(|a, b| {
-            (&a.0.caller, &a.0.callee, &a.0.method).cmp(&(&b.0.caller, &b.0.callee, &b.0.method))
-        });
-        out
     }
 }
 
@@ -446,35 +380,17 @@ mod tests {
     }
 
     #[test]
-    fn edge_weights_match_snapshot_totals() {
-        let g = CallGraph::new();
-        g.record(edge("a", "b", "m"), 10, 20, 1_000, false);
-        g.record(edge("a", "b", "m"), 30, 40, 3_000, true);
-        g.record(edge("a", "c", "n"), 1, 1, 500, false);
-
-        let weights = g.edge_weights();
-        assert_eq!(weights.len(), 2);
-        // Deterministic order: ("a","b","m") before ("a","c","n").
-        let (e, w) = &weights[0];
-        assert_eq!((e.callee.as_str(), w.calls, w.errors), ("b", 2, 1));
-        assert_eq!(w.request_bytes, 40);
-        assert_eq!(w.response_bytes, 60);
-        assert_eq!(w.latency_sum_nanos, 4_000);
-        assert_eq!(w.mean_latency_nanos(), 2_000.0);
-        assert_eq!(EdgeWeight::default().mean_latency_nanos(), 0.0);
-    }
-
-    #[test]
     fn handle_pins_the_same_cell() {
         let g = CallGraph::new();
         let e = edge("x", "y", "z");
         let h1 = g.handle(&e);
         h1.record(5, 5, 100, false);
         let h2 = g.handle(&e);
-        assert_eq!(h2.weight().calls, 1);
+        assert!(std::sync::Arc::ptr_eq(&h1, &h2));
         h2.record(5, 5, 100, false);
-        assert_eq!(h1.weight().calls, 2);
-        assert_eq!(g.snapshot().edges.len(), 1);
+        let snap = g.snapshot();
+        assert_eq!(snap.edges.len(), 1);
+        assert_eq!(snap.edges[0].1.calls, 2);
     }
 
     #[test]

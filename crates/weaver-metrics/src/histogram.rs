@@ -8,7 +8,6 @@
 //! snapshots to the manager.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use weaver_macros::WeaverData;
 
@@ -84,21 +83,9 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Records a duration in nanoseconds.
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_nanos().min(u128::from(u64::MAX)) as u64);
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all recorded samples. Together with [`Histogram::count`] this
-    /// gives the exact mean without walking any buckets, which is what the
-    /// placement signal reads on every observation round.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
     }
 
     /// Takes a snapshot of the current state.
@@ -319,14 +306,5 @@ mod tests {
         h.record(20);
         h.record(30);
         assert_eq!(h.snapshot().mean(), 20.0);
-    }
-
-    #[test]
-    fn record_duration_uses_nanos() {
-        let h = Histogram::new();
-        h.record_duration(Duration::from_micros(5));
-        let snap = h.snapshot();
-        let med = snap.median();
-        assert!((4900..=5100).contains(&med), "median {med}");
     }
 }

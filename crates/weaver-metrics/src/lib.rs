@@ -33,9 +33,7 @@ pub mod signal;
 pub mod sliceload;
 pub mod trace;
 
-pub use callgraph::{
-    CallEdge, CallGraph, CallGraphSnapshot, EdgeCell, EdgeHandleCache, EdgeStats, EdgeWeight,
-};
+pub use callgraph::{CallEdge, CallGraph, CallGraphSnapshot, EdgeCell, EdgeHandleCache, EdgeStats};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{MetricFamily, MetricsRegistry, MetricsSnapshot};
 pub use scalar::{Counter, Gauge};

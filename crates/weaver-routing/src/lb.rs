@@ -1,49 +1,11 @@
 //! Load balancing for unrouted methods.
 //!
 //! When a method carries no routing key, any replica will do; the question
-//! is only which. Round-robin is the predictable default; power-of-two
-//! choices uses in-flight counts to avoid slow replicas with almost no
-//! coordination cost.
+//! is only which. Power-of-two choices uses in-flight counts to avoid slow
+//! replicas with almost no coordination cost. It is the one policy: every
+//! remote router picks through it.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-/// A replica selector over `n` interchangeable replicas.
-pub trait Balancer: Send + Sync {
-    /// Picks a replica index in `0..n`. Returns `None` when `n == 0`.
-    fn pick(&self, n: usize) -> Option<usize>;
-
-    /// Notes that a call to `replica` started (for load-aware policies).
-    fn on_start(&self, replica: usize) {
-        let _ = replica;
-    }
-
-    /// Notes that a call to `replica` finished.
-    fn on_finish(&self, replica: usize) {
-        let _ = replica;
-    }
-}
-
-/// Strict rotation over replicas.
-#[derive(Default)]
-pub struct RoundRobin {
-    next: AtomicUsize,
-}
-
-impl RoundRobin {
-    /// Creates a balancer starting at replica 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Balancer for RoundRobin {
-    fn pick(&self, n: usize) -> Option<usize> {
-        if n == 0 {
-            return None;
-        }
-        Some(self.next.fetch_add(1, Ordering::Relaxed) % n)
-    }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Power-of-two-choices over in-flight call counts.
 ///
@@ -56,7 +18,9 @@ pub struct PowerOfTwo {
 }
 
 impl PowerOfTwo {
-    /// Creates a balancer able to track up to `max_replicas` replicas.
+    /// Creates a balancer that tracks in-flight counts for the first
+    /// `max_replicas` replicas. It still picks among any number of
+    /// replicas; one past the table counts as idle.
     pub fn new(max_replicas: usize) -> Self {
         PowerOfTwo {
             inflight: (0..max_replicas.max(1))
@@ -77,20 +41,18 @@ impl PowerOfTwo {
         x
     }
 
-    /// Current in-flight count per replica (diagnostics).
+    /// Current in-flight count per replica (0 for an untracked replica).
     pub fn inflight(&self, replica: usize) -> u64 {
         self.inflight
             .get(replica)
             .map_or(0, |c| c.load(Ordering::Relaxed))
     }
-}
 
-impl Balancer for PowerOfTwo {
-    fn pick(&self, n: usize) -> Option<usize> {
+    /// Picks a replica index in `0..n`. Returns `None` when `n == 0`.
+    pub fn pick(&self, n: usize) -> Option<usize> {
         if n == 0 {
             return None;
         }
-        let n = n.min(self.inflight.len());
         if n == 1 {
             return Some(0);
         }
@@ -100,18 +62,22 @@ impl Balancer for PowerOfTwo {
         if a == b {
             b = (b + 1) % n;
         }
-        let load_a = self.inflight[a].load(Ordering::Relaxed);
-        let load_b = self.inflight[b].load(Ordering::Relaxed);
-        Some(if load_a <= load_b { a } else { b })
+        Some(if self.inflight(a) <= self.inflight(b) {
+            a
+        } else {
+            b
+        })
     }
 
-    fn on_start(&self, replica: usize) {
+    /// Notes that a call to `replica` started.
+    pub fn on_start(&self, replica: usize) {
         if let Some(c) = self.inflight.get(replica) {
             c.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    fn on_finish(&self, replica: usize) {
+    /// Notes that a call to `replica` finished.
+    pub fn on_finish(&self, replica: usize) {
         if let Some(c) = self.inflight.get(replica) {
             // Saturating decrement: a finish without a start (replica set
             // shrank mid-call) must not wrap.
@@ -128,21 +94,22 @@ mod tests {
     use std::collections::HashMap;
 
     #[test]
-    fn round_robin_rotates() {
-        let rr = RoundRobin::new();
-        let picks: Vec<usize> = (0..6).map(|_| rr.pick(3).unwrap()).collect();
-        assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
     fn zero_replicas_returns_none() {
-        assert_eq!(RoundRobin::new().pick(0), None);
         assert_eq!(PowerOfTwo::new(4).pick(0), None);
     }
 
     #[test]
     fn p2c_single_replica() {
         assert_eq!(PowerOfTwo::new(4).pick(1), Some(0));
+    }
+
+    #[test]
+    fn p2c_picks_replicas_past_its_table() {
+        let p2c = PowerOfTwo::new(2);
+        assert!(
+            (0..100).any(|_| p2c.pick(8).unwrap() >= 2),
+            "replicas 2..8 never picked"
+        );
     }
 
     #[test]

@@ -12,22 +12,18 @@
 //! * [`controller`] — the Slicer-style control loop: observed per-slice
 //!   load in, split/move decisions out. Pure and deterministic; decisions
 //!   serialize to replayable text logs.
-//! * [`consistent`] — a classic consistent-hashing ring, kept as the
-//!   baseline the A4 experiment compares slice assignment against.
-//! * [`lb`] — load-balancing policies for *unrouted* methods: round-robin
-//!   and power-of-two-choices.
+//! * [`lb`] — power-of-two-choices replica selection for *unrouted*
+//!   methods.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod consistent;
 pub mod controller;
 pub mod lb;
 pub mod slice;
 
-pub use consistent::ConsistentRing;
 pub use controller::{
     apply_decisions, ControllerOptions, RebalanceController, RebalanceDecision, RebalancePlan,
 };
-pub use lb::{Balancer, PowerOfTwo, RoundRobin};
+pub use lb::PowerOfTwo;
 pub use slice::{Slice, SliceAssignment};

@@ -378,17 +378,6 @@ impl MultiProcess {
         snapshot
     }
 
-    /// What the placement optimizer would co-locate, given the traffic this
-    /// deployment has actually observed (paper §5.1: use the fine-grained
-    /// call graph to make smarter co-location decisions). Feed the result
-    /// back into the next deployment's `[placement] colocate` config.
-    pub fn proposed_colocation(
-        &self,
-        config: &weaver_placement::ColocationConfig,
-    ) -> Vec<Vec<String>> {
-        weaver_placement::colocate(&self.callgraph(), config)
-    }
-
     /// Kills one proclet replica without warning (fault-injection hook).
     /// The manager will restart it and heal routing.
     pub fn kill_replica(&self, group: u32, replica: u32) {

@@ -116,25 +116,30 @@ impl ComponentGetter for ProcletGetter {
 /// Application binaries call this at the top of `main`, mirroring how the
 /// paper's proclet is "linked into the binary during compilation".
 pub fn maybe_proclet(registry: &Arc<ComponentRegistry>) {
-    let Ok(group) = std::env::var(ENV_GROUP) else {
+    if std::env::var_os(ENV_GROUP).is_none() {
         return;
-    };
-    let group: u32 = group.parse().unwrap_or(0);
-    let replica: u32 = std::env::var(ENV_REPLICA)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let version: u64 = std::env::var(ENV_VERSION)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let workers: usize = std::env::var(ENV_WORKERS)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    }
+    let group: u32 = proclet_env(ENV_GROUP, 0);
+    let replica: u32 = proclet_env(ENV_REPLICA, 0);
+    let version: u64 = proclet_env(ENV_VERSION, 1);
+    let workers: usize = proclet_env(ENV_WORKERS, 4);
 
     let code = proclet_main(Arc::clone(registry), group, replica, version, workers);
     std::process::exit(code);
+}
+
+/// Reads one proclet variable, `default` when unset. A value that is set
+/// but does not parse ends the process before it binds, naming the
+/// variable: a proclet with a garbled version or group would register and
+/// then misroute or reject every call.
+fn proclet_env<T: std::str::FromStr>(name: &str, default: T) -> T {
+    match std::env::var(name) {
+        Err(std::env::VarError::NotPresent) => default,
+        value => value.ok().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+            eprintln!("proclet: {name} is set but does not parse");
+            std::process::exit(2);
+        }),
+    }
 }
 
 /// The proclet main loop. Returns the process exit code.

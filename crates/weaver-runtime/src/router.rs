@@ -5,6 +5,11 @@
 //! installs comes from the control plane ([`crate::control::ControlPlane`]),
 //! the one writer of assignments and epochs; the table adds the per-slice
 //! load accounting and the migration gate.
+//!
+//! Every router call is keyed: each request carries a fresh idempotency
+//! key, so an unrouted call that fails retryably gets one retry on another
+//! replica even after its bytes hit the wire — the callee's dedup cache
+//! replays an attempt that already ran.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -21,7 +26,7 @@ use weaver_macros::WeaverData;
 use weaver_metrics::{
     CallGraph, EdgeHandleCache, Histogram, MetricsRegistry, SliceLoadReport, SliceLoadTracker,
 };
-use weaver_routing::{Balancer, PowerOfTwo, SliceAssignment};
+use weaver_routing::{PowerOfTwo, SliceAssignment};
 use weaver_transport::{
     CallFuture, Pool, RequestHeader, ResponseBody, RpcHandler, Status, WeaverFraming,
 };
@@ -132,7 +137,7 @@ impl RoutingTable {
         &self,
         component: u32,
         routing: Option<u64>,
-        balancer: &dyn Balancer,
+        balancer: &PowerOfTwo,
     ) -> Result<(SocketAddr, usize), WeaverError> {
         let state = self.state.read();
         let replicas = state
@@ -467,10 +472,6 @@ struct RouterInner {
     /// (version backstop, fault injection, dedup — everything but the
     /// socket).
     local: RwLock<HashMap<u32, Arc<dyn RpcHandler>>>,
-    /// Attach a fresh idempotency key to every call (the default). Off,
-    /// retries are begin-time-only — the pre-dedup behavior, kept as a
-    /// test hook so the double-execution hazard stays demonstrable.
-    auto_idempotency: std::sync::atomic::AtomicBool,
 }
 
 impl RemoteRouter {
@@ -507,7 +508,6 @@ impl RemoteRouter {
                 version,
                 recorder: CallRecorder::new(callgraph, metrics, placement),
                 local: RwLock::new(HashMap::new()),
-                auto_idempotency: std::sync::atomic::AtomicBool::new(true),
             }),
         }
     }
@@ -523,15 +523,6 @@ impl RemoteRouter {
             Some(handler) => local.insert(component, handler),
             None => local.remove(&component),
         };
-    }
-
-    /// Enables or disables automatic idempotency keys (on by default).
-    /// Disabling is a test hook: it reverts in-flight failures to
-    /// non-retryable, since an unkeyed retry could double-execute.
-    pub fn set_auto_idempotency(&self, enabled: bool) {
-        self.inner
-            .auto_idempotency
-            .store(enabled, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// The call graph edges this router has recorded.
@@ -570,10 +561,7 @@ impl RouterInner {
             trace_id: ctx.trace_id,
             span_id: ctx.span_id,
             routing,
-            idempotency: self
-                .auto_idempotency
-                .load(std::sync::atomic::Ordering::Relaxed)
-                .then(next_idempotency_key),
+            idempotency: Some(next_idempotency_key()),
             attempt: 0,
         }
     }
@@ -708,7 +696,7 @@ impl RemoteFuture {
             Err(e) => {
                 self.release_balancer();
                 let e = WeaverError::from(e);
-                if self.may_retry(&e, false) {
+                if self.may_retry(&e) {
                     self.inner.pool.evict(addr);
                     self.header.attempt += 1;
                     self.launch();
@@ -723,17 +711,13 @@ impl RemoteFuture {
     /// Routed calls are not retried elsewhere — affinity means another
     /// replica is a cache miss at best.
     ///
-    /// `in_flight` distinguishes the two failure points. A begin-time
-    /// failure (the request never hit the wire) is always safe to retry.
+    /// Every router call is keyed, so both failure points retry. A
+    /// begin-time failure (the request never hit the wire) is plainly safe.
     /// A post-write failure is *ambiguous* — the callee may have executed —
-    /// so the retry only fires when the request carries an idempotency
-    /// key: the callee's dedup cache then replays instead of re-executing,
-    /// and a non-idempotent method cannot run twice.
-    fn may_retry(&mut self, e: &WeaverError, in_flight: bool) -> bool {
+    /// and the callee's dedup cache replays the keyed first attempt
+    /// instead of re-executing, so a non-idempotent method cannot run twice.
+    fn may_retry(&mut self, e: &WeaverError) -> bool {
         if !e.is_retryable() || self.routing.is_some() || self.retried {
-            return false;
-        }
-        if in_flight && self.header.idempotency.is_none() {
             return false;
         }
         self.retried = true;
@@ -766,7 +750,7 @@ impl RemoteFuture {
         self.release_balancer();
         let outcome = match outcome.map_err(WeaverError::from) {
             Ok(body) => body_to_outcome(body),
-            Err(e) if self.may_retry(&e, true) => {
+            Err(e) if self.may_retry(&e) => {
                 if let Some(addr) = self.active_addr.take() {
                     self.inner.pool.evict(addr);
                 }

@@ -4,8 +4,8 @@
 //! The scenario: a request is written to the wire, the server executes it,
 //! and the connection severs before the response is delivered. The client
 //! cannot tell execution from loss — retrying blindly re-executes a
-//! non-idempotent method. The fix is two-sided: the retry only fires when
-//! the request carries an idempotency key, and the server's dedup cache
+//! non-idempotent method. The fix is two-sided: every router call carries
+//! an idempotency key, and the server's dedup cache
 //! replays the recorded response for the repeated key instead of
 //! re-executing.
 //!
@@ -33,10 +33,8 @@ use weaver_runtime::router::{RemoteRouter, RoutingState, RoutingTable};
 use weaver_transport::{Connection, DuplexStream, Pool, Server, TransportError, WeaverFraming};
 
 /// Executions are counted in a process-global so the test observes the
-/// server side directly, not through (possibly replayed) responses. Tests
-/// sharing it serialize on [`EXCLUSIVE`].
+/// server side directly, not through (possibly replayed) responses.
 static EXECUTIONS: AtomicU64 = AtomicU64::new(0);
-static EXCLUSIVE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 trait Bumper: Send + Sync + 'static {
     fn bump(&self, ctx: &CallContext) -> Result<u64, WeaverError>;
@@ -199,8 +197,6 @@ fn deploy() -> (
 
 #[test]
 fn ambiguous_sever_with_key_replays_single_execution() {
-    let _guard = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-    EXECUTIONS.store(0, Ordering::SeqCst);
     let (_server, router, registry, dedup) = deploy();
     let router = Arc::new(router);
     let handle = registry.client_handle::<dyn Bumper>(router as Arc<dyn CallRouter>);
@@ -226,30 +222,4 @@ fn ambiguous_sever_with_key_replays_single_execution() {
     // A fresh call (new key, clean connection) executes normally.
     assert_eq!(client.bump(&ctx).unwrap(), 2);
     assert_eq!(EXECUTIONS.load(Ordering::SeqCst), 2);
-}
-
-#[test]
-fn ambiguous_sever_without_key_does_not_retry() {
-    let _guard = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-    EXECUTIONS.store(0, Ordering::SeqCst);
-    let (_server, router, registry, _dedup) = deploy();
-    router.set_auto_idempotency(false);
-    let router = Arc::new(router);
-    let handle = registry.client_handle::<dyn Bumper>(router as Arc<dyn CallRouter>);
-    let client = <dyn Bumper as ComponentInterface>::client(handle.unwrap());
-    let ctx = CallContext::root(1).with_timeout(Duration::from_secs(10));
-
-    // Unkeyed, the in-flight failure is ambiguous and must surface as an
-    // error — never a blind re-execution (the pre-dedup hazard).
-    let err = client.bump(&ctx).expect_err("ambiguous sever must error");
-    assert!(err.is_retryable(), "ambiguity surfaces as retryable: {err}");
-    assert_eq!(
-        EXECUTIONS.load(Ordering::SeqCst),
-        1,
-        "unkeyed sever must leave exactly the one server-side execution"
-    );
-
-    // Begin-time failures stay freely retryable even without keys: the
-    // next call dials a clean connection and succeeds.
-    assert_eq!(client.bump(&ctx).unwrap(), 2);
 }

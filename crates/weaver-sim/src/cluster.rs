@@ -58,11 +58,6 @@ impl Pod {
             }
         }
     }
-
-    /// Queued + running work depth.
-    pub fn depth(&self) -> usize {
-        self.queue.len() + usize::from(self.running)
-    }
 }
 
 /// How calls pick a pod within a group.
@@ -199,7 +194,7 @@ mod tests {
         assert!(pod.running);
         // Second offer queues.
         assert_eq!(pod.offer(120, 2, 30), None);
-        assert_eq!(pod.depth(), 2);
+        assert_eq!(pod.queue.len(), 1);
         // Finish starts queued work.
         assert_eq!(pod.finish(150), Some((2, 180)));
         assert_eq!(pod.finish(180), None);

@@ -316,7 +316,6 @@ pub fn run(config: &SimConfig) -> SimReport {
     queue.push(config.hpa_interval, Event::HpaTick);
 
     let mut last_hpa: SimTime = 0;
-    let debug = std::env::var_os("WEAVER_SIM_DEBUG").is_some();
 
     // Advances `request` through wire steps until it blocks on a pod or
     // completes.
@@ -453,17 +452,6 @@ pub fn run(config: &SimConfig) -> SimReport {
                     let utilization = group.utilization(window);
                     if in_window {
                         group.account_pod_time(window);
-                    }
-                    if debug {
-                        let depth: usize = group.pods.iter().map(|p| p.depth()).sum();
-                        eprintln!(
-                            "[sim {:>4}s] {:<12} pods {:>3} util {:>6.2} queued {:>6}",
-                            now / units::S,
-                            &group.name[..group.name.len().min(12)],
-                            group.active,
-                            utilization,
-                            depth,
-                        );
                     }
                     group.autoscale(utilization);
                 }

@@ -9,10 +9,12 @@
 //! `weaver_placement::Autoscaler` the runtime uses), a network/codec cost
 //! model with one preset per stack, and an open-loop Poisson workload.
 //!
-//! **What is calibrated vs. assumed.** The *relative* costs of the two
-//! stacks (non-versioned vs. tagged encoding, streamlined vs. HTTP/2-like
-//! framing) are taken from microbenchmarks of this repository's own codec
-//! and transport (`cargo run -p bench --bin calibrate --release`); the
+//! **What is measured vs. assumed.** Nothing is measured: the per-call
+//! costs of the two stacks (non-versioned vs. tagged encoding, streamlined
+//! vs. HTTP/2-like framing) are hand-set [`StackModel`] constants whose
+//! ordering follows this repository's own codec and transport;
+//! `cargo run -p bench --bin calibrate --release` prints this host's
+//! numbers beside them but does not feed them in. The
 //! *absolute* per-request CPU of the boutique's handlers is anchored so
 //! that the simulated co-located configuration matches the paper's
 //! 9-cores-at-10kQPS observation, since

@@ -11,8 +11,7 @@
 //!   encode/dispatch/decode), real loopback TCP through `weaver-transport`,
 //!   and multi-replica TCP with routed-key affinity. A test that passes all
 //!   four cannot be depending on address-space sharing, marshaling quirks,
-//!   or single-replica accidents. ([`weavertest`] keeps the original
-//!   two-placement helpers.)
+//!   or single-replica accidents.
 //! * [`chaos`] — a seeded fault-injection loop over any fault-injectable
 //!   deployment: crash components, take them down, inject latency, heal —
 //!   while the test body keeps issuing requests and asserting invariants.
@@ -42,7 +41,6 @@ pub mod chaos;
 pub mod control;
 pub mod invariants;
 pub mod matrix;
-pub mod weavertest;
 
 pub use chaos::{
     apply, eventually, replay, seed_from_env, ChaosAction, ChaosOptions, ChaosRunner, ChaosSchedule,
@@ -53,4 +51,3 @@ pub use invariants::{
     SliceMonotonicity,
 };
 pub use matrix::{run_matrix, run_matrix_with, MatrixDeployment, MatrixOptions, Placement};
-pub use weavertest::{run_both, run_colocated, run_marshaled};

@@ -371,11 +371,6 @@ pub struct CallFuture<F: Framing> {
 }
 
 impl<F: Framing> CallFuture<F> {
-    /// The multiplexing stream id this call occupies on the wire.
-    pub fn stream_id(&self) -> u64 {
-        self.stream
-    }
-
     /// The connection the call is in flight on.
     pub fn connection(&self) -> &Arc<Connection<F>> {
         &self.conn

@@ -27,6 +27,7 @@ fn main() {
 
     let tests: &[(&str, fn())] = &[
         ("pipe_protocol_conformance", pipe_protocol_conformance),
+        ("malformed_proclet_env_exits", malformed_proclet_env_exits),
         ("deployer_end_to_end", deployer_end_to_end),
         ("replica_crash_heals", replica_crash_heals),
         ("scale_group_up_and_down", scale_group_up_and_down),
@@ -168,6 +169,26 @@ fn pipe_protocol_conformance() {
     assert_eq!(msg, ProcletMessage::ShuttingDown);
     let status = child.wait().expect("wait");
     assert!(status.success(), "proclet exited with {status:?}");
+}
+
+/// A proclet whose environment does not parse names the variable and exits
+/// non-zero before it binds, instead of serving as group 0.
+fn malformed_proclet_env_exits() {
+    let exe = std::env::current_exe().expect("current_exe");
+    let out = Command::new(&exe)
+        .env(weaver_runtime::proclet::ENV_GROUP, "x")
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .output()
+        .expect("spawn proclet");
+    assert!(!out.status.success(), "exited {:?}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(weaver_runtime::proclet::ENV_GROUP),
+        "stderr does not name the variable: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "proclet registered before exiting");
 }
 
 // The boutique registry plus one deliberately slow component used by the

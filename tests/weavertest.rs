@@ -1,28 +1,21 @@
 //! End-to-end tests as unit tests (paper §5.3, experiment A6's harness).
 //!
-//! Every test body runs under *both* placements — fully co-located and
-//! fully marshaled — via the weavertest harness. Passing both ways proves
-//! the application depends only on component interfaces, never on shared
-//! address space.
-
-use std::sync::Arc;
+//! Every test body runs under all four cells of the deployment matrix —
+//! co-located, marshaled, loopback TCP and replicated TCP. Passing every
+//! way proves the application depends only on component interfaces, never
+//! on shared address space, the wire or a single replica.
 
 use boutique::components::*;
 use boutique::loadgen::test_address;
 use boutique::logic::payment::test_card;
 use boutique::types::{CartItem, PlaceOrderRequest};
-use weaver_core::context::CallContext;
 use weaver_runtime::SingleProcess;
-use weaver_testing::run_both;
-
-fn ctx(app: &Arc<SingleProcess>) -> CallContext {
-    app.root_context()
-}
+use weaver_testing::{run_matrix, Placement};
 
 #[test]
-fn full_shopping_session_under_both_placements() {
-    run_both(boutique::registry(), |placement, app| {
-        let ctx = ctx(&app);
+fn full_shopping_session_under_every_placement() {
+    run_matrix(boutique::registry(), |app| {
+        let (placement, ctx) = (app.label(), app.root_context());
         let frontend = app.get::<dyn Frontend>().expect(placement);
 
         let home = frontend
@@ -61,11 +54,11 @@ fn full_shopping_session_under_both_placements() {
 
 #[test]
 fn component_interfaces_behave_identically() {
-    // Poke each backend component directly under both placements and
+    // Poke each backend component directly under every placement and
     // demand byte-identical answers (determinism across placements).
     let mut answers: Vec<String> = Vec::new();
-    run_both(boutique::registry(), |placement, app| {
-        let ctx = ctx(&app);
+    run_matrix(boutique::registry(), |app| {
+        let (placement, ctx) = (app.label(), app.root_context());
         let catalog = app.get::<dyn ProductCatalog>().expect(placement);
         let currency = app.get::<dyn CurrencyService>().expect(placement);
         let recs = app.get::<dyn RecommendationService>().expect(placement);
@@ -93,43 +86,49 @@ fn component_interfaces_behave_identically() {
             ads.iter().map(|a| a.text.as_str()).collect::<Vec<_>>()
         ));
     });
-    assert_eq!(answers.len(), 2);
-    assert_eq!(
-        answers[0], answers[1],
-        "placements disagreed on pure component answers"
-    );
+    assert_eq!(answers.len(), Placement::ALL.len());
+    for (placement, answer) in Placement::ALL.iter().zip(&answers) {
+        assert_eq!(
+            answer,
+            &answers[0],
+            "{}: placements disagreed on pure component answers",
+            placement.label()
+        );
+    }
 }
 
 #[test]
 fn error_paths_survive_marshaling() {
     // Application errors must come back as the same typed error whether or
-    // not they crossed a marshaling boundary.
-    let mut errors: Vec<String> = Vec::new();
-    run_both(boutique::registry(), |placement, app| {
-        let ctx = ctx(&app);
+    // not they crossed a marshaling boundary, the wire or a replica hop.
+    let mut errors: Vec<(String, String)> = Vec::new();
+    run_matrix(boutique::registry(), |app| {
+        let (placement, ctx) = (app.label(), app.root_context());
         let catalog = app.get::<dyn ProductCatalog>().expect(placement);
-        let e = catalog
+        let unknown = catalog
             .get_product(&ctx, "DOES-NOT-EXIST".into())
             .expect_err("unknown product must error");
-        errors.push(e.to_string());
 
         let payment = app.get::<dyn PaymentService>().expect(placement);
         let mut card = test_card();
         card.number = "0000".into();
-        let e = payment
+        let declined = payment
             .charge(&ctx, boutique::types::Money::new("USD", 10, 0), card)
             .expect_err("bad card must error");
-        errors.push(e.to_string());
+        errors.push((unknown.to_string(), declined.to_string()));
     });
-    assert_eq!(errors.len(), 4);
-    assert_eq!(errors[0], errors[2], "catalog error changed across wire");
-    assert_eq!(errors[1], errors[3], "payment error changed across wire");
+    assert_eq!(errors.len(), Placement::ALL.len());
+    for (placement, (unknown, declined)) in Placement::ALL.iter().zip(&errors) {
+        let label = placement.label();
+        assert_eq!(unknown, &errors[0].0, "{label}: catalog error changed");
+        assert_eq!(declined, &errors[0].1, "{label}: payment error changed");
+    }
 }
 
 #[test]
 fn routed_methods_and_cart_isolation() {
-    run_both(boutique::registry(), |placement, app| {
-        let ctx = ctx(&app);
+    run_matrix(boutique::registry(), |app| {
+        let (placement, ctx) = (app.label(), app.root_context());
         let cart = app.get::<dyn CartService>().expect(placement);
         for user in ["u1", "u2", "u3"] {
             cart.add_item(
