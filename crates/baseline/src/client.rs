@@ -1,6 +1,5 @@
 //! Hand-written gRPC-style client stubs for every service.
 
-use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -9,7 +8,7 @@ use boutique::types::{CartItem, CartView, HomeView, OrderResult, PlaceOrderReque
 use weaver_codec::tagged::{decode_message, encode_message, TaggedDecode, TaggedEncode};
 use weaver_core::context::CallContext;
 use weaver_core::error::WeaverError;
-use weaver_transport::{GrpcLikeFraming, Pool, RequestHeader, Status};
+use weaver_transport::{Endpoint, GrpcLikeFraming, Pool, RequestHeader, Status};
 
 use crate::messages::*;
 use crate::services::ServiceId;
@@ -20,13 +19,13 @@ const CALL_TIMEOUT: Duration = Duration::from_secs(30);
 /// A connection-pooled stub for one remote service.
 pub struct Stub {
     pool: Arc<Pool<GrpcLikeFraming>>,
-    addr: SocketAddr,
+    addr: Endpoint,
     service: ServiceId,
 }
 
 impl Stub {
     /// Creates a stub for `service` at `addr`, sharing `pool`.
-    pub fn new(pool: Arc<Pool<GrpcLikeFraming>>, addr: SocketAddr, service: ServiceId) -> Stub {
+    pub fn new(pool: Arc<Pool<GrpcLikeFraming>>, addr: Endpoint, service: ServiceId) -> Stub {
         Stub {
             pool,
             addr,

@@ -1,6 +1,5 @@
 //! The ten microservice servers and the deployment that wires them up.
 
-use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -17,7 +16,7 @@ use weaver_codec::tagged::{decode_message, encode_message, TaggedDecode, TaggedE
 use weaver_core::context::CallContext;
 use weaver_core::error::WeaverError;
 use weaver_transport::{
-    GrpcLikeFraming, Pool, RequestHeader, ResponseBody, RpcHandler, Server, Status,
+    Endpoint, GrpcLikeFraming, Pool, RequestHeader, ResponseBody, RpcHandler, Server, Status,
 };
 
 use crate::client::*;
@@ -662,7 +661,7 @@ impl RpcHandler for FrontendHandler {
 pub struct BaselineDeployment {
     /// Kept alive; dropping shuts every service down.
     servers: Vec<Server<GrpcLikeFraming>>,
-    addrs: std::collections::HashMap<u32, SocketAddr>,
+    addrs: std::collections::HashMap<u32, Endpoint>,
     pool: Arc<Pool<GrpcLikeFraming>>,
 }
 
@@ -674,10 +673,10 @@ impl BaselineDeployment {
         let mut addrs = std::collections::HashMap::new();
 
         let mut bind =
-            |service: ServiceId, handler: Arc<dyn RpcHandler>| -> Result<SocketAddr, WeaverError> {
+            |service: ServiceId, handler: Arc<dyn RpcHandler>| -> Result<Endpoint, WeaverError> {
                 let server = Server::<GrpcLikeFraming>::bind("127.0.0.1:0", workers, handler)
                     .map_err(WeaverError::from)?;
-                let addr = server.local_addr();
+                let addr = server.endpoint();
                 servers.push(server);
                 addrs.insert(service as u32, addr);
                 Ok(addr)
@@ -727,8 +726,7 @@ impl BaselineDeployment {
             }),
         )?;
 
-        let stub =
-            |addr: SocketAddr, service: ServiceId| Stub::new(Arc::clone(&pool), addr, service);
+        let stub = |addr: Endpoint, service: ServiceId| Stub::new(Arc::clone(&pool), addr, service);
 
         // Recommendation depends on catalog.
         let recommendation_addr = bind(
@@ -777,7 +775,7 @@ impl BaselineDeployment {
     }
 
     /// Address of a service.
-    pub fn addr(&self, service: ServiceId) -> SocketAddr {
+    pub fn addr(&self, service: ServiceId) -> Endpoint {
         self.addrs[&(service as u32)]
     }
 

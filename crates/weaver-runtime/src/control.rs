@@ -27,13 +27,13 @@
 //! down the replica that took its place.
 
 use std::collections::{BTreeMap, HashMap};
-use std::net::SocketAddr;
 use std::time::Duration;
 
 use weaver_core::error::WeaverError;
 use weaver_core::registry::ComponentRegistry;
 use weaver_placement::{Autoscaler, AutoscalerConfig, ComponentPlacement};
 use weaver_routing::SliceAssignment;
+use weaver_transport::Endpoint;
 
 use crate::envelope::{Incarnation, ReplicaId};
 use crate::router::{RoutingState, Scope};
@@ -48,8 +48,8 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
 /// What the control plane learns from the outside.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
-    /// The incarnation's data plane is up at the address.
-    Registered(Incarnation, SocketAddr),
+    /// The incarnation's data plane is up at the endpoint.
+    Registered(Incarnation, Endpoint),
     /// The incarnation asked which components it hosts.
     HostQuery(Incarnation),
     /// The incarnation's busy fraction since its previous report (1.0 = one
@@ -88,7 +88,7 @@ pub enum Command {
 struct Member {
     n: u64,
     /// Set once it registered.
-    endpoint: Option<SocketAddr>,
+    endpoint: Option<Endpoint>,
     /// Its latest reported busy fraction.
     utilization: Option<f64>,
 }
@@ -165,9 +165,9 @@ impl ControlPlane {
     pub fn step(&mut self, event: Event) -> Vec<Command> {
         let mut out = Vec::new();
         match event {
-            Event::Registered(incarnation, addr) => {
+            Event::Registered(incarnation, endpoint) => {
                 if let Some(member) = self.current(incarnation) {
-                    member.endpoint = Some(addr);
+                    member.endpoint = Some(endpoint);
                     out.push(Command::Install(self.install()));
                 }
             }
@@ -258,10 +258,10 @@ impl ControlPlane {
         self.shutting_down
     }
 
-    fn registered_members(&self) -> impl Iterator<Item = (&ReplicaId, SocketAddr)> {
+    fn registered_members(&self) -> impl Iterator<Item = (&ReplicaId, Endpoint)> {
         self.members
             .iter()
-            .filter_map(|(id, member)| member.endpoint.map(|addr| (id, addr)))
+            .filter_map(|(id, member)| member.endpoint.map(|endpoint| (id, endpoint)))
     }
 
     /// The member `incarnation` names, if it is the current one.
@@ -335,10 +335,10 @@ impl ControlPlane {
     /// Registers replicas that came up together, before anything could
     /// call them: one membership change, so one routing at the next epoch,
     /// for the host to install as it is.
-    pub fn register_all(&mut self, endpoints: Vec<(Incarnation, SocketAddr)>) -> RoutingState {
-        for (incarnation, addr) in endpoints {
+    pub fn register_all(&mut self, endpoints: Vec<(Incarnation, Endpoint)>) -> RoutingState {
+        for (incarnation, endpoint) in endpoints {
             if let Some(member) = self.current(incarnation) {
-                member.endpoint = Some(addr);
+                member.endpoint = Some(endpoint);
             }
         }
         self.install()
@@ -361,13 +361,13 @@ impl ControlPlane {
         self.epoch += 1;
         let mut routes = HashMap::new();
         for (group, components) in self.groups.iter().enumerate() {
-            let addrs: Vec<SocketAddr> = self
+            let endpoints: Vec<Endpoint> = self
                 .registered_members()
                 .filter(|(id, _)| id.group as usize == group)
-                .map(|(_, addr)| addr)
+                .map(|(_, endpoint)| endpoint)
                 .collect();
             for &component in components {
-                routes.insert(component, addrs.clone());
+                routes.insert(component, endpoints.clone());
             }
         }
         RoutingState {
@@ -716,8 +716,11 @@ mod tests {
     }
 
     fn registered(id: ReplicaId, n: u64) -> Event {
-        let addr = format!("10.0.{}.{}:{}", id.group, id.replica, 1000 + n);
-        Event::Registered(Incarnation { id, n }, addr.parse().expect("valid address"))
+        let name = format!("proclet-{}-{}-{n}", id.group, id.replica);
+        Event::Registered(
+            Incarnation { id, n },
+            Endpoint::unix(&name).expect("short name"),
+        )
     }
 
     fn exited(id: ReplicaId, n: u64) -> Event {

@@ -33,7 +33,7 @@ use crate::config::DeploymentConfig;
 use crate::control::{Command, ControlPlane, Event};
 use crate::envelope::{Envelope, EnvelopeEvent, Incarnation, ReplicaId, SpawnSpec};
 use crate::protocol::{EnvelopeMessage, ProcletMessage};
-use crate::router::{RemoteRouter, RoutingTable};
+use crate::router::{RemoteRouter, RoutingState, RoutingTable};
 
 /// How long `deploy` and `scale_group` wait for proclets to register.
 const DEPLOY_TIMEOUT: Duration = Duration::from_secs(30);
@@ -403,6 +403,12 @@ impl MultiProcess {
             self.shared.wait_registered(&mut state, "scale-up")?;
         }
         Ok(())
+    }
+
+    /// The routing the manager installed last, as its ingress holds it:
+    /// each component's replica endpoints, at the plane's epoch.
+    pub fn routing(&self) -> RoutingState {
+        self.shared.table.routing()
     }
 
     /// Replica count currently registered for a group.

@@ -7,7 +7,9 @@
 //!
 //! [`maybe_proclet`] is the link point: application `main` calls it first;
 //! in a process the deployer spawned as a proclet (marked by environment
-//! variables) it never returns — it binds the data-plane RPC server, speaks
+//! variables) it never returns — it binds the data-plane RPC server on a
+//! fresh abstract unix socket (the deployer spawned every proclet on its
+//! own host, so no call between them needs TCP), speaks
 //! the Table 1 pipe protocol on stdin/stdout, hosts its assigned
 //! components, and exits when told to. In the manager process it returns
 //! immediately.
@@ -22,7 +24,7 @@ use weaver_core::error::WeaverError;
 use weaver_core::instance::LiveComponents;
 use weaver_core::registry::ComponentRegistry;
 use weaver_metrics::{CallGraph, MetricsRegistry};
-use weaver_transport::{Server, WeaverFraming};
+use weaver_transport::{Endpoint, Server, WeaverFraming};
 
 use crate::dedup::DedupCache;
 use crate::dispatch::ProcletDispatcher;
@@ -172,7 +174,7 @@ fn proclet_main(
         Arc::default(),
     ));
     let busy = dispatcher.busy_tracker();
-    let server = match Server::<WeaverFraming>::bind("127.0.0.1:0", workers, dispatcher) {
+    let server = match Server::<WeaverFraming>::bind(Endpoint::fresh_unix(), workers, dispatcher) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("proclet {group}/{replica}: cannot bind data plane: {e}");
@@ -186,7 +188,7 @@ fn proclet_main(
     let register = ProcletMessage::RegisterReplica {
         group,
         replica,
-        addr: server.local_addr(),
+        addr: server.endpoint(),
         pid: std::process::id().into(),
     };
     if write_message(&mut out, &register).is_err() {

@@ -13,11 +13,11 @@
 //! drives it in memory.
 
 use std::io::{self, Read, Write};
-use std::net::SocketAddr;
 
 use weaver_codec::prelude::*;
 use weaver_macros::WeaverData;
 use weaver_metrics::{CallGraphSnapshot, MetricsSnapshot};
+use weaver_transport::Endpoint;
 
 use crate::router::RoutingState;
 
@@ -34,8 +34,8 @@ pub enum ProcletMessage {
         group: u32,
         /// Replica index within the group.
         replica: u32,
-        /// Address of the proclet's data-plane RPC server.
-        addr: SocketAddr,
+        /// Endpoint of the proclet's data-plane RPC server.
+        addr: Endpoint,
         /// OS process id (diagnostics).
         pid: u64,
     },
@@ -131,7 +131,7 @@ mod tests {
             ProcletMessage::RegisterReplica {
                 group: 0,
                 replica: 0,
-                addr: "[::1]:1".parse().unwrap(),
+                addr: "unix:@weaver-1-0".parse().unwrap(),
                 pid: 1,
             },
             ProcletMessage::ComponentsToHost,
@@ -173,7 +173,11 @@ mod tests {
                 routes: HashMap::from([
                     (
                         0,
-                        vec!["127.0.0.1:1".parse().unwrap(), "[::1]:2".parse().unwrap()],
+                        vec![
+                            "tcp:127.0.0.1:1".parse().unwrap(),
+                            "unix:@weaver-1-0".parse().unwrap(),
+                            "tcp:[::1]:2".parse().unwrap(),
+                        ],
                     ),
                     (3, Vec::new()),
                 ]),

@@ -12,7 +12,6 @@
 //! replays an attempt that already ran.
 
 use std::collections::HashMap;
-use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,7 +27,7 @@ use weaver_metrics::{
 };
 use weaver_routing::{PowerOfTwo, SliceAssignment};
 use weaver_transport::{
-    CallFuture, Pool, RequestHeader, ResponseBody, RpcHandler, Status, WeaverFraming,
+    CallFuture, Endpoint, Pool, RequestHeader, ResponseBody, RpcHandler, Status, WeaverFraming,
 };
 
 /// Default per-call timeout when the caller set no deadline. Generous: the
@@ -67,8 +66,8 @@ pub fn next_idempotency_key() -> u64 {
 pub struct RoutingState {
     /// Update epoch; stale `RoutingInfo` messages are discarded.
     pub epoch: u64,
-    /// component id → replica addresses, ordered by replica index.
-    pub routes: HashMap<u32, Vec<SocketAddr>>,
+    /// component id → replica endpoints, ordered by replica index.
+    pub routes: HashMap<u32, Vec<Endpoint>>,
     /// component id → affinity slice assignment.
     pub assignments: HashMap<u32, SliceAssignment>,
 }
@@ -132,13 +131,13 @@ impl RoutingTable {
         true
     }
 
-    /// Resolves the address for one call.
+    /// Resolves the endpoint for one call.
     fn pick(
         &self,
         component: u32,
         routing: Option<u64>,
         balancer: &PowerOfTwo,
-    ) -> Result<(SocketAddr, usize), WeaverError> {
+    ) -> Result<(Endpoint, usize), WeaverError> {
         let state = self.state.read();
         let replicas = state
             .routes
@@ -174,7 +173,7 @@ impl RoutingTable {
         };
         // Never index unchecked on the call path: a balancer or assignment
         // bug must surface as a routable error, not a proclet panic.
-        let addr = replicas
+        let endpoint = replicas
             .get(index)
             .copied()
             .ok_or_else(|| WeaverError::Unavailable {
@@ -183,12 +182,17 @@ impl RoutingTable {
                     replicas.len()
                 ),
             })?;
-        Ok((addr, index))
+        Ok((endpoint, index))
     }
 
     /// Current epoch.
     pub fn epoch(&self) -> u64 {
         self.state.read().epoch
+    }
+
+    /// The installed routing.
+    pub fn routing(&self) -> RoutingState {
+        self.state.read().clone()
     }
 
     /// The slice assignment currently installed for a component.
@@ -610,7 +614,7 @@ struct RemoteFuture {
     state: RemoteState,
     /// Replica index charged on the balancer, released exactly once.
     active_replica: Option<usize>,
-    active_addr: Option<SocketAddr>,
+    active_endpoint: Option<Endpoint>,
     /// Whether the call holds an in-flight registration on the migration
     /// gate (under `component`/`routing`), released exactly once.
     admitted: bool,
@@ -642,7 +646,7 @@ impl RemoteFuture {
             call,
             state: RemoteState::Done,
             active_replica: None,
-            active_addr: None,
+            active_endpoint: None,
             admitted: false,
             local: false,
             retried: false,
@@ -676,7 +680,7 @@ impl RemoteFuture {
     /// Picks a replica and puts the request in flight. Retryable begin-time
     /// failures relaunch once through [`RemoteFuture::may_retry`].
     fn launch(&mut self) {
-        let (addr, replica) =
+        let (endpoint, replica) =
             match self
                 .inner
                 .table
@@ -690,14 +694,18 @@ impl RemoteFuture {
             };
         self.inner.balancer.on_start(replica);
         self.active_replica = Some(replica);
-        self.active_addr = Some(addr);
-        match self.inner.pool.call_begin(addr, &self.header, &self.args) {
+        self.active_endpoint = Some(endpoint);
+        match self
+            .inner
+            .pool
+            .call_begin(endpoint, &self.header, &self.args)
+        {
             Ok(fut) => self.state = RemoteState::InFlight(fut),
             Err(e) => {
                 self.release_balancer();
                 let e = WeaverError::from(e);
                 if self.may_retry(&e) {
-                    self.inner.pool.evict(addr);
+                    self.inner.pool.evict(endpoint);
                     self.header.attempt += 1;
                     self.launch();
                 } else {
@@ -751,8 +759,8 @@ impl RemoteFuture {
         let outcome = match outcome.map_err(WeaverError::from) {
             Ok(body) => body_to_outcome(body),
             Err(e) if self.may_retry(&e) => {
-                if let Some(addr) = self.active_addr.take() {
-                    self.inner.pool.evict(addr);
+                if let Some(endpoint) = self.active_endpoint.take() {
+                    self.inner.pool.evict(endpoint);
                 }
                 // Same header, same key, bumped attempt: the callee can
                 // dedup the ambiguous first attempt.
@@ -769,16 +777,16 @@ impl RemoteFuture {
     /// The second attempt, synchronous: by the time the caller gathers a
     /// failed future there is nothing left to overlap with.
     fn retry_blocking(&mut self) -> Result<Vec<u8>, WeaverError> {
-        let (addr, replica) =
+        let (endpoint, replica) =
             self.inner
                 .table
                 .pick(self.component, self.routing, &self.inner.balancer)?;
         self.inner.balancer.on_start(replica);
         self.active_replica = Some(replica);
-        let outcome = self
-            .inner
-            .pool
-            .call(addr, &self.header, &self.args, Some(self.remaining()));
+        let outcome =
+            self.inner
+                .pool
+                .call(endpoint, &self.header, &self.args, Some(self.remaining()));
         self.release_balancer();
         match outcome.map_err(WeaverError::from) {
             Ok(body) => body_to_outcome(body),
@@ -882,8 +890,8 @@ impl CallRouter for RemoteRouter {
 mod tests {
     use super::*;
 
-    fn addr(port: u16) -> SocketAddr {
-        format!("127.0.0.1:{port}").parse().expect("valid addr")
+    fn addr(port: u16) -> Endpoint {
+        Endpoint::Tcp(([127, 0, 0, 1], port).into())
     }
 
     fn table_with(component: u32, ports: &[u16]) -> Arc<RoutingTable> {

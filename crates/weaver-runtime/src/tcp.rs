@@ -29,7 +29,6 @@
 //! routing table's gate, calls on a fault-free pool, and the switch of a
 //! dispatch target and placement.
 
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -47,9 +46,7 @@ use weaver_placement::{
 };
 use weaver_routing::{ControllerOptions, RebalanceController, RebalanceDecision, SliceAssignment};
 use weaver_transport::fault::{FaultInjector, FaultSpec, FaultStream};
-use weaver_transport::{
-    Connection, Pool, RequestHeader, RpcHandler, Server, TransportError, WeaverFraming,
-};
+use weaver_transport::{Connection, Pool, RequestHeader, RpcHandler, Server, WeaverFraming};
 
 use crate::control::{self, Command, ControlPlane, Event, MigratedRange, Migration, ReplicaHost};
 use crate::dedup::DedupCache;
@@ -216,10 +213,8 @@ impl TcpProcess {
             None => Pool::new(),
             Some(spec) => {
                 let injectors = Arc::clone(&injectors);
-                Pool::with_dialer(Arc::new(move |addr| {
-                    let stream = TcpStream::connect(addr)
-                        .map_err(|e| TransportError::Unreachable(format!("{addr:?}: {e}")))?;
-                    stream.set_nodelay(true)?;
+                Pool::with_dialer(Arc::new(move |endpoint| {
+                    let stream = endpoint.dial()?;
                     let mut held = injectors.lock();
                     let injector = FaultInjector::new(FaultSpec {
                         seed: spec.seed.wrapping_add(held.len() as u64),
@@ -284,7 +279,7 @@ impl TcpProcess {
                 Arc::clone(&handler) as Arc<dyn RpcHandler>,
             )
             .map_err(WeaverError::from)?;
-            registered.push((incarnation, server.local_addr()));
+            registered.push((incarnation, server.endpoint()));
             replicas.push(Replica {
                 live,
                 handler,
@@ -573,14 +568,14 @@ impl TcpProcess {
         method: u32,
         args: Vec<u8>,
     ) -> Result<T, WeaverError> {
-        let addr = self
+        let endpoint = self
             .replicas
             .get(replica as usize)
             .ok_or_else(|| WeaverError::Unavailable {
                 detail: format!("replica {replica} out of range ({})", self.replicas.len()),
             })?
             .server
-            .local_addr();
+            .endpoint();
         let header = RequestHeader {
             component,
             method,
@@ -594,7 +589,7 @@ impl TcpProcess {
         };
         let reply = self
             .migration_pool
-            .call(addr, &header, &args, Some(MIGRATION_CALL_TIMEOUT))
+            .call(endpoint, &header, &args, Some(MIGRATION_CALL_TIMEOUT))
             .map_err(WeaverError::from)
             .and_then(body_to_outcome)?;
         weaver_core::client::decode_reply(&reply)

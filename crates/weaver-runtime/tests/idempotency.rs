@@ -15,7 +15,6 @@
 //! answer.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -30,7 +29,7 @@ use weaver_core::registry::{ComponentRegistry, RegistryBuilder};
 use weaver_metrics::{CallGraph, MetricsRegistry};
 use weaver_runtime::dispatch::ProcletDispatcher;
 use weaver_runtime::router::{RemoteRouter, RoutingState, RoutingTable};
-use weaver_transport::{Connection, DuplexStream, Pool, Server, TransportError, WeaverFraming};
+use weaver_transport::{Connection, DuplexStream, Endpoint, Pool, Server, WeaverFraming};
 
 /// Executions are counted in a process-global so the test observes the
 /// server side directly, not through (possibly replayed) responses.
@@ -105,7 +104,7 @@ impl ComponentGetter for NoDeps {
 /// fails instead: the response was *sent* (the far side executed) but never
 /// *delivered* — the ambiguous sever.
 struct SeverOnFirstResponse {
-    inner: TcpStream,
+    inner: Box<dyn DuplexStream>,
     armed: bool,
 }
 
@@ -170,10 +169,8 @@ fn deploy() -> (
         Server::<WeaverFraming>::bind("127.0.0.1:0", 4, Arc::new(dispatcher)).expect("bind");
 
     let dialed = Arc::new(AtomicUsize::new(0));
-    let pool = Pool::with_dialer(Arc::new(move |addr: SocketAddr| {
-        let stream = TcpStream::connect(addr)
-            .map_err(|e| TransportError::Unreachable(format!("{addr:?}: {e}")))?;
-        stream.set_nodelay(true)?;
+    let pool = Pool::with_dialer(Arc::new(move |endpoint: Endpoint| {
+        let stream = endpoint.dial()?;
         let first = dialed.fetch_add(1, Ordering::SeqCst) == 0;
         Connection::from_duplex(SeverOnFirstResponse {
             inner: stream,
@@ -183,7 +180,7 @@ fn deploy() -> (
 
     let table = RoutingTable::new();
     let mut routes = std::collections::HashMap::new();
-    routes.insert(0u32, vec![server.local_addr()]);
+    routes.insert(0u32, vec![server.endpoint()]);
     table.update(RoutingState {
         epoch: 1,
         routes,

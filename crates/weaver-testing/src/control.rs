@@ -18,7 +18,6 @@
 //! text and the same seed reproduces it line for line.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::net::SocketAddr;
 use std::str::SplitWhitespace;
 use std::time::Duration;
 
@@ -35,7 +34,7 @@ use weaver_runtime::control::{
 };
 use weaver_runtime::router::{RoutingState, Scope};
 use weaver_runtime::Incarnation;
-use weaver_transport::{in_slice, StateBlob, StateEntry};
+use weaver_transport::{in_slice, Endpoint, StateBlob, StateEntry};
 
 /// Deliveries after which [`ControlDriver::settle`] gives up: a control
 /// plane that keeps talking this long is livelocked.
@@ -69,7 +68,7 @@ impl Record for TraceRecord {
 
 /// One spawned incarnation in the model.
 struct Proclet {
-    addr: SocketAddr,
+    endpoint: Endpoint,
     alive: bool,
     routing: RoutingState,
     /// Commands written to its pipe, not yet read.
@@ -258,18 +257,20 @@ impl ControlDriver {
     fn send(&mut self, command: Command) {
         match command {
             Command::Spawn(incarnation) => {
-                let Incarnation { id, n } = incarnation;
-                let addr = SocketAddr::from(([10, 0, id.group as u8, id.replica as u8], n as u16));
+                // Named after the incarnation number, as a proclet names its
+                // socket after its process.
+                let endpoint = Endpoint::unix(&incarnation.n.to_string())
+                    .expect("an incarnation number is a short name");
                 self.proclets.insert(
                     incarnation,
                     Proclet {
-                        addr,
+                        endpoint,
                         alive: true,
                         routing: RoutingState::default(),
                         inbox: VecDeque::new(),
                         // A proclet registers, then asks what to host.
                         outbox: VecDeque::from([
-                            Event::Registered(incarnation, addr),
+                            Event::Registered(incarnation, endpoint),
                             Event::HostQuery(incarnation),
                         ]),
                     },
@@ -292,7 +293,7 @@ impl ControlDriver {
     fn deliver_to_proclet(&mut self, incarnation: Incarnation) {
         let p = self.proclets.get_mut(&incarnation).expect("chosen proclet");
         let command = p.inbox.pop_front().expect("chosen inbox is non-empty");
-        let addr = p.addr;
+        let endpoint = p.endpoint;
         if let Command::Install(routing) = &command {
             if routing.epoch > p.routing.epoch {
                 p.routing = routing.clone();
@@ -308,7 +309,7 @@ impl ControlDriver {
                 .filter(|&(&other, p)| {
                     other != incarnation
                         && p.alive
-                        && p.routing.routes.values().any(|addrs| addrs.contains(&addr))
+                        && p.routing.routes.values().any(|e| e.contains(&endpoint))
                 })
                 .map(|(other, p)| format!("{other}@{}", p.routing.epoch))
                 .collect();
@@ -356,8 +357,8 @@ fn event_fields(event: &Event) -> Vec<String> {
             .collect()
     };
     match event {
-        Event::Registered(incarnation, addr) => {
-            fields("registered", incarnation, Some(addr.to_string()))
+        Event::Registered(incarnation, endpoint) => {
+            fields("registered", incarnation, Some(endpoint.to_string()))
         }
         Event::HostQuery(incarnation) => fields("host-query", incarnation, None),
         Event::Load(incarnation, utilization) => {
@@ -378,14 +379,14 @@ fn command_fields(command: &Command) -> Vec<String> {
         Command::Shutdown(incarnation) => vec!["shutdown".into(), incarnation.to_string()],
         Command::HostComponents(incarnation, _) => vec!["host".into(), incarnation.to_string()],
         Command::Install(routing) => {
-            // Routes in component order, each as its endpoints' ports (the
-            // incarnations serving it).
+            // Routes in component order, each as its endpoints (named after
+            // the incarnations serving it).
             let mut routes: Vec<_> = routing.routes.iter().collect();
             routes.sort_unstable_by_key(|&(&component, _)| component);
             let mut fields = vec!["install".into(), format!("@{}", routing.epoch)];
-            fields.extend(routes.into_iter().map(|(component, addrs)| {
-                let ports: Vec<String> = addrs.iter().map(|a| a.port().to_string()).collect();
-                format!("{component}=[{}]", ports.join(","))
+            fields.extend(routes.into_iter().map(|(component, endpoints)| {
+                let endpoints: Vec<String> = endpoints.iter().map(Endpoint::to_string).collect();
+                format!("{component}=[{}]", endpoints.join(","))
             }));
             fields
         }

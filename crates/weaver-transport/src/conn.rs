@@ -1,4 +1,4 @@
-//! Client-side connection: one TCP socket, multiplexed calls.
+//! Client-side connection: one socket (TCP or unix), multiplexed calls.
 //!
 //! A [`Connection`] owns **no threads**: its socket is registered with the
 //! shared readiness reactor ([`crate::reactor`]), whose shard thread
@@ -19,7 +19,6 @@
 
 use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -27,6 +26,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use crate::buf::BufferPool;
+use crate::endpoint::ToEndpoint;
 use crate::error::TransportError;
 use crate::fault::DuplexStream;
 use crate::frame::{Framing, Message, RequestHeader, ResponseBody};
@@ -108,43 +108,28 @@ pub struct Connection<F: Framing> {
 }
 
 impl<F: Framing> Connection<F> {
-    /// Connects to `addr` and registers the socket with the reactor, using
-    /// the process-wide [`BufferPool::global`].
-    pub fn connect<A: ToSocketAddrs + std::fmt::Debug>(addr: A) -> Result<Self, TransportError> {
+    /// Dials `addr` ([`crate::Endpoint::dial`]) and registers the socket
+    /// with the reactor, using the process-wide [`BufferPool::global`].
+    pub fn connect(addr: impl ToEndpoint) -> Result<Self, TransportError> {
         Self::connect_with_pool(addr, BufferPool::global().clone())
     }
 
     /// Like [`Connection::connect`] with an explicit buffer pool (tests use
     /// a private pool to observe hit/miss counters in isolation).
-    pub fn connect_with_pool<A: ToSocketAddrs + std::fmt::Debug>(
-        addr: A,
+    pub fn connect_with_pool(
+        addr: impl ToEndpoint,
         pool: BufferPool,
     ) -> Result<Self, TransportError> {
-        let stream = TcpStream::connect(&addr)
-            .map_err(|e| TransportError::Unreachable(format!("{addr:?}: {e}")))?;
-        // The whole point of the custom protocol is small latency-sensitive
-        // messages; Nagle would serialize them behind ACKs.
-        stream.set_nodelay(true)?;
-        Self::from_stream_with_pool(stream, pool)
+        let endpoint = addr
+            .to_endpoint()
+            .map_err(|e| TransportError::Unreachable(e.to_string()))?;
+        Self::register(endpoint.dial()?, pool)
     }
 
-    /// Builds a connection over an already-established stream.
-    pub fn from_stream(stream: TcpStream) -> Result<Self, TransportError> {
-        Self::from_stream_with_pool(stream, BufferPool::global().clone())
-    }
-
-    /// Builds a connection over an already-established stream with an
-    /// explicit buffer pool.
-    pub fn from_stream_with_pool(
-        stream: TcpStream,
-        pool: BufferPool,
-    ) -> Result<Self, TransportError> {
-        Self::from_duplex_with_pool(stream, pool)
-    }
-
-    /// Builds a connection over any duplex stream — in particular a
-    /// [`crate::fault::FaultStream`], which injects deterministic faults
-    /// underneath the reactor's reads and writes.
+    /// Builds a connection over any established duplex stream: a
+    /// `TcpStream`, a `UnixStream`, or a [`crate::fault::FaultStream`],
+    /// which injects deterministic faults underneath the reactor's reads
+    /// and writes.
     pub fn from_duplex<S: DuplexStream>(stream: S) -> Result<Self, TransportError> {
         Self::from_duplex_with_pool(stream, BufferPool::global().clone())
     }
@@ -154,13 +139,17 @@ impl<F: Framing> Connection<F> {
         stream: S,
         pool: BufferPool,
     ) -> Result<Self, TransportError> {
+        Self::register(Box::new(stream), pool)
+    }
+
+    fn register(stream: Box<dyn DuplexStream>, pool: BufferPool) -> Result<Self, TransportError> {
         let pending: PendingMap = Arc::new(Mutex::new(HashMap::new()));
         let driver = Arc::new(ClientDriver::<F> {
             pending: Arc::clone(&pending),
             pool: pool.clone(),
             framing: Mutex::new(F::default()),
         });
-        let state = Reactor::global()?.register_conn(Box::new(stream), driver, pool.clone())?;
+        let state = Reactor::global()?.register_conn(stream, driver, pool.clone())?;
         Ok(Connection {
             state,
             pending,
@@ -425,7 +414,7 @@ mod tests {
     use super::*;
     use crate::frame::{Status, WeaverFraming};
     use std::io::Write as _;
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
 
     const LONG: Duration = Duration::from_secs(10);
 
@@ -437,7 +426,7 @@ mod tests {
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (peer, _) = listener.accept().unwrap();
         peer.set_read_timeout(Some(LONG)).unwrap();
-        (Arc::new(Connection::from_stream(client).unwrap()), peer)
+        (Arc::new(Connection::from_duplex(client).unwrap()), peer)
     }
 
     /// Reads the next message on the peer and returns its stream id.

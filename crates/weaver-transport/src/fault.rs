@@ -20,6 +20,7 @@
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -31,8 +32,9 @@ use rand::{Rng, SeedableRng};
 /// reads and writes on the shard thread, polled through its file
 /// descriptor, severed abruptly on teardown.
 ///
-/// [`TcpStream`] is the production implementation; [`FaultStream`] wraps
-/// any implementation to inject faults underneath the reactor.
+/// [`TcpStream`] and [`UnixStream`] are the production implementations;
+/// [`FaultStream`] wraps any implementation to inject faults underneath the
+/// reactor.
 pub trait DuplexStream: Read + Write + Send + 'static {
     /// Severs the stream in both directions (best effort).
     fn shutdown_both(&self);
@@ -58,6 +60,36 @@ impl DuplexStream for TcpStream {
 
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         TcpStream::set_nonblocking(self, nonblocking)
+    }
+}
+
+impl DuplexStream for UnixStream {
+    fn shutdown_both(&self) {
+        let _ = self.shutdown(std::net::Shutdown::Both);
+    }
+
+    fn poll_fd(&self) -> RawFd {
+        self.as_raw_fd()
+    }
+
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        UnixStream::set_nonblocking(self, nonblocking)
+    }
+}
+
+/// A dialed stream of either kind ([`crate::Endpoint::dial`]) can be wrapped
+/// in a [`FaultStream`] like a concrete one.
+impl<S: DuplexStream + ?Sized> DuplexStream for Box<S> {
+    fn shutdown_both(&self) {
+        (**self).shutdown_both();
+    }
+
+    fn poll_fd(&self) -> RawFd {
+        (**self).poll_fd()
+    }
+
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        (**self).set_nonblocking(nonblocking)
     }
 }
 
@@ -418,22 +450,8 @@ impl<S: DuplexStream> DuplexStream for FaultStream<S> {
 mod tests {
     use super::*;
 
-    use std::os::unix::net::UnixStream;
-
     /// A socket pair stands in for the network: the stream under test reads
     /// the scripted `input`, and what it writes lands in the returned peer.
-    impl DuplexStream for UnixStream {
-        fn shutdown_both(&self) {
-            let _ = self.shutdown(std::net::Shutdown::Both);
-        }
-        fn poll_fd(&self) -> RawFd {
-            self.as_raw_fd()
-        }
-        fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-            UnixStream::set_nonblocking(self, nonblocking)
-        }
-    }
-
     fn loopback(input: &[u8]) -> (UnixStream, UnixStream) {
         let (near, mut peer) = UnixStream::pair().unwrap();
         peer.write_all(input).unwrap();

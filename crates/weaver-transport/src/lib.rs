@@ -3,7 +3,7 @@
 //!
 //! Two framings share one connection/server implementation:
 //!
-//! * [`WeaverFraming`] — the streamlined protocol. One persistent TCP
+//! * [`WeaverFraming`] — the streamlined protocol. One persistent
 //!   connection per (caller proclet, callee proclet) pair carries
 //!   multiplexed request/response frames with a 13-byte frame header and a
 //!   compact binary [`RequestHeader`]. Because atomic rollouts guarantee
@@ -19,9 +19,13 @@
 //!   extra trailers frame — the shape, not the exact byte count, is what
 //!   the A2 ablation measures.)
 //!
+//! A connection runs over TCP or, between processes the runtime placed on
+//! one host, over a Linux abstract-namespace unix socket: an [`Endpoint`]
+//! names either, and the deployer that placed the component picks which.
+//!
 //! On top of the framings sit [`Connection`] (client side: stream-id
 //! multiplexing, deadlines, cancellation, pipelined writes), [`Server`]
-//! (listener + worker pool), [`Pool`] (connection reuse per address), and
+//! (listener + worker pool), [`Pool`] (connection reuse per endpoint), and
 //! [`inproc`] (a socket-free loopback transport; its only callers are its
 //! own tests and `wbench`'s `transport.inproc_rtt_ns` probe — no deployer
 //! uses it). Every socket — client, accepted, listening — is
@@ -45,6 +49,7 @@ compile_error!(
 pub mod buf;
 pub mod client;
 pub mod conn;
+pub mod endpoint;
 pub mod error;
 pub mod fault;
 pub mod frame;
@@ -57,6 +62,7 @@ pub mod state;
 pub use buf::{BufferPool, PoolStats, PooledBuf, WireBuf};
 pub use client::{Dialer, Pool};
 pub use conn::{CallFuture, Connection};
+pub use endpoint::{Endpoint, ToEndpoint, UnixName};
 pub use error::TransportError;
 pub use fault::{DuplexStream, FaultAction, FaultInjector, FaultSpec, FaultStream, Side};
 pub use frame::{

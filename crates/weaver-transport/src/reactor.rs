@@ -41,8 +41,7 @@
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::fd::{AsRawFd, RawFd};
+use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -50,6 +49,7 @@ use epoll::{Epoll, Event, Interest, WakeFd};
 use parking_lot::Mutex;
 
 use crate::buf::{BufferPool, WireBuf};
+use crate::endpoint::Listener;
 use crate::error::TransportError;
 use crate::fault::DuplexStream;
 
@@ -305,8 +305,8 @@ impl ConnState {
 /// A listening socket owned by the reactor; readiness drives `accept`.
 struct ListenerState {
     fd: RawFd,
-    listener: TcpListener,
-    on_accept: Box<dyn Fn(TcpStream) + Send + Sync>,
+    listener: Listener,
+    on_accept: Box<dyn Fn(Box<dyn DuplexStream>) + Send + Sync>,
 }
 
 /// What a shard token resolves to.
@@ -533,12 +533,7 @@ impl Shard {
     fn handle_accept(&self, l: &ListenerState) {
         loop {
             match l.listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nodelay(true).is_err() {
-                        continue;
-                    }
-                    (l.on_accept)(stream);
-                }
+                Ok(stream) => (l.on_accept)(stream),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break, // listener closed (shutdown) or transient
@@ -707,14 +702,14 @@ impl Reactor {
     }
 
     /// Registers a listener; `on_accept` runs on the shard thread for each
-    /// accepted (already `TCP_NODELAY`, still blocking-mode) socket.
+    /// accepted (TCP: already `TCP_NODELAY`; still blocking-mode) socket.
     pub fn register_listener(
         &self,
-        listener: TcpListener,
-        on_accept: Box<dyn Fn(TcpStream) + Send + Sync>,
+        listener: Listener,
+        on_accept: Box<dyn Fn(Box<dyn DuplexStream>) + Send + Sync>,
     ) -> io::Result<u64> {
-        listener.set_nonblocking(true)?;
-        let fd = listener.as_raw_fd();
+        listener.set_nonblocking()?;
+        let fd = listener.raw_fd();
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let shard = self.pick_shard(token);
         let state = Arc::new(ListenerState {
@@ -743,8 +738,8 @@ impl Reactor {
             _ => return,
         };
         shard.deregister(token, fd);
-        // The ListenerState (and its TcpListener) dropped with the map
-        // entry, closing the socket.
+        // The ListenerState (and its listener) dropped with the map entry,
+        // closing the socket.
     }
 
     /// Point-in-time counters.
@@ -774,6 +769,7 @@ pub fn reactor_snapshot() -> Option<ReactorSnapshot> {
 mod tests {
     use super::*;
     use crate::frame::{Framing, Message, RequestHeader, WeaverFraming};
+    use std::net::{TcpListener, TcpStream};
 
     fn request_frame(pool: &BufferPool, stream: u64, args: &[u8]) -> OutFrame {
         let mut buf = pool.get(64 + args.len());

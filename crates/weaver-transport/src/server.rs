@@ -1,7 +1,9 @@
 //! Server side: reactor-registered listener, poller-thread decode, shared
 //! worker pool for handler execution.
 //!
-//! The listening socket and every accepted connection live on the shared
+//! A server listens on one [`Endpoint`], TCP or unix; everything past the
+//! accept is the same for both kinds. The listening socket and every
+//! accepted connection live on the shared
 //! readiness reactor ([`crate::reactor`]): accepts, frame decode and
 //! response writes all run on the poller shards, and handler execution
 //! hops to the bounded worker pool. No threads are created per connection.
@@ -29,7 +31,7 @@
 
 use std::collections::HashSet;
 use std::marker::PhantomData;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
@@ -37,7 +39,9 @@ use std::sync::{Arc, Weak};
 use parking_lot::Mutex;
 
 use crate::buf::BufferPool;
+use crate::endpoint::{Endpoint, Listener, ToEndpoint};
 use crate::error::TransportError;
+use crate::fault::DuplexStream;
 use crate::frame::{Framing, Message, RequestHeader, ResponseBody};
 use crate::pool::WorkerPool;
 use crate::reactor::{ConnDriver, ConnState, InlineScope, OutFrame, Reactor};
@@ -72,7 +76,7 @@ where
 
 /// A listening RPC server using framing `F`.
 pub struct Server<F: Framing> {
-    local_addr: SocketAddr,
+    endpoint: Endpoint,
     stop: Arc<AtomicBool>,
     reactor: &'static Arc<Reactor>,
     /// The listener's registration token with the reactor.
@@ -86,11 +90,11 @@ pub struct Server<F: Framing> {
 }
 
 impl<F: Framing> Server<F> {
-    /// Binds to `addr` (use port 0 for an ephemeral port) and starts
+    /// Binds to `addr` (a TCP port 0 takes an ephemeral port) and starts
     /// serving requests on a pool of `workers` threads, using the
     /// process-wide [`BufferPool::global`].
-    pub fn bind<A: ToSocketAddrs>(
-        addr: A,
+    pub fn bind(
+        addr: impl ToEndpoint,
         workers: usize,
         handler: Arc<dyn RpcHandler>,
     ) -> Result<Self, TransportError> {
@@ -99,25 +103,24 @@ impl<F: Framing> Server<F> {
 
     /// Like [`Server::bind`] with an explicit buffer pool (tests use a
     /// private pool to observe hit/miss counters in isolation).
-    pub fn bind_with_pool<A: ToSocketAddrs>(
-        addr: A,
+    pub fn bind_with_pool(
+        addr: impl ToEndpoint,
         workers: usize,
         handler: Arc<dyn RpcHandler>,
         buf_pool: BufferPool,
     ) -> Result<Self, TransportError> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
+        let (listener, endpoint) = Listener::bind(addr.to_endpoint()?)?;
         let reactor = Reactor::global()?;
         let pool = WorkerPool::new(workers, "weaver-rpc")
             .map_err(|e| TransportError::Io(format!("worker pool failed to start: {e}")))?;
 
         let stop = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<Vec<Weak<ConnState>>>> = Arc::new(Mutex::new(Vec::new()));
-        let on_accept: Box<dyn Fn(TcpStream) + Send + Sync> = {
+        let on_accept: Box<dyn Fn(Box<dyn DuplexStream>) + Send + Sync> = {
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
             let workers = Arc::clone(&pool);
-            Box::new(move |stream: TcpStream| {
+            Box::new(move |stream: Box<dyn DuplexStream>| {
                 let driver = Arc::new(ServerDriver::<F> {
                     handler: Arc::clone(&handler),
                     workers: Arc::clone(&workers),
@@ -125,8 +128,7 @@ impl<F: Framing> Server<F> {
                     framing: Mutex::new(F::default()),
                     in_flight: Arc::new(Mutex::new(HashSet::new())),
                 });
-                let Ok(state) = reactor.register_conn(Box::new(stream), driver, buf_pool.clone())
-                else {
+                let Ok(state) = reactor.register_conn(stream, driver, buf_pool.clone()) else {
                     return;
                 };
                 {
@@ -147,7 +149,7 @@ impl<F: Framing> Server<F> {
         };
         let listener_token = reactor.register_listener(listener, on_accept)?;
         Ok(Server {
-            local_addr,
+            endpoint,
             stop,
             reactor,
             listener_token,
@@ -157,9 +159,23 @@ impl<F: Framing> Server<F> {
         })
     }
 
-    /// The bound address (with the ephemeral port resolved).
+    /// The bound endpoint (a TCP port 0 resolved to the port the kernel
+    /// chose): what callers dial and a proclet registers.
+    pub fn endpoint(&self) -> Endpoint {
+        self.endpoint
+    }
+
+    /// The bound TCP address.
+    ///
+    /// # Panics
+    ///
+    /// If the server listens on a unix endpoint: [`Server::endpoint`] names
+    /// either kind.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        match self.endpoint {
+            Endpoint::Tcp(addr) => addr,
+            Endpoint::Unix(_) => panic!("{} has no TCP address", self.endpoint),
+        }
     }
 
     /// Stops accepting and severs all live connections, mimicking the abrupt
@@ -302,8 +318,10 @@ impl<F: Framing> ConnDriver for ServerDriver<F> {
 mod tests {
     use super::*;
     use crate::conn::Connection;
+    use crate::endpoint::test_endpoints;
     use crate::frame::{GrpcLikeFraming, Status, WeaverFraming};
-    use std::time::Duration;
+    use std::net::{TcpListener, TcpStream};
+    use std::time::{Duration, Instant};
 
     fn echo_handler() -> Arc<dyn RpcHandler> {
         Arc::new(|header: &RequestHeader, args: &[u8]| {
@@ -317,20 +335,22 @@ mod tests {
     }
 
     fn echo_roundtrip<F: Framing>() {
-        let server = Server::<F>::bind("127.0.0.1:0", 2, echo_handler()).unwrap();
-        let conn = Connection::<F>::connect(server.local_addr()).unwrap();
-        let header = RequestHeader {
-            component: 1,
-            method: 7,
-            version: 1,
-            ..Default::default()
-        };
-        let resp = conn
-            .call(&header, &[1, 2, 3], Some(Duration::from_secs(5)))
-            .unwrap();
-        assert_eq!(resp.status, Status::Ok);
-        assert_eq!(resp.payload, vec![1, 2, 3, 7]);
-        assert_eq!(conn.in_flight(), 0);
+        for kind in test_endpoints() {
+            let server = Server::<F>::bind(kind, 2, echo_handler()).unwrap();
+            let conn = Connection::<F>::connect(server.endpoint()).unwrap();
+            let header = RequestHeader {
+                component: 1,
+                method: 7,
+                version: 1,
+                ..Default::default()
+            };
+            let resp = conn
+                .call(&header, &[1, 2, 3], Some(Duration::from_secs(5)))
+                .unwrap();
+            assert_eq!(resp.status, Status::Ok, "{kind}");
+            assert_eq!(resp.payload, vec![1, 2, 3, 7], "{kind}");
+            assert_eq!(conn.in_flight(), 0);
+        }
     }
 
     /// A `ServerDriver` on a registered loopback socket, driven frame by
@@ -683,26 +703,65 @@ mod tests {
         assert!(!conn.is_dead());
     }
 
+    /// Sixteen calls begun back to back share write syscalls.
+    #[test]
+    fn pipelined_calls_coalesce() {
+        for kind in test_endpoints() {
+            let server = Server::<WeaverFraming>::bind(kind, 2, echo_handler()).unwrap();
+            let conn = Arc::new(Connection::<WeaverFraming>::connect(server.endpoint()).unwrap());
+            let header = RequestHeader::default();
+            let calls: Vec<_> = (0..16u8)
+                .map(|i| Connection::call_begin(&conn, &header, &[i]).unwrap())
+                .collect();
+            for (i, call) in calls.into_iter().enumerate() {
+                let resp = call.wait(Some(Duration::from_secs(5))).unwrap();
+                assert_eq!(resp.payload, vec![i as u8, 0], "{kind}");
+            }
+            let (frames, flushes) = conn.writer_counters();
+            assert_eq!(frames, 16, "{kind}");
+            assert!(
+                flushes < frames,
+                "{kind}: {frames} frames took {flushes} writes"
+            );
+        }
+    }
+
+    /// `shutdown` severs every accepted connection the way a killed
+    /// proclet's exit does: calls in flight fail at once, not at their
+    /// deadline or when their handler returns, and leave no pending entry.
     #[test]
     fn server_shutdown_fails_inflight_cleanly() {
-        let server = Server::<WeaverFraming>::bind("127.0.0.1:0", 2, echo_handler()).unwrap();
-        let addr = server.local_addr();
-        let conn = Connection::<WeaverFraming>::connect(addr).unwrap();
-        drop(server);
-        // Either the first call observes the closed socket or a later one
-        // does; a dead connection must never hang.
-        let header = RequestHeader::default();
-        let mut saw_failure = false;
-        for _ in 0..10 {
-            match conn.call(&header, &[], Some(Duration::from_millis(200))) {
-                Ok(_) => std::thread::sleep(Duration::from_millis(10)),
-                Err(_) => {
-                    saw_failure = true;
-                    break;
-                }
+        for kind in test_endpoints() {
+            let (entered_tx, entered) = std::sync::mpsc::sync_channel::<()>(4);
+            let entered_tx = Mutex::new(entered_tx);
+            let slow = move |_: &RequestHeader, _: &[u8]| {
+                let _ = entered_tx.lock().send(());
+                std::thread::sleep(Duration::from_millis(500));
+                ok(vec![])
+            };
+            let server = Server::<WeaverFraming>::bind(kind, 2, Arc::new(slow)).unwrap();
+            let conn = Arc::new(Connection::<WeaverFraming>::connect(server.endpoint()).unwrap());
+            let calls: Vec<_> = (0..4)
+                .map(|_| Connection::call_begin(&conn, &RequestHeader::default(), &[]).unwrap())
+                .collect();
+            entered.recv().unwrap();
+            let started = Instant::now();
+            server.shutdown();
+            for call in calls {
+                assert_eq!(
+                    call.wait(Some(Duration::from_secs(10))),
+                    Err(TransportError::ConnectionClosed),
+                    "{kind}"
+                );
             }
+            assert!(
+                started.elapsed() < Duration::from_millis(400),
+                "{kind}: calls waited {:?} for the handler",
+                started.elapsed()
+            );
+            assert_eq!(conn.in_flight(), 0, "{kind}");
+            assert!(conn.is_dead(), "{kind}");
         }
-        assert!(saw_failure);
     }
 
     #[test]

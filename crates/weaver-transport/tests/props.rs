@@ -1,10 +1,15 @@
-//! Property tests: framing round-trips and robustness under fuzz input.
+//! Property tests: framing and endpoint round-trips, and robustness under
+//! fuzz input.
 
 use std::io::Cursor;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr};
 
 use proptest::prelude::*;
+use weaver_codec::json::{FromJson, ToJson};
+use weaver_codec::tagged::TaggedValue;
+use weaver_codec::{decode_from_slice, encode_to_vec, Reader};
 use weaver_transport::{
-    BufferPool, Framing, GrpcLikeFraming, Message, RequestHeader, ResponseBody, Status,
+    BufferPool, Endpoint, Framing, GrpcLikeFraming, Message, RequestHeader, ResponseBody, Status,
     WeaverFraming,
 };
 
@@ -39,6 +44,21 @@ fn arbitrary_header() -> impl Strategy<Value = RequestHeader> {
         )
 }
 
+/// Both kinds: v4 and v6 TCP addresses, and abstract names of ASCII or of
+/// multi-byte characters (at most eight of four bytes each fit the bound).
+fn arbitrary_endpoint() -> impl Strategy<Value = Endpoint> {
+    prop_oneof![
+        (any::<u32>(), any::<u16>())
+            .prop_map(|(ip, port)| Endpoint::Tcp(SocketAddr::from((Ipv4Addr::from(ip), port)))),
+        (any::<u64>(), any::<u64>(), any::<u16>()).prop_map(|(hi, lo, port)| {
+            let ip = Ipv6Addr::from((u128::from(hi) << 64) | u128::from(lo));
+            Endpoint::Tcp(SocketAddr::from((ip, port)))
+        }),
+        "[a-z0-9._-]{1,32}".prop_map(|name| Endpoint::unix(&name).unwrap()),
+        ".{1,8}".prop_map(|name| Endpoint::unix(&name).unwrap()),
+    ]
+}
+
 fn roundtrip_request<F: Framing>(header: &RequestHeader, args: &[u8]) -> Result<(), TestCaseError> {
     let mut wire = Vec::new();
     F::write_request(&mut wire, 42, header, args);
@@ -59,6 +79,26 @@ fn roundtrip_request<F: Framing>(header: &RequestHeader, args: &[u8]) -> Result<
 }
 
 proptest! {
+    #[test]
+    fn endpoint_roundtrips_every_form(endpoint in arbitrary_endpoint()) {
+        prop_assert_eq!(endpoint.to_string().parse::<Endpoint>(), Ok(endpoint));
+        prop_assert_eq!(decode_from_slice::<Endpoint>(&encode_to_vec(&endpoint)), Ok(endpoint));
+        let mut tagged = Vec::new();
+        endpoint.write_value(&mut tagged);
+        prop_assert_eq!(Endpoint::read_value(&mut Reader::new(&tagged)), Ok(endpoint));
+        prop_assert_eq!(Endpoint::from_json(&endpoint.to_json()), Ok(endpoint));
+    }
+
+    #[test]
+    fn fuzz_bytes_never_panic_endpoint_decode(
+        bytes in proptest::collection::vec(any::<u8>(), 0..64),
+        text in ".{0,48}",
+    ) {
+        let _ = decode_from_slice::<Endpoint>(&bytes);
+        let _ = Endpoint::read_value(&mut Reader::new(&bytes));
+        let _ = text.parse::<Endpoint>();
+    }
+
     #[test]
     fn weaver_request_roundtrip(
         header in arbitrary_header(),

@@ -19,6 +19,7 @@ use boutique::types::PlaceOrderRequest;
 use weaver_runtime::protocol::{read_message, write_message, EnvelopeMessage, ProcletMessage};
 use weaver_runtime::router::RoutingState;
 use weaver_runtime::{DeploymentConfig, MultiProcess, SpawnSpec};
+use weaver_transport::Endpoint;
 
 fn main() {
     let registry = test_registry();
@@ -29,6 +30,7 @@ fn main() {
         ("pipe_protocol_conformance", pipe_protocol_conformance),
         ("malformed_proclet_env_exits", malformed_proclet_env_exits),
         ("deployer_end_to_end", deployer_end_to_end),
+        ("every_route_is_a_unix_socket", every_route_is_a_unix_socket),
         ("replica_crash_heals", replica_crash_heals),
         ("scale_group_up_and_down", scale_group_up_and_down),
         ("scale_down_and_up_at_once", scale_down_and_up_at_once),
@@ -82,18 +84,21 @@ fn pipe_protocol_conformance() {
         }
         other => panic!("expected RegisterReplica, got {other:?}"),
     };
+    // The deployer spawned it on this host, so it listens on a unix socket.
     assert!(
-        addr.ip().is_loopback(),
-        "proclet advertises its socket: {addr}"
+        matches!(addr, Endpoint::Unix(_)),
+        "proclet advertises a TCP socket: {addr}"
     );
 
     // 2. ComponentsToHost: "get components a proclet should host".
     let msg: ProcletMessage = read_message(&mut stdout).expect("read").expect("eof");
     assert_eq!(msg, ProcletMessage::ComponentsToHost);
 
-    // Assign it the catalog component and tell it about routing.
+    // Assign it the catalog component and tell it about routing, with both
+    // kinds of endpoint in one message.
     let registry = boutique::registry();
     let catalog_id = registry.id_of("boutique.ProductCatalog").expect("id");
+    let currency_id = registry.id_of("boutique.CurrencyService").expect("id");
     write_message(
         &mut stdin,
         &EnvelopeMessage::HostComponents {
@@ -105,7 +110,13 @@ fn pipe_protocol_conformance() {
         &mut stdin,
         &EnvelopeMessage::RoutingInfo(RoutingState {
             epoch: 1,
-            routes: HashMap::from([(catalog_id, vec![addr])]),
+            routes: HashMap::from([
+                (catalog_id, vec![addr]),
+                (
+                    currency_id,
+                    vec!["tcp:127.0.0.1:1".parse().expect("endpoint")],
+                ),
+            ]),
             assignments: HashMap::new(),
         }),
     )
@@ -394,8 +405,51 @@ fn deployer_end_to_end() {
     deployment.shutdown();
 }
 
+/// Every proclet the deployer spawned shares its host, so every route it
+/// installs is a unix socket, and the boutique serves a checkout over them.
+fn every_route_is_a_unix_socket() {
+    let deployment = deploy("[]", 1);
+    let routing = deployment.routing();
+    assert_eq!(routing.routes.len(), test_registry().iter().count());
+    for (component, endpoints) in &routing.routes {
+        assert_eq!(endpoints.len(), 1, "component #{component}");
+        assert!(
+            endpoints.iter().all(|e| matches!(e, Endpoint::Unix(_))),
+            "component #{component} routes over {endpoints:?}"
+        );
+    }
+    let ctx = deployment.root_context();
+    let frontend = deployment.get::<dyn Frontend>().expect("frontend");
+    frontend
+        .add_to_cart(&ctx, "frank".into(), "OLJCESPC7Z".into(), 1)
+        .expect("add_to_cart");
+    let order = frontend
+        .place_order(
+            &ctx,
+            PlaceOrderRequest {
+                user_id: "frank".into(),
+                user_currency: "USD".into(),
+                address: test_address(),
+                email: "frank@example.com".into(),
+                credit_card: test_card(),
+            },
+        )
+        .expect("place_order");
+    assert!(order.order_id.starts_with("order-"));
+    deployment.shutdown();
+}
+
+/// The catalog's route: the endpoint its one replica registered.
+fn catalog_endpoint(deployment: &MultiProcess) -> Option<Endpoint> {
+    let id = test_registry()
+        .id_of("boutique.ProductCatalog")
+        .expect("catalog id");
+    deployment.routing().routes.get(&id)?.first().copied()
+}
+
 /// The runtime's "restarting components when they fail", at proclet
-/// granularity: kill a replica and watch the manager heal it.
+/// granularity: kill a replica and watch the manager heal it. The
+/// restarted proclet binds a name of its own, and callers follow it there.
 fn replica_crash_heals() {
     let deployment = deploy("[]", 1);
     let ctx = deployment.root_context();
@@ -410,6 +464,7 @@ fn replica_crash_heals() {
         .iter()
         .position(|g| g.contains(&"boutique.ProductCatalog"))
         .expect("catalog group") as u32;
+    let before = catalog_endpoint(&deployment).expect("catalog routed");
     deployment.kill_replica(catalog_group, 0);
 
     // Calls may fail while the manager respawns; they must succeed again
@@ -418,16 +473,22 @@ fn replica_crash_heals() {
     loop {
         let ctx = deployment.root_context();
         match frontend.home(&ctx, "bob".into(), "USD".into()) {
-            Ok(home) => {
+            Ok(home) if catalog_endpoint(&deployment).is_some_and(|e| e != before) => {
                 assert!(home.products.len() >= 12);
                 break;
+            }
+            Ok(_) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(100));
             }
             Err(_) if Instant::now() < deadline => {
                 std::thread::sleep(Duration::from_millis(100));
             }
             Err(e) => panic!("never healed after replica kill: {e}"),
+            Ok(_) => panic!("the restarted catalog still routes at {before}"),
         }
     }
+    let after = catalog_endpoint(&deployment).expect("catalog routed");
+    assert!(matches!(after, Endpoint::Unix(_)), "restarted at {after}");
     deployment.shutdown();
 }
 
