@@ -2,7 +2,7 @@
 //!
 //! gRPC services take exactly one request message and return one response
 //! message; multi-argument calls become structs. All messages derive
-//! `WeaverData`, and the baseline encodes them with the **tagged** format
+//! `TaggedData` only: the baseline encodes them with the **tagged** format
 //! (`TaggedEncode`/`TaggedDecode`) — protobuf semantics: field numbers from
 //! declaration order, defaults elided, unknown fields skipped.
 
@@ -10,46 +10,46 @@ use boutique::types::{
     Ad, Address, CartItem, CartView, CreditCard, HomeView, Money, OrderResult, PlaceOrderRequest,
     Product, ProductView,
 };
-use weaver_macros::WeaverData;
+use weaver_macros::TaggedData;
 
 /// `ProductCatalog.ListProducts` request.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct ListProductsRequest {}
 
 /// `ProductCatalog.ListProducts` response.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct ListProductsResponse {
     /// The whole catalog.
     pub products: Vec<Product>,
 }
 
 /// `ProductCatalog.GetProduct` request.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct GetProductRequest {
     /// Product id.
     pub id: String,
 }
 
 /// `ProductCatalog.GetProduct` response.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct GetProductResponse {
     /// The product.
     pub product: Product,
 }
 
 /// `Currency.GetSupported` request.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct GetSupportedRequest {}
 
 /// `Currency.GetSupported` response.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct GetSupportedResponse {
     /// Currency codes.
     pub codes: Vec<String>,
 }
 
 /// `Currency.Convert` request.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct ConvertRequest {
     /// Source amount.
     pub from: Money,
@@ -58,14 +58,14 @@ pub struct ConvertRequest {
 }
 
 /// `Currency.Convert` response.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct ConvertResponse {
     /// Converted amount.
     pub money: Money,
 }
 
 /// `Cart.AddItem` request.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct AddItemRequest {
     /// User id.
     pub user_id: String,
@@ -74,25 +74,25 @@ pub struct AddItemRequest {
 }
 
 /// Empty response.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct Empty {}
 
 /// `Cart.GetCart` request.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct GetCartRequest {
     /// User id.
     pub user_id: String,
 }
 
 /// `Cart.GetCart` response.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct GetCartResponse {
     /// Cart lines.
     pub items: Vec<CartItem>,
 }
 
 /// `Recommendation.List` request.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct ListRecommendationsRequest {
     /// User id.
     pub user_id: String,
@@ -101,14 +101,14 @@ pub struct ListRecommendationsRequest {
 }
 
 /// `Recommendation.List` response.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct ListRecommendationsResponse {
     /// Recommended products.
     pub products: Vec<Product>,
 }
 
 /// `Shipping.GetQuote` request.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct GetQuoteRequest {
     /// Destination.
     pub address: Address,
@@ -117,14 +117,14 @@ pub struct GetQuoteRequest {
 }
 
 /// `Shipping.GetQuote` response.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct GetQuoteResponse {
     /// Quoted cost.
     pub cost: Money,
 }
 
 /// `Shipping.ShipOrder` request.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct ShipOrderRequest {
     /// Destination.
     pub address: Address,
@@ -133,14 +133,14 @@ pub struct ShipOrderRequest {
 }
 
 /// `Shipping.ShipOrder` response.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct ShipOrderResponse {
     /// Tracking id.
     pub tracking_id: String,
 }
 
 /// `Payment.Charge` request.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct ChargeRequest {
     /// Amount to charge.
     pub amount: Money,
@@ -149,14 +149,14 @@ pub struct ChargeRequest {
 }
 
 /// `Payment.Charge` response.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct ChargeResponse {
     /// Transaction id.
     pub transaction_id: String,
 }
 
 /// `Email.SendConfirmation` request.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct SendConfirmationRequest {
     /// Recipient.
     pub email: String,
@@ -165,42 +165,42 @@ pub struct SendConfirmationRequest {
 }
 
 /// `Email.SendConfirmation` response.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct SendConfirmationResponse {
     /// Rendered body.
     pub body: String,
 }
 
 /// `Ads.GetAds` request.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct GetAdsRequest {
     /// Context categories.
     pub categories: Vec<String>,
 }
 
 /// `Ads.GetAds` response.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct GetAdsResponse {
     /// Selected ads.
     pub ads: Vec<Ad>,
 }
 
 /// `Checkout.PlaceOrder` request (wraps the shared request type).
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct PlaceOrderRpcRequest {
     /// The order request.
     pub request: PlaceOrderRequest,
 }
 
 /// `Checkout.PlaceOrder` response.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct PlaceOrderResponse {
     /// The completed order.
     pub order: OrderResult,
 }
 
 /// `Frontend.Home` request.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct HomeRequest {
     /// User id.
     pub user_id: String,
@@ -209,14 +209,14 @@ pub struct HomeRequest {
 }
 
 /// `Frontend.Home` response.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct HomeResponse {
     /// The page.
     pub view: HomeView,
 }
 
 /// `Frontend.BrowseProduct` request.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct BrowseProductRequest {
     /// User id.
     pub user_id: String,
@@ -227,14 +227,14 @@ pub struct BrowseProductRequest {
 }
 
 /// `Frontend.BrowseProduct` response.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct BrowseProductResponse {
     /// The page.
     pub view: ProductView,
 }
 
 /// `Frontend.AddToCart` request.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct AddToCartRequest {
     /// User id.
     pub user_id: String,
@@ -245,7 +245,7 @@ pub struct AddToCartRequest {
 }
 
 /// `Frontend.ViewCart` request.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct ViewCartRequest {
     /// User id.
     pub user_id: String,
@@ -254,14 +254,14 @@ pub struct ViewCartRequest {
 }
 
 /// `Frontend.ViewCart` response.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct ViewCartResponse {
     /// The page.
     pub view: CartView,
 }
 
 /// A gRPC-style error payload (`google.rpc.Status`-shaped).
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, TaggedData)]
 pub struct RpcStatus {
     /// Status code (2 = UNKNOWN, 3 = INVALID_ARGUMENT, 5 = NOT_FOUND…).
     pub code: u32,

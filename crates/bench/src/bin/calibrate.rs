@@ -71,7 +71,7 @@ fn main() {
     );
 
     // Tagged (protobuf-shaped). Vec<Product> is a repeated field: wrap.
-    #[derive(Debug, Default, PartialEq, weaver_macros::WeaverData)]
+    #[derive(weaver_macros::TaggedData)]
     struct CatalogMsg {
         products: Vec<Product>,
     }

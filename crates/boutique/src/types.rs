@@ -1,17 +1,17 @@
 //! Shared data types of the boutique, mirroring the Online Boutique demo's
 //! protobuf messages.
 //!
-//! Every type derives `WeaverData`, which gives it all three wire formats:
-//! the prototype path uses the non-versioned encoding, the microservices
-//! baseline uses the tagged (protobuf-shaped) encoding of the *same*
-//! structs, and the textual baseline uses JSON — so codec comparisons hold
-//! everything else constant.
+//! Every type derives `WeaverData`, the non-versioned encoding the
+//! prototype path speaks. The types the microservices baseline carries also
+//! derive `TaggedData`, its protobuf-shaped encoding of the *same* structs,
+//! and the catalog and order types the codec ablation measures derive
+//! `JsonData` too — so codec comparisons hold everything else constant.
 
-use weaver_macros::WeaverData;
+use weaver_macros::{JsonData, TaggedData, WeaverData};
 
 /// An amount of money, protobuf `Money`-style: whole `units` plus `nanos`
 /// (1e-9) of the unit, both same-signed.
-#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData, TaggedData, JsonData)]
 pub struct Money {
     /// ISO 4217 currency code, e.g. `"USD"`.
     pub currency_code: String,
@@ -82,7 +82,7 @@ impl Money {
 }
 
 /// A catalog product.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, WeaverData, TaggedData, JsonData)]
 pub struct Product {
     /// Stable product id, e.g. `"OLJCESPC7Z"`.
     pub id: String,
@@ -99,7 +99,7 @@ pub struct Product {
 }
 
 /// One cart line.
-#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData, TaggedData, JsonData)]
 pub struct CartItem {
     /// Product id.
     pub product_id: String,
@@ -108,7 +108,7 @@ pub struct CartItem {
 }
 
 /// A postal address.
-#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData, TaggedData, JsonData)]
 pub struct Address {
     /// Street line.
     pub street_address: String,
@@ -123,7 +123,7 @@ pub struct Address {
 }
 
 /// Credit card details for the payment service.
-#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData, TaggedData)]
 pub struct CreditCard {
     /// Card number (digits).
     pub number: String,
@@ -136,7 +136,7 @@ pub struct CreditCard {
 }
 
 /// A priced line item in an order.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, WeaverData, TaggedData, JsonData)]
 pub struct OrderItem {
     /// The cart line.
     pub item: CartItem,
@@ -154,7 +154,7 @@ pub struct ShipQuote {
 }
 
 /// The result of a completed checkout.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, WeaverData, TaggedData, JsonData)]
 pub struct OrderResult {
     /// Order id.
     pub order_id: String,
@@ -171,7 +171,7 @@ pub struct OrderResult {
 }
 
 /// An advertisement.
-#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData, TaggedData)]
 pub struct Ad {
     /// Click-through URL.
     pub redirect_url: String,
@@ -180,7 +180,7 @@ pub struct Ad {
 }
 
 /// The request placed by the frontend at checkout.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, WeaverData, TaggedData)]
 pub struct PlaceOrderRequest {
     /// User placing the order.
     pub user_id: String,
@@ -195,7 +195,7 @@ pub struct PlaceOrderRequest {
 }
 
 /// The rendered home page (frontend → browser).
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, WeaverData, TaggedData)]
 pub struct HomeView {
     /// Catalog products with prices in the user's currency.
     pub products: Vec<Product>,
@@ -208,7 +208,7 @@ pub struct HomeView {
 }
 
 /// The rendered product page.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, WeaverData, TaggedData)]
 pub struct ProductView {
     /// The product, priced in the user's currency.
     pub product: Product,
@@ -219,7 +219,7 @@ pub struct ProductView {
 }
 
 /// The rendered cart page.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, WeaverData, TaggedData)]
 pub struct CartView {
     /// Priced cart lines.
     pub items: Vec<OrderItem>,

@@ -11,10 +11,6 @@
 //! nesting-depth limit) and always emits valid JSON on the write side.
 
 use std::collections::{BTreeMap, HashMap};
-use std::fmt::Display;
-use std::hash::Hash;
-use std::net::SocketAddr;
-use std::str::FromStr;
 use std::time::Duration;
 
 use crate::error::DecodeError;
@@ -550,41 +546,17 @@ impl<T: FromJson> FromJson for Option<T> {
     }
 }
 
-impl ToJson for SocketAddr {
+impl<V: ToJson> ToJson for HashMap<String, V> {
     fn to_json(&self) -> JsonValue {
-        JsonValue::String(self.to_string())
+        JsonValue::Object(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
     }
 }
 
-impl FromJson for SocketAddr {
-    fn from_json(v: &JsonValue) -> Result<Self, DecodeError> {
-        v.as_str()?.parse().map_err(|_| DecodeError::JsonType {
-            expected: "socket address",
-        })
-    }
-}
-
-/// An object keyed by each key's text (a number key becomes `"7"`).
-impl<K: Display, V: ToJson> ToJson for HashMap<K, V> {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(
-            self.iter()
-                .map(|(k, v)| (k.to_string(), v.to_json()))
-                .collect(),
-        )
-    }
-}
-
-impl<K: FromStr + Eq + Hash, V: FromJson> FromJson for HashMap<K, V> {
+impl<V: FromJson> FromJson for HashMap<String, V> {
     fn from_json(v: &JsonValue) -> Result<Self, DecodeError> {
         v.as_object()?
             .iter()
-            .map(|(k, v)| {
-                let k = k.parse().map_err(|_| DecodeError::JsonType {
-                    expected: "map key",
-                })?;
-                Ok((k, V::from_json(v)?))
-            })
+            .map(|(k, v)| Ok((k.clone(), V::from_json(v)?)))
             .collect()
     }
 }
@@ -744,10 +716,6 @@ mod tests {
         m.insert("x".to_string(), 2.5f64);
         let back = HashMap::<String, f64>::from_json_str(&m.to_json_string()).unwrap();
         assert_eq!(back, m);
-
-        let routes = HashMap::from([(7u32, vec!["[::1]:9".parse::<SocketAddr>().unwrap()])]);
-        let back = HashMap::<u32, Vec<SocketAddr>>::from_json_str(&routes.to_json_string());
-        assert_eq!(back.unwrap(), routes);
 
         let d = Duration::from_millis(1500);
         let back = Duration::from_json_str(&d.to_json_string()).unwrap();

@@ -14,7 +14,8 @@
 //! * [`tagged`] — a protobuf-shaped **versioned baseline**: every field is
 //!   prefixed with a `(field_number << 3) | wire_type` key, unknown fields
 //!   are skippable, and absent fields decode to defaults. This reproduces
-//!   the encoding cost the paper ascribes to the status quo.
+//!   the encoding cost the paper ascribes to the status quo; the gRPC-like
+//!   baseline speaks it.
 //! * [`json`] — a textual baseline (self-describing field names), the most
 //!   expensive format the paper's introduction mentions.
 //!
@@ -22,8 +23,10 @@
 //! and `bench`'s `calibrate` compare like against like (same allocator, same
 //! buffer discipline), isolating the cost of versioning metadata itself.
 //!
-//! Application types get all three implementations from a single
-//! `#[derive(WeaverData)]` (see the `weaver-macros` crate).
+//! The runtime speaks only the first. An application type gets it from
+//! `#[derive(WeaverData)]`; a type that a baseline or the codec ablation
+//! encodes in one of the other two also derives `TaggedData` or `JsonData`
+//! (see the `weaver-macros` crate).
 //!
 //! [`linelog`] is the odd one out: the human-readable, replayable
 //! one-record-per-line text form the controllers' decision logs and the

@@ -14,7 +14,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
-use std::net::SocketAddr;
 use std::time::Duration;
 
 use crate::error::DecodeError;
@@ -127,18 +126,16 @@ pub trait TaggedValue: Sized {
     /// True when the value equals the type's proto3 default.
     fn is_default_value(&self) -> bool;
 
-    /// The proto3 default: what an absent field decodes to. A type without
-    /// one returns a placeholder and is never elided.
+    /// The proto3 default: what an absent field decodes to.
     fn default_value() -> Self;
 }
 
 /// A field *slot* in a message: knows how to emit itself with a key and how
 /// to merge occurrences found on the wire.
 ///
-/// This is the trait `#[derive(WeaverData)]` calls per struct field.
+/// This is the trait `#[derive(TaggedData)]` calls per struct field.
 pub trait TaggedField: Sized {
-    /// The slot before any occurrence is merged: the proto3 default, or a
-    /// placeholder for a type that has none and is always emitted.
+    /// The slot before any occurrence is merged: the proto3 default.
     fn empty() -> Self;
 
     /// Appends key + value unless the slot holds its default.
@@ -314,26 +311,6 @@ impl TaggedValue for Duration {
     }
 }
 
-impl TaggedValue for SocketAddr {
-    const WIRE: WireType = WireType::LengthDelimited;
-    fn write_value(&self, buf: &mut Vec<u8>) {
-        // The non-versioned layout, length-delimited.
-        let bytes = crate::wire::encode_to_vec(self);
-        write_uvarint(buf, bytes.len() as u64);
-        buf.extend_from_slice(&bytes);
-    }
-    fn read_value(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let len = r.read_len()?;
-        crate::wire::decode_from_slice(r.read_bytes(len)?)
-    }
-    fn is_default_value(&self) -> bool {
-        false
-    }
-    fn default_value() -> Self {
-        SocketAddr::from(([0, 0, 0, 0], 0))
-    }
-}
-
 impl<T: TaggedValue> TaggedField for Option<T> {
     fn empty() -> Self {
         Self::default()
@@ -410,7 +387,7 @@ impl<T: TaggedValue> TaggedField for Vec<T> {
 
 fn emit_map_entry<K: TaggedValue, V: TaggedField>(field: u32, k: &K, v: &V, buf: &mut Vec<u8>) {
     // Proto map: repeated message { 1: key, 2: value }. The key is always
-    // present; the value is a field like any other (a list, or elided when
+    // written; the value is a field like any other (a list, or elided when
     // it holds the default).
     let mut entry = Vec::with_capacity(16);
     write_key(&mut entry, 1, K::WIRE);
@@ -427,20 +404,18 @@ fn merge_map_entry<K: TaggedValue, V: TaggedField>(
     let len = r.read_len()?;
     let body = r.read_bytes(len)?;
     let mut inner = Reader::new(body);
-    let mut k = None;
+    // An entry's fields are fields like any other: absent ones, the key
+    // included, decode to their defaults, as proto3 parsers do.
+    let mut k = K::empty();
     let mut v = V::empty();
     while !inner.is_empty() {
         let key = read_key(&mut inner)?;
         match key.field {
-            1 => {
-                expect_wire(key, K::WIRE)?;
-                k = Some(K::read_value(&mut inner)?);
-            }
+            1 => k.merge(key, &mut inner)?,
             2 => v.merge(key, &mut inner)?,
             _ => skip_value(&mut inner, key.wire_type)?,
         }
     }
-    let k = k.ok_or(DecodeError::JsonMissingKey("map entry key"))?;
     Ok((k, v))
 }
 
@@ -702,6 +677,23 @@ mod tests {
     }
 
     #[test]
+    fn map_entry_without_a_key_decodes_to_the_default_key() {
+        // A proto3 writer may elide a default key: this entry holds only
+        // its value, field 2.
+        let mut entry = Vec::new();
+        7u64.emit(2, &mut entry);
+        let mut bytes = Vec::new();
+        write_key(&mut bytes, 1, WireType::LengthDelimited);
+        write_uvarint(&mut bytes, entry.len() as u64);
+        bytes.extend_from_slice(&entry);
+        let mut r = Reader::new(&bytes);
+        let key = read_key(&mut r).unwrap();
+        let mut slot = HashMap::<String, u64>::empty();
+        slot.merge(key, &mut r).unwrap();
+        assert_eq!(slot, HashMap::from([(String::new(), 7)]));
+    }
+
+    #[test]
     fn wire_type_mismatch_detected() {
         let mut bytes = Vec::new();
         write_key(&mut bytes, 1, WireType::Fixed64); // Field 1 is a varint u64.
@@ -762,22 +754,6 @@ mod tests {
         let mut slot = Duration::ZERO;
         slot.merge(key, &mut r).unwrap();
         assert_eq!(slot, d);
-    }
-
-    #[test]
-    fn lists_of_addresses_as_map_values() {
-        let addrs: Vec<SocketAddr> =
-            vec!["10.0.0.1:80".parse().unwrap(), "[::1]:9".parse().unwrap()];
-        let routes = HashMap::from([(3u32, addrs), (4, Vec::new())]);
-        let mut buf = Vec::new();
-        routes.emit(1, &mut buf);
-        let mut r = Reader::new(&buf);
-        let mut slot = HashMap::empty();
-        while !r.is_empty() {
-            let key = read_key(&mut r).unwrap();
-            slot.merge(key, &mut r).unwrap();
-        }
-        assert_eq!(slot, routes);
     }
 
     #[test]

@@ -73,16 +73,6 @@ pub enum WeaverError {
     },
 }
 
-// The tagged baseline codec initializes decode slots from `Default`; an
-// "empty" internal error is the natural zero value.
-impl Default for WeaverError {
-    fn default() -> Self {
-        WeaverError::Internal {
-            detail: String::new(),
-        }
-    }
-}
-
 impl WeaverError {
     /// Convenience constructor for application errors.
     pub fn app(message: impl Into<String>) -> Self {
@@ -153,7 +143,6 @@ impl From<TransportError> for WeaverError {
     fn from(e: TransportError) -> Self {
         match e {
             TransportError::DeadlineExceeded => WeaverError::DeadlineExceeded,
-            TransportError::Cancelled => WeaverError::Cancelled,
             TransportError::Unreachable(d) => WeaverError::Unavailable { detail: d },
             other => WeaverError::Network {
                 detail: other.to_string(),

@@ -13,8 +13,6 @@
 //! the whole point (§3.1). Placement transparency is preserved — callers
 //! written against the begin/wait API behave identically everywhere.
 
-use std::time::Duration;
-
 use crate::error::WeaverError;
 
 /// The deployer-side half of a started call: resolves to reply bytes.
@@ -25,30 +23,21 @@ use crate::error::WeaverError;
 pub trait RouteFuture: Send {
     /// Waits for the reply bytes.
     fn wait(self: Box<Self>) -> Result<Vec<u8>, WeaverError>;
-
-    /// Waits up to `timeout` without abandoning the call: `None` means
-    /// still in flight (the caller may hedge and come back), `Some` is the
-    /// final outcome. After `Some`, further calls return `Cancelled`.
-    fn wait_timeout(&mut self, timeout: Duration) -> Option<Result<Vec<u8>, WeaverError>>;
 }
 
 /// A [`RouteFuture`] that already has its outcome.
-pub struct ReadyRoute(Option<Result<Vec<u8>, WeaverError>>);
+pub struct ReadyRoute(Result<Vec<u8>, WeaverError>);
 
 impl ReadyRoute {
     /// Wraps an eagerly-computed outcome.
     pub fn new(outcome: Result<Vec<u8>, WeaverError>) -> Self {
-        ReadyRoute(Some(outcome))
+        ReadyRoute(outcome)
     }
 }
 
 impl RouteFuture for ReadyRoute {
-    fn wait(mut self: Box<Self>) -> Result<Vec<u8>, WeaverError> {
-        self.0.take().unwrap_or(Err(WeaverError::Cancelled))
-    }
-
-    fn wait_timeout(&mut self, _timeout: Duration) -> Option<Result<Vec<u8>, WeaverError>> {
-        Some(self.0.take().unwrap_or(Err(WeaverError::Cancelled)))
+    fn wait(self: Box<Self>) -> Result<Vec<u8>, WeaverError> {
+        self.0
     }
 }
 
@@ -58,7 +47,6 @@ enum State<T> {
         route: Box<dyn RouteFuture>,
         decode: fn(&[u8]) -> Result<T, WeaverError>,
     },
-    Taken,
 }
 
 /// A typed in-flight component call, returned by generated
@@ -92,31 +80,10 @@ impl<T> CallFuture<T> {
     }
 
     /// Waits for the call's result.
-    pub fn wait(mut self) -> Result<T, WeaverError> {
-        match std::mem::replace(&mut self.state, State::Taken) {
+    pub fn wait(self) -> Result<T, WeaverError> {
+        match self.state {
             State::Ready(result) => result,
             State::Pending { route, decode } => route.wait().and_then(|bytes| decode(&bytes)),
-            State::Taken => Err(WeaverError::Cancelled),
-        }
-    }
-
-    /// Waits up to `timeout` without abandoning the call: `None` means the
-    /// call is still in flight — the caller may hedge (start another
-    /// attempt elsewhere) and wait again later. `Some` is the final
-    /// outcome; after it, the future is spent.
-    pub fn wait_timeout(&mut self, timeout: Duration) -> Option<Result<T, WeaverError>> {
-        match &mut self.state {
-            State::Ready(_) => match std::mem::replace(&mut self.state, State::Taken) {
-                State::Ready(result) => Some(result),
-                _ => unreachable!("state checked above"),
-            },
-            State::Pending { route, decode } => {
-                let decode = *decode;
-                let outcome = route.wait_timeout(timeout)?;
-                self.state = State::Taken;
-                Some(outcome.and_then(|bytes| decode(&bytes)))
-            }
-            State::Taken => Some(Err(WeaverError::Cancelled)),
         }
     }
 }
@@ -157,12 +124,6 @@ mod tests {
     fn ready_future_resolves() {
         let f = CallFuture::ready(Ok(7u32));
         assert_eq!(f.wait().unwrap(), 7);
-        let mut f = CallFuture::ready(Ok(8u32));
-        assert_eq!(f.wait_timeout(Duration::ZERO), Some(Ok(8)));
-        assert_eq!(
-            f.wait_timeout(Duration::ZERO),
-            Some(Err(WeaverError::Cancelled))
-        );
     }
 
     #[test]
@@ -190,9 +151,6 @@ mod tests {
             fn wait(self: Box<Self>) -> Result<Vec<u8>, WeaverError> {
                 self.0.fetch_add(1, Ordering::SeqCst);
                 self.1
-            }
-            fn wait_timeout(&mut self, _t: Duration) -> Option<Result<Vec<u8>, WeaverError>> {
-                unimplemented!("join_all uses wait")
             }
         }
 

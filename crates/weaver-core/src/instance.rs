@@ -215,6 +215,13 @@ mod tests {
 
     static ECHO_INITS: AtomicUsize = AtomicUsize::new(0);
 
+    /// Serializes the tests that start `EchoImpl`: two of them count its
+    /// inits in `ECHO_INITS`, which every start bumps.
+    fn echo_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     struct EchoImpl;
 
     impl Echo for EchoImpl {
@@ -329,6 +336,7 @@ mod tests {
 
     #[test]
     fn start_dispatch_and_local_access() {
+        let _serial = echo_lock();
         let reg = test_registry();
         let live = Arc::new(LiveComponents::new(Arc::clone(&reg)));
         let getter = LocalGetter {
@@ -349,6 +357,7 @@ mod tests {
 
     #[test]
     fn recursive_start_of_dependencies() {
+        let _serial = echo_lock();
         let reg = test_registry();
         let live = Arc::new(LiveComponents::new(Arc::clone(&reg)));
         let getter = LocalGetter {
@@ -367,6 +376,7 @@ mod tests {
 
     #[test]
     fn leaf_is_a_ready_component_that_acquired_nothing() {
+        let _serial = echo_lock();
         let reg = test_registry();
         let live = Arc::new(LiveComponents::new(Arc::clone(&reg)));
         let getter = LocalGetter {
@@ -387,6 +397,7 @@ mod tests {
 
     #[test]
     fn single_instance_under_concurrency() {
+        let _serial = echo_lock();
         ECHO_INITS.store(0, Ordering::SeqCst);
         let reg = test_registry();
         let live = Arc::new(LiveComponents::new(Arc::clone(&reg)));
@@ -410,6 +421,7 @@ mod tests {
 
     #[test]
     fn restart_constructs_fresh_instance() {
+        let _serial = echo_lock();
         ECHO_INITS.store(0, Ordering::SeqCst);
         let reg = test_registry();
         let live = Arc::new(LiveComponents::new(Arc::clone(&reg)));

@@ -1,11 +1,45 @@
-//! Expansion of `#[derive(WeaverData)]`.
+//! Expansion of the three data derives: `#[derive(WeaverData)]` (the
+//! non-versioned wire codec), `#[derive(TaggedData)]` (the protobuf-shaped
+//! baseline) and `#[derive(JsonData)]` (the textual baseline).
 //!
-//! Parses the type definition with the shared `weaver-syntax` scanner (no
-//! `syn` dependency) and emits the seven codec impls as source text.
+//! All three parse the type definition with the shared `weaver-syntax`
+//! scanner (no `syn` dependency) and emit their format's impls as source
+//! text. A struct is handled as an enum's single variant without a
+//! discriminant, so every format has one code path for both.
 
 use crate::error::MacroError;
 use proc_macro::TokenStream;
 use weaver_syntax::{lex, render_type, Cursor, Tok, TokKind};
+
+/// The format one derive emits.
+#[derive(Clone, Copy)]
+pub enum Format {
+    /// `Encode` + `Decode`.
+    Wire,
+    /// `TaggedEncode` + `TaggedDecode` + `TaggedValue`.
+    Tagged,
+    /// `ToJson` + `FromJson`.
+    Json,
+}
+
+impl Format {
+    fn derive_name(self) -> &'static str {
+        match self {
+            Format::Wire => "WeaverData",
+            Format::Tagged => "TaggedData",
+            Format::Json => "JsonData",
+        }
+    }
+
+    /// What every type parameter is bounded by: the format's own traits.
+    fn bounds(self) -> &'static str {
+        match self {
+            Format::Wire => "::weaver_codec::wire::Encode + ::weaver_codec::wire::Decode",
+            Format::Tagged => "::weaver_codec::tagged::TaggedField",
+            Format::Json => "::weaver_codec::json::ToJson + ::weaver_codec::json::FromJson",
+        }
+    }
+}
 
 /// One field of a struct or variant.
 struct Field {
@@ -14,28 +48,10 @@ struct Field {
     ty: String,
 }
 
-impl Field {
-    /// `self.name` / `self.0`.
-    fn access(&self, i: usize) -> String {
-        match &self.name {
-            Some(n) => format!("self.{n}"),
-            None => format!("self.{i}"),
-        }
-    }
-    /// Local binding used in decode paths.
-    fn binding(&self, i: usize) -> String {
-        match &self.name {
-            Some(n) => n.clone(),
-            None => format!("f{i}"),
-        }
-    }
-    /// JSON object key.
-    fn json_key(&self, i: usize) -> String {
-        match &self.name {
-            Some(n) => n.clone(),
-            None => format!("{i}"),
-        }
-    }
+/// The local every generated pattern binds field `i` to (never a field's
+/// own name, which could shadow a generated local such as `buf`).
+fn binding(i: usize) -> String {
+    format!("f{i}")
 }
 
 #[derive(PartialEq, Clone, Copy)]
@@ -45,10 +61,47 @@ enum Shape {
     Unit,
 }
 
+/// An enum variant, or a struct's body (with an empty name).
 struct Variant {
     name: String,
     shape: Shape,
     fields: Vec<Field>,
+}
+
+impl Variant {
+    /// Builds `Path { a: .., b: .. }`, `Path(.., ..)` or `Path`, taking each
+    /// field's value from `value`.
+    fn construct(&self, path: &str, value: impl Fn(usize) -> String) -> String {
+        let parts: Vec<String> = self
+            .fields
+            .iter()
+            .enumerate()
+            .map(|(i, f)| match &f.name {
+                Some(n) => format!("{n}: {}", value(i)),
+                None => value(i),
+            })
+            .collect();
+        match self.shape {
+            Shape::Named => format!("{path} {{ {} }}", parts.join(", ")),
+            Shape::Tuple => format!("{path}({})", parts.join(", ")),
+            Shape::Unit => path.to_string(),
+        }
+    }
+
+    /// The pattern (and the expression) with field `i` bound to
+    /// [`binding`]`(i)`.
+    fn bound(&self, path: &str) -> String {
+        self.construct(path, binding)
+    }
+
+    /// Concatenates `line` over the fields.
+    fn each(&self, line: impl Fn(usize, &Field) -> String) -> String {
+        self.fields
+            .iter()
+            .enumerate()
+            .map(|(i, f)| line(i, f))
+            .collect()
+    }
 }
 
 /// One parsed generic type parameter: `T` plus its original bounds text.
@@ -57,9 +110,107 @@ struct TypeParam {
     bounds: String,
 }
 
-pub fn expand(input: TokenStream) -> Result<TokenStream, MacroError> {
-    let src = input.to_string();
-    let toks = lex(&src).map_err(|e| MacroError::new(format!("derive(WeaverData): {e}")))?;
+/// A parsed struct or enum.
+struct Data {
+    name: String,
+    params: Vec<TypeParam>,
+    is_enum: bool,
+    /// The enum's variants in declaration order, or the struct's one body.
+    variants: Vec<Variant>,
+}
+
+impl Data {
+    /// `Name::Variant` for an enum, `Name` for a struct.
+    fn path(&self, v: &Variant) -> String {
+        if self.is_enum {
+            format!("{}::{}", self.name, v.name)
+        } else {
+            self.name.clone()
+        }
+    }
+
+    /// `match self { .. }` with one arm per variant, each built by `body`
+    /// from the variant's index (its discriminant) and the variant itself.
+    fn match_self(&self, body: impl Fn(usize, &Variant) -> String) -> String {
+        let arms: String = self
+            .variants
+            .iter()
+            .enumerate()
+            .map(|(idx, v)| format!("{} => {{ {} }}\n", v.bound(&self.path(v)), body(idx, v)))
+            .collect();
+        format!("match self {{ {arms} }}")
+    }
+
+    /// A struct's one decode body, or a match of an enum's discriminant
+    /// expression `disc` onto each variant's body.
+    fn match_discriminant(&self, disc: &str, body: impl Fn(&Variant) -> String) -> String {
+        if !self.is_enum {
+            return body(&self.variants[0]);
+        }
+        let arms: String = self
+            .variants
+            .iter()
+            .enumerate()
+            .map(|(idx, v)| format!("{idx}u64 => {{ {} }}\n", body(v)))
+            .collect();
+        format!(
+            "match {disc} {{
+                {arms}
+                other => ::std::result::Result::Err(
+                    ::weaver_codec::error::DecodeError::UnknownVariant {{
+                        type_name: {:?},
+                        discriminant: other,
+                    }},
+                ),
+            }}",
+            self.name
+        )
+    }
+
+    /// Renders `impl<..> trait for Name<..> { items }` with `bounds` added
+    /// to every type parameter.
+    fn render_impl(&self, bounds: &str, trait_path: &str, items: &str) -> String {
+        let decls: Vec<String> = self
+            .params
+            .iter()
+            .map(|p| match p.bounds.as_str() {
+                "" => format!("{}: {bounds}", p.name),
+                own => format!("{}: {own} + {bounds}", p.name),
+            })
+            .collect();
+        let names: Vec<&str> = self.params.iter().map(|p| p.name.as_str()).collect();
+        // Empty `<>` is valid on both sides, so non-generic types need no
+        // special case.
+        format!(
+            "impl<{}> {trait_path} for {}<{}> {{ {items} }}\n",
+            decls.join(", "),
+            self.name,
+            names.join(", ")
+        )
+    }
+}
+
+pub fn expand(input: TokenStream, format: Format) -> Result<TokenStream, MacroError> {
+    let derive = format.derive_name();
+    let data =
+        parse(&input.to_string()).map_err(|e| MacroError::new(format!("derive({derive}): {e}")))?;
+    let impls: String = match format {
+        Format::Wire => wire_impls(&data),
+        Format::Tagged => tagged_impls(&data),
+        Format::Json => json_impls(&data),
+    }
+    .iter()
+    .map(|(trait_path, items)| data.render_impl(format.bounds(), trait_path, items))
+    .collect();
+    impls.parse().map_err(|e| {
+        MacroError::new(format!(
+            "derive({derive}): generated code failed to parse: {e}"
+        ))
+    })
+}
+
+fn parse(src: &str) -> Result<Data, String> {
+    let toks = lex(src).map_err(|e| e.to_string())?;
     let mut c = Cursor::new(&toks);
 
     // Attributes and visibility.
@@ -68,7 +219,7 @@ pub fn expand(input: TokenStream) -> Result<TokenStream, MacroError> {
             Some(t) if t.is_punct("#") => {
                 c.next();
                 if !c.skip_balanced() {
-                    return Err(MacroError::new("derive(WeaverData): malformed attribute"));
+                    return Err("malformed attribute".into());
                 }
             }
             Some(t) if t.is_ident("pub") => {
@@ -84,74 +235,55 @@ pub fn expand(input: TokenStream) -> Result<TokenStream, MacroError> {
     let is_enum = match c.peek() {
         Some(t) if t.is_ident("struct") => false,
         Some(t) if t.is_ident("enum") => true,
-        Some(t) if t.is_ident("union") => {
-            return Err(MacroError::new("WeaverData cannot be derived for unions"))
-        }
-        _ => {
-            return Err(MacroError::new(
-                "WeaverData can only be derived for structs and enums",
-            ))
-        }
+        Some(t) if t.is_ident("union") => return Err("cannot be derived for unions".into()),
+        _ => return Err("can only be derived for structs and enums".into()),
     };
     c.next();
     let name = c
         .eat_any_ident()
-        .ok_or_else(|| MacroError::new("derive(WeaverData): expected a type name"))?
+        .ok_or("expected a type name")?
         .text
         .clone();
 
     let params = parse_generics(&mut c)?;
     if c.peek().is_some_and(|t| t.is_ident("where")) {
-        return Err(MacroError::new(
-            "derive(WeaverData): `where` clauses are not supported; put bounds on the parameters",
-        ));
+        return Err("`where` clauses are not supported; put bounds on the parameters".into());
     }
 
-    let impls = if is_enum {
-        let body = c
-            .take_group()
-            .ok_or_else(|| MacroError::new("derive(WeaverData): expected an enum body"))?;
+    let variants = if is_enum {
+        let body = c.take_group().ok_or("expected an enum body")?;
         let variants = parse_variants(body)?;
         if variants.is_empty() {
-            return Err(MacroError::new(
-                "WeaverData cannot be derived for empty enums",
-            ));
+            return Err("cannot be derived for empty enums".into());
         }
-        expand_enum(&name, &variants)
+        variants
     } else {
-        let (shape, fields) = match c.peek() {
-            Some(t) if t.is_punct("{") => {
-                let body = c
-                    .take_group()
-                    .ok_or_else(|| MacroError::new("derive(WeaverData): unbalanced struct body"))?;
-                (Shape::Named, parse_fields(body, Shape::Named)?)
-            }
-            Some(t) if t.is_punct("(") => {
-                let body = c
-                    .take_group()
-                    .ok_or_else(|| MacroError::new("derive(WeaverData): unbalanced struct body"))?;
-                (Shape::Tuple, parse_fields(body, Shape::Tuple)?)
-            }
-            Some(t) if t.is_punct(";") => (Shape::Unit, Vec::new()),
-            _ => {
-                return Err(MacroError::new(
-                    "derive(WeaverData): expected a struct body",
-                ))
-            }
+        let shape = match c.peek() {
+            Some(t) if t.is_punct("{") => Shape::Named,
+            Some(t) if t.is_punct("(") => Shape::Tuple,
+            Some(t) if t.is_punct(";") => Shape::Unit,
+            _ => return Err("expected a struct body".into()),
         };
-        expand_struct(&name, shape, &fields)
+        let fields = match shape {
+            Shape::Unit => Vec::new(),
+            _ => parse_fields(c.take_group().ok_or("unbalanced struct body")?, shape)?,
+        };
+        vec![Variant {
+            name: String::new(),
+            shape,
+            fields,
+        }]
     };
-
-    let output = render_impls(&name, &params, &impls);
-    output.parse().map_err(|e| {
-        MacroError::new(format!(
-            "derive(WeaverData): generated code failed to parse: {e}"
-        ))
+    Ok(Data {
+        name,
+        params,
+        is_enum,
+        variants,
     })
 }
 
 /// Parses `<T, U: Clone>` after the type name, if present.
-fn parse_generics(c: &mut Cursor<'_>) -> Result<Vec<TypeParam>, MacroError> {
+fn parse_generics(c: &mut Cursor<'_>) -> Result<Vec<TypeParam>, String> {
     let mut params = Vec::new();
     if !c.peek().is_some_and(|t| t.is_punct("<")) {
         return Ok(params);
@@ -159,27 +291,21 @@ fn parse_generics(c: &mut Cursor<'_>) -> Result<Vec<TypeParam>, MacroError> {
     c.next();
     loop {
         match c.peek() {
-            None => return Err(MacroError::new("derive(WeaverData): unbalanced generics")),
+            None => return Err("unbalanced generics".into()),
             Some(t) if t.is_punct(">") => {
                 c.next();
                 break;
             }
             Some(t) if t.kind == TokKind::Lifetime => {
-                return Err(MacroError::new(
-                    "derive(WeaverData): lifetime parameters are not supported (wire data is owned)",
-                ));
+                return Err("lifetime parameters are not supported (wire data is owned)".into());
             }
             Some(t) if t.is_ident("const") => {
-                return Err(MacroError::new(
-                    "derive(WeaverData): const generics are not supported",
-                ));
+                return Err("const generics are not supported".into());
             }
             Some(_) => {
                 let pname = c
                     .eat_any_ident()
-                    .ok_or_else(|| {
-                        MacroError::new("derive(WeaverData): expected a type parameter")
-                    })?
+                    .ok_or("expected a type parameter")?
                     .text
                     .clone();
                 let mut bound_toks: Vec<Tok> = Vec::new();
@@ -210,18 +336,18 @@ fn parse_generics(c: &mut Cursor<'_>) -> Result<Vec<TypeParam>, MacroError> {
 }
 
 /// Skips any `#[...]` attributes (doc comments included) at the cursor.
-fn skip_attrs(c: &mut Cursor<'_>) -> Result<(), MacroError> {
+fn skip_attrs(c: &mut Cursor<'_>) -> Result<(), String> {
     while c.peek().is_some_and(|t| t.is_punct("#")) {
         c.next();
         if !c.skip_balanced() {
-            return Err(MacroError::new("derive(WeaverData): malformed attribute"));
+            return Err("malformed attribute".into());
         }
     }
     Ok(())
 }
 
 /// Parses the fields of a named or tuple body (delimiters already removed).
-fn parse_fields(body: &[Tok], shape: Shape) -> Result<Vec<Field>, MacroError> {
+fn parse_fields(body: &[Tok], shape: Shape) -> Result<Vec<Field>, String> {
     let mut fields = Vec::new();
     let mut c = Cursor::new(body);
     while !c.at_end() {
@@ -235,13 +361,11 @@ fn parse_fields(body: &[Tok], shape: Shape) -> Result<Vec<Field>, MacroError> {
         let name = if shape == Shape::Named {
             let n = c
                 .eat_any_ident()
-                .ok_or_else(|| MacroError::new("derive(WeaverData): expected a field name"))?
+                .ok_or("expected a field name")?
                 .text
                 .clone();
             if !c.eat_punct(":") {
-                return Err(MacroError::new(
-                    "derive(WeaverData): expected `:` after field name",
-                ));
+                return Err("expected `:` after field name".into());
             }
             Some(n)
         } else {
@@ -267,7 +391,7 @@ fn parse_fields(body: &[Tok], shape: Shape) -> Result<Vec<Field>, MacroError> {
         }
         let ty_toks = &body[start..c.pos()];
         if ty_toks.is_empty() {
-            return Err(MacroError::new("derive(WeaverData): expected a field type"));
+            return Err("expected a field type".into());
         }
         fields.push(Field {
             name,
@@ -279,7 +403,7 @@ fn parse_fields(body: &[Tok], shape: Shape) -> Result<Vec<Field>, MacroError> {
 }
 
 /// Parses the variants of an enum body (delimiters already removed).
-fn parse_variants(body: &[Tok]) -> Result<Vec<Variant>, MacroError> {
+fn parse_variants(body: &[Tok]) -> Result<Vec<Variant>, String> {
     let mut variants = Vec::new();
     let mut c = Cursor::new(body);
     while !c.at_end() {
@@ -289,29 +413,22 @@ fn parse_variants(body: &[Tok]) -> Result<Vec<Variant>, MacroError> {
         }
         let vname = c
             .eat_any_ident()
-            .ok_or_else(|| MacroError::new("derive(WeaverData): expected a variant name"))?
+            .ok_or("expected a variant name")?
             .text
             .clone();
-        let (shape, fields) = match c.peek() {
-            Some(t) if t.is_punct("(") => {
-                let inner = c
-                    .take_group()
-                    .ok_or_else(|| MacroError::new("derive(WeaverData): unbalanced variant"))?;
-                (Shape::Tuple, parse_fields(inner, Shape::Tuple)?)
-            }
-            Some(t) if t.is_punct("{") => {
-                let inner = c
-                    .take_group()
-                    .ok_or_else(|| MacroError::new("derive(WeaverData): unbalanced variant"))?;
-                (Shape::Named, parse_fields(inner, Shape::Named)?)
-            }
-            _ => (Shape::Unit, Vec::new()),
+        let shape = match c.peek() {
+            Some(t) if t.is_punct("(") => Shape::Tuple,
+            Some(t) if t.is_punct("{") => Shape::Named,
+            _ => Shape::Unit,
+        };
+        let fields = match shape {
+            Shape::Unit => Vec::new(),
+            _ => parse_fields(c.take_group().ok_or("unbalanced variant")?, shape)?,
         };
         if c.peek().is_some_and(|t| t.is_punct("=")) {
-            return Err(MacroError::new(
-                "derive(WeaverData): explicit discriminants are not supported \
-                 (wire discriminants come from declaration order)",
-            ));
+            return Err("explicit discriminants are not supported \
+                 (wire discriminants come from declaration order)"
+                .into());
         }
         c.eat_punct(",");
         variants.push(Variant {
@@ -323,129 +440,110 @@ fn parse_variants(body: &[Tok]) -> Result<Vec<Variant>, MacroError> {
     Ok(variants)
 }
 
-struct StructImpls {
-    wire_encode: String,
-    wire_decode: String,
-    tagged_encode: String,
-    tagged_decode: String,
-    to_json: String,
-    from_json: String,
-}
-
-/// Builds `Name { a: a, b: b }`, `Name(f0, f1)`, or `Name`.
-fn construct_expr(path: &str, shape: Shape, fields: &[Field]) -> String {
-    match shape {
-        Shape::Named => {
-            let pairs: Vec<String> = fields
-                .iter()
-                .enumerate()
-                .map(|(i, f)| format!("{}: {}", f.json_key(i), f.binding(i)))
-                .collect();
-            format!("{path} {{ {} }}", pairs.join(", "))
-        }
-        Shape::Tuple => {
-            let bindings: Vec<String> = fields
-                .iter()
-                .enumerate()
-                .map(|(i, f)| f.binding(i))
-                .collect();
-            format!("{path}({})", bindings.join(", "))
-        }
-        Shape::Unit => path.to_string(),
-    }
-}
-
-/// Builds a match pattern binding every field.
-fn pattern_expr(path: &str, shape: Shape, fields: &[Field]) -> String {
-    match shape {
-        Shape::Named => {
-            let names: Vec<String> = fields
-                .iter()
-                .enumerate()
-                .map(|(i, f)| f.binding(i))
-                .collect();
-            format!("{path} {{ {} }}", names.join(", "))
-        }
-        Shape::Tuple => {
-            let bindings: Vec<String> = fields
-                .iter()
-                .enumerate()
-                .map(|(i, f)| f.binding(i))
-                .collect();
-            format!("{path}({})", bindings.join(", "))
-        }
-        Shape::Unit => path.to_string(),
-    }
-}
-
-fn expand_struct(name: &str, shape: Shape, fields: &[Field]) -> StructImpls {
-    let is_named = shape == Shape::Named;
-
-    let wire_encode: String = fields
-        .iter()
-        .enumerate()
-        .map(|(i, f)| {
+/// The non-versioned format: fields in declaration order, an enum's
+/// variant index first.
+fn wire_impls(data: &Data) -> Vec<(&'static str, String)> {
+    let encode = data.match_self(|idx, v| {
+        let disc = if data.is_enum {
+            format!("::weaver_codec::varint::write_uvarint(buf, {idx}u64);")
+        } else {
+            String::new()
+        };
+        let writes = v.each(|i, _| {
             format!(
-                "::weaver_codec::wire::Encode::encode(&{}, buf);\n",
-                f.access(i)
+                "::weaver_codec::wire::Encode::encode({}, buf);\n",
+                binding(i)
             )
-        })
-        .collect();
-
-    let wire_decode = {
-        let reads: String = fields
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                format!(
-                    "let {} = <{} as ::weaver_codec::wire::Decode>::decode(r)?;\n",
-                    f.binding(i),
-                    f.ty
-                )
-            })
-            .collect();
-        let construct = construct_expr(name, shape, fields);
-        format!("{reads}::std::result::Result::Ok({construct})")
-    };
-
-    let tagged_encode: String = fields
-        .iter()
-        .enumerate()
-        .map(|(i, f)| {
+        });
+        format!("{disc}\n{writes}")
+    });
+    let decode = data.match_discriminant("::weaver_codec::varint::read_uvarint(r)?", |v| {
+        let reads = v.each(|i, f| {
             format!(
-                "::weaver_codec::tagged::TaggedField::emit(&{}, {}u32, buf);\n",
-                f.access(i),
+                "let {} = <{} as ::weaver_codec::wire::Decode>::decode(r)?;\n",
+                binding(i),
+                f.ty
+            )
+        });
+        format!(
+            "{reads}::std::result::Result::Ok({})",
+            v.bound(&data.path(v))
+        )
+    });
+    vec![
+        (
+            "::weaver_codec::wire::Encode",
+            format!(
+                "fn encode(&self, buf: &mut ::std::vec::Vec<u8>) {{
+                    let _ = &buf;
+                    {encode}
+                }}"
+            ),
+        ),
+        (
+            "::weaver_codec::wire::Decode",
+            format!(
+                "fn decode(
+                    r: &mut ::weaver_codec::reader::Reader<'_>,
+                ) -> ::std::result::Result<Self, ::weaver_codec::error::DecodeError> {{
+                    let _ = &r;
+                    {decode}
+                }}"
+            ),
+        ),
+    ]
+}
+
+/// The tagged format. A struct is a message whose fields are numbered from
+/// 1 in declaration order. An enum is a message with field 1 = discriminant
+/// (always present) and field 2 = a length-delimited payload carrying the
+/// variant's own fields as a nested message numbered from 1.
+fn tagged_impls(data: &Data) -> Vec<(&'static str, String)> {
+    let encode = data.match_self(|idx, v| {
+        let out = if data.is_enum { "&mut payload" } else { "buf" };
+        let emits = v.each(|i, _| {
+            format!(
+                "::weaver_codec::tagged::TaggedField::emit({}, {}u32, {out});\n",
+                binding(i),
                 i + 1
             )
-        })
-        .collect();
-
-    let tagged_decode = {
-        let inits: String = fields
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                format!(
-                    "let mut {}: {} = ::weaver_codec::tagged::TaggedField::empty();\n",
-                    f.binding(i),
-                    f.ty
-                )
-            })
-            .collect();
-        let arms: String = fields
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                format!(
-                    "{}u32 => ::weaver_codec::tagged::TaggedField::merge(&mut {}, key, r)?,\n",
-                    i + 1,
-                    f.binding(i)
-                )
-            })
-            .collect();
-        let construct = construct_expr(name, shape, fields);
+        });
+        if !data.is_enum {
+            return emits;
+        }
         format!(
-            "{inits}
+            "::weaver_codec::tagged::write_key(buf, 1, ::weaver_codec::tagged::WireType::Varint);
+            ::weaver_codec::varint::write_uvarint(buf, {idx}u64);
+            let mut payload = ::std::vec::Vec::new();
+            let _ = &mut payload;
+            {emits}
+            ::weaver_codec::tagged::write_key(
+                buf, 2, ::weaver_codec::tagged::WireType::LengthDelimited,
+            );
+            ::weaver_codec::varint::write_uvarint(buf, payload.len() as u64);
+            buf.extend_from_slice(&payload);"
+        )
+    });
+
+    // Decodes the fields of `v` from the message body in `r`.
+    let message = |v: &Variant| {
+        let slots = v.each(|i, f| {
+            format!(
+                "let mut {}: {} = ::weaver_codec::tagged::TaggedField::empty();\n",
+                binding(i),
+                f.ty
+            )
+        });
+        let arms = v.each(|i, _| {
+            format!(
+                "{}u32 => ::weaver_codec::tagged::TaggedField::merge(&mut {}, key, r)?,\n",
+                i + 1,
+                binding(i)
+            )
+        });
+        let construct = v.bound(&data.path(v));
+        format!(
+            "{slots}
             while !r.is_empty() {{
                 let key = ::weaver_codec::tagged::read_key(r)?;
                 match key.field {{
@@ -456,256 +554,15 @@ fn expand_struct(name: &str, shape: Shape, fields: &[Field]) -> StructImpls {
             ::std::result::Result::Ok({construct})"
         )
     };
-
-    let to_json = if is_named {
-        let inserts: String = fields
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                format!(
-                    "map.insert({:?}.to_string(), ::weaver_codec::json::ToJson::to_json(&{}));\n",
-                    f.json_key(i),
-                    f.access(i)
-                )
-            })
-            .collect();
-        format!(
-            "let mut map = ::std::collections::BTreeMap::new();
-            {inserts}
-            ::weaver_codec::json::JsonValue::Object(map)"
-        )
-    } else if fields.is_empty() {
-        "::weaver_codec::json::JsonValue::Array(::std::vec::Vec::new())".to_string()
-    } else {
-        let items: Vec<String> = fields
-            .iter()
-            .enumerate()
-            .map(|(i, f)| format!("::weaver_codec::json::ToJson::to_json(&{})", f.access(i)))
-            .collect();
-        format!(
-            "::weaver_codec::json::JsonValue::Array(vec![{}])",
-            items.join(", ")
-        )
-    };
-
-    let from_json = if is_named {
-        let reads: String = fields
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                let key = f.json_key(i);
-                format!(
-                    "let {} = <{} as ::weaver_codec::json::FromJson>::from_json_field(
-                        obj.get({key:?}), {key:?},
-                    )?;\n",
-                    f.binding(i),
-                    f.ty
-                )
-            })
-            .collect();
-        let construct = construct_expr(name, shape, fields);
-        format!(
-            "let obj = v.as_object()?;
-            {reads}
-            ::std::result::Result::Ok({construct})"
-        )
-    } else {
-        let n = fields.len();
-        let reads: String = fields
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                format!(
-                    "let {} = <{} as ::weaver_codec::json::FromJson>::from_json(&arr[{i}])?;\n",
-                    f.binding(i),
-                    f.ty
-                )
-            })
-            .collect();
-        let construct = construct_expr(name, shape, fields);
-        format!(
-            "let arr = v.as_array()?;
-            if arr.len() != {n}usize {{
-                return ::std::result::Result::Err(
-                    ::weaver_codec::error::DecodeError::JsonType {{
-                        expected: \"tuple array of matching arity\",
-                    }},
-                );
-            }}
-            {reads}
-            ::std::result::Result::Ok({construct})"
-        )
-    };
-
-    StructImpls {
-        wire_encode,
-        wire_decode,
-        tagged_encode,
-        tagged_decode,
-        to_json,
-        from_json,
-    }
-}
-
-fn expand_enum(name: &str, variants: &[Variant]) -> StructImpls {
-    let wire_encode = {
-        let arms: String = variants
-            .iter()
-            .enumerate()
-            .map(|(idx, v)| {
-                let pat = pattern_expr(&format!("{name}::{}", v.name), v.shape, &v.fields);
-                let writes: String = v
-                    .fields
-                    .iter()
-                    .enumerate()
-                    .map(|(i, f)| {
-                        format!(
-                            "::weaver_codec::wire::Encode::encode({}, buf);\n",
-                            f.binding(i)
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{pat} => {{
-                        ::weaver_codec::varint::write_uvarint(buf, {idx}u64);
-                        {writes}
-                    }}\n"
-                )
-            })
-            .collect();
-        format!("match self {{ {arms} }}")
-    };
-
-    let wire_decode = {
-        let arms: String = variants
-            .iter()
-            .enumerate()
-            .map(|(idx, v)| {
-                let reads: String = v
-                    .fields
-                    .iter()
-                    .enumerate()
-                    .map(|(i, f)| {
-                        format!(
-                            "let {} = <{} as ::weaver_codec::wire::Decode>::decode(r)?;\n",
-                            f.binding(i),
-                            f.ty
-                        )
-                    })
-                    .collect();
-                let construct = construct_expr(&format!("{name}::{}", v.name), v.shape, &v.fields);
-                format!(
-                    "{idx}u64 => {{
-                        {reads}
-                        ::std::result::Result::Ok({construct})
-                    }}\n"
-                )
-            })
-            .collect();
-        format!(
-            "let disc = ::weaver_codec::varint::read_uvarint(r)?;
-            match disc {{
-                {arms}
-                other => ::std::result::Result::Err(
-                    ::weaver_codec::error::DecodeError::UnknownVariant {{
-                        type_name: {name:?},
-                        discriminant: other,
-                    }},
-                ),
-            }}"
-        )
-    };
-
-    // Tagged layout for enums: field 1 = discriminant (always present),
-    // field 2 = length-delimited payload carrying the variant's own fields
-    // as a nested message numbered from 1.
-    let tagged_encode = {
-        let arms: String = variants
-            .iter()
-            .enumerate()
-            .map(|(idx, v)| {
-                let pat = pattern_expr(&format!("{name}::{}", v.name), v.shape, &v.fields);
-                let emits: String = v
-                    .fields
-                    .iter()
-                    .enumerate()
-                    .map(|(i, f)| {
-                        format!(
-                            "::weaver_codec::tagged::TaggedField::emit({}, {}u32, &mut payload);\n",
-                            f.binding(i),
-                            i + 1
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{pat} => {{
-                        ::weaver_codec::tagged::write_key(
-                            buf, 1, ::weaver_codec::tagged::WireType::Varint,
-                        );
-                        ::weaver_codec::varint::write_uvarint(buf, {idx}u64);
-                        let mut payload = ::std::vec::Vec::new();
-                        let _ = &mut payload;
-                        {emits}
-                        ::weaver_codec::tagged::write_key(
-                            buf, 2, ::weaver_codec::tagged::WireType::LengthDelimited,
-                        );
-                        ::weaver_codec::varint::write_uvarint(buf, payload.len() as u64);
-                        buf.extend_from_slice(&payload);
-                    }}\n"
-                )
-            })
-            .collect();
-        format!("match self {{ {arms} }}")
-    };
-
-    let tagged_decode = {
-        let arms: String = variants
-            .iter()
-            .enumerate()
-            .map(|(idx, v)| {
-                let inits: String = v
-                    .fields
-                    .iter()
-                    .enumerate()
-                    .map(|(i, f)| {
-                        format!(
-                            "let mut {}: {} = ::weaver_codec::tagged::TaggedField::empty();\n",
-                            f.binding(i),
-                            f.ty
-                        )
-                    })
-                    .collect();
-                let field_arms: String = v
-                    .fields
-                    .iter()
-                    .enumerate()
-                    .map(|(i, f)| {
-                        format!(
-                            "{}u32 => ::weaver_codec::tagged::TaggedField::merge(&mut {}, key, r)?,\n",
-                            i + 1,
-                            f.binding(i)
-                        )
-                    })
-                    .collect();
-                let construct =
-                    construct_expr(&format!("{name}::{}", v.name), v.shape, &v.fields);
-                format!(
-                    "{idx}u64 => {{
-                        {inits}
-                        let mut r = ::weaver_codec::reader::Reader::new(&payload);
-                        let r = &mut r;
-                        while !r.is_empty() {{
-                            let key = ::weaver_codec::tagged::read_key(r)?;
-                            match key.field {{
-                                {field_arms}
-                                _ => ::weaver_codec::tagged::skip_value(r, key.wire_type)?,
-                            }}
-                        }}
-                        ::std::result::Result::Ok({construct})
-                    }}\n"
-                )
-            })
-            .collect();
+    let decode = if data.is_enum {
+        let variants = data.match_discriminant("disc", |v| {
+            format!(
+                "let mut r = ::weaver_codec::reader::Reader::new(&payload);
+                let r = &mut r;
+                {}",
+                message(v)
+            )
+        });
         format!(
             "let mut disc: u64 = 0;
             let mut payload: ::std::vec::Vec<u8> = ::std::vec::Vec::new();
@@ -728,158 +585,182 @@ fn expand_enum(name: &str, variants: &[Variant]) -> StructImpls {
                     _ => ::weaver_codec::tagged::skip_value(r, key.wire_type)?,
                 }}
             }}
-            match disc {{
-                {arms}
-                other => ::std::result::Result::Err(
-                    ::weaver_codec::error::DecodeError::UnknownVariant {{
-                        type_name: {name:?},
-                        discriminant: other,
-                    }},
-                ),
-            }}"
+            {variants}"
+        )
+    } else {
+        message(&data.variants[0])
+    };
+
+    // What an absent message decodes to: the first variant (discriminant
+    // 0), every field at its own default.
+    let first = &data.variants[0];
+    let default = first.construct(&data.path(first), |_| {
+        "::weaver_codec::tagged::TaggedField::empty()".into()
+    });
+    vec![
+        (
+            "::weaver_codec::tagged::TaggedEncode",
+            format!(
+                "fn encode_tagged(&self, buf: &mut ::std::vec::Vec<u8>) {{
+                    let _ = &buf;
+                    {encode}
+                }}"
+            ),
+        ),
+        (
+            "::weaver_codec::tagged::TaggedDecode",
+            format!(
+                "fn decode_tagged(
+                    r: &mut ::weaver_codec::reader::Reader<'_>,
+                ) -> ::std::result::Result<Self, ::weaver_codec::error::DecodeError> {{
+                    let _ = &r;
+                    {decode}
+                }}"
+            ),
+        ),
+        (
+            "::weaver_codec::tagged::TaggedValue",
+            format!(
+                "const WIRE: ::weaver_codec::tagged::WireType =
+                    ::weaver_codec::tagged::WireType::LengthDelimited;
+
+                fn write_value(&self, buf: &mut ::std::vec::Vec<u8>) {{
+                    let mut body = ::std::vec::Vec::new();
+                    ::weaver_codec::tagged::TaggedEncode::encode_tagged(self, &mut body);
+                    ::weaver_codec::varint::write_uvarint(buf, body.len() as u64);
+                    buf.extend_from_slice(&body);
+                }}
+
+                fn read_value(
+                    r: &mut ::weaver_codec::reader::Reader<'_>,
+                ) -> ::std::result::Result<Self, ::weaver_codec::error::DecodeError> {{
+                    r.enter()?;
+                    let len = r.read_len()?;
+                    let body = r.read_bytes(len)?;
+                    let mut inner = ::weaver_codec::reader::Reader::new(body);
+                    let out =
+                        <Self as ::weaver_codec::tagged::TaggedDecode>::decode_tagged(&mut inner)?;
+                    r.leave();
+                    ::std::result::Result::Ok(out)
+                }}
+
+                fn is_default_value(&self) -> bool {{
+                    // Message-typed values always use explicit presence.
+                    false
+                }}
+
+                fn default_value() -> Self {{
+                    {default}
+                }}"
+            ),
+        ),
+    ]
+}
+
+/// JSON: a named struct is an object keyed by field name, a tuple or unit
+/// struct an array. An enum is an object whose `$type` names the variant,
+/// with named fields beside it or tuple fields in a `$fields` array.
+fn json_impls(data: &Data) -> Vec<(&'static str, String)> {
+    let to_json = data.match_self(|_, v| {
+        let items: Vec<String> = (0..v.fields.len())
+            .map(|i| format!("::weaver_codec::json::ToJson::to_json({})", binding(i)))
+            .collect();
+        let array = format!(
+            "::weaver_codec::json::JsonValue::Array(::std::vec![{}])",
+            items.join(", ")
+        );
+        let object = |entries: String| {
+            format!(
+                "let mut map = ::std::collections::BTreeMap::new();
+                {entries}
+                ::weaver_codec::json::JsonValue::Object(map)"
+            )
+        };
+        let named = v.each(|i, f| {
+            format!(
+                "map.insert({:?}.to_string(), {});\n",
+                f.name.as_deref().unwrap_or_default(),
+                items[i]
+            )
+        });
+        if !data.is_enum {
+            return match v.shape {
+                Shape::Named => object(named),
+                _ => array,
+            };
+        }
+        let fields = match v.shape {
+            Shape::Named => named,
+            Shape::Tuple => format!("map.insert(\"$fields\".to_string(), {array});"),
+            Shape::Unit => String::new(),
+        };
+        object(format!(
+            "map.insert(
+                \"$type\".to_string(),
+                ::weaver_codec::json::JsonValue::String({:?}.to_string()),
+            );
+            {fields}",
+            v.name
+        ))
+    });
+
+    // Decodes the fields of `v`: named ones from the object `v`, tuple ones
+    // from the array `arr`, which `expected` describes in an arity error.
+    let fields = |v: &Variant, arr: &str, expected: &str| {
+        let reads = if v.shape == Shape::Named {
+            let reads = v.each(|i, f| {
+                let key = f.name.as_deref().unwrap_or_default();
+                format!(
+                    "let {} = <{} as ::weaver_codec::json::FromJson>::from_json_field(
+                        obj.get({key:?}), {key:?},
+                    )?;\n",
+                    binding(i),
+                    f.ty
+                )
+            });
+            format!("let obj = v.as_object()?;\n{reads}")
+        } else {
+            let reads = v.each(|i, f| {
+                format!(
+                    "let {} = <{} as ::weaver_codec::json::FromJson>::from_json(&arr[{i}])?;\n",
+                    binding(i),
+                    f.ty
+                )
+            });
+            format!(
+                "let arr = {arr}.as_array()?;
+                if arr.len() != {}usize {{
+                    return ::std::result::Result::Err(
+                        ::weaver_codec::error::DecodeError::JsonType {{ expected: {expected:?} }},
+                    );
+                }}
+                {reads}",
+                v.fields.len()
+            )
+        };
+        format!(
+            "{reads}::std::result::Result::Ok({})",
+            v.bound(&data.path(v))
         )
     };
-
-    let to_json = {
-        let arms: String = variants
+    let from_json = if data.is_enum {
+        let arms: String = data
+            .variants
             .iter()
             .map(|v| {
-                let vname = &v.name;
-                let pat = pattern_expr(&format!("{name}::{vname}"), v.shape, &v.fields);
-                let tag_insert = format!(
-                    "let mut map = ::std::collections::BTreeMap::new();
-                     map.insert(
-                        \"$type\".to_string(),
-                        ::weaver_codec::json::JsonValue::String({vname:?}.to_string()),
-                     );"
-                );
-                match v.shape {
-                    Shape::Unit => format!(
-                        "{pat} => {{
-                            {tag_insert}
-                            ::weaver_codec::json::JsonValue::Object(map)
-                        }}\n"
+                let body = match v.shape {
+                    Shape::Unit => format!("::std::result::Result::Ok({})", data.path(v)),
+                    _ => fields(
+                        v,
+                        "v.get(\"$fields\")?",
+                        "variant field array of matching arity",
                     ),
-                    Shape::Named => {
-                        let inserts: String = v
-                            .fields
-                            .iter()
-                            .enumerate()
-                            .map(|(i, f)| {
-                                format!(
-                                    "map.insert({:?}.to_string(), \
-                                     ::weaver_codec::json::ToJson::to_json({}));\n",
-                                    f.json_key(i),
-                                    f.binding(i)
-                                )
-                            })
-                            .collect();
-                        format!(
-                            "{pat} => {{
-                                {tag_insert}
-                                {inserts}
-                                ::weaver_codec::json::JsonValue::Object(map)
-                            }}\n"
-                        )
-                    }
-                    Shape::Tuple => {
-                        let items: Vec<String> = v
-                            .fields
-                            .iter()
-                            .enumerate()
-                            .map(|(i, f)| {
-                                format!("::weaver_codec::json::ToJson::to_json({})", f.binding(i))
-                            })
-                            .collect();
-                        format!(
-                            "{pat} => {{
-                                {tag_insert}
-                                map.insert(
-                                    \"$fields\".to_string(),
-                                    ::weaver_codec::json::JsonValue::Array(vec![{}]),
-                                );
-                                ::weaver_codec::json::JsonValue::Object(map)
-                            }}\n",
-                            items.join(", ")
-                        )
-                    }
-                }
-            })
-            .collect();
-        format!("match self {{ {arms} }}")
-    };
-
-    let from_json = {
-        let arms: String = variants
-            .iter()
-            .map(|v| {
-                let vname = &v.name;
-                let construct =
-                    construct_expr(&format!("{name}::{vname}"), v.shape, &v.fields);
-                match v.shape {
-                    Shape::Unit => {
-                        format!("{vname:?} => ::std::result::Result::Ok({construct}),\n")
-                    }
-                    Shape::Named => {
-                        let reads: String = v
-                            .fields
-                            .iter()
-                            .enumerate()
-                            .map(|(i, f)| {
-                                let key = f.json_key(i);
-                                format!(
-                                    "let {} = <{} as ::weaver_codec::json::FromJson>::from_json_field(
-                                        obj.get({key:?}), {key:?},
-                                    )?;\n",
-                                    f.binding(i),
-                                    f.ty
-                                )
-                            })
-                            .collect();
-                        format!(
-                            "{vname:?} => {{
-                                {reads}
-                                ::std::result::Result::Ok({construct})
-                            }}\n"
-                        )
-                    }
-                    Shape::Tuple => {
-                        let n = v.fields.len();
-                        let reads: String = v
-                            .fields
-                            .iter()
-                            .enumerate()
-                            .map(|(i, f)| {
-                                format!(
-                                    "let {} = <{} as ::weaver_codec::json::FromJson>::from_json(&arr[{i}])?;\n",
-                                    f.binding(i),
-                                    f.ty
-                                )
-                            })
-                            .collect();
-                        format!(
-                            "{vname:?} => {{
-                                let arr = v.get(\"$fields\")?.as_array()?;
-                                if arr.len() != {n}usize {{
-                                    return ::std::result::Result::Err(
-                                        ::weaver_codec::error::DecodeError::JsonType {{
-                                            expected: \"variant field array of matching arity\",
-                                        }},
-                                    );
-                                }}
-                                {reads}
-                                ::std::result::Result::Ok({construct})
-                            }}\n"
-                        )
-                    }
-                }
+                };
+                format!("{:?} => {{ {body} }}\n", v.name)
             })
             .collect();
         format!(
-            "let obj = v.as_object()?;
-            let tag = v.get(\"$type\")?.as_str()?;
-            let _ = obj;
-            match tag {{
+            "match v.get(\"$type\")?.as_str()? {{
                 {arms}
                 _ => ::std::result::Result::Err(
                     ::weaver_codec::error::DecodeError::JsonType {{
@@ -888,134 +769,23 @@ fn expand_enum(name: &str, variants: &[Variant]) -> StructImpls {
                 ),
             }}"
         )
-    };
-
-    StructImpls {
-        wire_encode,
-        wire_decode,
-        tagged_encode,
-        tagged_decode,
-        to_json,
-        from_json,
-    }
-}
-
-/// Assembles the seven trait impls with the codec bounds added to every
-/// type parameter (`Default` included: a derived type's tagged default
-/// value is its `Default`). `TaggedField` comes from the codec's blanket
-/// impl over `TaggedValue`.
-fn render_impls(name: &str, params: &[TypeParam], impls: &StructImpls) -> String {
-    const BOUNDS: &str = "::weaver_codec::wire::Encode + ::weaver_codec::wire::Decode \
-                          + ::weaver_codec::tagged::TaggedField + ::weaver_codec::json::ToJson \
-                          + ::weaver_codec::json::FromJson + ::std::default::Default";
-    let (impl_generics, ty_generics) = if params.is_empty() {
-        (String::new(), String::new())
     } else {
-        let decls: Vec<String> = params
-            .iter()
-            .map(|p| {
-                if p.bounds.is_empty() {
-                    format!("{}: {BOUNDS}", p.name)
-                } else {
-                    format!("{}: {} + {BOUNDS}", p.name, p.bounds)
-                }
-            })
-            .collect();
-        let names: Vec<&str> = params.iter().map(|p| p.name.as_str()).collect();
-        (
-            format!("<{}>", decls.join(", ")),
-            format!("<{}>", names.join(", ")),
-        )
+        fields(&data.variants[0], "v", "tuple array of matching arity")
     };
-    let this = format!("{name}{ty_generics}");
-    let StructImpls {
-        wire_encode,
-        wire_decode,
-        tagged_encode,
-        tagged_decode,
-        to_json,
-        from_json,
-    } = impls;
-
-    format!(
-        "impl{impl_generics} ::weaver_codec::wire::Encode for {this} {{
-            fn encode(&self, buf: &mut ::std::vec::Vec<u8>) {{
-                let _ = buf;
-                {wire_encode}
-            }}
-        }}
-
-        impl{impl_generics} ::weaver_codec::wire::Decode for {this} {{
-            fn decode(
-                r: &mut ::weaver_codec::reader::Reader<'_>,
-            ) -> ::std::result::Result<Self, ::weaver_codec::error::DecodeError> {{
-                let _ = &r;
-                {wire_decode}
-            }}
-        }}
-
-        impl{impl_generics} ::weaver_codec::tagged::TaggedEncode for {this} {{
-            fn encode_tagged(&self, buf: &mut ::std::vec::Vec<u8>) {{
-                let _ = buf;
-                {tagged_encode}
-            }}
-        }}
-
-        impl{impl_generics} ::weaver_codec::tagged::TaggedDecode for {this} {{
-            fn decode_tagged(
-                r: &mut ::weaver_codec::reader::Reader<'_>,
-            ) -> ::std::result::Result<Self, ::weaver_codec::error::DecodeError> {{
-                let _ = &r;
-                {tagged_decode}
-            }}
-        }}
-
-        impl{impl_generics} ::weaver_codec::tagged::TaggedValue for {this} {{
-            const WIRE: ::weaver_codec::tagged::WireType =
-                ::weaver_codec::tagged::WireType::LengthDelimited;
-
-            fn write_value(&self, buf: &mut ::std::vec::Vec<u8>) {{
-                let mut body = ::std::vec::Vec::new();
-                ::weaver_codec::tagged::TaggedEncode::encode_tagged(self, &mut body);
-                ::weaver_codec::varint::write_uvarint(buf, body.len() as u64);
-                buf.extend_from_slice(&body);
-            }}
-
-            fn read_value(
-                r: &mut ::weaver_codec::reader::Reader<'_>,
-            ) -> ::std::result::Result<Self, ::weaver_codec::error::DecodeError> {{
-                r.enter()?;
-                let len = r.read_len()?;
-                let body = r.read_bytes(len)?;
-                let mut inner = ::weaver_codec::reader::Reader::new(body);
-                let out = <Self as ::weaver_codec::tagged::TaggedDecode>::decode_tagged(&mut inner)?;
-                r.leave();
-                ::std::result::Result::Ok(out)
-            }}
-
-            fn is_default_value(&self) -> bool {{
-                // Message-typed values always use explicit presence.
-                false
-            }}
-
-            fn default_value() -> Self {{
-                ::std::default::Default::default()
-            }}
-        }}
-
-        impl{impl_generics} ::weaver_codec::json::ToJson for {this} {{
-            fn to_json(&self) -> ::weaver_codec::json::JsonValue {{
-                {to_json}
-            }}
-        }}
-
-        impl{impl_generics} ::weaver_codec::json::FromJson for {this} {{
-            fn from_json(
-                v: &::weaver_codec::json::JsonValue,
-            ) -> ::std::result::Result<Self, ::weaver_codec::error::DecodeError> {{
-                let _ = v;
-                {from_json}
-            }}
-        }}"
-    )
+    vec![
+        (
+            "::weaver_codec::json::ToJson",
+            format!("fn to_json(&self) -> ::weaver_codec::json::JsonValue {{ {to_json} }}"),
+        ),
+        (
+            "::weaver_codec::json::FromJson",
+            format!(
+                "fn from_json(
+                    v: &::weaver_codec::json::JsonValue,
+                ) -> ::std::result::Result<Self, ::weaver_codec::error::DecodeError> {{
+                    {from_json}
+                }}"
+            ),
+        ),
+    ]
 }

@@ -9,13 +9,18 @@
 //! In Rust the natural vehicle for that step is procedural macros, which run
 //! at exactly the same point in the build:
 //!
-//! * [`macro@derive(WeaverData)`](derive_weaver_data) — implements all three
-//!   wire formats for an application type: the non-versioned `Encode`/`Decode`
-//!   pair used by the prototype path, the protobuf-shaped
-//!   `TaggedEncode`/`TaggedDecode` pair used by the microservices baseline,
-//!   and `ToJson`/`FromJson` for the textual baseline. One `struct`
-//!   definition, three formats — which is what makes the codec ablation
-//!   (experiment A1) apples-to-apples.
+//! * [`macro@derive(WeaverData)`](derive_weaver_data) — implements the
+//!   paper's non-versioned `Encode`/`Decode` pair for an application type:
+//!   the one format the runtime speaks, and what every component argument
+//!   and reply needs.
+//!
+//! * [`macro@derive(TaggedData)`](derive_tagged_data) and
+//!   [`macro@derive(JsonData)`](derive_json_data) — opt-in baseline formats:
+//!   the protobuf-shaped `TaggedEncode`/`TaggedDecode` pair the gRPC-like
+//!   baseline speaks, and `ToJson`/`FromJson`. A type derives them only if
+//!   something encodes it in that format; deriving all three on one
+//!   `struct` is what makes the codec ablation (experiment A1)
+//!   apples-to-apples.
 //!
 //! * [`macro@component`] — the component interface generator. Applied to a
 //!   trait, it emits the client stub (marshal arguments, call through a
@@ -38,21 +43,42 @@ mod error;
 
 use proc_macro::TokenStream;
 
-/// Derives `Encode`, `Decode`, `TaggedEncode`, `TaggedDecode`, `TaggedValue`,
-/// `TaggedField`, `ToJson`, and `FromJson` for a struct or enum.
+/// Derives the non-versioned `Encode` and `Decode` for a struct or enum.
 ///
-/// Field order is the wire order for the non-versioned format, and field
-/// numbers for the tagged format are assigned from declaration order starting
-/// at 1 — exactly the invariants the paper's atomic rollouts let the custom
-/// format rely on.
+/// Field order is the wire order and an enum's discriminant is its
+/// variant's declaration index — exactly the invariants the paper's atomic
+/// rollouts let the custom format rely on.
 ///
-/// Requirements: named-field or tuple structs, and enums whose variants have
-/// unit, tuple, or named fields. Types used as *tagged struct fields* must
-/// also implement `Default` (derive it; enums can mark a `#[default]`
-/// variant).
+/// Accepts named-field, tuple and unit structs, and enums whose variants
+/// have unit, tuple, or named fields. Type parameters are bounded by
+/// `Encode + Decode`.
 #[proc_macro_derive(WeaverData)]
 pub fn derive_weaver_data(input: TokenStream) -> TokenStream {
-    data::expand(input).unwrap_or_else(|e| e.to_compile_error())
+    data::expand(input, data::Format::Wire).unwrap_or_else(|e| e.to_compile_error())
+}
+
+/// Derives the protobuf-shaped `TaggedEncode`, `TaggedDecode` and
+/// `TaggedValue` for a struct or enum.
+///
+/// Field numbers are assigned from declaration order starting at 1. An enum
+/// is a message of its discriminant (field 1) and its variant's fields
+/// (field 2). A field that is absent on the wire decodes to its type's
+/// default: a message-typed field to its first variant with every field at
+/// its own default, so the type needs no `Default`. Type parameters are
+/// bounded by `TaggedField`.
+#[proc_macro_derive(TaggedData)]
+pub fn derive_tagged_data(input: TokenStream) -> TokenStream {
+    data::expand(input, data::Format::Tagged).unwrap_or_else(|e| e.to_compile_error())
+}
+
+/// Derives `ToJson` and `FromJson` for a struct or enum.
+///
+/// A named struct is an object keyed by field name, a tuple struct an
+/// array; an enum variant is an object whose `$type` names it. Type
+/// parameters are bounded by `ToJson + FromJson`.
+#[proc_macro_derive(JsonData)]
+pub fn derive_json_data(input: TokenStream) -> TokenStream {
+    data::expand(input, data::Format::Json).unwrap_or_else(|e| e.to_compile_error())
 }
 
 /// Declares a trait as a component interface.

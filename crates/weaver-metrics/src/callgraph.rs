@@ -14,7 +14,7 @@ use weaver_macros::WeaverData;
 use crate::histogram::{Histogram, HistogramSnapshot};
 
 /// One directed edge in the component call graph.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, WeaverData)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, WeaverData)]
 pub struct CallEdge {
     /// Calling component name ("" for external ingress).
     pub caller: String,

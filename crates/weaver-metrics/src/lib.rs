@@ -19,8 +19,8 @@
 //! * [`sliceload`] — per-slice request accounting for routed components,
 //!   feeding the Slicer-style rebalance controller in weaver-routing.
 //!
-//! All snapshot types derive `WeaverData`, so they travel over the same wire
-//! formats as application data when proclets report load to the manager.
+//! All snapshot types derive `WeaverData`, so they travel in the same wire
+//! format as application data when proclets report load to the manager.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

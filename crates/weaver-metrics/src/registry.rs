@@ -28,12 +28,6 @@ pub enum MetricFamily {
     Histogram(HistogramSnapshot),
 }
 
-impl Default for MetricFamily {
-    fn default() -> Self {
-        MetricFamily::Counter(0)
-    }
-}
-
 /// A process-wide registry of named metrics.
 ///
 /// Names follow the convention `component/metric` (e.g.

@@ -23,7 +23,7 @@ use crate::callgraph::CallGraphSnapshot;
 ///
 /// Rates are fixed-point (`×1000`) so the signal stays wire-encodable
 /// with the integer codec, like the reactor ratio gauges.
-#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData)]
+#[derive(Debug, Clone, PartialEq, Eq, WeaverData)]
 pub struct EdgeSignal {
     /// Calling component ("" for external ingress).
     pub caller: String,

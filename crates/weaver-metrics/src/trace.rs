@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use weaver_macros::WeaverData;
 
 /// A completed span: one component method execution within a trace.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, PartialEq, WeaverData)]
 pub struct Span {
     /// Trace this span belongs to (assigned at ingress).
     pub trace_id: u64,

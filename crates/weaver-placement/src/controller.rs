@@ -35,7 +35,7 @@ pub enum ComponentPlacement {
 /// Versions bump once per applied decision, on both the planning and the
 /// replay path, so a replayed log lands on an identical (version included)
 /// state.
-#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData)]
+#[derive(Debug, Clone, PartialEq, Eq, WeaverData)]
 pub struct PlacementState {
     /// Monotonic version; bumps once per applied decision.
     pub version: u64,
@@ -86,14 +86,6 @@ pub enum PlacementDecision {
         /// Component name.
         component: String,
     },
-}
-
-impl Default for PlacementDecision {
-    fn default() -> Self {
-        PlacementDecision::Colocate {
-            component: String::new(),
-        }
-    }
 }
 
 impl PlacementDecision {

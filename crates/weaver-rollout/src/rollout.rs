@@ -29,10 +29,9 @@ impl TrafficSplit {
 }
 
 /// Rollout lifecycle phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, WeaverData)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, WeaverData)]
 pub enum RolloutPhase {
     /// Traffic is being shifted in stages.
-    #[default]
     Shifting,
     /// All traffic is on the new version; old can be torn down.
     Completed,

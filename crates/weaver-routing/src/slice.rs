@@ -13,7 +13,7 @@ use weaver_macros::WeaverData;
 /// One contiguous range of the key space: `[start, end)` assigned to a
 /// replica. `end == u64::MAX` means inclusive of `u64::MAX` (the final
 /// slice).
-#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData)]
+#[derive(Debug, Clone, PartialEq, Eq, WeaverData)]
 pub struct Slice {
     /// First key in the slice.
     pub start: u64,

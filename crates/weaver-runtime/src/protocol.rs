@@ -26,7 +26,7 @@ pub const MAX_PIPE_MESSAGE: usize = 4 << 20;
 
 /// Messages sent by the proclet to its envelope (the Table 1 API; the
 /// caller of the API is the proclet).
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, PartialEq, WeaverData)]
 pub enum ProcletMessage {
     /// "Register a proclet as alive and ready."
     RegisterReplica {
@@ -40,7 +40,6 @@ pub enum ProcletMessage {
         pid: u64,
     },
     /// "Get components a proclet should host."
-    #[default]
     ComponentsToHost,
     /// "Start a component, potentially in another process."
     StartComponent {
@@ -69,7 +68,7 @@ pub enum ProcletMessage {
 }
 
 /// Messages sent by the envelope (runtime) to the proclet.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, PartialEq, WeaverData)]
 pub enum EnvelopeMessage {
     /// Reply to `ComponentsToHost`: the registry ids to host.
     HostComponents {
@@ -80,7 +79,6 @@ pub enum EnvelopeMessage {
     /// (monotone; stale updates are ignored).
     RoutingInfo(RoutingState),
     /// Liveness probe; the proclet answers with a `LoadReport`.
-    #[default]
     HealthCheck,
     /// Ask the proclet to exit cleanly.
     Shutdown,

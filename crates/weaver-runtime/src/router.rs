@@ -814,25 +814,6 @@ impl RouteFuture for RemoteFuture {
             RemoteState::Done => Err(WeaverError::Cancelled),
         }
     }
-
-    fn wait_timeout(&mut self, timeout: Duration) -> Option<Result<Vec<u8>, WeaverError>> {
-        match &mut self.state {
-            RemoteState::Ready(_) => match std::mem::replace(&mut self.state, RemoteState::Done) {
-                RemoteState::Ready(outcome) => {
-                    self.release_admission();
-                    self.record(&outcome);
-                    Some(outcome)
-                }
-                _ => unreachable!("state checked above"),
-            },
-            RemoteState::InFlight(fut) => {
-                let outcome = fut.wait_timeout(timeout)?;
-                self.state = RemoteState::Done;
-                Some(self.conclude(outcome))
-            }
-            RemoteState::Done => Some(Err(WeaverError::Cancelled)),
-        }
-    }
 }
 
 impl Drop for RemoteFuture {

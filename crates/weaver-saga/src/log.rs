@@ -30,7 +30,7 @@ use crate::store::LogStore;
 pub const SCHEMA: u32 = 2;
 
 /// One record in the saga step log.
-#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData)]
+#[derive(Debug, Clone, PartialEq, Eq, WeaverData)]
 pub struct LogEntry {
     /// The saga this entry belongs to (logs are multiplexed: one store
     /// holds entries for many concurrent sagas).
@@ -39,12 +39,9 @@ pub struct LogEntry {
     pub kind: EntryKind,
 }
 
-/// The saga state machine, as logged transitions.
-///
-/// The default is the unit `Compensating` variant — the tagged baseline
-/// codec initializes decode slots from `Default`, and it is the cheapest
-/// placeholder.
-#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData)]
+/// The saga state machine, as logged transitions. It has no default: the
+/// log only ever decodes entries that were written.
+#[derive(Debug, Clone, PartialEq, Eq, WeaverData)]
 pub enum EntryKind {
     /// The saga began: `steps` forward steps planned, plus opaque
     /// `context` bytes recovery needs to build compensations (e.g. the
@@ -65,7 +62,6 @@ pub enum EntryKind {
         output: Vec<u8>,
     },
     /// A forward step failed; the saga is now undoing committed steps.
-    #[default]
     Compensating,
     /// The compensation for step `step` committed.
     StepCompensated {
@@ -135,26 +131,17 @@ impl PendingSaga {
 }
 
 /// v1 `Started` entries had no `context` field.
-#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData)]
+#[derive(Debug, Clone, PartialEq, Eq, WeaverData)]
 enum EntryKindV1 {
-    Started {
-        name: String,
-        steps: u32,
-    },
-    StepDone {
-        step: u32,
-        output: Vec<u8>,
-    },
-    #[default]
+    Started { name: String, steps: u32 },
+    StepDone { step: u32, output: Vec<u8> },
     Compensating,
-    StepCompensated {
-        step: u32,
-    },
+    StepCompensated { step: u32 },
     Completed,
     Compensated,
 }
 
-#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData)]
+#[derive(Debug, Clone, PartialEq, Eq, WeaverData)]
 struct LogEntryV1 {
     saga_id: String,
     kind: EntryKindV1,

@@ -379,26 +379,6 @@ impl<F: Framing> CallFuture<F> {
             None => self.conn.abandon(self.stream),
         }
     }
-
-    /// Waits up to `timeout` *without* giving up on the call: `None` means
-    /// the call is still in flight (the caller may hedge — issue a second
-    /// attempt elsewhere — and come back), `Some` is the final outcome.
-    pub fn wait_timeout(
-        &mut self,
-        timeout: Duration,
-    ) -> Option<Result<ResponseBody, TransportError>> {
-        if self.done {
-            return Some(Err(TransportError::Cancelled));
-        }
-        if let Err(refused) = refuse_blocking_on_reactor() {
-            // Not marked `done`, so dropping the future abandons the stream.
-            return Some(Err(refused));
-        }
-        let outcome = self.rx.wait(Some(timeout));
-        // Filled means the sender has left the pending map: nothing to clean.
-        self.done = outcome.is_some();
-        outcome
-    }
 }
 
 impl<F: Framing> Drop for CallFuture<F> {
@@ -453,19 +433,6 @@ mod tests {
         assert!(rx.wait(Some(Duration::ZERO)).is_none());
         drop(tx);
         assert_eq!(rx.wait(None), Some(Err(TransportError::ConnectionClosed)));
-    }
-
-    #[test]
-    fn wait_timeout_comes_back_empty_then_returns_the_reply() {
-        let (conn, mut peer) = wired();
-        let mut call = Connection::call_begin(&conn, &RequestHeader::default(), &[]).unwrap();
-        let stream = read_stream(&mut peer);
-        assert!(call.wait_timeout(Duration::from_millis(20)).is_none());
-        assert_eq!(conn.in_flight(), 1, "an empty poll keeps the call");
-        reply(&mut peer, stream, b"late");
-        let body = call.wait_timeout(LONG).expect("the reply arrived").unwrap();
-        assert_eq!(&*body.payload, b"late");
-        assert_eq!(conn.in_flight(), 0);
     }
 
     #[test]

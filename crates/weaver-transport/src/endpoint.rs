@@ -30,8 +30,6 @@ use std::os::unix::net::{SocketAddr as UnixAddr, UnixListener, UnixStream};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use weaver_codec::json::{FromJson, JsonValue, ToJson};
-use weaver_codec::tagged::{TaggedValue, WireType};
 use weaver_codec::varint::write_uvarint;
 use weaver_codec::{Decode, DecodeError, Encode, Reader};
 
@@ -285,39 +283,6 @@ impl Decode for Endpoint {
     }
 }
 
-/// The wire layout, length-delimited.
-impl TaggedValue for Endpoint {
-    const WIRE: WireType = WireType::LengthDelimited;
-    fn write_value(&self, buf: &mut Vec<u8>) {
-        let bytes = weaver_codec::encode_to_vec(self);
-        write_uvarint(buf, bytes.len() as u64);
-        buf.extend_from_slice(&bytes);
-    }
-    fn read_value(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let len = r.read_len()?;
-        weaver_codec::decode_from_slice(r.read_bytes(len)?)
-    }
-    fn is_default_value(&self) -> bool {
-        false
-    }
-    fn default_value() -> Self {
-        Endpoint::Tcp(SocketAddr::from(([0, 0, 0, 0], 0)))
-    }
-}
-
-/// The text form, as a JSON string.
-impl ToJson for Endpoint {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::String(self.to_string())
-    }
-}
-
-impl FromJson for Endpoint {
-    fn from_json(v: &JsonValue) -> Result<Self, DecodeError> {
-        v.as_str()?.parse()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,8 +357,6 @@ mod tests {
             decode_from_slice::<Endpoint>(&[UNIX_TAG, 1, 0xff]),
             Err(DecodeError::InvalidUtf8)
         );
-        assert!(Endpoint::from_json(&JsonValue::String("unix:".into())).is_err());
-        assert!(Endpoint::from_json(&JsonValue::Null).is_err());
     }
 
     #[test]

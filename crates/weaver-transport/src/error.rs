@@ -13,8 +13,6 @@ pub enum TransportError {
     Protocol(String),
     /// The call did not complete before its deadline.
     DeadlineExceeded,
-    /// The call was cancelled by the caller.
-    Cancelled,
     /// The connection was shut down while calls were in flight.
     ConnectionClosed,
     /// No connection could be established to the target address.
@@ -27,7 +25,6 @@ impl fmt::Display for TransportError {
             TransportError::Io(e) => write!(f, "transport I/O error: {e}"),
             TransportError::Protocol(e) => write!(f, "protocol error: {e}"),
             TransportError::DeadlineExceeded => write!(f, "deadline exceeded"),
-            TransportError::Cancelled => write!(f, "call cancelled"),
             TransportError::ConnectionClosed => write!(f, "connection closed"),
             TransportError::Unreachable(addr) => write!(f, "unreachable: {addr}"),
         }

@@ -133,7 +133,7 @@ impl InprocNetwork {
         timeout: Option<Duration>,
     ) -> InprocFuture {
         InprocFuture {
-            outcome: Some(self.call(name, header, args, timeout)),
+            outcome: self.call(name, header, args, timeout),
         }
     }
 
@@ -148,22 +148,13 @@ impl InprocNetwork {
 /// An already-resolved call started with [`InprocNetwork::call_begin`].
 #[must_use = "a call future does nothing unless waited"]
 pub struct InprocFuture {
-    outcome: Option<Result<ResponseBody, TransportError>>,
+    outcome: Result<ResponseBody, TransportError>,
 }
 
 impl InprocFuture {
     /// Returns the call's outcome.
-    pub fn wait(mut self) -> Result<ResponseBody, TransportError> {
-        self.outcome.take().expect("inproc future waited once")
-    }
-
-    /// Deadline-shaped wait: inproc calls resolve at begin time, so this
-    /// always returns `Some` on first use.
-    pub fn wait_timeout(
-        &mut self,
-        _timeout: Duration,
-    ) -> Option<Result<ResponseBody, TransportError>> {
-        self.outcome.take()
+    pub fn wait(self) -> Result<ResponseBody, TransportError> {
+        self.outcome
     }
 }
 
@@ -272,11 +263,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut fut = net.call_begin("a", &RequestHeader::default(), &[], None);
-        assert_eq!(
-            fut.wait_timeout(Duration::ZERO),
-            Some(Err(TransportError::ConnectionClosed))
-        );
+        let fut = net.call_begin("a", &RequestHeader::default(), &[], None);
+        assert_eq!(fut.wait(), Err(TransportError::ConnectionClosed));
     }
 
     #[test]

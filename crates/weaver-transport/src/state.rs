@@ -16,7 +16,7 @@ use weaver_macros::WeaverData;
 /// One routed entry being handed off: the 64-bit routing hash of its key
 /// plus an opaque component-encoded payload (the component alone knows how
 /// to rebuild its state from it).
-#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData)]
+#[derive(Debug, Clone, PartialEq, Eq, WeaverData)]
 pub struct StateEntry {
     /// `routing_key` hash of the entry's key.
     pub key_hash: u64,
@@ -26,7 +26,7 @@ pub struct StateEntry {
 
 /// A component's state for one key range, in transit from the old owner to
 /// the new one.
-#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData)]
+#[derive(Debug, Clone, PartialEq, Eq, WeaverData)]
 pub struct StateBlob {
     /// Component id the state belongs to.
     pub component: u32,

@@ -222,23 +222,3 @@ fn call_begin_on_dead_connection_fails_eagerly() {
     }
     assert_eq!(conn.in_flight(), 0);
 }
-
-#[test]
-fn wait_timeout_polls_without_abandoning() {
-    let server =
-        Server::<WeaverFraming>::bind("127.0.0.1:0", 4, sleepy(Duration::from_millis(120)))
-            .unwrap();
-    let conn = Arc::new(Connection::<WeaverFraming>::connect(server.local_addr()).unwrap());
-    let mut fut = Connection::call_begin(&conn, &RequestHeader::default(), &[7]).unwrap();
-
-    // Hedging shape: a short poll comes back empty-handed, the call stays
-    // in flight, and a later wait still gets the reply.
-    assert!(fut.wait_timeout(Duration::from_millis(20)).is_none());
-    assert_eq!(conn.in_flight(), 1, "polling must not cancel the call");
-    let resp = fut
-        .wait_timeout(Duration::from_secs(5))
-        .expect("resolves on second poll")
-        .unwrap();
-    assert_eq!(resp.payload, vec![7]);
-    assert_eq!(conn.in_flight(), 0);
-}

@@ -5,9 +5,7 @@ use std::io::Cursor;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr};
 
 use proptest::prelude::*;
-use weaver_codec::json::{FromJson, ToJson};
-use weaver_codec::tagged::TaggedValue;
-use weaver_codec::{decode_from_slice, encode_to_vec, Reader};
+use weaver_codec::{decode_from_slice, encode_to_vec};
 use weaver_transport::{
     BufferPool, Endpoint, Framing, GrpcLikeFraming, Message, RequestHeader, ResponseBody, Status,
     WeaverFraming,
@@ -83,10 +81,6 @@ proptest! {
     fn endpoint_roundtrips_every_form(endpoint in arbitrary_endpoint()) {
         prop_assert_eq!(endpoint.to_string().parse::<Endpoint>(), Ok(endpoint));
         prop_assert_eq!(decode_from_slice::<Endpoint>(&encode_to_vec(&endpoint)), Ok(endpoint));
-        let mut tagged = Vec::new();
-        endpoint.write_value(&mut tagged);
-        prop_assert_eq!(Endpoint::read_value(&mut Reader::new(&tagged)), Ok(endpoint));
-        prop_assert_eq!(Endpoint::from_json(&endpoint.to_json()), Ok(endpoint));
     }
 
     #[test]
@@ -95,7 +89,6 @@ proptest! {
         text in ".{0,48}",
     ) {
         let _ = decode_from_slice::<Endpoint>(&bytes);
-        let _ = Endpoint::read_value(&mut Reader::new(&bytes));
         let _ = text.parse::<Endpoint>();
     }
 

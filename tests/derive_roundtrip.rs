@@ -1,14 +1,16 @@
-//! Exercises the `#[derive(WeaverData)]` code generator across the full
-//! shape space — named structs, tuple structs, unit/tuple/struct enum
-//! variants, generics, nesting — on all three wire formats.
+//! Exercises the data derives across the full shape space — named structs,
+//! tuple structs, unit/tuple/struct enum variants, generics, nesting. Types
+//! deriving `WeaverData`, `TaggedData` and `JsonData` round-trip through all
+//! three formats; a wire-only type needs neither `Default` nor the other two.
 
 use proptest::prelude::*;
 use weaver_codec::json::{FromJson, ToJson};
 use weaver_codec::prelude::*;
 use weaver_codec::tagged;
-use weaver_macros::WeaverData;
+use weaver_macros::{JsonData, TaggedData, WeaverData};
+use weaver_transport::Endpoint;
 
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, WeaverData, TaggedData, JsonData)]
 struct Named {
     id: u64,
     label: String,
@@ -16,12 +18,11 @@ struct Named {
     maybe: Option<String>,
 }
 
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, WeaverData, TaggedData, JsonData)]
 struct Pair(u32, String);
 
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, PartialEq, WeaverData, TaggedData, JsonData)]
 enum Shape {
-    #[default]
     Empty,
     Dot(u64),
     Line(u64, u64),
@@ -31,13 +32,13 @@ enum Shape {
     },
 }
 
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, PartialEq, WeaverData, TaggedData, JsonData)]
 struct Wrapper<T> {
     inner: T,
     tag: String,
 }
 
-#[derive(Debug, Clone, Default, PartialEq, WeaverData)]
+#[derive(Debug, Clone, Default, PartialEq, WeaverData, TaggedData, JsonData)]
 struct Deep {
     named: Named,
     pair: Pair,
@@ -134,6 +135,48 @@ fn wire_enum_discriminants_are_declaration_order() {
         decode_from_slice::<Shape>(&bad),
         Err(weaver_codec::DecodeError::UnknownVariant { .. })
     ));
+}
+
+/// Wire only: an enum with no `Default`, and a struct holding an
+/// `Endpoint`, which has the wire codec and no other.
+#[derive(Debug, Clone, PartialEq, WeaverData)]
+enum Route {
+    Down,
+    Up { weight: u32 },
+    Via(Box<Hop>),
+}
+
+#[derive(Debug, Clone, PartialEq, WeaverData)]
+struct Hop {
+    at: Endpoint,
+    route: Route,
+}
+
+#[test]
+fn wire_only_types_roundtrip_without_default() {
+    let tcp = Endpoint::Tcp("127.0.0.1:4000".parse().unwrap());
+    let unix = Endpoint::unix("weaver-hop").unwrap();
+    let hops = [
+        Hop {
+            at: tcp,
+            route: Route::Down,
+        },
+        Hop {
+            at: unix,
+            route: Route::Up { weight: 3 },
+        },
+        Hop {
+            at: tcp,
+            route: Route::Via(Box::new(Hop {
+                at: unix,
+                route: Route::Down,
+            })),
+        },
+    ];
+    for hop in hops {
+        let back: Hop = decode_from_slice(&encode_to_vec(&hop)).expect("wire decode");
+        assert_eq!(back, hop);
+    }
 }
 
 #[test]
