@@ -89,7 +89,7 @@ impl WeaverError {
         }
     }
 
-    /// True when retrying on another replica could plausibly succeed.
+    /// True when a retry could plausibly succeed.
     ///
     /// Application errors, codec errors and version mismatches are
     /// deterministic — retrying them only amplifies load.

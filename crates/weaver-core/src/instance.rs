@@ -115,14 +115,6 @@ impl LiveComponents {
         out
     }
 
-    /// Returns the instance for `id` if it is already running.
-    pub fn get_if_running(&self, id: u32) -> Option<ErasedInstance> {
-        match self.slots.lock().get(&id) {
-            Some(Slot::Ready(instance)) => Some(instance.clone()),
-            _ => None,
-        }
-    }
-
     /// True when component `id` is already running and is a leaf (its
     /// `init` acquired no component reference). False while it is starting,
     /// failed or awaiting a restart, so a caller that must not block never
@@ -430,9 +422,7 @@ mod tests {
         };
         let echo_id = reg.id_of("test.Echo").unwrap();
         live.get_or_start(echo_id, &getter).unwrap();
-        assert!(live.get_if_running(echo_id).is_some());
         live.restart(echo_id);
-        assert!(live.get_if_running(echo_id).is_none());
         live.get_or_start(echo_id, &getter).unwrap();
         assert_eq!(ECHO_INITS.load(Ordering::SeqCst), 2);
     }

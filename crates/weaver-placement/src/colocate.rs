@@ -133,32 +133,6 @@ pub fn colocate(graph: &CallGraphSnapshot, config: &ColocationConfig) -> Vec<Vec
     out
 }
 
-/// Estimates the cross-group network traffic a grouping leaves on the wire
-/// (lower is better; the all-in-one-group answer is 0).
-pub fn residual_traffic(graph: &CallGraphSnapshot, groups: &[Vec<String>]) -> u64 {
-    let mut group_of: HashMap<&str, usize> = HashMap::new();
-    for (gi, group) in groups.iter().enumerate() {
-        for name in group {
-            group_of.insert(name.as_str(), gi);
-        }
-    }
-    graph
-        .edges
-        .iter()
-        .filter(|(e, _)| {
-            match (
-                group_of.get(e.caller.as_str()),
-                group_of.get(e.callee.as_str()),
-            ) {
-                (Some(a), Some(b)) => a != b,
-                // Ingress edges always cross the boundary.
-                _ => true,
-            }
-        })
-        .map(|(_, s)| s.total_bytes() + s.calls * 64)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,23 +216,6 @@ mod tests {
         let snap = graph(&[("z", "y", 500), ("a", "b", 500), ("m", "n", 500)]);
         let config = ColocationConfig::default();
         assert_eq!(colocate(&snap, &config), colocate(&snap, &config));
-    }
-
-    #[test]
-    fn residual_traffic_decreases_with_grouping() {
-        let snap = graph(&[("a", "b", 10_000), ("b", "c", 10_000)]);
-        let singletons: Vec<Vec<String>> =
-            vec![vec!["a".into()], vec!["b".into()], vec!["c".into()]];
-        let merged: Vec<Vec<String>> = vec![vec!["a".into(), "b".into(), "c".into()]];
-        assert!(residual_traffic(&snap, &merged) < residual_traffic(&snap, &singletons));
-        assert_eq!(residual_traffic(&snap, &merged), 0);
-    }
-
-    #[test]
-    fn ingress_edges_always_residual() {
-        let snap = graph(&[("", "frontend", 1000)]);
-        let groups: Vec<Vec<String>> = vec![vec!["frontend".into()]];
-        assert!(residual_traffic(&snap, &groups) > 0);
     }
 
     #[test]

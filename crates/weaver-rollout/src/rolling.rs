@@ -99,11 +99,6 @@ impl RollingUpdate {
         1.0 - (all_new + all_old)
     }
 
-    /// Total replicas across tiers.
-    pub fn total_replicas(&self) -> u32 {
-        self.tiers.iter().map(|t| t.replicas).sum()
-    }
-
     /// Replicas upgraded so far.
     pub fn total_upgraded(&self) -> u32 {
         self.tiers.iter().map(|t| t.upgraded).sum()
@@ -124,7 +119,7 @@ mod tests {
         }
         assert_eq!(steps, 5);
         assert!(ru.done());
-        assert_eq!(ru.total_upgraded(), ru.total_replicas());
+        assert_eq!(ru.total_upgraded(), 5);
     }
 
     #[test]

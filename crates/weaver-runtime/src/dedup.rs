@@ -15,24 +15,23 @@
 //!   failures — version mismatch, unknown component, injected faults —
 //!   are never cached: the method did not run, so a retry must run it.
 //! * The cache is bounded **per (component, method)**: each method keeps
-//!   at most [`DedupCache::capacity`] entries and evicts the oldest
-//!   recorded key first (insertion-order FIFO). One chatty method cannot
-//!   evict another method's in-flight retry window.
-//! * All replicas of a process share one cache (see `TcpProcess`), so a
-//!   retry that lands on a different replica than the first attempt still
-//!   finds the recorded response.
+//!   at most 1024 entries and evicts the oldest recorded key first
+//!   (insertion-order FIFO). One chatty method cannot evict another
+//!   method's in-flight retry window.
+//! * Each server owns its cache; nothing shares one across replicas. That
+//!   is enough because a retry that may replay goes back to the replica
+//!   that may have run the first attempt (see `crate::router`).
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
 use weaver_transport::{RequestHeader, ResponseBody, Status, WireBuf};
 
-/// Default per-(component, method) entry bound. Sized for a retry window,
-/// not a history: a key only needs to survive until the client's single
-/// retry arrives.
-pub const DEFAULT_DEDUP_CAPACITY: usize = 1024;
+/// Per-(component, method) entry bound. Sized for a retry window, not a
+/// history: a key only needs to survive until the client's single retry
+/// arrives.
+const CAPACITY: usize = 1024;
 
 /// One method's recorded responses plus FIFO eviction order.
 #[derive(Default)]
@@ -45,36 +44,20 @@ struct MethodCache {
 
 /// Bounded per-(component, method) cache of completed responses, keyed by
 /// the request's idempotency key.
+///
+/// On a cache line of its own: a dispatcher holds it by value, and the lock
+/// word, written by every keyed call, must not share a line with the
+/// fields every call only reads.
+#[derive(Default)]
+#[repr(align(64))]
 pub struct DedupCache {
     methods: Mutex<HashMap<(u32, u32), MethodCache>>,
-    capacity: usize,
-    hits: AtomicU64,
-}
-
-impl Default for DedupCache {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl DedupCache {
-    /// A cache with the default per-method bound.
+    /// An empty cache.
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_DEDUP_CAPACITY)
-    }
-
-    /// A cache keeping at most `capacity` entries per (component, method).
-    pub fn with_capacity(capacity: usize) -> Self {
-        DedupCache {
-            methods: Mutex::new(HashMap::new()),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-        }
-    }
-
-    /// Per-(component, method) entry bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        Self::default()
     }
 
     /// Replays the recorded response for `header`'s idempotency key, if the
@@ -86,7 +69,6 @@ impl DedupCache {
             .get(&(header.component, header.method))?
             .entries
             .get(&key)?;
-        self.hits.fetch_add(1, Ordering::Relaxed);
         Some(ResponseBody {
             status: *status,
             payload: WireBuf::from_vec(payload.clone()),
@@ -110,17 +92,12 @@ impl DedupCache {
             .is_none()
         {
             method.order.push_back(key);
-            while method.order.len() > self.capacity {
+            while method.order.len() > CAPACITY {
                 if let Some(oldest) = method.order.pop_front() {
                     method.entries.remove(&oldest);
                 }
             }
         }
-    }
-
-    /// Replays served since construction (observability + tests).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
     }
 
     /// Total recorded entries across all methods.
@@ -158,7 +135,6 @@ mod tests {
         let replayed = cache.replay(&header(0, 0, Some(7))).unwrap();
         assert_eq!(replayed.status, Status::Ok);
         assert_eq!(&replayed.payload[..], &[42]);
-        assert_eq!(cache.hits(), 1);
     }
 
     #[test]
@@ -179,31 +155,42 @@ mod tests {
         assert!(cache.replay(&header(0, 0, None)).is_none());
     }
 
+    /// Records keys `from..from + n` of method (0, 0).
+    fn fill(cache: &DedupCache, from: u64, n: usize) {
+        for key in from..from + n as u64 {
+            cache.record(&header(0, 0, Some(key)), &ok_body(key as u8));
+        }
+    }
+
     #[test]
     fn eviction_is_fifo_and_per_method() {
-        let cache = DedupCache::with_capacity(2);
-        cache.record(&header(0, 0, Some(1)), &ok_body(1));
-        cache.record(&header(0, 0, Some(2)), &ok_body(2));
-        cache.record(&header(0, 0, Some(3)), &ok_body(3));
+        let cache = DedupCache::new();
+        fill(&cache, 1, CAPACITY + 1);
         // Oldest key of the full method evicted...
         assert!(cache.replay(&header(0, 0, Some(1))).is_none());
         assert!(cache.replay(&header(0, 0, Some(2))).is_some());
-        assert!(cache.replay(&header(0, 0, Some(3))).is_some());
+        assert!(cache
+            .replay(&header(0, 0, Some(CAPACITY as u64 + 1)))
+            .is_some());
         // ...but another method's entries are untouched by that pressure.
         cache.record(&header(0, 1, Some(9)), &ok_body(9));
-        cache.record(&header(0, 0, Some(4)), &ok_body(4));
+        fill(&cache, CAPACITY as u64 + 2, 1);
         assert!(cache.replay(&header(0, 1, Some(9))).is_some());
     }
 
     #[test]
     fn re_recording_same_key_does_not_grow_order() {
-        let cache = DedupCache::with_capacity(2);
+        let cache = DedupCache::new();
         for _ in 0..10 {
-            cache.record(&header(0, 0, Some(5)), &ok_body(5));
+            cache.record(&header(0, 0, Some(0)), &ok_body(0));
         }
-        cache.record(&header(0, 0, Some(6)), &ok_body(6));
-        assert!(cache.replay(&header(0, 0, Some(5))).is_some());
-        assert!(cache.replay(&header(0, 0, Some(6))).is_some());
-        assert_eq!(cache.entries(), 2);
+        // Had each repeat taken a place in the order, filling the rest of
+        // the bound would evict the key.
+        fill(&cache, 1, CAPACITY - 1);
+        assert!(cache.replay(&header(0, 0, Some(0))).is_some());
+        assert!(cache
+            .replay(&header(0, 0, Some(CAPACITY as u64 - 1)))
+            .is_some());
+        assert_eq!(cache.entries(), CAPACITY);
     }
 }

@@ -26,7 +26,6 @@ use weaver_core::registry::ComponentRegistry;
 use weaver_metrics::{CallGraph, MetricsRegistry};
 use weaver_transport::{Endpoint, Server, WeaverFraming};
 
-use crate::dedup::DedupCache;
 use crate::dispatch::ProcletDispatcher;
 use crate::protocol::{read_message, write_message, EnvelopeMessage, ProcletMessage};
 use crate::router::{RemoteRouter, RoutingTable};
@@ -170,7 +169,6 @@ fn proclet_main(
         Arc::clone(&getter) as Arc<dyn ComponentGetter>,
         version,
         Arc::clone(&metrics),
-        Arc::new(DedupCache::new()),
         Arc::default(),
     ));
     let busy = dispatcher.busy_tracker();

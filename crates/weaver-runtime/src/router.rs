@@ -7,9 +7,11 @@
 //! load accounting and the migration gate.
 //!
 //! Every router call is keyed: each request carries a fresh idempotency
-//! key, so an unrouted call that fails retryably gets one retry on another
-//! replica even after its bytes hit the wire — the callee's dedup cache
-//! replays an attempt that already ran.
+//! key, and an unrouted call that fails retryably gets one retry. A request
+//! that may have run is re-sent only where it may have run: after its bytes
+//! hit the wire the retry goes back to the same replica, whose dedup cache
+//! replays an attempt that already ran. One that cannot have run (it failed
+//! before reaching the wire) goes to another replica whenever there is one.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -131,12 +133,15 @@ impl RoutingTable {
         true
     }
 
-    /// Resolves the endpoint for one call.
+    /// Resolves the endpoint for one call. An unrouted call never lands on
+    /// replica `avoid` (the one its first attempt failed to reach) while
+    /// there is another.
     fn pick(
         &self,
         component: u32,
         routing: Option<u64>,
         balancer: &PowerOfTwo,
+        avoid: Option<usize>,
     ) -> Result<(Endpoint, usize), WeaverError> {
         let state = self.state.read();
         let replicas = state
@@ -169,7 +174,10 @@ impl RoutingTable {
                     None => (key % replicas.len() as u64) as usize,
                 }
             }
-            None => balancer.pick(replicas.len()).unwrap_or(0),
+            None => match balancer.pick(replicas.len()).unwrap_or(0) {
+                index if Some(index) == avoid => (index + 1) % replicas.len(),
+                index => index,
+            },
         };
         // Never index unchecked on the call path: a balancer or assignment
         // bug must surface as a routable error, not a proclet panic.
@@ -591,8 +599,9 @@ pub(crate) fn body_to_outcome(body: ResponseBody) -> Result<Vec<u8>, WeaverError
 }
 
 enum RemoteState {
-    /// The request is on the wire; the transport future resolves it.
-    InFlight(CallFuture<WeaverFraming>),
+    /// The request is on the wire to this endpoint; the transport future
+    /// resolves it.
+    InFlight(CallFuture<WeaverFraming>, Endpoint),
     /// Resolved at begin time (pick failure, dead pool, unretryable dial
     /// error). Recorded when the caller gathers, like any other outcome.
     Ready(Result<Vec<u8>, WeaverError>),
@@ -614,7 +623,6 @@ struct RemoteFuture {
     state: RemoteState,
     /// Replica index charged on the balancer, released exactly once.
     active_replica: Option<usize>,
-    active_endpoint: Option<Endpoint>,
     /// Whether the call holds an in-flight registration on the migration
     /// gate (under `component`/`routing`), released exactly once.
     admitted: bool,
@@ -646,7 +654,6 @@ impl RemoteFuture {
             call,
             state: RemoteState::Done,
             active_replica: None,
-            active_endpoint: None,
             admitted: false,
             local: false,
             retried: false,
@@ -673,18 +680,20 @@ impl RemoteFuture {
             fut.state = RemoteState::Ready(body_to_outcome(body));
             return fut;
         }
-        fut.launch();
+        fut.launch(None);
         fut
     }
 
-    /// Picks a replica and puts the request in flight. Retryable begin-time
-    /// failures relaunch once through [`RemoteFuture::may_retry`].
-    fn launch(&mut self) {
+    /// Picks a replica other than `avoid` (while there is another) and puts
+    /// the request in flight. A retryable begin-time failure relaunches
+    /// once through [`RemoteFuture::may_retry`], avoiding the replica that
+    /// failed: the request never reached the wire, so it may go anywhere.
+    fn launch(&mut self, avoid: Option<usize>) {
         let (endpoint, replica) =
             match self
                 .inner
                 .table
-                .pick(self.component, self.routing, &self.inner.balancer)
+                .pick(self.component, self.routing, &self.inner.balancer, avoid)
             {
                 Ok(x) => x,
                 Err(e) => {
@@ -694,20 +703,18 @@ impl RemoteFuture {
             };
         self.inner.balancer.on_start(replica);
         self.active_replica = Some(replica);
-        self.active_endpoint = Some(endpoint);
         match self
             .inner
             .pool
             .call_begin(endpoint, &self.header, &self.args)
         {
-            Ok(fut) => self.state = RemoteState::InFlight(fut),
+            Ok(fut) => self.state = RemoteState::InFlight(fut, endpoint),
             Err(e) => {
                 self.release_balancer();
                 let e = WeaverError::from(e);
                 if self.may_retry(&e) {
-                    self.inner.pool.evict(endpoint);
                     self.header.attempt += 1;
-                    self.launch();
+                    self.launch(Some(replica));
                 } else {
                     self.state = RemoteState::Ready(Err(e));
                 }
@@ -715,15 +722,15 @@ impl RemoteFuture {
         }
     }
 
-    /// Whether `e` warrants the single move-to-another-replica retry.
-    /// Routed calls are not retried elsewhere — affinity means another
-    /// replica is a cache miss at best.
+    /// Whether `e` warrants the call's single retry. Routed calls are not
+    /// retried — affinity means another replica is a cache miss at best.
     ///
     /// Every router call is keyed, so both failure points retry. A
-    /// begin-time failure (the request never hit the wire) is plainly safe.
-    /// A post-write failure is *ambiguous* — the callee may have executed —
-    /// and the callee's dedup cache replays the keyed first attempt
-    /// instead of re-executing, so a non-idempotent method cannot run twice.
+    /// begin-time failure (the request never hit the wire) is plainly safe
+    /// and may move. A post-write failure is *ambiguous* — the callee may
+    /// have executed — so the retry goes back to that replica, whose dedup
+    /// cache replays the keyed first attempt instead of re-executing: a
+    /// non-idempotent method cannot run twice.
     fn may_retry(&mut self, e: &WeaverError) -> bool {
         if !e.is_retryable() || self.routing.is_some() || self.retried {
             return false;
@@ -748,50 +755,36 @@ impl RemoteFuture {
         self.deadline.saturating_duration_since(Instant::now())
     }
 
-    /// Turns the transport outcome of the in-flight attempt into the call's
-    /// final outcome, running the blocking retry if warranted, and records
+    /// Turns the transport outcome of the attempt in flight to `endpoint`
+    /// into the call's final outcome, re-sending if warranted, and records
     /// the edge + latency exactly once.
+    ///
+    /// The re-send is synchronous (by the time the caller gathers a failed
+    /// future there is nothing left to overlap with) and goes to `endpoint`
+    /// only, with the same key and a bumped attempt, so the replica that
+    /// may have run the first attempt replays it. If that replica refuses
+    /// the reconnect, the error surfaces; the retry does not move.
     fn conclude(
         &mut self,
         outcome: Result<ResponseBody, weaver_transport::TransportError>,
+        endpoint: Endpoint,
     ) -> Result<Vec<u8>, WeaverError> {
         self.release_balancer();
         let outcome = match outcome.map_err(WeaverError::from) {
             Ok(body) => body_to_outcome(body),
             Err(e) if self.may_retry(&e) => {
-                if let Some(endpoint) = self.active_endpoint.take() {
-                    self.inner.pool.evict(endpoint);
-                }
-                // Same header, same key, bumped attempt: the callee can
-                // dedup the ambiguous first attempt.
                 self.header.attempt += 1;
-                self.retry_blocking()
+                self.inner
+                    .pool
+                    .call(endpoint, &self.header, &self.args, Some(self.remaining()))
+                    .map_err(WeaverError::from)
+                    .and_then(body_to_outcome)
             }
             Err(e) => Err(e),
         };
         self.release_admission();
         self.record(&outcome);
         outcome
-    }
-
-    /// The second attempt, synchronous: by the time the caller gathers a
-    /// failed future there is nothing left to overlap with.
-    fn retry_blocking(&mut self) -> Result<Vec<u8>, WeaverError> {
-        let (endpoint, replica) =
-            self.inner
-                .table
-                .pick(self.component, self.routing, &self.inner.balancer)?;
-        self.inner.balancer.on_start(replica);
-        self.active_replica = Some(replica);
-        let outcome =
-            self.inner
-                .pool
-                .call(endpoint, &self.header, &self.args, Some(self.remaining()));
-        self.release_balancer();
-        match outcome.map_err(WeaverError::from) {
-            Ok(body) => body_to_outcome(body),
-            Err(e) => Err(e),
-        }
     }
 
     fn record(&self, outcome: &Result<Vec<u8>, WeaverError>) {
@@ -807,9 +800,9 @@ impl RouteFuture for RemoteFuture {
                 self.record(&outcome);
                 outcome
             }
-            RemoteState::InFlight(fut) => {
+            RemoteState::InFlight(fut, endpoint) => {
                 let timeout = self.remaining();
-                self.conclude(fut.wait(Some(timeout)))
+                self.conclude(fut.wait(Some(timeout)), endpoint)
             }
             RemoteState::Done => Err(WeaverError::Cancelled),
         }
@@ -911,10 +904,22 @@ mod tests {
         let balancer = PowerOfTwo::new(8);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..100 {
-            let (a, _) = table.pick(0, None, &balancer).unwrap();
+            let (a, _) = table.pick(0, None, &balancer, None).unwrap();
             seen.insert(a);
         }
         assert!(seen.len() >= 2, "picks never spread: {seen:?}");
+    }
+
+    #[test]
+    fn unrouted_pick_avoids_the_failed_replica_while_there_is_another() {
+        let balancer = PowerOfTwo::new(8);
+        let table = table_with(0, &[1001, 1002, 1003]);
+        for _ in 0..100 {
+            let (_, index) = table.pick(0, None, &balancer, Some(1)).unwrap();
+            assert_ne!(index, 1);
+        }
+        let single = table_with(0, &[1001]);
+        assert_eq!(single.pick(0, None, &balancer, Some(0)).unwrap().1, 0);
     }
 
     #[test]
@@ -934,9 +939,9 @@ mod tests {
         }
         let balancer = PowerOfTwo::new(8);
         for key in [1u64, 99, u64::MAX / 7] {
-            let (first, _) = table.pick(0, Some(key), &balancer).unwrap();
+            let (first, _) = table.pick(0, Some(key), &balancer, None).unwrap();
             for _ in 0..10 {
-                let (again, _) = table.pick(0, Some(key), &balancer).unwrap();
+                let (again, _) = table.pick(0, Some(key), &balancer, None).unwrap();
                 assert_eq!(first, again, "routing key {key} moved");
             }
         }
@@ -947,7 +952,7 @@ mod tests {
         let table = table_with(0, &[1001]);
         let balancer = PowerOfTwo::new(8);
         assert!(matches!(
-            table.pick(7, None, &balancer),
+            table.pick(7, None, &balancer, None),
             Err(WeaverError::Unavailable { .. })
         ));
     }
@@ -967,7 +972,7 @@ mod tests {
         }
         let balancer = PowerOfTwo::new(8);
         for _ in 0..5 {
-            table.pick(0, Some(42), &balancer).unwrap();
+            table.pick(0, Some(42), &balancer, None).unwrap();
         }
         let report = table.slice_load(0).expect("load recorded");
         assert_eq!(report.total(), 5);

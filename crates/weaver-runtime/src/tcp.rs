@@ -12,10 +12,11 @@
 //! rather than sampled.
 //!
 //! Every replica server runs the one [`ProcletDispatcher`], sharing one
-//! fault map and one dedup cache: [`ComponentFault`]s are admitted exactly
-//! as in [`crate::SingleProcess`] (version backstop first, then the fault, then
+//! fault map: [`ComponentFault`]s are admitted exactly as in
+//! [`crate::SingleProcess`] (version backstop first, then the fault, then
 //! dedup replay), and [`TcpProcess::crash_component`] restarts instances on
-//! every replica. Additionally, the deployer can wrap every dialed client
+//! every replica. Each replica keeps its own dedup cache, as a proclet does,
+//! so this deployer is no stronger than the one it stands in for. Additionally, the deployer can wrap every dialed client
 //! socket in a [`weaver_transport::fault::FaultStream`], injecting seeded
 //! transport-level faults (delay, corrupt, duplicate, truncate, sever)
 //! underneath the connection machinery.
@@ -49,7 +50,6 @@ use weaver_transport::fault::{FaultInjector, FaultSpec, FaultStream};
 use weaver_transport::{Connection, Pool, RequestHeader, RpcHandler, Server, WeaverFraming};
 
 use crate::control::{self, Command, ControlPlane, Event, MigratedRange, Migration, ReplicaHost};
-use crate::dedup::DedupCache;
 use crate::dispatch::{FaultMap, ProcletDispatcher};
 use crate::router::{body_to_outcome, next_idempotency_key, RemoteRouter, RoutingTable, Scope};
 use crate::single::{ComponentFault, FaultInjectable};
@@ -176,6 +176,8 @@ pub struct TcpProcess {
     /// handoffs must not be subject to the chaos the data plane is under
     /// (a failed handoff aborts the migration; it must not corrupt it).
     migration_pool: Pool<WeaverFraming>,
+    /// Shared by every replica: a fault is injected on a component, not on
+    /// a replica of it.
     faults: Arc<FaultMap>,
     /// One injector per dialed connection, in dial order (empty unless
     /// [`TcpOptions::fault_spec`] was set).
@@ -235,12 +237,6 @@ impl TcpProcess {
             "tcp",
         ));
 
-        // One dedup cache for the whole deployment (the stand-in for a
-        // shared dedup store): an unrouted retry may land on a different
-        // replica than the attempt that executed, and must still replay.
-        // One fault map too: a fault is injected on a component, not on a
-        // replica of it.
-        let dedup = Arc::new(DedupCache::new());
         // Every component is hosted on every replica: one co-location group
         // whose replicas are this process's servers. Its control plane
         // routes them, with a slice assignment for each routed component so
@@ -270,7 +266,6 @@ impl TcpProcess {
                 getter,
                 version,
                 Arc::new(MetricsRegistry::new()),
-                Arc::clone(&dedup),
                 Arc::clone(&faults),
             ));
             let server = Server::<WeaverFraming>::bind(

@@ -72,11 +72,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|Reverse((at, _, e))| (at, e.0))
     }
 
-    /// Time of the next event without popping.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((at, _, _))| *at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -98,10 +93,12 @@ mod tests {
         q.push(30, "c");
         q.push(10, "a");
         q.push(20, "b");
+        assert_eq!(q.len(), 3);
         assert_eq!(q.pop(), Some((10, "a")));
         assert_eq!(q.pop(), Some((20, "b")));
         assert_eq!(q.pop(), Some((30, "c")));
         assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -113,17 +110,5 @@ mod tests {
         for i in 0..10 {
             assert_eq!(q.pop(), Some((5, i)));
         }
-    }
-
-    #[test]
-    fn peek_matches_pop() {
-        let mut q = EventQueue::new();
-        q.push(7, ());
-        q.push(3, ());
-        assert_eq!(q.peek_time(), Some(3));
-        assert_eq!(q.pop().map(|(t, _)| t), Some(3));
-        assert_eq!(q.peek_time(), Some(7));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 }

@@ -131,11 +131,6 @@ impl StackModel {
         };
         self.hop_latency + transfer
     }
-
-    /// Round-trip overhead of a call excluding queueing and handler time.
-    pub fn rpc_overhead(&self, request_bytes: u64, response_bytes: u64) -> SimTime {
-        self.wire_latency(request_bytes) + self.wire_latency(response_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -149,7 +144,8 @@ mod tests {
         for (request, response) in [(100u64, 100u64), (1024, 4096), (64, 16384)] {
             assert!(w.caller_cpu(request, response) < g.caller_cpu(request, response));
             assert!(w.callee_cpu(request, response) < g.callee_cpu(request, response));
-            assert!(w.rpc_overhead(request, response) < g.rpc_overhead(request, response));
+            assert!(w.wire_latency(request) < g.wire_latency(request));
+            assert!(w.wire_latency(response) < g.wire_latency(response));
         }
     }
 
@@ -158,7 +154,7 @@ mod tests {
         let c = StackModel::colocated();
         assert_eq!(c.caller_cpu(10_000, 10_000), 0);
         assert_eq!(c.callee_cpu(10_000, 10_000), 0);
-        assert_eq!(c.rpc_overhead(10_000, 10_000), 0);
+        assert_eq!(c.wire_latency(10_000), 0);
     }
 
     #[test]

@@ -103,8 +103,8 @@ impl<F: Framing> Pool<F> {
     /// (the request was never queued, so the retry cannot run it twice).
     ///
     /// The returned future pins its connection alive until resolved or
-    /// dropped, so an eviction (or replacement) of the pooled entry cannot
-    /// strand an in-flight call.
+    /// dropped, so a replacement of the pooled entry cannot strand an
+    /// in-flight call.
     pub fn call_begin(
         &self,
         endpoint: Endpoint,
@@ -113,20 +113,14 @@ impl<F: Framing> Pool<F> {
     ) -> Result<CallFuture<F>, TransportError> {
         let conn = self.get(endpoint)?;
         match Connection::call_begin(&conn, header, args) {
+            // The common case is a replica that restarted between calls. A
+            // closed connection is a dead one, which `get` replaces.
+            // Anything else propagates.
             Err(TransportError::ConnectionClosed) => {
-                // The common case is a replica that restarted between
-                // calls. Anything else propagates.
-                self.evict(endpoint);
-                let conn = self.get(endpoint)?;
-                Connection::call_begin(&conn, header, args)
+                Connection::call_begin(&self.get(endpoint)?, header, args)
             }
             other => other,
         }
-    }
-
-    /// Drops the cached connection to `endpoint` (e.g. on re-placement).
-    pub fn evict(&self, endpoint: Endpoint) {
-        self.conns.lock().remove(&endpoint);
     }
 
     /// Total pending-map entries across every cached connection: calls in
@@ -218,18 +212,6 @@ mod tests {
             let resp = pool.call(moved.endpoint(), &header, &[3], LONG).unwrap();
             assert_eq!(resp.payload, vec![3], "{endpoint}");
         }
-    }
-
-    #[test]
-    fn evict_forces_redial() {
-        let server = Server::<WeaverFraming>::bind("127.0.0.1:0", 2, echo()).unwrap();
-        let pool = Pool::<WeaverFraming>::new();
-        pool.get(server.endpoint()).unwrap();
-        assert_eq!(pool.len(), 1);
-        pool.evict(server.endpoint());
-        assert!(pool.is_empty());
-        pool.get(server.endpoint()).unwrap();
-        assert_eq!(pool.len(), 1);
     }
 
     /// A peer that reads one request per connection and then hangs up: the
