@@ -23,15 +23,20 @@ use std::time::Duration;
 
 use crate::error::DecodeError;
 use crate::reader::Reader;
-use crate::varint::{read_ivarint, read_uvarint, write_ivarint, write_uvarint};
+use crate::varint::{
+    read_ivarint, read_uvarint, uvarint_len, write_ivarint, write_uvarint, zigzag_encode,
+};
 
 /// A value that can be appended to a byte buffer in the non-versioned format.
 pub trait Encode {
     /// Appends the encoding of `self` to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
 
-    /// A cheap lower-bound estimate of the encoded size, used to pre-reserve
-    /// buffer capacity. The default of 0 is always correct.
+    /// The encoded size in bytes, used to reserve buffer capacity up front
+    /// so an encode allocates once. Every implementation in this crate and
+    /// every derived one is exact. A hand-written impl may return less (the
+    /// default of 0 is always correct), at the cost of the buffer growing
+    /// while it is written.
     #[inline]
     fn size_hint(&self) -> usize {
         0
@@ -101,7 +106,7 @@ impl Encode for usize {
     }
     #[inline]
     fn size_hint(&self) -> usize {
-        crate::varint::uvarint_len(*self as u64)
+        uvarint_len(*self as u64)
     }
 }
 
@@ -117,6 +122,10 @@ impl Encode for isize {
     #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         write_ivarint(buf, *self as i64);
+    }
+    #[inline]
+    fn size_hint(&self) -> usize {
+        uvarint_len(zigzag_encode(*self as i64))
     }
 }
 
@@ -155,6 +164,10 @@ impl Encode for char {
     fn encode(&self, buf: &mut Vec<u8>) {
         (*self as u32).encode(buf);
     }
+    #[inline]
+    fn size_hint(&self) -> usize {
+        4
+    }
 }
 
 impl Decode for char {
@@ -173,7 +186,7 @@ impl Encode for str {
     }
     #[inline]
     fn size_hint(&self) -> usize {
-        self.len() + 1
+        uvarint_len(self.len() as u64) + self.len()
     }
 }
 
@@ -184,7 +197,7 @@ impl Encode for String {
     }
     #[inline]
     fn size_hint(&self) -> usize {
-        self.len() + 1
+        self.as_str().size_hint()
     }
 }
 
@@ -205,7 +218,7 @@ impl<T: Encode> Encode for [T] {
         }
     }
     fn size_hint(&self) -> usize {
-        1 + self.iter().map(Encode::size_hint).sum::<usize>()
+        uvarint_len(self.len() as u64) + self.iter().map(Encode::size_hint).sum::<usize>()
     }
 }
 
@@ -241,6 +254,9 @@ impl<T: Encode, const N: usize> Encode for [T; N] {
         for item in self {
             item.encode(buf);
         }
+    }
+    fn size_hint(&self) -> usize {
+        self.iter().map(Encode::size_hint).sum()
     }
 }
 
@@ -292,6 +308,12 @@ impl<T: Encode, E: Encode> Encode for Result<T, E> {
             }
         }
     }
+    fn size_hint(&self) -> usize {
+        1 + match self {
+            Ok(v) => v.size_hint(),
+            Err(e) => e.size_hint(),
+        }
+    }
 }
 
 impl<T: Decode, E: Decode> Decode for Result<T, E> {
@@ -308,6 +330,10 @@ impl<T: Encode + ?Sized> Encode for Box<T> {
     #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         (**self).encode(buf);
+    }
+    #[inline]
+    fn size_hint(&self) -> usize {
+        (**self).size_hint()
     }
 }
 
@@ -337,6 +363,13 @@ impl<K: Encode, V: Encode> Encode for HashMap<K, V> {
             v.encode(buf);
         }
     }
+    fn size_hint(&self) -> usize {
+        let entries: usize = self
+            .iter()
+            .map(|(k, v)| k.size_hint() + v.size_hint())
+            .sum();
+        uvarint_len(self.len() as u64) + entries
+    }
 }
 
 impl<K: Decode + Eq + Hash, V: Decode> Decode for HashMap<K, V> {
@@ -362,6 +395,13 @@ impl<K: Encode, V: Encode> Encode for BTreeMap<K, V> {
             v.encode(buf);
         }
     }
+    fn size_hint(&self) -> usize {
+        let entries: usize = self
+            .iter()
+            .map(|(k, v)| k.size_hint() + v.size_hint())
+            .sum();
+        uvarint_len(self.len() as u64) + entries
+    }
 }
 
 impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
@@ -386,6 +426,9 @@ impl<T: Encode> Encode for HashSet<T> {
             item.encode(buf);
         }
     }
+    fn size_hint(&self) -> usize {
+        uvarint_len(self.len() as u64) + self.iter().map(Encode::size_hint).sum::<usize>()
+    }
 }
 
 impl<T: Decode + Eq + Hash> Decode for HashSet<T> {
@@ -407,6 +450,9 @@ impl<T: Encode> Encode for BTreeSet<T> {
         for item in self {
             item.encode(buf);
         }
+    }
+    fn size_hint(&self) -> usize {
+        uvarint_len(self.len() as u64) + self.iter().map(Encode::size_hint).sum::<usize>()
     }
 }
 
@@ -450,6 +496,12 @@ impl Encode for SocketAddr {
             SocketAddr::V6(a) => {
                 (6u8, a.ip().octets(), a.port(), a.flowinfo(), a.scope_id()).encode(buf);
             }
+        }
+    }
+    fn size_hint(&self) -> usize {
+        match self {
+            SocketAddr::V4(_) => 1 + 4 + 2,
+            SocketAddr::V6(_) => 1 + 16 + 2 + 4 + 4,
         }
     }
 }
@@ -685,6 +737,43 @@ mod tests {
         let v = vec!["abc".to_string(), "defg".to_string()];
         let hint = v.size_hint();
         let actual = encode_to_vec(&v).len();
-        assert!(hint <= actual + 8, "hint {hint} vs actual {actual}");
+        assert!(hint <= actual, "hint {hint} vs actual {actual}");
+    }
+
+    fn assert_exact<T: Encode + ?Sized>(v: &T) {
+        let bytes = encode_to_vec(v);
+        assert_eq!(v.size_hint(), bytes.len(), "hint vs encoding {bytes:?}");
+    }
+
+    #[test]
+    fn size_hints_are_exact() {
+        // Lengths on both sides of each varint width step.
+        for len in [0, 1, 127, 128, 16_383, 16_384] {
+            let s = "x".repeat(len);
+            assert_exact(s.as_str());
+            assert_exact(&s);
+            assert_exact(&vec![7u16; len]);
+            assert_exact(&vec![s.clone(); 2]);
+        }
+        for v in [0isize, -1, 63, -65, isize::MAX, isize::MIN] {
+            assert_exact(&v);
+        }
+        assert_exact(&'€');
+        assert_exact(&[1u32, 2, 3]);
+        assert_exact(&Box::new("boxed".to_string()));
+        assert_exact(&Some(vec![Some(1u8), None]));
+        assert_exact(&Ok::<String, u32>("fine".into()));
+        assert_exact(&Err::<String, u32>(7));
+        assert_exact(&HashMap::from([
+            ("k".to_string(), vec![1u64]),
+            ("kk".into(), vec![]),
+        ]));
+        assert_exact(&BTreeMap::from([(1u8, "one".to_string())]));
+        assert_exact(&HashSet::from(["a".to_string(), "bc".into()]));
+        assert_exact(&BTreeSet::from([300usize, 1]));
+        assert_exact(&Duration::new(1, 2));
+        let v6 = SocketAddr::V6(SocketAddrV6::new("fe80::1".parse().unwrap(), 443, 7, 3));
+        assert_exact(&("10.1.2.3:8080".parse::<SocketAddr>().unwrap(), v6));
+        assert_exact(&((), 1u8, -2i64, true, 0.5f64));
     }
 }

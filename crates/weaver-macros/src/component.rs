@@ -394,6 +394,11 @@ fn generate(trait_ident: &str, explicit_name: Option<&str>, methods: &[Method]) 
                     format!("::weaver_codec::wire::Encode::encode(&{name}, &mut args);\n")
                 })
                 .collect();
+            let hints: String = m
+                .args
+                .iter()
+                .map(|(name, _)| format!(" + ::weaver_codec::wire::Encode::size_hint(&{name})"))
+                .collect();
             let routing = if m.routed {
                 format!(
                     "::std::option::Option::Some(::weaver_core::routing_key(&{}))",
@@ -407,7 +412,7 @@ fn generate(trait_ident: &str, explicit_name: Option<&str>, methods: &[Method]) 
                     &self,
                     ctx: &::weaver_core::context::CallContext{arg_pairs}
                 ) -> ::std::result::Result<{ok}, ::weaver_core::error::WeaverError> {{
-                    let mut args = ::std::vec::Vec::new();
+                    let mut args = ::std::vec::Vec::with_capacity(0usize{hints});
                     {encodes}
                     let reply = self.handle.call(ctx, {idx}u32, {routing}, args)?;
                     ::weaver_core::client::decode_reply::<{ok}>(&reply)
@@ -417,7 +422,7 @@ fn generate(trait_ident: &str, explicit_name: Option<&str>, methods: &[Method]) 
                     &self,
                     ctx: &::weaver_core::context::CallContext{arg_pairs}
                 ) -> ::weaver_core::fanout::CallFuture<{ok}> {{
-                    let mut args = ::std::vec::Vec::new();
+                    let mut args = ::std::vec::Vec::with_capacity(0usize{hints});
                     {encodes}
                     let route = self.handle.call_start(ctx, {idx}u32, {routing}, args);
                     ::weaver_core::fanout::CallFuture::from_route(

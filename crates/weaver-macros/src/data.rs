@@ -457,6 +457,17 @@ fn wire_impls(data: &Data) -> Vec<(&'static str, String)> {
         });
         format!("{disc}\n{writes}")
     });
+    // Exact: the discriminant's varint width plus the fields.
+    let size_hint = data.match_self(|idx, v| {
+        let disc = if data.is_enum {
+            format!("::weaver_codec::varint::uvarint_len({idx}u64)")
+        } else {
+            "0usize".to_string()
+        };
+        let fields =
+            v.each(|i, _| format!(" + ::weaver_codec::wire::Encode::size_hint({})", binding(i)));
+        format!("{disc}{fields}")
+    });
     let decode = data.match_discriminant("::weaver_codec::varint::read_uvarint(r)?", |v| {
         let reads = v.each(|i, f| {
             format!(
@@ -477,6 +488,10 @@ fn wire_impls(data: &Data) -> Vec<(&'static str, String)> {
                 "fn encode(&self, buf: &mut ::std::vec::Vec<u8>) {{
                     let _ = &buf;
                     {encode}
+                }}
+
+                fn size_hint(&self) -> usize {{
+                    {size_hint}
                 }}"
             ),
         ),

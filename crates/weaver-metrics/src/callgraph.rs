@@ -174,10 +174,12 @@ impl CallGraph {
     }
 }
 
-/// Caches edge-cell handles per (caller, component id, method id), so RPC
-/// hot paths record call-graph samples without allocating three `String`s
-/// and hashing a string-keyed [`CallEdge`] on every call — mirroring the
-/// per-(component, method) handle cache both routers keep for `call_nanos`.
+/// Caches edge-cell handles per (caller, component id, method id), so a
+/// caller that records the same edges repeatedly does so without
+/// allocating three `String`s and hashing a string-keyed [`CallEdge`] on
+/// every call. The runtime's routers do not use it: their recorder keeps
+/// each call site's edge and latency histogram together in one table. The
+/// benchmark's `metrics.callgraph_record_ns` probe still times this cache.
 ///
 /// The hit path is one read lock, one `&str` hash and one `(u32, u32)`
 /// hash; the string edge is built once per distinct triple.

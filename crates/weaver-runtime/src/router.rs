@@ -14,6 +14,7 @@
 //! before reaching the wire) goes to another replica whenever there is one.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -25,7 +26,7 @@ use weaver_core::error::WeaverError;
 use weaver_core::fanout::RouteFuture;
 use weaver_macros::WeaverData;
 use weaver_metrics::{
-    CallGraph, EdgeHandleCache, Histogram, MetricsRegistry, SliceLoadReport, SliceLoadTracker,
+    CallEdge, CallGraph, EdgeCell, Histogram, MetricsRegistry, SliceLoadReport, SliceLoadTracker,
 };
 use weaver_routing::{PowerOfTwo, SliceAssignment};
 use weaver_transport::{
@@ -340,19 +341,80 @@ impl CallSite {
 /// whether the caller blocked or gathered a future.
 ///
 /// Naming an edge or a histogram allocates and takes a write lock; at
-/// marshaled-call speeds (~1µs) that is measurable. Registry ids are stable
-/// for a deployment's lifetime, so both are cached on integer keys: after
-/// the first call, recording is two read-locked map hits.
+/// marshaled-call speeds (~1µs) that is measurable. So each call site
+/// resolves both once and keeps them in one table, keyed by integers and
+/// the caller name's address: after the first call, recording is one read
+/// lock, one multiply-rotate hash and relaxed atomics.
 pub(crate) struct CallRecorder {
     callgraph: Arc<CallGraph>,
-    edges: EdgeHandleCache,
     metrics: Arc<MetricsRegistry>,
     /// Latency histograms are `component/method/placement/call_nanos`; a
     /// call that ran on a migrated-in local handler is labeled `colocated`
     /// instead, so before/after placement shows up in one snapshot.
     placement: &'static str,
-    /// (component, method, ran locally) → latency histogram.
-    latency: RwLock<HashMap<(u32, u32, bool), Arc<Histogram>>>,
+    sites: RwLock<HashMap<SiteKey, Site, BuildHasherDefault<SiteHasher>>>,
+}
+
+/// A call site as the recorder keys it. The caller is a `&'static str`
+/// compared by address and length, never by text: a site resolves its
+/// edge and histogram by name, so equal names at different addresses are
+/// two keys for the same cells.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct SiteKey {
+    caller: (usize, usize),
+    component: u32,
+    method: u32,
+    local: bool,
+}
+
+impl SiteKey {
+    fn new(call: &CallSite, local: bool) -> Self {
+        SiteKey {
+            caller: (call.caller.as_ptr() as usize, call.caller.len()),
+            component: call.target.component_id,
+            method: call.method,
+            local,
+        }
+    }
+}
+
+impl Hash for SiteKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // One word for the hasher's one multiply; equality still compares
+        // every field, so overlapping bits only cost a probe.
+        let (ptr, len) = self.caller;
+        let ids = u64::from(self.component) << 40 | u64::from(self.method) << 8;
+        state.write_u64(ptr as u64 ^ (len as u64).rotate_right(8) ^ ids ^ u64::from(self.local));
+    }
+}
+
+/// Multiply-rotate (the Fx hash step): enough to spread one integer word
+/// over a table's bucket and control bits, far cheaper than SipHash.
+#[derive(Default)]
+struct SiteHasher(u64);
+
+impl Hasher for SiteHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word)
+            .wrapping_mul(0x517c_c1b7_2722_0a95)
+            .rotate_left(26);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// What one call site records into.
+struct Site {
+    edge: Arc<EdgeCell>,
+    latency: Arc<Histogram>,
 }
 
 impl CallRecorder {
@@ -363,10 +425,9 @@ impl CallRecorder {
     ) -> Self {
         CallRecorder {
             callgraph,
-            edges: EdgeHandleCache::new(),
             metrics,
             placement,
-            latency: RwLock::new(HashMap::new()),
+            sites: RwLock::default(),
         }
     }
 
@@ -392,33 +453,31 @@ impl CallRecorder {
             Ok(reply) => weaver_core::client::reply_is_err(reply),
             Err(_) => true,
         };
-        let (target, method) = (&call.target, call.method_name());
-        self.edges
-            .handle(
-                &self.callgraph,
-                call.caller,
-                target.component_id,
-                target.name,
-                call.method,
-                method,
-            )
-            .record(
-                call.request_bytes,
-                outcome.as_ref().map_or(0, Vec::len),
-                elapsed,
-                is_error,
-            );
-        let key = (target.component_id, call.method, local);
-        if let Some(histogram) = self.latency.read().get(&key) {
-            histogram.record(elapsed);
+        let response_bytes = outcome.as_ref().map_or(0, Vec::len);
+        let record = |site: &Site| {
+            site.edge
+                .record(call.request_bytes, response_bytes, elapsed, is_error);
+            site.latency.record(elapsed);
+        };
+        let key = SiteKey::new(call, local);
+        if let Some(site) = self.sites.read().get(&key) {
+            record(site);
             return is_error;
         }
+        let (target, method) = (&call.target, call.method_name());
         let placement = if local { "colocated" } else { self.placement };
-        let histogram = self
-            .metrics
-            .histogram(&format!("{}/{method}/{placement}/call_nanos", target.name));
-        histogram.record(elapsed);
-        self.latency.write().insert(key, histogram);
+        let site = Site {
+            edge: self.callgraph.handle(&CallEdge {
+                caller: call.caller.to_string(),
+                callee: target.name.to_string(),
+                method: method.to_string(),
+            }),
+            latency: self
+                .metrics
+                .histogram(&format!("{}/{method}/{placement}/call_nanos", target.name)),
+        };
+        record(&site);
+        self.sites.write().insert(key, site);
         is_error
     }
 }
@@ -1078,5 +1137,118 @@ mod tests {
             let key = next_idempotency_key();
             assert!(seen.insert(key), "duplicate idempotency key {key:#x}");
         }
+    }
+
+    #[weaver_macros::component(name = "test.Echo")]
+    trait Echo {
+        fn echo(&self, ctx: &CallContext, text: String) -> Result<String, WeaverError>;
+        fn fail(&self, ctx: &CallContext, code: u32) -> Result<u32, WeaverError>;
+    }
+
+    struct EchoImpl;
+
+    impl Echo for EchoImpl {
+        fn echo(&self, _: &CallContext, text: String) -> Result<String, WeaverError> {
+            Ok(text)
+        }
+        fn fail(&self, _: &CallContext, code: u32) -> Result<u32, WeaverError> {
+            Err(WeaverError::App {
+                code,
+                message: "nope".into(),
+            })
+        }
+    }
+
+    impl weaver_core::component::Component for EchoImpl {
+        type Interface = dyn Echo;
+        fn init(_: &weaver_core::context::InitContext<'_>) -> Result<Self, WeaverError> {
+            Ok(EchoImpl)
+        }
+        fn into_interface(self: Arc<Self>) -> Arc<dyn Echo> {
+            self
+        }
+    }
+
+    /// The recorder keys call sites by the caller name's address, but
+    /// resolves a new site by its text: two callers whose names are equal
+    /// strings at different addresses share one edge and one histogram,
+    /// and a fixed call sequence records the same calls, bytes and errors
+    /// as the string-keyed caches it replaced.
+    #[test]
+    fn equal_caller_names_share_one_edge_and_histogram() {
+        use crate::single::{SingleMode, SingleProcess};
+        use weaver_metrics::MetricFamily;
+
+        const N: u64 = 50;
+        let registry = weaver_core::registry::RegistryBuilder::new()
+            .register::<EchoImpl>()
+            .build();
+        let app = SingleProcess::deploy(Arc::new(registry), SingleMode::Marshaled, 1);
+        let echo = app.get::<dyn Echo>().unwrap();
+        let name = |s: &str| -> &'static str { Box::leak(s.to_string().into_boxed_str()) };
+        let (a, b) = (name("test.Caller"), name("test.Caller"));
+        assert_ne!(a.as_ptr(), b.as_ptr());
+        let from = |caller| CallContext {
+            caller,
+            ..CallContext::test()
+        };
+        for _ in 0..N {
+            echo.echo(&from(a), "hello".into()).unwrap();
+            echo.echo(&from(b), "hello".into()).unwrap();
+        }
+        echo.echo(&from(a), "x".repeat(200)).unwrap();
+        for code in 0..3 {
+            echo.fail(&from(b), code).unwrap_err();
+        }
+        echo.echo(&from(""), String::new()).unwrap();
+
+        // (caller, method, calls, request bytes, response bytes, errors),
+        // as the string-keyed caches recorded them.
+        let edges: Vec<_> = app
+            .callgraph()
+            .edges
+            .into_iter()
+            .map(|(e, s)| {
+                assert_eq!(e.callee, "test.Echo");
+                assert_eq!(s.latency.count, s.calls);
+                (
+                    e.caller,
+                    e.method,
+                    s.calls,
+                    s.request_bytes,
+                    s.response_bytes,
+                    s.errors,
+                )
+            })
+            .collect();
+        let expected: Vec<_> = [
+            ("", "echo", 1, 1, 2, 0),
+            ("test.Caller", "echo", 2 * N + 1, 802, 903, 0),
+            ("test.Caller", "fail", 3, 12, 33, 3),
+        ]
+        .map(|(c, m, calls, req, resp, errs)| {
+            (c.to_string(), m.to_string(), calls, req, resp, errs)
+        })
+        .into();
+        assert_eq!(edges, expected);
+
+        let histograms: Vec<(String, u64)> = app
+            .metrics()
+            .metrics
+            .into_iter()
+            .filter_map(|(name, family)| match family {
+                MetricFamily::Histogram(h) if name.ends_with("/call_nanos") => {
+                    Some((name, h.count))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            histograms,
+            vec![
+                ("test.Echo/echo/marshaled/call_nanos".to_string(), 2 * N + 2),
+                ("test.Echo/fail/marshaled/call_nanos".to_string(), 3),
+            ]
+        );
     }
 }

@@ -30,7 +30,7 @@ use std::os::unix::net::{SocketAddr as UnixAddr, UnixListener, UnixStream};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use weaver_codec::varint::write_uvarint;
+use weaver_codec::varint::{uvarint_len, write_uvarint};
 use weaver_codec::{Decode, DecodeError, Encode, Reader};
 
 use crate::error::TransportError;
@@ -263,6 +263,12 @@ impl Encode for Endpoint {
             }
         }
     }
+    fn size_hint(&self) -> usize {
+        1 + match self {
+            Endpoint::Tcp(addr) => addr.size_hint(),
+            Endpoint::Unix(name) => uvarint_len(u64::from(name.len)) + usize::from(name.len),
+        }
+    }
 }
 
 impl Decode for Endpoint {
@@ -338,6 +344,7 @@ mod tests {
 
         for endpoint in both() {
             let bytes = encode_to_vec(&endpoint);
+            assert_eq!(endpoint.size_hint(), bytes.len());
             for len in 0..bytes.len() {
                 assert!(decode_from_slice::<Endpoint>(&bytes[..len]).is_err());
             }

@@ -45,7 +45,7 @@ use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use epoll::{Epoll, Event, Interest, WakeFd};
+use epoll::{Epoll, Events, Interest, WakeFd};
 use parking_lot::Mutex;
 
 use crate::buf::{BufferPool, WireBuf};
@@ -387,7 +387,7 @@ impl Shard {
 
     /// The poller loop: wait for readiness, drive reads/accepts/flushes.
     fn run(self: Arc<Self>) {
-        let mut events: Vec<Event> = Vec::new();
+        let mut events = Events::with_capacity(1024);
         loop {
             // Park-flag handshake with `schedule_flush`: set `polling`,
             // then re-check the queue. A token pushed before the flag was
@@ -399,16 +399,16 @@ impl Shard {
                 self.drain_flush_queue();
                 continue;
             }
-            let wait = self.epoll.wait(&mut events, 1024, -1);
+            let wait = self.epoll.wait(&mut events, -1);
             self.polling.store(false, Ordering::SeqCst);
-            if wait.is_err() {
+            let Ok(ready) = wait else {
                 return; // epoll fd closed: process teardown
-            }
+            };
             self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
             self.stats
                 .ready_events
-                .fetch_add(events.len() as u64, Ordering::Relaxed);
-            for &ev in &events {
+                .fetch_add(ready as u64, Ordering::Relaxed);
+            for ev in events.iter() {
                 if ev.token == WAKE_TOKEN {
                     self.wake.drain();
                     continue;

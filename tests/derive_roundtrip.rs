@@ -2,6 +2,8 @@
 //! tuple structs, unit/tuple/struct enum variants, generics, nesting. Types
 //! deriving `WeaverData`, `TaggedData` and `JsonData` round-trip through all
 //! three formats; a wire-only type needs neither `Default` nor the other two.
+//! Every derived `size_hint` is the exact encoded size, so an encode
+//! allocates its buffer once.
 
 use proptest::prelude::*;
 use weaver_codec::json::{FromJson, ToJson};
@@ -179,6 +181,125 @@ fn wire_only_types_roundtrip_without_default() {
     }
 }
 
+fn assert_exact_hint<T: Encode + std::fmt::Debug>(value: &T) {
+    assert_eq!(
+        value.size_hint(),
+        encode_to_vec(value).len(),
+        "size_hint of {value:?}"
+    );
+}
+
+#[test]
+fn wire_only_hints_are_exact() {
+    let unix = Endpoint::unix("weaver-hop").unwrap();
+    assert_exact_hint(&Hop {
+        at: Endpoint::Tcp("[::1]:4000".parse().unwrap()),
+        route: Route::Via(Box::new(Hop {
+            at: unix,
+            route: Route::Up { weight: 3 },
+        })),
+    });
+    assert_exact_hint(&Wrapper {
+        inner: vec![Shape::Empty; 200],
+        tag: "t".repeat(300),
+    });
+}
+
+/// A reply is encoded into a buffer of exactly its size: `encode_reply`
+/// never grows it, for every boutique reply shape and every error.
+#[test]
+fn boutique_replies_never_grow_their_buffer() {
+    use boutique::logic::ads::AdServer;
+    use boutique::logic::catalog::CatalogStore;
+    use boutique::types::*;
+    use weaver_core::client::encode_reply;
+    use weaver_core::error::WeaverError;
+
+    fn check<T: Encode + std::fmt::Debug>(reply: Result<T, WeaverError>) {
+        let hint = reply.size_hint();
+        let bytes = encode_reply(&reply);
+        assert_eq!(hint, bytes.len(), "size_hint of {reply:?}");
+        assert_eq!(bytes.capacity(), hint.max(16), "buffer grew for {reply:?}");
+    }
+
+    let mut products = CatalogStore::seeded().list().to_vec();
+    products[0].description = format!("{} {}", products[0].description, "long ".repeat(40));
+    assert!(products[0].description.len() >= 128);
+    let ad = AdServer::seeded().ads_for(&["accessories".into()], 1).pop();
+    let items: Vec<OrderItem> = products
+        .iter()
+        .take(3)
+        .map(|p| OrderItem {
+            item: CartItem {
+                product_id: p.id.clone(),
+                quantity: 2,
+            },
+            cost: p.price.clone(),
+        })
+        .collect();
+    let total = Money::new("EUR", 1_234, 500_000_000);
+
+    check(Ok(products.clone()));
+    check(Ok(HomeView {
+        products: products.clone(),
+        ad: ad.clone(),
+        cart_size: 3,
+        currency: "EUR".into(),
+    }));
+    check(Ok(ProductView {
+        product: products[0].clone(),
+        recommendations: products[1..5].to_vec(),
+        ad,
+    }));
+    check(Ok(CartView {
+        items: items.clone(),
+        shipping_cost: Money::new("EUR", 8, 990_000_000),
+        total: total.clone(),
+        recommendations: products[5..].to_vec(),
+    }));
+    check(Ok(OrderResult {
+        order_id: "3f1c9a62-ffb0-4a1e-9e5b-3c2d7e6f8a10".into(),
+        shipping_tracking_id: "TRK-42".into(),
+        shipping_cost: Money::new("EUR", 8, 990_000_000),
+        shipping_address: Address {
+            street_address: "1600 Amphitheatre Parkway".into(),
+            city: "Mountain View".into(),
+            state: "CA".into(),
+            country: "US".into(),
+            zip_code: 94043,
+        },
+        items,
+        total,
+    }));
+    let detail = || "d".repeat(130);
+    for err in [
+        WeaverError::App {
+            code: 7,
+            message: detail(),
+        },
+        WeaverError::Unavailable { detail: detail() },
+        WeaverError::DeadlineExceeded,
+        WeaverError::Cancelled,
+        WeaverError::Codec { detail: detail() },
+        WeaverError::Network { detail: detail() },
+        WeaverError::VersionMismatch {
+            caller_version: 1,
+            callee_version: u64::MAX,
+        },
+        WeaverError::UnknownComponent { name: detail() },
+        WeaverError::UnknownMethod {
+            component: detail(),
+            method: 3,
+        },
+        WeaverError::InitCycle {
+            component: detail(),
+        },
+        WeaverError::Internal { detail: detail() },
+    ] {
+        check::<HomeView>(Err(err));
+    }
+}
+
 #[test]
 fn json_enums_use_type_tags() {
     let json = Shape::Poly {
@@ -239,6 +360,24 @@ proptest! {
             pair: Pair(id as u32, format!("{id}")),
             shapes,
         });
+    }
+
+    #[test]
+    fn derived_size_hints_are_exact(
+        shapes in proptest::collection::vec(arbitrary_shape(), 0..200),
+        label in ".{0,200}",
+        scores in proptest::collection::vec(any::<i32>(), 0..8),
+        maybe in any::<Option<String>>(),
+        id in any::<u64>(),
+    ) {
+        let named = Named { id, label, scores, maybe };
+        for shape in &shapes {
+            assert_exact_hint(shape);
+        }
+        assert_exact_hint(&named);
+        assert_exact_hint(&Pair(id as u32, named.label.clone()));
+        assert_exact_hint(&Wrapper { inner: named.clone(), tag: named.label.clone() });
+        assert_exact_hint(&Deep { named, pair: Pair(1, String::new()), shapes });
     }
 
     #[test]
