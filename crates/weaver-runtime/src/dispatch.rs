@@ -19,8 +19,8 @@ use weaver_transport::{BufferPool, RequestHeader, ResponseBody, RpcHandler, Stat
 use crate::dedup::DedupCache;
 use crate::single::ComponentFault;
 
-/// A method runs on the reactor shard only while its recent handler time is
-/// below this: the shard serves no other connection meanwhile, so the bound
+/// A method runs on the reactor poller only while its recent handler time is
+/// below this: the poller serves no other connection meanwhile, so the bound
 /// is a few hand-offs' worth (one costs 10–20 µs), not a latency target.
 const INLINE_BUDGET_NANOS: u64 = 50_000;
 
@@ -33,15 +33,15 @@ struct MethodStats {
     handle_nanos: Arc<weaver_metrics::Histogram>,
     /// Recent handler time: a sample above the current value replaces it,
     /// a sample below pulls it down by an eighth of the gap. So one slow
-    /// run takes a method off the reactor shard at once and a run of fast
+    /// run takes a method off the reactor poller at once and a run of fast
     /// ones earns it back. [`UNMEASURED`] until a worker has run the method
     /// once.
     recent_nanos: AtomicU64,
 }
 
 impl MethodStats {
-    /// Shard threads and workers record concurrently, and this value is
-    /// what keeps a slow method off the shards, so the update is one
+    /// The poller and workers record concurrently, and this value is
+    /// what keeps a slow method off the poller, so the update is one
     /// read-modify-write: a fast sample racing a slow one decays the slow
     /// value, it can never overwrite it with a stale fast one.
     fn record(&self, nanos: u64) {
@@ -323,7 +323,7 @@ impl RpcHandler for ProcletDispatcher {
         }
     }
 
-    /// A request may run on the reactor shard when it cannot block there
+    /// A request may run on the reactor poller when it cannot block there
     /// and will not hold it long, both judged from what the runtime has
     /// already seen — nothing is declared by the application:
     ///
@@ -331,15 +331,15 @@ impl RpcHandler for ProcletDispatcher {
     ///   component reference, so no method of it can make a nested call.
     ///   A component that is not started yet, or is awaiting re-init after
     ///   a restart, is constructed on a worker. (A restart landing between
-    ///   this answer and `handle` re-runs a leaf's `init` on the shard
+    ///   this answer and `handle` re-runs a leaf's `init` on the poller
     ///   once; `init` of a leaf acquires nothing, so it cannot wait on the
     ///   network either.)
     /// * the method's recent handler time, first measured on a worker, is
     ///   under [`INLINE_BUDGET_NANOS`].
     /// * no fault is injected on the target: its `delay` sleeps. This and
     ///   `handle` read the fault map one after the other, so a `delay`
-    ///   injected between the two reads sleeps on the shard once — the one
-    ///   request the shard had already admitted; every later request sees
+    ///   injected between the two reads sleeps on the poller once — the one
+    ///   request the poller had already admitted; every later request sees
     ///   the fault here and goes to a worker.
     fn inline_ok(&self, header: &RequestHeader) -> bool {
         self.method_stats(header)

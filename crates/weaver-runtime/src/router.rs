@@ -485,11 +485,11 @@ impl CallRecorder {
 /// Refreshes the transport-plane gauges into `registry` so a metrics
 /// snapshot carries the reactor's current readiness-loop state next to
 /// the per-call latency histograms: open reactor connections, registered
-/// epoll interests, poller shards, readiness events delivered per
-/// `epoll_wait` return (×1000, so the gauge keeps three decimal places of
-/// the ratio as an integer), requests answered on a shard thread without
-/// a worker hand-off, and the RPC dispatch-queue depth (requests decoded
-/// on the poller but not yet picked up by a worker).
+/// epoll interests, readiness events delivered per `epoll_wait` return
+/// (×1000, so the gauge keeps three decimal places of the ratio as an
+/// integer), requests answered on the poller thread without a worker
+/// hand-off, and the RPC dispatch-queue depth (requests decoded on the
+/// poller but not yet picked up by a worker).
 ///
 /// Until the process opens its first connection or server the reactor has
 /// not started, and only the dispatch-queue gauge is recorded.
@@ -501,9 +501,6 @@ pub(crate) fn record_transport_gauges(registry: &MetricsRegistry) {
         registry
             .gauge("transport/reactor/interests")
             .set(r.interests as i64);
-        registry
-            .gauge("transport/reactor/shards")
-            .set(r.shards as i64);
         let ratio_x1000 = r
             .ready_events
             .saturating_mul(1000)

@@ -330,7 +330,7 @@ impl TcpProcess {
 
     /// Components running as leaves on some replica, in name order: started
     /// there, and their `init` acquired no component reference. These are
-    /// the ones whose cheap methods the servers answer on the reactor shard.
+    /// the ones whose cheap methods the servers answer on the reactor poller.
     ///
     /// Test-only (`tests/inline_dispatch.rs`): boutique components do not
     /// report the thread they ran on, so the leaf set cannot be read off

@@ -1,4 +1,4 @@
-//! Which requests the runtime answers on the reactor shard, checked from
+//! Which requests the runtime answers on the reactor's poller, checked from
 //! outside: only cheap methods of running leaf components without an
 //! injected fault, and everything else still on the worker pool.
 //!
@@ -7,9 +7,9 @@
 //! says so; the runtime sees it, which is what an RPC library cannot.
 //!
 //! The tests read the process-wide reactor counter and share two statics,
-//! so they serialize on [`EXCLUSIVE`]. They hold at any
-//! `WEAVER_REACTOR_SHARDS`; the faulted-leaf test is sharpest at 1, where
-//! a stalled shard stalls everything (CI runs 1 and 4).
+//! so they serialize on [`EXCLUSIVE`]. The process has one poller, so a
+//! handler that stalled it would stall every connection: the faulted-leaf
+//! test would see it in every call's latency.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -41,7 +41,7 @@ fn thread_name() -> String {
 }
 
 fn on_reactor(thread: &str) -> bool {
-    thread.starts_with("weaver-reactor-")
+    thread == "weaver-reactor"
 }
 
 fn on_worker(thread: &str) -> bool {
@@ -104,7 +104,7 @@ fn boutique_leaves_are_the_static_sinks_and_only_they_leave_the_workers() {
     // 2k mixed requests from two users. `Frontend`, `CheckoutService` and
     // `RecommendationService` wait on a nested call in every method, and a
     // wait from a reactor thread is refused — so one run of any of them on
-    // a `weaver-reactor-*` thread would fail its request.
+    // the `weaver-reactor` thread would fail its request.
     let failed: usize = std::thread::scope(|scope| {
         let clients: Vec<_> = ["ada", "bob"]
             .into_iter()
@@ -123,7 +123,7 @@ fn boutique_leaves_are_the_static_sinks_and_only_they_leave_the_workers() {
     assert_eq!(failed, 0, "a request failed");
     assert!(
         inline_dispatches() > inline_before,
-        "no request was answered on a reactor shard"
+        "no request was answered on the reactor poller"
     );
 
     // What the runtime observed at `init` ...
@@ -147,7 +147,7 @@ fn boutique_leaves_are_the_static_sinks_and_only_they_leave_the_workers() {
 }
 
 #[test]
-fn a_faulted_leaf_stays_off_the_shard_until_the_fault_clears() {
+fn a_faulted_leaf_stays_off_the_poller_until_the_fault_clears() {
     let _serial = exclusive();
     let dep = boutique_on_two_replicas();
     let catalog = dep.get::<dyn ProductCatalog>().unwrap();
@@ -197,7 +197,7 @@ fn a_faulted_leaf_stays_off_the_shard_until_the_fault_clears() {
     let p50 = latencies[latencies.len() / 2];
     assert!(
         p50 < Duration::from_millis(5),
-        "get_product p50 {p50:?}: a 50 ms injected delay slept on a reactor shard"
+        "get_product p50 {p50:?}: a 50 ms injected delay slept on the reactor poller"
     );
 
     dep.inject_fault("boutique.CurrencyService", ComponentFault::default());
@@ -285,7 +285,7 @@ fn leaf_and_holder() -> Arc<TcpProcess> {
     TcpProcess::deploy(Arc::new(registry), TcpOptions::default(), 1).unwrap()
 }
 
-/// Calls `whoami(0)` until a call is answered on a reactor shard, and
+/// Calls `whoami(0)` until a call is answered on the reactor poller, and
 /// returns how many calls that took.
 fn calls_until_inlined(leaf: &dyn Leaf, ctx: &CallContext, at_most: usize) -> usize {
     (1..=at_most)
@@ -294,7 +294,7 @@ fn calls_until_inlined(leaf: &dyn Leaf, ctx: &CallContext, at_most: usize) -> us
 }
 
 #[test]
-fn a_slow_leaf_method_stalls_a_shard_at_most_once() {
+fn a_slow_leaf_method_stalls_the_poller_at_most_once() {
     let _serial = exclusive();
     let dep = leaf_and_holder();
     let leaf = dep.get::<dyn Leaf>().unwrap();
@@ -305,7 +305,7 @@ fn a_slow_leaf_method_stalls_a_shard_at_most_once() {
 
     let slow: Vec<String> = (0..20).map(|_| leaf.whoami(&ctx, 5).unwrap()).collect();
     let stalled = slow.iter().filter(|t| on_reactor(t)).count();
-    assert!(stalled <= 1, "5 ms calls ran on a shard {stalled} times");
+    assert!(stalled <= 1, "5 ms calls ran on the poller {stalled} times");
     assert!(slow[1..].iter().all(|t| on_worker(t)), "{slow:?}");
 
     // Fast again: the estimate decays and the method earns its way back.

@@ -86,7 +86,7 @@ impl<F: Framing> Pool<F> {
     /// that dies after the request was queued fails the call with
     /// [`TransportError::ConnectionClosed`], because the peer may have run
     /// it; whether to re-send is the caller's decision. Refused, without
-    /// sending, from a handler running inline on a reactor shard.
+    /// sending, from a handler running inline on the reactor poller.
     pub fn call(
         &self,
         endpoint: Endpoint,

@@ -1,10 +1,10 @@
 //! Client-side connection: one socket (TCP or unix), multiplexed calls.
 //!
 //! A [`Connection`] owns **no threads**: its socket is registered with the
-//! shared readiness reactor ([`crate::reactor`]), whose shard thread
+//! shared readiness reactor ([`crate::reactor`]), whose poller thread
 //! reassembles inbound frames (completing the pending call matching each
 //! stream id) and drains the coalescing outbound queue — many caller
-//! threads pipeline pre-encoded pooled frames, and the shard flushes
+//! threads pipeline pre-encoded pooled frames, and the poller flushes
 //! whatever is queued into one syscall.
 //!
 //! Request encoding uses buffers recycled through a [`BufferPool`], so the
@@ -238,7 +238,7 @@ impl<F: Framing> Connection<F> {
     ///
     /// `timeout` of `None` waits indefinitely (used only by tests; real
     /// callers always carry a deadline). Fails without sending when called
-    /// from a handler running inline on a reactor shard, which must not
+    /// from a handler running inline on the reactor poller, which must not
     /// block.
     pub fn call(
         &self,
@@ -268,7 +268,7 @@ impl<F: Framing> Connection<F> {
         }
     }
 
-    /// Sends a liveness probe (the pong is consumed on the reactor shard).
+    /// Sends a liveness probe (the pong is consumed on the reactor poller).
     pub fn ping(&self) -> Result<(), TransportError> {
         if self.is_dead() {
             return Err(TransportError::ConnectionClosed);
@@ -286,14 +286,14 @@ impl<F: Framing> Connection<F> {
 
 impl<F: Framing> Drop for Connection<F> {
     fn drop(&mut self) {
-        // Deregister the socket so the shard releases the connection state
+        // Deregister the socket so the poller releases the connection state
         // (fd, buffers, pending map) immediately.
         self.state.kill();
     }
 }
 
 /// Client-side protocol logic: resolves responses against the pending map,
-/// answers pings, drains on death. Runs on the owning shard's thread.
+/// answers pings, drains on death. Runs on the poller thread.
 struct ClientDriver<F: Framing> {
     pending: PendingMap,
     pool: BufferPool,
@@ -369,7 +369,7 @@ impl<F: Framing> CallFuture<F> {
     /// timeout the stream is cancelled and [`TransportError::DeadlineExceeded`]
     /// is returned (or [`TransportError::ConnectionClosed`] if the socket
     /// died while waiting). From a handler running inline on a reactor
-    /// shard the wait is refused and the call cancelled.
+    /// poller the wait is refused and the call cancelled.
     pub fn wait(mut self, timeout: Option<Duration>) -> Result<ResponseBody, TransportError> {
         // Not yet `done`: dropping `self` on this return abandons the stream.
         refuse_blocking_on_reactor()?;

@@ -6,7 +6,7 @@
 //! itself: the coalescing write queue, the zero-copy receive path, the
 //! buffer pool's recycling, the dead-connection fail-fast. [`FaultStream`]
 //! does. It wraps any duplex byte stream and perturbs traffic at the `Read`/
-//! `Write` call boundary — exactly where the reactor shard flushes coalesced
+//! `Write` call boundary — exactly where the reactor poller flushes coalesced
 //! batches and fills its frame-reassembly buffer — so a single shim
 //! exercises both directions of the protocol under failure.
 //!
@@ -29,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A duplex byte stream the readiness reactor can drive: non-blocking
-/// reads and writes on the shard thread, polled through its file
+/// reads and writes on the poller thread, polled through its file
 /// descriptor, severed abruptly on teardown.
 ///
 /// [`TcpStream`] and [`UnixStream`] are the production implementations;
@@ -316,7 +316,7 @@ impl FaultInjector {
 /// A duplex stream that injects faults on every read and write.
 ///
 /// Wrap the stream handed to [`crate::Connection::from_duplex`]; the
-/// reactor shard then flushes the connection's coalesced batches *through*
+/// reactor poller then flushes the connection's coalesced batches *through*
 /// the shim, and reads inbound bytes through it, so every transport-level
 /// failure mode (partial write, mid-frame death, corrupt
 /// frame, duplicated frame, stalled socket) exercises the real recovery

@@ -1,15 +1,20 @@
-//! The shared readiness reactor: one poller thread (optionally sharded)
-//! owns every client and server socket in non-blocking mode. It is the only
-//! way a connection or a listener moves bytes, so a process serving `C`
-//! connections runs `shards + workers` transport threads, not `O(C)`.
+//! The shared readiness reactor: one poller thread per process owns every
+//! client and server socket in non-blocking mode. It is the only way a
+//! connection or a listener moves bytes, so a process serving `C`
+//! connections runs `1 + workers` transport threads, not `O(C)`.
 //!
 //! Architecture:
 //!
-//! * **Shards.** `WEAVER_REACTOR_SHARDS` (default `min(cores, 4)`) epoll
-//!   instances, each driven by one `weaver-reactor-{i}` thread.
-//!   Connections are assigned round-robin at registration; a connection's
-//!   I/O happens *only* on its shard's thread, so per-connection state
-//!   needs no cross-thread coordination beyond the outbound queue.
+//! * **One poller.** One epoll instance, driven by the `weaver-reactor`
+//!   thread that the first connection or server spawns. A connection's I/O
+//!   happens *only* on that thread, so per-connection state needs no
+//!   cross-thread coordination beyond the outbound queue. When both ends
+//!   of a connection live in this process (a deployer's replicas, the
+//!   baseline's services), the poller writes a request and finds the peer
+//!   socket readable at its next `epoll_wait` without sleeping, and the
+//!   reply comes back the same way: the call pays no poller wakeup between
+//!   its two sockets. A process scales out with more replicas, not more
+//!   pollers.
 //! * **Read state machine.** Readiness drives `read` until `WouldBlock`,
 //!   accumulating into a per-connection reassembly buffer. The framing's
 //!   [`Framing::frame_extent`](crate::frame::Framing::frame_extent)
@@ -17,21 +22,23 @@
 //!   frames, which are handed to the driver one at a time — partial frames
 //!   carry over to the next readiness event.
 //! * **Write state machine.** Senders enqueue [`OutFrame`]s and schedule a
-//!   flush; the shard thread drains the queue into coalesced batches of up
-//!   to `COALESCE_BUDGET` bytes (`OutQueue::next_batch`), so pipelined
+//!   flush; the poller drains the queue into coalesced batches of up to
+//!   `COALESCE_BUDGET` bytes (`OutQueue::next_batch`), so pipelined
 //!   callers share syscalls while a lone frame is written immediately and
 //!   never waits for company. On `WouldBlock` the unwritten remainder is
 //!   parked and `EPOLLOUT` interest armed — and disarmed again the moment
 //!   the queue drains, so idle connections cost one registration and zero
-//!   wakeups.
-//! * **Dispatch.** Frame decode happens on the shard thread; the driver
-//!   decides what runs where. The client driver resolves pending calls
-//!   in-line. The server driver hands handler execution to a bounded
-//!   worker pool, except for requests its handler declares unable to block
+//!   wakeups. A steady flush allocates nothing: the flush-token queue and
+//!   the poller's copy of it trade buffers, and a batch is copied straight
+//!   from the queue into one pooled buffer.
+//! * **Dispatch.** Frame decode happens on the poller; the driver decides
+//!   what runs where. The client driver resolves pending calls in-line.
+//!   The server driver hands handler execution to a bounded worker pool,
+//!   except for requests its handler declares unable to block
 //!   ([`RpcHandler::inline_ok`](crate::server::RpcHandler::inline_ok)):
 //!   those run right here, and their replies leave in this loop
-//!   iteration's `drain_flush_queue`, coalesced per connection. A shard
-//!   thread that blocked would stall every connection it owns, so while
+//!   iteration's `drain_flush_queue`, coalesced per connection. A poller
+//!   that blocked would stall every connection of the process, so while
 //!   such a handler runs the thread is marked ([`InlineScope`]) and the
 //!   blocking client calls refuse to wait on it.
 //!
@@ -53,11 +60,11 @@ use crate::endpoint::Listener;
 use crate::error::TransportError;
 use crate::fault::DuplexStream;
 
-/// Token reserved for each shard's wake eventfd.
+/// Token reserved for the poller's wake eventfd.
 const WAKE_TOKEN: u64 = 0;
 
 /// Cap on consecutive reads per readiness event, so one firehose peer
-/// cannot starve its shard. Level-triggered polling re-reports leftovers.
+/// cannot starve the poller. Level-triggered polling re-reports leftovers.
 const MAX_READS_PER_EVENT: usize = 16;
 
 /// Bytes appended to the reassembly buffer per `read` call.
@@ -91,9 +98,9 @@ impl Drop for InlineScope {
 }
 
 /// Fails a blocking wait attempted from inside an inline handler. The
-/// shard thread it runs on serves no connection while it waits, and may be
-/// the very thread that has to deliver the awaited response — in which
-/// case the wait could only end at its deadline.
+/// poller it runs on serves no connection while it waits, and is the very
+/// thread that has to deliver the awaited response — so the wait could
+/// only end at its deadline.
 pub(crate) fn refuse_blocking_on_reactor() -> Result<(), TransportError> {
     if IN_INLINE_HANDLER.get() {
         return Err(TransportError::Io(
@@ -135,7 +142,7 @@ pub(crate) struct WriterStats {
 }
 
 /// Per-connection protocol logic the reactor calls into. One driver per
-/// connection; `on_frame`/`on_dead` run on the owning shard's thread.
+/// connection; `on_frame`/`on_dead` run on the poller thread.
 pub(crate) trait ConnDriver: Send + Sync + 'static {
     /// Length of the first complete wire frame in `buf` (`Ok(None)` =
     /// need more bytes; `Err` = unrecoverable framing corruption).
@@ -156,7 +163,7 @@ struct OutQueue {
     queue: VecDeque<OutFrame>,
     /// A batch that hit `WouldBlock` mid-write: the batch bytes + offset.
     inflight: Option<(WireBuf, usize)>,
-    /// A flush token is queued with the shard (dedupes sender wakeups).
+    /// A flush token is queued with the poller (dedupes sender wakeups).
     scheduled: bool,
     /// `EPOLLOUT` interest is currently armed.
     epollout: bool,
@@ -167,48 +174,43 @@ impl OutQueue {
     /// `COALESCE_BUDGET` bytes — as one contiguous byte run, counting its
     /// frames and the one flush it will cost. `None` when nothing is queued.
     fn next_batch(&mut self, pool: &BufferPool, stats: &WriterStats) -> Option<WireBuf> {
-        let mut batch: Vec<OutFrame> = Vec::new();
+        // Measure the batch in place, so its buffer is taken once at its
+        // final size and no list of popped frames is built.
+        let mut frames = 0;
         let mut size = 0;
-        while size < COALESCE_BUDGET {
-            match self.queue.pop_front() {
-                Some(f) => {
-                    size += f.len();
-                    batch.push(f);
-                }
-                None => break,
+        for f in &self.queue {
+            if size >= COALESCE_BUDGET {
+                break;
             }
+            size += f.len();
+            frames += 1;
         }
-        if batch.is_empty() {
+        if frames == 0 {
             return None;
         }
-        stats
-            .frames
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        stats.frames.fetch_add(frames as u64, Ordering::Relaxed);
         stats.flushes.fetch_add(1, Ordering::Relaxed);
-        Some(match batch.as_slice() {
+        if frames == 1 && self.queue[0].tail.is_none() {
             // The lone-frame case (sequential callers): write the encoded
             // buffer directly, no copy.
-            [only] if only.tail.is_none() => only.head.clone(),
-            _ => {
-                // Pipelined or split frames: one contiguous batch buffer.
-                // The remainder bookkeeping under WouldBlock is simplest
-                // over one contiguous byte run, and the copy is bounded by
-                // the budget.
-                let mut scratch = pool.get(size);
-                for f in &batch {
-                    scratch.extend_from_slice(&f.head);
-                    if let Some(tail) = &f.tail {
-                        scratch.extend_from_slice(tail);
-                    }
-                }
-                scratch.freeze()
+            return self.queue.pop_front().map(|f| f.head);
+        }
+        // Pipelined or split frames: one contiguous batch buffer. The
+        // remainder bookkeeping under WouldBlock is simplest over one
+        // contiguous byte run, and the copy is bounded by the budget.
+        let mut batch = pool.get(size);
+        for f in self.queue.drain(..frames) {
+            batch.extend_from_slice(&f.head);
+            if let Some(tail) = &f.tail {
+                batch.extend_from_slice(tail);
             }
-        })
+        }
+        Some(batch.freeze())
     }
 }
 
-/// Frame-reassembly state for one connection. Only the shard thread
-/// touches it; the mutex is uncontended.
+/// Frame-reassembly state for one connection. Only the poller touches it;
+/// the mutex is uncontended.
 struct ReadState {
     /// Reassembly buffer. Kept at its high-water length so the zero-fill
     /// of `Vec::resize` is paid once on growth, not on every readiness
@@ -218,12 +220,12 @@ struct ReadState {
     filled: usize,
 }
 
-/// One reactor-managed connection. Shared between the shard thread (I/O)
-/// and caller threads (enqueueing writes, teardown).
+/// One reactor-managed connection. Shared between the poller (I/O) and
+/// caller threads (enqueueing writes, teardown).
 pub(crate) struct ConnState {
     token: u64,
     fd: RawFd,
-    shard: Arc<Shard>,
+    reactor: Arc<Reactor>,
     io: Mutex<Box<dyn DuplexStream>>,
     driver: Mutex<Option<Arc<dyn ConnDriver>>>,
     dead: AtomicBool,
@@ -247,16 +249,16 @@ impl ConnState {
         )
     }
 
-    /// Counts one request answered on the shard thread instead of a worker.
+    /// Counts one request answered on the poller instead of a worker.
     pub fn note_inline_dispatch(&self) {
-        self.shard
+        self.reactor
             .stats
             .inline_dispatches
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Enqueues a frame for the coalescing drain on the shard thread.
-    /// Fails fast when the connection is already dead.
+    /// Enqueues a frame for the poller's coalescing drain. Fails fast when
+    /// the connection is already dead.
     pub fn send(&self, frame: OutFrame) -> Result<(), TransportError> {
         if self.is_dead() {
             return Err(TransportError::ConnectionClosed);
@@ -269,7 +271,7 @@ impl ConnState {
         }
         drop(out);
         if need_schedule {
-            self.shard.schedule_flush(self.token);
+            self.reactor.schedule_flush(self.token);
         }
         // Benign race: a kill that lands between the dead-check and the
         // enqueue leaves the frame in a queue that `kill` clears — the
@@ -285,7 +287,7 @@ impl ConnState {
         if self.dead.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.shard.deregister(self.token, self.fd);
+        self.reactor.deregister(self.token, self.fd);
         {
             let mut out = self.out.lock();
             out.queue.clear();
@@ -298,7 +300,10 @@ impl ConnState {
         if let Some(driver) = driver {
             driver.on_dead();
         }
-        self.shard.stats.connections.fetch_sub(1, Ordering::Relaxed);
+        self.reactor
+            .stats
+            .connections
+            .fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -309,7 +314,7 @@ struct ListenerState {
     on_accept: Box<dyn Fn(Box<dyn DuplexStream>) + Send + Sync>,
 }
 
-/// What a shard token resolves to.
+/// What a registration token resolves to.
 enum Registered {
     Conn(Arc<ConnState>),
     Listener(Arc<ListenerState>),
@@ -318,20 +323,20 @@ enum Registered {
 /// Aggregate reactor counters, surfaced through the runtime's metrics
 /// registries. Gauges are "current" values; counters are monotonic.
 #[derive(Default)]
-pub struct ReactorStats {
+struct ReactorStats {
     /// Open reactor-managed connections (gauge).
-    pub connections: AtomicU64,
+    connections: AtomicU64,
     /// Registered epoll interests: connections + listeners (gauge).
-    pub interests: AtomicU64,
+    interests: AtomicU64,
     /// Poller wakeups (epoll_wait returns) so far (counter).
-    pub wakeups: AtomicU64,
+    wakeups: AtomicU64,
     /// Readiness events delivered so far (counter).
-    pub ready_events: AtomicU64,
-    /// Requests whose handler ran on a shard thread, not a worker (counter).
-    pub inline_dispatches: AtomicU64,
+    ready_events: AtomicU64,
+    /// Requests whose handler ran on the poller, not a worker (counter).
+    inline_dispatches: AtomicU64,
 }
 
-/// A point-in-time copy of [`ReactorStats`].
+/// A point-in-time copy of the reactor's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReactorSnapshot {
     /// Open reactor-managed connections.
@@ -342,14 +347,13 @@ pub struct ReactorSnapshot {
     pub wakeups: u64,
     /// Readiness events delivered so far.
     pub ready_events: u64,
-    /// Requests whose handler ran on a shard thread instead of a worker.
+    /// Requests whose handler ran on the poller instead of a worker.
     pub inline_dispatches: u64,
-    /// Poller shards serving those connections.
-    pub shards: u64,
 }
 
-/// One epoll instance + its poller thread's shared state.
-struct Shard {
+/// The process-wide reactor: one epoll instance and the poller thread
+/// that waits on it.
+pub(crate) struct Reactor {
     epoll: Epoll,
     wake: WakeFd,
     registered: Mutex<HashMap<u64, Registered>>,
@@ -360,21 +364,149 @@ struct Shard {
     /// loop anyway, and skipping the wake both saves the syscall and lets
     /// bursts accumulate into larger coalesced batches.
     polling: AtomicBool,
-    stats: Arc<ReactorStats>,
+    next_token: AtomicU64,
+    stats: ReactorStats,
 }
 
-impl Shard {
+static GLOBAL: OnceLock<Result<Arc<Reactor>, TransportError>> = OnceLock::new();
+
+impl Reactor {
+    /// The process-wide reactor, spawning its poller thread on first use.
+    /// A start-up failure (epoll, eventfd or thread creation) is remembered
+    /// and returned to every caller: there is no other way to move bytes.
+    pub fn global() -> Result<&'static Arc<Reactor>, TransportError> {
+        GLOBAL
+            .get_or_init(|| {
+                Reactor::spawn()
+                    .map_err(|e| TransportError::Io(format!("reactor failed to start: {e}")))
+            })
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    fn spawn() -> io::Result<Arc<Reactor>> {
+        let epoll = Epoll::new()?;
+        let wake = WakeFd::new()?;
+        epoll.add(wake.raw_fd(), WAKE_TOKEN, Interest::READABLE)?;
+        let reactor = Arc::new(Reactor {
+            epoll,
+            wake,
+            registered: Mutex::new(HashMap::new()),
+            flush_q: Mutex::new(Vec::new()),
+            polling: AtomicBool::new(false),
+            next_token: AtomicU64::new(1),
+            stats: ReactorStats::default(),
+        });
+        let poller = Arc::clone(&reactor);
+        std::thread::Builder::new()
+            .name("weaver-reactor".into())
+            .spawn(move || poller.run())?;
+        Ok(reactor)
+    }
+
+    /// Switches `stream` to non-blocking mode and registers it. The driver
+    /// starts receiving `on_frame` callbacks as soon as bytes arrive.
+    pub fn register_conn(
+        self: &Arc<Self>,
+        stream: Box<dyn DuplexStream>,
+        driver: Arc<dyn ConnDriver>,
+        pool: BufferPool,
+    ) -> io::Result<Arc<ConnState>> {
+        stream.set_nonblocking(true)?;
+        let fd = stream.poll_fd();
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        let conn = Arc::new(ConnState {
+            token,
+            fd,
+            reactor: Arc::clone(self),
+            io: Mutex::new(stream),
+            driver: Mutex::new(Some(driver)),
+            dead: AtomicBool::new(false),
+            read: Mutex::new(ReadState {
+                rbuf: Vec::new(),
+                filled: 0,
+            }),
+            out: Mutex::new(OutQueue::default()),
+            stats: WriterStats::default(),
+            pool,
+        });
+        self.add(fd, token, Registered::Conn(Arc::clone(&conn)))?;
+        self.stats.connections.fetch_add(1, Ordering::Relaxed);
+        Ok(conn)
+    }
+
+    /// Registers a listener; `on_accept` runs on the poller for each
+    /// accepted (TCP: already `TCP_NODELAY`; still blocking-mode) socket.
+    pub fn register_listener(
+        &self,
+        listener: Listener,
+        on_accept: Box<dyn Fn(Box<dyn DuplexStream>) + Send + Sync>,
+    ) -> io::Result<u64> {
+        listener.set_nonblocking()?;
+        let fd = listener.raw_fd();
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        let state = Arc::new(ListenerState {
+            fd,
+            listener,
+            on_accept,
+        });
+        self.add(fd, token, Registered::Listener(state))?;
+        Ok(token)
+    }
+
+    /// Stops accepting on a listener registered with
+    /// [`Reactor::register_listener`] and closes its socket.
+    pub fn deregister_listener(&self, token: u64) {
+        let fd = match self.registered.lock().get(&token) {
+            Some(Registered::Listener(l)) => l.fd,
+            _ => return,
+        };
+        self.deregister(token, fd);
+        // The ListenerState (and its listener) dropped with the map entry,
+        // closing the socket.
+    }
+
+    /// Point-in-time counters.
+    pub fn snapshot(&self) -> ReactorSnapshot {
+        ReactorSnapshot {
+            connections: self.stats.connections.load(Ordering::Relaxed),
+            interests: self.stats.interests.load(Ordering::Relaxed),
+            wakeups: self.stats.wakeups.load(Ordering::Relaxed),
+            ready_events: self.stats.ready_events.load(Ordering::Relaxed),
+            inline_dispatches: self.stats.inline_dispatches.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Maps `token` to `entry` and arms read interest on `fd`.
+    fn add(&self, fd: RawFd, token: u64, entry: Registered) -> io::Result<()> {
+        self.registered.lock().insert(token, entry);
+        if let Err(e) = self.epoll.add(fd, token, Interest::READABLE) {
+            self.unmap(token);
+            return Err(e);
+        }
+        self.stats.interests.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Removes `token`'s entry and hands it back, so that it drops after the
+    /// map's lock is released: a listener's accept callback can hold the
+    /// last handle on other connections (a server's handler owns the
+    /// runtime's client pool), and tearing those down deregisters them.
+    fn unmap(&self, token: u64) -> Option<Registered> {
+        self.registered.lock().remove(&token)
+    }
+
+    fn deregister(&self, token: u64, fd: RawFd) {
+        if self.unmap(token).is_some() {
+            let _ = self.epoll.delete(fd);
+            self.stats.interests.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
     fn schedule_flush(&self, token: u64) {
         self.flush_q.lock().push(token);
         if self.polling.load(Ordering::SeqCst) {
             self.wake.wake();
-        }
-    }
-
-    fn deregister(&self, token: u64, fd: RawFd) {
-        if self.registered.lock().remove(&token).is_some() {
-            let _ = self.epoll.delete(fd);
-            self.stats.interests.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
@@ -388,6 +520,9 @@ impl Shard {
     /// The poller loop: wait for readiness, drive reads/accepts/flushes.
     fn run(self: Arc<Self>) {
         let mut events = Events::with_capacity(1024);
+        // Trades places with `flush_q` on every drain, so neither side
+        // allocates once both have grown to the usual burst.
+        let mut tokens = Vec::new();
         loop {
             // Park-flag handshake with `schedule_flush`: set `polling`,
             // then re-check the queue. A token pushed before the flag was
@@ -396,7 +531,7 @@ impl Shard {
             self.polling.store(true, Ordering::SeqCst);
             if !self.flush_q.lock().is_empty() {
                 self.polling.store(false, Ordering::SeqCst);
-                self.drain_flush_queue();
+                self.drain_flush_queue(&mut tokens);
                 continue;
             }
             let wait = self.epoll.wait(&mut events, -1);
@@ -436,19 +571,20 @@ impl Shard {
             }
             // Flush requests queued by sender threads (and by drivers
             // during the event pass above).
-            self.drain_flush_queue();
+            self.drain_flush_queue(&mut tokens);
         }
     }
 
     /// Flushes every connection with a queued flush token, looping until
-    /// the queue stays empty (flushes can enqueue more work).
-    fn drain_flush_queue(&self) {
+    /// the queue stays empty (flushes can enqueue more work). `tokens` is
+    /// the poller's empty spare, swapped in for the queued tokens.
+    fn drain_flush_queue(&self, tokens: &mut Vec<u64>) {
         loop {
-            let tokens: Vec<u64> = std::mem::take(&mut *self.flush_q.lock());
+            std::mem::swap(tokens, &mut *self.flush_q.lock());
             if tokens.is_empty() {
                 break;
             }
-            for token in tokens {
+            for token in tokens.drain(..) {
                 if let Some(conn) = self.lookup_conn(token) {
                     conn.out.lock().scheduled = false;
                     self.flush(&conn);
@@ -542,8 +678,8 @@ impl Shard {
     }
 
     /// Drains the outbound queue in coalesced batches. Runs only on the
-    /// shard thread; on `WouldBlock` parks the remainder and arms
-    /// `EPOLLOUT`, disarming it once fully drained.
+    /// poller; on `WouldBlock` parks the remainder and arms `EPOLLOUT`,
+    /// disarming it once fully drained.
     fn flush(&self, conn: &Arc<ConnState>) {
         loop {
             // Assemble the next write: a parked remainder, or a fresh
@@ -593,171 +729,9 @@ impl Shard {
     }
 }
 
-/// The process-wide reactor: `N` shards, round-robin assignment.
-pub(crate) struct Reactor {
-    shards: Vec<Arc<Shard>>,
-    next_token: AtomicU64,
-    stats: Arc<ReactorStats>,
-}
-
-static GLOBAL: OnceLock<Result<Arc<Reactor>, TransportError>> = OnceLock::new();
-
-impl Reactor {
-    /// The process-wide reactor, spawning its shard threads on first use.
-    /// A start-up failure (epoll, eventfd or thread creation) is remembered
-    /// and returned to every caller: there is no other way to move bytes.
-    pub fn global() -> Result<&'static Arc<Reactor>, TransportError> {
-        GLOBAL
-            .get_or_init(|| {
-                Reactor::spawn()
-                    .map(Arc::new)
-                    .map_err(|e| TransportError::Io(format!("reactor failed to start: {e}")))
-            })
-            .as_ref()
-            .map_err(Clone::clone)
-    }
-
-    fn shard_count() -> usize {
-        if let Ok(v) = std::env::var("WEAVER_REACTOR_SHARDS") {
-            if let Ok(n) = v.parse::<usize>() {
-                return n.clamp(1, 64);
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(4)
-    }
-
-    fn spawn() -> io::Result<Reactor> {
-        let stats = Arc::new(ReactorStats::default());
-        let mut shards = Vec::new();
-        for i in 0..Self::shard_count() {
-            let epoll = Epoll::new()?;
-            let wake = WakeFd::new()?;
-            epoll.add(wake.raw_fd(), WAKE_TOKEN, Interest::READABLE)?;
-            let shard = Arc::new(Shard {
-                epoll,
-                wake,
-                registered: Mutex::new(HashMap::new()),
-                flush_q: Mutex::new(Vec::new()),
-                polling: AtomicBool::new(false),
-                stats: Arc::clone(&stats),
-            });
-            let runner = Arc::clone(&shard);
-            std::thread::Builder::new()
-                .name(format!("weaver-reactor-{i}"))
-                .spawn(move || runner.run())?;
-            shards.push(shard);
-        }
-        Ok(Reactor {
-            shards,
-            next_token: AtomicU64::new(1),
-            stats,
-        })
-    }
-
-    fn pick_shard(&self, token: u64) -> &Arc<Shard> {
-        &self.shards[(token as usize) % self.shards.len()]
-    }
-
-    /// Switches `stream` to non-blocking mode and registers it. The driver
-    /// starts receiving `on_frame` callbacks as soon as bytes arrive.
-    pub fn register_conn(
-        &self,
-        stream: Box<dyn DuplexStream>,
-        driver: Arc<dyn ConnDriver>,
-        pool: BufferPool,
-    ) -> io::Result<Arc<ConnState>> {
-        stream.set_nonblocking(true)?;
-        let fd = stream.poll_fd();
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        let shard = Arc::clone(self.pick_shard(token));
-        let conn = Arc::new(ConnState {
-            token,
-            fd,
-            shard: Arc::clone(&shard),
-            io: Mutex::new(stream),
-            driver: Mutex::new(Some(driver)),
-            dead: AtomicBool::new(false),
-            read: Mutex::new(ReadState {
-                rbuf: Vec::new(),
-                filled: 0,
-            }),
-            out: Mutex::new(OutQueue::default()),
-            stats: WriterStats::default(),
-            pool,
-        });
-        shard
-            .registered
-            .lock()
-            .insert(token, Registered::Conn(Arc::clone(&conn)));
-        if let Err(e) = shard.epoll.add(fd, token, Interest::READABLE) {
-            shard.registered.lock().remove(&token);
-            return Err(e);
-        }
-        self.stats.connections.fetch_add(1, Ordering::Relaxed);
-        self.stats.interests.fetch_add(1, Ordering::Relaxed);
-        Ok(conn)
-    }
-
-    /// Registers a listener; `on_accept` runs on the shard thread for each
-    /// accepted (TCP: already `TCP_NODELAY`; still blocking-mode) socket.
-    pub fn register_listener(
-        &self,
-        listener: Listener,
-        on_accept: Box<dyn Fn(Box<dyn DuplexStream>) + Send + Sync>,
-    ) -> io::Result<u64> {
-        listener.set_nonblocking()?;
-        let fd = listener.raw_fd();
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        let shard = self.pick_shard(token);
-        let state = Arc::new(ListenerState {
-            fd,
-            listener,
-            on_accept,
-        });
-        shard
-            .registered
-            .lock()
-            .insert(token, Registered::Listener(state));
-        if let Err(e) = shard.epoll.add(fd, token, Interest::READABLE) {
-            shard.registered.lock().remove(&token);
-            return Err(e);
-        }
-        self.stats.interests.fetch_add(1, Ordering::Relaxed);
-        Ok(token)
-    }
-
-    /// Stops accepting on a listener registered with
-    /// [`Reactor::register_listener`] and closes its socket.
-    pub fn deregister_listener(&self, token: u64) {
-        let shard = self.pick_shard(token);
-        let fd = match shard.registered.lock().get(&token) {
-            Some(Registered::Listener(l)) => l.fd,
-            _ => return,
-        };
-        shard.deregister(token, fd);
-        // The ListenerState (and its listener) dropped with the map entry,
-        // closing the socket.
-    }
-
-    /// Point-in-time counters.
-    pub fn snapshot(&self) -> ReactorSnapshot {
-        ReactorSnapshot {
-            connections: self.stats.connections.load(Ordering::Relaxed),
-            interests: self.stats.interests.load(Ordering::Relaxed),
-            wakeups: self.stats.wakeups.load(Ordering::Relaxed),
-            ready_events: self.stats.ready_events.load(Ordering::Relaxed),
-            inline_dispatches: self.stats.inline_dispatches.load(Ordering::Relaxed),
-            shards: self.shards.len() as u64,
-        }
-    }
-}
-
 /// Counters for the process-wide reactor, or `None` when it has never been
 /// started (no connection or server was created yet) or failed to start.
-/// Peeks without spawning: asking for metrics never starts poller threads.
+/// Peeks without spawning: asking for metrics never starts the poller.
 pub fn reactor_snapshot() -> Option<ReactorSnapshot> {
     GLOBAL
         .get()
@@ -791,7 +765,7 @@ mod tests {
         let mut out = queue_of((0..20u64).map(|i| request_frame(&pool, i, &[i as u8; 32])));
 
         // All 20 frames were pre-queued, so the greedy drain hands the
-        // shard a single write.
+        // poller a single write.
         let batch = out.next_batch(&pool, &stats).unwrap();
         assert!(out.next_batch(&pool, &stats).is_none());
         assert_eq!(stats.frames.load(Ordering::Relaxed), 20);
@@ -903,7 +877,10 @@ mod tests {
         }
     }
 
-    fn register_echo(reactor: &Reactor, stream: TcpStream) -> (Arc<ConnState>, Arc<AtomicU64>) {
+    fn register_echo(
+        reactor: &Arc<Reactor>,
+        stream: TcpStream,
+    ) -> (Arc<ConnState>, Arc<AtomicU64>) {
         stream.set_nodelay(true).unwrap();
         let dead_count = Arc::new(AtomicU64::new(0));
         let driver = Arc::new(EchoDriver {
@@ -972,6 +949,52 @@ mod tests {
         assert_eq!(reactor.snapshot().connections, 0);
     }
 
+    /// A listener's accept callback may hold the last handle on other
+    /// connections of the same reactor (a server's handler owns the
+    /// runtime's client pool). Deregistering the listener tears them down,
+    /// and each of them deregisters itself on the way.
+    #[test]
+    fn deregistering_a_listener_tears_down_the_connections_it_owns() {
+        struct KillOnDrop(Arc<ConnState>);
+        impl Drop for KillOnDrop {
+            fn drop(&mut self) {
+                self.0.kill();
+            }
+        }
+
+        let reactor = Reactor::spawn().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (managed, _) = listener.accept().unwrap();
+        let (conn, dead_count) = register_echo(&reactor, managed);
+        let owned = KillOnDrop(Arc::clone(&conn));
+        let (accepting, _) =
+            Listener::bind(crate::endpoint::Endpoint::Tcp(([127, 0, 0, 1], 0).into())).unwrap();
+        let token = reactor
+            .register_listener(
+                accepting,
+                Box::new(move |_| {
+                    let _owned = &owned;
+                }),
+            )
+            .unwrap();
+
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let deregistering = {
+            let reactor = Arc::clone(&reactor);
+            std::thread::spawn(move || {
+                reactor.deregister_listener(token);
+                done_tx.send(()).unwrap();
+            })
+        };
+        done.recv_timeout(std::time::Duration::from_secs(5))
+            .expect("deregistering the listener deadlocked");
+        deregistering.join().unwrap();
+        assert!(conn.is_dead());
+        assert_eq!(dead_count.load(Ordering::SeqCst), 1);
+        assert_eq!(reactor.snapshot().interests, 0);
+    }
+
     #[test]
     fn send_after_kill_fails_fast() {
         let reactor = Reactor::spawn().unwrap();
@@ -994,7 +1017,7 @@ mod tests {
         let (conn, _) = register_echo(&reactor, managed);
 
         // Queue far more than the socket buffer holds while the peer reads
-        // nothing: the shard parks a remainder and the rest stays queued.
+        // nothing: the poller parks a remainder and the rest stays queued.
         let pool = BufferPool::new();
         let mut sent = 0usize;
         while sent < 16 << 20 {
@@ -1032,7 +1055,7 @@ mod tests {
         let (managed, _) = listener.accept().unwrap();
         let (conn, _) = register_echo(&reactor, managed);
 
-        // Stuff far more than the socket buffer without reading: the shard
+        // Stuff far more than the socket buffer without reading: the poller
         // must park the remainder on WouldBlock instead of spinning or
         // dropping bytes.
         let pool = BufferPool::new();

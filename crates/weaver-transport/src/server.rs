@@ -5,22 +5,22 @@
 //! accept is the same for both kinds. The listening socket and every
 //! accepted connection live on the shared
 //! readiness reactor ([`crate::reactor`]): accepts, frame decode and
-//! response writes all run on the poller shards, and handler execution
+//! response writes all run on its poller thread, and handler execution
 //! hops to the bounded worker pool. No threads are created per connection.
 //!
 //! That hop — a queue push and one futex wake of a parked worker, its
 //! run-queue wait, then the reply's enqueue and flush wake back on the
-//! shard — costs more than a small handler does, so the one dispatch path
+//! poller — costs more than a small handler does, so the one dispatch path
 //! has one branch: a request for which the installed handler answers
-//! [`RpcHandler::inline_ok`] runs on the shard thread that decoded it. A
+//! [`RpcHandler::inline_ok`] runs on the poller thread that decoded it. A
 //! handler that panics costs its connection on either branch, never the
-//! shard or the worker. The default answer is `false`, because a server cannot know whether
+//! poller or the worker. The default answer is `false`, because a server cannot know whether
 //! an arbitrary handler blocks (closure handlers and the gRPC-like baseline
 //! never get the branch); the component runtime can know, and says yes only
 //! for a started component that acquired no reference to another one, whose
 //! method has measured cheap, and that has no injected fault. A handler
 //! that answers yes wrongly and then waits on a call gets an error, not a
-//! stalled shard (see [`crate::reactor`]'s dispatch notes).
+//! stalled poller (see [`crate::reactor`]'s dispatch notes).
 //!
 //! The response path is zero-copy end to end: handlers receive request args
 //! as a borrowed slice of the pooled receive buffer and return a
@@ -57,9 +57,9 @@ pub trait RpcHandler: Send + Sync + 'static {
     fn handle(&self, header: &RequestHeader, args: &[u8]) -> ResponseBody;
 
     /// Whether [`RpcHandler::handle`] for this request may run on the
-    /// reactor shard thread that decoded it instead of a worker. Say `true`
-    /// only when the handler can neither wait on another call nor run long:
-    /// the shard serves no other connection meanwhile.
+    /// reactor's poller thread that decoded it instead of a worker. Say
+    /// `true` only when the handler can neither wait on another call nor run
+    /// long: the poller serves no other connection of the process meanwhile.
     fn inline_ok(&self, _header: &RequestHeader) -> bool {
         false
     }
@@ -199,7 +199,7 @@ impl<F: Framing> Drop for Server<F> {
     }
 }
 
-/// Protocol logic for one accepted connection: decode on the poller shard,
+/// Protocol logic for one accepted connection: decode on the poller,
 /// execute on the worker pool (or in place, when the handler allows it),
 /// reply through the connection's coalescing write queue.
 struct ServerDriver<F: Framing> {
@@ -213,8 +213,8 @@ struct ServerDriver<F: Framing> {
     in_flight: Arc<Mutex<HashSet<u64>>>,
 }
 
-/// Encodes `body` as the response on `stream` and queues it for the shard's
-/// coalescing drain.
+/// Encodes `body` as the response on `stream` and queues it for the
+/// poller's coalescing drain.
 fn send_response<F: Framing>(
     state: &ConnState,
     buf_pool: &BufferPool,
@@ -249,7 +249,7 @@ impl<F: Framing> ConnDriver for ServerDriver<F> {
                 if self.handler.inline_ok(&header) {
                     // No `in_flight` entry: this thread reads the
                     // connection's frames, so no `Cancel` can arrive before
-                    // the reply is queued. A panic must not take the shard
+                    // the reply is queued. A panic must not take the poller
                     // (and every connection on it) down with it: it costs
                     // this connection instead.
                     state.note_inline_dispatch();
@@ -451,7 +451,7 @@ mod tests {
         state.kill();
     }
 
-    /// A handler that claims it may run on the shard thread; what it does
+    /// A handler that claims it may run on the poller thread; what it does
     /// there is the wrapped closure's business.
     struct Inline(Arc<dyn RpcHandler>);
 
@@ -482,7 +482,7 @@ mod tests {
     }
 
     #[test]
-    fn inline_handlers_run_on_the_shard_and_the_rest_on_workers() {
+    fn inline_handlers_run_on_the_poller_and_the_rest_on_workers() {
         let ran_on = |handler: Arc<dyn RpcHandler>| {
             let server = Server::<WeaverFraming>::bind("127.0.0.1:0", 2, handler).unwrap();
             let conn = Connection::<WeaverFraming>::connect(server.local_addr()).unwrap();
@@ -493,10 +493,7 @@ mod tests {
         };
         let inline_before = crate::reactor_snapshot().map_or(0, |r| r.inline_dispatches);
         let name = ran_on(Arc::new(Inline(Arc::new(thread_namer))));
-        assert!(
-            name.starts_with("weaver-reactor-"),
-            "inline ran on {name:?}"
-        );
+        assert_eq!(name, "weaver-reactor", "inline ran on {name:?}");
         // The reactor is process-wide and other tests run beside this one,
         // so the counter is only known to have moved by at least this call.
         let inline_after = crate::reactor_snapshot().unwrap().inline_dispatches;
@@ -518,7 +515,7 @@ mod tests {
         let mut peer = TcpStream::connect(server.local_addr()).unwrap();
         peer.set_nodelay(true).unwrap();
         peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        // Eight requests in one segment: the shard decodes and answers all
+        // Eight requests in one segment: the poller decodes and answers all
         // of them in one readiness event, and only then drains its flush
         // queue.
         let mut wire = Vec::new();
@@ -561,7 +558,7 @@ mod tests {
 
     /// A handler whose `inline_ok` lies: it makes a nested call and waits
     /// for it, two different ways. Each must come back as an error at
-    /// once, not stall the shard until the deadline.
+    /// once, not stall the poller until the deadline.
     #[test]
     fn blocking_from_an_inline_handler_is_an_error_not_a_hang() {
         let backend = Server::<WeaverFraming>::bind("127.0.0.1:0", 1, echo_handler()).unwrap();
@@ -608,7 +605,7 @@ mod tests {
 
     /// On either dispatch branch a panicking handler severs its connection
     /// (the caller fails at once rather than at its deadline) and the thread
-    /// that ran it keeps serving: every shard, and the server's one worker.
+    /// that ran it keeps serving: the poller, and the server's one worker.
     #[test]
     fn a_panicking_handler_costs_its_connection_not_its_thread() {
         let panics_on_1 = |header: &RequestHeader, _: &[u8]| {
@@ -699,26 +696,40 @@ mod tests {
         assert!(!conn.is_dead());
     }
 
-    /// Sixteen calls begun back to back share write syscalls.
+    /// Sixteen calls begun while the poller is busy leave in one write.
+    /// The poller is parked in an inline handler of a second server, so all
+    /// sixteen frames are queued before it can flush the first of them.
     #[test]
-    fn pipelined_calls_coalesce() {
+    fn calls_queued_behind_a_busy_poller_share_one_write() {
+        let (entered_tx, entered) = std::sync::mpsc::sync_channel::<()>(1);
+        let (release, release_rx) = std::sync::mpsc::sync_channel::<()>(1);
+        // Handlers are `Sync`; std's channel ends are not.
+        let (entered_tx, release_rx) = (Mutex::new(entered_tx), Mutex::new(release_rx));
+        let park = move |_: &RequestHeader, _: &[u8]| {
+            entered_tx.lock().send(()).unwrap();
+            release_rx.lock().recv().unwrap();
+            ok(vec![])
+        };
+        let parking =
+            Server::<WeaverFraming>::bind("127.0.0.1:0", 1, Arc::new(Inline(Arc::new(park))))
+                .unwrap();
+        let parker = Arc::new(Connection::<WeaverFraming>::connect(parking.endpoint()).unwrap());
+        let header = RequestHeader::default();
         for kind in test_endpoints() {
             let server = Server::<WeaverFraming>::bind(kind, 2, echo_handler()).unwrap();
             let conn = Arc::new(Connection::<WeaverFraming>::connect(server.endpoint()).unwrap());
-            let header = RequestHeader::default();
+            let parked = Connection::call_begin(&parker, &header, &[]).unwrap();
+            entered.recv().unwrap();
             let calls: Vec<_> = (0..16u8)
                 .map(|i| Connection::call_begin(&conn, &header, &[i]).unwrap())
                 .collect();
+            release.send(()).unwrap();
+            parked.wait(Some(Duration::from_secs(5))).unwrap();
             for (i, call) in calls.into_iter().enumerate() {
                 let resp = call.wait(Some(Duration::from_secs(5))).unwrap();
                 assert_eq!(resp.payload, vec![i as u8, 0], "{kind}");
             }
-            let (frames, flushes) = conn.writer_counters();
-            assert_eq!(frames, 16, "{kind}");
-            assert!(
-                flushes < frames,
-                "{kind}: {frames} frames took {flushes} writes"
-            );
+            assert_eq!(conn.writer_counters(), (16, 1), "{kind}");
         }
     }
 

@@ -47,7 +47,7 @@ fn assert_connections_cost_no_threads<H>(
     let server = Server::<WeaverFraming>::bind("127.0.0.1:0", workers, echo()).unwrap();
     let addr = server.local_addr();
 
-    // Warm the reactor (shards spawn lazily on first registration) before
+    // Warm the reactor (its poller spawns on first registration) before
     // taking the thread baseline.
     let warm = Connection::<WeaverFraming>::connect(addr).unwrap();
     warm.ping().unwrap();
@@ -94,7 +94,7 @@ fn idle_half_open_connections_consume_no_threads() {
 
 #[test]
 fn live_pipelined_connections_consume_no_threads() {
-    // Threads must be O(shards + workers), not O(connections), when the
+    // Threads must be O(1 + workers), not O(connections), when the
     // connections carry traffic too: 512 live ones, 4 calls in flight on
     // each of a rotating window of 32 until every connection has served.
     const CONNS: usize = 512;
