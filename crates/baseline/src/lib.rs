@@ -29,4 +29,4 @@ pub mod messages;
 pub mod services;
 
 pub use client::BaselineFrontend;
-pub use services::{BaselineDeployment, ServiceId};
+pub use services::{maybe_service, BaselineDeployment, ServiceId, ENV_SERVICE, SERVICE_WORKERS};

@@ -1,5 +1,8 @@
 //! The ten microservice servers and the deployment that wires them up.
 
+use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Write};
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -657,121 +660,202 @@ impl RpcHandler for FrontendHandler {
 // Deployment wiring.
 // --------------------------------------------------------------------------
 
-/// A running baseline deployment: ten servers on loopback TCP.
+/// Names the service a re-executed child serves (its [`ServiceId`] number).
+pub const ENV_SERVICE: &str = "WEAVER_BASELINE_SERVICE";
+/// The endpoints of the services started before the child, which include
+/// every service it calls: comma-separated `<service id>=<endpoint>`.
+const ENV_ROUTES: &str = "WEAVER_BASELINE_ROUTES";
+/// Handler threads of each server of a spawned deployment.
+pub const SERVICE_WORKERS: usize = 8;
+
+impl ServiceId {
+    /// Every service, each one after the services it calls: the order a
+    /// deployment starts them in.
+    const START_ORDER: [ServiceId; 10] = [
+        ServiceId::Catalog,
+        ServiceId::Currency,
+        ServiceId::Cart,
+        ServiceId::Shipping,
+        ServiceId::Payment,
+        ServiceId::Email,
+        ServiceId::Ads,
+        ServiceId::Recommendation,
+        ServiceId::Checkout,
+        ServiceId::Frontend,
+    ];
+}
+
+/// Builds `service`'s handler; `stub` dials each service it calls.
+fn handler(service: ServiceId, stub: impl Fn(ServiceId) -> Stub) -> Arc<dyn RpcHandler> {
+    match service {
+        ServiceId::Catalog => Arc::new(CatalogHandler {
+            store: CatalogStore::seeded(),
+        }),
+        ServiceId::Currency => Arc::new(CurrencyHandler {
+            converter: CurrencyConverter::seeded(),
+        }),
+        ServiceId::Cart => Arc::new(CartHandler {
+            store: CartStore::new(),
+        }),
+        ServiceId::Shipping => Arc::new(ShippingHandler {
+            service: ShippingService::new(),
+        }),
+        ServiceId::Payment => Arc::new(PaymentHandler {
+            processor: PaymentProcessor::new(),
+        }),
+        ServiceId::Email => Arc::new(EmailHandler {
+            sender: EmailSender::new(),
+        }),
+        ServiceId::Ads => Arc::new(AdsHandler {
+            server: AdServer::seeded(),
+        }),
+        ServiceId::Recommendation => Arc::new(RecommendationHandler {
+            catalog: CatalogClient::new(stub(ServiceId::Catalog)),
+        }),
+        ServiceId::Checkout => Arc::new(CheckoutHandler {
+            cart: CartClient::new(stub(ServiceId::Cart)),
+            catalog: CatalogClient::new(stub(ServiceId::Catalog)),
+            currency: CurrencyClient::new(stub(ServiceId::Currency)),
+            shipping: ShippingClient::new(stub(ServiceId::Shipping)),
+            payment: PaymentClient::new(stub(ServiceId::Payment)),
+            email: EmailClient::new(stub(ServiceId::Email)),
+            orders: AtomicU64::new(0),
+        }),
+        ServiceId::Frontend => Arc::new(FrontendHandler {
+            catalog: CatalogClient::new(stub(ServiceId::Catalog)),
+            currency: CurrencyClient::new(stub(ServiceId::Currency)),
+            cart: CartClient::new(stub(ServiceId::Cart)),
+            recommendations: RecommendationClient::new(stub(ServiceId::Recommendation)),
+            shipping: ShippingClient::new(stub(ServiceId::Shipping)),
+            ads: AdsClient::new(stub(ServiceId::Ads)),
+            checkout: CheckoutClient::new(stub(ServiceId::Checkout)),
+        }),
+    }
+}
+
+/// In a child started by [`BaselineDeployment::spawn`], serves one service
+/// and exits; everywhere else returns at once. Call it first in `main`.
+///
+/// The child binds `127.0.0.1:0`, writes its endpoint as one line on
+/// stdout, and serves until its stdin closes, so a parent that dies leaves
+/// no orphan behind.
+pub fn maybe_service() {
+    let Some(service) = std::env::var_os(ENV_SERVICE) else {
+        return;
+    };
+    let fail = |what: String| -> ! {
+        eprintln!("baseline service: {what}");
+        std::process::exit(2);
+    };
+    let service = service
+        .to_str()
+        .and_then(|id| id.parse::<u32>().ok())
+        .and_then(|id| ServiceId::START_ORDER.into_iter().find(|s| *s as u32 == id))
+        .unwrap_or_else(|| fail(format!("{ENV_SERVICE} names no service")));
+    let mut routes = HashMap::new();
+    for route in std::env::var(ENV_ROUTES)
+        .unwrap_or_default()
+        .split_terminator(',')
+    {
+        let parsed = route
+            .split_once('=')
+            .and_then(|(id, addr)| Some((id.parse::<u32>().ok()?, addr.parse::<Endpoint>().ok()?)));
+        let (id, addr) = parsed.unwrap_or_else(|| fail(format!("bad route {route:?}")));
+        routes.insert(id, addr);
+    }
+
+    let pool = Arc::new(Pool::new());
+    let handler = handler(service, |dep| {
+        let addr = routes.get(&(dep as u32)).copied();
+        let addr = addr.unwrap_or_else(|| fail(format!("{service:?} has no route to {dep:?}")));
+        Stub::new(Arc::clone(&pool), addr, dep)
+    });
+    let server = Server::<GrpcLikeFraming>::bind("127.0.0.1:0", SERVICE_WORKERS, handler)
+        .unwrap_or_else(|e| fail(format!("{service:?} cannot bind: {e}")));
+    let mut stdout = std::io::stdout();
+    if writeln!(stdout, "{}", server.endpoint())
+        .and_then(|()| stdout.flush())
+        .is_err()
+    {
+        fail("cannot write the endpoint".into());
+    }
+    let _ = std::io::copy(&mut std::io::stdin(), &mut std::io::sink());
+    std::process::exit(0);
+}
+
+/// A running baseline deployment: ten services on loopback TCP.
 pub struct BaselineDeployment {
-    /// Kept alive; dropping shuts every service down.
+    /// Kept alive, one per service, the servers of an in-process
+    /// deployment or the children of a spawned one; dropping shuts every
+    /// service down.
     servers: Vec<Server<GrpcLikeFraming>>,
-    addrs: std::collections::HashMap<u32, Endpoint>,
+    children: Vec<Child>,
+    addrs: HashMap<u32, Endpoint>,
     pool: Arc<Pool<GrpcLikeFraming>>,
 }
 
 impl BaselineDeployment {
-    /// Starts all ten services, each with `workers` handler threads.
+    fn empty() -> BaselineDeployment {
+        BaselineDeployment {
+            servers: Vec::new(),
+            children: Vec::new(),
+            addrs: HashMap::new(),
+            pool: Arc::new(Pool::new()),
+        }
+    }
+
+    /// Starts all ten services in this process, each with `workers`
+    /// handler threads.
     pub fn start(workers: usize) -> Result<BaselineDeployment, WeaverError> {
-        let pool: Arc<Pool<GrpcLikeFraming>> = Arc::new(Pool::new());
-        let mut servers = Vec::new();
-        let mut addrs = std::collections::HashMap::new();
+        let mut deployment = BaselineDeployment::empty();
+        for service in ServiceId::START_ORDER {
+            let handler = handler(service, |dep| deployment.stub(dep));
+            let server = Server::<GrpcLikeFraming>::bind("127.0.0.1:0", workers, handler)
+                .map_err(WeaverError::from)?;
+            deployment.addrs.insert(service as u32, server.endpoint());
+            deployment.servers.push(server);
+        }
+        Ok(deployment)
+    }
 
-        let mut bind =
-            |service: ServiceId, handler: Arc<dyn RpcHandler>| -> Result<Endpoint, WeaverError> {
-                let server = Server::<GrpcLikeFraming>::bind("127.0.0.1:0", workers, handler)
-                    .map_err(WeaverError::from)?;
-                let addr = server.endpoint();
-                servers.push(server);
-                addrs.insert(service as u32, addr);
-                Ok(addr)
-            };
+    /// Starts each of the ten services in a child process of its own, with
+    /// [`SERVICE_WORKERS`] handler threads: one container per microservice.
+    /// The children re-execute the current binary, whose `main` must call
+    /// [`maybe_service`] first.
+    pub fn spawn() -> Result<BaselineDeployment, WeaverError> {
+        let exe = std::env::current_exe().map_err(|e| WeaverError::internal(e.to_string()))?;
+        let mut deployment = BaselineDeployment::empty();
+        for service in ServiceId::START_ORDER {
+            let routes: Vec<String> = deployment
+                .addrs
+                .iter()
+                .map(|(id, addr)| format!("{id}={addr}"))
+                .collect();
+            let mut child = Command::new(&exe)
+                .env(ENV_SERVICE, (service as u32).to_string())
+                .env(ENV_ROUTES, routes.join(","))
+                .stdin(Stdio::piped())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::inherit())
+                .spawn()
+                .map_err(|e| WeaverError::internal(format!("spawn {service:?}: {e}")))?;
+            let stdout = child.stdout.take().expect("stdout is piped");
+            // Owned from here on, so an error below still stops it.
+            deployment.children.push(child);
+            let mut line = String::new();
+            BufReader::new(stdout)
+                .read_line(&mut line)
+                .map_err(|e| WeaverError::internal(format!("{service:?} endpoint: {e}")))?;
+            let addr = line.trim().parse::<Endpoint>().map_err(|_| {
+                WeaverError::internal(format!("{service:?} exited before it bound"))
+            })?;
+            deployment.addrs.insert(service as u32, addr);
+        }
+        Ok(deployment)
+    }
 
-        // Leaf services first.
-        let catalog_addr = bind(
-            ServiceId::Catalog,
-            Arc::new(CatalogHandler {
-                store: CatalogStore::seeded(),
-            }),
-        )?;
-        let currency_addr = bind(
-            ServiceId::Currency,
-            Arc::new(CurrencyHandler {
-                converter: CurrencyConverter::seeded(),
-            }),
-        )?;
-        let cart_addr = bind(
-            ServiceId::Cart,
-            Arc::new(CartHandler {
-                store: CartStore::new(),
-            }),
-        )?;
-        let shipping_addr = bind(
-            ServiceId::Shipping,
-            Arc::new(ShippingHandler {
-                service: ShippingService::new(),
-            }),
-        )?;
-        let payment_addr = bind(
-            ServiceId::Payment,
-            Arc::new(PaymentHandler {
-                processor: PaymentProcessor::new(),
-            }),
-        )?;
-        let email_addr = bind(
-            ServiceId::Email,
-            Arc::new(EmailHandler {
-                sender: EmailSender::new(),
-            }),
-        )?;
-        let ads_addr = bind(
-            ServiceId::Ads,
-            Arc::new(AdsHandler {
-                server: AdServer::seeded(),
-            }),
-        )?;
-
-        let stub = |addr: Endpoint, service: ServiceId| Stub::new(Arc::clone(&pool), addr, service);
-
-        // Recommendation depends on catalog.
-        let recommendation_addr = bind(
-            ServiceId::Recommendation,
-            Arc::new(RecommendationHandler {
-                catalog: CatalogClient::new(stub(catalog_addr, ServiceId::Catalog)),
-            }),
-        )?;
-
-        // Checkout depends on six services.
-        let checkout_addr = bind(
-            ServiceId::Checkout,
-            Arc::new(CheckoutHandler {
-                cart: CartClient::new(stub(cart_addr, ServiceId::Cart)),
-                catalog: CatalogClient::new(stub(catalog_addr, ServiceId::Catalog)),
-                currency: CurrencyClient::new(stub(currency_addr, ServiceId::Currency)),
-                shipping: ShippingClient::new(stub(shipping_addr, ServiceId::Shipping)),
-                payment: PaymentClient::new(stub(payment_addr, ServiceId::Payment)),
-                email: EmailClient::new(stub(email_addr, ServiceId::Email)),
-                orders: AtomicU64::new(0),
-            }),
-        )?;
-
-        // Frontend fans out to seven services.
-        bind(
-            ServiceId::Frontend,
-            Arc::new(FrontendHandler {
-                catalog: CatalogClient::new(stub(catalog_addr, ServiceId::Catalog)),
-                currency: CurrencyClient::new(stub(currency_addr, ServiceId::Currency)),
-                cart: CartClient::new(stub(cart_addr, ServiceId::Cart)),
-                recommendations: RecommendationClient::new(stub(
-                    recommendation_addr,
-                    ServiceId::Recommendation,
-                )),
-                shipping: ShippingClient::new(stub(shipping_addr, ServiceId::Shipping)),
-                ads: AdsClient::new(stub(ads_addr, ServiceId::Ads)),
-                checkout: CheckoutClient::new(stub(checkout_addr, ServiceId::Checkout)),
-            }),
-        )?;
-
-        Ok(BaselineDeployment {
-            servers,
-            addrs,
-            pool,
-        })
+    fn stub(&self, service: ServiceId) -> Stub {
+        Stub::new(Arc::clone(&self.pool), self.addr(service), service)
     }
 
     /// Address of a service.
@@ -781,16 +865,21 @@ impl BaselineDeployment {
 
     /// A frontend client implementing the boutique `Frontend` trait.
     pub fn frontend(&self) -> Arc<BaselineFrontend> {
-        Arc::new(BaselineFrontend::new(Stub::new(
-            Arc::clone(&self.pool),
-            self.addr(ServiceId::Frontend),
-            ServiceId::Frontend,
-        )))
+        Arc::new(BaselineFrontend::new(self.stub(ServiceId::Frontend)))
     }
 
     /// Number of running services.
     pub fn service_count(&self) -> usize {
-        self.servers.len()
+        self.servers.len() + self.children.len()
+    }
+}
+
+impl Drop for BaselineDeployment {
+    fn drop(&mut self) {
+        for child in &mut self.children {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
     }
 }
 

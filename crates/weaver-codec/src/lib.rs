@@ -19,9 +19,9 @@
 //! * [`json`] — a textual baseline (self-describing field names), the most
 //!   expensive format the paper's introduction mentions.
 //!
-//! All three are implemented from scratch so `wbench`'s `codec.*` probes
-//! and `bench`'s `calibrate` compare like against like (same allocator, same
-//! buffer discipline), isolating the cost of versioning metadata itself.
+//! All three are implemented from scratch so they compare like against
+//! like (same allocator, same buffer discipline), isolating the cost of
+//! versioning metadata itself.
 //!
 //! The runtime speaks only the first. An application type gets it from
 //! `#[derive(WeaverData)]`; a type that a baseline or the codec ablation

@@ -159,7 +159,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let c1 = reg.counter("x");
         let c2 = reg.counter("x");
-        c1.inc();
+        c1.add(1);
         assert_eq!(c2.get(), 1);
     }
 
@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn snapshot_serializes() {
         let reg = MetricsRegistry::new();
-        reg.counter("a").inc();
+        reg.counter("a").add(1);
         reg.histogram("h").record(42);
         let snap = reg.snapshot();
         let back: MetricsSnapshot = decode_from_slice(&encode_to_vec(&snap)).unwrap();

@@ -19,12 +19,6 @@ impl Counter {
         }
     }
 
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
@@ -87,7 +81,7 @@ mod tests {
     fn counter_basics() {
         let c = Counter::new();
         assert_eq!(c.get(), 0);
-        c.inc();
+        c.add(1);
         c.add(4);
         assert_eq!(c.get(), 5);
         assert_eq!(c.take(), 5);
@@ -112,7 +106,7 @@ mod tests {
                 let c = Arc::clone(&c);
                 std::thread::spawn(move || {
                     for _ in 0..10_000 {
-                        c.inc();
+                        c.add(1);
                     }
                 })
             })

@@ -286,26 +286,6 @@ impl SliceAssignment {
         })
     }
 
-    /// Merges slice `index` with its right neighbor; the merged slice keeps
-    /// the left slice's replica (cold adjacent slices re-coalesce so the
-    /// slice count stays bounded across many rebalances).
-    ///
-    /// Returns `None` when `index` has no right neighbor. The version is
-    /// bumped.
-    pub fn merge_at(&self, index: usize) -> Option<SliceAssignment> {
-        if index + 1 >= self.slices.len() {
-            return None;
-        }
-        let mut slices = self.slices.clone();
-        slices[index].end = slices[index + 1].end;
-        slices.remove(index + 1);
-        Some(SliceAssignment {
-            version: self.version + 1,
-            replica_count: self.replica_count,
-            slices,
-        })
-    }
-
     /// Reassigns the slice owning `at` to `replica` — the controller's
     /// "move" primitive. Returns `None` for an empty assignment or an
     /// out-of-range replica. The version is bumped.
@@ -590,18 +570,6 @@ mod tests {
         assert_eq!(b.slices.len(), a.slices.len() + 1);
         assert_eq!(b.replica_for(key), Some(owner));
         assert_eq!(b.version, a.version + 1);
-    }
-
-    #[test]
-    fn merge_at_keeps_left_owner() {
-        let a = SliceAssignment::uniform(3, 4);
-        let b = a.merge_at(2).unwrap();
-        assert_eq!(b.validate(), Ok(()));
-        assert_eq!(b.slices.len(), a.slices.len() - 1);
-        assert_eq!(b.slices[2].replica, a.slices[2].replica);
-        assert_eq!(b.slices[2].end, a.slices[3].end);
-        // No right neighbor: nothing to merge.
-        assert!(a.merge_at(a.slices.len() - 1).is_none());
     }
 
     #[test]

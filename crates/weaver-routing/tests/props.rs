@@ -133,26 +133,25 @@ fn seeded_load(n: usize, seed: u64) -> Vec<u64> {
 }
 
 proptest! {
-    // The slice algebra: any sequence of split/merge/move/rebalance/resize
+    // The slice algebra: any sequence of split/move/rebalance/resize
     // keeps the keyspace fully covered with no overlaps, every key owned by
     // an in-range replica, and `validate()` in agreement with the oracle.
     #[test]
     fn algebra_sequences_preserve_coverage(
         replicas in 1u32..6,
         per in 1u32..5,
-        ops in proptest::collection::vec((0u8..5, any::<u64>(), 1u32..6), 1..24),
+        ops in proptest::collection::vec((0u8..4, any::<u64>(), 1u32..6), 1..24),
         probe in any::<u64>(),
     ) {
         let mut a = SliceAssignment::uniform(replicas, per);
         for (op, key, aux) in ops {
             let next = match op {
                 0 => a.split_at(key),
-                1 => a.merge_at(key as usize % a.slices.len().max(1)),
-                2 => a.move_slice(key, aux % a.replica_count.max(1)),
-                3 => Some(a.rebalance(&seeded_load(a.slices.len(), key)).0),
+                1 => a.move_slice(key, aux % a.replica_count.max(1)),
+                2 => Some(a.rebalance(&seeded_load(a.slices.len(), key)).0),
                 _ => Some(a.resize(aux)),
             };
-            // Inapplicable ops (too-narrow split, last-index merge) skip.
+            // An inapplicable op (a too-narrow split) skips.
             if let Some(next) = next {
                 prop_assert!(next.version > a.version);
                 a = next;

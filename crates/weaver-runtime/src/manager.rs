@@ -389,9 +389,9 @@ impl MultiProcess {
         }
     }
 
-    /// Changes the desired replica count of one group (manual HPA lever;
-    /// the simulator drives the closed-loop version). Blocks until new
-    /// replicas registered or `DEPLOY_TIMEOUT` passed.
+    /// Changes the desired replica count of one group (the manual HPA
+    /// lever; `autoscale` closes the loop). Blocks until new replicas
+    /// registered or `DEPLOY_TIMEOUT` passed.
     pub fn scale_group(&self, group: u32, replicas: u32) -> Result<(), WeaverError> {
         let mut state = self.shared.state.lock();
         let Some(old) = state.control.desired(group) else {

@@ -167,21 +167,6 @@ fn migrate_v1(payload: &[u8]) -> Result<LogEntry, DecodeError> {
     })
 }
 
-/// Seals a v1-shaped entry (test helper for exercising the migration).
-pub fn seal_v1_started(saga_id: &str, name: &str, steps: u32) -> Vec<u8> {
-    Record::seal(
-        1,
-        &LogEntryV1 {
-            saga_id: saga_id.to_string(),
-            kind: EntryKindV1::Started {
-                name: name.to_string(),
-                steps,
-            },
-        },
-    )
-    .to_bytes()
-}
-
 /// The saga step log: typed append + reconstruction over a [`LogStore`].
 #[derive(Clone)]
 pub struct SagaLog {
@@ -310,6 +295,21 @@ mod tests {
         SagaLog::new(Arc::new(MemStore::new()))
     }
 
+    /// A `Started` entry sealed in the v1 format, as an older build wrote it.
+    fn v1_started_record(saga_id: &str, name: &str, steps: u32) -> Vec<u8> {
+        Record::seal(
+            1,
+            &LogEntryV1 {
+                saga_id: saga_id.to_string(),
+                kind: EntryKindV1::Started {
+                    name: name.to_string(),
+                    steps,
+                },
+            },
+        )
+        .to_bytes()
+    }
+
     fn started(id: &str, steps: u32) -> LogEntry {
         LogEntry {
             saga_id: id.into(),
@@ -421,7 +421,7 @@ mod tests {
     fn v1_entries_migrate_forward_with_empty_context() {
         let store = Arc::new(MemStore::new());
         store
-            .append(&seal_v1_started("old", "checkout", 3))
+            .append(&v1_started_record("old", "checkout", 3))
             .unwrap();
         let log = SagaLog::new(store);
         let entries = log.entries().unwrap();

@@ -541,11 +541,6 @@ impl RolloutHarness {
         Arc::clone(&self.new)
     }
 
-    /// The old-version deployment.
-    pub fn old_deployment(&self) -> Arc<SingleProcess> {
-        Arc::clone(&self.old)
-    }
-
     /// Drives the rollout to a terminal phase (or `max_ticks`), issuing
     /// `requests_per_tick` keyed requests per health tick through
     /// `workload` and verifying the §4.4 invariant on every one.

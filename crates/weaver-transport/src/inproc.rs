@@ -59,11 +59,6 @@ impl InprocNetwork {
         );
     }
 
-    /// Removes an endpoint, simulating a replica going away.
-    pub fn deregister(&self, name: &str) {
-        self.endpoints.write().remove(name);
-    }
-
     /// Installs a fault on an endpoint. No-op if the endpoint is missing.
     pub fn inject_fault(&self, name: &str, fault: Fault) {
         let mut endpoints = self.endpoints.write();
@@ -171,16 +166,15 @@ mod tests {
     }
 
     #[test]
-    fn register_call_deregister() {
+    fn calls_reach_registered_names_only() {
         let net = InprocNetwork::new();
         net.register("a", echo());
         let resp = net
             .call("a", &RequestHeader::default(), &[1, 2], None)
             .unwrap();
         assert_eq!(resp.payload, vec![1, 2]);
-        net.deregister("a");
         assert!(matches!(
-            net.call("a", &RequestHeader::default(), &[], None),
+            net.call("b", &RequestHeader::default(), &[], None),
             Err(TransportError::Unreachable(_))
         ));
     }

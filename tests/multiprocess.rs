@@ -22,8 +22,10 @@ use weaver_runtime::{DeploymentConfig, MultiProcess, SpawnSpec};
 use weaver_transport::Endpoint;
 
 fn main() {
+    // In a child spawned by these tests, serve as a baseline service or a
+    // proclet and exit.
+    baseline::maybe_service();
     let registry = test_registry();
-    // In a child spawned by these tests, serve as a proclet and exit.
     weaver_runtime::proclet::maybe_proclet(&registry);
 
     let tests: &[(&str, fn())] = &[
@@ -36,6 +38,10 @@ fn main() {
         ("scale_down_and_up_at_once", scale_down_and_up_at_once),
         ("colocation_is_respected", colocation_is_respected),
         ("autoscaler_reacts_to_load", autoscaler_reacts_to_load),
+        (
+            "process_baseline_serves_and_fails_cleanly",
+            process_baseline_serves_and_fails_cleanly,
+        ),
     ];
     let filter = std::env::args().nth(1).unwrap_or_default();
     let mut ran = 0;
@@ -594,4 +600,92 @@ fn colocation_is_respected() {
         "co-located components produced RPC edges: {inner_edges:?}"
     );
     deployment.shutdown();
+}
+
+/// This process's live children that serve a baseline service, by service
+/// id, found through every thread's `children` list.
+fn baseline_children() -> HashMap<u32, u32> {
+    let mut services = HashMap::new();
+    for task in std::fs::read_dir("/proc/self/task")
+        .expect("tasks")
+        .flatten()
+    {
+        let children = std::fs::read_to_string(task.path().join("children")).unwrap_or_default();
+        for pid in children.split_ascii_whitespace() {
+            let pid: u32 = pid.parse().expect("pid");
+            let environ = std::fs::read(format!("/proc/{pid}/environ")).unwrap_or_default();
+            let service = environ
+                .split(|&b| b == 0)
+                .filter_map(|var| std::str::from_utf8(var).ok())
+                .find_map(|var| var.strip_prefix(&format!("{}=", baseline::ENV_SERVICE)))
+                .map(|id| id.parse::<u32>().expect("service id"));
+            if let Some(service) = service {
+                assert!(
+                    services.insert(service, pid).is_none(),
+                    "two processes serve service {service}"
+                );
+            }
+        }
+    }
+    services
+}
+
+/// The baseline's one-process-per-service layout: every service has a pid
+/// of its own, an open-loop run through the frontend sees no error, and a
+/// killed service fails the next call that needs it instead of hanging it.
+fn process_baseline_serves_and_fails_cleanly() {
+    let deployment = baseline::BaselineDeployment::spawn().expect("spawn baseline");
+    assert_eq!(deployment.service_count(), 10);
+    let services = baseline_children();
+    assert_eq!(services.len(), 10, "service processes: {services:?}");
+    let pids: std::collections::HashSet<u32> = services.values().copied().collect();
+    assert_eq!(pids.len(), 10, "services share a process: {services:?}");
+    assert!(!pids.contains(&std::process::id()));
+
+    let report = boutique::loadgen::run_load(
+        deployment.frontend(),
+        &boutique::loadgen::LoadOptions {
+            workers: 4,
+            duration: Duration::from_secs(1),
+            target_qps: Some(200.0),
+            ..Default::default()
+        },
+    );
+    assert_eq!(report.errors, 0, "errors in {} requests", report.requests);
+    assert!(
+        report.orders >= 1,
+        "no order in {} requests",
+        report.requests
+    );
+
+    // Kill the cart service and wait until it is a zombie: its sockets are
+    // closed by then.
+    let cart = services[&(baseline::ServiceId::Cart as u32)];
+    let killed = Command::new("kill")
+        .args(["-9", &cart.to_string()])
+        .status()
+        .expect("run kill");
+    assert!(killed.success(), "kill -9 {cart}: {killed:?}");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !std::fs::read_to_string(format!("/proc/{cart}/stat")).is_ok_and(|stat| {
+        stat.rsplit(')')
+            .next()
+            .is_some_and(|s| s.trim_start().starts_with('Z'))
+    }) {
+        assert!(Instant::now() < deadline, "cart {cart} never died");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let timeout = Duration::from_secs(5);
+    let ctx = weaver_core::CallContext::root(1).with_timeout(timeout);
+    let started = Instant::now();
+    let result = deployment
+        .frontend()
+        .add_to_cart(&ctx, "grace".into(), "OLJCESPC7Z".into(), 1);
+    assert!(result.is_err(), "add_to_cart succeeded with cart dead");
+    assert!(
+        started.elapsed() < timeout,
+        "add_to_cart took {:?} to fail",
+        started.elapsed()
+    );
 }
