@@ -71,6 +71,14 @@ pub enum WeaverError {
         /// Description.
         detail: String,
     },
+    /// The callee refused the call without running it: a migration fences
+    /// the call's key or component there, or the callee's routing names
+    /// another owner for the key. The router re-sends such a call; this
+    /// error never reaches application code.
+    Fenced {
+        /// The callee's routing epoch when it refused.
+        epoch: u64,
+    },
 }
 
 impl WeaverError {
@@ -125,6 +133,7 @@ impl fmt::Display for WeaverError {
                 write!(f, "dependency cycle while starting {component}")
             }
             WeaverError::Internal { detail } => write!(f, "internal error: {detail}"),
+            WeaverError::Fenced { epoch } => write!(f, "fenced by its owner at epoch {epoch}"),
         }
     }
 }

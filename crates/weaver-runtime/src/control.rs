@@ -540,13 +540,14 @@ pub fn handoff_methods(
     Ok(method("export_keys").zip(method("import_keys")))
 }
 
-/// The primitives a migration runs on: a deployment's replicas, its routing
-/// gate and its commit point.
+/// The primitives a migration runs on: a deployment's replicas, the gate
+/// their servers keep and its commit point.
 pub trait ReplicaHost {
-    /// Queues new calls `scope` covers until [`ReplicaHost::unfreeze`].
+    /// Makes the owners refuse new calls `scope` covers until
+    /// [`ReplicaHost::unfreeze`].
     fn freeze(&self, component: u32, scope: Scope);
-    /// Lifts one [`ReplicaHost::freeze`]; queued calls resolve against
-    /// whatever committed in between.
+    /// Lifts one [`ReplicaHost::freeze`]; refused calls are re-sent and
+    /// resolve against whatever committed in between.
     fn unfreeze(&self, component: u32, scope: Scope);
     /// Waits for the calls `scope` covers that were admitted before the
     /// freeze; false when they outlast `timeout`.
@@ -580,7 +581,7 @@ pub trait ReplicaHost {
 }
 
 /// Lifts a migration's freezes on every exit from the executor — commit,
-/// error or unwind — so a failed migration can never leave callers queued.
+/// error or unwind — so a failed migration can never leave a key refused.
 struct Unfreeze<'a, H: ReplicaHost + ?Sized> {
     host: &'a H,
     component: u32,
@@ -608,10 +609,10 @@ pub fn execute<H: ReplicaHost + ?Sized>(
     host: &H,
     mut m: Migration,
 ) -> Result<(u64, Vec<MigratedRange>), WeaverError> {
-    // Freeze: from here to the guard's drop no new call covered by the
-    // scopes launches. Nested calls arriving mid-drain queue at the gate
-    // (uncounted), so the drain terminates; they dispatch to the new owner
-    // or placement after the unfreeze.
+    // Freeze: from here to the guard's drop the owners refuse every new call
+    // the scopes cover. Nested calls arriving mid-drain are refused
+    // (uncounted), so the drain terminates; their callers re-send them to
+    // the new owner or placement after the unfreeze.
     for &scope in &m.freeze {
         host.freeze(m.component, scope);
     }
@@ -640,8 +641,8 @@ pub fn execute<H: ReplicaHost + ?Sized>(
 
     // Hand off: per transfer, export from the old owner and import at the
     // new one. Then commit: the new dispatch target and assignment become
-    // visible (epoch bump); queued calls resolve against them once the guard
-    // lifts the freezes.
+    // visible (epoch bump); refused calls resolve against them once they are
+    // re-sent.
     let component = m.component;
     let mut exported: Vec<(u32, Vec<u8>)> = Vec::with_capacity(m.transfers.len());
     let outcome = m
@@ -945,8 +946,8 @@ mod tests {
         let routing = plane.commit(1, None);
         assert_eq!((routing.epoch, &routing.assignments[&1]), (6, &moved));
         // Today's behaviour, pinned: a membership install resets to uniform
-        // over the registered replicas. ROADMAP item 2 keeps the committed
-        // assignment instead.
+        // over the registered replicas. ROADMAP item 4(a) keeps the
+        // committed assignment instead.
         let installed = plane.step(exited(r(0, 1), 2)).pop();
         let Some(Command::Install(routing)) = installed else {
             panic!("no install: {installed:?}");

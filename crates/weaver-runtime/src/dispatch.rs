@@ -1,11 +1,12 @@
 //! Server-side dispatch: from request to component method.
 //!
 //! One path for every deployer: a server's [`ProcletDispatcher`] and the
-//! marshaled single-process deployer both run `admit` then `invoke`.
+//! marshaled single-process deployer both run `admit` then `invoke`. A
+//! server also keeps the migration fence of the keys it owns.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
@@ -14,9 +15,13 @@ use weaver_core::context::{CallContext, ComponentGetter};
 use weaver_core::error::WeaverError;
 use weaver_core::instance::LiveComponents;
 use weaver_metrics::MetricsRegistry;
-use weaver_transport::{BufferPool, RequestHeader, ResponseBody, RpcHandler, Status, WireBuf};
+use weaver_transport::{
+    BufferPool, Endpoint, RequestHeader, ResponseBody, RpcHandler, Server, Status, ToEndpoint,
+    TransportError, WeaverFraming, WireBuf,
+};
 
 use crate::dedup::DedupCache;
+use crate::router::RoutingTable;
 use crate::single::ComponentFault;
 
 /// A method runs on the reactor poller only while its recent handler time is
@@ -37,6 +42,9 @@ struct MethodStats {
     /// ones earns it back. [`UNMEASURED`] until a worker has run the method
     /// once.
     recent_nanos: AtomicU64,
+    /// Whether the method passes the migration fence: all but the state
+    /// handoff pair, which the migration itself calls under the fence.
+    fenced: bool,
 }
 
 impl MethodStats {
@@ -187,8 +195,8 @@ pub(crate) fn invoke(
 /// each replica of [`crate::tcp::TcpProcess`].
 ///
 /// Responsibilities, in order: `admit` (version, then injected fault),
-/// replay idempotent repeats from the dedup cache, `invoke`, and record
-/// server-side latency.
+/// replay idempotent repeats from the dedup cache, the owner's fence,
+/// `invoke`, and record server-side latency.
 pub struct ProcletDispatcher {
     live: Arc<LiveComponents>,
     getter: Arc<dyn ComponentGetter>,
@@ -208,17 +216,22 @@ pub struct ProcletDispatcher {
     faults: Arc<FaultMap>,
     /// Recycled buffers for encoding error payloads without allocating.
     pool: BufferPool,
+    /// The routing the process installs, and its migration fence.
+    table: Arc<RoutingTable>,
+    /// Where routed keys must resolve to run here: the server's endpoint.
+    endpoint: OnceLock<Endpoint>,
 }
 
 impl ProcletDispatcher {
     /// Builds a dispatcher for deployment `version` over `faults`, with a
-    /// dedup cache of its own.
+    /// dedup cache of its own, fencing calls by `table`.
     pub fn new(
         live: Arc<LiveComponents>,
         getter: Arc<dyn ComponentGetter>,
         version: u64,
         metrics: Arc<MetricsRegistry>,
         faults: Arc<FaultMap>,
+        table: Arc<RoutingTable>,
     ) -> Self {
         let methods = live
             .registry()
@@ -231,6 +244,7 @@ impl ProcletDispatcher {
                         handle_nanos: metrics
                             .histogram(&format!("{}/{}/handle_nanos", registration.name, m.name)),
                         recent_nanos: AtomicU64::new(UNMEASURED),
+                        fenced: !matches!(m.name, "export_keys" | "import_keys"),
                     })
                     .collect()
             })
@@ -244,7 +258,21 @@ impl ProcletDispatcher {
             dedup: DedupCache::new(),
             faults,
             pool: BufferPool::global().clone(),
+            table,
+            endpoint: OnceLock::new(),
         }
+    }
+
+    /// Binds this dispatcher's server at `addr` with `workers` workers; the
+    /// endpoint it bound is the one its routed keys must resolve to.
+    pub fn serve(
+        self: &Arc<Self>,
+        addr: impl ToEndpoint,
+        workers: usize,
+    ) -> Result<Server<WeaverFraming>, TransportError> {
+        let server = Server::bind(addr, workers, Arc::clone(self) as Arc<dyn RpcHandler>)?;
+        let _ = self.endpoint.set(server.endpoint());
+        Ok(server)
     }
 
     /// The dispatcher's busy tracker (shared with the proclet main loop).
@@ -260,6 +288,22 @@ impl ProcletDispatcher {
 
     fn component_name(&self, component: u32) -> &'static str {
         self.live.registry().get(component).map_or("?", |r| r.name)
+    }
+
+    /// The owner's fence (after replay: a replay runs nothing). Refuses at
+    /// once when a frozen scope covers the call or the table routes its key
+    /// to another endpoint; else the call is in flight until the guard drops.
+    fn fence(&self, header: &RequestHeader) -> Result<Option<Admitted<'_>>, WeaverError> {
+        if !self.method_stats(header).is_some_and(|m| m.fenced) {
+            return Ok(None);
+        }
+        let (component, key) = (header.component, header.routing);
+        self.table.admit(component, key, Instant::now())?;
+        let admitted = Admitted(&self.table, component, key);
+        if let (Some(key), Some(&endpoint)) = (key, self.endpoint.get()) {
+            self.table.check_owner(component, key, endpoint)?;
+        }
+        Ok(Some(admitted))
     }
 
     fn error_body(&self, e: &WeaverError) -> ResponseBody {
@@ -284,6 +328,10 @@ impl RpcHandler for ProcletDispatcher {
         if let Some(replayed) = self.dedup.replay(header) {
             return replayed;
         }
+        let _admitted = match self.fence(header) {
+            Ok(admitted) => admitted,
+            Err(e) => return self.error_body(&e),
+        };
         let ctx = CallContext {
             deadline: (header.deadline_nanos > 0)
                 .then(|| Instant::now() + Duration::from_nanos(header.deadline_nanos)),
@@ -349,13 +397,22 @@ impl RpcHandler for ProcletDispatcher {
     }
 }
 
+/// A call admitted at its owner's fence; dropping it, unwinding too, releases it.
+struct Admitted<'a>(&'a RoutingTable, u32, Option<u64>);
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        self.0.release(self.1, self.2);
+    }
+}
+
 /// Tracks the busy-time of request handling for utilization reporting.
 ///
 /// `record` wraps each request; `utilization_since_reset` converts summed
 /// busy time over wall time into the "mean busy cores" figure the
 /// autoscaler consumes.
 pub struct BusyTracker {
-    busy_nanos: std::sync::atomic::AtomicU64,
+    busy_nanos: AtomicU64,
     epoch: parking_lot::Mutex<Instant>,
 }
 
@@ -369,17 +426,15 @@ impl BusyTracker {
     /// Creates a tracker with the epoch at now.
     pub fn new() -> Self {
         BusyTracker {
-            busy_nanos: std::sync::atomic::AtomicU64::new(0),
+            busy_nanos: AtomicU64::new(0),
             epoch: parking_lot::Mutex::new(Instant::now()),
         }
     }
 
     /// Adds one handled request's busy time.
     pub fn record(&self, busy: Duration) {
-        self.busy_nanos.fetch_add(
-            busy.as_nanos().min(u128::from(u64::MAX)) as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
+        let nanos = busy.as_nanos().min(u128::from(u64::MAX)) as u64;
+        self.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
     /// Busy-cores since the last reset, then resets.
@@ -387,9 +442,7 @@ impl BusyTracker {
         let mut epoch = self.epoch.lock();
         let wall = epoch.elapsed();
         *epoch = Instant::now();
-        let busy = self
-            .busy_nanos
-            .swap(0, std::sync::atomic::Ordering::Relaxed);
+        let busy = self.busy_nanos.swap(0, Ordering::Relaxed);
         if wall.is_zero() {
             return 0.0;
         }
@@ -480,7 +533,15 @@ mod tests {
 
     fn dispatcher_with(version: u64, metrics: Arc<MetricsRegistry>) -> ProcletDispatcher {
         let live = Arc::new(LiveComponents::new(registry()));
-        ProcletDispatcher::new(live, Arc::new(NoDeps), version, metrics, Arc::default())
+        let table = RoutingTable::new();
+        ProcletDispatcher::new(
+            live,
+            Arc::new(NoDeps),
+            version,
+            metrics,
+            Arc::default(),
+            table,
+        )
     }
 
     fn dispatcher(version: u64) -> ProcletDispatcher {

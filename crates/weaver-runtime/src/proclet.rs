@@ -24,7 +24,7 @@ use weaver_core::error::WeaverError;
 use weaver_core::instance::LiveComponents;
 use weaver_core::registry::ComponentRegistry;
 use weaver_metrics::{CallGraph, MetricsRegistry};
-use weaver_transport::{Endpoint, Server, WeaverFraming};
+use weaver_transport::Endpoint;
 
 use crate::dispatch::ProcletDispatcher;
 use crate::protocol::{read_message, write_message, EnvelopeMessage, ProcletMessage};
@@ -162,17 +162,18 @@ fn proclet_main(
     ));
     let getter = ProcletGetter::new(Arc::clone(&live), router);
 
-    // Data plane: serve our components to other proclets. Nothing injects
-    // faults into a proclet: its fault map stays empty.
+    // Data plane: serve our components, fenced by our table. Nothing
+    // injects faults into a proclet: its fault map stays empty.
     let dispatcher = Arc::new(ProcletDispatcher::new(
         Arc::clone(&live),
         Arc::clone(&getter) as Arc<dyn ComponentGetter>,
         version,
         Arc::clone(&metrics),
         Arc::default(),
+        Arc::clone(&table),
     ));
     let busy = dispatcher.busy_tracker();
-    let server = match Server::<WeaverFraming>::bind(Endpoint::fresh_unix(), workers, dispatcher) {
+    let server = match dispatcher.serve(Endpoint::fresh_unix(), workers) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("proclet {group}/{replica}: cannot bind data plane: {e}");

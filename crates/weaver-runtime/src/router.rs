@@ -4,7 +4,7 @@
 //! [`RoutingTable::update`] replaces, newest epoch wins. Every state it
 //! installs comes from the control plane ([`crate::control::ControlPlane`]),
 //! the one writer of assignments and epochs; the table adds the per-slice
-//! load accounting and the migration gate.
+//! load accounting and the migration fence its process's servers keep.
 //!
 //! Every router call is keyed: each request carries a fresh idempotency
 //! key, and an unrouted call that fails retryably gets one retry. A request
@@ -12,6 +12,7 @@
 //! hit the wire the retry goes back to the same replica, whose dedup cache
 //! replays an attempt that already ran. One that cannot have run (it failed
 //! before reaching the wire) goes to another replica whenever there is one.
+//! One that an owner refused never ran: it is re-sent until its deadline.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -36,6 +37,11 @@ use weaver_transport::{
 /// Default per-call timeout when the caller set no deadline. Generous: the
 /// point is to bound hangs, not to police slow handlers.
 pub const DEFAULT_CALL_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The longest a call an owner refused waits for its own table before it is
+/// re-sent: an aborted migration lifts its fence without bumping the epoch,
+/// and a caller with a table of its own never sees the fence lift.
+const FENCE_WAIT: Duration = Duration::from_millis(20);
 
 /// Mints a process-unique idempotency key: a per-process random base
 /// (different clients of one deployment must not collide on the callee's
@@ -98,15 +104,46 @@ impl Scope {
     }
 }
 
-/// Migration gate state: which scopes are frozen (calls queue instead of
-/// launching) and which calls are in flight (so a migration can drain the
-/// old owner or placement before handing off).
+/// Migration fence state: which scopes are frozen (their owners refuse the
+/// calls they cover) and which calls the owners are running (so a migration
+/// can drain the old owner or placement before handing off).
 #[derive(Default)]
 struct FreezeState {
     /// Frozen scopes, one entry per [`RoutingTable::freeze`].
     frozen: Vec<(u32, Scope)>,
     /// (component, routing key; `None` for unrouted calls) → calls in flight.
     active: HashMap<(u32, Option<u64>), u32>,
+}
+
+impl FreezeState {
+    fn covers(&self, component: u32, key: Option<u64>) -> bool {
+        self.frozen
+            .iter()
+            .any(|&(c, scope)| c == component && scope.covers(key))
+    }
+}
+
+impl RoutingState {
+    /// The route index of a routed `key` among `replicas` routes: its
+    /// slice's replica, or the key modulo the replica count while the
+    /// component has no assignment. Callers and owners resolve alike; only
+    /// a caller charges the slice, to `load`.
+    fn route_key(
+        &self,
+        component: u32,
+        key: u64,
+        replicas: usize,
+        load: Option<&SliceLoadTracker>,
+    ) -> usize {
+        let assignment = self.assignments.get(&component);
+        let Some((a, i)) = assignment.and_then(|a| Some((a, a.slice_index_for(key)?))) else {
+            return (key % replicas as u64) as usize;
+        };
+        if let Some(tracker) = load {
+            tracker.observe(component, a.version, a.slices.len(), i, key);
+        }
+        a.slices[i].replica as usize % replicas
+    }
 }
 
 /// Shared, updatable routing table.
@@ -131,19 +168,23 @@ impl RoutingTable {
             return false;
         }
         *state = new_state;
+        drop(state);
+        // Wake the callers waiting to re-send a call an owner refused.
+        let _gate = self.gate.lock();
+        self.gate_cond.notify_all();
         true
     }
 
-    /// Resolves the endpoint for one call. An unrouted call never lands on
-    /// replica `avoid` (the one its first attempt failed to reach) while
-    /// there is another.
+    /// Resolves the endpoint for one call, with its replica index and the
+    /// epoch it resolved at. An unrouted call never lands on replica `avoid`
+    /// (the one its first attempt failed to reach) while there is another.
     fn pick(
         &self,
         component: u32,
         routing: Option<u64>,
         balancer: &PowerOfTwo,
         avoid: Option<usize>,
-    ) -> Result<(Endpoint, usize), WeaverError> {
+    ) -> Result<(Endpoint, usize, u64), WeaverError> {
         let state = self.state.read();
         let replicas = state
             .routes
@@ -157,41 +198,34 @@ impl RoutingTable {
             });
         }
         let index = match routing {
-            Some(key) => {
-                // Affinity routing: the slice assignment owns the choice.
-                // Every resolution is charged to its slice so the rebalance
-                // controller sees where the traffic actually lands.
-                match state
-                    .assignments
-                    .get(&component)
-                    .and_then(|a| a.slice_index_for(key).map(|i| (a, i)))
-                {
-                    Some((a, i)) => {
-                        self.tracker
-                            .observe(component, a.version, a.slices.len(), i, key);
-                        a.slices[i].replica as usize % replicas.len()
-                    }
-                    // No assignment yet: fall back to modulo, still sticky.
-                    None => (key % replicas.len() as u64) as usize,
-                }
-            }
+            // Affinity routing: the slice assignment owns the choice. Every
+            // resolution is charged to its slice so the rebalance controller
+            // sees where the traffic actually lands.
+            Some(key) => state.route_key(component, key, replicas.len(), Some(&self.tracker)),
             None => match balancer.pick(replicas.len()).unwrap_or(0) {
                 index if Some(index) == avoid => (index + 1) % replicas.len(),
                 index => index,
             },
         };
-        // Never index unchecked on the call path: a balancer or assignment
-        // bug must surface as a routable error, not a proclet panic.
-        let endpoint = replicas
-            .get(index)
-            .copied()
-            .ok_or_else(|| WeaverError::Unavailable {
-                detail: format!(
-                    "replica index {index} out of range ({} replicas) for component #{component}",
-                    replicas.len()
-                ),
-            })?;
-        Ok((endpoint, index))
+        // The balancer picks below the route count; the rest reduce modulo.
+        Ok((replicas[index], index, state.epoch))
+    }
+
+    /// The owner's check on a routed call that reached `endpoint`: refused
+    /// when this table resolves `key` to another endpoint. A table with no
+    /// routes for the component admits.
+    pub(crate) fn check_owner(
+        &self,
+        component: u32,
+        key: u64,
+        endpoint: Endpoint,
+    ) -> Result<(), WeaverError> {
+        let state = self.state.read();
+        let routes = state.routes.get(&component).filter(|r| !r.is_empty());
+        match routes.map(|r| r[state.route_key(component, key, r.len(), None)]) {
+            Some(owner) if owner != endpoint => Err(WeaverError::Fenced { epoch: state.epoch }),
+            _ => Ok(()),
+        }
     }
 
     /// Current epoch.
@@ -216,41 +250,33 @@ impl RoutingTable {
         self.tracker.report(component, version)
     }
 
-    // --- migration gate -------------------------------------------------
+    // --- migration fence ------------------------------------------------
     //
-    // The freeze/drain/admit protocol every live migration runs under: the
-    // migration freezes a [`Scope`] (new calls it covers queue in `admit`
-    // instead of launching), drains the calls admitted before the freeze,
+    // The freeze/drain/admit protocol every live migration runs under, kept
+    // by the servers that run the calls: a migration freezes a [`Scope`]
+    // (owners refuse what it covers), drains what they admitted before,
     // moves state and/or the dispatch target, commits (epoch bump), then
-    // unfreezes — so no key is ever served by two replicas concurrently
-    // (A8 per-key monotonicity) and no call executes at two placements.
-    // Every call passes the gate, so a drain observes every in-flight call.
+    // unfreezes — so no key is served by two replicas at once (A8) and no
+    // call runs at two placements. A refused call never ran: its router
+    // waits on its own table, then re-sends it.
 
-    /// Blocks while a frozen scope covers the call (`key` is its routing
-    /// key, `None` for an unrouted call), then registers the call as in
-    /// flight. Fails with `Unavailable` if the freeze outlasts `deadline`.
-    /// Every successful admit must be paired with one
-    /// [`RoutingTable::release`].
+    /// Registers a call as in flight at its owner (`key` is its routing
+    /// key, `None` for an unrouted call), or refuses it at once with
+    /// [`WeaverError::Fenced`] when a frozen scope covers it. Admission
+    /// never waits, so the deadline is unused. Every successful admit must
+    /// be paired with one [`RoutingTable::release`].
     pub fn admit(
         &self,
         component: u32,
         key: impl Into<Option<u64>>,
-        deadline: Instant,
+        _deadline: Instant,
     ) -> Result<(), WeaverError> {
         let key = key.into();
         let mut gate = self.gate.lock();
-        while gate
-            .frozen
-            .iter()
-            .any(|&(c, scope)| c == component && scope.covers(key))
-        {
-            if self.gate_cond.wait_until(&mut gate, deadline).timed_out() {
-                return Err(WeaverError::Unavailable {
-                    detail: format!(
-                        "component #{component} (key {key:x?}) frozen for migration past deadline"
-                    ),
-                });
-            }
+        if gate.covers(component, key) {
+            return Err(WeaverError::Fenced {
+                epoch: self.epoch(),
+            });
         }
         *gate.active.entry((component, key)).or_insert(0) += 1;
         Ok(())
@@ -269,16 +295,16 @@ impl RoutingTable {
         self.gate_cond.notify_all();
     }
 
-    /// Freezes a scope: subsequent calls it covers queue in
-    /// [`RoutingTable::admit`] until [`RoutingTable::unfreeze`].
+    /// Freezes a scope: [`RoutingTable::admit`] refuses the calls it covers
+    /// until [`RoutingTable::unfreeze`].
     pub fn freeze(&self, component: u32, scope: Scope) {
         self.gate.lock().frozen.push((component, scope));
     }
 
-    /// Lifts one freeze placed by [`RoutingTable::freeze`] and wakes queued
-    /// callers (who re-resolve against the *current* assignment and
-    /// dispatch target — the new owner or placement if a migration
-    /// committed in between).
+    /// Lifts one freeze placed by [`RoutingTable::freeze`] and wakes the
+    /// callers waiting to re-send a call it refused (they re-resolve
+    /// against the *current* assignment and dispatch target — the new owner
+    /// or placement if a migration committed in between).
     pub fn unfreeze(&self, component: u32, scope: Scope) {
         let mut gate = self.gate.lock();
         if let Some(i) = gate.frozen.iter().position(|&f| f == (component, scope)) {
@@ -304,6 +330,23 @@ impl RoutingTable {
             }
         }
         true
+    }
+
+    /// Waits before re-sending `call`, refused by its owner at epoch
+    /// `refused` after this table resolved it at `resolved`: while a freeze
+    /// here covers it, until that lifts; else until this table reaches the
+    /// owner's epoch and passes `resolved`. At most [`FENCE_WAIT`].
+    fn await_fence(&self, call: &RequestHeader, refused: u64, resolved: u64, deadline: Instant) {
+        let (component, key) = (call.component, call.routing);
+        let until = deadline.min(Instant::now() + FENCE_WAIT);
+        let target = refused.max(resolved + 1);
+        let mut gate = self.gate.lock();
+        let frozen_here = gate.covers(component, key);
+        let waiting = |gate: &FreezeState| match frozen_here {
+            true => gate.covers(component, key),
+            false => self.epoch() < target,
+        };
+        while waiting(&gate) && !self.gate_cond.wait_until(&mut gate, until).timed_out() {}
     }
 }
 
@@ -611,30 +654,6 @@ impl RemoteRouter {
     }
 }
 
-impl RouterInner {
-    fn header_for(
-        &self,
-        target: &TargetInfo,
-        ctx: &CallContext,
-        method: u32,
-        routing: Option<u64>,
-    ) -> RequestHeader {
-        RequestHeader {
-            component: target.component_id,
-            method,
-            version: self.version,
-            deadline_nanos: ctx
-                .remaining()
-                .map_or(0, |d| d.as_nanos().min(u128::from(u64::MAX)) as u64),
-            trace_id: ctx.trace_id,
-            span_id: ctx.span_id,
-            routing,
-            idempotency: Some(next_idempotency_key()),
-            attempt: 0,
-        }
-    }
-}
-
 /// Decodes a transport-level success into the call's outcome.
 pub(crate) fn body_to_outcome(body: ResponseBody) -> Result<Vec<u8>, WeaverError> {
     match body.status {
@@ -659,13 +678,14 @@ enum RemoteState {
     /// resolves it.
     InFlight(CallFuture<WeaverFraming>, Endpoint),
     /// Resolved at begin time (pick failure, dead pool, unretryable dial
-    /// error). Recorded when the caller gathers, like any other outcome.
+    /// error, a local dispatch). Recorded when the caller gathers, like any
+    /// other outcome.
     Ready(Result<Vec<u8>, WeaverError>),
     Done,
 }
 
 /// One remote call in flight: owns its transport future plus everything
-/// needed to retry once, record the call-graph edge, and time the call at
+/// needed to re-send it, record the call-graph edge, and time the call at
 /// resolution — so blocking and scatter-gather calls share one accounting
 /// path.
 struct RemoteFuture {
@@ -673,15 +693,15 @@ struct RemoteFuture {
     header: RequestHeader,
     args: Vec<u8>,
     call: CallSite,
-    component: u32,
-    routing: Option<u64>,
     deadline: Instant,
     state: RemoteState,
+    /// The table's epoch when the attempt in flight was resolved.
+    resolved: u64,
+    /// Set by a post-write retry: the endpoint that may have run the first
+    /// attempt, and so the only one the call may be re-sent to.
+    pinned: Option<Endpoint>,
     /// Replica index charged on the balancer, released exactly once.
     active_replica: Option<usize>,
-    /// Whether the call holds an in-flight registration on the migration
-    /// gate (under `component`/`routing`), released exactly once.
-    admitted: bool,
     /// Whether the call dispatched to a migrated-in local instance (for
     /// latency labeling: `colocated` instead of the wire placement).
     local: bool,
@@ -689,76 +709,45 @@ struct RemoteFuture {
 }
 
 impl RemoteFuture {
-    fn start(
-        inner: Arc<RouterInner>,
-        target: &TargetInfo,
-        ctx: &CallContext,
-        method: u32,
-        routing: Option<u64>,
-        args: Vec<u8>,
-    ) -> RemoteFuture {
-        let call = CallSite::new(ctx, target, method, &args);
-        let timeout = ctx.remaining().unwrap_or(DEFAULT_CALL_TIMEOUT);
-        let header = inner.header_for(target, ctx, method, routing);
-        let mut fut = RemoteFuture {
-            inner,
-            header,
-            args,
-            component: target.component_id,
-            routing,
-            deadline: call.started + timeout,
-            call,
-            state: RemoteState::Done,
-            active_replica: None,
-            admitted: false,
-            local: false,
-            retried: false,
-        };
-        // Every call passes the migration gate before resolving a target:
-        // a frozen scope queues the call here (blocking the caller, not
-        // dropping), and the in-flight registration lets a migration drain
-        // every outstanding call before it moves state or the dispatch
-        // target.
-        match fut.inner.table.admit(fut.component, routing, fut.deadline) {
-            Ok(()) => fut.admitted = true,
-            Err(e) => {
-                fut.state = RemoteState::Ready(Err(e));
-                return fut;
+    /// Starts an attempt: to the pinned endpoint of a post-write retry, to
+    /// a migrated-in component's local handler (its server's, minus the
+    /// socket, run synchronously), or to a replica other than `avoid` while
+    /// there is another. A retryable begin-time failure relaunches once
+    /// through [`RemoteFuture::may_retry`] away from the replica that failed.
+    fn send(&mut self, avoid: Option<usize>) {
+        let (component, routing) = (self.header.component, self.header.routing);
+        let local = self.inner.local.read().get(&component).cloned();
+        self.local = self.pinned.is_none() && local.is_some();
+        let (endpoint, replica) = match (self.pinned, local) {
+            (Some(endpoint), _) => {
+                self.resolved = self.inner.table.epoch();
+                (endpoint, None)
             }
-        }
-        // A migrated-in component dispatches locally: same handler the
-        // component's server runs, minus the socket. Synchronous — a local
-        // dispatch is the thing we migrated to make fast.
-        let local = fut.inner.local.read().get(&fut.component).cloned();
-        if let Some(handler) = local {
-            let body = handler.handle(&fut.header, &fut.args);
-            fut.local = true;
-            fut.state = RemoteState::Ready(body_to_outcome(body));
-            return fut;
-        }
-        fut.launch(None);
-        fut
-    }
-
-    /// Picks a replica other than `avoid` (while there is another) and puts
-    /// the request in flight. A retryable begin-time failure relaunches
-    /// once through [`RemoteFuture::may_retry`], avoiding the replica that
-    /// failed: the request never reached the wire, so it may go anywhere.
-    fn launch(&mut self, avoid: Option<usize>) {
-        let (endpoint, replica) =
-            match self
-                .inner
-                .table
-                .pick(self.component, self.routing, &self.inner.balancer, avoid)
-            {
-                Ok(x) => x,
-                Err(e) => {
-                    self.state = RemoteState::Ready(Err(e));
-                    return;
+            (None, Some(handler)) => {
+                self.resolved = self.inner.table.epoch();
+                let body = handler.handle(&self.header, &self.args);
+                self.state = RemoteState::Ready(body_to_outcome(body));
+                return;
+            }
+            (None, None) => {
+                match self
+                    .inner
+                    .table
+                    .pick(component, routing, &self.inner.balancer, avoid)
+                {
+                    Ok((endpoint, replica, epoch)) => {
+                        self.resolved = epoch;
+                        self.inner.balancer.on_start(replica);
+                        self.active_replica = Some(replica);
+                        (endpoint, Some(replica))
+                    }
+                    Err(e) => {
+                        self.state = RemoteState::Ready(Err(e));
+                        return;
+                    }
                 }
-            };
-        self.inner.balancer.on_start(replica);
-        self.active_replica = Some(replica);
+            }
+        };
         match self
             .inner
             .pool
@@ -770,7 +759,7 @@ impl RemoteFuture {
                 let e = WeaverError::from(e);
                 if self.may_retry(&e) {
                     self.header.attempt += 1;
-                    self.launch(Some(replica));
+                    self.send(replica);
                 } else {
                     self.state = RemoteState::Ready(Err(e));
                 }
@@ -788,7 +777,7 @@ impl RemoteFuture {
     /// cache replays the keyed first attempt instead of re-executing: a
     /// non-idempotent method cannot run twice.
     fn may_retry(&mut self, e: &WeaverError) -> bool {
-        if !e.is_retryable() || self.routing.is_some() || self.retried {
+        if !e.is_retryable() || self.header.routing.is_some() || self.retried {
             return false;
         }
         self.retried = true;
@@ -801,77 +790,66 @@ impl RemoteFuture {
         }
     }
 
-    fn release_admission(&mut self) {
-        if std::mem::take(&mut self.admitted) {
-            self.inner.table.release(self.component, self.routing);
-        }
-    }
-
     fn remaining(&self) -> Duration {
         self.deadline.saturating_duration_since(Instant::now())
     }
 
-    /// Turns the transport outcome of the attempt in flight to `endpoint`
-    /// into the call's final outcome, re-sending if warranted, and records
-    /// the edge + latency exactly once.
-    ///
-    /// The re-send is synchronous (by the time the caller gathers a failed
-    /// future there is nothing left to overlap with) and goes to `endpoint`
-    /// only, with the same key and a bumped attempt, so the replica that
-    /// may have run the first attempt replays it. If that replica refuses
-    /// the reconnect, the error surfaces; the retry does not move.
-    fn conclude(
-        &mut self,
-        outcome: Result<ResponseBody, weaver_transport::TransportError>,
-        endpoint: Endpoint,
-    ) -> Result<Vec<u8>, WeaverError> {
-        self.release_balancer();
-        let outcome = match outcome.map_err(WeaverError::from) {
-            Ok(body) => body_to_outcome(body),
-            Err(e) if self.may_retry(&e) => {
-                self.header.attempt += 1;
-                self.inner
-                    .pool
-                    .call(endpoint, &self.header, &self.args, Some(self.remaining()))
-                    .map_err(WeaverError::from)
-                    .and_then(body_to_outcome)
+    /// Drives the call to its final outcome, re-sending synchronously (a
+    /// failed attempt leaves nothing to overlap with). A post-write failure
+    /// is re-sent once, to its own endpoint, with the same key and a bumped
+    /// attempt, so a replica that ran it replays it. An attempt an owner
+    /// refused never ran: it is re-sent until the deadline, each time once
+    /// the caller's table has caught up. The refusal never reaches the caller.
+    fn outcome(&mut self) -> Result<Vec<u8>, WeaverError> {
+        loop {
+            let (outcome, sent_to) = match std::mem::replace(&mut self.state, RemoteState::Done) {
+                RemoteState::Ready(outcome) => (outcome, None),
+                RemoteState::InFlight(fut, endpoint) => {
+                    let outcome = fut.wait(Some(self.remaining()));
+                    self.release_balancer();
+                    let outcome = outcome.map_err(WeaverError::from).and_then(body_to_outcome);
+                    (outcome, Some(endpoint))
+                }
+                RemoteState::Done => return Err(WeaverError::Cancelled),
+            };
+            match (outcome, sent_to) {
+                (Err(WeaverError::Fenced { epoch }), _) => {
+                    let (table, call) = (&self.inner.table, &self.header);
+                    table.await_fence(call, epoch, self.resolved, self.deadline);
+                    if self.remaining().is_zero() {
+                        let (component, key) = (call.component, call.routing);
+                        return Err(WeaverError::Unavailable {
+                            detail: format!(
+                                "component #{component} (key {key:x?}) fenced for migration past deadline"
+                            ),
+                        });
+                    }
+                    self.send(None);
+                }
+                (Err(e), Some(endpoint)) if self.may_retry(&e) => {
+                    self.header.attempt += 1;
+                    self.pinned = Some(endpoint);
+                    self.send(None);
+                }
+                (outcome, _) => return outcome,
             }
-            Err(e) => Err(e),
-        };
-        self.release_admission();
-        self.record(&outcome);
-        outcome
-    }
-
-    fn record(&self, outcome: &Result<Vec<u8>, WeaverError>) {
-        self.inner.recorder.record(&self.call, self.local, outcome);
+        }
     }
 }
 
 impl RouteFuture for RemoteFuture {
     fn wait(mut self: Box<Self>) -> Result<Vec<u8>, WeaverError> {
-        match std::mem::replace(&mut self.state, RemoteState::Done) {
-            RemoteState::Ready(outcome) => {
-                self.release_admission();
-                self.record(&outcome);
-                outcome
-            }
-            RemoteState::InFlight(fut, endpoint) => {
-                let timeout = self.remaining();
-                self.conclude(fut.wait(Some(timeout)), endpoint)
-            }
-            RemoteState::Done => Err(WeaverError::Cancelled),
-        }
+        let outcome = self.outcome();
+        self.inner.recorder.record(&self.call, self.local, &outcome);
+        outcome
     }
 }
 
 impl Drop for RemoteFuture {
     fn drop(&mut self) {
-        // An abandoned future still releases its balancer charge and its
-        // migration-gate registration; the transport future's own Drop
-        // cancels the wire call.
+        // An abandoned future still releases its balancer charge; the
+        // transport future's own Drop cancels the wire call.
         self.release_balancer();
-        self.release_admission();
     }
 }
 
@@ -886,15 +864,7 @@ impl CallRouter for RemoteRouter {
     ) -> Result<Vec<u8>, WeaverError> {
         // The blocking path is begin + immediate gather: one code path for
         // retries, call-graph edges, and latency histograms.
-        Box::new(RemoteFuture::start(
-            Arc::clone(&self.inner),
-            target,
-            ctx,
-            method,
-            routing,
-            args,
-        ))
-        .wait()
+        self.route_begin(target, ctx, method, routing, args).wait()
     }
 
     fn route_begin(
@@ -905,14 +875,34 @@ impl CallRouter for RemoteRouter {
         routing: Option<u64>,
         args: Vec<u8>,
     ) -> Box<dyn RouteFuture> {
-        Box::new(RemoteFuture::start(
-            Arc::clone(&self.inner),
-            target,
-            ctx,
+        let call = CallSite::new(ctx, target, method, &args);
+        let remaining = ctx.remaining();
+        let header = RequestHeader {
+            component: target.component_id,
             method,
+            version: self.inner.version,
+            deadline_nanos: remaining.map_or(0, |d| d.as_nanos().min(u128::from(u64::MAX)) as u64),
+            trace_id: ctx.trace_id,
+            span_id: ctx.span_id,
             routing,
+            idempotency: Some(next_idempotency_key()),
+            attempt: 0,
+        };
+        let mut fut = Box::new(RemoteFuture {
+            inner: Arc::clone(&self.inner),
+            header,
             args,
-        ))
+            deadline: call.started + remaining.unwrap_or(DEFAULT_CALL_TIMEOUT),
+            call,
+            state: RemoteState::Done,
+            resolved: 0,
+            pinned: None,
+            active_replica: None,
+            local: false,
+            retried: false,
+        });
+        fut.send(None);
+        fut
     }
 }
 
@@ -960,7 +950,7 @@ mod tests {
         let balancer = PowerOfTwo::new(8);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..100 {
-            let (a, _) = table.pick(0, None, &balancer, None).unwrap();
+            let (a, ..) = table.pick(0, None, &balancer, None).unwrap();
             seen.insert(a);
         }
         assert!(seen.len() >= 2, "picks never spread: {seen:?}");
@@ -971,7 +961,7 @@ mod tests {
         let balancer = PowerOfTwo::new(8);
         let table = table_with(0, &[1001, 1002, 1003]);
         for _ in 0..100 {
-            let (_, index) = table.pick(0, None, &balancer, Some(1)).unwrap();
+            let (_, index, _) = table.pick(0, None, &balancer, Some(1)).unwrap();
             assert_ne!(index, 1);
         }
         let single = table_with(0, &[1001]);
@@ -995,9 +985,9 @@ mod tests {
         }
         let balancer = PowerOfTwo::new(8);
         for key in [1u64, 99, u64::MAX / 7] {
-            let (first, _) = table.pick(0, Some(key), &balancer, None).unwrap();
+            let (first, ..) = table.pick(0, Some(key), &balancer, None).unwrap();
             for _ in 0..10 {
-                let (again, _) = table.pick(0, Some(key), &balancer, None).unwrap();
+                let (again, ..) = table.pick(0, Some(key), &balancer, None).unwrap();
                 assert_eq!(first, again, "routing key {key} moved");
             }
         }
@@ -1011,6 +1001,35 @@ mod tests {
             table.pick(7, None, &balancer, None),
             Err(WeaverError::Unavailable { .. })
         ));
+    }
+
+    /// The owner resolves a key as `pick` does, by endpoint: with routes
+    /// `[r0, r2]` a slice on replica 2 is `r0`'s. It charges no load, and
+    /// a component without routes admits.
+    #[test]
+    fn owner_check_resolves_like_pick_and_charges_nothing() {
+        let (r0, r2) = (addr(1001), addr(1003));
+        let table = RoutingTable::new();
+        let mut assignment = SliceAssignment::uniform(3, 1);
+        for slice in &mut assignment.slices {
+            slice.replica = 2;
+        }
+        table.update(RoutingState {
+            epoch: 4,
+            routes: [(0, vec![r0, r2])].into(),
+            assignments: [(0, assignment)].into(),
+        });
+        for key in [0, 99, u64::MAX] {
+            let balancer = PowerOfTwo::new(8);
+            assert_eq!(table.pick(0, Some(key), &balancer, None).unwrap().0, r0);
+            assert_eq!(table.check_owner(0, key, r0), Ok(()));
+            assert_eq!(
+                table.check_owner(0, key, r2),
+                Err(WeaverError::Fenced { epoch: 4 })
+            );
+            assert_eq!(table.check_owner(7, key, r2), Ok(()), "no routes");
+        }
+        assert_eq!(table.slice_load(0).unwrap().total(), 3, "picks only");
     }
 
     #[test]
@@ -1045,31 +1064,29 @@ mod tests {
     ];
 
     #[test]
-    fn freeze_queues_admit_until_unfrozen() {
+    fn frozen_admit_refuses_at_once() {
         for (scope, key) in GATED {
             let table = table_with(0, &[1001]);
+            let far = Instant::now() + Duration::from_secs(3600);
             table.freeze(0, scope);
-            // Frozen: admit with an already-expired deadline fails Unavailable.
-            assert!(
-                matches!(
-                    table.admit(0, key, Instant::now()),
-                    Err(WeaverError::Unavailable { .. })
-                ),
+            // Frozen: refused at once, however far off the deadline, with
+            // the owner's epoch.
+            let started = Instant::now();
+            assert_eq!(
+                table.admit(0, key, far),
+                Err(WeaverError::Fenced { epoch: 1 }),
                 "{scope:?}"
             );
+            assert!(
+                started.elapsed() < Duration::from_secs(1),
+                "{scope:?} waited"
+            );
             // Other components are unaffected by the freeze.
-            let soon = Instant::now() + Duration::from_secs(1);
-            table.admit(1, key, soon).unwrap();
+            table.admit(1, key, far).unwrap();
             table.release(1, key);
-            // A blocked admit wakes when the freeze lifts.
-            let t2 = Arc::clone(&table);
-            let waiter = std::thread::spawn(move || {
-                t2.admit(0, key, Instant::now() + Duration::from_secs(5))
-            });
-            std::thread::sleep(Duration::from_millis(30));
-            assert!(!waiter.is_finished(), "admit went through {scope:?}");
+            // The call admits once the freeze lifts.
             table.unfreeze(0, scope);
-            waiter.join().unwrap().expect("admit after unfreeze");
+            table.admit(0, key, far).expect("admit after unfreeze");
             table.release(0, key);
         }
     }

@@ -16,19 +16,16 @@
 //! [`crate::SingleProcess`] (version backstop first, then the fault, then
 //! dedup replay), and [`TcpProcess::crash_component`] restarts instances on
 //! every replica. Each replica keeps its own dedup cache, as a proclet does,
-//! so this deployer is no stronger than the one it stands in for. Additionally, the deployer can wrap every dialed client
-//! socket in a [`weaver_transport::fault::FaultStream`], injecting seeded
-//! transport-level faults (delay, corrupt, duplicate, truncate, sever)
-//! underneath the connection machinery.
+//! and fences its keys by the one table, so this deployer is no stronger
+//! than the one it stands in for. Every dialed client socket can be wrapped
+//! in a [`weaver_transport::fault::FaultStream`] injecting seeded transport
+//! faults (delay, corrupt, duplicate, truncate, sever).
 //!
-//! Its control decisions live in [`crate::control`]. The deployment keeps a
-//! [`ControlPlane`], the one writer of its routing: the table installs
-//! exactly the routing the plane emits, at the plane's epoch, at deploy and
-//! at every migration commit. Migrations are planned by the constructors on
-//! [`Migration`] and run through [`control::execute`]; this module asks the
-//! controllers for a plan and supplies the [`ReplicaHost`] primitives: the
-//! routing table's gate, calls on a fault-free pool, and the switch of a
-//! dispatch target and placement.
+//! Its control decisions live in [`crate::control`]: the deployment keeps a
+//! [`ControlPlane`], the one writer of its routing, plans [`Migration`]s
+//! from the controllers and runs them through [`control::execute`] on the
+//! [`ReplicaHost`] primitives: the table's fence, calls on a fault-free
+//! pool, and the switch of a dispatch target and placement.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,7 +34,7 @@ use parking_lot::{Mutex, MutexGuard};
 
 use weaver_core::client::CallRouter;
 use weaver_core::component::ComponentInterface;
-use weaver_core::context::{Acquired, CallContext, ComponentGetter};
+use weaver_core::context::CallContext;
 use weaver_core::error::WeaverError;
 use weaver_core::instance::LiveComponents;
 use weaver_core::registry::ComponentRegistry;
@@ -51,6 +48,7 @@ use weaver_transport::{Connection, Pool, RequestHeader, RpcHandler, Server, Weav
 
 use crate::control::{self, Command, ControlPlane, Event, MigratedRange, Migration, ReplicaHost};
 use crate::dispatch::{FaultMap, ProcletDispatcher};
+use crate::proclet::ProcletGetter;
 use crate::router::{body_to_outcome, next_idempotency_key, RemoteRouter, RoutingTable, Scope};
 use crate::single::{ComponentFault, FaultInjectable};
 
@@ -82,22 +80,6 @@ impl Default for TcpOptions {
             workers: 16,
             fault_spec: None,
         }
-    }
-}
-
-/// A getter whose every acquisition is remote: server-side nested calls
-/// (component A calling component B while handling a request) also cross
-/// the TCP data plane instead of short-circuiting in-process.
-struct RemoteGetter {
-    registry: Arc<ComponentRegistry>,
-    router: Arc<RemoteRouter>,
-}
-
-impl ComponentGetter for RemoteGetter {
-    fn acquire(&self, name: &str) -> Result<Acquired, WeaverError> {
-        let id = self.registry.id_of(name)?;
-        let router = Arc::clone(&self.router) as Arc<dyn CallRouter>;
-        Ok(Acquired::Remote(self.registry.remote_handle(id, router)?))
     }
 }
 
@@ -257,23 +239,20 @@ impl TcpProcess {
                 continue;
             };
             let live = Arc::new(LiveComponents::new(Arc::clone(&registry)));
-            let getter = Arc::new(RemoteGetter {
-                registry: Arc::clone(&registry),
-                router: Arc::clone(&router),
-            });
+            // A proclet's getter hosting nothing: server-side nested calls
+            // (A calling B while handling a request) cross the data plane
+            // too instead of short-circuiting in-process.
+            let getter = ProcletGetter::new(Arc::clone(&live), Arc::clone(&router));
+            getter.set_hosted(&[]);
             let handler = Arc::new(ProcletDispatcher::new(
                 Arc::clone(&live),
                 getter,
                 version,
                 Arc::new(MetricsRegistry::new()),
                 Arc::clone(&faults),
+                Arc::clone(&table),
             ));
-            let server = Server::<WeaverFraming>::bind(
-                "127.0.0.1:0",
-                options.workers,
-                Arc::clone(&handler) as Arc<dyn RpcHandler>,
-            )
-            .map_err(WeaverError::from)?;
+            let server = handler.serve("127.0.0.1:0", options.workers)?;
             registered.push((incarnation, server.endpoint()));
             replicas.push(Replica {
                 live,
@@ -303,11 +282,6 @@ impl TcpProcess {
             control: Mutex::new(control),
             migrating: Mutex::new(()),
         }))
-    }
-
-    /// The deployment version.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// A root call context for driving requests into the deployment.
@@ -393,25 +367,19 @@ impl TcpProcess {
     }
 
     /// The shared routing table (assignments, epoch, per-slice load, and
-    /// the migration gate) — tests and `wbench` read it to observe a
-    /// rebalance from the outside.
+    /// the replicas' migration fence) — tests and `wbench` read it to
+    /// observe a rebalance from the outside.
     pub fn routing_table(&self) -> &Arc<RoutingTable> {
         &self.table
     }
 
     /// Runs one controller round for a routed component and migrates live:
     /// plan from observed per-slice load, then hand every range whose owner
-    /// changes to its new replica as one migration (see DESIGN.md
-    /// "Control plane"): the moving ranges freeze (new calls queue, not drop),
-    /// drain, hand their state off, and the new assignment commits with an
-    /// epoch bump. Queued calls then resolve against the new owner, which
-    /// already holds the state — the A8 per-key monotonicity invariant
-    /// holds across the move.
-    ///
-    /// Components without `export_keys`/`import_keys` methods migrate
-    /// statelessly (ownership moves, state starts fresh — cache
-    /// semantics). Any failure aborts the whole round with the old
-    /// assignment and its state intact.
+    /// changes to its new replica as one migration (see DESIGN.md "Control
+    /// plane"). Calls the old owners refuse meanwhile are re-sent to the new
+    /// owner, which already holds the state (A8 per-key monotonicity).
+    /// Components without `export_keys`/`import_keys` migrate statelessly
+    /// (cache semantics). Any failure keeps the old assignment and state.
     pub fn rebalance_routed(
         &self,
         component: &str,
@@ -464,9 +432,9 @@ impl TcpProcess {
 
     /// Migrates one component between placements without dropping calls:
     /// one migration (see DESIGN.md "Control plane") that freezes the whole
-    /// component (new calls — routed or not — queue instead of launching),
-    /// drains every in-flight call, moves the dispatch target and bumps
-    /// the epoch. Queued calls then resolve against the new placement.
+    /// component (its servers refuse new calls, which are re-sent to the
+    /// new placement), drains every in-flight call, moves the dispatch
+    /// target and bumps the epoch.
     ///
     /// Migrating to [`ComponentPlacement::Colocated`] first consolidates the
     /// component's state onto replica 0 (the instance the local handler
@@ -576,11 +544,8 @@ impl TcpProcess {
             method,
             version: self.version,
             deadline_nanos: MIGRATION_CALL_TIMEOUT.as_nanos() as u64,
-            trace_id: 0,
-            span_id: 0,
-            routing: None,
             idempotency: Some(next_idempotency_key()),
-            attempt: 0,
+            ..Default::default()
         };
         let reply = self
             .migration_pool
@@ -679,15 +644,6 @@ impl FaultInjectable for TcpProcess {
 
     fn crash_component(&self, component: &str) -> Result<(), WeaverError> {
         TcpProcess::crash_component(self, component)
-    }
-}
-
-impl std::fmt::Debug for TcpProcess {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpProcess")
-            .field("version", &self.version)
-            .field("replicas", &self.replicas.len())
-            .finish_non_exhaustive()
     }
 }
 
@@ -817,6 +773,11 @@ mod tests {
             range_start: u64,
             range_end: u64,
         ) -> Result<Vec<u8>, WeaverError> {
+            if FAIL_IMPORT_AT != 0 {
+                // A flaky handoff is a slow one too, so traffic meets its
+                // fence.
+                std::thread::sleep(Duration::from_millis(50));
+            }
             let mut counts = self.counts.lock();
             let moving: Vec<u64> = counts
                 .keys()
@@ -902,16 +863,40 @@ mod tests {
             let colocate =
                 Migration::placement_move(0, ComponentPlacement::Colocated, 3, None, handoff);
             let epoch = dep.routing_table().epoch();
-            let result = control::execute(
-                &MigrationHost {
-                    dep: &dep,
-                    _exclusive: &dep.migrating.lock(),
-                },
-                Migration {
-                    freeze: vec![scope],
-                    ..colocate
-                },
-            );
+            let done = std::sync::atomic::AtomicBool::new(false);
+            let result = std::thread::scope(|threads| {
+                // Traffic in the frozen scope while the migration runs and
+                // aborts: the owners refuse it, and the abort bumps no
+                // epoch, yet every bump lands once and none waits out the
+                // call timeout.
+                let traffic = threads.spawn(|| {
+                    let mut counts = HashMap::new();
+                    while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                        for key in keys.iter().map(|k| k + 1) {
+                            let started = std::time::Instant::now();
+                            let n = counter.bump(&ctx, key).unwrap();
+                            let took = started.elapsed();
+                            assert!(took < Duration::from_secs(1), "{scope:?}: {took:?}");
+                            let count = counts.entry(key).or_insert(0);
+                            *count += 1;
+                            assert_eq!(n, *count, "{scope:?} key {key:#x}");
+                        }
+                    }
+                });
+                let result = control::execute(
+                    &MigrationHost {
+                        dep: &dep,
+                        _exclusive: &dep.migrating.lock(),
+                    },
+                    Migration {
+                        freeze: vec![scope],
+                        ..colocate
+                    },
+                );
+                done.store(true, std::sync::atomic::Ordering::SeqCst);
+                traffic.join().unwrap();
+                result
+            });
             assert!(result.is_err(), "{scope:?}: {result:?}");
             assert_eq!(dep.routing_table().epoch(), epoch, "{scope:?} committed");
             assert!(!dep.is_colocated("test.Counter"), "{scope:?} committed");
@@ -963,6 +948,10 @@ mod tests {
             assert_eq!(counter.bump(&ctx, key).unwrap(), 1, "key {key}");
             assert_eq!(counter.bump(&ctx, key).unwrap(), 2, "key {key}");
         }
+        // Each call was charged to its slice once, by the caller: the
+        // owners' checks resolve on the same table and charge nothing.
+        let load = dep.routing_table().slice_load(0).expect("load recorded");
+        assert_eq!(load.total(), 48);
     }
 
     #[test]

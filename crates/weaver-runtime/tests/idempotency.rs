@@ -228,6 +228,7 @@ fn serve(registry: &Arc<ComponentRegistry>) -> (Server<WeaverFraming>, Arc<Count
             1,
             Arc::new(MetricsRegistry::new()),
             Arc::default(),
+            RoutingTable::new(),
         ),
         requests: AtomicUsize::new(0),
     });

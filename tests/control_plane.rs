@@ -34,8 +34,10 @@ fn deployed(seed: u64, crash_rate: f64, replicas: u32) -> ControlDriver {
 /// to it, so on this seed a proclet reads its `Shutdown` while a caller
 /// still routes to it at the older epoch.
 ///
-/// This asserts the violation is *found*. ROADMAP item 2 (drain, install,
-/// wait for every ack, then shut down) inverts the assertion.
+/// This asserts the violation is *found*. ROADMAP item 4(a) (fence, drain
+/// and export the leaving replica, commit, then shut down; the owner's
+/// check answers stale callers, so no acknowledgement round) inverts the
+/// assertion.
 #[test]
 fn driver_finds_shutdown_before_reroute_on_scale_down() {
     let mut driver = deployed(7, 0.0, 3);

@@ -295,6 +295,7 @@ fn boutique_replies_never_grow_their_buffer() {
             component: detail(),
         },
         WeaverError::Internal { detail: detail() },
+        WeaverError::Fenced { epoch: u64::MAX },
     ] {
         check::<HomeView>(Err(err));
     }
