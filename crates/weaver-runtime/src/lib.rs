@@ -56,3 +56,12 @@ pub use envelope::{Incarnation, ReplicaId, SpawnSpec};
 pub use manager::MultiProcess;
 pub use single::{ComponentFault, FaultInjectable, SingleMode, SingleProcess};
 pub use tcp::{ComponentMigration, MigrationReport, PlacementRoundReport, TcpOptions, TcpProcess};
+
+/// Every binary that links the runtime — the app and its proclets, the
+/// gRPC-like baseline's services, the benchmarks and the tests — allocates
+/// small blocks from a per-thread cache instead of glibc's arena bins,
+/// which a decoded reply overflows (DESIGN.md, "One allocator per weaver
+/// process"). Such a binary cannot declare a `#[global_allocator]` of its
+/// own.
+#[global_allocator]
+static ALLOCATOR: mimalloc::MiMalloc = mimalloc::MiMalloc;

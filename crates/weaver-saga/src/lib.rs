@@ -31,6 +31,8 @@
 //!    the step log outlives any single rollout, so unlike the RPC wire
 //!    format it carries explicit schema versions.
 
+#![forbid(unsafe_code)]
+
 pub mod log;
 pub mod saga;
 pub mod store;
