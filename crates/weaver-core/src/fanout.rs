@@ -52,10 +52,11 @@ enum State<T> {
 /// A typed in-flight component call, returned by generated
 /// `<method>_start` stubs.
 ///
-/// Dropping an unresolved future cancels the underlying call (the
-/// transport removes its pending-map entry and sends a best-effort cancel);
-/// siblings started on the same connection are unaffected.
-#[must_use = "an unawaited call future cancels the call when dropped"]
+/// Dropping an unresolved future abandons the underlying call: the
+/// transport removes its pending-map entry, the callee still runs it, and
+/// its reply is dropped on arrival. Siblings started on the same connection
+/// are unaffected.
+#[must_use = "an unawaited call future abandons the call when dropped"]
 pub struct CallFuture<T> {
     state: State<T>,
 }
@@ -93,8 +94,8 @@ impl<T> CallFuture<T> {
 ///
 /// The crucial property for fault semantics: an early failure does **not**
 /// abandon in-flight siblings. Every call runs to completion (success,
-/// error, or fail-fast on a severed connection), so no request is silently
-/// cancelled server-side and no pending-map entry outlives the join.
+/// error, or fail-fast on a severed connection), so no reply is silently
+/// dropped and no pending-map entry outlives the join.
 pub fn join_all<T>(futures: Vec<CallFuture<T>>) -> Result<Vec<T>, WeaverError> {
     let mut values = Vec::with_capacity(futures.len());
     let mut first_err: Option<WeaverError> = None;

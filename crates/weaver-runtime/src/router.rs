@@ -848,7 +848,7 @@ impl RouteFuture for RemoteFuture {
 impl Drop for RemoteFuture {
     fn drop(&mut self) {
         // An abandoned future still releases its balancer charge; the
-        // transport future's own Drop cancels the wire call.
+        // transport future's own Drop abandons the wire call.
         self.release_balancer();
     }
 }

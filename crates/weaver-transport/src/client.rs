@@ -145,9 +145,8 @@ impl<F: Framing> Pool<F> {
 mod tests {
     use super::*;
     use crate::endpoint::test_endpoints;
-    use crate::frame::{Message, Status, WeaverFraming};
+    use crate::frame::{recv_message, Message, Status, WeaverFraming};
     use crate::server::{RpcHandler, Server};
-    use crate::BufferPool;
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Instant;
@@ -229,8 +228,8 @@ mod tests {
                         return;
                     }
                     let mut stream = stream.unwrap();
-                    let read = WeaverFraming.read_message(&mut stream, &BufferPool::new());
-                    if let Ok(Some(Message::Request { .. })) = read {
+                    let read = recv_message(&mut WeaverFraming, &mut stream);
+                    if let Ok(Message::Request { .. }) = read {
                         seen.fetch_add(1, Ordering::SeqCst);
                     }
                 }

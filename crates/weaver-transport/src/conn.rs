@@ -10,8 +10,9 @@
 //! Request encoding uses buffers recycled through a [`BufferPool`], so the
 //! steady-state call path performs no heap allocation for framing.
 //!
-//! Deadlines are enforced caller-side: a call that times out sends a cancel
-//! message (best effort) and returns [`TransportError::DeadlineExceeded`].
+//! Deadlines are enforced caller-side: a call that times out abandons its
+//! stream and returns [`TransportError::DeadlineExceeded`]. The server still
+//! runs an abandoned call, and its reply is dropped on arrival.
 //! When the socket dies, every in-flight call fails with
 //! [`TransportError::ConnectionClosed`], the connection is marked dead so
 //! the pool replaces it, and queued frames are dropped rather than written
@@ -25,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::buf::BufferPool;
+use crate::buf::{BufferPool, WireBuf};
 use crate::endpoint::ToEndpoint;
 use crate::error::TransportError;
 use crate::fault::DuplexStream;
@@ -146,7 +147,6 @@ impl<F: Framing> Connection<F> {
         let pending: PendingMap = Arc::new(Mutex::new(HashMap::new()));
         let driver = Arc::new(ClientDriver::<F> {
             pending: Arc::clone(&pending),
-            pool: pool.clone(),
             framing: Mutex::new(F::default()),
         });
         let state = Reactor::global()?.register_conn(stream, driver, pool.clone())?;
@@ -254,28 +254,16 @@ impl<F: Framing> Connection<F> {
         }
     }
 
-    /// Stops tracking a stream that timed out and tells the server to give
-    /// up on it. Returns the error the caller should surface.
+    /// Stops tracking a stream nobody waits for any more; its reply, if
+    /// one comes, is dropped on arrival. Returns the error the caller
+    /// should surface.
     fn abandon(&self, stream: u64) -> Result<ResponseBody, TransportError> {
         self.pending.lock().remove(&stream);
-        let mut cancel = self.pool.get(32);
-        F::write_cancel(&mut cancel, stream);
-        let _ = self.state.send(OutFrame::single(cancel.freeze()));
         if self.is_dead() {
             Err(TransportError::ConnectionClosed)
         } else {
             Err(TransportError::DeadlineExceeded)
         }
-    }
-
-    /// Sends a liveness probe (the pong is consumed on the reactor poller).
-    pub fn ping(&self) -> Result<(), TransportError> {
-        if self.is_dead() {
-            return Err(TransportError::ConnectionClosed);
-        }
-        let mut buf = self.pool.get(32);
-        F::write_ping(&mut buf, false);
-        self.state.send(OutFrame::single(buf.freeze()))
     }
 
     /// Number of calls currently awaiting a response.
@@ -292,11 +280,10 @@ impl<F: Framing> Drop for Connection<F> {
     }
 }
 
-/// Client-side protocol logic: resolves responses against the pending map,
-/// answers pings, drains on death. Runs on the poller thread.
+/// Client-side protocol logic: resolves responses against the pending map
+/// and drains it on death. Runs on the poller thread.
 struct ClientDriver<F: Framing> {
     pending: PendingMap,
-    pool: BufferPool,
     framing: Mutex<F>,
 }
 
@@ -305,31 +292,18 @@ impl<F: Framing> ConnDriver for ClientDriver<F> {
         F::frame_extent(buf)
     }
 
-    fn on_frame(&self, state: &Arc<ConnState>, frame: &[u8]) -> Result<(), TransportError> {
-        let mut cursor: &[u8] = frame;
-        let msg = self.framing.lock().read_message(&mut cursor, &self.pool)?;
-        match msg {
-            Some(Message::Response { stream, body }) => {
-                // Out of the map before the wake: the woken caller may
-                // take the map's lock for its next call at once.
-                let tx = self.pending.lock().remove(&stream);
-                if let Some(tx) = tx {
-                    tx.send(Ok(body));
-                }
-                // A response for an unknown stream was cancelled or timed
-                // out: drop it.
+    fn on_frame(&self, _: &Arc<ConnState>, frame: WireBuf) -> Result<(), TransportError> {
+        // Clients serve no requests, and a stateful framing may absorb the
+        // frame into pairing state: only a response resolves anything.
+        let msg = self.framing.lock().decode(frame)?;
+        if let Some(Message::Response { stream, body }) = msg {
+            // Out of the map before the wake: the woken caller may take the
+            // map's lock for its next call at once. A response for an
+            // unknown stream was abandoned: drop it.
+            let tx = self.pending.lock().remove(&stream);
+            if let Some(tx) = tx {
+                tx.send(Ok(body));
             }
-            Some(Message::Ping) => {
-                let mut buf = self.pool.get(32);
-                F::write_ping(&mut buf, true);
-                let _ = state.send(OutFrame::single(buf.freeze()));
-            }
-            Some(Message::Pong) => {}
-            Some(Message::Cancel { .. } | Message::Request { .. }) => {
-                // Clients do not serve requests; ignore.
-            }
-            // A stateful framing consumed the frame into pairing state.
-            None => {}
         }
         Ok(())
     }
@@ -349,9 +323,10 @@ impl<F: Framing> ConnDriver for ClientDriver<F> {
 /// The future holds an `Arc` of its connection, so a pooled connection
 /// stays alive (and the reactor keeps completing its streams) until the last
 /// outstanding future is resolved or dropped — even if the pool has since
-/// evicted it. Dropping an unresolved future removes its pending-map entry
-/// and sends a best-effort cancel, so abandoned calls never leak.
-#[must_use = "an unawaited call future cancels the call when dropped"]
+/// evicted it. Dropping an unresolved future abandons the call: its
+/// pending-map entry goes, so abandoned calls never leak, and a late reply
+/// is dropped on arrival.
+#[must_use = "an unawaited call future abandons the call when dropped"]
 pub struct CallFuture<F: Framing> {
     conn: Arc<Connection<F>>,
     stream: u64,
@@ -366,10 +341,10 @@ impl<F: Framing> CallFuture<F> {
     }
 
     /// Waits for the response. `timeout` of `None` waits indefinitely; on
-    /// timeout the stream is cancelled and [`TransportError::DeadlineExceeded`]
+    /// timeout the stream is abandoned and [`TransportError::DeadlineExceeded`]
     /// is returned (or [`TransportError::ConnectionClosed`] if the socket
     /// died while waiting). From a handler running inline on a reactor
-    /// poller the wait is refused and the call cancelled.
+    /// poller the wait is refused and the call abandoned.
     pub fn wait(mut self, timeout: Option<Duration>) -> Result<ResponseBody, TransportError> {
         // Not yet `done`: dropping `self` on this return abandons the stream.
         refuse_blocking_on_reactor()?;
@@ -392,7 +367,7 @@ impl<F: Framing> Drop for CallFuture<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{Status, WeaverFraming};
+    use crate::frame::{recv_message, Status, WeaverFraming};
     use std::io::Write as _;
     use std::net::{TcpListener, TcpStream};
 
@@ -409,11 +384,11 @@ mod tests {
         (Arc::new(Connection::from_duplex(client).unwrap()), peer)
     }
 
-    /// Reads the next message on the peer and returns its stream id.
+    /// Reads the next request on the peer and returns its stream id.
     fn read_stream(peer: &mut TcpStream) -> u64 {
-        match WeaverFraming.read_message(peer, &BufferPool::new()) {
-            Ok(Some(Message::Request { stream, .. } | Message::Cancel { stream })) => stream,
-            other => panic!("expected a request or cancel, got {other:?}"),
+        match recv_message(&mut WeaverFraming, peer) {
+            Ok(Message::Request { stream, .. }) => stream,
+            other => panic!("expected a request, got {other:?}"),
         }
     }
 
@@ -442,7 +417,6 @@ mod tests {
         let abandoned = Connection::call_begin(&conn, &header, &[]).unwrap();
         let first = read_stream(&mut peer);
         drop(abandoned);
-        assert_eq!(read_stream(&mut peer), first, "dropping sends a cancel");
         let next = Connection::call_begin(&conn, &header, &[]).unwrap();
         let second = read_stream(&mut peer);
         // The abandoned stream's reply goes first on the wire, so it has

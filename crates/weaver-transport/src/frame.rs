@@ -2,18 +2,17 @@
 //! baseline.
 //!
 //! The hot path is allocation-free in steady state: writers encode frames
-//! *directly* into pooled buffers (no intermediate payload `Vec`), and the
-//! reader parses each frame into [`WireBuf`] slices of the pooled receive
-//! buffer — request args and response payloads are zero-copy views, not
-//! copies.
+//! *directly* into pooled buffers (no intermediate payload `Vec`), and
+//! [`Framing::decode`] parses each frame the reactor cut out into
+//! [`WireBuf`] slices of that frame — request args and response payloads
+//! are zero-copy views, not copies.
 
 use std::collections::HashMap;
-use std::io::{self, Read};
 
 use weaver_codec::prelude::*;
 use weaver_macros::WeaverData;
 
-use crate::buf::{BufferPool, WireBuf};
+use crate::buf::WireBuf;
 use crate::error::TransportError;
 
 /// Sanity bound on any single message (16 MiB), protecting against corrupt
@@ -75,8 +74,8 @@ pub struct ResponseBody {
     pub payload: WireBuf,
 }
 
-/// One decoded protocol message. Byte payloads are zero-copy slices into
-/// the pooled receive buffer.
+/// One decoded protocol message. Byte payloads are zero-copy slices of the
+/// decoded frame.
 #[derive(Debug, PartialEq)]
 pub enum Message {
     /// A call request.
@@ -85,7 +84,7 @@ pub enum Message {
         stream: u64,
         /// Call metadata.
         header: RequestHeader,
-        /// Marshaled arguments (borrowed view of the receive buffer).
+        /// Marshaled arguments (borrowed view of the frame).
         args: WireBuf,
     },
     /// A call response.
@@ -95,21 +94,12 @@ pub enum Message {
         /// The response.
         body: ResponseBody,
     },
-    /// Cancel an in-flight request.
-    Cancel {
-        /// Stream id to cancel.
-        stream: u64,
-    },
-    /// Liveness probe.
-    Ping,
-    /// Probe acknowledgement.
-    Pong,
 }
 
 /// A wire protocol: how [`Message`]s become bytes and back.
 ///
 /// Implementations may keep per-connection reader state (`&mut self` in
-/// [`Framing::read_message`]); one instance serves one connection direction.
+/// [`Framing::decode`]); one instance serves one connection direction.
 /// The `write_*` methods append to any `Vec<u8>` — in the hot path that Vec
 /// is a pooled buffer (`PooledBuf` dereferences to `Vec<u8>`), so encoding
 /// allocates nothing once the pool is warm.
@@ -139,50 +129,24 @@ pub trait Framing: Default + Send + 'static {
         None
     }
 
-    /// Appends an encoded cancel message to `out`.
-    fn write_cancel(out: &mut Vec<u8>, stream: u64);
-
-    /// Appends an encoded ping (`pong = false`) or pong to `out`.
-    fn write_ping(out: &mut Vec<u8>, pong: bool);
-
-    /// Blocks until one complete message is read from `r`, using `pool`
-    /// for the receive buffer that zero-copy payloads will reference.
-    ///
-    /// Returns `Ok(None)` on clean EOF at a message boundary.
-    fn read_message(
-        &mut self,
-        r: &mut dyn Read,
-        pool: &BufferPool,
-    ) -> Result<Option<Message>, TransportError>;
-
     /// Total byte length of the first complete wire frame at the start of
     /// `buf`, or `Ok(None)` if more bytes are needed to tell.
     ///
-    /// This is the reassembly primitive for readiness-driven readers: the
-    /// reactor accumulates partial reads and hands [`Framing::read_message`]
-    /// exactly one complete wire frame at a time (a stateful framing may
-    /// then return `Ok(None)` from `read_message` for frames that only
-    /// advance its internal pairing state). Length prefixes are validated
-    /// here so a corrupt or hostile prefix fails before any buffering.
+    /// This is the reassembly primitive of the reactor, which cuts out each
+    /// frame it measures and hands it to [`Framing::decode`]. It is the one
+    /// validator of length prefixes, so a corrupt or hostile prefix fails
+    /// before any buffering.
     fn frame_extent(buf: &[u8]) -> Result<Option<usize>, TransportError>;
+
+    /// Decodes one complete wire frame, exactly as [`Framing::frame_extent`]
+    /// measured it. Returns `Ok(None)` for a frame that only advances the
+    /// framing's pairing state (a stateful framing's HEADERS awaiting its
+    /// DATA). A kind the protocol does not define is an error.
+    fn decode(&mut self, frame: WireBuf) -> Result<Option<Message>, TransportError>;
 }
 
-fn read_exact_or_eof(r: &mut dyn Read, buf: &mut [u8]) -> Result<Option<()>, TransportError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(None);
-                }
-                return Err(TransportError::ConnectionClosed);
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(Some(()))
+fn short_frame() -> TransportError {
+    TransportError::Protocol("short frame".into())
 }
 
 // ---------------------------------------------------------------------------
@@ -193,18 +157,17 @@ fn read_exact_or_eof(r: &mut dyn Read, buf: &mut [u8]) -> Result<Option<()>, Tra
 ///
 /// * Request payload: `RequestHeader` (non-versioned encoding) + raw args.
 /// * Response payload: status byte + reply/error bytes.
-/// * Cancel/Ping/Pong: empty payload.
 #[derive(Default)]
 pub struct WeaverFraming;
 
 const KIND_REQUEST: u8 = 0;
 const KIND_RESPONSE: u8 = 1;
-const KIND_CANCEL: u8 = 2;
-const KIND_PING: u8 = 3;
-const KIND_PONG: u8 = 4;
 
 /// Bytes of frame payload preceding the length prefix: kind + stream.
 const FRAME_META: usize = 1 + 8;
+
+/// Bytes of a frame before its payload: length prefix, kind and stream.
+const FRAME_HEAD: usize = 4 + FRAME_META;
 
 impl WeaverFraming {
     /// Writes the fixed frame prelude with a length placeholder; returns
@@ -266,16 +229,6 @@ impl Framing for WeaverFraming {
         Some(body.payload.clone())
     }
 
-    fn write_cancel(out: &mut Vec<u8>, stream: u64) {
-        let len_at = Self::begin_frame(out, KIND_CANCEL, stream);
-        Self::end_frame(out, len_at);
-    }
-
-    fn write_ping(out: &mut Vec<u8>, pong: bool) {
-        let len_at = Self::begin_frame(out, if pong { KIND_PONG } else { KIND_PING }, 0);
-        Self::end_frame(out, len_at);
-    }
-
     fn frame_extent(buf: &[u8]) -> Result<Option<usize>, TransportError> {
         if buf.len() < 4 {
             return Ok(None);
@@ -287,40 +240,18 @@ impl Framing for WeaverFraming {
         Ok(Some(4 + len))
     }
 
-    fn read_message(
-        &mut self,
-        r: &mut dyn Read,
-        pool: &BufferPool,
-    ) -> Result<Option<Message>, TransportError> {
-        let mut len_buf = [0u8; 4];
-        if read_exact_or_eof(r, &mut len_buf)?.is_none() {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(len_buf) as usize;
-        if !(FRAME_META..=MAX_MESSAGE_SIZE).contains(&len) {
-            return Err(TransportError::Protocol(format!("bad frame length {len}")));
-        }
-        let mut frame = pool.get(len);
-        frame.resize(len, 0);
-        if read_exact_or_eof(r, &mut frame)?.is_none() {
-            return Err(TransportError::ConnectionClosed);
-        }
-        let kind = frame[0];
-        let stream = u64::from_le_bytes(
-            frame[1..FRAME_META]
-                .try_into()
-                .map_err(|_| TransportError::Protocol("short frame".into()))?,
-        );
+    fn decode(&mut self, frame: WireBuf) -> Result<Option<Message>, TransportError> {
+        let meta = frame.get(4..FRAME_HEAD).ok_or_else(short_frame)?;
+        let kind = meta[0];
+        let stream = u64::from_le_bytes(meta[1..].try_into().map_err(|_| short_frame())?);
         match kind {
             KIND_REQUEST => {
-                let buf = frame.freeze();
-                let payload = &buf[FRAME_META..];
-                let mut rd = Reader::new(payload);
+                let mut rd = Reader::new(&frame[FRAME_HEAD..]);
                 let header = RequestHeader::decode(&mut rd)
                     .map_err(|e| TransportError::Protocol(e.to_string()))?;
                 // Args are whatever follows the header: a zero-copy slice
-                // of the receive buffer, not a Vec.
-                let args = buf.slice(FRAME_META + rd.position()..);
+                // of the frame, not a Vec.
+                let args = frame.slice(FRAME_HEAD + rd.position()..);
                 Ok(Some(Message::Request {
                     stream,
                     header,
@@ -328,26 +259,22 @@ impl Framing for WeaverFraming {
                 }))
             }
             KIND_RESPONSE => {
-                let status = *frame
-                    .get(FRAME_META)
-                    .ok_or_else(|| TransportError::Protocol("empty response".into()))?;
-                let status = match status {
-                    0 => Status::Ok,
-                    1 => Status::Error,
-                    other => return Err(TransportError::Protocol(format!("bad status {other}"))),
+                let status = match frame.get(FRAME_HEAD) {
+                    Some(0) => Status::Ok,
+                    Some(1) => Status::Error,
+                    Some(other) => {
+                        return Err(TransportError::Protocol(format!("bad status {other}")))
+                    }
+                    None => return Err(TransportError::Protocol("empty response".into())),
                 };
-                let buf = frame.freeze();
                 Ok(Some(Message::Response {
                     stream,
                     body: ResponseBody {
                         status,
-                        payload: buf.slice(FRAME_META + 1..),
+                        payload: frame.slice(FRAME_HEAD + 1..),
                     },
                 }))
             }
-            KIND_CANCEL => Ok(Some(Message::Cancel { stream })),
-            KIND_PING => Ok(Some(Message::Ping)),
-            KIND_PONG => Ok(Some(Message::Pong)),
             other => Err(TransportError::Protocol(format!("bad frame kind {other}"))),
         }
     }
@@ -360,12 +287,12 @@ impl Framing for WeaverFraming {
 /// HTTP/2 frame types used by the baseline.
 const H2_DATA: u8 = 0x0;
 const H2_HEADERS: u8 = 0x1;
-const H2_RST_STREAM: u8 = 0x3;
-const H2_PING: u8 = 0x6;
 
 const H2_FLAG_END_STREAM: u8 = 0x1;
 const H2_FLAG_END_HEADERS: u8 = 0x4;
-const H2_FLAG_ACK: u8 = 0x1;
+
+/// Bytes of an HTTP/2 frame header: u24 length, type, flags, stream id.
+const H2_HEAD: usize = 9;
 
 /// The status-quo baseline: HTTP/2-shaped frames with textual metadata.
 ///
@@ -560,110 +487,101 @@ impl Framing for GrpcLikeFraming {
         );
     }
 
-    fn write_cancel(out: &mut Vec<u8>, stream: u64) {
-        // RST_STREAM with error code CANCEL (0x8).
-        Self::write_h2_frame(out, H2_RST_STREAM, 0, stream, &8u32.to_be_bytes());
-    }
-
-    fn write_ping(out: &mut Vec<u8>, pong: bool) {
-        let flags = if pong { H2_FLAG_ACK } else { 0 };
-        Self::write_h2_frame(out, H2_PING, flags, 0, &[0u8; 8]);
-    }
-
     fn frame_extent(buf: &[u8]) -> Result<Option<usize>, TransportError> {
-        if buf.len() < 9 {
+        if buf.len() < H2_HEAD {
             return Ok(None);
         }
         let len = u32::from_be_bytes([0, buf[0], buf[1], buf[2]]) as usize;
         if len > MAX_MESSAGE_SIZE {
             return Err(TransportError::Protocol(format!("bad frame length {len}")));
         }
-        Ok(Some(9 + len))
+        Ok(Some(H2_HEAD + len))
     }
 
-    fn read_message(
-        &mut self,
-        r: &mut dyn Read,
-        pool: &BufferPool,
-    ) -> Result<Option<Message>, TransportError> {
-        loop {
-            let mut head = [0u8; 9];
-            if read_exact_or_eof(r, &mut head)?.is_none() {
-                return Ok(None);
+    fn decode(&mut self, frame: WireBuf) -> Result<Option<Message>, TransportError> {
+        let head = frame.get(..H2_HEAD).ok_or_else(short_frame)?;
+        let ty = head[3];
+        let stream = u64::from(u32::from_be_bytes([head[5], head[6], head[7], head[8]]));
+        let payload = &frame[H2_HEAD..];
+        match ty {
+            H2_HEADERS => {
+                let text = std::str::from_utf8(payload)
+                    .map_err(|_| TransportError::Protocol("non-UTF-8 headers".into()))?;
+                if text.starts_with(":status") {
+                    // Response headers: remember status, wait for DATA.
+                    self.pending_responses.insert(stream, Status::Ok);
+                } else if text.starts_with("grpc-status") {
+                    // Trailers: finish the response.
+                    let ok = text.contains("grpc-status: 0");
+                    let mut body = self
+                        .pending_trailers
+                        .remove(&stream)
+                        .ok_or_else(|| TransportError::Protocol("trailers without data".into()))?;
+                    if !ok {
+                        body.status = Status::Error;
+                    }
+                    return Ok(Some(Message::Response { stream, body }));
+                } else {
+                    // Request headers.
+                    let header = Self::parse_request_headers(payload)?;
+                    self.pending_requests.insert(stream, header);
+                }
+                Ok(None)
             }
-            let len = u32::from_be_bytes([0, head[0], head[1], head[2]]) as usize;
-            if len > MAX_MESSAGE_SIZE {
-                return Err(TransportError::Protocol(format!("bad frame length {len}")));
-            }
-            let ty = head[3];
-            let flags = head[4];
-            let stream =
-                u64::from(u32::from_be_bytes(head[5..9].try_into().map_err(|_| {
-                    TransportError::Protocol("short frame head".into())
-                })?));
-            let mut payload = pool.get(len);
-            payload.resize(len, 0);
-            if len > 0 && read_exact_or_eof(r, &mut payload)?.is_none() {
-                return Err(TransportError::ConnectionClosed);
-            }
-            match ty {
-                H2_PING => {
-                    return Ok(Some(if flags & H2_FLAG_ACK != 0 {
-                        Message::Pong
-                    } else {
-                        Message::Ping
+            H2_DATA => {
+                Self::check_grpc_message(payload)?;
+                // Zero-copy: the message body is a slice of the frame,
+                // past the 5-byte gRPC prefix.
+                let msg = frame.slice(H2_HEAD + 5..);
+                if let Some(header) = self.pending_requests.remove(&stream) {
+                    return Ok(Some(Message::Request {
+                        stream,
+                        header,
+                        args: msg,
                     }));
                 }
-                H2_RST_STREAM => return Ok(Some(Message::Cancel { stream })),
-                H2_HEADERS => {
-                    let text = std::str::from_utf8(&payload)
-                        .map_err(|_| TransportError::Protocol("non-UTF-8 headers".into()))?;
-                    if text.starts_with(":status") {
-                        // Response headers: remember status, wait for DATA.
-                        self.pending_responses.insert(stream, Status::Ok);
-                    } else if text.starts_with("grpc-status") {
-                        // Trailers: finish the response.
-                        let ok = text.contains("grpc-status: 0");
-                        let mut body = self.pending_trailers.remove(&stream).ok_or_else(|| {
-                            TransportError::Protocol("trailers without data".into())
-                        })?;
-                        if !ok {
-                            body.status = Status::Error;
-                        }
-                        return Ok(Some(Message::Response { stream, body }));
-                    } else {
-                        // Request headers.
-                        let header = Self::parse_request_headers(&payload)?;
-                        self.pending_requests.insert(stream, header);
-                    }
-                }
-                H2_DATA => {
-                    Self::check_grpc_message(&payload)?;
-                    // Zero-copy: the message body is a slice of the pooled
-                    // frame, past the 5-byte gRPC prefix.
-                    let msg = payload.freeze().slice(5..);
-                    if let Some(header) = self.pending_requests.remove(&stream) {
-                        return Ok(Some(Message::Request {
-                            stream,
-                            header,
-                            args: msg,
-                        }));
-                    }
-                    if let Some(status) = self.pending_responses.remove(&stream) {
-                        // Hold until trailers arrive, like a gRPC client.
-                        self.pending_trailers.insert(
-                            stream,
-                            ResponseBody {
-                                status,
-                                payload: msg,
-                            },
-                        );
-                        continue;
-                    }
-                    return Err(TransportError::Protocol("DATA without HEADERS".into()));
-                }
-                other => return Err(TransportError::Protocol(format!("bad frame type {other}"))),
+                let status = self
+                    .pending_responses
+                    .remove(&stream)
+                    .ok_or_else(|| TransportError::Protocol("DATA without HEADERS".into()))?;
+                // Hold until trailers arrive, like a gRPC client.
+                self.pending_trailers.insert(
+                    stream,
+                    ResponseBody {
+                        status,
+                        payload: msg,
+                    },
+                );
+                Ok(None)
             }
+            other => Err(TransportError::Protocol(format!("bad frame type {other}"))),
+        }
+    }
+}
+
+/// Reads frames from a blocking socket, cutting each with
+/// [`Framing::frame_extent`] as the reactor does, until one decodes to a
+/// message. Test peers that speak the protocol by hand use it.
+#[cfg(test)]
+pub(crate) fn recv_message<F: Framing>(
+    framing: &mut F,
+    r: &mut impl std::io::Read,
+) -> Result<Message, TransportError> {
+    loop {
+        let mut frame = Vec::new();
+        let extent = loop {
+            if let Some(extent) = F::frame_extent(&frame)? {
+                break extent;
+            }
+            let mut byte = [0u8];
+            r.read_exact(&mut byte)?;
+            frame.push(byte[0]);
+        };
+        let read = frame.len();
+        frame.resize(extent, 0);
+        r.read_exact(&mut frame[read..])?;
+        if let Some(msg) = framing.decode(frame.into())? {
+            return Ok(msg);
         }
     }
 }
@@ -671,10 +589,32 @@ impl Framing for GrpcLikeFraming {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use crate::buf::BufferPool;
 
-    fn pool() -> BufferPool {
-        BufferPool::new()
+    /// Cuts `wire` into frames with `frame_extent` and decodes each, the way
+    /// the reactor feeds a connection's framing. A trailing partial frame
+    /// is an error here: the reactor would wait for the rest of it.
+    fn decode_all<F: Framing>(
+        framing: &mut F,
+        wire: &[u8],
+    ) -> Result<Vec<Message>, TransportError> {
+        let mut messages = Vec::new();
+        let mut off = 0;
+        while off < wire.len() {
+            let extent = F::frame_extent(&wire[off..])?
+                .filter(|&extent| off + extent <= wire.len())
+                .ok_or(TransportError::ConnectionClosed)?;
+            messages.extend(framing.decode(WireBuf::from(&wire[off..off + extent]))?);
+            off += extent;
+        }
+        Ok(messages)
+    }
+
+    /// Decodes `wire`, which must hold exactly one message.
+    fn decode_one<F: Framing>(wire: &[u8]) -> Message {
+        let mut messages = decode_all(&mut F::default(), wire).unwrap();
+        assert_eq!(messages.len(), 1, "{}", F::NAME);
+        messages.remove(0)
     }
 
     fn sample_header() -> RequestHeader {
@@ -696,13 +636,8 @@ mod tests {
         let args = vec![1u8, 2, 3, 4];
         let mut wire = Vec::new();
         F::write_request(&mut wire, 9, &header, &args);
-        let mut f = F::default();
-        let msg = f
-            .read_message(&mut Cursor::new(&wire), &pool())
-            .unwrap()
-            .unwrap();
         assert_eq!(
-            msg,
+            decode_one::<F>(&wire),
             Message::Request {
                 stream: 9,
                 header,
@@ -718,35 +653,10 @@ mod tests {
         };
         let mut wire = Vec::new();
         F::write_response(&mut wire, 4, &body);
-        let mut f = F::default();
-        let msg = f
-            .read_message(&mut Cursor::new(&wire), &pool())
-            .unwrap()
-            .unwrap();
-        assert_eq!(msg, Message::Response { stream: 4, body });
-    }
-
-    fn roundtrip_control<F: Framing>() {
-        let mut wire = Vec::new();
-        F::write_ping(&mut wire, false);
-        F::write_ping(&mut wire, true);
-        F::write_cancel(&mut wire, 11);
-        let mut cursor = Cursor::new(&wire);
-        let mut f = F::default();
-        let p = pool();
         assert_eq!(
-            f.read_message(&mut cursor, &p).unwrap(),
-            Some(Message::Ping)
+            decode_one::<F>(&wire),
+            Message::Response { stream: 4, body }
         );
-        assert_eq!(
-            f.read_message(&mut cursor, &p).unwrap(),
-            Some(Message::Pong)
-        );
-        assert_eq!(
-            f.read_message(&mut cursor, &p).unwrap(),
-            Some(Message::Cancel { stream: 11 })
-        );
-        assert_eq!(f.read_message(&mut cursor, &p).unwrap(), None);
     }
 
     #[test]
@@ -754,7 +664,6 @@ mod tests {
         roundtrip_request::<WeaverFraming>();
         roundtrip_response::<WeaverFraming>(Status::Ok);
         roundtrip_response::<WeaverFraming>(Status::Error);
-        roundtrip_control::<WeaverFraming>();
     }
 
     #[test]
@@ -762,7 +671,6 @@ mod tests {
         roundtrip_request::<GrpcLikeFraming>();
         roundtrip_response::<GrpcLikeFraming>(Status::Ok);
         roundtrip_response::<GrpcLikeFraming>(Status::Error);
-        roundtrip_control::<GrpcLikeFraming>();
     }
 
     #[test]
@@ -791,21 +699,19 @@ mod tests {
 
     #[test]
     fn request_args_are_zero_copy_views() {
-        // Parsing a request must not allocate a fresh args Vec: the args
-        // WireBuf shares the pooled receive buffer, which returns to the
-        // pool only when the args are dropped.
-        let p = pool();
+        // Decoding a request must not allocate a fresh args Vec: the args
+        // WireBuf shares the pooled frame, which returns to the pool only
+        // when the args are dropped.
+        let p = BufferPool::new();
         let mut wire = Vec::new();
         WeaverFraming::write_request(&mut wire, 1, &sample_header(), &[7u8; 64]);
-        let mut f = WeaverFraming;
-        let msg = f
-            .read_message(&mut Cursor::new(&wire), &p)
-            .unwrap()
-            .unwrap();
+        let mut frame = p.get(wire.len());
+        frame.extend_from_slice(&wire);
+        let msg = WeaverFraming.decode(frame.freeze()).unwrap().unwrap();
         let Message::Request { args, .. } = msg else {
             panic!("expected request");
         };
-        assert_eq!(p.stats().recycled, 0, "receive buffer still referenced");
+        assert_eq!(p.stats().recycled, 0, "frame still referenced");
         drop(args);
         assert_eq!(p.stats().recycled, 1, "dropping args recycles the frame");
     }
@@ -821,12 +727,7 @@ mod tests {
         };
         let mut wire = Vec::new();
         GrpcLikeFraming::write_request(&mut wire, 1, &header, &[]);
-        let mut f = GrpcLikeFraming::default();
-        let msg = f
-            .read_message(&mut Cursor::new(&wire), &pool())
-            .unwrap()
-            .unwrap();
-        match msg {
+        match decode_one::<GrpcLikeFraming>(&wire) {
             Message::Request { header: h, .. } => assert_eq!(h, header),
             other => panic!("unexpected {other:?}"),
         }
@@ -843,12 +744,7 @@ mod tests {
             header.attempt = 2;
             let mut wire = Vec::new();
             F::write_request(&mut wire, 7, &header, &[0xAB]);
-            let mut f = F::default();
-            let msg = f
-                .read_message(&mut Cursor::new(&wire), &pool())
-                .unwrap()
-                .unwrap();
-            match msg {
+            match decode_one::<F>(&wire) {
                 Message::Request { header: h, .. } => assert_eq!(h, header, "{}", F::NAME),
                 other => panic!("unexpected {other:?}"),
             }
@@ -879,16 +775,10 @@ mod tests {
         let mut wire = Vec::new();
         WeaverFraming::write_request(&mut wire, 1, &sample_header(), &[1]);
         WeaverFraming::write_request(&mut wire, 2, &sample_header(), &[2]);
-        let mut cursor = Cursor::new(&wire);
-        let mut f = WeaverFraming;
-        let p = pool();
-        let m1 = f.read_message(&mut cursor, &p).unwrap().unwrap();
-        let m2 = f.read_message(&mut cursor, &p).unwrap().unwrap();
-        match (m1, m2) {
-            (Message::Request { stream: 1, .. }, Message::Request { stream: 2, .. }) => {}
+        match &decode_all(&mut WeaverFraming, &wire).unwrap()[..] {
+            [Message::Request { stream: 1, .. }, Message::Request { stream: 2, .. }] => {}
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(f.read_message(&mut cursor, &p).unwrap(), None);
     }
 
     #[test]
@@ -918,9 +808,7 @@ mod tests {
                 payload: vec![1, 2, 3].into(),
             },
         );
-        WeaverFraming::write_cancel(&mut weaver, 2);
-        WeaverFraming::write_ping(&mut weaver, false);
-        check::<WeaverFraming>(&weaver, 4);
+        check::<WeaverFraming>(&weaver, 2);
         // Partial prefixes below the length prefix are indeterminate.
         assert_eq!(WeaverFraming::frame_extent(&weaver[..3]).unwrap(), None);
 
@@ -943,69 +831,51 @@ mod tests {
 
     #[test]
     fn stateful_framing_consumes_frames_one_at_a_time() {
-        // The reactor feeds read_message one complete wire frame at a time;
-        // a stateful framing must retain pairing state across calls and
-        // yield the message on the final frame.
-        let header = sample_header();
+        // Each frame of a gRPC-like response is decoded on its own; the
+        // framing retains pairing state across them and yields the message
+        // on the trailers frame.
+        let body = ResponseBody {
+            status: Status::Error,
+            payload: vec![9u8; 16].into(),
+        };
         let mut wire = Vec::new();
-        GrpcLikeFraming::write_request(&mut wire, 5, &header, &[9u8; 16]);
+        GrpcLikeFraming::write_response(&mut wire, 5, &body);
         let mut f = GrpcLikeFraming::default();
-        let p = pool();
         let mut off = 0;
-        let mut messages = Vec::new();
+        let mut decoded = Vec::new();
         while off < wire.len() {
             let ext = GrpcLikeFraming::frame_extent(&wire[off..])
                 .unwrap()
                 .unwrap();
-            let mut frame = &wire[off..off + ext];
-            if let Some(msg) = f.read_message(&mut frame, &p).unwrap() {
-                messages.push(msg);
-            }
+            decoded.push(f.decode(WireBuf::from(&wire[off..off + ext])).unwrap());
             off += ext;
         }
-        assert_eq!(messages.len(), 1);
-        match &messages[0] {
-            Message::Request {
-                stream: 5,
-                header: h,
-                ..
-            } => assert_eq!(h, &header),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn truncated_frame_is_connection_closed() {
-        let mut wire = Vec::new();
-        WeaverFraming::write_request(&mut wire, 1, &sample_header(), &[1, 2, 3]);
-        wire.truncate(wire.len() - 2);
-        let mut f = WeaverFraming;
         assert_eq!(
-            f.read_message(&mut Cursor::new(&wire), &pool()),
-            Err(TransportError::ConnectionClosed)
+            decoded,
+            [None, None, Some(Message::Response { stream: 5, body })]
         );
     }
 
     #[test]
-    fn oversized_length_rejected() {
+    fn a_truncated_frame_is_incomplete_not_an_error() {
         let mut wire = Vec::new();
-        wire.extend_from_slice(&u32::MAX.to_le_bytes());
-        wire.extend_from_slice(&[0u8; 16]);
-        let mut f = WeaverFraming;
-        assert!(matches!(
-            f.read_message(&mut Cursor::new(&wire), &pool()),
-            Err(TransportError::Protocol(_))
-        ));
+        WeaverFraming::write_request(&mut wire, 1, &sample_header(), &[1, 2, 3]);
+        let whole = wire.len();
+        let ext = WeaverFraming::frame_extent(&wire[..whole - 2]).unwrap();
+        assert_eq!(ext, Some(whole), "the reactor waits for the rest");
     }
 
     #[test]
-    fn garbage_rejected_not_panicked() {
+    fn short_or_garbage_frames_are_errors_not_panics() {
         let wire: Vec<u8> = (0..64u8).collect();
-        let p = pool();
-        let mut f = WeaverFraming;
-        let _ = f.read_message(&mut Cursor::new(&wire), &p);
-        let mut g = GrpcLikeFraming::default();
-        let _ = g.read_message(&mut Cursor::new(&wire), &p);
+        for len in 0..wire.len() {
+            let _ = WeaverFraming.decode(WireBuf::from(&wire[..len]));
+            let _ = GrpcLikeFraming::default().decode(WireBuf::from(&wire[..len]));
+        }
+        assert!(WeaverFraming.decode(WireBuf::from(&wire[..12])).is_err());
+        assert!(GrpcLikeFraming::default()
+            .decode(WireBuf::from(&wire[..8]))
+            .is_err());
     }
 
     #[test]
@@ -1014,9 +884,8 @@ mod tests {
         let mut msg = Vec::new();
         GrpcLikeFraming::write_grpc_message(&mut msg, &[1, 2, 3]);
         GrpcLikeFraming::write_h2_frame(&mut wire, H2_DATA, 0, 5, &msg);
-        let mut f = GrpcLikeFraming::default();
         assert!(matches!(
-            f.read_message(&mut Cursor::new(&wire), &pool()),
+            GrpcLikeFraming::default().decode(wire.into()),
             Err(TransportError::Protocol(_))
         ));
     }

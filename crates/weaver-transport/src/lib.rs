@@ -23,8 +23,11 @@
 //! one host, over a Linux abstract-namespace unix socket: an [`Endpoint`]
 //! names either, and the deployer that placed the component picks which.
 //!
+//! Each framing has two messages, a request and a response. A caller that
+//! gives up abandons its stream, and the reply is dropped on arrival.
+//!
 //! On top of the framings sit [`Connection`] (client side: stream-id
-//! multiplexing, deadlines, cancellation, pipelined writes), [`Server`]
+//! multiplexing, deadlines, pipelined writes), [`Server`]
 //! (listener + worker pool), [`Pool`] (connection reuse per endpoint), and
 //! [`inproc`] (a socket-free loopback transport; its only callers are its
 //! own tests and `wbench`'s `transport.inproc_rtt_ns` probe — no deployer

@@ -19,8 +19,9 @@
 //!   accumulating into a per-connection reassembly buffer. The framing's
 //!   [`Framing::frame_extent`](crate::frame::Framing::frame_extent)
 //!   equivalent (via [`ConnDriver::frame_extent`]) finds complete wire
-//!   frames, which are handed to the driver one at a time — partial frames
-//!   carry over to the next readiness event.
+//!   frames; each is copied once into a pooled buffer and handed to the
+//!   driver, whose framing decodes it — partial frames carry over to the
+//!   next readiness event.
 //! * **Write state machine.** Senders enqueue [`OutFrame`]s and schedule a
 //!   flush; the poller drains the queue into coalesced batches of up to
 //!   `COALESCE_BUDGET` bytes (`OutQueue::next_batch`), so pipelined
@@ -149,7 +150,7 @@ pub(crate) trait ConnDriver: Send + Sync + 'static {
     fn frame_extent(&self, buf: &[u8]) -> Result<Option<usize>, TransportError>;
 
     /// Handles one complete wire frame. An error kills the connection.
-    fn on_frame(&self, state: &Arc<ConnState>, frame: &[u8]) -> Result<(), TransportError>;
+    fn on_frame(&self, state: &Arc<ConnState>, frame: WireBuf) -> Result<(), TransportError>;
 
     /// The connection died (EOF, I/O error, protocol error, or explicit
     /// kill). Called exactly once, after the dead flag is set and the fd
@@ -635,8 +636,9 @@ impl Reactor {
             loop {
                 match driver.frame_extent(&read.rbuf[off..filled]) {
                     Ok(Some(ext)) if filled - off >= ext => {
-                        let frame = &read.rbuf[off..off + ext];
-                        if driver.on_frame(conn, frame).is_err() {
+                        let mut frame = conn.pool.get(ext);
+                        frame.extend_from_slice(&read.rbuf[off..off + ext]);
+                        if driver.on_frame(conn, frame.freeze()).is_err() {
                             fatal = true;
                             break;
                         }
@@ -743,6 +745,19 @@ pub fn reactor_snapshot() -> Option<ReactorSnapshot> {
 mod tests {
     use super::*;
     use crate::frame::{Framing, Message, RequestHeader, WeaverFraming};
+
+    /// Decodes every weaver frame of `wire`, cut as the reactor cuts them.
+    fn decode_all(wire: &[u8]) -> Vec<Message> {
+        let mut messages = Vec::new();
+        let mut off = 0;
+        while off < wire.len() {
+            let ext = WeaverFraming::frame_extent(&wire[off..]).unwrap().unwrap();
+            let frame = WireBuf::from(&wire[off..off + ext]);
+            messages.extend(WeaverFraming.decode(frame).unwrap());
+            off += ext;
+        }
+        messages
+    }
     use std::net::{TcpListener, TcpStream};
 
     fn request_frame(pool: &BufferPool, stream: u64, args: &[u8]) -> OutFrame {
@@ -772,10 +787,10 @@ mod tests {
         assert_eq!(stats.flushes.load(Ordering::Relaxed), 1);
 
         // And the batch parses back into exactly the frames queued.
-        let mut framing = WeaverFraming;
-        let mut cursor = io::Cursor::new(&batch[..]);
-        for i in 0..20u64 {
-            match framing.read_message(&mut cursor, &pool).unwrap().unwrap() {
+        let messages = decode_all(&batch);
+        assert_eq!(messages.len(), 20);
+        for (i, msg) in (0..20u64).zip(messages) {
+            match msg {
                 Message::Request { stream, args, .. } => {
                     assert_eq!(stream, i);
                     assert_eq!(&*args, &[i as u8; 32]);
@@ -783,7 +798,6 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
-        assert_eq!(framing.read_message(&mut cursor, &pool).unwrap(), None);
     }
 
     #[test]
@@ -819,14 +833,9 @@ mod tests {
         .next_batch(&pool, &WriterStats::default())
         .unwrap();
 
-        let mut framing = WeaverFraming;
-        match framing
-            .read_message(&mut io::Cursor::new(&batch[..]), &pool)
-            .unwrap()
-            .unwrap()
-        {
-            Message::Response { stream, body } => {
-                assert_eq!(stream, 7);
+        match &decode_all(&batch)[..] {
+            [Message::Response { stream, body }] => {
+                assert_eq!(*stream, 7);
                 assert_eq!(&*body.payload, &[9u8; 300][..]);
             }
             other => panic!("unexpected {other:?}"),
@@ -846,18 +855,12 @@ mod tests {
         assert_eq!(stats.frames.load(Ordering::Relaxed), 6);
         assert_eq!(stats.flushes.load(Ordering::Relaxed), 3);
         // Correctness is unconditional on the batching boundaries.
-        let mut framing = WeaverFraming;
-        let mut cursor = io::Cursor::new(&wire);
-        for _ in 0..6 {
-            assert!(framing.read_message(&mut cursor, &pool).unwrap().is_some());
-        }
-        assert_eq!(framing.read_message(&mut cursor, &pool).unwrap(), None);
+        assert_eq!(decode_all(&wire).len(), 6);
     }
 
     /// Echo-at-the-frame-level driver: every complete wire frame is sent
     /// straight back out through the reactor's write path.
     struct EchoDriver {
-        pool: BufferPool,
         dead_count: Arc<AtomicU64>,
     }
 
@@ -866,10 +869,8 @@ mod tests {
             WeaverFraming::frame_extent(buf)
         }
 
-        fn on_frame(&self, state: &Arc<ConnState>, frame: &[u8]) -> Result<(), TransportError> {
-            let mut buf = self.pool.get(frame.len());
-            buf.extend_from_slice(frame);
-            state.send(OutFrame::single(buf.freeze()))
+        fn on_frame(&self, state: &Arc<ConnState>, frame: WireBuf) -> Result<(), TransportError> {
+            state.send(OutFrame::single(frame))
         }
 
         fn on_dead(&self) {
@@ -884,7 +885,6 @@ mod tests {
         stream.set_nodelay(true).unwrap();
         let dead_count = Arc::new(AtomicU64::new(0));
         let driver = Arc::new(EchoDriver {
-            pool: BufferPool::new(),
             dead_count: Arc::clone(&dead_count),
         });
         let conn = reactor

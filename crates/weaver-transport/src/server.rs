@@ -29,7 +29,6 @@
 //! (see [`Framing::write_response_parts`]), where the coalescing drain
 //! batches back-to-back responses into single syscalls.
 
-use std::collections::HashSet;
 use std::marker::PhantomData;
 use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,7 +37,7 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
-use crate::buf::BufferPool;
+use crate::buf::{BufferPool, WireBuf};
 use crate::endpoint::{Endpoint, Listener, ToEndpoint};
 use crate::error::TransportError;
 use crate::fault::DuplexStream;
@@ -126,7 +125,6 @@ impl<F: Framing> Server<F> {
                     workers: Arc::clone(&workers),
                     buf_pool: buf_pool.clone(),
                     framing: Mutex::new(F::default()),
-                    in_flight: Arc::new(Mutex::new(HashSet::new())),
                 });
                 let Ok(state) = reactor.register_conn(stream, driver, buf_pool.clone()) else {
                     return;
@@ -207,10 +205,6 @@ struct ServerDriver<F: Framing> {
     workers: Arc<WorkerPool>,
     buf_pool: BufferPool,
     framing: Mutex<F>,
-    /// Streams whose request is queued or executing and has not been
-    /// cancelled. A `Cancel` removes the id; a worker replies only if it
-    /// can still remove its own. Bounded by in-flight requests.
-    in_flight: Arc<Mutex<HashSet<u64>>>,
 }
 
 /// Encodes `body` as the response on `stream` and queues it for the
@@ -234,84 +228,56 @@ impl<F: Framing> ConnDriver for ServerDriver<F> {
         F::frame_extent(buf)
     }
 
-    fn on_frame(&self, state: &Arc<ConnState>, frame: &[u8]) -> Result<(), TransportError> {
-        let mut cursor: &[u8] = frame;
-        match self
-            .framing
-            .lock()
-            .read_message(&mut cursor, &self.buf_pool)?
-        {
-            Some(Message::Request {
-                stream,
-                header,
-                args,
-            }) => {
-                if self.handler.inline_ok(&header) {
-                    // No `in_flight` entry: this thread reads the
-                    // connection's frames, so no `Cancel` can arrive before
-                    // the reply is queued. A panic must not take the poller
-                    // (and every connection on it) down with it: it costs
-                    // this connection instead.
-                    state.note_inline_dispatch();
-                    let body = {
-                        let _scope = InlineScope::enter();
-                        catch_unwind(AssertUnwindSafe(|| self.handler.handle(&header, &args)))
-                    }
-                    .map_err(|_| TransportError::Io("inline handler panicked".into()))?;
-                    drop(args);
-                    let _ = send_response::<F>(state, &self.buf_pool, stream, &body);
-                    return Ok(());
-                }
-                self.in_flight.lock().insert(stream);
-                let handler = Arc::clone(&self.handler);
-                let in_flight = Arc::clone(&self.in_flight);
-                let buf_pool = self.buf_pool.clone();
-                let conn = Arc::clone(state);
-                let queued = self.workers.execute(move || {
-                    let body = catch_unwind(AssertUnwindSafe(|| handler.handle(&header, &args)));
-                    // `args` still references the pooled receive buffer;
-                    // drop it before encoding so a warm pool can reuse it.
-                    drop(args);
-                    let Ok(body) = body else {
-                        // As on the inline branch, a panic costs the
-                        // connection (its callers fail at once), not the
-                        // worker; the teardown clears `in_flight`.
-                        conn.kill();
-                        return;
-                    };
-                    if !in_flight.lock().remove(&stream) {
-                        return; // cancelled while running: suppress the reply
-                    }
-                    let _ = send_response::<F>(&conn, &buf_pool, stream, &body);
-                });
-                if !queued {
-                    // Nobody will answer: the error severs the connection,
-                    // so the caller fails now instead of at its deadline.
-                    self.in_flight.lock().remove(&stream);
-                    return Err(TransportError::Io("worker pool shut down".into()));
-                }
+    fn on_frame(&self, state: &Arc<ConnState>, frame: WireBuf) -> Result<(), TransportError> {
+        // A stateful framing may absorb the frame (HEADERS waiting for its
+        // DATA), and a server has no use for a response: nothing to run.
+        let msg = self.framing.lock().decode(frame)?;
+        let Some(Message::Request {
+            stream,
+            header,
+            args,
+        }) = msg
+        else {
+            return Ok(());
+        };
+        if self.handler.inline_ok(&header) {
+            // A panic must not take the poller (and every connection on
+            // it) down with it: it costs this connection instead.
+            state.note_inline_dispatch();
+            let body = {
+                let _scope = InlineScope::enter();
+                catch_unwind(AssertUnwindSafe(|| self.handler.handle(&header, &args)))
             }
-            Some(Message::Cancel { stream }) => {
-                // A cancel for a stream already answered (the normal
-                // deadline race, every dropped future) finds nothing.
-                self.in_flight.lock().remove(&stream);
-            }
-            Some(Message::Ping) => {
-                let mut buf = self.buf_pool.get(32);
-                F::write_ping(&mut buf, true);
-                let _ = state.send(OutFrame::single(buf.freeze()));
-            }
-            Some(Message::Pong | Message::Response { .. }) => {}
-            // A stateful framing absorbed the frame (e.g. HEADERS waiting
-            // for its DATA): nothing to dispatch yet.
-            None => {}
+            .map_err(|_| TransportError::Io("inline handler panicked".into()))?;
+            drop(args);
+            let _ = send_response::<F>(state, &self.buf_pool, stream, &body);
+            return Ok(());
+        }
+        let handler = Arc::clone(&self.handler);
+        let buf_pool = self.buf_pool.clone();
+        let conn = Arc::clone(state);
+        let queued = self.workers.execute(move || {
+            let body = catch_unwind(AssertUnwindSafe(|| handler.handle(&header, &args)));
+            // `args` still references the pooled frame; drop it before
+            // encoding so a warm pool can reuse it.
+            drop(args);
+            let Ok(body) = body else {
+                // As on the inline branch, a panic costs the connection (its
+                // callers fail at once), not the worker.
+                conn.kill();
+                return;
+            };
+            let _ = send_response::<F>(&conn, &buf_pool, stream, &body);
+        });
+        if !queued {
+            // Nobody will answer: the error severs the connection, so the
+            // caller fails now instead of at its deadline.
+            return Err(TransportError::Io("worker pool shut down".into()));
         }
         Ok(())
     }
 
-    fn on_dead(&self) {
-        self.in_flight.lock().clear();
-    }
+    fn on_dead(&self) {}
 }
 
 #[cfg(test)]
@@ -319,8 +285,9 @@ mod tests {
     use super::*;
     use crate::conn::Connection;
     use crate::endpoint::test_endpoints;
-    use crate::frame::{GrpcLikeFraming, Status, WeaverFraming};
-    use std::net::{TcpListener, TcpStream};
+    use crate::frame::{recv_message, GrpcLikeFraming, Status, WeaverFraming};
+    use std::io::{Read as _, Write as _};
+    use std::net::TcpStream;
     use std::time::{Duration, Instant};
 
     fn echo_handler() -> Arc<dyn RpcHandler> {
@@ -351,104 +318,6 @@ mod tests {
             assert_eq!(resp.payload, vec![1, 2, 3, 7], "{kind}");
             assert_eq!(conn.in_flight(), 0);
         }
-    }
-
-    /// A `ServerDriver` on a registered loopback socket, driven frame by
-    /// frame from the test thread; returns the peer end to read replies.
-    fn driven(
-        handler: Arc<dyn RpcHandler>,
-    ) -> (Arc<ServerDriver<WeaverFraming>>, Arc<ConnState>, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let (accepted, _) = listener.accept().unwrap();
-        let driver = Arc::new(ServerDriver::<WeaverFraming> {
-            handler,
-            workers: WorkerPool::new(1, "weaver-test").unwrap(),
-            buf_pool: BufferPool::new(),
-            framing: Mutex::new(WeaverFraming),
-            in_flight: Arc::new(Mutex::new(HashSet::new())),
-        });
-        let state = Reactor::global()
-            .unwrap()
-            .register_conn(
-                Box::new(accepted),
-                Arc::clone(&driver) as Arc<dyn ConnDriver>,
-                BufferPool::new(),
-            )
-            .unwrap();
-        (driver, state, peer)
-    }
-
-    fn request(stream: u64) -> Vec<u8> {
-        let mut frame = Vec::new();
-        WeaverFraming::write_request(&mut frame, stream, &RequestHeader::default(), &[1]);
-        frame
-    }
-
-    fn cancel(stream: u64) -> Vec<u8> {
-        let mut frame = Vec::new();
-        WeaverFraming::write_cancel(&mut frame, stream);
-        frame
-    }
-
-    fn next_response(peer: &mut TcpStream) -> u64 {
-        match WeaverFraming.read_message(peer, &BufferPool::new()) {
-            Ok(Some(Message::Response { stream, .. })) => stream,
-            other => panic!("expected a response, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn late_cancels_leave_nothing_behind() {
-        let (driver, state, mut peer) = driven(echo_handler());
-        for stream in 1..=32 {
-            driver.on_frame(&state, &request(stream)).unwrap();
-            assert_eq!(next_response(&mut peer), stream);
-            // The deadline race: the cancel arrives after the reply left.
-            driver.on_frame(&state, &cancel(stream)).unwrap();
-        }
-        assert!(
-            driver.in_flight.lock().is_empty(),
-            "cancels for answered streams accumulated on a live connection"
-        );
-        state.kill();
-    }
-
-    #[test]
-    fn cancel_while_running_suppresses_the_reply() {
-        let (entered_tx, entered_rx) = std::sync::mpsc::sync_channel::<()>(1);
-        let (release_tx, release_rx) = std::sync::mpsc::sync_channel::<()>(1);
-        // Handlers are `Sync`; std's receiver is not.
-        let release_rx = Mutex::new(release_rx);
-        let handler: Arc<dyn RpcHandler> = Arc::new(move |h: &RequestHeader, _a: &[u8]| {
-            if h.method == 1 {
-                entered_tx.send(()).unwrap();
-                release_rx.lock().recv().unwrap();
-            }
-            ResponseBody {
-                status: Status::Ok,
-                payload: vec![].into(),
-            }
-        });
-        let (driver, state, mut peer) = driven(handler);
-        let mut blocked = Vec::new();
-        let header = RequestHeader {
-            method: 1,
-            ..Default::default()
-        };
-        WeaverFraming::write_request(&mut blocked, 1, &header, &[]);
-        driver.on_frame(&state, &blocked).unwrap();
-        entered_rx.recv().unwrap();
-        driver.on_frame(&state, &cancel(1)).unwrap();
-        release_tx.send(()).unwrap();
-        // One worker: stream 2 is answered only after stream 1's job ran to
-        // completion, so the first response on the wire being 2 proves
-        // stream 1's was suppressed.
-        driver.on_frame(&state, &request(2)).unwrap();
-        assert_eq!(next_response(&mut peer), 2);
-        assert!(driver.in_flight.lock().is_empty());
-        state.kill();
     }
 
     /// A handler that claims it may run on the poller thread; what it does
@@ -507,8 +376,6 @@ mod tests {
 
     #[test]
     fn pipelined_inline_replies_share_a_flush() {
-        use std::io::Write as _;
-
         let server =
             Server::<WeaverFraming>::bind("127.0.0.1:0", 1, Arc::new(Inline(echo_handler())))
                 .unwrap();
@@ -528,8 +395,8 @@ mod tests {
         }
         peer.write_all(&wire).unwrap();
         for expect in 1..=8u64 {
-            match WeaverFraming.read_message(&mut peer, &BufferPool::new()) {
-                Ok(Some(Message::Response { stream, body })) => {
+            match recv_message(&mut WeaverFraming, &mut peer) {
+                Ok(Message::Response { stream, body }) => {
                     assert_eq!(stream, expect, "inline replies keep request order");
                     let b = expect as u8;
                     assert_eq!(&*body.payload, &[b, b, b, b][..]);
@@ -541,19 +408,6 @@ mod tests {
         let (frames, flushes) = accepted.writer_counters();
         assert_eq!(frames, 8);
         assert!(flushes < frames, "{frames} replies took {flushes} writes");
-    }
-
-    #[test]
-    fn inline_answers_never_enter_in_flight() {
-        let (driver, state, mut peer) = driven(Arc::new(Inline(echo_handler())));
-        for stream in 1..=8 {
-            driver.on_frame(&state, &request(stream)).unwrap();
-            assert!(driver.in_flight.lock().is_empty());
-            assert_eq!(next_response(&mut peer), stream);
-            driver.on_frame(&state, &cancel(stream)).unwrap();
-        }
-        assert!(driver.in_flight.lock().is_empty());
-        state.kill();
     }
 
     /// A handler whose `inline_ok` lies: it makes a nested call and waits
@@ -771,13 +625,46 @@ mod tests {
         }
     }
 
+    /// A frame of a kind the protocol does not define (the weaver kinds and
+    /// HTTP/2 types that once carried cancels and pings among them) kills
+    /// the connection it arrived on, and only that one.
     #[test]
-    fn ping_keeps_connection_alive() {
-        let server = Server::<WeaverFraming>::bind("127.0.0.1:0", 1, echo_handler()).unwrap();
-        let conn = Connection::<WeaverFraming>::connect(server.local_addr()).unwrap();
-        conn.ping().unwrap();
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(!conn.is_dead());
+    fn a_retired_kind_kills_only_its_own_connection() {
+        fn check<F: Framing>(retired: &[u8]) {
+            assert!(F::default().decode(retired.to_vec().into()).is_err());
+            let server = Server::<F>::bind("127.0.0.1:0", 1, echo_handler()).unwrap();
+            let good = Connection::<F>::connect(server.local_addr()).unwrap();
+            let mut bad = TcpStream::connect(server.local_addr()).unwrap();
+            bad.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            bad.write_all(retired).unwrap();
+            let mut byte = [0u8];
+            assert!(
+                matches!(bad.read(&mut byte), Ok(0) | Err(_)),
+                "{}: the connection survived a retired kind",
+                F::NAME
+            );
+            let resp = good
+                .call(
+                    &RequestHeader::default(),
+                    &[5],
+                    Some(Duration::from_secs(5)),
+                )
+                .unwrap();
+            assert_eq!(resp.payload, vec![5, 0], "{}", F::NAME);
+        }
+        for kind in [2u8, 3, 4] {
+            let mut frame = 9u32.to_le_bytes().to_vec();
+            frame.push(kind);
+            frame.extend_from_slice(&1u64.to_le_bytes());
+            check::<WeaverFraming>(&frame);
+        }
+        for ty in [0x3u8, 0x6] {
+            // An 8-byte payload on stream 0 or 1: RST_STREAM's error code
+            // or PING's opaque data.
+            let mut frame = vec![0, 0, 8, ty, 0, 0, 0, 0, 1];
+            frame.extend_from_slice(&[0u8; 8]);
+            check::<GrpcLikeFraming>(&frame);
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Call futures on the multiplexed connection: scatter-gather ordering,
-//! cancellation on drop, fail-fast on peer death, and the pending-map
+//! abandonment on drop, fail-fast on peer death, and the pending-map
 //! leak-window regression (begin racing connection death must never strand
 //! an entry).
 
@@ -116,7 +116,7 @@ fn dropping_a_future_cancels_without_disturbing_siblings() {
     let dropped = Connection::call_begin(&conn, &header, &[2]).unwrap();
     let keep_b = Connection::call_begin(&conn, &header, &[3]).unwrap();
 
-    drop(dropped); // cancels: pending entry removed, cancel frame queued
+    drop(dropped); // abandons: pending entry removed, the call still runs
     assert_eq!(
         keep_a.wait(Some(Duration::from_secs(5))).unwrap().payload,
         vec![1]

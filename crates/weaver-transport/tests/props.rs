@@ -1,14 +1,13 @@
 //! Property tests: framing and endpoint round-trips, and robustness under
 //! fuzz input.
 
-use std::io::Cursor;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr};
 
 use proptest::prelude::*;
 use weaver_codec::{decode_from_slice, encode_to_vec};
 use weaver_transport::{
-    BufferPool, Endpoint, Framing, GrpcLikeFraming, Message, RequestHeader, ResponseBody, Status,
-    WeaverFraming,
+    Endpoint, Framing, GrpcLikeFraming, Message, RequestHeader, ResponseBody, Status,
+    TransportError, WeaverFraming, WireBuf,
 };
 
 fn arbitrary_header() -> impl Strategy<Value = RequestHeader> {
@@ -57,21 +56,34 @@ fn arbitrary_endpoint() -> impl Strategy<Value = Endpoint> {
     ]
 }
 
+/// Feeds `bytes` to a fresh framing the way the reactor does: each frame
+/// `frame_extent` measures is cut out and decoded on its own. Stops at the
+/// first error, or at a trailing partial frame (the reactor would wait for
+/// the rest of it).
+fn decode_stream<F: Framing>(bytes: &[u8]) -> Result<Vec<Message>, TransportError> {
+    let mut framing = F::default();
+    let mut messages = Vec::new();
+    let mut off = 0;
+    while let Some(ext) = F::frame_extent(&bytes[off..])? {
+        if off + ext > bytes.len() {
+            break;
+        }
+        messages.extend(framing.decode(WireBuf::from(&bytes[off..off + ext]))?);
+        off += ext;
+    }
+    Ok(messages)
+}
+
 fn roundtrip_request<F: Framing>(header: &RequestHeader, args: &[u8]) -> Result<(), TestCaseError> {
     let mut wire = Vec::new();
     F::write_request(&mut wire, 42, header, args);
-    let mut framing = F::default();
-    let msg = framing
-        .read_message(&mut Cursor::new(&wire), &BufferPool::new())
-        .expect("read")
-        .expect("one message");
     prop_assert_eq!(
-        msg,
-        Message::Request {
+        decode_stream::<F>(&wire).expect("decode"),
+        vec![Message::Request {
             stream: 42,
             header: header.clone(),
             args: args.into(),
-        }
+        }]
     );
     Ok(())
 }
@@ -119,19 +131,16 @@ proptest! {
             payload: payload.into(),
         };
         let stream = u64::from(stream);
-        let pool = BufferPool::new();
 
         let mut wire = Vec::new();
         WeaverFraming::write_response(&mut wire, stream, &body);
-        let mut f = WeaverFraming;
-        let msg = f.read_message(&mut Cursor::new(&wire), &pool).unwrap().unwrap();
-        prop_assert_eq!(msg, Message::Response { stream, body: body.clone() });
+        let msgs = decode_stream::<WeaverFraming>(&wire).unwrap();
+        prop_assert_eq!(msgs, vec![Message::Response { stream, body: body.clone() }]);
 
         let mut wire = Vec::new();
         GrpcLikeFraming::write_response(&mut wire, stream, &body);
-        let mut f = GrpcLikeFraming::default();
-        let msg = f.read_message(&mut Cursor::new(&wire), &pool).unwrap().unwrap();
-        prop_assert_eq!(msg, Message::Response { stream, body });
+        let msgs = decode_stream::<GrpcLikeFraming>(&wire).unwrap();
+        prop_assert_eq!(msgs, vec![Message::Response { stream, body }]);
     }
 
     #[test]
@@ -173,38 +182,41 @@ proptest! {
     fn fuzz_bytes_never_panic_either_framing(
         bytes in proptest::collection::vec(any::<u8>(), 0..512),
     ) {
-        let pool = BufferPool::new();
-        let mut f = WeaverFraming;
-        let mut cursor = Cursor::new(&bytes);
-        while let Ok(Some(_)) = f.read_message(&mut cursor, &pool) {}
+        let _ = decode_stream::<WeaverFraming>(&bytes);
+        let _ = decode_stream::<GrpcLikeFraming>(&bytes);
 
-        let mut g = GrpcLikeFraming::default();
-        let mut cursor = Cursor::new(&bytes);
-        while let Ok(Some(_)) = g.read_message(&mut cursor, &pool) {}
+        // Straight to `decode`, uncut: it returns, and a slice too short
+        // for a frame header is an error.
+        let weaver = WeaverFraming.decode(WireBuf::from(&bytes[..]));
+        let grpc = GrpcLikeFraming::default().decode(WireBuf::from(&bytes[..]));
+        if bytes.len() < 13 {
+            prop_assert!(weaver.is_err());
+        }
+        if bytes.len() < 9 {
+            prop_assert!(grpc.is_err());
+        }
     }
 
     #[test]
     fn interleaved_messages_all_arrive(
         headers in proptest::collection::vec(arbitrary_header(), 1..8),
     ) {
+        let reply = |i: usize| ResponseBody {
+            status: Status::Ok,
+            payload: vec![i as u8; i].into(),
+        };
         let mut wire = Vec::new();
+        let mut expected = Vec::new();
         for (i, h) in headers.iter().enumerate() {
             WeaverFraming::write_request(&mut wire, i as u64, h, &[i as u8]);
-            WeaverFraming::write_ping(&mut wire, false);
-        }
-        let pool = BufferPool::new();
-        let mut f = WeaverFraming;
-        let mut cursor = Cursor::new(&wire);
-        for (i, h) in headers.iter().enumerate() {
-            let msg = f.read_message(&mut cursor, &pool).unwrap().unwrap();
-            prop_assert_eq!(msg, Message::Request {
+            WeaverFraming::write_response(&mut wire, i as u64, &reply(i));
+            expected.push(Message::Request {
                 stream: i as u64,
                 header: h.clone(),
                 args: vec![i as u8].into(),
             });
-            let ping = f.read_message(&mut cursor, &pool).unwrap().unwrap();
-            prop_assert_eq!(ping, Message::Ping);
+            expected.push(Message::Response { stream: i as u64, body: reply(i) });
         }
-        prop_assert_eq!(f.read_message(&mut cursor, &pool).unwrap(), None);
+        prop_assert_eq!(decode_stream::<WeaverFraming>(&wire).unwrap(), expected);
     }
 }

@@ -50,7 +50,8 @@ fn assert_connections_cost_no_threads<H>(
     // Warm the reactor (its poller spawns on first registration) before
     // taking the thread baseline.
     let warm = Connection::<WeaverFraming>::connect(addr).unwrap();
-    warm.ping().unwrap();
+    let warmed = warm.call(&RequestHeader::default(), &[], Some(Duration::from_secs(5)));
+    assert!(warmed.is_ok(), "warm-up call failed: {warmed:?}");
     std::thread::sleep(Duration::from_millis(50));
     let baseline = process_threads();
 
