@@ -1,6 +1,7 @@
 //! Call and initialization contexts.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -11,9 +12,25 @@ use crate::error::WeaverError;
 
 static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
 
-/// Allocates a process-unique span id.
+/// Span ids a thread takes from [`NEXT_SPAN`] at once, so calling threads
+/// do not all write the one counter on every call.
+const SPAN_BLOCK: u64 = 1024;
+
+/// Allocates a process-unique span id from the calling thread's block.
 pub fn next_span_id() -> u64 {
-    NEXT_SPAN.fetch_add(1, Ordering::Relaxed)
+    thread_local! {
+        /// The thread's next span id and the end of its block.
+        static BLOCK: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+    BLOCK.with(|block| {
+        let (mut next, mut end) = block.get();
+        if next == end {
+            next = NEXT_SPAN.fetch_add(SPAN_BLOCK, Ordering::Relaxed);
+            end = next + SPAN_BLOCK;
+        }
+        block.set((next + 1, end));
+        next
+    })
 }
 
 /// Per-call context threaded through every component method.

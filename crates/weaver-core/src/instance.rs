@@ -12,7 +12,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::ThreadId;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, RwLock};
+use weaver_metrics::stripe::{stripe, CacheLine, STRIPES};
 
 use crate::context::{ComponentGetter, InitContext};
 use crate::error::WeaverError;
@@ -31,9 +32,14 @@ pub struct LiveComponents {
     started: Condvar,
     /// Read-mostly fast path: once a component is `Ready` it is published
     /// here, so the per-dispatch hot path takes a shared read lock instead
-    /// of the state-machine mutex.
-    ready: parking_lot::RwLock<HashMap<u32, ErasedInstance>>,
+    /// of the state-machine mutex. One table per stripe, each holding its
+    /// own `Arc` of every instance: a call's read lock and clone write only
+    /// its thread's stripe. Written, every copy, under `slots`' lock.
+    ready: [CacheLine<RwLock<ReadyTable>>; STRIPES],
 }
+
+/// One stripe's running instances, by component id.
+type ReadyTable = HashMap<u32, Arc<ErasedInstance>>;
 
 impl LiveComponents {
     /// Creates an empty table over `registry`.
@@ -42,7 +48,7 @@ impl LiveComponents {
             registry,
             slots: Mutex::new(HashMap::new()),
             started: Condvar::new(),
-            ready: parking_lot::RwLock::new(HashMap::new()),
+            ready: Default::default(),
         }
     }
 
@@ -55,20 +61,21 @@ impl LiveComponents {
     ///
     /// `getter` is used to satisfy the component's own dependencies during
     /// construction (which may re-enter this table for local dependencies).
+    /// A running instance comes back as the calling thread's stripe's `Arc`.
     pub fn get_or_start(
         &self,
         id: u32,
         getter: &dyn ComponentGetter,
-    ) -> Result<ErasedInstance, WeaverError> {
-        if let Some(instance) = self.ready.read().get(&id) {
-            return Ok(instance.clone());
+    ) -> Result<Arc<ErasedInstance>, WeaverError> {
+        if let Some(instance) = self.ready[stripe()].read().get(&id) {
+            return Ok(Arc::clone(instance));
         }
         let me = std::thread::current().id();
         {
             let mut slots = self.slots.lock();
             loop {
                 match slots.get(&id) {
-                    Some(Slot::Ready(instance)) => return Ok(instance.clone()),
+                    Some(Slot::Ready(instance)) => return Ok(Arc::new(instance.clone())),
                     Some(Slot::Failed(e)) => return Err(e.clone()),
                     Some(Slot::Starting(owner)) => {
                         if *owner == me {
@@ -96,9 +103,11 @@ impl LiveComponents {
         let mut slots = self.slots.lock();
         let out = match result {
             Ok(instance) => {
+                for ready in &self.ready {
+                    ready.write().insert(id, Arc::new(instance.clone()));
+                }
                 slots.insert(id, Slot::Ready(instance.clone()));
-                self.ready.write().insert(id, instance.clone());
-                Ok(instance)
+                Ok(Arc::new(instance))
             }
             Err(e) => {
                 // Record the failure so every waiter sees it, then clear the
@@ -118,19 +127,23 @@ impl LiveComponents {
     /// True when component `id` is already running and is a leaf (its
     /// `init` acquired no component reference). False while it is starting,
     /// failed or awaiting a restart, so a caller that must not block never
-    /// triggers construction. Takes only the fast path's shared read lock.
+    /// triggers construction. Takes only the calling thread's stripe's
+    /// shared read lock.
     pub fn is_ready_leaf(&self, id: u32) -> bool {
-        self.ready.read().get(&id).is_some_and(|i| i.leaf)
+        self.ready[stripe()].read().get(&id).is_some_and(|i| i.leaf)
     }
 
     /// Drops component `id`'s instance (crash simulation / restart). The
     /// next `get_or_start` constructs a fresh replica — the paper's
     /// "restarts them on failure".
     pub fn restart(&self, id: u32) {
-        // Order matters: clear the fast path first so no reader revives the
-        // old instance after the slot is gone.
-        self.ready.write().remove(&id);
-        self.slots.lock().remove(&id);
+        // Under the slots lock, as a start publishes: a start finishing now
+        // cannot leave the old instance in a stripe this has cleared.
+        let mut slots = self.slots.lock();
+        for ready in &self.ready {
+            ready.write().remove(&id);
+        }
+        slots.remove(&id);
         self.started.notify_all();
     }
 
@@ -313,7 +326,7 @@ mod tests {
         fn acquire(&self, name: &str) -> Result<Acquired, WeaverError> {
             let id = self.live.registry.id_of(name)?;
             let instance = self.live.get_or_start(id, self)?;
-            Ok(Acquired::Local(instance.iface_any))
+            Ok(Acquired::Local(Arc::clone(&instance.iface_any)))
         }
     }
 
@@ -425,6 +438,52 @@ mod tests {
         live.restart(echo_id);
         live.get_or_start(echo_id, &getter).unwrap();
         assert_eq!(ECHO_INITS.load(Ordering::SeqCst), 2);
+    }
+
+    /// Threads that call from different stripes each hold their stripe's
+    /// copy of the instance; a restart by another thread must clear every
+    /// copy, or a thread keeps calling the crashed instance.
+    #[test]
+    fn restart_reaches_every_stripe() {
+        use std::sync::Barrier;
+        const HOLDERS: usize = 4;
+        let _serial = echo_lock();
+        ECHO_INITS.store(0, Ordering::SeqCst);
+        let reg = test_registry();
+        let live = Arc::new(LiveComponents::new(Arc::clone(&reg)));
+        let echo_id = reg.id_of("test.Echo").unwrap();
+        let (started, restarted) = (
+            Arc::new(Barrier::new(HOLDERS + 1)),
+            Arc::new(Barrier::new(HOLDERS + 1)),
+        );
+        let address = |i: &ErasedInstance| Arc::as_ptr(&i.iface_any) as *const () as usize;
+        let holders: Vec<_> = (0..HOLDERS)
+            .map(|_| {
+                let (live, started, restarted) = (
+                    Arc::clone(&live),
+                    Arc::clone(&started),
+                    Arc::clone(&restarted),
+                );
+                std::thread::spawn(move || {
+                    let getter = LocalGetter {
+                        live: Arc::clone(&live),
+                    };
+                    let old = live.get_or_start(echo_id, &getter).unwrap();
+                    started.wait();
+                    restarted.wait();
+                    let new = live.get_or_start(echo_id, &getter).unwrap();
+                    (address(&old), address(&new))
+                })
+            })
+            .collect();
+        started.wait();
+        live.restart(echo_id);
+        restarted.wait();
+        let seen: Vec<(usize, usize)> = holders.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(ECHO_INITS.load(Ordering::SeqCst), 2);
+        let (old, new) = seen[0];
+        assert_ne!(old, new, "a holder kept the restarted instance");
+        assert!(seen.iter().all(|&s| s == (old, new)), "{seen:?}");
     }
 
     // Mutually recursive components to prove cycle detection. The methods

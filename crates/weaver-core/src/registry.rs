@@ -20,6 +20,11 @@ pub type DispatchFn =
     Arc<dyn Fn(u32, &CallContext, &[u8]) -> Result<Vec<u8>, WeaverError> + Send + Sync>;
 
 /// A running component instance, type-erased for the runtime's tables.
+///
+/// Cache-line aligned: each stripe of [`crate::instance::LiveComponents`]
+/// holds its own `Arc` of an instance, and a call clones its stripe's, so
+/// no two of those reference counts may share a line.
+#[repr(align(64))]
 pub struct ErasedInstance {
     /// Server-side dispatcher closing over the implementation.
     pub dispatch: DispatchFn,

@@ -6,12 +6,15 @@
 //! snapshots from all proclets to get the deployment-wide picture.
 
 use std::collections::HashMap;
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::Relaxed;
 
 use parking_lot::RwLock;
 
 use weaver_macros::WeaverData;
 
 use crate::histogram::{Histogram, HistogramSnapshot};
+use crate::stripe::Striped;
 
 /// One directed edge in the component call graph.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, WeaverData)]
@@ -58,27 +61,25 @@ impl EdgeStats {
 /// The live accumulator behind one call edge.
 ///
 /// A handle ([`CallGraph::handle`]) pins the cell so hot paths can record
-/// repeatedly without re-hashing the string-keyed edge; every update is a
-/// relaxed atomic.
+/// repeatedly without re-hashing the string-keyed edge. Counters and the
+/// latency histogram record into the calling thread's stripe
+/// ([`crate::stripe`]); [`CallGraph::snapshot`] sums the stripes.
+#[derive(Default)]
 pub struct EdgeCell {
-    calls: std::sync::atomic::AtomicU64,
-    request_bytes: std::sync::atomic::AtomicU64,
-    response_bytes: std::sync::atomic::AtomicU64,
-    errors: std::sync::atomic::AtomicU64,
+    counters: Striped<EdgeCounters>,
     latency: Histogram,
 }
 
-impl EdgeCell {
-    fn new() -> Self {
-        EdgeCell {
-            calls: std::sync::atomic::AtomicU64::new(0),
-            request_bytes: std::sync::atomic::AtomicU64::new(0),
-            response_bytes: std::sync::atomic::AtomicU64::new(0),
-            errors: std::sync::atomic::AtomicU64::new(0),
-            latency: Histogram::new(),
-        }
-    }
+/// One stripe's share of an [`EdgeCell`]'s counters.
+#[derive(Default)]
+struct EdgeCounters {
+    calls: AtomicU64,
+    request_bytes: AtomicU64,
+    response_bytes: AtomicU64,
+    errors: AtomicU64,
+}
 
+impl EdgeCell {
     /// Records one completed call against this edge.
     pub fn record(
         &self,
@@ -87,22 +88,42 @@ impl EdgeCell {
         latency_nanos: u64,
         is_error: bool,
     ) {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.calls.fetch_add(1, Relaxed);
-        self.request_bytes.fetch_add(request_bytes as u64, Relaxed);
-        self.response_bytes
+        let counters = self.counters.local();
+        counters.calls.fetch_add(1, Relaxed);
+        counters
+            .request_bytes
+            .fetch_add(request_bytes as u64, Relaxed);
+        counters
+            .response_bytes
             .fetch_add(response_bytes as u64, Relaxed);
         if is_error {
-            self.errors.fetch_add(1, Relaxed);
+            counters.errors.fetch_add(1, Relaxed);
         }
         self.latency.record(latency_nanos);
+    }
+
+    /// The edge's statistics so far: the sum of every stripe.
+    fn stats(&self) -> EdgeStats {
+        let mut stats = EdgeStats {
+            latency: self.latency.snapshot(),
+            ..EdgeStats::default()
+        };
+        for c in self.counters.iter() {
+            stats.calls += c.calls.load(Relaxed);
+            stats.request_bytes += c.request_bytes.load(Relaxed);
+            stats.response_bytes += c.response_bytes.load(Relaxed);
+            stats.errors += c.errors.load(Relaxed);
+        }
+        stats
     }
 }
 
 /// A concurrent recorder of call-graph edges.
 ///
-/// Recording is on the RPC hot path: a read lock plus relaxed atomics per
-/// call; the write lock is only taken the first time an edge appears.
+/// Naming an edge takes a read lock and hashes three strings, and its first
+/// sight takes the write lock, so hot paths resolve an edge once and keep
+/// its [`EdgeCell`]: recording into a held cell writes only the calling
+/// thread's stripe.
 #[derive(Default)]
 pub struct CallGraph {
     edges: RwLock<HashMap<CallEdge, std::sync::Arc<EdgeCell>>>,
@@ -125,12 +146,7 @@ impl CallGraph {
             Some(cell) => std::sync::Arc::clone(cell),
             None => {
                 drop(edges);
-                std::sync::Arc::clone(
-                    self.edges
-                        .write()
-                        .entry(edge.clone())
-                        .or_insert_with(|| std::sync::Arc::new(EdgeCell::new())),
-                )
+                std::sync::Arc::clone(self.edges.write().entry(edge.clone()).or_default())
             }
         }
     }
@@ -150,22 +166,10 @@ impl CallGraph {
 
     /// Takes a serializable snapshot of all edges.
     pub fn snapshot(&self) -> CallGraphSnapshot {
-        use std::sync::atomic::Ordering::Relaxed;
         let edges = self.edges.read();
         let mut out: Vec<(CallEdge, EdgeStats)> = edges
             .iter()
-            .map(|(edge, cell)| {
-                (
-                    edge.clone(),
-                    EdgeStats {
-                        calls: cell.calls.load(Relaxed),
-                        request_bytes: cell.request_bytes.load(Relaxed),
-                        response_bytes: cell.response_bytes.load(Relaxed),
-                        errors: cell.errors.load(Relaxed),
-                        latency: cell.latency.snapshot(),
-                    },
-                )
-            })
+            .map(|(edge, cell)| (edge.clone(), cell.stats()))
             .collect();
         out.sort_by(|a, b| {
             (&a.0.caller, &a.0.callee, &a.0.method).cmp(&(&b.0.caller, &b.0.callee, &b.0.method))

@@ -3,13 +3,16 @@
 //! The bucket layout is HDR-style: values are grouped by their binary order
 //! of magnitude, and each magnitude is split into [`SUBBUCKETS`] linear
 //! sub-buckets. This gives a bounded relative error (≤ 1/SUBBUCKETS) across
-//! the full `u64` range with a small fixed memory footprint, which is what
+//! the full `u64` range with a small memory footprint, which is what
 //! lets every proclet keep one histogram per method and ship mergeable
 //! snapshots to the manager.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use weaver_macros::WeaverData;
+
+use crate::stripe::Striped;
 
 /// Linear sub-buckets per power of two.
 pub const SUBBUCKETS: usize = 32;
@@ -44,65 +47,97 @@ fn bucket_value(index: usize) -> u64 {
 
 /// A concurrent log-linear histogram of `u64` samples (typically
 /// nanoseconds).
+///
+/// Every thread records into its own stripe ([`crate::stripe`]), so two
+/// threads recording at once write no common cache line. A stripe holds
+/// its buckets as one lazily allocated chunk of [`SUBBUCKETS`] counters per
+/// magnitude: about 1 KiB of chunk pointers plus 256 bytes per magnitude
+/// the samples actually reach. [`Histogram::snapshot`] sums the stripes.
+#[derive(Default)]
 pub struct Histogram {
-    buckets: Box<[AtomicU64; BUCKETS]>,
+    stripes: Striped<HistogramStripe>,
+}
+
+/// One stripe's share of a [`Histogram`].
+struct HistogramStripe {
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
+    chunks: [OnceLock<Box<Chunk>>; BUCKETS / SUBBUCKETS],
 }
 
-impl Default for Histogram {
+impl Default for HistogramStripe {
     fn default() -> Self {
-        Self::new()
+        HistogramStripe {
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
+            chunks: std::array::from_fn(|_| OnceLock::new()),
+        }
     }
 }
+
+/// The counters of one magnitude, on cache lines no other chunk shares.
+#[derive(Default)]
+#[repr(align(64))]
+struct Chunk([AtomicU64; SUBBUCKETS]);
 
 impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
-        // SAFETY-free zero init: AtomicU64 is layout-compatible with u64 and
-        // zero is a valid state, but avoid unsafe by building from a Vec.
-        let v: Vec<AtomicU64> = (0..BUCKETS).map(|_| AtomicU64::new(0)).collect();
-        let boxed: Box<[AtomicU64; BUCKETS]> = match v.into_boxed_slice().try_into() {
-            Ok(b) => b,
-            Err(_) => unreachable!("vector length is BUCKETS by construction"),
-        };
-        Histogram {
-            buckets: boxed,
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
+        Self::default()
     }
 
     /// Records one sample.
     pub fn record(&self, value: u64) {
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        let stripe = self.stripes.local();
+        let index = bucket_index(value);
+        stripe.chunks[index / SUBBUCKETS]
+            .get_or_init(Box::default)
+            .0[index % SUBBUCKETS]
+            .fetch_add(1, Ordering::Relaxed);
+        stripe.count.fetch_add(1, Ordering::Relaxed);
+        stripe.sum.fetch_add(value, Ordering::Relaxed);
+        // Most samples do not raise the maximum: reading first keeps those
+        // from writing it at all.
+        if value > stripe.max.load(Ordering::Relaxed) {
+            stripe.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.stripes
+            .iter()
+            .map(|s| s.count.load(Ordering::Relaxed))
+            .sum()
     }
 
-    /// Takes a snapshot of the current state.
+    /// Takes a snapshot of the current state: the sum of every stripe.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = Vec::new();
-        for (i, b) in self.buckets.iter().enumerate() {
-            let v = b.load(Ordering::Relaxed);
-            if v != 0 {
-                buckets.push((i as u32, v));
+        let mut snapshot = HistogramSnapshot::default();
+        for stripe in self.stripes.iter() {
+            snapshot.count += stripe.count.load(Ordering::Relaxed);
+            // The sum wraps as one atomic would.
+            snapshot.sum = snapshot
+                .sum
+                .wrapping_add(stripe.sum.load(Ordering::Relaxed));
+            snapshot.max = snapshot.max.max(stripe.max.load(Ordering::Relaxed));
+        }
+        for c in 0..BUCKETS / SUBBUCKETS {
+            let mut sums = [0u64; SUBBUCKETS];
+            for chunk in self.stripes.iter().filter_map(|s| s.chunks[c].get()) {
+                for (sum, b) in sums.iter_mut().zip(&chunk.0) {
+                    *sum += b.load(Ordering::Relaxed);
+                }
             }
+            snapshot.buckets.extend(
+                (0..SUBBUCKETS)
+                    .filter(|&i| sums[i] != 0)
+                    .map(|i| ((c * SUBBUCKETS + i) as u32, sums[i])),
+            );
         }
-        HistogramSnapshot {
-            buckets,
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-        }
+        snapshot
     }
 }
 

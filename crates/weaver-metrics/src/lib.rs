@@ -17,7 +17,9 @@
 //! * [`trace`] — minimal distributed trace spans linked by the trace and
 //!   span ids every call context carries;
 //! * [`sliceload`] — per-slice request accounting for routed components,
-//!   feeding the Slicer-style rebalance controller in weaver-routing.
+//!   feeding the Slicer-style rebalance controller in weaver-routing;
+//! * [`stripe`] — the per-thread stripes that keep per-call bookkeeping off
+//!   cache lines other calling threads write.
 //!
 //! All snapshot types derive `WeaverData`, so they travel in the same wire
 //! format as application data when proclets report load to the manager.
@@ -31,6 +33,7 @@ pub mod registry;
 pub mod scalar;
 pub mod signal;
 pub mod sliceload;
+pub mod stripe;
 pub mod trace;
 
 pub use callgraph::{CallEdge, CallGraph, CallGraphSnapshot, EdgeCell, EdgeHandleCache, EdgeStats};

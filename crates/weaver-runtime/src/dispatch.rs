@@ -14,6 +14,7 @@ use parking_lot::RwLock;
 use weaver_core::context::{CallContext, ComponentGetter};
 use weaver_core::error::WeaverError;
 use weaver_core::instance::LiveComponents;
+use weaver_metrics::stripe::Striped;
 use weaver_metrics::MetricsRegistry;
 use weaver_transport::{
     BufferPool, Endpoint, RequestHeader, ResponseBody, RpcHandler, Server, Status, ToEndpoint,
@@ -410,9 +411,10 @@ impl Drop for Admitted<'_> {
 ///
 /// `record` wraps each request; `utilization_since_reset` converts summed
 /// busy time over wall time into the "mean busy cores" figure the
-/// autoscaler consumes.
+/// autoscaler consumes. The poller and every worker record, each into its
+/// own stripe ([`weaver_metrics::stripe`]).
 pub struct BusyTracker {
-    busy_nanos: AtomicU64,
+    busy_nanos: Striped<AtomicU64>,
     epoch: parking_lot::Mutex<Instant>,
 }
 
@@ -426,7 +428,7 @@ impl BusyTracker {
     /// Creates a tracker with the epoch at now.
     pub fn new() -> Self {
         BusyTracker {
-            busy_nanos: AtomicU64::new(0),
+            busy_nanos: Default::default(),
             epoch: parking_lot::Mutex::new(Instant::now()),
         }
     }
@@ -434,7 +436,7 @@ impl BusyTracker {
     /// Adds one handled request's busy time.
     pub fn record(&self, busy: Duration) {
         let nanos = busy.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.busy_nanos.local().fetch_add(nanos, Ordering::Relaxed);
     }
 
     /// Busy-cores since the last reset, then resets.
@@ -442,7 +444,11 @@ impl BusyTracker {
         let mut epoch = self.epoch.lock();
         let wall = epoch.elapsed();
         *epoch = Instant::now();
-        let busy = self.busy_nanos.swap(0, Ordering::Relaxed);
+        let busy: u64 = self
+            .busy_nanos
+            .iter()
+            .map(|b| b.swap(0, Ordering::Relaxed))
+            .sum();
         if wall.is_zero() {
             return 0.0;
         }

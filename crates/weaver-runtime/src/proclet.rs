@@ -100,7 +100,7 @@ impl ComponentGetter for ProcletGetter {
         let id = self.live.registry().id_of(name)?;
         if self.hosts(id)? {
             let instance = self.live.get_or_start(id, self)?;
-            Ok(Acquired::Local(instance.iface_any))
+            Ok(Acquired::Local(Arc::clone(&instance.iface_any)))
         } else {
             let router = Arc::clone(&self.router) as Arc<dyn CallRouter>;
             Ok(Acquired::Remote(

@@ -26,6 +26,7 @@ use weaver_core::context::CallContext;
 use weaver_core::error::WeaverError;
 use weaver_core::fanout::RouteFuture;
 use weaver_macros::WeaverData;
+use weaver_metrics::stripe::Striped;
 use weaver_metrics::{
     CallEdge, CallGraph, EdgeCell, Histogram, MetricsRegistry, SliceLoadReport, SliceLoadTracker,
 };
@@ -383,11 +384,14 @@ impl CallSite {
 /// call-graph edge and one latency histogram per resolved call, recorded
 /// whether the caller blocked or gathered a future.
 ///
-/// Naming an edge or a histogram allocates and takes a write lock; at
-/// marshaled-call speeds (~1µs) that is measurable. So each call site
-/// resolves both once and keeps them in one table, keyed by integers and
-/// the caller name's address: after the first call, recording is one read
-/// lock, one multiply-rotate hash and relaxed atomics.
+/// Naming an edge or a histogram allocates and takes a shared write lock,
+/// so each call site resolves both once and keeps them, keyed by integers
+/// and the caller name's address. Every per-call write stays on the calling
+/// thread's stripe ([`weaver_metrics::stripe`]): the site table has one copy
+/// per stripe, so its read lock is the stripe's, and the edge and histogram
+/// it names record into their own stripes. A marshaled call is a few
+/// hundred nanoseconds, so one line written by every calling thread would
+/// cost more than the call.
 pub(crate) struct CallRecorder {
     callgraph: Arc<CallGraph>,
     metrics: Arc<MetricsRegistry>,
@@ -395,8 +399,13 @@ pub(crate) struct CallRecorder {
     /// call that ran on a migrated-in local handler is labeled `colocated`
     /// instead, so before/after placement shows up in one snapshot.
     placement: &'static str,
-    sites: RwLock<HashMap<SiteKey, Site, BuildHasherDefault<SiteHasher>>>,
+    /// Each stripe's copy of the resolved sites; a miss resolves through
+    /// the shared call graph and registry, which return the same cells to
+    /// every stripe.
+    sites: Striped<RwLock<SiteTable>>,
 }
+
+type SiteTable = HashMap<SiteKey, Site, BuildHasherDefault<SiteHasher>>;
 
 /// A call site as the recorder keys it. The caller is a `&'static str`
 /// compared by address and length, never by text: a site resolves its
@@ -470,7 +479,7 @@ impl CallRecorder {
             callgraph,
             metrics,
             placement,
-            sites: RwLock::default(),
+            sites: Default::default(),
         }
     }
 
@@ -503,7 +512,8 @@ impl CallRecorder {
             site.latency.record(elapsed);
         };
         let key = SiteKey::new(call, local);
-        if let Some(site) = self.sites.read().get(&key) {
+        let sites = self.sites.local();
+        if let Some(site) = sites.read().get(&key) {
             record(site);
             return is_error;
         }
@@ -520,7 +530,7 @@ impl CallRecorder {
                 .histogram(&format!("{}/{method}/{placement}/call_nanos", target.name)),
         };
         record(&site);
-        self.sites.write().insert(key, site);
+        sites.write().insert(key, site);
         is_error
     }
 }
@@ -1264,5 +1274,57 @@ mod tests {
                 ("test.Echo/fail/marshaled/call_nanos".to_string(), 3),
             ]
         );
+    }
+
+    /// Threads calling at once record into their own stripes of the site
+    /// table, the edge and the histogram: the snapshots still count every
+    /// call exactly once.
+    #[test]
+    fn concurrent_callers_are_counted_exactly() {
+        use crate::single::{SingleMode, SingleProcess};
+        use weaver_metrics::MetricFamily;
+
+        const THREADS: u64 = 4;
+        const N: u64 = 2_000;
+        let registry = weaver_core::registry::RegistryBuilder::new()
+            .register::<EchoImpl>()
+            .build();
+        let app = SingleProcess::deploy(Arc::new(registry), SingleMode::Marshaled, 1);
+        let echo = app.get::<dyn Echo>().unwrap();
+        let threads: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let echo = Arc::clone(&echo);
+                std::thread::spawn(move || {
+                    let ctx = CallContext {
+                        caller: "test.Caller",
+                        ..CallContext::test()
+                    };
+                    for _ in 0..N {
+                        echo.echo(&ctx, "hi".into()).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+
+        let edges = app.callgraph().edges;
+        assert_eq!(edges.len(), 1);
+        let stats = &edges[0].1;
+        assert_eq!(stats.calls, THREADS * N);
+        assert_eq!(stats.latency.count, THREADS * N);
+        assert_eq!(stats.request_bytes, THREADS * N * 3);
+        let calls = app
+            .metrics()
+            .metrics
+            .into_iter()
+            .find_map(|(name, family)| match family {
+                MetricFamily::Histogram(h) if name == "test.Echo/echo/marshaled/call_nanos" => {
+                    Some(h.count)
+                }
+                _ => None,
+            });
+        assert_eq!(calls, Some(THREADS * N));
     }
 }

@@ -189,7 +189,7 @@ impl ComponentGetter for SingleProcess {
         match self.mode {
             SingleMode::Colocated => {
                 let instance = self.live.get_or_start(id, self)?;
-                Ok(Acquired::Local(instance.iface_any))
+                Ok(Acquired::Local(Arc::clone(&instance.iface_any)))
             }
             SingleMode::Marshaled => {
                 let router = self

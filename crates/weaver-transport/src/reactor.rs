@@ -498,10 +498,16 @@ impl Reactor {
     }
 
     fn deregister(&self, token: u64, fd: RawFd) {
-        if self.unmap(token).is_some() {
-            let _ = self.epoll.delete(fd);
-            self.stats.interests.fetch_sub(1, Ordering::Relaxed);
-        }
+        let Some(entry) = self.unmap(token) else {
+            return;
+        };
+        let _ = self.epoll.delete(fd);
+        self.stats.interests.fetch_sub(1, Ordering::Relaxed);
+        // Dropping the entry can close `fd` (a listener's last handle), and
+        // the kernel hands a closed descriptor's number to the next socket
+        // any thread opens. Deleting the interest after the close could
+        // delete that newcomer's registration instead, leaving it deaf.
+        drop(entry);
     }
 
     fn schedule_flush(&self, token: u64) {
@@ -993,6 +999,66 @@ mod tests {
         assert!(conn.is_dead());
         assert_eq!(dead_count.load(Ordering::SeqCst), 1);
         assert_eq!(reactor.snapshot().interests, 0);
+    }
+
+    /// Deregistering a listener closes its socket, and the next socket any
+    /// thread opens may get the same descriptor number. The listener's
+    /// interest must be deleted before that close: deleted after, it is the
+    /// newcomer's registration that goes, and the newcomer never hears from
+    /// its peer again. Here the newcomer is opened and registered from the
+    /// listener's own teardown, right after its socket closed.
+    #[test]
+    fn a_reused_descriptor_keeps_its_interest() {
+        use std::io::Write as _;
+
+        type Newcomer = Arc<Mutex<Option<(Arc<ConnState>, TcpStream)>>>;
+        struct RegisterOnDrop {
+            reactor: Arc<Reactor>,
+            listener: TcpListener,
+            newcomer: Newcomer,
+        }
+        impl Drop for RegisterOnDrop {
+            fn drop(&mut self) {
+                // The listening socket closed just before this runs (its
+                // fields drop first): this connect takes its number.
+                let stream = TcpStream::connect(self.listener.local_addr().unwrap()).unwrap();
+                let (peer, _) = self.listener.accept().unwrap();
+                let (conn, _) = register_echo(&self.reactor, stream);
+                *self.newcomer.lock() = Some((conn, peer));
+            }
+        }
+
+        let reactor = Reactor::spawn().unwrap();
+        let newcomer: Newcomer = Arc::default();
+        let on_drop = RegisterOnDrop {
+            reactor: Arc::clone(&reactor),
+            listener: TcpListener::bind("127.0.0.1:0").unwrap(),
+            newcomer: Arc::clone(&newcomer),
+        };
+        let (accepting, _) =
+            Listener::bind(crate::endpoint::Endpoint::Tcp(([127, 0, 0, 1], 0).into())).unwrap();
+        let token = reactor
+            .register_listener(
+                accepting,
+                Box::new(move |_| {
+                    let _on_drop = &on_drop;
+                }),
+            )
+            .unwrap();
+        reactor.deregister_listener(token);
+
+        let (conn, peer) = newcomer.lock().take().expect("registered on drop");
+        let mut frame = Vec::new();
+        WeaverFraming::write_request(&mut frame, 3, &RequestHeader::default(), &[7; 8]);
+        (&peer).write_all(&frame).unwrap();
+        let mut echoed = vec![0u8; frame.len()];
+        peer.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        (&peer)
+            .read_exact(&mut echoed)
+            .expect("the newcomer lost its epoll interest");
+        assert_eq!(echoed, frame);
+        conn.kill();
     }
 
     #[test]
