@@ -4,8 +4,9 @@
 //! shared readiness reactor ([`crate::reactor`]), whose poller thread
 //! reassembles inbound frames (completing the pending call matching each
 //! stream id) and drains the coalescing outbound queue — many caller
-//! threads pipeline pre-encoded pooled frames, and the poller flushes
-//! whatever is queued into one syscall.
+//! threads pipeline pre-encoded pooled frames, and the connection's writer
+//! flushes whatever is queued into one syscall. On a unix socket a caller
+//! that finds the queue empty and the poller asleep writes its own request.
 //!
 //! Request encoding uses buffers recycled through a [`BufferPool`], so the
 //! steady-state call path performs no heap allocation for framing.

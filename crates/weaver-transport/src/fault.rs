@@ -6,9 +6,10 @@
 //! itself: the coalescing write queue, the zero-copy receive path, the
 //! buffer pool's recycling, the dead-connection fail-fast. [`FaultStream`]
 //! does. It wraps any duplex byte stream and perturbs traffic at the `Read`/
-//! `Write` call boundary — exactly where the reactor poller flushes coalesced
-//! batches and fills its frame-reassembly buffer — so a single shim
-//! exercises both directions of the protocol under failure.
+//! `Write` call boundary — exactly where a connection's writer flushes
+//! coalesced batches and the reactor poller fills its frame-reassembly
+//! buffer — so a single shim exercises both directions of the protocol
+//! under failure.
 //!
 //! Faults are drawn from a seeded RNG, one decision per I/O call, with
 //! independent decision streams for the read and write sides. The *n*-th
@@ -29,8 +30,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A duplex byte stream the readiness reactor can drive: non-blocking
-/// reads and writes on the poller thread, polled through its file
-/// descriptor, severed abruptly on teardown.
+/// reads on the poller thread, non-blocking writes by the connection's
+/// writer (the poller, or on a unix socket a sender), polled through its
+/// file descriptor, severed abruptly on teardown.
 ///
 /// [`TcpStream`] and [`UnixStream`] are the production implementations;
 /// [`FaultStream`] wraps any implementation to inject faults underneath the
@@ -316,9 +318,9 @@ impl FaultInjector {
 /// A duplex stream that injects faults on every read and write.
 ///
 /// Wrap the stream handed to [`crate::Connection::from_duplex`]; the
-/// reactor poller then flushes the connection's coalesced batches *through*
-/// the shim, and reads inbound bytes through it, so every transport-level
-/// failure mode (partial write, mid-frame death, corrupt
+/// connection's writer then flushes its coalesced batches *through* the
+/// shim, and the poller reads inbound bytes through it, so every
+/// transport-level failure mode (partial write, mid-frame death, corrupt
 /// frame, duplicated frame, stalled socket) exercises the real recovery
 /// code.
 pub struct FaultStream<S> {

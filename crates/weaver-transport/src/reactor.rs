@@ -6,15 +6,15 @@
 //! Architecture:
 //!
 //! * **One poller.** One epoll instance, driven by the `weaver-reactor`
-//!   thread that the first connection or server spawns. A connection's I/O
-//!   happens *only* on that thread, so per-connection state needs no
-//!   cross-thread coordination beyond the outbound queue. When both ends
-//!   of a connection live in this process (a deployer's replicas, the
-//!   baseline's services), the poller writes a request and finds the peer
-//!   socket readable at its next `epoll_wait` without sleeping, and the
-//!   reply comes back the same way: the call pays no poller wakeup between
-//!   its two sockets. A process scales out with more replicas, not more
-//!   pollers.
+//!   thread that the first connection or server spawns. Every read and
+//!   accept happens on that thread, and so does every write on a TCP
+//!   connection; a unix-socket sender may write its own frame (below).
+//!   When both ends of a connection live in this process (a deployer's
+//!   replicas, the baseline's services), the poller writes a request and
+//!   finds the peer socket readable at its next `epoll_wait` without
+//!   sleeping, and the reply comes back the same way: the call pays no
+//!   poller wakeup between its two sockets. A process scales out with more
+//!   replicas, not more pollers.
 //! * **Read state machine.** Readiness drives `read` until `WouldBlock`,
 //!   accumulating into a per-connection reassembly buffer. The framing's
 //!   [`Framing::frame_extent`](crate::frame::Framing::frame_extent)
@@ -22,15 +22,29 @@
 //!   frames; each is copied once into a pooled buffer and handed to the
 //!   driver, whose framing decodes it — partial frames carry over to the
 //!   next readiness event.
-//! * **Write state machine.** Senders enqueue [`OutFrame`]s and schedule a
-//!   flush; the poller drains the queue into coalesced batches of up to
-//!   `COALESCE_BUDGET` bytes (`OutQueue::next_batch`), so pipelined
-//!   callers share syscalls while a lone frame is written immediately and
-//!   never waits for company. On `WouldBlock` the unwritten remainder is
-//!   parked and `EPOLLOUT` interest armed — and disarmed again the moment
-//!   the queue drains, so idle connections cost one registration and zero
-//!   wakeups. A steady flush allocates nothing: the flush-token queue and
-//!   the poller's copy of it trade buffers, and a batch is copied straight
+//! * **Write state machine.** Senders enqueue [`OutFrame`]s; whichever
+//!   thread holds a connection's writer role drains its queue into
+//!   coalesced batches of up to `COALESCE_BUDGET` bytes
+//!   (`OutQueue::next_batch`), so pipelined callers share syscalls while a
+//!   lone frame is written immediately and never waits for company. There
+//!   is at most one writer per connection, frames leave in `send` order,
+//!   and a writer drains the queue until it is empty before it lets the
+//!   role go; a frame sent meanwhile joins the queue behind it. On
+//!   `WouldBlock` the writer parks the unwritten remainder and arms
+//!   `EPOLLOUT` — disarmed again the moment the queue drains, so idle
+//!   connections cost one registration and zero wakeups.
+//!
+//!   The writer is usually the poller, called by a flush token. On a unix
+//!   socket, a sender that finds nothing queued, parked, scheduled or
+//!   waiting on `EPOLLOUT`, and the poller asleep in `epoll_wait`, takes
+//!   the role and writes its own frame: the peer is another process, so
+//!   waking the poller only to copy the frame out would cost a thread
+//!   hand-off per call. A TCP connection keeps the poller's write: every
+//!   TCP connection this runtime opens joins two sockets of one process,
+//!   where the poller that writes a request reads it next on the same CPU.
+//!   A busy poller keeps the write too, and queued frames coalesce behind
+//!   it. A steady flush allocates nothing: the flush-token queue and the
+//!   poller's copy of it trade buffers, and a batch is copied straight
 //!   from the queue into one pooled buffer.
 //! * **Dispatch.** Frame decode happens on the poller; the driver decides
 //!   what runs where. The client driver resolves pending calls in-line.
@@ -54,7 +68,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use epoll::{Epoll, Events, Interest, WakeFd};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::buf::{BufferPool, WireBuf};
 use crate::endpoint::Listener;
@@ -168,6 +182,9 @@ struct OutQueue {
     scheduled: bool,
     /// `EPOLLOUT` interest is currently armed.
     epollout: bool,
+    /// A thread holds the writer role: it writes outside this lock and
+    /// drains the queue until it is empty before it lets the role go.
+    writing: bool,
 }
 
 impl OutQueue {
@@ -232,6 +249,9 @@ pub(crate) struct ConnState {
     dead: AtomicBool,
     read: Mutex<ReadState>,
     out: Mutex<OutQueue>,
+    /// A sender may write its own frame while the poller sleeps: the
+    /// socket is a unix one, whose reader is another process.
+    sender_writes: bool,
     stats: WriterStats,
     pool: BufferPool,
 }
@@ -258,33 +278,124 @@ impl ConnState {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Enqueues a frame for the poller's coalescing drain. Fails fast when
-    /// the connection is already dead.
+    /// Queues a frame for the connection's writer. Fails fast when the
+    /// connection is already dead.
+    ///
+    /// On a unix socket, a sender that finds nothing ahead of its frame and
+    /// the poller parked takes the writer role and writes the frame itself
+    /// (see the module docs). Otherwise the frame joins the queue: behind
+    /// the writer, a flush token or an armed `EPOLLOUT` that already owns
+    /// it, or with a flush token of its own for the poller's drain. A write
+    /// that fails after the frame was accepted kills the connection and
+    /// still returns `Ok`: the frame may have reached the peer, so the
+    /// caller learns of it through its reply as an in-flight
+    /// `ConnectionClosed`, never as an error it could retry elsewhere.
     pub fn send(&self, frame: OutFrame) -> Result<(), TransportError> {
         if self.is_dead() {
             return Err(TransportError::ConnectionClosed);
         }
         let mut out = self.out.lock();
+        // Whatever is queued or parked has an owner: the writer, a flush
+        // token or an armed `EPOLLOUT`. So an unowned queue is empty.
+        let owned = out.writing || out.scheduled || out.epollout;
         out.queue.push_back(frame);
-        let need_schedule = !out.scheduled && !out.epollout;
-        if need_schedule {
-            out.scheduled = true;
-        }
-        drop(out);
-        if need_schedule {
-            self.reactor.schedule_flush(self.token);
-        }
         // Benign race: a kill that lands between the dead-check and the
         // enqueue leaves the frame in a queue that `kill` clears — the
         // caller's own dead-flag recheck (see `Connection::begin`) turns
         // the lost frame into a fail-fast error.
+        if owned {
+            return Ok(());
+        }
+        // `polling` is set only while the poller waits, so a sender that
+        // reads it set is never the poller itself.
+        if self.sender_writes && self.reactor.polling.load(Ordering::SeqCst) {
+            self.flush(out);
+            return Ok(());
+        }
+        out.scheduled = true;
+        drop(out);
+        self.reactor.schedule_flush(self.token);
         Ok(())
+    }
+
+    /// Takes the writer role, unless another thread holds it (that thread
+    /// drains what is queued before it lets go), and drains the outbound
+    /// queue in coalesced batches until it stays empty. On `WouldBlock` it
+    /// parks the remainder and arms `EPOLLOUT`, disarmed once the queue is
+    /// drained; a failed write kills the connection once `out` is released.
+    fn flush<'a>(&'a self, mut out: MutexGuard<'a, OutQueue>) {
+        if out.writing {
+            return;
+        }
+        out.writing = true;
+        loop {
+            // The next write: a parked remainder, or a fresh batch.
+            let (bytes, mut offset) = if let Some(parked) = out.inflight.take() {
+                parked
+            } else if let Some(batch) = out.next_batch(&self.pool, &self.stats) {
+                (batch, 0)
+            } else {
+                if out.epollout {
+                    out.epollout = false;
+                    let _ = self
+                        .reactor
+                        .epoll
+                        .modify(self.fd, self.token, Interest::READABLE);
+                }
+                out.writing = false;
+                return;
+            };
+            drop(out);
+
+            let written = {
+                let mut io = self.io.lock();
+                loop {
+                    if offset == bytes.len() {
+                        break Ok(());
+                    }
+                    match io.write(&bytes[offset..]) {
+                        Ok(0) => break Err(io::ErrorKind::WriteZero.into()),
+                        Ok(n) => offset += n,
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                        Err(e) => break Err(e),
+                    }
+                }
+            };
+            out = self.out.lock();
+            match written {
+                // A connection killed meanwhile had its backlog dropped:
+                // nothing is left to write or to park.
+                _ if self.is_dead() => {
+                    out.writing = false;
+                    return;
+                }
+                Ok(()) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    out.inflight = Some((bytes, offset));
+                    if !out.epollout {
+                        out.epollout = true;
+                        let _ = self
+                            .reactor
+                            .epoll
+                            .modify(self.fd, self.token, Interest::BOTH);
+                    }
+                    out.writing = false;
+                    return;
+                }
+                Err(_) => {
+                    out.writing = false;
+                    drop(out);
+                    self.kill();
+                    return;
+                }
+            }
+        }
     }
 
     /// Tears the connection down: marks it dead, deregisters the fd,
     /// drops queued output, severs the socket, and notifies the driver.
     /// Idempotent; callable from any thread.
-    pub fn kill(self: &Arc<Self>) {
+    pub fn kill(&self) {
         if self.dead.swap(true, Ordering::SeqCst) {
             return;
         }
@@ -363,7 +474,8 @@ pub(crate) struct Reactor {
     /// before, cleared just after). Senders only pay the eventfd syscall
     /// when this is set: a busy poller drains `flush_q` at the end of its
     /// loop anyway, and skipping the wake both saves the syscall and lets
-    /// bursts accumulate into larger coalesced batches.
+    /// bursts accumulate into larger coalesced batches. A unix-socket
+    /// sender that reads it set writes its own frame instead.
     polling: AtomicBool,
     next_token: AtomicU64,
     stats: ReactorStats,
@@ -428,6 +540,7 @@ impl Reactor {
                 filled: 0,
             }),
             out: Mutex::new(OutQueue::default()),
+            sender_writes: epoll::is_unix_socket(fd),
             stats: WriterStats::default(),
             pool,
         });
@@ -569,7 +682,7 @@ impl Reactor {
                             self.handle_read(&conn);
                         }
                         if ev.writable && !conn.is_dead() {
-                            self.flush(&conn);
+                            conn.flush(conn.out.lock());
                         }
                     }
                     Some(Registered::Listener(l)) => self.handle_accept(&l),
@@ -593,8 +706,9 @@ impl Reactor {
             }
             for token in tokens.drain(..) {
                 if let Some(conn) = self.lookup_conn(token) {
-                    conn.out.lock().scheduled = false;
-                    self.flush(&conn);
+                    let mut out = conn.out.lock();
+                    out.scheduled = false;
+                    conn.flush(out);
                 }
             }
         }
@@ -681,57 +795,6 @@ impl Reactor {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break, // listener closed (shutdown) or transient
-            }
-        }
-    }
-
-    /// Drains the outbound queue in coalesced batches. Runs only on the
-    /// poller; on `WouldBlock` parks the remainder and arms `EPOLLOUT`,
-    /// disarming it once fully drained.
-    fn flush(&self, conn: &Arc<ConnState>) {
-        loop {
-            // Assemble the next write: a parked remainder, or a fresh
-            // batch from the queue.
-            let mut out = conn.out.lock();
-            let (bytes, mut offset) = if let Some(parked) = out.inflight.take() {
-                parked
-            } else if let Some(batch) = out.next_batch(&conn.pool, &conn.stats) {
-                (batch, 0)
-            } else {
-                if out.epollout {
-                    out.epollout = false;
-                    let _ = self.epoll.modify(conn.fd, conn.token, Interest::READABLE);
-                }
-                return;
-            };
-            drop(out);
-
-            let mut io = conn.io.lock();
-            while offset < bytes.len() {
-                match io.write(&bytes[offset..]) {
-                    Ok(0) => {
-                        drop(io);
-                        conn.kill();
-                        return;
-                    }
-                    Ok(n) => offset += n,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        drop(io);
-                        let mut out = conn.out.lock();
-                        out.inflight = Some((bytes, offset));
-                        if !out.epollout {
-                            out.epollout = true;
-                            let _ = self.epoll.modify(conn.fd, conn.token, Interest::BOTH);
-                        }
-                        return;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        drop(io);
-                        conn.kill();
-                        return;
-                    }
-                }
             }
         }
     }
@@ -889,6 +952,13 @@ mod tests {
         stream: TcpStream,
     ) -> (Arc<ConnState>, Arc<AtomicU64>) {
         stream.set_nodelay(true).unwrap();
+        register_echo_stream(reactor, stream)
+    }
+
+    fn register_echo_stream(
+        reactor: &Arc<Reactor>,
+        stream: impl DuplexStream,
+    ) -> (Arc<ConnState>, Arc<AtomicU64>) {
         let dead_count = Arc::new(AtomicU64::new(0));
         let driver = Arc::new(EchoDriver {
             dead_count: Arc::clone(&dead_count),
@@ -1159,6 +1229,67 @@ mod tests {
             frames > 0 && flushes < frames,
             "{frames} frames / {flushes} flushes"
         );
+        conn.kill();
+    }
+
+    /// A sender that finds the poller parked writes a unix connection's
+    /// frame itself, and a peer that reads nothing backs that write up: the
+    /// sender parks the remainder and arms `EPOLLOUT` before `send`
+    /// returns, later frames queue behind it, and the poller delivers every
+    /// byte in order once the peer reads.
+    #[test]
+    fn a_sender_held_write_parks_its_remainder_and_arms_epollout() {
+        use std::os::unix::net::UnixStream;
+
+        let reactor = Reactor::spawn().unwrap();
+        let (managed, peer) = UnixStream::pair().unwrap();
+        let (conn, _) = register_echo_stream(&reactor, managed);
+        assert!(conn.sender_writes, "a unix socket lets senders write");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while !reactor.polling.load(Ordering::SeqCst) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the poller never parked"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+
+        // More than the socket buffer holds, in one frame.
+        let pool = BufferPool::new();
+        let first = request_frame(&pool, 0, &vec![0u8; 1 << 20]);
+        let mut expected = first.head.to_vec();
+        conn.send(first).unwrap();
+        {
+            let out = conn.out.lock();
+            assert!(
+                out.inflight.is_some() && out.epollout && !out.writing,
+                "the sender left without parking its remainder"
+            );
+        }
+        for i in 1..=64u64 {
+            let frame = request_frame(&pool, i, &[i as u8; 32 * 1024]);
+            expected.extend_from_slice(&frame.head);
+            conn.send(frame).unwrap();
+        }
+
+        peer.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let mut received = Vec::with_capacity(expected.len());
+        let mut buf = vec![0u8; 64 * 1024];
+        while received.len() < expected.len() {
+            let n = (&peer).read(&mut buf).expect("read the sent bytes");
+            assert!(n > 0, "EOF before all bytes arrived");
+            received.extend_from_slice(&buf[..n]);
+        }
+        assert!(received == expected, "bytes arrived out of order");
+        assert_eq!(conn.writer_counters().0, 65);
+        while conn.out.lock().epollout {
+            assert!(
+                std::time::Instant::now() < deadline + std::time::Duration::from_secs(10),
+                "EPOLLOUT stayed armed after the queue drained"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
         conn.kill();
     }
 }

@@ -4,13 +4,15 @@
 //! A server listens on one [`Endpoint`], TCP or unix; everything past the
 //! accept is the same for both kinds. The listening socket and every
 //! accepted connection live on the shared
-//! readiness reactor ([`crate::reactor`]): accepts, frame decode and
-//! response writes all run on its poller thread, and handler execution
-//! hops to the bounded worker pool. No threads are created per connection.
+//! readiness reactor ([`crate::reactor`]): accepts and frame decode run on
+//! its poller thread, and so do response writes, except that on a unix
+//! socket a worker finding the poller asleep writes its own reply. Handler
+//! execution hops to the bounded worker pool. No threads are created per
+//! connection.
 //!
 //! That hop — a queue push and one futex wake of a parked worker, its
-//! run-queue wait, then the reply's enqueue and flush wake back on the
-//! poller — costs more than a small handler does, so the one dispatch path
+//! run-queue wait, then the reply's way back (on TCP, an enqueue and a
+//! flush wake of the poller) — costs more than a small handler does, so the one dispatch path
 //! has one branch: a request for which the installed handler answers
 //! [`RpcHandler::inline_ok`] runs on the poller thread that decoded it. A
 //! handler that panics costs its connection on either branch, never the
@@ -207,8 +209,8 @@ struct ServerDriver<F: Framing> {
     framing: Mutex<F>,
 }
 
-/// Encodes `body` as the response on `stream` and queues it for the
-/// poller's coalescing drain.
+/// Encodes `body` as the response on `stream` and sends it through the
+/// connection's coalescing writer ([`ConnState::send`]).
 fn send_response<F: Framing>(
     state: &ConnState,
     buf_pool: &BufferPool,
@@ -585,6 +587,40 @@ mod tests {
             }
             assert_eq!(conn.writer_counters(), (16, 1), "{kind}");
         }
+    }
+
+    /// Four callers share one unix connection, so a caller that finds the
+    /// poller parked writes its own frame while the others queue behind it
+    /// and the writer drains them. Every reply still answers its own
+    /// request, and every frame is counted once.
+    #[test]
+    fn sender_writes_and_queued_writes_interleave_in_order() {
+        const THREADS: u8 = 4;
+        const CALLS: u16 = 2_000;
+        let server =
+            Server::<WeaverFraming>::bind(Endpoint::fresh_unix(), 2, echo_handler()).unwrap();
+        let conn = Arc::new(Connection::<WeaverFraming>::connect(server.endpoint()).unwrap());
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let conn = &conn;
+                s.spawn(move || {
+                    let header = RequestHeader {
+                        method: u32::from(t),
+                        ..Default::default()
+                    };
+                    for i in 0..CALLS {
+                        let [hi, lo] = i.to_be_bytes();
+                        let resp = conn
+                            .call(&header, &[t, hi, lo], Some(Duration::from_secs(10)))
+                            .unwrap();
+                        assert_eq!(resp.payload, vec![t, hi, lo, t], "caller {t} call {i}");
+                    }
+                });
+            }
+        });
+        assert_eq!(conn.in_flight(), 0);
+        let calls = u64::from(THREADS) * u64::from(CALLS);
+        assert_eq!(conn.writer_counters().0, calls);
     }
 
     /// `shutdown` severs every accepted connection the way a killed

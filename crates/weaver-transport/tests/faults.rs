@@ -2,15 +2,28 @@
 //! death mid-pipeline must fail fast (never hang, never panic), and the
 //! buffer pool's counters must stay balanced (no leaked buffers) however
 //! abruptly a connection dies.
+//!
+//! Every test runs once over TCP and once over a unix socket: on TCP the
+//! poller writes every frame, while on a unix socket a caller writes its
+//! own frame when nothing is queued ahead of it and the poller sleeps, so
+//! the faults land on the caller's thread.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use weaver_transport::fault::{FaultInjector, FaultSpec, FaultStream};
 use weaver_transport::{
-    BufferPool, Connection, RequestHeader, ResponseBody, RpcHandler, Server, Status,
+    BufferPool, Connection, Endpoint, RequestHeader, ResponseBody, RpcHandler, Server, Status,
     TransportError, WeaverFraming,
 };
+
+/// One endpoint of each kind, bound fresh by every server.
+fn kinds() -> [Endpoint; 2] {
+    [
+        Endpoint::Tcp(([127, 0, 0, 1], 0).into()),
+        Endpoint::fresh_unix(),
+    ]
+}
 
 fn echo() -> Arc<dyn RpcHandler> {
     Arc::new(|_h: &RequestHeader, args: &[u8]| ResponseBody {
@@ -19,14 +32,13 @@ fn echo() -> Arc<dyn RpcHandler> {
     })
 }
 
-/// Dials `addr` through a fault shim with the given spec.
+/// Dials `server` through a fault shim with the given spec.
 fn faulty_connect(
-    addr: std::net::SocketAddr,
+    server: &Server<WeaverFraming>,
     spec: FaultSpec,
     pool: BufferPool,
 ) -> (Connection<WeaverFraming>, FaultInjector) {
-    let stream = std::net::TcpStream::connect(addr).unwrap();
-    stream.set_nodelay(true).unwrap();
+    let stream = server.endpoint().dial().unwrap();
     let injector = FaultInjector::new(spec);
     let conn = Connection::from_duplex_with_pool(FaultStream::new(stream, injector.clone()), pool)
         .unwrap();
@@ -54,216 +66,236 @@ fn assert_pool_balances(pool: &BufferPool) {
 
 #[test]
 fn severed_connection_fails_pipelined_calls_fast() {
-    let server = Server::<WeaverFraming>::bind("127.0.0.1:0", 4, echo()).unwrap();
-    // Sever probability 15%: the connection survives a few batches, then
-    // dies with calls still queued behind the writer.
-    let (conn, injector) = faulty_connect(
-        server.local_addr(),
-        FaultSpec {
-            seed: 2024,
-            sever: 0.15,
-            ..Default::default()
-        },
-        BufferPool::global().clone(),
-    );
-    let conn = Arc::new(conn);
+    for kind in kinds() {
+        let server = Server::<WeaverFraming>::bind(kind, 4, echo()).unwrap();
+        // Sever probability 15%: the connection survives a few batches, then
+        // dies with calls still queued behind the writer.
+        let (conn, injector) = faulty_connect(
+            &server,
+            FaultSpec {
+                seed: 2024,
+                sever: 0.15,
+                ..Default::default()
+            },
+            BufferPool::global().clone(),
+        );
+        let conn = Arc::new(conn);
 
-    let threads: Vec<_> = (0..8)
-        .map(|_| {
-            let conn = Arc::clone(&conn);
-            std::thread::spawn(move || {
-                let header = RequestHeader::default();
-                let mut closed = 0usize;
-                for i in 0..50u8 {
-                    match conn.call(&header, &[i; 64], Some(Duration::from_secs(2))) {
-                        Ok(resp) => assert_eq!(resp.payload, vec![i; 64]),
-                        Err(TransportError::ConnectionClosed) => closed += 1,
-                        // A call registered in the narrow window between the
-                        // pending-drain and the writer channel closing can
-                        // wait out its own deadline; that's a timeout, not a
-                        // hang.
-                        Err(TransportError::DeadlineExceeded) => {}
-                        Err(other) => panic!("unexpected error class: {other:?}"),
+        let threads: Vec<_> = (0..8)
+            .map(|_| {
+                let conn = Arc::clone(&conn);
+                std::thread::spawn(move || {
+                    let header = RequestHeader::default();
+                    let mut closed = 0usize;
+                    for i in 0..50u8 {
+                        match conn.call(&header, &[i; 64], Some(Duration::from_secs(2))) {
+                            Ok(resp) => assert_eq!(resp.payload, vec![i; 64]),
+                            Err(TransportError::ConnectionClosed) => closed += 1,
+                            // A call registered in the narrow window between
+                            // the pending-drain and the writer channel
+                            // closing can wait out its own deadline; that's
+                            // a timeout, not a hang.
+                            Err(TransportError::DeadlineExceeded) => {}
+                            Err(other) => panic!("{kind}: unexpected error class: {other:?}"),
+                        }
                     }
-                }
-                closed
+                    closed
+                })
             })
-        })
-        .collect();
-    let mut closed = 0;
-    for t in threads {
-        closed += t.join().unwrap();
+            .collect();
+        let mut closed = 0;
+        for t in threads {
+            closed += t.join().unwrap();
+        }
+        assert!(
+            injector.is_severed(),
+            "{kind}: seed 2024 should sever within the run"
+        );
+        assert!(closed > 0, "{kind}: no call observed the death");
+        assert!(conn.is_dead(), "{kind}");
+        // Post-death calls short-circuit without touching the socket: 50
+        // calls against a 30s deadline must return in well under a second.
+        let started = Instant::now();
+        for _ in 0..50 {
+            assert!(matches!(
+                conn.call(
+                    &RequestHeader::default(),
+                    &[],
+                    Some(Duration::from_secs(30))
+                ),
+                Err(TransportError::ConnectionClosed)
+            ));
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "{kind}: fail-fast took {:?} — calls waited on a dead socket",
+            started.elapsed()
+        );
+        assert_eq!(conn.in_flight(), 0, "{kind}");
     }
-    assert!(
-        injector.is_severed(),
-        "seed 2024 should sever within the run"
-    );
-    assert!(closed > 0, "no call observed the death");
-    assert!(conn.is_dead());
-    // Post-death calls short-circuit without touching the socket: 50 calls
-    // against a 30s deadline must return in well under a second.
-    let started = Instant::now();
-    for _ in 0..50 {
-        assert!(matches!(
-            conn.call(
-                &RequestHeader::default(),
-                &[],
-                Some(Duration::from_secs(30))
-            ),
-            Err(TransportError::ConnectionClosed)
-        ));
-    }
-    assert!(
-        started.elapsed() < Duration::from_secs(1),
-        "fail-fast took {:?} — calls waited on a dead socket",
-        started.elapsed()
-    );
-    assert_eq!(conn.in_flight(), 0);
 }
 
 #[test]
 fn pool_counters_balance_after_mid_batch_truncation() {
-    // Private pool so global traffic cannot mask a leak. Shared by client
-    // and server: every buffer either recycles or drops, exactly once.
-    let pool = BufferPool::new();
-    let server =
-        Server::<WeaverFraming>::bind_with_pool("127.0.0.1:0", 4, echo(), pool.clone()).unwrap();
-    // Truncation delivers half a coalesced batch then kills the socket —
-    // the worst case for buffer ownership: frames half-written, frames
-    // queued, responses in flight.
-    let (conn, injector) = faulty_connect(
-        server.local_addr(),
-        FaultSpec {
-            seed: 7,
-            truncate: 0.05,
-            ..Default::default()
-        },
-        pool.clone(),
-    );
-    let conn = Arc::new(conn);
-    let threads: Vec<_> = (0..8)
-        .map(|_| {
-            let conn = Arc::clone(&conn);
-            std::thread::spawn(move || {
-                let header = RequestHeader::default();
-                for i in 0..60u8 {
-                    // Mixed sizes exercise several pool shelves.
-                    let args = vec![i; 32 + usize::from(i) * 40];
-                    let _ = conn.call(&header, &args, Some(Duration::from_secs(5)));
-                }
+    for kind in kinds() {
+        // Private pool so global traffic cannot mask a leak. Shared by
+        // client and server: every buffer either recycles or drops, exactly
+        // once.
+        let pool = BufferPool::new();
+        let server =
+            Server::<WeaverFraming>::bind_with_pool(kind, 4, echo(), pool.clone()).unwrap();
+        // Truncation delivers half a coalesced batch then kills the socket —
+        // the worst case for buffer ownership: frames half-written, frames
+        // queued, responses in flight.
+        let (conn, injector) = faulty_connect(
+            &server,
+            FaultSpec {
+                seed: 7,
+                truncate: 0.05,
+                ..Default::default()
+            },
+            pool.clone(),
+        );
+        let conn = Arc::new(conn);
+        let threads: Vec<_> = (0..8)
+            .map(|_| {
+                let conn = Arc::clone(&conn);
+                std::thread::spawn(move || {
+                    let header = RequestHeader::default();
+                    for i in 0..60u8 {
+                        // Mixed sizes exercise several pool shelves.
+                        let args = vec![i; 32 + usize::from(i) * 40];
+                        let _ = conn.call(&header, &args, Some(Duration::from_secs(5)));
+                    }
+                })
             })
-        })
-        .collect();
-    for t in threads {
-        t.join().unwrap();
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert!(
+            injector.is_severed(),
+            "{kind}: seed 7 should truncate within 480 writes"
+        );
+        assert_eq!(conn.in_flight(), 0, "{kind}");
+        // Tear everything down, then every buffer must have come home.
+        drop(conn);
+        drop(server);
+        assert_pool_balances(&pool);
+        let s = pool.stats();
+        assert!(s.hits + s.misses > 0, "{kind}: test exercised no buffers");
     }
-    assert!(
-        injector.is_severed(),
-        "seed 7 should truncate within 480 writes"
-    );
-    // Tear everything down, then every buffer must have come home.
-    drop(conn);
-    drop(server);
-    assert_pool_balances(&pool);
-    let s = pool.stats();
-    assert!(s.hits + s.misses > 0, "test exercised no buffers");
 }
 
 #[test]
 fn corrupted_frames_kill_the_connection_cleanly() {
-    let pool = BufferPool::new();
-    let server =
-        Server::<WeaverFraming>::bind_with_pool("127.0.0.1:0", 2, echo(), pool.clone()).unwrap();
-    // Corrupt every write: the server sees a garbage length prefix or a
-    // mangled frame. The required behavior is a clean connection death —
-    // no panic, no hang, no unbounded allocation from an insane length.
-    let (conn, _injector) = faulty_connect(
-        server.local_addr(),
-        FaultSpec {
-            seed: 3,
-            corrupt: 1.0,
-            ..Default::default()
-        },
-        pool.clone(),
-    );
-    let header = RequestHeader::default();
-    let mut saw_failure = false;
-    for i in 0..20u8 {
-        // Mangled echoes are tolerated (this framing carries no checksum by
-        // design — TCP's suffices for the paper's threat model); errors and
-        // timeouts are the expected outcome. What is NOT tolerated: a
-        // panic, a wedge, or a leaked buffer — checked below.
-        //
-        // The injector flips the middle byte of each read/write, so large
-        // payloads keep corruption inside the (tolerated) payload bytes.
-        // The later, small calls put the middle of the response frame
-        // inside the frame header — stream id or length prefix — which
-        // MUST break the call (the reactor pulls whole frames in one read,
-        // so the flipped byte lands mid-frame).
-        let len = if i < 10 { 128 } else { 4 };
-        let args = vec![i; len];
-        if conn
-            .call(&header, &args, Some(Duration::from_millis(500)))
-            .is_err()
-        {
-            saw_failure = true;
-            break;
+    for kind in kinds() {
+        let pool = BufferPool::new();
+        let server =
+            Server::<WeaverFraming>::bind_with_pool(kind, 2, echo(), pool.clone()).unwrap();
+        // Corrupt every write: the server sees a garbage length prefix or a
+        // mangled frame. The required behavior is a clean connection death
+        // — no panic, no hang, no unbounded allocation from an insane
+        // length.
+        let (conn, _injector) = faulty_connect(
+            &server,
+            FaultSpec {
+                seed: 3,
+                corrupt: 1.0,
+                ..Default::default()
+            },
+            pool.clone(),
+        );
+        let header = RequestHeader::default();
+        let mut saw_failure = false;
+        for i in 0..20u8 {
+            // Mangled echoes are tolerated (this framing carries no checksum
+            // by design — TCP's suffices for the paper's threat model);
+            // errors and timeouts are the expected outcome. What is NOT
+            // tolerated: a panic, a wedge, or a leaked buffer — checked
+            // below.
+            //
+            // The injector flips the middle byte of each read/write, so
+            // large payloads keep corruption inside the (tolerated) payload
+            // bytes. The later, small calls put the middle of the response
+            // frame inside the frame header — stream id or length prefix —
+            // which MUST break the call (the reactor pulls whole frames in
+            // one read, so the flipped byte lands mid-frame).
+            let len = if i < 10 { 128 } else { 4 };
+            let args = vec![i; len];
+            if conn
+                .call(&header, &args, Some(Duration::from_millis(500)))
+                .is_err()
+            {
+                saw_failure = true;
+                break;
+            }
         }
+        assert!(
+            saw_failure,
+            "{kind}: twenty corrupt frames never broke a call"
+        );
+        assert_eq!(conn.in_flight(), 0, "{kind}");
+        drop(conn);
+        drop(server);
+        assert_pool_balances(&pool);
     }
-    assert!(saw_failure, "twenty corrupt frames never broke a call");
-    drop(conn);
-    drop(server);
-    assert_pool_balances(&pool);
 }
 
 #[test]
 fn duplicated_responses_are_dropped_by_stream_matching() {
-    let pool = BufferPool::new();
-    let server =
-        Server::<WeaverFraming>::bind_with_pool("127.0.0.1:0", 2, echo(), pool.clone()).unwrap();
-    // Duplicate every server-bound write. Requests arrive twice; the
-    // server handles both and sends two responses per stream id; the
-    // client must complete each call exactly once and drop the strays.
-    let (conn, injector) = faulty_connect(
-        server.local_addr(),
-        FaultSpec {
-            seed: 11,
-            duplicate: 1.0,
-            ..Default::default()
-        },
-        pool.clone(),
-    );
-    let header = RequestHeader::default();
-    for i in 0..10u8 {
-        let resp = conn
-            .call(&header, &[i; 16], Some(Duration::from_secs(5)))
-            .unwrap();
-        assert_eq!(resp.payload, vec![i; 16]);
+    for kind in kinds() {
+        let pool = BufferPool::new();
+        let server =
+            Server::<WeaverFraming>::bind_with_pool(kind, 2, echo(), pool.clone()).unwrap();
+        // Duplicate every server-bound write. Requests arrive twice; the
+        // server handles both and sends two responses per stream id; the
+        // client must complete each call exactly once and drop the strays.
+        let (conn, injector) = faulty_connect(
+            &server,
+            FaultSpec {
+                seed: 11,
+                duplicate: 1.0,
+                ..Default::default()
+            },
+            pool.clone(),
+        );
+        let header = RequestHeader::default();
+        for i in 0..10u8 {
+            let resp = conn
+                .call(&header, &[i; 16], Some(Duration::from_secs(5)))
+                .unwrap();
+            assert_eq!(resp.payload, vec![i; 16], "{kind}");
+        }
+        assert_eq!(
+            conn.in_flight(),
+            0,
+            "{kind}: stray duplicates left pending state"
+        );
+        assert!(!injector.actions().is_empty(), "{kind}");
+        drop(conn);
+        drop(server);
+        assert_pool_balances(&pool);
     }
-    assert_eq!(conn.in_flight(), 0, "stray duplicates left pending state");
-    assert!(!injector.actions().is_empty());
-    drop(conn);
-    drop(server);
-    assert_pool_balances(&pool);
 }
 
 #[test]
 fn read_side_delays_slow_but_do_not_break_calls() {
-    let pool = BufferPool::new();
-    let server =
-        Server::<WeaverFraming>::bind_with_pool("127.0.0.1:0", 2, echo(), pool.clone()).unwrap();
-    let (conn, injector) = faulty_connect(
-        server.local_addr(),
-        FaultSpec::delays_only(17, 1.0),
-        pool.clone(),
-    );
-    let header = RequestHeader::default();
-    for i in 0..20u8 {
-        let resp = conn
-            .call(&header, &[i], Some(Duration::from_secs(5)))
-            .unwrap();
-        assert_eq!(resp.payload, vec![i]);
+    for kind in kinds() {
+        let pool = BufferPool::new();
+        let server =
+            Server::<WeaverFraming>::bind_with_pool(kind, 2, echo(), pool.clone()).unwrap();
+        let (conn, injector) =
+            faulty_connect(&server, FaultSpec::delays_only(17, 1.0), pool.clone());
+        let header = RequestHeader::default();
+        for i in 0..20u8 {
+            let resp = conn
+                .call(&header, &[i], Some(Duration::from_secs(5)))
+                .unwrap();
+            assert_eq!(resp.payload, vec![i], "{kind}");
+        }
+        let delays = injector.actions().len();
+        assert!(delays > 0, "{kind}: delay spec injected nothing");
+        assert_eq!(conn.in_flight(), 0, "{kind}");
     }
-    let delays = injector.actions().len();
-    assert!(delays > 0, "delay spec injected nothing");
 }

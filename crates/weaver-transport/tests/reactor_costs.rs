@@ -11,17 +11,24 @@
 //! left are the call's own: its reply slot and the shared storage of the
 //! frames it encodes and parses, plus the boxed job when a worker runs it.
 //!
+//! A call to a peer this poller does not serve — over a unix socket, the
+//! way a proclet calls another process — costs the poller one park: the
+//! caller writes its request itself while the poller sleeps, and the poller
+//! wakes only for the reply.
+//!
 //! This binary holds a single test: the allocator counts every thread, and
 //! a second test running beside it would be counted too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::{Read, Write};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use weaver_transport::{
-    Connection, Endpoint, RequestHeader, ResponseBody, RpcHandler, Server, Status, WeaverFraming,
-    WireBuf,
+    Connection, Endpoint, Framing, Message, RequestHeader, ResponseBody, RpcHandler, Server,
+    Status, WeaverFraming, WireBuf,
 };
 
 /// Counts allocations on all threads: the poller and the workers allocate
@@ -115,6 +122,59 @@ fn per_call(kind: Endpoint, inline: bool) -> (f64, f64) {
     (switches as f64 / CALLS as f64, allocs as f64 / CALLS as f64)
 }
 
+/// Answers every request read from `peer` with an empty payload, until
+/// the other end closes.
+fn answer(mut peer: UnixStream) {
+    let mut framing = WeaverFraming;
+    let mut wire = Vec::new();
+    let mut chunk = [0u8; 4096];
+    let mut reply = Vec::new();
+    loop {
+        match peer.read(&mut chunk) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => wire.extend_from_slice(&chunk[..n]),
+        }
+        while let Some(extent) = WeaverFraming::frame_extent(&wire).unwrap() {
+            if wire.len() < extent {
+                break;
+            }
+            let frame = WireBuf::from(&wire[..extent]);
+            wire.drain(..extent);
+            if let Some(Message::Request { stream, .. }) = framing.decode(frame).unwrap() {
+                let body = ResponseBody {
+                    status: Status::Ok,
+                    payload: WireBuf::empty(),
+                };
+                reply.clear();
+                WeaverFraming::write_response(&mut reply, stream, &body);
+                peer.write_all(&reply).unwrap();
+            }
+        }
+    }
+}
+
+/// Per-call poller voluntary switches over `CALLS` serial calls, after
+/// `WARMUP` ones, to a raw unix socket that a test thread answers.
+fn per_call_to_a_foreign_peer() -> f64 {
+    let (ours, theirs) = UnixStream::pair().unwrap();
+    let peer = std::thread::spawn(move || answer(theirs));
+    let conn = Connection::<WeaverFraming>::from_duplex(ours).unwrap();
+    let header = RequestHeader::default();
+    let call = || {
+        let resp = conn
+            .call(&header, &[], Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(resp.status, Status::Ok);
+    };
+    (0..WARMUP).for_each(|_| call());
+    let switches = reactor_switches();
+    (0..CALLS).for_each(|_| call());
+    let switches = reactor_switches() - switches;
+    drop(conn);
+    peer.join().unwrap();
+    switches as f64 / CALLS as f64
+}
+
 #[test]
 fn an_in_process_call_costs_one_poller_park_per_thread_hop() {
     let tcp = Endpoint::Tcp(([127, 0, 0, 1], 0).into());
@@ -135,4 +195,10 @@ fn an_in_process_call_costs_one_poller_park_per_thread_hop() {
             );
         }
     }
+    let switches = per_call_to_a_foreign_peer();
+    println!("unix peer in another thread: {switches:.2} poller switches per call");
+    assert!(
+        switches <= 1.1,
+        "unix peer in another thread: {switches:.2} poller switches per call, bound 1.1"
+    );
 }
