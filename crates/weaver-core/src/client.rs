@@ -3,11 +3,12 @@
 use std::sync::Arc;
 
 use weaver_codec::prelude::*;
+use weaver_transport::WireBuf;
 
 use crate::component::MethodSpec;
 use crate::context::CallContext;
 use crate::error::WeaverError;
-use crate::fanout::{ReadyRoute, RouteFuture};
+use crate::fanout::Route;
 
 /// Static facts about a call target, baked in by the code generator.
 #[derive(Debug, Clone, Copy)]
@@ -20,42 +21,24 @@ pub struct TargetInfo {
     pub methods: &'static [MethodSpec],
 }
 
-/// Moves one call's bytes to some replica of a component and returns the
-/// reply bytes.
+/// Moves one call's bytes to some replica of a component and returns its
+/// reply.
 ///
 /// Implemented by deployers: the single-process deployer dispatches
-/// directly, the multiprocess deployer picks a replica from its routing
-/// table and uses the TCP transport. Generated stubs never see any of that.
+/// directly and returns [`Route::Ready`]; the multiprocess deployer picks a
+/// replica from its routing table, puts the request on the TCP transport
+/// and returns [`Route::Pending`], so callers can scatter many calls before
+/// gathering any replies. Generated stubs never see any of that.
 pub trait CallRouter: Send + Sync {
-    /// Executes one call.
-    fn route_call(
+    /// Routes one call.
+    fn route(
         &self,
         target: &TargetInfo,
         ctx: &CallContext,
         method: u32,
         routing: Option<u64>,
         args: Vec<u8>,
-    ) -> Result<Vec<u8>, WeaverError>;
-
-    /// Starts one call without waiting for the reply.
-    ///
-    /// The default resolves eagerly through [`CallRouter::route_call`] —
-    /// correct (if unoverlapped) for any router. Deployers with a real wire
-    /// underneath override this to put the request in flight and return a
-    /// future that resolves when the reply frame lands, so callers can
-    /// scatter many calls before gathering any replies.
-    fn route_begin(
-        &self,
-        target: &TargetInfo,
-        ctx: &CallContext,
-        method: u32,
-        routing: Option<u64>,
-        args: Vec<u8>,
-    ) -> Box<dyn RouteFuture> {
-        Box::new(ReadyRoute::new(
-            self.route_call(target, ctx, method, routing, args),
-        ))
-    }
+    ) -> Route;
 }
 
 /// What a generated client stub holds: the target identity plus the
@@ -84,12 +67,8 @@ impl ClientHandle {
         method: u32,
         routing: Option<u64>,
         args: Vec<u8>,
-    ) -> Result<Vec<u8>, WeaverError> {
-        if ctx.expired() {
-            return Err(WeaverError::DeadlineExceeded);
-        }
-        self.router
-            .route_call(&self.target, ctx, method, routing, args)
+    ) -> Result<WireBuf, WeaverError> {
+        self.call_start(ctx, method, routing, args).wait()
     }
 
     /// Starts one call without waiting; used by generated `<method>_start`
@@ -101,12 +80,11 @@ impl ClientHandle {
         method: u32,
         routing: Option<u64>,
         args: Vec<u8>,
-    ) -> Box<dyn RouteFuture> {
+    ) -> Route {
         if ctx.expired() {
-            return Box::new(ReadyRoute::new(Err(WeaverError::DeadlineExceeded)));
+            return Route::Ready(Err(WeaverError::DeadlineExceeded));
         }
-        self.router
-            .route_begin(&self.target, ctx, method, routing, args)
+        self.router.route(&self.target, ctx, method, routing, args)
     }
 }
 
@@ -162,18 +140,18 @@ mod tests {
     }
 
     impl CallRouter for RecordingRouter {
-        fn route_call(
+        fn route(
             &self,
             target: &TargetInfo,
             _ctx: &CallContext,
             method: u32,
             routing: Option<u64>,
             _args: Vec<u8>,
-        ) -> Result<Vec<u8>, WeaverError> {
+        ) -> Route {
             self.calls
                 .lock()
                 .push((target.component_id, method, routing));
-            Ok(encode_reply::<u32>(&Ok(7)))
+            Route::Ready(Ok(encode_reply::<u32>(&Ok(7)).into()))
         }
     }
 
@@ -201,7 +179,7 @@ mod tests {
     }
 
     #[test]
-    fn call_start_defaults_to_eager_route_call() {
+    fn call_start_returns_the_routers_ready_reply() {
         let router = Arc::new(RecordingRouter {
             calls: Mutex::new(Vec::new()),
         });
@@ -214,7 +192,7 @@ mod tests {
             Arc::clone(&router) as Arc<dyn CallRouter>,
         );
         let fut = handle.call_start(&CallContext::test(), 2, None, vec![]);
-        // Default route_begin resolves at begin time; the reply is waiting.
+        // The router resolved at begin time; the reply is waiting.
         assert_eq!(decode_reply::<u32>(&fut.wait().unwrap()).unwrap(), 7);
         assert_eq!(*router.calls.lock(), vec![(5, 2, None)]);
     }

@@ -13,38 +13,43 @@
 //! the whole point (§3.1). Placement transparency is preserved — callers
 //! written against the begin/wait API behave identically everywhere.
 
+use weaver_transport::WireBuf;
+
 use crate::error::WeaverError;
 
-/// The deployer-side half of a started call: resolves to reply bytes.
+/// A deployer's answer to one routed call: its reply, or the call still on
+/// the wire.
 ///
-/// Implemented by routers that can overlap calls (the TCP router), and by
-/// [`ReadyRoute`] for paths that resolve eagerly (single-process, expired
-/// deadlines, begin-time failures).
+/// A reply is the transport's [`WireBuf`]: on a socket it is a view of the
+/// receive frame, which returns to its pool once the stub has decoded it.
+pub enum Route {
+    /// Resolved when routed (an in-process dispatch, an expired deadline).
+    Ready(Result<WireBuf, WeaverError>),
+    /// In flight; the deployer's future resolves it.
+    Pending(Box<dyn RouteFuture>),
+}
+
+impl Route {
+    /// Waits for the reply.
+    pub fn wait(self) -> Result<WireBuf, WeaverError> {
+        match self {
+            Route::Ready(outcome) => outcome,
+            Route::Pending(future) => future.wait(),
+        }
+    }
+}
+
+/// The deployer-side half of a call still on the wire: resolves to its
+/// reply. Implemented by routers that can overlap calls (the TCP router).
 pub trait RouteFuture: Send {
-    /// Waits for the reply bytes.
-    fn wait(self: Box<Self>) -> Result<Vec<u8>, WeaverError>;
-}
-
-/// A [`RouteFuture`] that already has its outcome.
-pub struct ReadyRoute(Result<Vec<u8>, WeaverError>);
-
-impl ReadyRoute {
-    /// Wraps an eagerly-computed outcome.
-    pub fn new(outcome: Result<Vec<u8>, WeaverError>) -> Self {
-        ReadyRoute(outcome)
-    }
-}
-
-impl RouteFuture for ReadyRoute {
-    fn wait(self: Box<Self>) -> Result<Vec<u8>, WeaverError> {
-        self.0
-    }
+    /// Waits for the reply.
+    fn wait(self: Box<Self>) -> Result<WireBuf, WeaverError>;
 }
 
 enum State<T> {
     Ready(Result<T, WeaverError>),
     Pending {
-        route: Box<dyn RouteFuture>,
+        route: Route,
         decode: fn(&[u8]) -> Result<T, WeaverError>,
     },
 }
@@ -70,11 +75,8 @@ impl<T> CallFuture<T> {
         }
     }
 
-    /// A future over reply bytes still in flight, decoded on resolution.
-    pub fn from_route(
-        route: Box<dyn RouteFuture>,
-        decode: fn(&[u8]) -> Result<T, WeaverError>,
-    ) -> Self {
+    /// A future over a routed call's reply, decoded on resolution.
+    pub fn from_route(route: Route, decode: fn(&[u8]) -> Result<T, WeaverError>) -> Self {
         CallFuture {
             state: State::Pending { route, decode },
         }
@@ -84,7 +86,7 @@ impl<T> CallFuture<T> {
     pub fn wait(self) -> Result<T, WeaverError> {
         match self.state {
             State::Ready(result) => result,
-            State::Pending { route, decode } => route.wait().and_then(|bytes| decode(&bytes)),
+            State::Pending { route, decode } => route.wait().and_then(|reply| decode(&reply)),
         }
     }
 }
@@ -131,7 +133,7 @@ mod tests {
     fn route_future_decodes_on_resolution() {
         let bytes = crate::client::encode_reply::<u32>(&Ok(41));
         let f = CallFuture::from_route(
-            Box::new(ReadyRoute::new(Ok(bytes))),
+            Route::Ready(Ok(bytes.into())),
             crate::client::decode_reply::<u32>,
         );
         assert_eq!(f.wait().unwrap(), 41);
@@ -147,37 +149,37 @@ mod tests {
     fn join_all_surfaces_first_error_without_abandoning_siblings() {
         /// A route that counts resolutions, so the test can prove the
         /// sibling after the failure was still waited.
-        struct Counting(Arc<AtomicUsize>, Result<Vec<u8>, WeaverError>);
+        struct Counting(Arc<AtomicUsize>, Result<WireBuf, WeaverError>);
         impl RouteFuture for Counting {
-            fn wait(self: Box<Self>) -> Result<Vec<u8>, WeaverError> {
+            fn wait(self: Box<Self>) -> Result<WireBuf, WeaverError> {
                 self.0.fetch_add(1, Ordering::SeqCst);
                 self.1
             }
         }
 
         let waited = Arc::new(AtomicUsize::new(0));
-        let ok = crate::client::encode_reply::<u32>(&Ok(1));
+        let ok = WireBuf::from_vec(crate::client::encode_reply::<u32>(&Ok(1)));
         let futures: Vec<CallFuture<u32>> = vec![
             CallFuture::from_route(
-                Box::new(Counting(Arc::clone(&waited), Ok(ok.clone()))),
+                Route::Pending(Box::new(Counting(Arc::clone(&waited), Ok(ok.clone())))),
                 crate::client::decode_reply::<u32>,
             ),
             CallFuture::from_route(
-                Box::new(Counting(
+                Route::Pending(Box::new(Counting(
                     Arc::clone(&waited),
                     Err(WeaverError::app("boom-1")),
-                )),
+                ))),
                 crate::client::decode_reply::<u32>,
             ),
             CallFuture::from_route(
-                Box::new(Counting(
+                Route::Pending(Box::new(Counting(
                     Arc::clone(&waited),
                     Err(WeaverError::app("boom-2")),
-                )),
+                ))),
                 crate::client::decode_reply::<u32>,
             ),
             CallFuture::from_route(
-                Box::new(Counting(Arc::clone(&waited), Ok(ok))),
+                Route::Pending(Box::new(Counting(Arc::clone(&waited), Ok(ok)))),
                 crate::client::decode_reply::<u32>,
             ),
         ];

@@ -49,7 +49,7 @@ pub use client::{decode_reply, encode_reply, CallRouter, ClientHandle, TargetInf
 pub use component::{Component, ComponentInterface, MethodSpec};
 pub use context::{CallContext, ComponentGetter, InitContext};
 pub use error::WeaverError;
-pub use fanout::{join_all, CallFuture, RouteFuture};
+pub use fanout::{join_all, CallFuture, Route, RouteFuture};
 pub use instance::LiveComponents;
 pub use registry::{ComponentRegistry, RegistryBuilder};
 

@@ -26,7 +26,7 @@ use std::collections::{HashMap, VecDeque};
 
 use parking_lot::Mutex;
 
-use weaver_transport::{RequestHeader, ResponseBody, Status, WireBuf};
+use weaver_transport::{RequestHeader, ResponseBody};
 
 /// Per-(component, method) entry bound. Sized for a retry window, not a
 /// history: a key only needs to survive until the client's single retry
@@ -36,8 +36,8 @@ const CAPACITY: usize = 1024;
 /// One method's recorded responses plus FIFO eviction order.
 #[derive(Default)]
 struct MethodCache {
-    /// key → (status, payload bytes) of the completed response.
-    entries: HashMap<u64, (Status, Vec<u8>)>,
+    /// key → the completed response, sharing the sent reply's storage.
+    entries: HashMap<u64, ResponseBody>,
     /// Keys in insertion order; front is evicted first.
     order: VecDeque<u64>,
 }
@@ -65,19 +65,20 @@ impl DedupCache {
     pub fn replay(&self, header: &RequestHeader) -> Option<ResponseBody> {
         let key = header.idempotency?;
         let methods = self.methods.lock();
-        let (status, payload) = methods
+        methods
             .get(&(header.component, header.method))?
             .entries
-            .get(&key)?;
-        Some(ResponseBody {
-            status: *status,
-            payload: WireBuf::from_vec(payload.clone()),
-        })
+            .get(&key)
+            .cloned()
     }
 
     /// Records a completed response under `header`'s idempotency key,
     /// evicting the oldest key of the same (component, method) at the
     /// bound. No-op for keyless requests.
+    ///
+    /// The entry shares `body`'s storage (a refcount bump, not a copy).
+    /// The dispatcher's `Ok` bodies are unpooled `Vec`s, so no entry pins
+    /// a pooled receive frame.
     pub fn record(&self, header: &RequestHeader, body: &ResponseBody) {
         let Some(key) = header.idempotency else {
             return;
@@ -86,11 +87,7 @@ impl DedupCache {
         let method = methods
             .entry((header.component, header.method))
             .or_default();
-        if method
-            .entries
-            .insert(key, (body.status, body.payload.to_vec()))
-            .is_none()
-        {
+        if method.entries.insert(key, body.clone()).is_none() {
             method.order.push_back(key);
             while method.order.len() > CAPACITY {
                 if let Some(oldest) = method.order.pop_front() {
@@ -109,6 +106,7 @@ impl DedupCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use weaver_transport::{Status, WireBuf};
 
     fn header(component: u32, method: u32, key: Option<u64>) -> RequestHeader {
         RequestHeader {
@@ -135,6 +133,18 @@ mod tests {
         let replayed = cache.replay(&header(0, 0, Some(7))).unwrap();
         assert_eq!(replayed.status, Status::Ok);
         assert_eq!(&replayed.payload[..], &[42]);
+    }
+
+    /// An entry is the sent reply itself: every replay shares its storage.
+    #[test]
+    fn replays_share_the_recorded_payload() {
+        let cache = DedupCache::new();
+        let sent = ok_body(42);
+        cache.record(&header(0, 0, Some(7)), &sent);
+        for _ in 0..2 {
+            let replayed = cache.replay(&header(0, 0, Some(7))).unwrap();
+            assert_eq!(replayed.payload.as_ptr(), sent.payload.as_ptr());
+        }
     }
 
     #[test]

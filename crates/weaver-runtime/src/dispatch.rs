@@ -675,7 +675,7 @@ mod tests {
     }
 
     /// Which way a call came out, by error variant.
-    fn kind(outcome: &Result<Vec<u8>, WeaverError>) -> &'static str {
+    fn kind(outcome: &Result<WireBuf, WeaverError>) -> &'static str {
         match outcome {
             Ok(_) => "Ok",
             Err(WeaverError::VersionMismatch { .. }) => "VersionMismatch",

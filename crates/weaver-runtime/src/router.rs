@@ -24,7 +24,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use weaver_core::client::{CallRouter, TargetInfo};
 use weaver_core::context::CallContext;
 use weaver_core::error::WeaverError;
-use weaver_core::fanout::RouteFuture;
+use weaver_core::fanout::{Route, RouteFuture};
 use weaver_macros::WeaverData;
 use weaver_metrics::stripe::Striped;
 use weaver_metrics::{
@@ -33,6 +33,7 @@ use weaver_metrics::{
 use weaver_routing::{PowerOfTwo, SliceAssignment};
 use weaver_transport::{
     CallFuture, Endpoint, Pool, RequestHeader, ResponseBody, RpcHandler, Status, WeaverFraming,
+    WireBuf,
 };
 
 /// Default per-call timeout when the caller set no deadline. Generous: the
@@ -498,14 +499,14 @@ impl CallRecorder {
         &self,
         call: &CallSite,
         local: bool,
-        outcome: &Result<Vec<u8>, WeaverError>,
+        outcome: &Result<WireBuf, WeaverError>,
     ) -> bool {
         let elapsed = call.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         let is_error = match outcome {
             Ok(reply) => weaver_core::client::reply_is_err(reply),
             Err(_) => true,
         };
-        let response_bytes = outcome.as_ref().map_or(0, Vec::len);
+        let response_bytes = outcome.as_ref().map_or(0, WireBuf::len);
         let record = |site: &Site| {
             site.edge
                 .record(call.request_bytes, response_bytes, elapsed, is_error);
@@ -574,7 +575,7 @@ pub(crate) fn record_transport_gauges(registry: &MetricsRegistry) {
 /// The remote call path: resolve → call → record.
 ///
 /// Internally `Arc`-shared so in-flight [`RemoteFuture`]s (returned by
-/// [`CallRouter::route_begin`]) can outlive the borrow that started them:
+/// [`CallRouter::route`]) can outlive the borrow that started them:
 /// a future pins the routing table, connection pool, and balancer it needs
 /// to finish — and to retry once — no matter when the caller gathers it.
 pub struct RemoteRouter {
@@ -664,13 +665,11 @@ impl RemoteRouter {
     }
 }
 
-/// Decodes a transport-level success into the call's outcome.
-pub(crate) fn body_to_outcome(body: ResponseBody) -> Result<Vec<u8>, WeaverError> {
+/// Decodes a transport-level success into the call's outcome. An `Ok`
+/// reply is the received payload itself, a view of its receive frame.
+pub(crate) fn body_to_outcome(body: ResponseBody) -> Result<WireBuf, WeaverError> {
     match body.status {
-        // One copy at the ownership boundary: CallRouter returns an owned
-        // Vec (weaver-core is transport-agnostic), so the zero-copy WireBuf
-        // materializes here and the receive buffer recycles immediately.
-        Status::Ok => Ok(body.payload.to_vec()),
+        Status::Ok => Ok(body.payload),
         Status::Error => {
             let e: WeaverError =
                 weaver_codec::decode_from_slice(&body.payload).unwrap_or_else(|decode_err| {
@@ -690,7 +689,7 @@ enum RemoteState {
     /// Resolved at begin time (pick failure, dead pool, unretryable dial
     /// error, a local dispatch). Recorded when the caller gathers, like any
     /// other outcome.
-    Ready(Result<Vec<u8>, WeaverError>),
+    Ready(Result<WireBuf, WeaverError>),
     Done,
 }
 
@@ -810,7 +809,7 @@ impl RemoteFuture {
     /// attempt, so a replica that ran it replays it. An attempt an owner
     /// refused never ran: it is re-sent until the deadline, each time once
     /// the caller's table has caught up. The refusal never reaches the caller.
-    fn outcome(&mut self) -> Result<Vec<u8>, WeaverError> {
+    fn outcome(&mut self) -> Result<WireBuf, WeaverError> {
         loop {
             let (outcome, sent_to) = match std::mem::replace(&mut self.state, RemoteState::Done) {
                 RemoteState::Ready(outcome) => (outcome, None),
@@ -848,7 +847,7 @@ impl RemoteFuture {
 }
 
 impl RouteFuture for RemoteFuture {
-    fn wait(mut self: Box<Self>) -> Result<Vec<u8>, WeaverError> {
+    fn wait(mut self: Box<Self>) -> Result<WireBuf, WeaverError> {
         let outcome = self.outcome();
         self.inner.recorder.record(&self.call, self.local, &outcome);
         outcome
@@ -864,27 +863,16 @@ impl Drop for RemoteFuture {
 }
 
 impl CallRouter for RemoteRouter {
-    fn route_call(
+    /// Every call is a [`Route::Pending`], blocking ones included, so
+    /// retries, call-graph edges and latency histograms take one path.
+    fn route(
         &self,
         target: &TargetInfo,
         ctx: &CallContext,
         method: u32,
         routing: Option<u64>,
         args: Vec<u8>,
-    ) -> Result<Vec<u8>, WeaverError> {
-        // The blocking path is begin + immediate gather: one code path for
-        // retries, call-graph edges, and latency histograms.
-        self.route_begin(target, ctx, method, routing, args).wait()
-    }
-
-    fn route_begin(
-        &self,
-        target: &TargetInfo,
-        ctx: &CallContext,
-        method: u32,
-        routing: Option<u64>,
-        args: Vec<u8>,
-    ) -> Box<dyn RouteFuture> {
+    ) -> Route {
         let call = CallSite::new(ctx, target, method, &args);
         let remaining = ctx.remaining();
         let header = RequestHeader {
@@ -912,7 +900,7 @@ impl CallRouter for RemoteRouter {
             retried: false,
         });
         fut.send(None);
-        fut
+        Route::Pending(fut)
     }
 }
 
@@ -934,6 +922,21 @@ mod tests {
             assignments: HashMap::new(),
         });
         table
+    }
+
+    /// An `Ok` reply reaches the caller as the payload the transport
+    /// received: a view of its frame, not a copy of it.
+    #[test]
+    fn ok_outcome_is_the_received_payload() {
+        let frame = WireBuf::from_vec((0..32).collect());
+        let payload = frame.slice(8..24);
+        let body = ResponseBody {
+            status: Status::Ok,
+            payload: payload.clone(),
+        };
+        let reply = body_to_outcome(body).unwrap();
+        assert_eq!(reply.as_ptr(), payload.as_ptr());
+        assert_eq!(&reply[..], &payload[..]);
     }
 
     #[test]

@@ -25,10 +25,12 @@ use weaver_core::client::{CallRouter, TargetInfo};
 use weaver_core::component::ComponentInterface;
 use weaver_core::context::{Acquired, CallContext, ComponentGetter};
 use weaver_core::error::WeaverError;
+use weaver_core::fanout::Route;
 use weaver_core::instance::LiveComponents;
 use weaver_core::registry::ComponentRegistry;
 use weaver_metrics::trace::{Span, TraceSink};
 use weaver_metrics::{CallGraph, CallGraphSnapshot, MetricsRegistry, MetricsSnapshot};
+use weaver_transport::WireBuf;
 
 use crate::dispatch::{admit, invoke, FaultMap};
 use crate::router::{CallRecorder, CallSite};
@@ -207,14 +209,15 @@ impl ComponentGetter for SingleProcess {
 }
 
 impl CallRouter for SingleProcess {
-    fn route_call(
+    /// Dispatches in the caller's thread: every call is a [`Route::Ready`].
+    fn route(
         &self,
         target: &TargetInfo,
         ctx: &CallContext,
         method: u32,
         _routing: Option<u64>,
         args: Vec<u8>,
-    ) -> Result<Vec<u8>, WeaverError> {
+    ) -> Route {
         let call = CallSite::new(ctx, target, method, &args);
         // This call gets its own span; the caller's span becomes its parent.
         let span_id = weaver_core::context::next_span_id();
@@ -223,7 +226,7 @@ impl CallRouter for SingleProcess {
                 span_id,
                 ..ctx.clone()
             };
-            invoke(&self.live, self, target.component_id, method, ctx, &args)
+            invoke(&self.live, self, target.component_id, method, ctx, &args).map(WireBuf::from_vec)
         });
         let is_error = self.recorder.record(&call, false, &outcome);
         if ctx.trace_id != 0 {
@@ -242,7 +245,7 @@ impl CallRouter for SingleProcess {
                 call.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
             );
         }
-        outcome
+        Route::Ready(outcome)
     }
 }
 
