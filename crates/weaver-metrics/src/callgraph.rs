@@ -13,7 +13,6 @@ use parking_lot::RwLock;
 
 use weaver_macros::WeaverData;
 
-use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::stripe::Striped;
 
 /// One directed edge in the component call graph.
@@ -38,8 +37,9 @@ pub struct EdgeStats {
     pub response_bytes: u64,
     /// Number of calls that returned an error.
     pub errors: u64,
-    /// Latency distribution (nanoseconds).
-    pub latency: HistogramSnapshot,
+    /// Total call latency in nanoseconds. The distribution is the caller's
+    /// `component/method/placement/call_nanos` histogram.
+    pub latency_nanos: u64,
 }
 
 impl EdgeStats {
@@ -49,7 +49,7 @@ impl EdgeStats {
         self.request_bytes += other.request_bytes;
         self.response_bytes += other.response_bytes;
         self.errors += other.errors;
-        self.latency.merge(&other.latency);
+        self.latency_nanos += other.latency_nanos;
     }
 
     /// Total bytes moved in either direction.
@@ -61,13 +61,12 @@ impl EdgeStats {
 /// The live accumulator behind one call edge.
 ///
 /// A handle ([`CallGraph::handle`]) pins the cell so hot paths can record
-/// repeatedly without re-hashing the string-keyed edge. Counters and the
-/// latency histogram record into the calling thread's stripe
+/// repeatedly without re-hashing the string-keyed edge. Its counters,
+/// the latency total among them, record into the calling thread's stripe
 /// ([`crate::stripe`]); [`CallGraph::snapshot`] sums the stripes.
 #[derive(Default)]
 pub struct EdgeCell {
     counters: Striped<EdgeCounters>,
-    latency: Histogram,
 }
 
 /// One stripe's share of an [`EdgeCell`]'s counters.
@@ -77,6 +76,7 @@ struct EdgeCounters {
     request_bytes: AtomicU64,
     response_bytes: AtomicU64,
     errors: AtomicU64,
+    latency_nanos: AtomicU64,
 }
 
 impl EdgeCell {
@@ -99,20 +99,21 @@ impl EdgeCell {
         if is_error {
             counters.errors.fetch_add(1, Relaxed);
         }
-        self.latency.record(latency_nanos);
+        counters.latency_nanos.fetch_add(latency_nanos, Relaxed);
     }
 
     /// The edge's statistics so far: the sum of every stripe.
     fn stats(&self) -> EdgeStats {
-        let mut stats = EdgeStats {
-            latency: self.latency.snapshot(),
-            ..EdgeStats::default()
-        };
+        let mut stats = EdgeStats::default();
         for c in self.counters.iter() {
             stats.calls += c.calls.load(Relaxed);
             stats.request_bytes += c.request_bytes.load(Relaxed);
             stats.response_bytes += c.response_bytes.load(Relaxed);
             stats.errors += c.errors.load(Relaxed);
+            // The total wraps as one atomic would.
+            stats.latency_nanos = stats
+                .latency_nanos
+                .wrapping_add(c.latency_nanos.load(Relaxed));
         }
         stats
     }
@@ -182,7 +183,7 @@ impl CallGraph {
 /// caller that records the same edges repeatedly does so without
 /// allocating three `String`s and hashing a string-keyed [`CallEdge`] on
 /// every call. The runtime's routers do not use it: their recorder keeps
-/// each call site's edge and latency histogram together in one table. The
+/// each call site's edge and `call_nanos` histogram together in one table. The
 /// benchmark's `metrics.callgraph_record_ns` probe still times this cache.
 ///
 /// The hit path is one read lock, one `&str` hash and one `(u32, u32)`
@@ -327,7 +328,7 @@ mod tests {
         assert_eq!(stats.request_bytes, 250);
         assert_eq!(stats.response_bytes, 50);
         assert_eq!(stats.errors, 1);
-        assert_eq!(stats.latency.count, 2);
+        assert_eq!(stats.latency_nanos, 12_000);
     }
 
     #[test]

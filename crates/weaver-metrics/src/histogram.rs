@@ -113,6 +113,13 @@ impl Histogram {
             .sum()
     }
 
+    /// Sum of the recorded samples; it wraps as one atomic would.
+    pub fn sum(&self) -> u64 {
+        self.stripes
+            .iter()
+            .fold(0, |sum, s| sum.wrapping_add(s.sum.load(Ordering::Relaxed)))
+    }
+
     /// Takes a snapshot of the current state: the sum of every stripe.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut snapshot = HistogramSnapshot::default();

@@ -134,7 +134,7 @@ impl PlacementSignalBuilder {
                 .entry((edge.caller.clone(), edge.callee.clone()))
                 .or_default();
             t.0 += stats.calls;
-            t.1 += stats.latency.sum;
+            t.1 += stats.latency_nanos;
         }
         // Edges absent from this snapshot decay toward zero.
         for ((caller, callee), state) in self.state.iter_mut() {

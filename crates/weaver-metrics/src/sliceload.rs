@@ -30,12 +30,11 @@ const RESERVOIR_CAP: usize = 64;
 struct ComponentLoad {
     /// Assignment version these counters were recorded against.
     version: u64,
-    /// Requests per slice, indexed like the assignment's slice vector.
+    /// Requests per slice, indexed like the assignment's slice vector;
+    /// a slice's count also drives its reservoir's round-robin overwrite.
     requests: Vec<AtomicU64>,
     /// Observed-key reservoirs, one per slice.
     samples: Vec<Mutex<Vec<u64>>>,
-    /// Total observations per slice (drives round-robin overwrite).
-    seen: Vec<AtomicU64>,
 }
 
 impl ComponentLoad {
@@ -46,7 +45,6 @@ impl ComponentLoad {
             samples: (0..slices)
                 .map(|_| Mutex::new(Vec::with_capacity(RESERVOIR_CAP)))
                 .collect(),
-            seen: (0..slices).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 }
@@ -116,8 +114,7 @@ impl SliceLoadTracker {
     }
 
     fn bump(load: &ComponentLoad, slice_index: usize, key: u64) {
-        load.requests[slice_index].fetch_add(1, Ordering::Relaxed);
-        let n = load.seen[slice_index].fetch_add(1, Ordering::Relaxed);
+        let n = load.requests[slice_index].fetch_add(1, Ordering::Relaxed);
         let mut reservoir = load.samples[slice_index].lock();
         if reservoir.len() < RESERVOIR_CAP {
             reservoir.push(key);

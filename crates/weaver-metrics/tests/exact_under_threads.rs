@@ -67,6 +67,7 @@ fn concurrent_records_sum_exactly() {
     // count, sum, max and every bucket.
     assert_eq!(histogram.snapshot(), expected);
     assert_eq!(histogram.count(), THREADS * RECORDS);
+    assert_eq!(histogram.sum(), expected.sum);
 
     let snapshot = graph.snapshot();
     assert_eq!(snapshot.edges.len(), 1);
@@ -75,5 +76,5 @@ fn concurrent_records_sum_exactly() {
     assert_eq!(stats.request_bytes, req_bytes);
     assert_eq!(stats.response_bytes, resp_bytes);
     assert_eq!(stats.errors, errors);
-    assert_eq!(stats.latency, expected);
+    assert_eq!(stats.latency_nanos, expected.sum);
 }

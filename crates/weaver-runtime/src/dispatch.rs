@@ -14,7 +14,6 @@ use parking_lot::RwLock;
 use weaver_core::context::{CallContext, ComponentGetter};
 use weaver_core::error::WeaverError;
 use weaver_core::instance::LiveComponents;
-use weaver_metrics::stripe::Striped;
 use weaver_metrics::MetricsRegistry;
 use weaver_transport::{
     BufferPool, Endpoint, RequestHeader, ResponseBody, RpcHandler, Server, Status, ToEndpoint,
@@ -197,7 +196,9 @@ pub(crate) fn invoke(
 ///
 /// Responsibilities, in order: `admit` (version, then injected fault),
 /// replay idempotent repeats from the dedup cache, the owner's fence,
-/// `invoke`, and record server-side latency.
+/// `invoke`, and record server-side latency into the process's registry
+/// as `component/method/handle_nanos`, the one measurement of a handled
+/// call: [`ProcletDispatcher::busy_nanos`] sums those histograms.
 pub struct ProcletDispatcher {
     live: Arc<LiveComponents>,
     getter: Arc<dyn ComponentGetter>,
@@ -205,9 +206,6 @@ pub struct ProcletDispatcher {
     /// Per (component, method) statistics, pre-registered so the hot path
     /// never formats names or takes the registry's write lock.
     methods: Vec<Vec<MethodStats>>,
-    /// Busy-time accounting feeding the proclet's load reports (and thus
-    /// the manager's autoscaler).
-    busy: Arc<BusyTracker>,
     /// Completed keyed responses, replayed for retried requests instead of
     /// re-executing. This server's own: a retry that may replay comes back
     /// to the replica that may have run the first attempt.
@@ -255,7 +253,6 @@ impl ProcletDispatcher {
             getter,
             version,
             methods,
-            busy: Arc::new(BusyTracker::new()),
             dedup: DedupCache::new(),
             faults,
             pool: BufferPool::global().clone(),
@@ -276,9 +273,15 @@ impl ProcletDispatcher {
         Ok(server)
     }
 
-    /// The dispatcher's busy tracker (shared with the proclet main loop).
-    pub fn busy_tracker(&self) -> Arc<BusyTracker> {
-        Arc::clone(&self.busy)
+    /// Handler time so far, in nanoseconds: the sum of every method's
+    /// `handle_nanos`, wrapping as the histograms' sums do. A proclet turns
+    /// its growth between load reports into the busy fraction the manager's
+    /// autoscaler reads.
+    pub fn busy_nanos(&self) -> u64 {
+        self.methods
+            .iter()
+            .flatten()
+            .fold(0, |sum, m| sum.wrapping_add(m.handle_nanos.sum()))
     }
 
     fn method_stats(&self, header: &RequestHeader) -> Option<&MethodStats> {
@@ -350,10 +353,8 @@ impl RpcHandler for ProcletDispatcher {
             ctx,
             args,
         );
-        let elapsed = started.elapsed();
-        self.busy.record(elapsed);
         if let Some(stats) = self.method_stats(header) {
-            stats.record(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
+            stats.record(started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
         }
         match outcome {
             Ok(payload) => {
@@ -404,55 +405,6 @@ struct Admitted<'a>(&'a RoutingTable, u32, Option<u64>);
 impl Drop for Admitted<'_> {
     fn drop(&mut self) {
         self.0.release(self.1, self.2);
-    }
-}
-
-/// Tracks the busy-time of request handling for utilization reporting.
-///
-/// `record` wraps each request; `utilization_since_reset` converts summed
-/// busy time over wall time into the "mean busy cores" figure the
-/// autoscaler consumes. The poller and every worker record, each into its
-/// own stripe ([`weaver_metrics::stripe`]).
-pub struct BusyTracker {
-    busy_nanos: Striped<AtomicU64>,
-    epoch: parking_lot::Mutex<Instant>,
-}
-
-impl Default for BusyTracker {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl BusyTracker {
-    /// Creates a tracker with the epoch at now.
-    pub fn new() -> Self {
-        BusyTracker {
-            busy_nanos: Default::default(),
-            epoch: parking_lot::Mutex::new(Instant::now()),
-        }
-    }
-
-    /// Adds one handled request's busy time.
-    pub fn record(&self, busy: Duration) {
-        let nanos = busy.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.busy_nanos.local().fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Busy-cores since the last reset, then resets.
-    pub fn utilization_since_reset(&self) -> f64 {
-        let mut epoch = self.epoch.lock();
-        let wall = epoch.elapsed();
-        *epoch = Instant::now();
-        let busy: u64 = self
-            .busy_nanos
-            .iter()
-            .map(|b| b.swap(0, Ordering::Relaxed))
-            .sum();
-        if wall.is_zero() {
-            return 0.0;
-        }
-        busy as f64 / wall.as_nanos() as f64
     }
 }
 
@@ -664,16 +616,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn handle_latency_recorded() {
-        let metrics = Arc::new(MetricsRegistry::new());
-        let d = dispatcher_with(1, Arc::clone(&metrics));
-        let args = weaver_codec::encode_to_vec(&(1u64, 2u64));
-        d.handle(&header(1, 0, 0), &args);
-        let snap = metrics.snapshot();
-        assert!(snap.get("test.Adder/add/handle_nanos").is_some());
-    }
-
     /// Which way a call came out, by error variant.
     fn kind(outcome: &Result<WireBuf, WeaverError>) -> &'static str {
         match outcome {
@@ -829,17 +771,25 @@ mod tests {
         assert_eq!(faults.installed.load(Ordering::Relaxed), 0);
     }
 
+    /// A handled call's time lands in `handle_nanos` once, and busy time
+    /// is that histogram's total.
     #[test]
-    fn busy_tracker_math() {
-        let t = BusyTracker::new();
-        t.record(Duration::from_millis(10));
-        t.record(Duration::from_millis(10));
-        std::thread::sleep(Duration::from_millis(40));
-        let u = t.utilization_since_reset();
-        // 20ms busy over ≥40ms wall: utilization in (0, 1).
-        assert!(u > 0.05 && u < 1.0, "utilization {u}");
-        // Reset: immediately asking again is ~0.
-        let u2 = t.utilization_since_reset();
-        assert!(u2 < 0.2, "after reset {u2}");
+    fn busy_nanos_is_the_handle_nanos_total() {
+        let metrics = Arc::new(MetricsRegistry::new());
+        let d = dispatcher_with(1, Arc::clone(&metrics));
+        assert_eq!(d.busy_nanos(), 0, "nothing handled yet");
+        let args = weaver_codec::encode_to_vec(&(1u64, 2u64));
+        d.handle(&header(1, 0, 0), &args);
+        d.handle(&header(1, 0, 0), &args);
+        let Some(weaver_metrics::MetricFamily::Histogram(handled)) = metrics
+            .snapshot()
+            .get("test.Adder/add/handle_nanos")
+            .cloned()
+        else {
+            panic!("no handle_nanos histogram");
+        };
+        assert_eq!(handled.count, 2);
+        assert!(handled.sum > 0);
+        assert_eq!(d.busy_nanos(), handled.sum);
     }
 }

@@ -359,9 +359,9 @@ impl MultiProcess {
     }
 
     /// Aggregated metrics from all proclets, as of each one's last health
-    /// check.
+    /// check, plus the ingress calls' `call_nanos`.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snapshot = MetricsSnapshot::default();
+        let mut snapshot = self.router.metrics().snapshot();
         for (metrics, _) in self.shared.state.lock().reports.values() {
             snapshot.merge(metrics);
         }

@@ -17,13 +17,14 @@
 use std::collections::HashSet;
 use std::io::Write;
 use std::sync::Arc;
+use std::time::Instant;
 
 use weaver_core::client::CallRouter;
 use weaver_core::context::{Acquired, ComponentGetter};
 use weaver_core::error::WeaverError;
 use weaver_core::instance::LiveComponents;
 use weaver_core::registry::ComponentRegistry;
-use weaver_metrics::{CallGraph, MetricsRegistry};
+use weaver_metrics::CallGraph;
 use weaver_transport::Endpoint;
 
 use crate::dispatch::ProcletDispatcher;
@@ -154,12 +155,14 @@ fn proclet_main(
     let live = Arc::new(LiveComponents::new(registry));
     let table = RoutingTable::new();
     let callgraph = Arc::new(CallGraph::new());
-    let metrics = Arc::new(MetricsRegistry::new());
     let router = Arc::new(RemoteRouter::new(
         Arc::clone(&table),
         Arc::clone(&callgraph),
         version,
     ));
+    // One registry for the process: the router's `call_nanos` and the
+    // dispatcher's `handle_nanos`, all of it in every load report.
+    let metrics = Arc::clone(router.metrics());
     let getter = ProcletGetter::new(Arc::clone(&live), router);
 
     // Data plane: serve our components, fenced by our table. Nothing
@@ -172,7 +175,7 @@ fn proclet_main(
         Arc::default(),
         Arc::clone(&table),
     ));
-    let busy = dispatcher.busy_tracker();
+    let mut busy_since = (dispatcher.busy_nanos(), Instant::now());
     let server = match dispatcher.serve(Endpoint::fresh_unix(), workers) {
         Ok(s) => s,
         Err(e) => {
@@ -225,10 +228,14 @@ fn proclet_main(
                 table.update(routing);
             }
             EnvelopeMessage::HealthCheck => {
-                // Busy fraction since the previous report: what the
-                // manager's autoscaler consumes.
+                // Busy cores since the previous report, handler time over
+                // wall time: what the manager's autoscaler consumes.
+                let (busy, now) = (dispatcher.busy_nanos(), Instant::now());
+                let wall = now.duration_since(busy_since.1).as_nanos().max(1);
+                let utilization = busy.wrapping_sub(busy_since.0) as f64 / wall as f64;
+                busy_since = (busy, now);
                 let report = ProcletMessage::LoadReport {
-                    utilization: busy.utilization_since_reset(),
+                    utilization,
                     metrics: metrics.snapshot(),
                     callgraph: callgraph.snapshot(),
                 };

@@ -244,11 +244,13 @@ impl TcpProcess {
             // too instead of short-circuiting in-process.
             let getter = ProcletGetter::new(Arc::clone(&live), Arc::clone(&router));
             getter.set_hosted(&[]);
+            // The process has one registry, the router's: every replica
+            // records its `handle_nanos` there, sharing histograms by name.
             let handler = Arc::new(ProcletDispatcher::new(
                 Arc::clone(&live),
                 getter,
                 version,
-                Arc::new(MetricsRegistry::new()),
+                Arc::clone(router.metrics()),
                 Arc::clone(&faults),
                 Arc::clone(&table),
             ));
@@ -323,10 +325,12 @@ impl TcpProcess {
         self.router.callgraph().snapshot()
     }
 
-    /// Client-side metrics snapshot: per-call latency histograms keyed
-    /// `component/method/tcp/call_nanos` recorded at call resolution, plus
-    /// the transport-plane gauges (reactor readiness-loop state and the
-    /// RPC dispatch-queue depth) refreshed at snapshot time.
+    /// The process's metrics snapshot: per-call latency histograms keyed
+    /// `component/method/tcp/call_nanos` recorded at call resolution, the
+    /// replicas' server-side `component/method/handle_nanos` (one histogram
+    /// per method, shared by every replica), and the transport-plane gauges
+    /// (reactor readiness-loop state and the RPC dispatch-queue depth)
+    /// refreshed at snapshot time.
     pub fn client_metrics(&self) -> weaver_metrics::MetricsSnapshot {
         crate::router::record_transport_gauges(self.router.metrics());
         self.router.metrics().snapshot()
@@ -911,6 +915,27 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Each side of a call is measured once, into the one registry the
+    /// process reports: the client's `call_nanos` and the servers'
+    /// `handle_nanos`, whichever replica ran the call.
+    #[test]
+    fn client_metrics_carry_every_replicas_handler_time() {
+        const N: u64 = 20;
+        let dep = deploy_replicas(registry(), 2);
+        let counter = dep.get::<dyn Counter>().unwrap();
+        let ctx = dep.root_context();
+        for key in 0..N {
+            counter.bump(&ctx, key.wrapping_mul(u64::MAX / N)).unwrap();
+        }
+        let snapshot = dep.client_metrics();
+        let count = |name: &str| match snapshot.get(name) {
+            Some(weaver_metrics::MetricFamily::Histogram(h)) => h.count,
+            other => panic!("{name}: {other:?}"),
+        };
+        assert_eq!(count("test.Counter/bump/tcp/call_nanos"), N);
+        assert_eq!(count("test.Counter/bump/handle_nanos"), N);
     }
 
     #[test]

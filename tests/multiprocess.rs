@@ -378,13 +378,25 @@ fn deployer_end_to_end() {
         .expect("place_order");
     assert!(order.order_id.starts_with("order-"));
     assert_eq!(order.total.currency_code, "EUR");
+    // The manager's own calls are measured in the registry it reports.
+    assert!(
+        deployment
+            .metrics()
+            .get("boutique.Frontend/place_order/tcp/call_nanos")
+            .is_some(),
+        "manager's ingress call_nanos missing from metrics()"
+    );
 
     // Manager aggregation (Figure 3): health checks deliver metrics and
-    // call graphs from the proclets.
+    // call graphs from the proclets. Only proclets call the payment
+    // service, so its `call_nanos` come from a proclet's load report.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let graph = deployment.callgraph();
-        if !graph.edges.is_empty()
+        let proclet_calls = deployment.metrics().metrics.iter().any(|(name, _)| {
+            name.starts_with("boutique.PaymentService/") && name.ends_with("/call_nanos")
+        });
+        if proclet_calls
             && graph
                 .components()
                 .iter()
@@ -394,19 +406,19 @@ fn deployer_end_to_end() {
         }
         assert!(
             Instant::now() < deadline,
-            "manager never aggregated proclet call graphs"
+            "manager never aggregated proclet call graphs and call_nanos"
         );
         std::thread::sleep(Duration::from_millis(100));
     }
     // Load reports are cumulative: with no traffic, readings several health
     // checks apart must agree (the first waits out reports still in flight).
     std::thread::sleep(Duration::from_millis(600));
-    let settled = deployment.callgraph();
+    let settled = (deployment.callgraph(), deployment.metrics());
     std::thread::sleep(Duration::from_millis(800));
     assert_eq!(
-        deployment.callgraph(),
+        (deployment.callgraph(), deployment.metrics()),
         settled,
-        "idle call graph changed between health checks"
+        "idle call graph or metrics changed between health checks"
     );
     deployment.shutdown();
 }
