@@ -8,8 +8,8 @@
 //!
 //! Layout:
 //!
-//! * [`types`] — the shared messages (all three wire formats via
-//!   `#[derive(WeaverData)]`);
+//! * [`types`] — the shared messages (`#[derive(WeaverData)]`, plus
+//!   `TaggedData` for the baseline);
 //! * [`logic`] — plain business logic with **no** runtime dependencies:
 //!   catalog, currency table, carts, shipping, payments (Luhn and all),
 //!   recommendations, ads, email;

@@ -4,14 +4,13 @@
 //! Every type derives `WeaverData`, the non-versioned encoding the
 //! prototype path speaks. The types the microservices baseline carries also
 //! derive `TaggedData`, its protobuf-shaped encoding of the *same* structs,
-//! and the catalog and order types the codec ablation measures derive
-//! `JsonData` too — so codec comparisons hold everything else constant.
+//! so the two formats are compared on identical data.
 
-use weaver_macros::{JsonData, TaggedData, WeaverData};
+use weaver_macros::{TaggedData, WeaverData};
 
 /// An amount of money, protobuf `Money`-style: whole `units` plus `nanos`
 /// (1e-9) of the unit, both same-signed.
-#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData, TaggedData, JsonData)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData, TaggedData)]
 pub struct Money {
     /// ISO 4217 currency code, e.g. `"USD"`.
     pub currency_code: String,
@@ -82,7 +81,7 @@ impl Money {
 }
 
 /// A catalog product.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData, TaggedData, JsonData)]
+#[derive(Debug, Clone, Default, PartialEq, WeaverData, TaggedData)]
 pub struct Product {
     /// Stable product id, e.g. `"OLJCESPC7Z"`.
     pub id: String,
@@ -99,7 +98,7 @@ pub struct Product {
 }
 
 /// One cart line.
-#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData, TaggedData, JsonData)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData, TaggedData)]
 pub struct CartItem {
     /// Product id.
     pub product_id: String,
@@ -108,7 +107,7 @@ pub struct CartItem {
 }
 
 /// A postal address.
-#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData, TaggedData, JsonData)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, WeaverData, TaggedData)]
 pub struct Address {
     /// Street line.
     pub street_address: String,
@@ -136,7 +135,7 @@ pub struct CreditCard {
 }
 
 /// A priced line item in an order.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData, TaggedData, JsonData)]
+#[derive(Debug, Clone, Default, PartialEq, WeaverData, TaggedData)]
 pub struct OrderItem {
     /// The cart line.
     pub item: CartItem,
@@ -154,7 +153,7 @@ pub struct ShipQuote {
 }
 
 /// The result of a completed checkout.
-#[derive(Debug, Clone, Default, PartialEq, WeaverData, TaggedData, JsonData)]
+#[derive(Debug, Clone, Default, PartialEq, WeaverData, TaggedData)]
 pub struct OrderResult {
     /// Order id.
     pub order_id: String,
@@ -291,9 +290,6 @@ mod tests {
         let bytes = weaver_codec::tagged::encode_message(&order);
         let back: OrderResult = weaver_codec::tagged::decode_message(&bytes).unwrap();
         assert_eq!(back, order);
-        // JSON.
-        let back = OrderResult::from_json_str(&order.to_json_string()).unwrap();
-        assert_eq!(back, order);
     }
 
     #[test]
@@ -308,8 +304,6 @@ mod tests {
         };
         let wire = encode_to_vec(&product).len();
         let tagged = weaver_codec::tagged::encode_message(&product).len();
-        let json = product.to_json_string().len();
         assert!(wire < tagged, "wire {wire} vs tagged {tagged}");
-        assert!(tagged < json, "tagged {tagged} vs json {json}");
     }
 }

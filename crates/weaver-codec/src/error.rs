@@ -1,10 +1,10 @@
-//! Decode-side error type shared by all three wire formats.
+//! Decode-side error type shared by both wire formats and the JSON parser.
 
 use std::fmt;
 
 /// An error produced while decoding a wire-format payload.
 ///
-/// Encoding in any of the three formats is infallible (it only appends to a
+/// Encoding in either wire format is infallible (it only appends to a
 /// `Vec<u8>`), so there is no corresponding encode error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {

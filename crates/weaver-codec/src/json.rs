@@ -1,17 +1,14 @@
-//! The textual baseline format: a self-contained JSON implementation.
+//! A self-contained JSON implementation: value model, writer and
+//! recursive-descent parser.
 //!
-//! JSON is the heaviest data format the paper's introduction lists among the
-//! status quo ("more inefficient data formats like [23, 30]"): every field
-//! carries its *name* on the wire and every value is rendered as text. It is
-//! implemented from scratch here — value model, writer, recursive-descent
-//! parser — so the A1 codec ablation compares three formats that share the
-//! same buffer discipline.
+//! JSON is no wire format here. Reports, configuration and tool output
+//! (benchmark reports, `weaver-lint`'s JSON and SARIF) read and write
+//! [`JsonValue`]; application data travels in the crate's binary formats.
 //!
 //! The implementation is strict RFC 8259 JSON on the parse side (with a
 //! nesting-depth limit) and always emits valid JSON on the write side.
 
-use std::collections::{BTreeMap, HashMap};
-use std::time::Duration;
+use std::collections::BTreeMap;
 
 use crate::error::DecodeError;
 use crate::reader::MAX_DEPTH;
@@ -23,9 +20,8 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number. Stored as `f64`, which is what baseline JSON stacks
-    /// (e.g. JavaScript consumers) do; 64-bit integers above 2^53 lose
-    /// precision, one of the real costs of the textual baseline.
+    /// Any JSON number. Stored as `f64`, as JavaScript consumers do:
+    /// 64-bit integers above 2^53 lose precision.
     Number(f64),
     /// A string.
     String(String),
@@ -415,193 +411,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Conversion of an application type into a [`JsonValue`].
-pub trait ToJson {
-    /// Builds the JSON representation.
-    fn to_json(&self) -> JsonValue;
-
-    /// Serializes directly to a compact JSON string.
-    fn to_json_string(&self) -> String {
-        self.to_json().to_string_compact()
-    }
-}
-
-/// Conversion of a [`JsonValue`] back into an application type.
-pub trait FromJson: Sized {
-    /// Rebuilds the value, validating shape and types.
-    fn from_json(v: &JsonValue) -> Result<Self, DecodeError>;
-
-    /// Parses a JSON string and converts it.
-    fn from_json_str(s: &str) -> Result<Self, DecodeError> {
-        Self::from_json(&JsonValue::parse(s)?)
-    }
-
-    /// Decodes an object field that may be absent.
-    ///
-    /// The default treats absence as an error; `Option<T>` overrides it to
-    /// decode a missing key as `None`. Derived struct decoders call this for
-    /// every field.
-    fn from_json_field(v: Option<&JsonValue>, key: &'static str) -> Result<Self, DecodeError> {
-        match v {
-            Some(v) => Self::from_json(v),
-            None => Err(DecodeError::JsonMissingKey(key)),
-        }
-    }
-}
-
-macro_rules! impl_json_num {
-    ($($ty:ty),*) => {$(
-        impl ToJson for $ty {
-            fn to_json(&self) -> JsonValue {
-                JsonValue::Number(*self as f64)
-            }
-        }
-        impl FromJson for $ty {
-            fn from_json(v: &JsonValue) -> Result<Self, DecodeError> {
-                let n = v.as_number()?;
-                Ok(n as $ty)
-            }
-        }
-    )*};
-}
-
-impl_json_num!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
-
-impl ToJson for bool {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Bool(*self)
-    }
-}
-
-impl FromJson for bool {
-    fn from_json(v: &JsonValue) -> Result<Self, DecodeError> {
-        v.as_bool()
-    }
-}
-
-impl ToJson for String {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::String(self.clone())
-    }
-}
-
-impl FromJson for String {
-    fn from_json(v: &JsonValue) -> Result<Self, DecodeError> {
-        Ok(v.as_str()?.to_string())
-    }
-}
-
-impl ToJson for Duration {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Number(self.as_secs_f64())
-    }
-}
-
-impl FromJson for Duration {
-    fn from_json(v: &JsonValue) -> Result<Self, DecodeError> {
-        let secs = v.as_number()?;
-        if !secs.is_finite() || secs < 0.0 {
-            return Err(DecodeError::JsonType {
-                expected: "non-negative duration seconds",
-            });
-        }
-        Ok(Duration::from_secs_f64(secs))
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Array(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(v: &JsonValue) -> Result<Self, DecodeError> {
-        v.as_array()?.iter().map(T::from_json).collect()
-    }
-}
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> JsonValue {
-        match self {
-            None => JsonValue::Null,
-            Some(v) => v.to_json(),
-        }
-    }
-}
-
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(v: &JsonValue) -> Result<Self, DecodeError> {
-        match v {
-            JsonValue::Null => Ok(None),
-            other => Ok(Some(T::from_json(other)?)),
-        }
-    }
-
-    fn from_json_field(v: Option<&JsonValue>, _key: &'static str) -> Result<Self, DecodeError> {
-        match v {
-            None => Ok(None),
-            Some(v) => Self::from_json(v),
-        }
-    }
-}
-
-impl<V: ToJson> ToJson for HashMap<String, V> {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
-    }
-}
-
-impl<V: FromJson> FromJson for HashMap<String, V> {
-    fn from_json(v: &JsonValue) -> Result<Self, DecodeError> {
-        v.as_object()?
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), V::from_json(v)?)))
-            .collect()
-    }
-}
-
-impl<V: ToJson> ToJson for BTreeMap<String, V> {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
-    }
-}
-
-impl<V: FromJson> FromJson for BTreeMap<String, V> {
-    fn from_json(v: &JsonValue) -> Result<Self, DecodeError> {
-        v.as_object()?
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), V::from_json(v)?)))
-            .collect()
-    }
-}
-
-macro_rules! impl_json_tuple {
-    ($($name:ident : $idx:tt),+ => $len:expr) => {
-        impl<$($name: ToJson),+> ToJson for ($($name,)+) {
-            fn to_json(&self) -> JsonValue {
-                JsonValue::Array(vec![$(self.$idx.to_json()),+])
-            }
-        }
-        impl<$($name: FromJson),+> FromJson for ($($name,)+) {
-            fn from_json(v: &JsonValue) -> Result<Self, DecodeError> {
-                let arr = v.as_array()?;
-                if arr.len() != $len {
-                    return Err(DecodeError::JsonType {
-                        expected: "tuple array of matching arity",
-                    });
-                }
-                Ok(($($name::from_json(&arr[$idx])?,)+))
-            }
-        }
-    };
-}
-
-impl_json_tuple!(A: 0 => 1);
-impl_json_tuple!(A: 0, B: 1 => 2);
-impl_json_tuple!(A: 0, B: 1, C: 2 => 3);
-impl_json_tuple!(A: 0, B: 1, C: 2, D: 3 => 4);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -707,35 +516,19 @@ mod tests {
     }
 
     #[test]
-    fn tojson_fromjson_roundtrip() {
-        let v: Vec<Option<u32>> = vec![Some(1), None, Some(3)];
-        let back = Vec::<Option<u32>>::from_json_str(&v.to_json_string()).unwrap();
-        assert_eq!(back, v);
-
-        let mut m = HashMap::new();
-        m.insert("x".to_string(), 2.5f64);
-        let back = HashMap::<String, f64>::from_json_str(&m.to_json_string()).unwrap();
-        assert_eq!(back, m);
-
-        let d = Duration::from_millis(1500);
-        let back = Duration::from_json_str(&d.to_json_string()).unwrap();
-        assert!((back.as_secs_f64() - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn type_errors_reported() {
-        assert!(matches!(
-            bool::from_json_str("1"),
+        assert_eq!(
+            parse("1").as_bool(),
             Err(DecodeError::JsonType { expected: "bool" })
-        ));
-        assert!(matches!(
-            String::from_json_str("[]"),
+        );
+        assert_eq!(
+            parse("[]").as_str(),
             Err(DecodeError::JsonType { expected: "string" })
-        ));
-        assert!(matches!(
-            Vec::<u8>::from_json_str("{}"),
+        );
+        assert_eq!(
+            parse("{}").as_array(),
             Err(DecodeError::JsonType { expected: "array" })
-        ));
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Serialization substrate for `weaver-rs`.
 //!
-//! This crate implements the three wire formats used throughout the
+//! This crate implements the two wire formats used throughout the
 //! reproduction of *Towards Modern Development of Cloud Applications*
-//! (HotOS '23):
+//! (HotOS '23), plus a JSON value type:
 //!
 //! * [`Encode`]/[`Decode`] — the paper's **custom non-versioned format**
 //!   (§5.5, §6.1). Because encoder and decoder are always compiled into the
@@ -16,17 +16,13 @@
 //!   are skippable, and absent fields decode to defaults. This reproduces
 //!   the encoding cost the paper ascribes to the status quo; the gRPC-like
 //!   baseline speaks it.
-//! * [`json`] — a textual baseline (self-describing field names), the most
-//!   expensive format the paper's introduction mentions.
-//!
-//! All three are implemented from scratch so they compare like against
-//! like (same allocator, same buffer discipline), isolating the cost of
-//! versioning metadata itself.
+//! * [`json`] — [`json::JsonValue`], a parsed JSON document with a writer.
+//!   It is no wire format: reports, configuration and tool output read and
+//!   write it.
 //!
 //! The runtime speaks only the first. An application type gets it from
-//! `#[derive(WeaverData)]`; a type that a baseline or the codec ablation
-//! encodes in one of the other two also derives `TaggedData` or `JsonData`
-//! (see the `weaver-macros` crate).
+//! `#[derive(WeaverData)]`; a type that the baseline encodes also derives
+//! `TaggedData` (see the `weaver-macros` crate).
 //!
 //! [`linelog`] is the odd one out: the human-readable, replayable
 //! one-record-per-line text form the controllers' decision logs and the
@@ -51,7 +47,7 @@ pub use wire::{decode_from_slice, encode_into, encode_to_vec, Decode, Encode};
 /// Convenience prelude for generated code and downstream crates.
 pub mod prelude {
     pub use crate::error::DecodeError;
-    pub use crate::json::{FromJson, JsonValue, ToJson};
+    pub use crate::json::JsonValue;
     pub use crate::reader::Reader;
     pub use crate::tagged::{FieldKey, TaggedDecode, TaggedEncode, WireType};
     pub use crate::varint::{read_uvarint, write_uvarint};

@@ -1,9 +1,9 @@
-//! Property-based tests over all three wire formats.
+//! Property-based tests over both wire formats and `JsonValue`.
 
 use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
-use weaver_codec::json::{FromJson, JsonValue, ToJson};
+use weaver_codec::json::JsonValue;
 use weaver_codec::prelude::*;
 use weaver_codec::tagged::{self, read_key, skip_value, TaggedField};
 use weaver_codec::varint::{read_ivarint, read_uvarint, uvarint_len, write_ivarint, write_uvarint};
@@ -179,9 +179,15 @@ proptest! {
             0..8,
         )
     ) {
-        let text = m.to_json_string();
-        let back = BTreeMap::<String, Vec<i32>>::from_json_str(&text).unwrap();
-        prop_assert_eq!(back, m);
+        let v = JsonValue::Object(
+            m.into_iter()
+                .map(|(k, xs)| {
+                    let xs = xs.into_iter().map(|x| JsonValue::Number(f64::from(x)));
+                    (k, JsonValue::Array(xs.collect()))
+                })
+                .collect(),
+        );
+        prop_assert_eq!(JsonValue::parse(&v.to_string_compact()).unwrap(), v);
     }
 
     #[test]

@@ -3,6 +3,8 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use weaver_codec::json::JsonValue;
+
 /// Every rule the linter can emit, with a one-line description — the
 /// rule metadata block of the SARIF report, and the source of truth for
 /// `--check`'s per-rule exit codes (rule `Ln` exits `10 + n`).
@@ -90,102 +92,91 @@ impl Diagnostic {
         out
     }
 
-    /// Renders one JSON object (no trailing newline).
-    pub fn render_json(&self) -> String {
-        format!(
-            "{{\"rule\":{},\"severity\":{},\"file\":{},\"line\":{},\"message\":{},\"help\":{}}}",
-            json_str(self.rule),
-            json_str(self.severity.as_str()),
-            json_str(&self.file.display().to_string()),
-            self.line,
-            json_str(&self.message),
-            json_str(&self.help),
-        )
+    /// Renders one JSON object.
+    pub fn render_json(&self) -> JsonValue {
+        object([
+            ("rule", text(self.rule)),
+            ("severity", text(self.severity.as_str())),
+            ("file", text(self.file.display().to_string())),
+            ("line", JsonValue::Number(f64::from(self.line))),
+            ("message", text(&self.message)),
+            ("help", text(&self.help)),
+        ])
     }
 }
 
 /// Renders a full diagnostic list as a JSON array.
 pub fn render_json_report(diags: &[Diagnostic]) -> String {
-    let items: Vec<String> = diags.iter().map(Diagnostic::render_json).collect();
-    format!("[{}]", items.join(","))
+    JsonValue::Array(diags.iter().map(Diagnostic::render_json).collect()).to_string_compact()
 }
 
 /// Renders the diagnostics as a SARIF 2.1.0 log with one run, so CI can
-/// upload the findings as code-scanning annotations. Hand-rolled like
-/// the JSON renderer (no serializer dependency); the layout follows the
-/// SARIF spec's minimum viable producer.
+/// upload the findings as code-scanning annotations. The layout follows
+/// the SARIF spec's minimum viable producer.
 pub fn render_sarif(diags: &[Diagnostic]) -> String {
-    let rules: Vec<String> = RULE_INFO
+    let rules = RULE_INFO
         .iter()
-        .map(|(id, desc)| {
-            format!(
-                "{{\"id\":{},\"shortDescription\":{{\"text\":{}}}}}",
-                json_str(id),
-                json_str(desc)
-            )
-        })
+        .map(|(id, desc)| object([("id", text(*id)), ("shortDescription", message(desc))]))
         .collect();
-    let results: Vec<String> = diags
+    let results = diags
         .iter()
         .map(|d| {
-            let level = match d.severity {
-                Severity::Error => "error",
-                Severity::Warning => "warning",
-            };
             // SARIF regions are 1-based; clamp our "whole file" line 0.
-            let line = d.line.max(1);
-            format!(
-                "{{\"ruleId\":{},\"level\":{},\"message\":{{\"text\":{}}},\
-                 \"locations\":[{{\"physicalLocation\":{{\
-                 \"artifactLocation\":{{\"uri\":{}}},\
-                 \"region\":{{\"startLine\":{line}}}}}}}]}}",
-                json_str(d.rule),
-                json_str(level),
-                json_str(&format!("{} (help: {})", d.message, d.help)),
-                json_str(&d.file.display().to_string().replace('\\', "/")),
-            )
+            let line = JsonValue::Number(f64::from(d.line.max(1)));
+            let uri = d.file.display().to_string().replace('\\', "/");
+            let help = format!("{} (help: {})", d.message, d.help);
+            let location = object([(
+                "physicalLocation",
+                object([
+                    ("artifactLocation", object([("uri", text(uri))])),
+                    ("region", object([("startLine", line)])),
+                ]),
+            )]);
+            object([
+                ("ruleId", text(d.rule)),
+                ("level", text(d.severity.as_str())),
+                ("message", message(&help)),
+                ("locations", JsonValue::Array(vec![location])),
+            ])
         })
         .collect();
-    format!(
-        "{{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
-         \"version\":\"2.1.0\",\"runs\":[{{\"tool\":{{\"driver\":{{\
-         \"name\":\"weaver-lint\",\"informationUri\":\
-         \"https://example.invalid/weaver-lint\",\"rules\":[{}]}}}},\
-         \"results\":[{}]}}]}}",
-        rules.join(","),
-        results.join(",")
-    )
+    let info_uri = text("https://example.invalid/weaver-lint");
+    let driver = object([
+        ("name", text("weaver-lint")),
+        ("informationUri", info_uri),
+        ("rules", JsonValue::Array(rules)),
+    ]);
+    let run = object([
+        ("tool", object([("driver", driver)])),
+        ("results", JsonValue::Array(results)),
+    ]);
+    let schema = text("https://json.schemastore.org/sarif-2.1.0.json");
+    object([
+        ("$schema", schema),
+        ("version", text("2.1.0")),
+        ("runs", JsonValue::Array(vec![run])),
+    ])
+    .to_string_compact()
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// A JSON object of `fields`.
+pub(crate) fn object<const N: usize>(fields: [(&str, JsonValue); N]) -> JsonValue {
+    JsonValue::Object(fields.map(|(k, v)| (k.to_string(), v)).into())
+}
+
+/// A JSON string.
+pub(crate) fn text(s: impl Into<String>) -> JsonValue {
+    JsonValue::String(s.into())
+}
+
+/// SARIF's message shape: `{"text": s}`.
+fn message(s: &str) -> JsonValue {
+    object([("text", text(s))])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-    }
 
     #[test]
     fn sarif_rendering_carries_rules_and_results() {

@@ -44,7 +44,9 @@ pub use graph::build_graph;
 pub use model::Model;
 pub use scan::scan_root;
 
+use diag::{object, text};
 use std::path::Path;
+use weaver_codec::json::JsonValue;
 
 /// Scans `root` and runs every rule, checking L5 hygiene and the L8
 /// schema diff against `lock` when one is supplied. Diagnostics are
@@ -69,18 +71,17 @@ pub fn analyze(root: &Path) -> std::io::Result<(Model, Vec<Diagnostic>)> {
 /// Renders the static graph as JSON (caller/callee/method/calls per
 /// edge), matching the field names of the runtime snapshot.
 pub fn graph_json(snapshot: &weaver_metrics::CallGraphSnapshot) -> String {
-    let edges: Vec<String> = snapshot
+    let edges = snapshot
         .edges
         .iter()
         .map(|(e, s)| {
-            format!(
-                "{{\"caller\":{},\"callee\":{},\"method\":{},\"calls\":{}}}",
-                diag::json_str(&e.caller),
-                diag::json_str(&e.callee),
-                diag::json_str(&e.method),
-                s.calls
-            )
+            object([
+                ("caller", text(&e.caller)),
+                ("callee", text(&e.callee)),
+                ("method", text(&e.method)),
+                ("calls", JsonValue::Number(s.calls as f64)),
+            ])
         })
         .collect();
-    format!("{{\"edges\":[{}]}}", edges.join(","))
+    object([("edges", JsonValue::Array(edges))]).to_string_compact()
 }

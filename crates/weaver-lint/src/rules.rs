@@ -5,7 +5,7 @@
 //! the Rust compiler cannot check on its own:
 //!
 //! - **L1** — everything crossing a component boundary must be wire
-//!   data (serializable in all three formats), or the same binary that
+//!   data (`#[derive(WeaverData)]`), or the same binary that
 //!   works co-located fails when split across processes (§3, §4).
 //! - **L2** — the component call graph must be acyclic, or placement
 //!   and rollout have no topological order and a co-located deadlock

@@ -6,6 +6,9 @@
 use std::path::Path;
 use std::process::Command;
 
+use weaver_codec::json::JsonValue;
+use weaver_lint::diag::RULE_INFO;
+
 fn bin() -> Command {
     // Integration tests run with the package root as cwd, so fixture
     // paths inside the diagnostics match the checked-in expectations.
@@ -77,6 +80,71 @@ fn sarif_output_is_wellformed() {
     assert!(sarif.contains("tests/fixtures/l4_guard/comp.rs"), "{sarif}");
     // Errors still fail the run in SARIF mode (CI uploads, then gates).
     assert_eq!(out.status.code(), Some(1));
+}
+
+#[test]
+fn json_outputs_parse_as_json() {
+    let run = |args: &[&str]| {
+        let out = bin()
+            .args(["--root", "tests/fixtures/l4_guard"])
+            .args(args)
+            .output()
+            .expect("run weaver-lint");
+        assert_eq!(out.status.code(), Some(1), "the L4 error fails the run");
+        String::from_utf8(out.stdout).expect("utf8 stdout")
+    };
+    let parse = |text: &str| JsonValue::parse(text).unwrap_or_else(|e| panic!("{e}: {text}"));
+
+    let report = parse(run(&["--format", "json"]).trim_end());
+    let [finding] = report.as_array().unwrap() else {
+        panic!("one finding expected: {report:?}");
+    };
+    assert_eq!(finding.get("rule").unwrap().as_str(), Ok("L4"));
+    assert_eq!(finding.get("line").unwrap().as_number(), Ok(29.0));
+    assert_eq!(
+        finding.get("file").unwrap().as_str(),
+        Ok("tests/fixtures/l4_guard/comp.rs")
+    );
+
+    let sarif = parse(run(&["--format", "sarif"]).trim_end());
+    assert_eq!(sarif.get("version").unwrap().as_str(), Ok("2.1.0"));
+    let run0 = &sarif.get("runs").unwrap().as_array().unwrap()[0];
+    let result = &run0.get("results").unwrap().as_array().unwrap()[0];
+    assert_eq!(result.get("ruleId").unwrap().as_str(), Ok("L4"));
+    let region = result.get("locations").unwrap().as_array().unwrap()[0]
+        .get("physicalLocation")
+        .and_then(|l| l.get("region"))
+        .unwrap();
+    assert_eq!(region.get("startLine").unwrap().as_number(), Ok(29.0));
+    let declared: Vec<&str> = run0
+        .get("tool")
+        .and_then(|t| t.get("driver"))
+        .and_then(|d| d.get("rules"))
+        .and_then(|r| r.as_array())
+        .unwrap()
+        .iter()
+        .map(|r| r.get("id").and_then(JsonValue::as_str).unwrap())
+        .collect();
+    for (id, _) in RULE_INFO {
+        assert!(
+            declared.contains(id),
+            "rule {id} not declared: {declared:?}"
+        );
+    }
+
+    // `--graph` prints its document on a line of its own, before the findings.
+    let out = run(&["--graph", "--format", "json"]);
+    let (graph, findings) = out.split_once('\n').expect("two lines");
+    let edges = parse(graph);
+    let edges = edges.get("edges").unwrap().as_array().unwrap();
+    assert!(
+        edges.iter().any(
+            |e| e.get("callee").unwrap().as_str() == Ok("fixture.Warehouse")
+                && e.get("method").unwrap().as_str() == Ok("pick")
+        ),
+        "{graph}"
+    );
+    assert_eq!(parse(findings.trim_end()), report);
 }
 
 #[test]

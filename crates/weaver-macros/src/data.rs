@@ -1,8 +1,8 @@
-//! Expansion of the three data derives: `#[derive(WeaverData)]` (the
-//! non-versioned wire codec), `#[derive(TaggedData)]` (the protobuf-shaped
-//! baseline) and `#[derive(JsonData)]` (the textual baseline).
+//! Expansion of the two data derives: `#[derive(WeaverData)]` (the
+//! non-versioned wire codec) and `#[derive(TaggedData)]` (the
+//! protobuf-shaped baseline).
 //!
-//! All three parse the type definition with the shared `weaver-syntax`
+//! Both parse the type definition with the shared `weaver-syntax`
 //! scanner (no `syn` dependency) and emit their format's impls as source
 //! text. A struct is handled as an enum's single variant without a
 //! discriminant, so every format has one code path for both.
@@ -18,8 +18,6 @@ pub enum Format {
     Wire,
     /// `TaggedEncode` + `TaggedDecode` + `TaggedValue`.
     Tagged,
-    /// `ToJson` + `FromJson`.
-    Json,
 }
 
 impl Format {
@@ -27,7 +25,6 @@ impl Format {
         match self {
             Format::Wire => "WeaverData",
             Format::Tagged => "TaggedData",
-            Format::Json => "JsonData",
         }
     }
 
@@ -36,7 +33,6 @@ impl Format {
         match self {
             Format::Wire => "::weaver_codec::wire::Encode + ::weaver_codec::wire::Decode",
             Format::Tagged => "::weaver_codec::tagged::TaggedField",
-            Format::Json => "::weaver_codec::json::ToJson + ::weaver_codec::json::FromJson",
         }
     }
 }
@@ -197,7 +193,6 @@ pub fn expand(input: TokenStream, format: Format) -> Result<TokenStream, MacroEr
     let impls: String = match format {
         Format::Wire => wire_impls(&data),
         Format::Tagged => tagged_impls(&data),
-        Format::Json => json_impls(&data),
     }
     .iter()
     .map(|(trait_path, items)| data.render_impl(format.bounds(), trait_path, items))
@@ -666,139 +661,6 @@ fn tagged_impls(data: &Data) -> Vec<(&'static str, String)> {
 
                 fn default_value() -> Self {{
                     {default}
-                }}"
-            ),
-        ),
-    ]
-}
-
-/// JSON: a named struct is an object keyed by field name, a tuple or unit
-/// struct an array. An enum is an object whose `$type` names the variant,
-/// with named fields beside it or tuple fields in a `$fields` array.
-fn json_impls(data: &Data) -> Vec<(&'static str, String)> {
-    let to_json = data.match_self(|_, v| {
-        let items: Vec<String> = (0..v.fields.len())
-            .map(|i| format!("::weaver_codec::json::ToJson::to_json({})", binding(i)))
-            .collect();
-        let array = format!(
-            "::weaver_codec::json::JsonValue::Array(::std::vec![{}])",
-            items.join(", ")
-        );
-        let object = |entries: String| {
-            format!(
-                "let mut map = ::std::collections::BTreeMap::new();
-                {entries}
-                ::weaver_codec::json::JsonValue::Object(map)"
-            )
-        };
-        let named = v.each(|i, f| {
-            format!(
-                "map.insert({:?}.to_string(), {});\n",
-                f.name.as_deref().unwrap_or_default(),
-                items[i]
-            )
-        });
-        if !data.is_enum {
-            return match v.shape {
-                Shape::Named => object(named),
-                _ => array,
-            };
-        }
-        let fields = match v.shape {
-            Shape::Named => named,
-            Shape::Tuple => format!("map.insert(\"$fields\".to_string(), {array});"),
-            Shape::Unit => String::new(),
-        };
-        object(format!(
-            "map.insert(
-                \"$type\".to_string(),
-                ::weaver_codec::json::JsonValue::String({:?}.to_string()),
-            );
-            {fields}",
-            v.name
-        ))
-    });
-
-    // Decodes the fields of `v`: named ones from the object `v`, tuple ones
-    // from the array `arr`, which `expected` describes in an arity error.
-    let fields = |v: &Variant, arr: &str, expected: &str| {
-        let reads = if v.shape == Shape::Named {
-            let reads = v.each(|i, f| {
-                let key = f.name.as_deref().unwrap_or_default();
-                format!(
-                    "let {} = <{} as ::weaver_codec::json::FromJson>::from_json_field(
-                        obj.get({key:?}), {key:?},
-                    )?;\n",
-                    binding(i),
-                    f.ty
-                )
-            });
-            format!("let obj = v.as_object()?;\n{reads}")
-        } else {
-            let reads = v.each(|i, f| {
-                format!(
-                    "let {} = <{} as ::weaver_codec::json::FromJson>::from_json(&arr[{i}])?;\n",
-                    binding(i),
-                    f.ty
-                )
-            });
-            format!(
-                "let arr = {arr}.as_array()?;
-                if arr.len() != {}usize {{
-                    return ::std::result::Result::Err(
-                        ::weaver_codec::error::DecodeError::JsonType {{ expected: {expected:?} }},
-                    );
-                }}
-                {reads}",
-                v.fields.len()
-            )
-        };
-        format!(
-            "{reads}::std::result::Result::Ok({})",
-            v.bound(&data.path(v))
-        )
-    };
-    let from_json = if data.is_enum {
-        let arms: String = data
-            .variants
-            .iter()
-            .map(|v| {
-                let body = match v.shape {
-                    Shape::Unit => format!("::std::result::Result::Ok({})", data.path(v)),
-                    _ => fields(
-                        v,
-                        "v.get(\"$fields\")?",
-                        "variant field array of matching arity",
-                    ),
-                };
-                format!("{:?} => {{ {body} }}\n", v.name)
-            })
-            .collect();
-        format!(
-            "match v.get(\"$type\")?.as_str()? {{
-                {arms}
-                _ => ::std::result::Result::Err(
-                    ::weaver_codec::error::DecodeError::JsonType {{
-                        expected: \"a known enum variant name in $type\",
-                    }},
-                ),
-            }}"
-        )
-    } else {
-        fields(&data.variants[0], "v", "tuple array of matching arity")
-    };
-    vec![
-        (
-            "::weaver_codec::json::ToJson",
-            format!("fn to_json(&self) -> ::weaver_codec::json::JsonValue {{ {to_json} }}"),
-        ),
-        (
-            "::weaver_codec::json::FromJson",
-            format!(
-                "fn from_json(
-                    v: &::weaver_codec::json::JsonValue,
-                ) -> ::std::result::Result<Self, ::weaver_codec::error::DecodeError> {{
-                    {from_json}
                 }}"
             ),
         ),

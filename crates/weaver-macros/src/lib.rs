@@ -14,13 +14,10 @@
 //!   the one format the runtime speaks, and what every component argument
 //!   and reply needs.
 //!
-//! * [`macro@derive(TaggedData)`](derive_tagged_data) and
-//!   [`macro@derive(JsonData)`](derive_json_data) — opt-in baseline formats:
-//!   the protobuf-shaped `TaggedEncode`/`TaggedDecode` pair the gRPC-like
-//!   baseline speaks, and `ToJson`/`FromJson`. A type derives them only if
-//!   something encodes it in that format; deriving all three on one
-//!   `struct` is what makes the codec ablation (experiment A1)
-//!   apples-to-apples.
+//! * [`macro@derive(TaggedData)`](derive_tagged_data) — the opt-in
+//!   baseline format: the protobuf-shaped `TaggedEncode`/`TaggedDecode`
+//!   pair the gRPC-like baseline speaks. A type derives it only if the
+//!   baseline encodes it.
 //!
 //! * [`macro@component`] — the component interface generator. Applied to a
 //!   trait, it emits the client stub (marshal arguments, call through a
@@ -69,16 +66,6 @@ pub fn derive_weaver_data(input: TokenStream) -> TokenStream {
 #[proc_macro_derive(TaggedData)]
 pub fn derive_tagged_data(input: TokenStream) -> TokenStream {
     data::expand(input, data::Format::Tagged).unwrap_or_else(|e| e.to_compile_error())
-}
-
-/// Derives `ToJson` and `FromJson` for a struct or enum.
-///
-/// A named struct is an object keyed by field name, a tuple struct an
-/// array; an enum variant is an object whose `$type` names it. Type
-/// parameters are bounded by `ToJson + FromJson`.
-#[proc_macro_derive(JsonData)]
-pub fn derive_json_data(input: TokenStream) -> TokenStream {
-    data::expand(input, data::Format::Json).unwrap_or_else(|e| e.to_compile_error())
 }
 
 /// Declares a trait as a component interface.

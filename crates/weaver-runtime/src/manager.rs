@@ -318,6 +318,7 @@ impl MultiProcess {
             Arc::clone(&shared.table),
             Arc::clone(&callgraph),
             shared.config.version,
+            "unix",
         ));
         Ok(Arc::new(MultiProcess {
             shared,

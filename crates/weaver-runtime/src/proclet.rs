@@ -159,6 +159,7 @@ fn proclet_main(
         Arc::clone(&table),
         Arc::clone(&callgraph),
         version,
+        "unix",
     ));
     // One registry for the process: the router's `call_nanos` and the
     // dispatcher's `handle_nanos`, all of it in every load report.

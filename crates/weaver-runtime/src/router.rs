@@ -597,15 +597,21 @@ struct RouterInner {
 }
 
 impl RemoteRouter {
-    /// Builds a router over `table` for deployment `version`.
-    pub fn new(table: Arc<RoutingTable>, callgraph: Arc<CallGraph>, version: u64) -> Self {
+    /// Builds a router over `table` for deployment `version` whose calls
+    /// cross the wire as `placement` (`"tcp"`, `"unix"`).
+    pub fn new(
+        table: Arc<RoutingTable>,
+        callgraph: Arc<CallGraph>,
+        version: u64,
+        placement: &'static str,
+    ) -> Self {
         Self::with_metrics(
             table,
             callgraph,
             version,
             Pool::new(),
             Arc::new(MetricsRegistry::new()),
-            "tcp",
+            placement,
         )
     }
 

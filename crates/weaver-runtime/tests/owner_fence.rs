@@ -166,7 +166,7 @@ fn routing(epoch: u64, routes: &[Endpoint], replica: u32) -> RoutingState {
 
 /// A caller whose router resolves through `table` and nothing else.
 fn caller(registry: &ComponentRegistry, table: &Arc<RoutingTable>) -> Arc<dyn Counter> {
-    let router = RemoteRouter::new(Arc::clone(table), Arc::new(CallGraph::new()), 1);
+    let router = RemoteRouter::new(Arc::clone(table), Arc::new(CallGraph::new()), 1, "tcp");
     let handle = registry.client_handle::<dyn Counter>(Arc::new(router) as Arc<dyn CallRouter>);
     <dyn Counter as ComponentInterface>::client(handle.unwrap())
 }

@@ -378,11 +378,12 @@ fn deployer_end_to_end() {
         .expect("place_order");
     assert!(order.order_id.starts_with("order-"));
     assert_eq!(order.total.currency_code, "EUR");
-    // The manager's own calls are measured in the registry it reports.
+    // The manager's own calls are measured in the registry it reports,
+    // labelled with the unix sockets they cross.
     assert!(
         deployment
             .metrics()
-            .get("boutique.Frontend/place_order/tcp/call_nanos")
+            .get("boutique.Frontend/place_order/unix/call_nanos")
             .is_some(),
         "manager's ingress call_nanos missing from metrics()"
     );
@@ -414,6 +415,14 @@ fn deployer_end_to_end() {
     // checks apart must agree (the first waits out reports still in flight).
     std::thread::sleep(Duration::from_millis(600));
     let settled = (deployment.callgraph(), deployment.metrics());
+    assert!(
+        !settled
+            .1
+            .metrics
+            .iter()
+            .any(|(name, _)| name.ends_with("/tcp/call_nanos")),
+        "a call over a unix socket was labelled tcp"
+    );
     std::thread::sleep(Duration::from_millis(800));
     assert_eq!(
         (deployment.callgraph(), deployment.metrics()),
